@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson, trapezoid
 
-from .dynamics import PhasePath, _rk4_batch, _shoot_batch, integrate_ivp
+from .dynamics import PhasePath, _rk4_batch, _shoot_batch
 from .errors import PreconditionError
 from .model import HamiltonianModel
 
@@ -146,16 +146,10 @@ def _solved_actions(model, start_value, targets, horizons, n_steps, shoot_on, ev
     endpoint data of the conjugate variable, and a validity mask."""
     targets = np.asarray(targets, dtype=float)
     horizons = np.asarray(horizons, dtype=float)
-    roots, _, flags, _ = _shoot_batch(model, start_value, targets, (0.0, horizons), n_steps, shoot_on)
-    ok = flags == "unique"
-    if shoot_on == "p0":
-        P, Q = _rk4_batch(model, roots, np.full_like(roots, start_value), (0.0, horizons),
-                          n_steps, keep_path=True, check=False)
-    else:
-        P, Q = _rk4_batch(model, np.full_like(roots, start_value), roots, (0.0, horizons),
-                          n_steps, keep_path=True, check=False)
-    dt = horizons / n_steps
-    values, _ = evaluate(model, P, Q, dt)
+    shots = _shoot_batch(model, start_value, targets, (0.0, horizons), n_steps, shoot_on)
+    ok = shots.flags == "unique"
+    P, Q = shots.P, shots.Q
+    values, _ = evaluate(model, P, Q, horizons / n_steps)
     conjugate_end = P[-1] if shoot_on == "p0" else Q[-1]
     return np.asarray(values), conjugate_end, ok
 
@@ -224,17 +218,17 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
         companion = np.full_like(R, np.nan)
         valid = np.zeros((nt, npf), dtype=bool)
         online = np.isclose(p_f_values, p_i, rtol=0.0, atol=1e-12)
-        for i, t in enumerate(t_values):
-            def r_at(tt):
-                path = integrate_ivp(model, p_i, 0.0, (0.0, tt), n_steps)
-                return action_r(model, path).value
-
-            rc, rp, rm = r_at(t), r_at(t + dtt), r_at(t - dtt)
-            dR_dt = (rp - rm) / (2.0 * dtt)
-            res = model.eval(p_i, 0.0) + dR_dt
-            R[i, online] = rc
-            hj[i, online] = res
-            valid[i, online] = True
+        # one sweep over the horizons t, t + dt and t - dt of every row
+        horizons = np.concatenate([t_values, t_values + dtt, t_values - dtt])
+        if n_steps < 1 or not np.all(horizons > 0.0):
+            raise PreconditionError("cyclic R surface needs n_steps >= 1 and t - fd_step > 0")
+        P, Q = _rk4_batch(model, p_i, np.zeros_like(horizons), (0.0, horizons), n_steps)
+        values, _ = _action_r_values(model, P, Q, horizons / n_steps)
+        rc, rp, rm = np.asarray(values).reshape(3, nt)
+        dR_dt = (rp - rm) / (2.0 * dtt)
+        R[:, online] = rc[:, None]
+        hj[:, online] = (model.eval(p_i, 0.0) + dR_dt)[:, None]
+        valid[:, online] = True
         return SurfaceResidualField("p_f", p_f_values, t_values, R, hj, companion, valid)
 
     R, dR_dp, dR_dt, q_tf, valid = _hj_surface(

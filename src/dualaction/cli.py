@@ -297,8 +297,9 @@ def _cmd_hj_check(config: RunConfig, model):
                                        n_steps=params["N"], fd_step=params["fd_step"])
     results = {
         "which": params["which"],
-        "max_abs_residual": fld.max_abs_hj(),
-        "max_abs_companion": fld.max_abs_companion(),
+        # null where no node defines the value (e.g. the cyclic R companion)
+        "max_abs_residual": _finite_or_none(fld.max_abs_hj()),
+        "max_abs_companion": _finite_or_none(fld.max_abs_companion()),
         "valid_nodes": int(np.sum(fld.valid)),
         "total_nodes": int(fld.valid.size),
     }
@@ -307,6 +308,10 @@ def _cmd_hj_check(config: RunConfig, model):
         fld.to_csv(config.out_path)
         series = config.out_path
     return results, {"fd_step": params["fd_step"], "shooting_tol": 1e-9}, series
+
+
+def _finite_or_none(value):
+    return value if math.isfinite(value) else None
 
 
 def _cmd_legendre_check(config: RunConfig, model):
@@ -358,6 +363,23 @@ _HANDLERS = {
 }
 
 
+def _bounded(kind, low, inclusive=True):
+    """argparse type: a value of kind that is >= low (or > low)."""
+    def convert(text):
+        value = kind(text)
+        if not (value >= low if inclusive else value > low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>=' if inclusive else '>'} {low}, got {text!r}")
+        return value
+
+    convert.__name__ = kind.__name__
+    return convert
+
+
+_count = _bounded(int, 1)
+_positive = _bounded(float, 0.0, inclusive=False)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dualaction",
@@ -379,7 +401,7 @@ def build_parser():
     def window(p, n_default=1000):
         p.add_argument("--t0", type=float, default=0.0)
         p.add_argument("--t1", type=float, default=1.0)
-        p.add_argument("--N", type=int, default=n_default)
+        p.add_argument("--N", type=_count, default=n_default)
 
     p = sub.add_parser("classify", help="classify the extremum type of a critical path")
     common(p); window(p)
@@ -397,7 +419,7 @@ def build_parser():
     p.add_argument("--q-start", type=float, default=0.0)
     p.add_argument("--q-end", type=float, default=1.0)
     p.add_argument("--chain", choices=("S-chain", "R-chain"), default="S-chain")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count, default=1000)
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--modes", type=int, default=8)
 
@@ -433,17 +455,18 @@ def build_parser():
                    help="fixed initial endpoint (q_i for S, p_i for R)")
     p.add_argument("--grid-min", type=float, default=0.5)
     p.add_argument("--grid-max", type=float, default=1.5)
-    p.add_argument("--grid-count", type=int, default=11)
+    p.add_argument("--grid-count", type=_count, default=11)
     p.add_argument("--t-min", type=float, default=0.5)
     p.add_argument("--t-max", type=float, default=1.5)
-    p.add_argument("--t-count", type=int, default=11)
-    p.add_argument("--N", type=int, default=800)
-    p.add_argument("--fd-step", type=float, default=1e-3)
+    p.add_argument("--t-count", type=_count, default=11)
+    p.add_argument("--N", type=_count, default=800)
+    p.add_argument("--fd-step", type=_positive, default=1e-3)
 
     p = sub.add_parser("legendre-check", help="Legendre identity residual on seeded smooth paths")
     common(p)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--N", type=int, default=2000)
+    p.add_argument("--samples", type=_count, default=100)
+    # the O(dt^2) difference stencils need at least 3 nodes
+    p.add_argument("--N", type=_bounded(int, 2), default=2000)
 
     return parser
 
@@ -479,8 +502,16 @@ def run(config: RunConfig):
     return report
 
 
-def _emit(report, config: RunConfig):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _render(report):
+    """The report as strict JSON; a NaN or infinity in it is an error."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise PreconditionError(f"report holds a non-finite value ({exc})",
+                                code="non-finite") from exc
+
+
+def _emit(text, config: RunConfig):
     if config.out_format == "json" and config.out_path:
         with open(config.out_path, "w") as fh:
             fh.write(text)
@@ -503,7 +534,7 @@ def main(argv=None) -> int:
             seed=args.seed, out_format=args.format, out_path=args.out,
         )
         log.info("running %s with hamiltonian %s", args.command, spec)
-        report = run(config)
+        text = _render(run(config))
     except PreconditionError as exc:
         log.error("precondition error: %s", exc)
         sys.stderr.write(json.dumps({
@@ -518,7 +549,7 @@ def main(argv=None) -> int:
             "status": "error", "error_code": exc.code, "message": str(exc),
         }, sort_keys=True) + "\n")
         return 1
-    _emit(report, config)
+    _emit(text, config)
     return 0
 
 

@@ -4,7 +4,9 @@ Position-type boundary conditions pin q at both ends and shoot over the
 initial momentum; momentum-type conditions pin p and shoot over the
 initial position.  The integrator is classical fixed-step RK4: the paths
 here are short and shooting needs smooth dependence on initial data more
-than long-time structure preservation.
+than long-time structure preservation.  Every integration is a sweep of
+one engine over many lanes (one initial condition per array element),
+so a shooting solve costs a few sweeps rather than a few per lane.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, PreconditionError
+from .errors import BlowUpError, PreconditionError, UnsupportedOrderError
 from .model import HamiltonianModel
 
 SHOOTING_TOL = 1e-9
 SENSITIVITY_TOL = 1e-6
 BRACKET_RANGE = 1e3
-MAX_SECANT_ITER = 100
+MAX_NEWTON_ITER = 100
+FD_REL_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,56 +84,74 @@ class ShootingReport:
         return self.flag != "infeasible"
 
 
-def _rk4_batch(model, p0, q0, t_span, n_steps, keep_path=False, check=True):
+def _rk4(field, p, q, dt, n_steps, keep=None, spread=None):
+    """One RK4 sweep of Hamilton's equations over every lane at once.
+
+    field is a model's vector_field(); p and q are equal-shape arrays of
+    initial states (one lane per element) and dt is the step per lane,
+    broadcastable against them.  keep indexes the lanes whose path is
+    stored, e.g. ``...`` for all of them or ``0`` for the first row;
+    spread ('p' or 'q') tracks max over nodes of |x[1] - x[2]| for that
+    variable.  Nothing is checked: a blowing-up lane poisons only itself
+    with non-finite values.  Returns (p, q, P, Q, spread_max), with None
+    for what was not asked for.
+    """
+    h2, dt6 = 0.5 * dt, dt / 6.0
+    P = Q = widest = None
+    if keep is not None:
+        P = np.empty((n_steps + 1,) + np.shape(p[keep]))
+        Q = np.empty_like(P)
+        P[0], Q[0] = p[keep], q[keep]
+    if spread is not None:
+        widest = np.zeros(np.shape(p[0]))
+    with np.errstate(all="ignore"):
+        for j in range(n_steps):
+            a1, b1 = field(p, q)
+            a2, b2 = field(p - h2 * b1, q + h2 * a1)
+            a3, b3 = field(p - h2 * b2, q + h2 * a2)
+            a4, b4 = field(p - dt * b3, q + dt * a3)
+            p = p - dt6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            q = q + dt6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            if keep is not None:
+                P[j + 1], Q[j + 1] = p[keep], q[keep]
+            if spread is not None:
+                x = q if spread == "q" else p
+                np.maximum(widest, np.abs(x[1] - x[2]), out=widest)
+    return p, q, P, Q, widest
+
+
+def _blow_up(P, Q):
+    """BlowUpError naming the first node at which the paths are non-finite."""
+    bad = ~(np.isfinite(P) & np.isfinite(Q)).reshape(P.shape[0], -1).all(axis=1)
+    node = int(np.argmax(bad))
+    return BlowUpError(f"non-finite state at node {node}", node_index=node)
+
+
+def _rk4_batch(model, p0, q0, t_span, n_steps):
     """Vectorized fixed-step RK4 for Hamilton's equations.
 
     p0, q0 are broadcastable arrays of initial states; t_span endpoints
-    may also be arrays (per-element horizons).  Returns either the final
-    (p, q) or full (n_steps+1, ...) histories.  With check=False a
-    blowing-up lane poisons only itself with non-finite values instead
-    of raising.
+    may also be arrays (per-element horizons).  Returns the
+    (n_steps+1, ...) histories of p and q.  A non-finite final state
+    raises BlowUpError naming the first non-finite node.
     """
-    hp = model._derivative(1, 0)
-    hq = model._derivative(0, 1)
     t0, t1 = t_span
     p, q, dt = np.broadcast_arrays(
         np.asarray(p0, float), np.asarray(q0, float),
         (np.asarray(t1, float) - np.asarray(t0, float)) / n_steps,
     )
-    p, q = p.copy(), q.copy()
-    if keep_path:
-        P = np.empty((n_steps + 1,) + p.shape)
-        Q = np.empty_like(P)
-        P[0], Q[0] = p, q
-
-    # overflow in a blowing-up lane is reported via BlowUpError (check=True)
-    # or poisons only that lane (check=False); either way not a warning
-    with np.errstate(all="ignore"):
-        for j in range(n_steps):
-            k1p, k1q = -hq(p, q), hp(p, q)
-            p2, q2 = p + 0.5 * dt * k1p, q + 0.5 * dt * k1q
-            k2p, k2q = -hq(p2, q2), hp(p2, q2)
-            p3, q3 = p + 0.5 * dt * k2p, q + 0.5 * dt * k2q
-            k3p, k3q = -hq(p3, q3), hp(p3, q3)
-            p4, q4 = p + dt * k3p, q + dt * k3q
-            k4p, k4q = -hq(p4, q4), hp(p4, q4)
-            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            if check and not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-                raise BlowUpError(f"non-finite state at node {j + 1}", node_index=j + 1)
-            if keep_path:
-                P[j + 1], Q[j + 1] = p, q
-
-    if keep_path:
-        return P, Q
-    return p, q
+    pe, qe, P, Q, _ = _rk4(model.vector_field(), p, q, dt, n_steps, keep=...)
+    # a non-finite state stays non-finite, so the final one decides
+    if not (np.all(np.isfinite(pe)) and np.all(np.isfinite(qe))):
+        raise _blow_up(P, Q)
+    return P, Q
 
 
 def integrate_ivp(model: HamiltonianModel, p0: float, q0: float, t_span, n_steps: int) -> PhasePath:
     """Integrate Hamilton's equations from (p0, q0) with fixed-step RK4."""
     if n_steps < 1:
         raise PreconditionError("integration needs n_steps >= 1")
-    P, Q = _rk4_batch(model, float(p0), float(q0), t_span, n_steps, keep_path=True)
+    P, Q = _rk4_batch(model, float(p0), float(q0), t_span, n_steps)
     return PhasePath(t_span[0], t_span[1], P.reshape(n_steps + 1), Q.reshape(n_steps + 1))
 
 
@@ -139,43 +160,80 @@ def _scan_candidates(scan_range):
     return np.concatenate([-mags[::-1], [0.0], mags])
 
 
+def _momentum_unit(model, q_start):
+    """Momentum per unit velocity at rest at q_start, 1 / H_pp(0, q_start).
+
+    Position shooting scans velocities; this turns them into momenta.
+    1.0 when the model has no H_pp or it is zero or non-finite there.
+    """
+    try:
+        hpp = abs(float(model._derivative(2, 0)(0.0, q_start)))
+    except UnsupportedOrderError:
+        return 1.0
+    return 1.0 / hpp if np.isfinite(hpp) and hpp > 0.0 else 1.0
+
+
+def _pinned_scale(start, end):
+    """Size of the pinned values, max(1, |start|, |end|): shooting residuals
+    are held to tol in these units, so momenta of any mass converge alike."""
+    return np.maximum(1.0, np.maximum(abs(start), np.abs(end)))
+
+
+@dataclass(frozen=True)
+class _Shots:
+    """Shooting results over a batch of targets; paths are (n_steps+1, targets)."""
+
+    roots: np.ndarray
+    residuals: np.ndarray
+    flags: np.ndarray
+    P: np.ndarray
+    Q: np.ndarray
+
+
 def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on,
                  tol=SHOOTING_TOL, scan_range=BRACKET_RANGE):
-    """Shoot a family of endpoint targets with a shared scan + batched secant.
+    """Shoot a family of endpoint targets: one scan, then batched Newton sweeps.
 
     shoot_on = 'p0' varies initial momentum with q(t_i) = start_value and
     matches final q (position-type); shoot_on = 'q0' varies initial
     position with p(t_i) = start_value and matches final p.  The horizon
     t_span[1] may be an array giving one horizon per target.
 
-    Returns (roots, residuals, flags, sensitivities) arrays over targets.
+    The scan integrates every candidate for every target in one sweep and
+    picks, per target, the sign-change bracket nearest x = 0 with a
+    regula-falsi first guess.  Each Newton sweep integrates the lanes x,
+    x + h and x - h: the outer pair gives the Jacobi field
+    J(t) = (E+(t) - E-(t)) / 2h of the endpoint variable E, whose final
+    value is the Newton slope, and the centre lanes' paths are kept.  A
+    step that leaves the bracket bisects it instead, and a target is
+    solved once |residual| <= tol * max(1, |start|, |target|).  It is
+    conjugate-degenerate when |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|
+    or the scan found several brackets.
     """
     targets = np.asarray(targets, dtype=float)
     n_t = targets.size
+    tol = tol * _pinned_scale(start_value, targets)
     t0 = float(t_span[0])
-    t1 = np.broadcast_to(np.asarray(t_span[1], dtype=float), targets.shape).astype(float)
+    t1 = np.broadcast_to(np.asarray(t_span[1], dtype=float), targets.shape)
+    dt = (t1 - t0) / n_steps
+    field = model.vector_field()
+    unit = _momentum_unit(model, start_value) if shoot_on == "p0" else 1.0
+    end = "q" if shoot_on == "p0" else "p"
 
-    def endpoint(x, horizons):
-        x = np.asarray(x, dtype=float)
-        if shoot_on == "p0":
-            _, qe = _rk4_batch(model, x, np.full_like(x, start_value), (t0, horizons),
-                               n_steps, check=False)
-            return qe
-        pe, _ = _rk4_batch(model, np.full_like(x, start_value), x, (t0, horizons),
-                           n_steps, check=False)
-        return pe
+    def sweep(x, lane_dt, **kw):
+        s = np.full_like(x, start_value)
+        p, q = (x, s) if shoot_on == "p0" else (s, x)
+        pe, qe, P, Q, widest = _rk4(field, p, q, lane_dt, n_steps, **kw)
+        return (qe if shoot_on == "p0" else pe), P, Q, widest
 
-    cand = _scan_candidates(scan_range)
-    n_c = cand.size
-    ends = endpoint(
-        np.broadcast_to(cand[:, None], (n_c, n_t)),
-        np.broadcast_to(t1[None, :], (n_c, n_t)),
-    )
-    res = ends - targets[None, :]
+    cand = _scan_candidates(scan_range) * unit
+    ends, _, _, _ = sweep(np.repeat(cand[:, None], n_t, axis=1), dt)
+    res = ends - targets
     res = np.where(np.isfinite(res), res, np.nan)
 
-    x0 = np.zeros(n_t)
-    x1 = np.zeros(n_t)
+    x = np.zeros(n_t)
+    lo, hi = np.zeros(n_t), np.zeros(n_t)
+    r_lo = np.zeros(n_t)
     flags = np.array(["unique"] * n_t, dtype=object)
     bracket_counts = np.zeros(n_t, dtype=int)
     have_bracket = np.zeros(n_t, dtype=bool)
@@ -183,81 +241,99 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on,
     with np.errstate(invalid="ignore"):
         sign_change = res[:-1] * res[1:] < 0
         exact_hit = np.abs(res) <= tol
+    near = np.minimum(np.abs(cand[:-1]), np.abs(cand[1:]))
     for k in range(n_t):
         changes = np.flatnonzero(sign_change[:, k])
         bracket_counts[k] = changes.size
         hits = np.flatnonzero(exact_hit[:, k])
         col = res[:, k]
         if changes.size:
-            x0[k], x1[k] = cand[changes[0]], cand[changes[0] + 1]
+            i = changes[np.argmin(near[changes])]
+            lo[k], hi[k], r_lo[k] = cand[i], cand[i + 1], col[i]
+            x[k] = lo[k] - col[i] * (hi[k] - lo[k]) / (col[i + 1] - col[i])
             have_bracket[k] = True
         elif hits.size:
-            best = hits[np.argmin(np.abs(cand[hits]))]
-            x0[k] = x1[k] = cand[best]
+            x[k] = lo[k] = hi[k] = cand[hits[np.argmin(np.abs(cand[hits]))]]
             have_bracket[k] = True
-        elif np.any(np.isfinite(col)) and np.nanmax(np.abs(col)) <= 10.0 * tol:
+        elif np.any(np.isfinite(col)) and np.nanmax(np.abs(col)) <= 10.0 * tol[k]:
             # every scanned parameter already solves the problem
-            x0[k] = x1[k] = 0.0
             have_bracket[k] = True
             flags[k] = "conjugate-degenerate"
         else:
-            x0[k] = x1[k] = cand[np.nanargmin(np.abs(col))] if np.any(np.isfinite(col)) else 0.0
+            x[k] = cand[np.nanargmin(np.abs(col))] if np.any(np.isfinite(col)) else 0.0
             flags[k] = "infeasible"
 
-    roots = x1.copy()
-    r1 = endpoint(roots, t1) - targets
-    r0 = endpoint(x0, t1) - targets
-    with np.errstate(invalid="ignore"):
-        active = have_bracket & (np.abs(r1) > tol)
-    xprev, rprev = x0.copy(), r0.copy()
-    for _ in range(MAX_SECANT_ITER):
-        if not np.any(active):
-            break
-        denom = r1 - rprev
+    roots = x.copy()
+    residuals = np.full(n_t, np.nan)
+    j_end = np.full(n_t, np.nan)
+    j_max = np.full(n_t, np.nan)
+    P_all = Q_all = None
+    todo = np.arange(n_t)
+    for _ in range(MAX_NEWTON_ITER):
+        xa = x[todo]
+        h = FD_REL_STEP * np.maximum(unit, np.abs(xa))
+        ends, P, Q, widest = sweep(np.stack([xa, xa + h, xa - h]), dt[todo], keep=0, spread=end)
+        r = ends[0] - targets[todo]
+        spread = ends[1] - ends[2]
+        if P_all is None and todo.size == n_t:
+            P_all, Q_all = P, Q
+        else:
+            P_all[:, todo], Q_all[:, todo] = P, Q
+        roots[todo], residuals[todo] = xa, r
+        j_end[todo], j_max[todo] = spread, widest
+
         with np.errstate(invalid="ignore", divide="ignore"):
-            step = np.where(denom != 0, r1 * (roots - xprev) / np.where(denom == 0, 1.0, denom), 0.0)
-            stalled = active & (denom == 0)
-            xnew = np.where(active, roots - step, roots)
-        rnew = endpoint(xnew, t1) - targets
-        xprev, rprev = np.where(active, roots, xprev), np.where(active, r1, rprev)
-        roots, r1 = np.where(active, xnew, roots), np.where(active, rnew, r1)
-        with np.errstate(invalid="ignore"):
-            active = active & (np.abs(r1) > tol) & ~stalled
+            going = have_bracket[todo] & (np.abs(r) > tol[todo])
+            # keep the root bracketed: replace the end whose residual has r's sign
+            move_lo = going & (np.sign(r) == np.sign(r_lo[todo]))
+            lo[todo] = np.where(move_lo, xa, lo[todo])
+            r_lo[todo] = np.where(move_lo, r, r_lo[todo])
+            hi[todo] = np.where(going & ~move_lo, xa, hi[todo])
+            xn = xa - r * (2.0 * h) / spread
+            a, b = np.minimum(lo[todo], hi[todo]), np.maximum(lo[todo], hi[todo])
+            inside = (xn > a) & (xn < b)
+            xn = np.where(inside, xn, 0.5 * (a + b))
+        going &= xn != xa
+        x[todo] = np.where(going, xn, xa)
+        todo = todo[going]
+        if not todo.size:
+            break
 
-    residuals = r1
     with np.errstate(invalid="ignore"):
-        bad = have_bracket & ~(np.abs(residuals) <= tol)
-    unresolved = bad & (flags == "unique")
-    flags[unresolved] = "infeasible"
-
-    h = np.maximum(1e-6, 1e-6 * np.abs(roots))
-    sens = (endpoint(roots + h, t1) - endpoint(roots - h, t1)) / (2.0 * h)
-    with np.errstate(invalid="ignore"):
-        degenerate = have_bracket & ((np.abs(sens) < SENSITIVITY_TOL) | (bracket_counts > 1))
+        unresolved = have_bracket & ~(np.abs(residuals) <= tol) & (flags == "unique")
+        flags[unresolved] = "infeasible"
+        flat = ~(np.abs(j_end) > SENSITIVITY_TOL * j_max)
+        degenerate = have_bracket & (flat | (bracket_counts > 1))
     flags[degenerate & (flags != "infeasible")] = "conjugate-degenerate"
-    return roots, residuals, flags, sens
+    return _Shots(roots, residuals, flags, P_all, Q_all)
 
 
 def _bvp(model, bounds, t_span, n_steps, shoot_on, tol, scan_range):
-    roots, residuals, flags, _ = _shoot_batch(
+    shots = _shoot_batch(
         model, bounds.start, [bounds.end], t_span, n_steps, shoot_on,
         tol=tol, scan_range=scan_range,
     )
-    root, residual, flag = float(roots[0]), float(abs(residuals[0])), str(flags[0])
-    if shoot_on == "p0":
-        path = integrate_ivp(model, root, bounds.start, t_span, n_steps)
-    else:
-        path = integrate_ivp(model, bounds.start, root, t_span, n_steps)
-    return ShootingReport(path=path, parameter=root, residual=residual, flag=flag)
+    P, Q = shots.P[:, 0], shots.Q[:, 0]
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
+        raise _blow_up(P, Q)
+    path = PhasePath(t_span[0], t_span[1], P, Q)
+    return ShootingReport(path=path, parameter=float(shots.roots[0]),
+                          residual=float(abs(shots.residuals[0])), flag=str(shots.flags[0]))
 
 
 def solve_position_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span, n_steps: int,
                        tol: float = SHOOTING_TOL, scan_range: float = BRACKET_RANGE) -> ShootingReport:
-    """Secant shooting over the initial momentum for q(t_i) -> q(t_f).
+    """Newton shooting over the initial momentum for q(t_i) -> q(t_f).
 
-    Flags 'conjugate-degenerate' when the endpoint stops responding to
-    the initial momentum (|dq(t_f)/dp(t_i)| below tolerance) or several
-    distinct initial momenta reach the target.
+    scan_range bounds the initial velocity: the scan tries momenta up
+    to scan_range / H_pp(0, q(t_i)) in magnitude (scan_range itself when
+    the model has no H_pp), so the search does not depend on the mass.
+    Flags 'conjugate-degenerate' when t_f is a conjugate point, i.e.
+    the Jacobi field J(t) = dq(t)/dp(t_i) has
+    |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|, or when several distinct
+    initial momenta reach the target; 'infeasible' when no scanned
+    momentum brackets the target or Newton does not bring the endpoint
+    residual to tol * max(1, |q(t_i)|, |q(t_f)|).
     """
     if bounds.kind != "position-type":
         raise PreconditionError("solve_position_bvp needs a position-type boundary spec")
@@ -266,8 +342,11 @@ def solve_position_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span, n_
 
 def solve_momentum_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span, n_steps: int,
                        tol: float = SHOOTING_TOL, scan_range: float = BRACKET_RANGE) -> ShootingReport:
-    """Secant shooting over the initial position for p(t_i) -> p(t_f).
+    """Newton shooting over the initial position for p(t_i) -> p(t_f).
 
+    scan_range bounds the initial position.  The flags follow
+    solve_position_bvp, with the Jacobi field J(t) = dp(t)/dq(t_i) and
+    the residual held to tol * max(1, |p(t_i)|, |p(t_f)|).
     When H is cyclic in q (free particle) the momentum never moves: the
     problem is feasible only for equal endpoint momenta, and then any
     initial position works, reported as a zero-residual degenerate
@@ -278,6 +357,7 @@ def solve_momentum_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span, n_
     if model.is_cyclic_in_q():
         path = integrate_ivp(model, bounds.start, 0.0, t_span, n_steps)
         residual = abs(float(path.p[-1]) - bounds.end)
-        flag = "conjugate-degenerate" if residual <= tol else "infeasible"
+        flag = ("conjugate-degenerate" if residual <= tol * _pinned_scale(bounds.start, bounds.end)
+                else "infeasible")
         return ShootingReport(path=path, parameter=0.0, residual=residual, flag=flag)
     return _bvp(model, bounds, t_span, n_steps, "q0", tol, scan_range)

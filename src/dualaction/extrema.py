@@ -116,24 +116,44 @@ def _classify(eigenvalues, zero_tol):
     return "indefinite"
 
 
+def _inv_sqrt_max(a):
+    top = float(np.max(np.abs(a)))
+    return 1.0 / np.sqrt(top) if np.isfinite(top) and top > 0.0 else 1.0
+
+
+def _jacobi_scaled(mat):
+    """mat congruent under diag(1/sqrt(max_t |a11|), 1/sqrt(max_t |a22|)).
+
+    Congruence keeps the sign of each eigenvalue (Sylvester's law of
+    inertia), so the verdict is the same one; the scaling removes the
+    units of p and q, which otherwise set the diagonal entries apart by
+    factors such as m^2.
+    """
+    s1, s2 = _inv_sqrt_max(mat.a11), _inv_sqrt_max(mat.a22)
+    return SecondVariationMatrix(mat.a11 * s1 * s1, mat.a12 * s1 * s2, mat.a22 * s2 * s2,
+                                 mat.which)
+
+
 def classify_extremum(model: HamiltonianModel, path: PhasePath, which: str = "S",
                       zero_tol_relative: float = ZERO_TOL_RELATIVE) -> ExtremumReport:
     """Per-node eigenvalues of the second-variation matrix plus a verdict.
 
     The caller is responsible for supplying a critical path; the report
     carries the Hamilton-equation defect of the path as a stationarity
-    check.  The zero tolerance is relative to the largest matrix entry
-    on the path.
+    check.  The verdict is taken on the Jacobi-scaled matrix (unit
+    largest diagonal entries), so it does not depend on the mass or the
+    units; zero_tol is relative to the largest entry of that matrix.
+    The reported eigenvalues are those of the unscaled matrix.
     """
     if which not in ("S", "R"):
         raise PreconditionError("which must be 'S' or 'R'")
     mat = (hessian_s if which == "S" else hessian_r)(model, path.p, path.q)
+    scaled = _jacobi_scaled(mat)
     scale = max(
-        float(np.max(np.abs(mat.a11))), float(np.max(np.abs(mat.a12))),
-        float(np.max(np.abs(mat.a22))),
+        float(np.max(np.abs(scaled.a11))), float(np.max(np.abs(scaled.a12))),
+        float(np.max(np.abs(scaled.a22))),
     )
     zero_tol = zero_tol_relative * scale
-    eig = mat.eigenvalues()
 
     dt = path.dt
     defect_q = _grad(path.q, dt) - model._derivative(1, 0)(path.p, path.q)
@@ -146,8 +166,8 @@ def classify_extremum(model: HamiltonianModel, path: PhasePath, which: str = "S"
     return ExtremumReport(
         which=which,
         times=path.times,
-        eigenvalues=eig,
-        classification=_classify(eig, zero_tol),
+        eigenvalues=mat.eigenvalues(),
+        classification=_classify(scaled.eigenvalues(), zero_tol),
         zero_tol=zero_tol,
         hamilton_residual=hamilton_residual,
     )

@@ -268,6 +268,32 @@ class HamiltonianModel:
             )
         return self._fd_derivative(a, b)
 
+    def vector_field(self):
+        """Callable (p, q) -> (H_p, H_q): the right-hand side of Hamilton's equations.
+
+        Polynomial separable models evaluate both in one call, H_q by
+        Horner's rule in the same operation order as the (0, 1) partial,
+        so the values agree bit for bit.  A constant H_q is returned as a
+        scalar; the results broadcast against p and q.  Other models
+        call their (1, 0) and (0, 1) partials.
+        """
+        if self.kind != "general" and self._vcoeffs is not None:
+            m = self.mass
+            coeffs = [float(c) for c in self._vcoeffs[1]]
+            lead, rest = coeffs[-1], coeffs[-2::-1]
+
+            def field(p, q):
+                hq = lead
+                for c in rest:
+                    hq = hq * q
+                    if c:  # adding 0.0 changes no finite value
+                        hq = hq + c
+                return p / m, hq
+
+            return field
+        hp, hq = self._derivative(1, 0), self._derivative(0, 1)
+        return lambda p, q: (hp(p, q), hq(p, q))
+
     def _separable_derivative(self, a, b):
         m = self.mass
         if a > 0 and b > 0:

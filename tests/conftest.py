@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dualaction import DomainBox, HamiltonianModel
 
@@ -34,3 +35,8 @@ def smooth_fourier_path(seed, n_intervals, t_span=(0.0, 1.0), amplitude=0.25, mo
     p = 0.3 + sum(a / (k + 1) ** 3 * np.sin(np.pi * (k + 1) * u) for k, a in enumerate(amp_p))
     q = sum(a / (k + 1) ** 3 * np.cos(np.pi * (k + 1) * u) for k, a in enumerate(amp_q))
     return t, p, q
+
+
+# property tests draw the same examples on every run
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")

@@ -213,6 +213,24 @@ class TestHJResidualR:
         fld = hj_residual_r(free, 1.0, [0.5, 1.0, 2.0], np.array([1.0]))
         np.testing.assert_array_equal(fld.valid[0], [False, True, False])
 
+    def test_free_particle_line_matches_serial_paths(self):
+        from dualaction import integrate_ivp
+
+        free = HamiltonianModel.free(2.0)
+        times = np.linspace(0.5, 1.5, 5)
+        fld = hj_residual_r(free, 1.0, [1.0], times, n_steps=300, fd_step=1e-3)
+        for i, t in enumerate(times):
+            def r_at(tt):
+                return action_r(free, integrate_ivp(free, 1.0, 0.0, (0.0, tt), 300)).value
+
+            assert fld.surface[i, 0] == pytest.approx(r_at(t), rel=1e-12, abs=1e-15)
+            d_rdt = (r_at(t + 1e-3) - r_at(t - 1e-3)) / 2e-3
+            assert fld.hj[i, 0] == pytest.approx(free.eval(1.0, 0.0) + d_rdt, abs=1e-9)
+
+    def test_free_particle_line_rejects_non_positive_horizon(self, free):
+        with pytest.raises(PreconditionError):
+            hj_residual_r(free, 1.0, [1.0], np.array([0.5]), fd_step=0.6)
+
     def test_sho_surface_and_companion(self, sho):
         fld = hj_residual_r(sho, 1.0, np.linspace(0.2, 0.9, 8), np.linspace(0.3, 1.0, 8))
         assert np.all(fld.valid)

@@ -137,6 +137,50 @@ class TestOutputs:
         assert exc.value.code == 2
 
 
+
+class TestInputValidation:
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--hamiltonian", "saddle-quadratic", "--samples", "0"),
+        ("classify", "--N", "0"),
+        ("hj-check", "--grid-count", "0"),
+        ("hj-check", "--t-count", "0"),
+        ("hj-check", "--N", "0"),
+        ("hj-check", "--fd-step", "0"),
+        ("hj-check", "--fd-step", "nan"),
+        ("legendre-check", "--samples", "0"),
+        ("legendre-check", "--N", "1"),
+    ])
+    def test_rejected_at_argument_parsing(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_non_finite_result_is_a_json_error(self, capsys, monkeypatch):
+        import dualaction.cli as cli
+
+        def handler(config, model):
+            return {"value": float("inf")}, {}, None
+
+        monkeypatch.setitem(cli._HANDLERS, "spin", handler)
+        code, out, err = run_cli(capsys, "spin", "--N", "2")
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        jsonschema.validate(error, ERROR_SCHEMA)
+        assert error["error_code"] == "non-finite"
+
+    def test_undefined_cyclic_companion_is_null(self, capsys):
+        code, out, _ = run_cli(capsys, "hj-check", "--hamiltonian", "free", "--which", "r",
+                               "--start", "1.0", "--grid-min", "0.5", "--grid-max", "1.5",
+                               "--grid-count", "3", "--t-count", "3", "--N", "200")
+        assert code == 0
+        report = load_report(out)
+        assert report["results"]["max_abs_companion"] is None
+        assert report["results"]["max_abs_residual"] <= 1e-8
+        assert report["results"]["valid_nodes"] == 3
+
+
 class TestConfigIngestion:
     def test_ini_hamiltonian_section(self, capsys, tmp_path):
         cfg = tmp_path / "model.ini"

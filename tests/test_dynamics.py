@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualaction import (
     BlowUpError,
@@ -13,6 +15,7 @@ from dualaction import (
     solve_momentum_bvp,
     solve_position_bvp,
 )
+from dualaction.dynamics import _rk4_batch
 
 
 class TestPhasePath:
@@ -161,3 +164,140 @@ class TestMomentumBVP:
     def test_wrong_boundary_kind(self, sho):
         with pytest.raises(PreconditionError):
             solve_momentum_bvp(sho, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 100)
+
+
+def _reference_rk4(model, p0, q0, t_span, n_steps):
+    """The per-step RK4 loop of the original engine: finiteness checked
+    after every step, one H partial per call.  Returns the (n_steps+1, ...)
+    paths and the first non-finite node (None when the paths stay finite)."""
+    hp = model._derivative(1, 0)
+    hq = model._derivative(0, 1)
+    t0, t1 = t_span
+    p, q, dt = np.broadcast_arrays(
+        np.asarray(p0, float), np.asarray(q0, float),
+        (np.asarray(t1, float) - np.asarray(t0, float)) / n_steps,
+    )
+    p, q = p.copy(), q.copy()
+    P = np.empty((n_steps + 1,) + p.shape)
+    Q = np.empty_like(P)
+    P[0], Q[0] = p, q
+    first_bad = None
+    with np.errstate(all="ignore"):
+        for j in range(n_steps):
+            k1p, k1q = -hq(p, q), hp(p, q)
+            p2, q2 = p + 0.5 * dt * k1p, q + 0.5 * dt * k1q
+            k2p, k2q = -hq(p2, q2), hp(p2, q2)
+            p3, q3 = p + 0.5 * dt * k2p, q + 0.5 * dt * k2q
+            k3p, k3q = -hq(p3, q3), hp(p3, q3)
+            p4, q4 = p + dt * k3p, q + dt * k3q
+            k4p, k4q = -hq(p4, q4), hp(p4, q4)
+            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            if first_bad is None and not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+                first_bad = j + 1
+            P[j + 1], Q[j + 1] = p, q
+    return P, Q, first_bad
+
+
+def _soft_oscillator(mass=1.0, omega=1.3):
+    k = mass * omega**2
+    return HamiltonianModel.general(
+        lambda p, q: p**2 / (2.0 * mass) + k * (np.sqrt(1.0 + q**2) - 1.0),
+        partials={
+            (1, 0): lambda p, q: p / mass + 0.0 * q,
+            (0, 1): lambda p, q: k * q / np.sqrt(1.0 + q**2) + 0.0 * p,
+        },
+    )
+
+
+ENGINE_MODELS = {
+    "sho": lambda: HamiltonianModel.sho(2.0, 1.5),
+    "quartic": lambda: HamiltonianModel.separable(
+        0.7, potential_coeffs=(0.1, -0.2, 0.5, 0.3, 0.05)),
+    "constant-force": lambda: HamiltonianModel.constant_force(1.5, 0.8),
+    "free": lambda: HamiltonianModel.free(3.0),
+    "drift": lambda: HamiltonianModel.with_drift(1.2, (0.1, 0.0, 0.4), (0.0, 0.0, 0.5, 0.0, 0.1)),
+    "soft-oscillator": _soft_oscillator,
+}
+
+
+class TestEngineAgainstReference:
+    @pytest.mark.parametrize("name", sorted(ENGINE_MODELS))
+    def test_random_lanes_with_per_lane_horizons(self, name):
+        model = ENGINE_MODELS[name]()
+        rng = np.random.default_rng(sorted(ENGINE_MODELS).index(name))
+        p0 = rng.uniform(-1.0, 1.0, size=(3, 7))
+        q0 = rng.uniform(-1.0, 1.0, size=(3, 7))
+        t1 = rng.uniform(0.2, 2.0, size=7)
+        want_p, want_q, bad = _reference_rk4(model, p0, q0, (0.0, t1), 300)
+        assert bad is None
+        got_p, got_q = _rk4_batch(model, p0, q0, (0.0, t1), 300)
+        np.testing.assert_allclose(got_p, want_p, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(got_q, want_q, rtol=1e-12, atol=1e-300)
+
+    def test_blow_up_names_first_non_finite_node(self):
+        # a quartic well: the lane started farthest out overflows first
+        model = HamiltonianModel.separable(1.0, potential_coeffs=(0.0, 0.0, 0.0, 0.0, -1.0))
+        q0 = np.array([0.1, 3.0, 8.0, 0.5])
+        _, _, bad = _reference_rk4(model, 0.0, q0, (0.0, 40.0), 400)
+        assert bad is not None and 1 < bad < 400
+        with pytest.raises(BlowUpError) as err:
+            _rk4_batch(model, 0.0, q0, (0.0, 40.0), 400)
+        assert err.value.node_index == bad
+
+
+def _sho_p0(mass, omega, q0, q1, t):
+    return mass * omega * (q1 - q0 * math.cos(omega * t)) / math.sin(omega * t)
+
+
+class TestUnitInvariance:
+    @settings(max_examples=25)
+    @given(
+        log_mass=st.floats(-3.0, 7.0),
+        omega=st.floats(0.5, 5.0),
+        frac=st.floats(0.1, 0.9),
+        q1=st.floats(-1.0, 1.0),
+    )
+    def test_position_shooting_flag_and_velocity(self, log_mass, omega, frac, q1):
+        t = frac * math.pi / omega
+        bounds = BoundarySpec("position-type", 0.2, q1)
+        unit = solve_position_bvp(HamiltonianModel.sho(1.0, omega), bounds, (0.0, t), 400)
+        mass = 10.0**log_mass
+        heavy = solve_position_bvp(HamiltonianModel.sho(mass, omega), bounds, (0.0, t), 400)
+        assert unit.flag == heavy.flag == "unique"
+        assert heavy.parameter / mass == pytest.approx(unit.parameter, rel=1e-7, abs=1e-8)
+        want = _sho_p0(1.0, omega, 0.2, q1, t)
+        assert unit.parameter == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+    @settings(max_examples=20)
+    @given(log_mass=st.floats(-3.0, 7.0), omega=st.floats(0.5, 5.0), k=st.sampled_from([1, 2]))
+    def test_sho_conjugate_points_at_k_pi_over_omega(self, log_mass, omega, k):
+        model = HamiltonianModel.sho(10.0**log_mass, omega)
+        bounds = BoundarySpec("position-type", 0.0, 0.0)
+        at = solve_position_bvp(model, bounds, (0.0, k * math.pi / omega), 1000)
+        below = solve_position_bvp(model, bounds, (0.0, (k * math.pi - 0.1) / omega), 1000)
+        assert at.flag == "conjugate-degenerate"
+        assert below.flag == "unique"
+        assert below.residual <= 1e-9
+
+    def test_heavy_free_particle_reaches_its_target(self):
+        # the scan is in velocity units: p0 = m v with v = 1
+        rep = solve_position_bvp(HamiltonianModel.free(1e7),
+                                 BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 200)
+        assert rep.flag == "unique"
+        assert rep.parameter == pytest.approx(1e7, rel=1e-9)
+
+
+class TestBracketChoice:
+    def test_quartic_momentum_window_takes_the_near_root(self):
+        # V = m (q^2/2 + 0.1 q^4): far brackets are under-resolved by the scan
+        mass, t = 1e3, 0.45 * math.pi
+        model = HamiltonianModel.separable(
+            mass, potential_coeffs=(0.0, 0.0, 0.5 * mass, 0.0, 0.1 * mass))
+        bounds = BoundarySpec("momentum-type", 0.3 * mass, -0.3 * mass)
+        rep = solve_momentum_bvp(model, bounds, (0.0, t), 500)
+        assert rep.flag != "infeasible"
+        assert rep.residual <= 1e-9
+        assert abs(rep.parameter) < 1.0
+        refeed = integrate_ivp(model, 0.3 * mass, rep.parameter, (0.0, t), 500)
+        assert refeed.p[-1] == pytest.approx(-0.3 * mass, abs=1e-8)

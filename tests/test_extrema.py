@@ -113,6 +113,40 @@ class TestClassification:
         assert summary["classification"] == "minimum"
 
 
+class TestMassIndependence:
+    # (model, q-window, expected S verdict, expected R verdict); the window of
+    # sho stays below its conjugate point
+    CASES = (
+        ("sho", math.pi / 2, "indefinite", "indefinite"),
+        ("saddle-quadratic", 1.0, "minimum", "maximum"),
+        ("free", 1.0, "degenerate", "degenerate"),
+    )
+
+    @pytest.mark.parametrize("mass", [1e-3, 1e-1, 1.0, 1e2, 1e4, 1e6, 1e7])
+    @pytest.mark.parametrize("name, t, want_s, want_r", CASES)
+    def test_verdicts_do_not_depend_on_mass(self, name, t, want_s, want_r, mass):
+        # k = m: the trajectory and both verdicts are those of unit mass
+        model = HamiltonianModel.builtin(name, mass=mass, omega=1.0, k=mass)
+        bounds = BoundarySpec("position-type", 0.0, 1.0)
+        rep = solve_position_bvp(model, bounds, (0.0, t), 400)
+        assert rep.flag == "unique"
+        assert classify_extremum(model, rep.path, "S").classification == want_s
+        assert classify_extremum(model, rep.path, "R").classification == want_r
+
+    def test_momentum_endpoint_sho_is_indefinite_at_large_mass(self):
+        from dualaction import solve_momentum_bvp
+
+        model = HamiltonianModel.sho(1e6, 1.0)
+        rep = solve_momentum_bvp(model, BoundarySpec("momentum-type", 0.4e6, -0.2e6),
+                                 (0.0, 1.0), 500)
+        assert rep.flag == "unique"
+        for which in "SR":
+            report = classify_extremum(model, rep.path, which)
+            assert report.classification == "indefinite"
+            # eigenvalues are reported unscaled: 1/m and m w^2 in magnitude
+            assert np.max(np.abs(report.eigenvalues)) == pytest.approx(1e6)
+
+
 class TestDriftIndependence:
     def test_s_matrix_ignores_drift_term(self, sho):
         # H = p^2/2m + B(q) p + V(q): the S matrix must not see B

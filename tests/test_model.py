@@ -175,3 +175,20 @@ class TestConstructors:
     def test_general_needs_evaluator(self):
         with pytest.raises(PreconditionError):
             HamiltonianModel(kind="general")
+
+
+class TestVectorField:
+    @pytest.mark.parametrize("model", [
+        HamiltonianModel.sho(2.0, 1.5),
+        HamiltonianModel.separable(0.7, potential_coeffs=(0.1, -0.2, 0.5, 0.3, 0.05)),
+        HamiltonianModel.constant_force(1.5, 0.8),
+        HamiltonianModel.free(3.0),
+        HamiltonianModel.with_drift(1.2, (0.1, 0.0, 0.4), (0.0, 0.0, 0.5)),
+        HamiltonianModel.separable(1.0, potential=lambda q: np.cos(q)),
+    ])
+    def test_matches_first_partials_exactly(self, model):
+        p = np.linspace(-2.0, 2.0, 9)
+        q = np.linspace(-1.5, 2.5, 9)
+        hp, hq = model.vector_field()(p, q)
+        np.testing.assert_array_equal(np.broadcast_to(hp, p.shape), model._derivative(1, 0)(p, q))
+        np.testing.assert_array_equal(np.broadcast_to(hq, q.shape), model._derivative(0, 1)(p, q))
