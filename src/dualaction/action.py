@@ -9,15 +9,14 @@ surfaces.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson, trapezoid
 
 from .dynamics import PhasePath, _rk4_batch, _shoot_batch
 from .errors import PreconditionError
 from .model import HamiltonianModel
+from .series import write_series
 
 
 @dataclass(frozen=True)
@@ -30,17 +29,41 @@ class ActionValue:
         return self.value
 
 
-def _quadrature(y, dt, rule, axis=0):
-    """Composite quadrature along axis; dt may be per-lane (array) spacing."""
-    n = y.shape[axis] - 1
+def _trapezoid(y):
+    """Unit-spacing trapezoid rule along axis 0."""
+    return np.sum((y[1:] + y[:-1]) / 2.0, axis=0)
+
+
+def _cumulative_trapezoid(y, dt):
+    """Running trapezoid integral of a 1-d y from its first node, starting at 0."""
+    return np.concatenate([[0.0], np.cumsum(dt * (y[1:] + y[:-1]) / 2.0)])
+
+
+def _simpson(y):
+    """Unit-spacing composite Simpson rule along axis 0 (at least 3 nodes).
+
+    An odd number of intervals closes with Cartwright's correction for
+    the last one.  The operations follow scipy.integrate.simpson in
+    order, so the values agree bit for bit.
+    """
+    m = y.shape[0] if y.shape[0] % 2 else y.shape[0] - 1
+    total = np.sum(y[0:m - 2:2] + 4.0 * y[1:m - 1:2] + y[2:m:2], axis=0) * (1.0 / 3.0)
+    if m == y.shape[0]:
+        return total
+    return total + (5 / 12 * y[-1] + 4 / 6 * y[-2] - 1 / 12 * y[-3])
+
+
+def _quadrature(y, dt, rule):
+    """Composite quadrature along axis 0; dt may be per-lane (array) spacing."""
+    n = y.shape[0] - 1
     if rule == "auto":
         rule = "simpson" if n % 2 == 0 else "trapezoid"
     if rule == "simpson":
         if n < 2:
             raise PreconditionError("simpson rule needs at least 2 intervals")
-        return simpson(y, dx=1.0, axis=axis) * dt, "simpson"
+        return _simpson(y) * dt, "simpson"
     if rule == "trapezoid":
-        return trapezoid(y, dx=1.0, axis=axis) * dt, "trapezoid"
+        return _trapezoid(y) * dt, "trapezoid"
     raise PreconditionError(f"unknown quadrature rule {rule!r}")
 
 
@@ -132,13 +155,11 @@ class SurfaceResidualField:
         return float(np.max(np.abs(self.companion[ok])))
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([self.endpoint_name, "t", "residual"])
-            for i, t in enumerate(self.times):
-                for j, x in enumerate(self.endpoints):
-                    if self.valid[i, j]:
-                        writer.writerow([repr(float(x)), repr(float(t)), repr(float(self.hj[i, j]))])
+        write_series(path, [self.endpoint_name, "t", "residual"], (
+            (x, t, self.hj[i, j])
+            for i, t in enumerate(self.times) for j, x in enumerate(self.endpoints)
+            if self.valid[i, j]
+        ))
 
 
 def _solved_actions(model, start_value, targets, horizons, n_steps, shoot_on, evaluate):
@@ -220,8 +241,8 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
         online = np.isclose(p_f_values, p_i, rtol=0.0, atol=1e-12)
         # one sweep over the horizons t, t + dt and t - dt of every row
         horizons = np.concatenate([t_values, t_values + dtt, t_values - dtt])
-        if n_steps < 1 or not np.all(horizons > 0.0):
-            raise PreconditionError("cyclic R surface needs n_steps >= 1 and t - fd_step > 0")
+        if not np.all(horizons > 0.0):
+            raise PreconditionError("cyclic R surface needs t - fd_step > 0")
         P, Q = _rk4_batch(model, p_i, np.zeros_like(horizons), (0.0, horizons), n_steps)
         values, _ = _action_r_values(model, P, Q, horizons / n_steps)
         rc, rp, rm = np.asarray(values).reshape(3, nt)

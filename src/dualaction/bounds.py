@@ -24,17 +24,17 @@ for the primed chain whose integral - vanishes appropriately).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .action import _grad, _quadrature, action_r, action_s
+from .action import _cumulative_trapezoid, _grad, _quadrature, action_r, action_s
 from .dynamics import PhasePath, ShootingReport
 from .errors import NotSaddleError, PreconditionError, RootFindError, UnsolvableRestrictionError
 from .model import DomainBox, HamiltonianModel, saddle_probe
+from .series import write_series
 
 DEFAULT_SLACK_FLOOR = 1e-6
 
@@ -154,21 +154,25 @@ def theta_from_pi(model: HamiltonianModel, pi, dt):
     )
 
 
+def _heun(rate, drive, dt, start):
+    """x(t) solving dx/dt = rate(x, drive(t)) from start, by Heun steps."""
+    x = np.empty_like(drive)
+    x[0] = start
+    for j in range(drive.size - 1):
+        f0 = rate(x[j], drive[j])
+        f1 = rate(x[j] + dt * f0, drive[j + 1])
+        x[j + 1] = x[j] + 0.5 * dt * (f0 + f1)
+    return x
+
+
 def _restricted_momentum_ivp(model, theta, dt, pi_start):
     """Pi(t) solving dPi/dt = -H_q(Pi, Theta(t)) from pi_start."""
     theta = np.asarray(theta, dtype=float)
     if model.kind != "general":
         force = -model._v_derivative(1)(theta)
-        return pi_start + np.concatenate([[0.0], cumulative_trapezoid(force, dx=dt)])
+        return pi_start + _cumulative_trapezoid(force, dt)
     hq = model._derivative(0, 1)
-    pi = np.empty_like(theta)
-    pi[0] = pi_start
-    for j in range(theta.size - 1):
-        f0 = -hq(pi[j], theta[j])
-        pred = pi[j] + dt * f0
-        f1 = -hq(pred, theta[j + 1])
-        pi[j + 1] = pi[j] + 0.5 * dt * (f0 + f1)
-    return pi
+    return _heun(lambda pi, th: -hq(pi, th), theta, dt, pi_start)
 
 
 def _restricted_position_ivp(model, pi, dt, theta_start):
@@ -176,16 +180,9 @@ def _restricted_position_ivp(model, pi, dt, theta_start):
     pi = np.asarray(pi, dtype=float)
     if model.kind != "general":
         vel = pi / model.mass
-        return theta_start + np.concatenate([[0.0], cumulative_trapezoid(vel, dx=dt)])
+        return theta_start + _cumulative_trapezoid(vel, dt)
     hp = model._derivative(1, 0)
-    theta = np.empty_like(pi)
-    theta[0] = theta_start
-    for j in range(pi.size - 1):
-        f0 = hp(pi[j], theta[j])
-        pred = theta[j] + dt * f0
-        f1 = hp(pi[j + 1], pred)
-        theta[j + 1] = theta[j] + 0.5 * dt * (f0 + f1)
-    return theta
+    return _heun(lambda th, p: hp(p, th), pi, dt, theta_start)
 
 
 def functional_J(model: HamiltonianModel, theta, dt, rule="auto"):
@@ -299,16 +296,13 @@ class BoundCertificate:
         lower_name, upper_name = (
             ("G_pi", "J_theta") if self.chain == "S-chain" else ("Jp_theta", "Gp_pi")
         )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample", lower_name, "critical", upper_name,
-                             "margin_lower_side", "margin_upper_side"])
-            for i in range(self.samples):
-                writer.writerow([
-                    i, repr(float(self.lower_values[i])), repr(self.critical_value),
-                    repr(float(self.upper_values[i])),
-                    repr(float(self.margins_low[i])), repr(float(self.margins_high[i])),
-                ])
+        write_series(
+            path,
+            ["sample", lower_name, "critical", upper_name, "margin_lower_side",
+             "margin_upper_side"],
+            zip(range(self.samples), self.lower_values, repeat(self.critical_value),
+                self.upper_values, self.margins_low, self.margins_high),
+        )
 
 
 def _quadrature_slack(model, path):
@@ -338,6 +332,8 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
     """
     if chain not in ("S-chain", "R-chain"):
         raise PreconditionError("chain must be 'S-chain' or 'R-chain'")
+    if samples < 1:
+        raise PreconditionError("certification needs samples >= 1")
     expected_pin = "q-pinned" if chain == "S-chain" else "p-pinned"
     if spec.pinned != expected_pin:
         raise PreconditionError(f"{chain} needs {expected_pin} perturbations")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import logging
 import math
@@ -29,6 +28,7 @@ from .dynamics import BoundarySpec, PhasePath, solve_momentum_bvp, solve_positio
 from .errors import DualActionError, NumericError, PreconditionError
 from .extrema import classify_extremum
 from .model import BUILTIN_NAMES, HamiltonianModel
+from .series import write_series
 
 log = logging.getLogger("dualaction")
 
@@ -85,7 +85,7 @@ def _resolve_model(spec: dict) -> HamiltonianModel:
             name, mass=spec.get("mass", 1.0), omega=spec.get("omega", 1.0),
             k=spec.get("k", 1.0), force=spec.get("force", 1.0),
         )
-    if kind in ("separable", "quadratic-saddle"):
+    if kind == "separable":
         coeffs = spec.get("potential_coeffs")
         if coeffs is None:
             raise PreconditionError("separable hamiltonian needs potential_coeffs")
@@ -126,14 +126,6 @@ def _hamiltonian_spec(args) -> dict:
     return spec
 
 
-def _series_writer(config: RunConfig):
-    if config.out_format != "csv":
-        return None
-    if not config.out_path:
-        raise PreconditionError("--format csv requires --out PATH for the series file")
-    return config.out_path
-
-
 def _cmd_classify(config: RunConfig, model):
     args = config.params
     report = _position_bvp_from_dict(args, model)
@@ -145,11 +137,7 @@ def _cmd_classify(config: RunConfig, model):
     results["eigenvalues_head"] = [
         [float(a), float(b)] for a, b in extremum.eigenvalues[:3]
     ]
-    series = None
-    if _series_writer(config):
-        extremum.to_csv(config.out_path)
-        series = config.out_path
-    return results, {"zero_tol": extremum.zero_tol, "shooting_tol": 1e-9}, series
+    return results, {"zero_tol": extremum.zero_tol, "shooting_tol": 1e-9}, extremum.to_csv
 
 
 def _position_bvp_from_dict(params, model):
@@ -172,15 +160,8 @@ def _cmd_action(config: RunConfig, model):
         "bvp_flag": report.flag,
         "initial_momentum": report.parameter,
     }
-    series = None
-    if _series_writer(config):
-        with open(config.out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "p", "q"])
-            for t, p, q in zip(path.times, path.p, path.q):
-                writer.writerow([repr(float(t)), repr(float(p)), repr(float(q))])
-        series = config.out_path
-    return results, {"shooting_tol": 1e-9}, series
+    return results, {"shooting_tol": 1e-9}, lambda out: write_series(
+        out, ["t", "p", "q"], zip(path.times, path.p, path.q))
 
 
 def _cmd_bounds(config: RunConfig, model):
@@ -194,64 +175,45 @@ def _cmd_bounds(config: RunConfig, model):
     )
     cert = bounds_mod.certify_bounds(model, chain, report, spec, params["samples"])
     results = cert.summary()
-    series = None
-    if _series_writer(config):
-        cert.to_csv(config.out_path)
-        series = config.out_path
-    return results, {"slack": cert.slack, "shooting_tol": 1e-9}, series
+    return results, {"slack": cert.slack, "shooting_tol": 1e-9}, cert.to_csv
+
+
+_SLICED = {
+    "position": (prop_mod.sliced_position_propagator, prop_mod.position_kernel_sampler),
+    "momentum": (prop_mod.sliced_momentum_propagator, prop_mod.momentum_kernel_sampler),
+}
 
 
 def _cmd_propagate(config: RunConfig, model):
     params = config.params
-    scheme = prop_mod.SliceScheme(params["slices"], params["rep"])
+    rep = params["rep"]
+    scheme = prop_mod.SliceScheme(params["slices"], rep)
     t = params["t1"] - params["t0"]
-    results = {"representation": params["rep"], "slices": params["slices"], "t": t}
-    series = None
-    if params["rep"] == "position":
-        value = prop_mod.sliced_position_propagator(
-            model, params["q_start"], params["q_end"], t, scheme
-        )
-        results.update({"variant": "regular", "re": value.amplitude.real,
-                        "im": value.amplitude.imag, "abs": abs(value.amplitude)})
-        if _series_writer(config):
-            sampler = prop_mod.position_kernel_sampler(model, t, scheme)
-            grid = np.linspace(params["grid_min"], params["grid_max"], params["grid_count"])
-            vals = sampler(grid, np.full_like(grid, params["q_start"]))
-            _write_kernel_csv(config.out_path, "q_f", grid, vals)
-            series = config.out_path
-    else:
-        if model.is_cyclic_in_q():
-            value = prop_mod.free_momentum_propagator(
-                model.mass, params["p_start"], params["p_end"], t
-            )
-            results.update({
-                "variant": "delta",
-                "support_matched": value.support_matched,
-                "causal": value.causal,
-                "phase_re": value.phase.real,
-                "phase_im": value.phase.imag,
-            })
-        else:
-            value = prop_mod.sliced_momentum_propagator(
-                model, params["p_start"], params["p_end"], t, scheme
-            )
-            results.update({"variant": "regular", "re": value.amplitude.real,
-                            "im": value.amplitude.imag, "abs": abs(value.amplitude)})
-            if _series_writer(config):
-                sampler = prop_mod.momentum_kernel_sampler(model, t, scheme)
-                grid = np.linspace(params["grid_min"], params["grid_max"], params["grid_count"])
-                vals = sampler(grid, np.full_like(grid, params["p_start"]))
-                _write_kernel_csv(config.out_path, "p_f", grid, vals)
-                series = config.out_path
-    return results, {"caustic_det_tol": prop_mod.CAUSTIC_DET_TOL}, series
+    x = "q" if rep == "position" else "p"
+    x_start, x_end = params[f"{x}_start"], params[f"{x}_end"]
+    results = {"representation": rep, "slices": params["slices"], "t": t}
+    tolerances = {"caustic_det_tol": prop_mod.CAUSTIC_DET_TOL}
+    if rep == "momentum" and model.is_cyclic_in_q():
+        value = prop_mod.free_momentum_propagator(model.mass, x_start, x_end, t)
+        results.update({
+            "variant": "delta",
+            "support_matched": value.support_matched,
+            "causal": value.causal,
+            "phase_re": value.phase.real,
+            "phase_im": value.phase.imag,
+        })
+        return results, tolerances, None
+    propagator, sampler = _SLICED[rep]
+    value = propagator(model, x_start, x_end, t, scheme)
+    results.update({"variant": "regular", "re": value.amplitude.real,
+                    "im": value.amplitude.imag, "abs": abs(value.amplitude)})
 
+    def write(out):
+        grid = np.linspace(params["grid_min"], params["grid_max"], params["grid_count"])
+        vals = sampler(model, t, scheme)(grid, np.full_like(grid, x_start))
+        write_series(out, [f"{x}_f", "re", "im"], zip(grid, vals.real, vals.imag))
 
-def _write_kernel_csv(path, label, grid, values):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([label, "re", "im"])
-        for x, v in zip(grid, values):
-            writer.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])
+    return results, tolerances, write
 
 
 def _cmd_spin(config: RunConfig, model):
@@ -275,26 +237,18 @@ def _cmd_spin(config: RunConfig, model):
         "N": params["N"], "policy": params["policy"], "re": g.real, "im": g.imag,
         "abs": abs(g), "path_count": count,
     }
-    series = None
-    if _series_writer(config):
-        with open(config.out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["N", "policy", "re", "im", "path_count"])
-            writer.writerow([params["N"], params["policy"], repr(g.real), repr(g.imag), count])
-        series = config.out_path
-    return results, {"closed_form_match_tol": 1e-12}, series
+    return results, {"closed_form_match_tol": 1e-12}, lambda out: write_series(
+        out, ["N", "policy", "re", "im", "path_count"],
+        [(params["N"], params["policy"], g.real, g.imag, count)])
 
 
 def _cmd_hj_check(config: RunConfig, model):
     params = config.params
     grid = np.linspace(params["grid_min"], params["grid_max"], params["grid_count"])
     times = np.linspace(params["t_min"], params["t_max"], params["t_count"])
-    if params["which"] == "s":
-        fld = action_mod.hj_residual_s(model, params["start"], grid, times,
-                                       n_steps=params["N"], fd_step=params["fd_step"])
-    else:
-        fld = action_mod.hj_residual_r(model, params["start"], grid, times,
-                                       n_steps=params["N"], fd_step=params["fd_step"])
+    residual = action_mod.hj_residual_s if params["which"] == "s" else action_mod.hj_residual_r
+    fld = residual(model, params["start"], grid, times, n_steps=params["N"],
+                   fd_step=params["fd_step"])
     results = {
         "which": params["which"],
         # null where no node defines the value (e.g. the cyclic R companion)
@@ -303,11 +257,7 @@ def _cmd_hj_check(config: RunConfig, model):
         "valid_nodes": int(np.sum(fld.valid)),
         "total_nodes": int(fld.valid.size),
     }
-    series = None
-    if _series_writer(config):
-        fld.to_csv(config.out_path)
-        series = config.out_path
-    return results, {"fd_step": params["fd_step"], "shooting_tol": 1e-9}, series
+    return results, {"fd_step": params["fd_step"], "shooting_tol": 1e-9}, fld.to_csv
 
 
 def _finite_or_none(value):
@@ -341,15 +291,9 @@ def _cmd_legendre_check(config: RunConfig, model):
         "max_residual_refined": worst[2 * n],
         "shrink_factor": worst[n] / worst[2 * n] if worst[2 * n] else math.inf,
     }
-    series = None
-    if _series_writer(config):
-        with open(config.out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", f"residual_N{n}", f"residual_N{2*n}"])
-            for row in rows:
-                writer.writerow([row["seed"], repr(row[f"residual_N{n}"]), repr(row[f"residual_N{2*n}"])])
-        series = config.out_path
-    return results, {"residual_bound": 1e-6, "min_shrink": 3.5}, series
+    names = ["seed", f"residual_N{n}", f"residual_N{2 * n}"]
+    return results, {"residual_bound": 1e-6, "min_shrink": 3.5}, lambda out: write_series(
+        out, names, ([row[k] for k in names] for row in rows))
 
 
 _HANDLERS = {
@@ -380,6 +324,24 @@ _count = _bounded(int, 1)
 _positive = _bounded(float, 0.0, inclusive=False)
 
 
+def _common(p):
+    """Add the model and output options every command takes; returns p.
+
+    Their values go to RunConfig's own fields, every other option of a
+    command to its params.
+    """
+    p.add_argument("--hamiltonian", choices=BUILTIN_NAMES, default=None,
+                   help="builtin Hamiltonian name")
+    p.add_argument("--config", default=None, help="INI config with a [hamiltonian] section")
+    p.add_argument("--mass", type=float, default=None)
+    p.add_argument("--potential-coeffs", default=None,
+                   help="comma-separated ascending polynomial coefficients")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", default=None, help="output path (JSON report or CSV series)")
+    return p
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dualaction",
@@ -387,35 +349,25 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--hamiltonian", choices=BUILTIN_NAMES, default=None,
-                       help="builtin Hamiltonian name")
-        p.add_argument("--config", default=None, help="INI config with a [hamiltonian] section")
-        p.add_argument("--mass", type=float, default=None)
-        p.add_argument("--potential-coeffs", default=None,
-                       help="comma-separated ascending polynomial coefficients")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="output path (JSON report or CSV series)")
-
     def window(p, n_default=1000):
         p.add_argument("--t0", type=float, default=0.0)
         p.add_argument("--t1", type=float, default=1.0)
-        p.add_argument("--N", type=_count, default=n_default)
+        if n_default is not None:
+            p.add_argument("--N", type=_count, default=n_default)
 
     p = sub.add_parser("classify", help="classify the extremum type of a critical path")
-    common(p); window(p)
+    _common(p); window(p)
     p.add_argument("--q-start", type=float, default=0.0)
     p.add_argument("--q-end", type=float, default=1.0)
     p.add_argument("--which", choices=("S", "R"), default="S")
 
     p = sub.add_parser("action", help="evaluate S, R and consistency residuals on a critical path")
-    common(p); window(p, n_default=2000)
+    _common(p); window(p, n_default=2000)
     p.add_argument("--q-start", type=float, default=0.0)
     p.add_argument("--q-end", type=float, default=1.0)
 
     p = sub.add_parser("bounds", help="certify the saddle bound chains on random perturbations")
-    common(p); window(p, n_default=2000)
+    _common(p); window(p, n_default=2000)
     p.add_argument("--q-start", type=float, default=0.0)
     p.add_argument("--q-end", type=float, default=1.0)
     p.add_argument("--chain", choices=("S-chain", "R-chain"), default="S-chain")
@@ -424,7 +376,7 @@ def build_parser():
     p.add_argument("--modes", type=int, default=8)
 
     p = sub.add_parser("propagate", help="time-sliced propagator in either representation")
-    common(p); window(p, n_default=1000)
+    _common(p); window(p, n_default=None)
     p.add_argument("--rep", choices=("position", "momentum"), default="position")
     p.add_argument("--slices", type=int, default=512)
     p.add_argument("--q-start", type=float, default=0.0)
@@ -433,10 +385,10 @@ def build_parser():
     p.add_argument("--p-end", type=float, default=1.0)
     p.add_argument("--grid-min", type=float, default=-3.0)
     p.add_argument("--grid-max", type=float, default=3.0)
-    p.add_argument("--grid-count", type=int, default=201)
+    p.add_argument("--grid-count", type=_count, default=201)
 
     p = sub.add_parser("spin", help="spin propagator by momentum-path enumeration")
-    common(p); window(p, n_default=4)
+    _common(p); window(p, n_default=4)
     p.add_argument("--policy", choices=spin_mod.POLICIES, default="paper-unconstrained")
     p.add_argument("--spin", dest="spin_kind", choices=("half", "composite"), default="half")
     p.add_argument("--inertia", type=float, default=1.0)
@@ -449,7 +401,7 @@ def build_parser():
     p.add_argument("--use-closed-form", action="store_true")
 
     p = sub.add_parser("hj-check", help="Hamilton-Jacobi residual on an action surface")
-    common(p)
+    _common(p)
     p.add_argument("--which", choices=("s", "r"), default="s")
     p.add_argument("--start", type=float, default=0.0,
                    help="fixed initial endpoint (q_i for S, p_i for R)")
@@ -463,7 +415,7 @@ def build_parser():
     p.add_argument("--fd-step", type=_positive, default=1e-3)
 
     p = sub.add_parser("legendre-check", help="Legendre identity residual on seeded smooth paths")
-    common(p)
+    _common(p)
     p.add_argument("--samples", type=_count, default=100)
     # the O(dt^2) difference stencils need at least 3 nodes
     p.add_argument("--N", type=_bounded(int, 2), default=2000)
@@ -471,24 +423,14 @@ def build_parser():
     return parser
 
 
-_PARAM_KEYS = {
-    "classify": ("q_start", "q_end", "t0", "t1", "N", "which"),
-    "action": ("q_start", "q_end", "t0", "t1", "N"),
-    "bounds": ("q_start", "q_end", "t0", "t1", "N", "chain", "samples", "epsilon", "modes"),
-    "propagate": ("rep", "slices", "t0", "t1", "q_start", "q_end", "p_start", "p_end",
-                  "grid_min", "grid_max", "grid_count"),
-    "spin": ("N", "t0", "t1", "policy", "spin_kind", "inertia", "l", "sign_i", "sign_f",
-             "l0", "l_i", "l_f", "use_closed_form"),
-    "hj-check": ("which", "start", "grid_min", "grid_max", "grid_count",
-                 "t_min", "t_max", "t_count", "N", "fd_step"),
-    "legendre-check": ("samples", "N"),
-}
-
-
 def run(config: RunConfig):
-    """Dispatch a validated RunConfig; returns the report dict."""
+    """Dispatch a validated RunConfig; returns the report dict.
+
+    A handler returns (results, tolerances, write), where write(path)
+    writes the command's data series, or is None for a run without one.
+    """
     model = _resolve_model(config.hamiltonian)
-    results, tolerances, series = _HANDLERS[config.command](config, model)
+    results, tolerances, write = _HANDLERS[config.command](config, model)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": config.command,
@@ -497,8 +439,11 @@ def run(config: RunConfig):
         "tolerances": tolerances,
         "status": "ok",
     }
-    if series:
-        report["parameters"]["series_path"] = series
+    if write and config.out_format == "csv":
+        if not config.out_path:
+            raise PreconditionError("--format csv requires --out PATH for the series file")
+        write(config.out_path)
+        report["parameters"]["series_path"] = config.out_path
     return report
 
 
@@ -526,29 +471,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    shared = vars(_common(argparse.ArgumentParser()).parse_args([]))
+    params = {k: v for k, v in vars(args).items() if k not in shared and k != "command"}
     try:
         spec = _hamiltonian_spec(args)
-        params = {key: getattr(args, key) for key in _PARAM_KEYS[args.command]}
         config = RunConfig(
             command=args.command, hamiltonian=spec, params=params,
             seed=args.seed, out_format=args.format, out_path=args.out,
         )
         log.info("running %s with hamiltonian %s", args.command, spec)
         text = _render(run(config))
-    except PreconditionError as exc:
-        log.error("precondition error: %s", exc)
-        sys.stderr.write(json.dumps({
-            "schema_version": SCHEMA_VERSION, "command": args.command,
-            "status": "error", "error_code": exc.code, "message": str(exc),
-        }, sort_keys=True) + "\n")
-        return 2
     except DualActionError as exc:
-        log.error("numeric error: %s", exc)
+        precondition = isinstance(exc, PreconditionError)
+        log.error("%s error: %s", "precondition" if precondition else "numeric", exc)
         sys.stderr.write(json.dumps({
             "schema_version": SCHEMA_VERSION, "command": args.command,
             "status": "error", "error_code": exc.code, "message": str(exc),
         }, sort_keys=True) + "\n")
-        return 1
+        return 2 if precondition else 1
     _emit(text, config)
     return 0
 

@@ -135,6 +135,8 @@ def _rk4_batch(model, p0, q0, t_span, n_steps):
     (n_steps+1, ...) histories of p and q.  A non-finite final state
     raises BlowUpError naming the first non-finite node.
     """
+    if n_steps < 1:
+        raise PreconditionError("integration needs n_steps >= 1")
     t0, t1 = t_span
     p, q, dt = np.broadcast_arrays(
         np.asarray(p0, float), np.asarray(q0, float),
@@ -149,8 +151,6 @@ def _rk4_batch(model, p0, q0, t_span, n_steps):
 
 def integrate_ivp(model: HamiltonianModel, p0: float, q0: float, t_span, n_steps: int) -> PhasePath:
     """Integrate Hamilton's equations from (p0, q0) with fixed-step RK4."""
-    if n_steps < 1:
-        raise PreconditionError("integration needs n_steps >= 1")
     P, Q = _rk4_batch(model, float(p0), float(q0), t_span, n_steps)
     return PhasePath(t_span[0], t_span[1], P.reshape(n_steps + 1), Q.reshape(n_steps + 1))
 
@@ -210,6 +210,8 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on,
     conjugate-degenerate when |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|
     or the scan found several brackets.
     """
+    if n_steps < 1:
+        raise PreconditionError("shooting needs n_steps >= 1")
     targets = np.asarray(targets, dtype=float)
     n_t = targets.size
     tol = tol * _pinned_scale(start_value, targets)

@@ -9,7 +9,6 @@ supplied window.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ from .action import _grad
 from .dynamics import PhasePath
 from .errors import PreconditionError
 from .model import HamiltonianModel
+from .series import write_series
 
 ZERO_TOL_RELATIVE = 1e-9
 
@@ -82,11 +82,7 @@ class ExtremumReport:
     hamilton_residual: float
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "lambda_1", "lambda_2"])
-            for t, (l1, l2) in zip(self.times, self.eigenvalues):
-                writer.writerow([repr(float(t)), repr(float(l1)), repr(float(l2))])
+        write_series(path, ["t", "lambda_1", "lambda_2"], zip(self.times, *self.eigenvalues.T))
 
     def summary(self):
         return {

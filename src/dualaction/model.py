@@ -101,8 +101,7 @@ class HamiltonianModel:
     """H(p, q) with partial derivatives through third order.
 
     kind
-        "separable" for p^2/(2m) + V(q), "quadratic-saddle" for the
-        pure quadratic saddle family, "general" for a black-box
+        "separable" for p^2/(2m) + V(q), "general" for a black-box
         evaluator of (p, q).
     derivative_mode
         "analytic" uses exact polynomial/user-supplied derivatives and
@@ -117,13 +116,12 @@ class HamiltonianModel:
     evaluator: Callable | None = None
     partials: Mapping[tuple[int, int], Callable] | None = None
     derivative_mode: str = "analytic"
-    h_fd: float = 1e-5
     domain: DomainBox | None = None
     label: str = ""
     _vcoeffs: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("separable", "quadratic-saddle", "general"):
+        if self.kind not in ("separable", "general"):
             raise PreconditionError(f"unknown Hamiltonian kind: {self.kind!r}")
         if self.kind == "general":
             if self.evaluator is None:
@@ -171,14 +169,6 @@ class HamiltonianModel:
         """H = p^2/(2m) - k q^2/2: convex in p, concave in q."""
         m = cls.separable(mass, potential_coeffs=(0.0, 0.0, -0.5 * k), label="saddle-quadratic")
         return m
-
-    @classmethod
-    def quadratic_saddle(cls, p_coeff=1.0, q_coeff=1.0):
-        """H = a p^2 - b q^2 written as a separable model (m = 1/(2a))."""
-        model = cls.separable(1.0 / (2.0 * p_coeff), potential_coeffs=(0.0, 0.0, -q_coeff))
-        object.__setattr__(model, "kind", "quadratic-saddle")
-        object.__setattr__(model, "label", "quadratic-saddle")
-        return model
 
     @classmethod
     def constant_force(cls, mass=1.0, force=1.0):

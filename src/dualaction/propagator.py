@@ -18,7 +18,6 @@ power of the bandwidth.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -27,6 +26,7 @@ import numpy as np
 
 from .errors import BandwidthError, CausticError, PreconditionError
 from .model import HamiltonianModel
+from .series import write_series
 
 UNIMODULAR_TOL = 1e-12
 CAUSTIC_DET_TOL = 1e-9
@@ -90,7 +90,7 @@ class ChainResult:
 
 def _quadratic_coefficients(model):
     """(mass, c0, c2) for H = p^2/2m + c0 + c2 q^2; rejects anything else."""
-    if model.kind not in ("separable", "quadratic-saddle") or model._vcoeffs is None:
+    if model.kind != "separable" or model._vcoeffs is None:
         raise PreconditionError("sliced propagators need a polynomial quadratic model")
     c = list(model.potential_coeffs) + [0.0, 0.0, 0.0]
     if any(abs(x) > 0 for x in c[3:]) or c[1] != 0.0:
@@ -100,13 +100,34 @@ def _quadratic_coefficients(model):
     return model.mass, c[0], c[2]
 
 
-def _gaussian_chain(mass, c0, c2, x_i, x_f, t, n_slices, hbar):
-    """Exact N-slice chain for H = x'^2/(2 mass) + c0 + c2 x^2.
+def _dual_chain_parameters(model):
+    """Momentum-representation chain parameters for the oscillator.
+
+    Substituting the force equation into H leaves kinetic-like momentum
+    slopes over 2 m w^2 and a momentum-squared 'potential' p^2/2m, i.e.
+    the same chain with mass 1/(m w^2) and the original frequency.
+    """
+    mass, c0, c2 = _quadratic_coefficients(model)
+    if c2 <= 0:
+        raise PreconditionError(
+            "momentum-representation slicing needs an oscillator (c2 > 0)"
+        )
+    return 1.0 / (2.0 * c2), c0, 1.0 / (2.0 * mass)
+
+
+_CHAIN_PARAMETERS = {"position": _quadratic_coefficients, "momentum": _dual_chain_parameters}
+
+
+def _gaussian_chain(model, representation, x_i, x_f, t, scheme: SliceScheme) -> ChainResult:
+    """Exact N-slice chain for H = x'^2/(2 mass) + c0 + c2 x^2 in a representation.
 
     The prefactor square root takes the principal branch, which is the
     continuous continuation from t -> 0+ as long as the determinant
     stays positive (guaranteed below the first caustic).
     """
+    mass, c0, c2 = _CHAIN_PARAMETERS[representation](model)
+    x_i, x_f, t = float(x_i), float(x_f), float(t)
+    n_slices, hbar = scheme.n_slices, scheme.hbar
     if t <= 0:
         raise PreconditionError("sliced propagators need t > 0")
     omega_sq = 2.0 * c2 / mass
@@ -138,40 +159,17 @@ def _gaussian_chain(mass, c0, c2, x_i, x_f, t, n_slices, hbar):
 
 
 def sliced_position_chain(model: HamiltonianModel, q_i, q_f, t, scheme: SliceScheme) -> ChainResult:
-    mass, c0, c2 = _quadratic_coefficients(model)
-    return _gaussian_chain(mass, c0, c2, float(q_i), float(q_f), float(t),
-                           scheme.n_slices, scheme.hbar)
+    return _gaussian_chain(model, "position", q_i, q_f, t, scheme)
 
 
 def sliced_position_propagator(model: HamiltonianModel, q_i, q_f, t, scheme: SliceScheme) -> PropagatorValue:
     """Position-representation N-slice propagator for the quadratic family."""
-    return PropagatorValue.regular(sliced_position_chain(model, q_i, q_f, t, scheme).amplitude)
-
-
-def _dual_chain_parameters(model):
-    """Momentum-representation chain parameters for the oscillator.
-
-    Substituting the force equation into H leaves kinetic-like momentum
-    slopes over 2 m w^2 and a momentum-squared 'potential' p^2/2m, i.e.
-    the same chain with mass 1/(m w^2) and the original frequency.
-    """
-    mass, c0, c2 = _quadratic_coefficients(model)
-    if c2 <= 0:
-        raise PreconditionError(
-            "momentum-representation slicing needs an oscillator (c2 > 0)"
-        )
-    return 1.0 / (2.0 * c2), c0, 1.0 / (2.0 * mass)
-
-
-def sliced_momentum_chain(model: HamiltonianModel, p_i, p_f, t, scheme: SliceScheme) -> ChainResult:
-    dual_mass, c0, dual_c2 = _dual_chain_parameters(model)
-    return _gaussian_chain(dual_mass, c0, dual_c2, float(p_i), float(p_f), float(t),
-                           scheme.n_slices, scheme.hbar)
+    return PropagatorValue.regular(_gaussian_chain(model, "position", q_i, q_f, t, scheme).amplitude)
 
 
 def sliced_momentum_propagator(model: HamiltonianModel, p_i, p_f, t, scheme: SliceScheme) -> PropagatorValue:
     """Momentum-representation N-slice oscillator propagator."""
-    return PropagatorValue.regular(sliced_momentum_chain(model, p_i, p_f, t, scheme).amplitude)
+    return PropagatorValue.regular(_gaussian_chain(model, "momentum", p_i, p_f, t, scheme).amplitude)
 
 
 def free_momentum_propagator(mass, p_i, p_f, t, hbar: float = 1.0,
@@ -304,13 +302,10 @@ class KernelSamples:
         return complex(self.values[i, j])
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x_final", "x_initial", "re", "im"])
-            for i, xf in enumerate(self.x_final):
-                for j, xi in enumerate(self.x_initial):
-                    v = self.values[i, j]
-                    writer.writerow([repr(float(xf)), repr(float(xi)), repr(v.real), repr(v.imag)])
+        write_series(path, ["x_final", "x_initial", "re", "im"], (
+            (xf, xi, v.real, v.imag)
+            for xf, row in zip(self.x_final, self.values) for xi, v in zip(self.x_initial, row)
+        ))
 
 
 def fourier_endpoints(source, grid: FourierGrid, to: str, hbar: float = 1.0,
@@ -364,52 +359,40 @@ def fourier_endpoints(source, grid: FourierGrid, to: str, hbar: float = 1.0,
     return KernelSamples(to, xf, xi, values, hbar)
 
 
-def position_kernel_sampler(model: HamiltonianModel, t, scheme: SliceScheme):
-    """Vectorized (q_f, q_i) -> amplitude sampler of the N-slice chain.
+def _kernel_sampler(model, representation, t, scheme: SliceScheme):
+    """Vectorized (x_f, x_i) -> amplitude sampler of the N-slice chain.
 
     The discrete action of a quadratic chain is a quadratic form in the
     endpoints, so four chain evaluations determine it exactly.
     """
-    ref = sliced_position_chain(model, 0.0, 0.0, t, scheme)
+    ref = _gaussian_chain(model, representation, 0.0, 0.0, t, scheme)
     s00 = ref.discrete_action
-    s10 = sliced_position_chain(model, 1.0, 0.0, t, scheme).discrete_action
-    s01 = sliced_position_chain(model, 0.0, 1.0, t, scheme).discrete_action
-    s11 = sliced_position_chain(model, 1.0, 1.0, t, scheme).discrete_action
+    s10 = _gaussian_chain(model, representation, 1.0, 0.0, t, scheme).discrete_action
+    s01 = _gaussian_chain(model, representation, 0.0, 1.0, t, scheme).discrete_action
+    s11 = _gaussian_chain(model, representation, 1.0, 1.0, t, scheme).discrete_action
     a_i = 2.0 * (s10 - s00)
     a_f = 2.0 * (s01 - s00)
     cross = s11 - s10 - s01 + s00
     pref = ref.prefactor
     hbar = scheme.hbar
 
-    def sample(q_f, q_i):
-        q_f = np.asarray(q_f, dtype=float)
-        q_i = np.asarray(q_i, dtype=float)
-        action = 0.5 * a_i * q_i**2 + 0.5 * a_f * q_f**2 + cross * q_i * q_f + s00
+    def sample(x_f, x_i):
+        x_f = np.asarray(x_f, dtype=float)
+        x_i = np.asarray(x_i, dtype=float)
+        action = 0.5 * a_i * x_i**2 + 0.5 * a_f * x_f**2 + cross * x_i * x_f + s00
         return pref * np.exp(1j * action / hbar)
 
     return sample
+
+
+def position_kernel_sampler(model: HamiltonianModel, t, scheme: SliceScheme):
+    """Vectorized (q_f, q_i) -> amplitude sampler of the position chain."""
+    return _kernel_sampler(model, "position", t, scheme)
 
 
 def momentum_kernel_sampler(model: HamiltonianModel, t, scheme: SliceScheme):
     """Vectorized (p_f, p_i) -> amplitude sampler of the momentum chain."""
-    ref = sliced_momentum_chain(model, 0.0, 0.0, t, scheme)
-    s00 = ref.discrete_action
-    s10 = sliced_momentum_chain(model, 1.0, 0.0, t, scheme).discrete_action
-    s01 = sliced_momentum_chain(model, 0.0, 1.0, t, scheme).discrete_action
-    s11 = sliced_momentum_chain(model, 1.0, 1.0, t, scheme).discrete_action
-    a_i = 2.0 * (s10 - s00)
-    a_f = 2.0 * (s01 - s00)
-    cross = s11 - s10 - s01 + s00
-    pref = ref.prefactor
-    hbar = scheme.hbar
-
-    def sample(p_f, p_i):
-        p_f = np.asarray(p_f, dtype=float)
-        p_i = np.asarray(p_i, dtype=float)
-        action = 0.5 * a_i * p_i**2 + 0.5 * a_f * p_f**2 + cross * p_i * p_f + s00
-        return pref * np.exp(1j * action / hbar)
-
-    return sample
+    return _kernel_sampler(model, "momentum", t, scheme)
 
 
 def compose_kernels(kernel_late, kernel_early, x_f, x_i, band: float = 24.0,

@@ -105,7 +105,7 @@ def _critical_path(model, q0, q1, t, n=1000):
 
 def test_criterion_4_extremum_classification():
     with criterion(4, "second-variation verdicts: minimum / indefinite / maximum"):
-        gmin = HamiltonianModel.quadratic_saddle(1.0, 1.0)  # H = p^2 - q^2
+        gmin = HamiltonianModel.saddle_quadratic(0.5, 2.0)  # H = p^2 - q^2
         rep1 = classify_extremum(gmin, _critical_path(gmin, 0.0, 1.0, 1.0), "S",
                                  zero_tol_relative=1e-9)
         assert rep1.classification == "minimum"

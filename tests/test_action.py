@@ -245,3 +245,20 @@ class TestHJResidualR:
         rep = solve_momentum_bvp(sho, BoundarySpec("momentum-type", 1.0, 0.5), (0.0, 0.7), 800)
         oracle = action_r(sho, rep.path).value
         assert fld.surface[0, 0] == pytest.approx(oracle, abs=1e-9)
+
+
+class TestQuadratureMatchesScipy:
+    """The numpy rules reproduce scipy.integrate bit for bit on unit grids."""
+
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["1-d", "2-d"])
+    def test_rules(self, shape):
+        integrate = pytest.importorskip("scipy.integrate")
+        from dualaction.action import _cumulative_trapezoid, _simpson, _trapezoid
+
+        for n_nodes in range(3, 61):  # odd and even interval counts
+            y = np.random.default_rng(n_nodes).normal(size=(n_nodes,) + shape)
+            assert np.array_equal(_simpson(y), integrate.simpson(y, dx=1.0, axis=0)), n_nodes
+            assert np.array_equal(_trapezoid(y), integrate.trapezoid(y, dx=1.0, axis=0)), n_nodes
+            if not shape:
+                expected = np.concatenate([[0.0], integrate.cumulative_trapezoid(y, dx=0.37)])
+                assert np.array_equal(_cumulative_trapezoid(y, 0.37), expected), n_nodes

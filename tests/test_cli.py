@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -149,6 +153,7 @@ class TestInputValidation:
         ("hj-check", "--fd-step", "nan"),
         ("legendre-check", "--samples", "0"),
         ("legendre-check", "--N", "1"),
+        ("propagate", "--grid-count", "-1"),
     ])
     def test_rejected_at_argument_parsing(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -216,3 +221,13 @@ class TestConfigIngestion:
         monkeypatch.setenv("DUALACTION_LOG", "INFO")
         code, out, _ = run_cli(capsys, "spin", "--N", "2")
         assert code == 0
+
+
+def test_import_loads_no_scipy():
+    # scipy's import alone used to be most of every CLI call's start-up time
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c", "import dualaction, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True,
+    )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,12 @@ from dualaction import (
     BlowUpError,
     BoundarySpec,
     HamiltonianModel,
+    PerturbationSpec,
     PhasePath,
     PreconditionError,
+    certify_bounds,
+    hj_residual_r,
+    hj_residual_s,
     integrate_ivp,
     solve_momentum_bvp,
     solve_position_bvp,
@@ -301,3 +306,26 @@ class TestBracketChoice:
         assert abs(rep.parameter) < 1.0
         refeed = integrate_ivp(model, 0.3 * mass, rep.parameter, (0.0, t), 500)
         assert refeed.p[-1] == pytest.approx(-0.3 * mass, abs=1e-8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_position_bvp(HamiltonianModel.sho(), BoundarySpec("position-type", 0.0, 1.0),
+                               (0.0, 1.0), 0),
+    lambda: solve_momentum_bvp(HamiltonianModel.sho(), BoundarySpec("momentum-type", 1.0, 0.5),
+                               (0.0, 1.0), 0),
+    lambda: hj_residual_s(HamiltonianModel.sho(), 0.0, [1.0], [1.0], n_steps=0),
+    lambda: hj_residual_r(HamiltonianModel.sho(), 1.0, [0.5], [1.0], n_steps=0),
+    lambda: hj_residual_r(HamiltonianModel.free(), 1.0, [1.0], [1.0], n_steps=0),
+    lambda: certify_bounds(
+        HamiltonianModel.saddle_quadratic(),
+        "S-chain",
+        solve_position_bvp(HamiltonianModel.saddle_quadratic(),
+                           BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 200),
+        PerturbationSpec(0.2), samples=0),
+], ids=["position_bvp", "momentum_bvp", "hj_s", "hj_r", "hj_r_cyclic",
+        "certify_bounds"])
+def test_zero_counts_raise_precondition_without_warnings(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError):
+            call()

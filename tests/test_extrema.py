@@ -22,7 +22,7 @@ def critical_path(model, q0, q1, t, n=600):
 
 class TestHessianS:
     def test_global_minimum_example(self):
-        m = HamiltonianModel.quadratic_saddle(1.0, 1.0)  # H = p^2 - q^2
+        m = HamiltonianModel.saddle_quadratic(0.5, 2.0)  # H = p^2 - q^2
         mat = hessian_s(m, 0.7, -1.3)
         assert (mat.a11, mat.a12, mat.a22) == (2.0, 0.0, 2.0)
 
@@ -57,7 +57,7 @@ class TestHessianR:
 
 class TestClassification:
     def test_global_minimum_verdict(self):
-        m = HamiltonianModel.quadratic_saddle(1.0, 1.0)
+        m = HamiltonianModel.saddle_quadratic(0.5, 2.0)
         rep = classify_extremum(m, critical_path(m, 0.0, 1.0, 1.0), "S")
         assert rep.classification == "minimum"
 

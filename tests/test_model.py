@@ -163,10 +163,9 @@ class TestConstructors:
             HamiltonianModel.builtin("nope")
 
     def test_quadratic_saddle_form(self):
-        m = HamiltonianModel.quadratic_saddle(1.0, 1.0)  # H = p^2 - q^2
+        m = HamiltonianModel.saddle_quadratic(0.5, 2.0)  # H = p^2 - q^2
         assert m.eval(1.0, 0.0) == 1.0
         assert m.eval(0.0, 1.0) == -1.0
-        assert m.kind == "quadratic-saddle"
 
     def test_separable_needs_potential(self):
         with pytest.raises(PreconditionError):

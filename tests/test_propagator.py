@@ -237,6 +237,9 @@ class TestFourierEndpoints:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x_final,x_initial,re,im"
         assert len(lines) == 3
+        for line in lines[1:]:
+            for cell in line.split(","):
+                float(cell)
 
 
 class TestSemigroup:
