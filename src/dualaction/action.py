@@ -34,9 +34,12 @@ def _trapezoid(y):
     return np.sum((y[1:] + y[:-1]) / 2.0, axis=0)
 
 
-def _cumulative_trapezoid(y, dt):
-    """Running trapezoid integral of a 1-d y from its first node, starting at 0."""
-    return np.concatenate([[0.0], np.cumsum(dt * (y[1:] + y[:-1]) / 2.0)])
+def _cumulative_trapezoid(y, dt, axis=0):
+    """Running trapezoid integral of y along axis from its first node, starting at 0."""
+    y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
+    out = np.zeros(y.shape)
+    np.cumsum(dt * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
+    return np.moveaxis(out, 0, axis)
 
 
 def _simpson(y):
@@ -198,6 +201,12 @@ def _hj_surface(model, start_value, endpoint_values, t_values, n_steps, fd_step,
     return center, dA_dx, dA_dt, conj_end[:, 0, :], valid
 
 
+def _check_horizons(t_values, fd_step):
+    """Every re-solve of a surface, t - fd_step included, must run forward in time."""
+    if not (fd_step > 0.0 and np.all(t_values - fd_step > 0.0)):
+        raise PreconditionError("action surfaces need fd_step > 0 and t - fd_step > 0")
+
+
 def hj_residual_s(model: HamiltonianModel, q_i: float, q_f_values, t_values,
                   n_steps: int = 800, fd_step: float = 1e-3) -> SurfaceResidualField:
     """Residual of H(dS/dq_f, q_f) + dS/dt on the S(q_f, t) surface.
@@ -209,6 +218,7 @@ def hj_residual_s(model: HamiltonianModel, q_i: float, q_f_values, t_values,
     """
     q_f_values = np.asarray(q_f_values, dtype=float)
     t_values = np.asarray(t_values, dtype=float)
+    _check_horizons(t_values, fd_step)
     S, dS_dq, dS_dt, p_tf, valid = _hj_surface(
         model, q_i, q_f_values, t_values, n_steps, fd_step, "p0", _action_s_values
     )
@@ -230,6 +240,7 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
     """
     p_f_values = np.asarray(p_f_values, dtype=float)
     t_values = np.asarray(t_values, dtype=float)
+    _check_horizons(t_values, fd_step)
     npf, nt = p_f_values.size, t_values.size
     dtt = fd_step
 
@@ -241,8 +252,6 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
         online = np.isclose(p_f_values, p_i, rtol=0.0, atol=1e-12)
         # one sweep over the horizons t, t + dt and t - dt of every row
         horizons = np.concatenate([t_values, t_values + dtt, t_values - dtt])
-        if not np.all(horizons > 0.0):
-            raise PreconditionError("cyclic R surface needs t - fd_step > 0")
         P, Q = _rk4_batch(model, p_i, np.zeros_like(horizons), (0.0, horizons), n_steps)
         values, _ = _action_r_values(model, P, Q, horizons / n_steps)
         rc, rp, rm = np.asarray(values).reshape(3, nt)

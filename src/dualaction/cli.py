@@ -307,6 +307,17 @@ _HANDLERS = {
 }
 
 
+def _finite(text):
+    """argparse type: a float other than nan, inf or -inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+_finite.__name__ = "float"  # argparse names it in "invalid float value" messages
+
+
 def _bounded(kind, low, inclusive=True):
     """argparse type: a value of kind that is >= low (or > low)."""
     def convert(text):
@@ -321,7 +332,7 @@ def _bounded(kind, low, inclusive=True):
 
 
 _count = _bounded(int, 1)
-_positive = _bounded(float, 0.0, inclusive=False)
+_positive = _bounded(_finite, 0.0, inclusive=False)
 
 
 def _common(p):
@@ -333,7 +344,7 @@ def _common(p):
     p.add_argument("--hamiltonian", choices=BUILTIN_NAMES, default=None,
                    help="builtin Hamiltonian name")
     p.add_argument("--config", default=None, help="INI config with a [hamiltonian] section")
-    p.add_argument("--mass", type=float, default=None)
+    p.add_argument("--mass", type=_finite, default=None)
     p.add_argument("--potential-coeffs", default=None,
                    help="comma-separated ascending polynomial coefficients")
     p.add_argument("--seed", type=int, default=0)
@@ -350,66 +361,66 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def window(p, n_default=1000):
-        p.add_argument("--t0", type=float, default=0.0)
-        p.add_argument("--t1", type=float, default=1.0)
+        p.add_argument("--t0", type=_finite, default=0.0)
+        p.add_argument("--t1", type=_finite, default=1.0)
         if n_default is not None:
             p.add_argument("--N", type=_count, default=n_default)
 
     p = sub.add_parser("classify", help="classify the extremum type of a critical path")
     _common(p); window(p)
-    p.add_argument("--q-start", type=float, default=0.0)
-    p.add_argument("--q-end", type=float, default=1.0)
+    p.add_argument("--q-start", type=_finite, default=0.0)
+    p.add_argument("--q-end", type=_finite, default=1.0)
     p.add_argument("--which", choices=("S", "R"), default="S")
 
     p = sub.add_parser("action", help="evaluate S, R and consistency residuals on a critical path")
     _common(p); window(p, n_default=2000)
-    p.add_argument("--q-start", type=float, default=0.0)
-    p.add_argument("--q-end", type=float, default=1.0)
+    p.add_argument("--q-start", type=_finite, default=0.0)
+    p.add_argument("--q-end", type=_finite, default=1.0)
 
     p = sub.add_parser("bounds", help="certify the saddle bound chains on random perturbations")
     _common(p); window(p, n_default=2000)
-    p.add_argument("--q-start", type=float, default=0.0)
-    p.add_argument("--q-end", type=float, default=1.0)
+    p.add_argument("--q-start", type=_finite, default=0.0)
+    p.add_argument("--q-end", type=_finite, default=1.0)
     p.add_argument("--chain", choices=("S-chain", "R-chain"), default="S-chain")
     p.add_argument("--samples", type=_count, default=1000)
-    p.add_argument("--epsilon", type=float, default=0.2)
+    p.add_argument("--epsilon", type=_finite, default=0.2)
     p.add_argument("--modes", type=int, default=8)
 
     p = sub.add_parser("propagate", help="time-sliced propagator in either representation")
     _common(p); window(p, n_default=None)
     p.add_argument("--rep", choices=("position", "momentum"), default="position")
     p.add_argument("--slices", type=int, default=512)
-    p.add_argument("--q-start", type=float, default=0.0)
-    p.add_argument("--q-end", type=float, default=1.0)
-    p.add_argument("--p-start", type=float, default=1.0)
-    p.add_argument("--p-end", type=float, default=1.0)
-    p.add_argument("--grid-min", type=float, default=-3.0)
-    p.add_argument("--grid-max", type=float, default=3.0)
+    p.add_argument("--q-start", type=_finite, default=0.0)
+    p.add_argument("--q-end", type=_finite, default=1.0)
+    p.add_argument("--p-start", type=_finite, default=1.0)
+    p.add_argument("--p-end", type=_finite, default=1.0)
+    p.add_argument("--grid-min", type=_finite, default=-3.0)
+    p.add_argument("--grid-max", type=_finite, default=3.0)
     p.add_argument("--grid-count", type=_count, default=201)
 
     p = sub.add_parser("spin", help="spin propagator by momentum-path enumeration")
     _common(p); window(p, n_default=4)
     p.add_argument("--policy", choices=spin_mod.POLICIES, default="paper-unconstrained")
     p.add_argument("--spin", dest="spin_kind", choices=("half", "composite"), default="half")
-    p.add_argument("--inertia", type=float, default=1.0)
-    p.add_argument("--l", type=float, default=1.0)
+    p.add_argument("--inertia", type=_finite, default=1.0)
+    p.add_argument("--l", type=_finite, default=1.0)
     p.add_argument("--sign-i", choices=("+", "-"), default="+")
     p.add_argument("--sign-f", choices=("+", "-"), default="+")
-    p.add_argument("--l0", type=float, default=0.5)
-    p.add_argument("--l-i", type=float, default=1.0)
-    p.add_argument("--l-f", type=float, default=1.0)
+    p.add_argument("--l0", type=_finite, default=0.5)
+    p.add_argument("--l-i", type=_finite, default=1.0)
+    p.add_argument("--l-f", type=_finite, default=1.0)
     p.add_argument("--use-closed-form", action="store_true")
 
     p = sub.add_parser("hj-check", help="Hamilton-Jacobi residual on an action surface")
     _common(p)
     p.add_argument("--which", choices=("s", "r"), default="s")
-    p.add_argument("--start", type=float, default=0.0,
+    p.add_argument("--start", type=_finite, default=0.0,
                    help="fixed initial endpoint (q_i for S, p_i for R)")
-    p.add_argument("--grid-min", type=float, default=0.5)
-    p.add_argument("--grid-max", type=float, default=1.5)
+    p.add_argument("--grid-min", type=_finite, default=0.5)
+    p.add_argument("--grid-max", type=_finite, default=1.5)
     p.add_argument("--grid-count", type=_count, default=11)
-    p.add_argument("--t-min", type=float, default=0.5)
-    p.add_argument("--t-max", type=float, default=1.5)
+    p.add_argument("--t-min", type=_finite, default=0.5)
+    p.add_argument("--t-max", type=_finite, default=1.5)
     p.add_argument("--t-count", type=_count, default=11)
     p.add_argument("--N", type=_count, default=800)
     p.add_argument("--fd-step", type=_positive, default=1e-3)

@@ -247,6 +247,17 @@ class TestHJResidualR:
         assert fld.surface[0, 0] == pytest.approx(oracle, abs=1e-9)
 
 
+@pytest.mark.parametrize("residual, model", [
+    (hj_residual_s, HamiltonianModel.free()),
+    (hj_residual_r, HamiltonianModel.sho()),
+    (hj_residual_r, HamiltonianModel.free()),  # the cyclic branch
+])
+@pytest.mark.parametrize("t_values", [[0.0, 0.5], [-1.0, 1.0], [0.5, 1e-3]])
+def test_surfaces_need_forward_horizons(residual, model, t_values):
+    with pytest.raises(PreconditionError):
+        residual(model, 1.0, [0.5, 1.0], t_values, n_steps=50, fd_step=1e-3)
+
+
 class TestQuadratureMatchesScipy:
     """The numpy rules reproduce scipy.integrate bit for bit on unit grids."""
 
@@ -259,6 +270,8 @@ class TestQuadratureMatchesScipy:
             y = np.random.default_rng(n_nodes).normal(size=(n_nodes,) + shape)
             assert np.array_equal(_simpson(y), integrate.simpson(y, dx=1.0, axis=0)), n_nodes
             assert np.array_equal(_trapezoid(y), integrate.trapezoid(y, dx=1.0, axis=0)), n_nodes
-            if not shape:
-                expected = np.concatenate([[0.0], integrate.cumulative_trapezoid(y, dx=0.37)])
-                assert np.array_equal(_cumulative_trapezoid(y, 0.37), expected), n_nodes
+            expected = integrate.cumulative_trapezoid(y, dx=0.37, axis=0, initial=0)
+            assert np.array_equal(_cumulative_trapezoid(y, 0.37), expected), n_nodes
+            assert np.array_equal(_cumulative_trapezoid(y, 0.37, axis=0), expected), n_nodes
+            if shape:
+                assert np.array_equal(_cumulative_trapezoid(y.T, 0.37, axis=1), expected.T)

@@ -154,6 +154,13 @@ class TestInputValidation:
         ("legendre-check", "--samples", "0"),
         ("legendre-check", "--N", "1"),
         ("propagate", "--grid-count", "-1"),
+        ("classify", "--q-end", "nan"),
+        ("classify", "--mass", "inf"),
+        ("bounds", "--hamiltonian", "saddle-quadratic", "--epsilon", "nan"),
+        ("hj-check", "--grid-min", "nan"),
+        ("hj-check", "--fd-step", "inf"),
+        ("propagate", "--p-start", "inf"),
+        ("spin", "--t1=-inf"),
     ])
     def test_rejected_at_argument_parsing(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -174,6 +181,19 @@ class TestInputValidation:
         error = json.loads(err)
         jsonschema.validate(error, ERROR_SCHEMA)
         assert error["error_code"] == "non-finite"
+
+    @pytest.mark.parametrize("argv", [
+        ("hj-check", "--t-min", "0"),
+        ("hj-check", "--t-min", "-1", "--t-count", "2"),
+        ("hj-check", "--hamiltonian", "free", "--which", "r", "--t-min", "0.001"),
+    ])
+    def test_non_positive_horizon_is_a_json_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        jsonschema.validate(error, ERROR_SCHEMA)
+        assert error["error_code"] == "precondition"
 
     def test_undefined_cyclic_companion_is_null(self, capsys):
         code, out, _ = run_cli(capsys, "hj-check", "--hamiltonian", "free", "--which", "r",
