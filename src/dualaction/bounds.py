@@ -24,13 +24,15 @@ for the primed chain whose integral - vanishes appropriately).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .action import _cumulative_trapezoid, _grad, _quadrature, action_r, action_s
+from .action import (
+    _action_r_values, _action_s_values, _cumulative_trapezoid, _grad, _quadrature, action_r,
+    action_s,
+)
 from .dynamics import PhasePath, ShootingReport
 from .errors import NotSaddleError, PreconditionError, RootFindError, UnsolvableRestrictionError
 from .model import DomainBox, HamiltonianModel, saddle_probe
@@ -163,11 +165,7 @@ def pi_from_theta(model: HamiltonianModel, theta, dt):
     iteration (requires H_pp > 0 on the range).
     """
     theta = np.asarray(theta, dtype=float)
-    return _momentum_from_slope(model, theta, _grad(theta, dt))
-
-
-def _momentum_from_slope(model, theta, theta_dot):
-    """pi_from_theta for a Theta whose slope dTheta/dt is already known."""
+    theta_dot = _grad(theta, dt)
     if model.kind != "general":
         return model.mass * theta_dot
     hp = model._derivative(1, 0)
@@ -251,29 +249,26 @@ def _restricted_position_ivp(model, pi, dt, theta_start):
     return _heun(lambda th, p: hp(p, th), pi, dt, theta_start)
 
 
-def _integral(y, dt, rule):
-    """Quadrature along axis 0: a float for one path, one value per column of (nodes, k)."""
-    value, _ = _quadrature(y, dt, rule)
+def _value(quadrature):
+    """A (value, rule) quadrature as a float for one path, one value per column of (nodes, k)."""
+    value, _ = quadrature
     return float(value) if np.ndim(value) == 0 else value
 
 
 # The four functionals take one path or a (nodes, k) array of k paths
-# and return a float or k values.
+# and return a float or k values.  J and G are S, G' is R, each on its
+# restricted pair; J' integrates K with the restriction's own slope.
 
 def functional_J(model: HamiltonianModel, theta, dt, rule="auto"):
     """S evaluated on (Pi(Theta), Theta) with Pi from dTheta/dt = H_p."""
     theta = np.asarray(theta, dtype=float)
-    qdot = _grad(theta, dt)
-    pi = _momentum_from_slope(model, theta, qdot)
-    return _integral(pi * qdot - model.eval(pi, theta), dt, rule)
+    return _value(_action_s_values(model, pi_from_theta(model, theta, dt), theta, dt, rule))
 
 
 def functional_G(model: HamiltonianModel, pi, dt, rule="auto"):
     """S evaluated on (Pi, Theta(Pi)) with Theta from dPi/dt = -H_q."""
     pi = np.asarray(pi, dtype=float)
-    theta = theta_from_pi(model, pi, dt)
-    qdot = _grad(theta, dt)
-    return _integral(pi * qdot - model.eval(pi, theta), dt, rule)
+    return _value(_action_s_values(model, pi, theta_from_pi(model, pi, dt), dt, rule))
 
 
 def functional_Jp(model: HamiltonianModel, theta, dt, pi_start, rule="auto"):
@@ -286,15 +281,15 @@ def functional_Jp(model: HamiltonianModel, theta, dt, pi_start, rule="auto"):
     """
     theta = np.asarray(theta, dtype=float)
     pi = _restricted_momentum_ivp(model, theta, dt, pi_start)
-    return _integral(theta * _h_q(model)(pi, theta) - model.eval(pi, theta), dt, rule)
+    k = theta * _h_q(model)(pi, theta) - model.eval(pi, theta)
+    return _value(_quadrature(k, dt, rule))
 
 
 def functional_Gp(model: HamiltonianModel, pi, dt, theta_start, rule="auto"):
-    """K-quadrature on (Pi, Theta(Pi)) with Theta from dTheta/dt = H_p."""
+    """R evaluated on (Pi, Theta(Pi)) with Theta from dTheta/dt = H_p."""
     pi = np.asarray(pi, dtype=float)
     theta = _restricted_position_ivp(model, pi, dt, theta_start)
-    pdot = _grad(pi, dt)
-    return _integral(-theta * pdot - model.eval(pi, theta), dt, rule)
+    return _value(_action_r_values(model, pi, theta, dt, rule))
 
 
 def _compatibility_shift(model, theta, dt, pi_start, pi_end, tol=1e-10):
@@ -362,10 +357,6 @@ class BoundCertificate:
             "seed": self.seed,
             "critical_value": self.critical_value,
         }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
 
     def to_csv(self, path):
         lower_name, upper_name = (

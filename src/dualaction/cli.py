@@ -187,7 +187,7 @@ _SLICED = {
 def _cmd_propagate(config: RunConfig, model):
     params = config.params
     rep = params["rep"]
-    scheme = prop_mod.SliceScheme(params["slices"], rep)
+    scheme = prop_mod.SliceScheme(params["slices"])
     t = params["t1"] - params["t0"]
     x = "q" if rep == "position" else "p"
     x_start, x_end = params[f"{x}_start"], params[f"{x}_end"]

@@ -9,7 +9,6 @@ supplied window.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +39,6 @@ class SecondVariationMatrix:
 
     def determinant(self):
         return self.a11 * self.a22 - self.a12**2
-
-    def as_array(self):
-        return np.stack(
-            [np.stack([self.a11, self.a12], axis=-1), np.stack([self.a12, self.a22], axis=-1)],
-            axis=-2,
-        )
 
 
 def hessian_s(model: HamiltonianModel, p, q) -> SecondVariationMatrix:
@@ -94,10 +87,6 @@ class ExtremumReport:
             "hamilton_residual": self.hamilton_residual,
             "nodes": int(self.eigenvalues.shape[0]),
         }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
 
 
 def _classify(eigenvalues, zero_tol):

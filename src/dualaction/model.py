@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import DomainError, PreconditionError, UnsupportedOrderError
 
@@ -92,8 +91,43 @@ def _poly_derivs(coeffs, max_order=3):
     """Ascending-order coefficient arrays for V, V', V'', V'''."""
     out = [np.asarray(coeffs, dtype=float)]
     for _ in range(max_order):
-        out.append(P.polyder(out[-1]) if len(out[-1]) > 1 else np.zeros(1))
+        c = out[-1]
+        out.append(c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1))
     return out
+
+
+def _horner(coeffs):
+    """Callable q -> sum_k coeffs[k] q^k by Horner's rule (ascending coefficients).
+
+    Zero coefficients are not added (adding 0.0 changes no finite
+    value), so the values equal numpy's polyval.  A constant polynomial
+    gives a scalar, which broadcasts against q.
+    """
+    coeffs = [float(c) for c in coeffs]
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+
+    def poly(q):
+        value = lead
+        for c in rest:
+            value = value * q
+            if c:
+                value = value + c
+        return value
+
+    return poly
+
+
+def _poly(coeffs):
+    """_horner whose value has the shape of q, as polyval's, also for a constant polynomial."""
+    horner = _horner(coeffs)
+    if len(coeffs) == 1:
+        return lambda q: np.full(np.shape(q), horner(q))
+    return lambda q: horner(np.asarray(q, dtype=float))
+
+
+def _require_finite(name, values):
+    if not np.all(np.isfinite(values)):
+        raise PreconditionError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -129,9 +163,11 @@ class HamiltonianModel:
         else:
             if self.mass is None or self.mass <= 0:
                 raise PreconditionError("separable kind requires a positive mass")
+            _require_finite("mass", self.mass)
             if self.potential_coeffs is None and self.potential is None:
                 raise PreconditionError("separable kind requires a potential")
         if self.potential_coeffs is not None:
+            _require_finite("potential coefficients", self.potential_coeffs)
             object.__setattr__(
                 self, "_vcoeffs", tuple(map(tuple, _poly_derivs(self.potential_coeffs)))
             )
@@ -181,26 +217,29 @@ class HamiltonianModel:
         Built as a general-kind model with exact analytic partials, so
         third derivatives stay noise-free.
         """
-        b = _poly_derivs(drift_coeffs)
-        v = _poly_derivs(potential_coeffs)
         m = float(mass)
+        if m <= 0:
+            raise PreconditionError("with_drift requires a positive mass")
+        _require_finite("mass", m)
+        _require_finite("drift coefficients", drift_coeffs)
+        _require_finite("potential coefficients", potential_coeffs)
+        b = [_poly(c) for c in _poly_derivs(drift_coeffs)]
+        v = [_poly(c) for c in _poly_derivs(potential_coeffs)]
 
         def H(p, q):
-            return p**2 / (2.0 * m) + P.polyval(q, b[0]) * p + P.polyval(q, v[0])
+            return p**2 / (2.0 * m) + b[0](q) * p + v[0](q)
 
         partials = {
-            (1, 0): lambda p, q: p / m + P.polyval(q, b[0]),
+            (1, 0): lambda p, q: p / m + b[0](q),
             (2, 0): lambda p, q: np.full_like(np.asarray(p, dtype=float), 1.0 / m),
             (3, 0): lambda p, q: np.zeros_like(np.asarray(p, dtype=float)),
             (2, 1): lambda p, q: np.zeros(np.broadcast(p, q).shape),
         }
         for bq in range(1, 4):
             db, dv = b[bq], v[bq]
-            partials[(0, bq)] = (
-                lambda p, q, db=db, dv=dv: P.polyval(q, db) * p + P.polyval(q, dv)
-            )
+            partials[(0, bq)] = lambda p, q, db=db, dv=dv: db(q) * p + dv(q)
             if bq <= 2:
-                partials[(1, bq)] = lambda p, q, db=db: P.polyval(q, db) * np.ones_like(
+                partials[(1, bq)] = lambda p, q, db=db: db(q) * np.ones_like(
                     np.asarray(p, dtype=float)
                 )
         return cls.general(H, partials=partials, label=label)
@@ -227,12 +266,7 @@ class HamiltonianModel:
     def _v_derivative(self, order):
         """dV/dq^order as a vectorized callable of q."""
         if self._vcoeffs is not None:
-            c = np.asarray(self._vcoeffs[order])
-
-            def dv(q, c=c):
-                return P.polyval(np.asarray(q, dtype=float), c)
-
-            return dv
+            return _poly(self._vcoeffs[order])
         if order == 0:
             return lambda q: np.asarray(self.potential(q), dtype=float)
         return lambda q: _fd_directional(
@@ -262,25 +296,15 @@ class HamiltonianModel:
         """Callable (p, q) -> (H_p, H_q): the right-hand side of Hamilton's equations.
 
         Polynomial separable models evaluate both in one call, H_q by
-        Horner's rule in the same operation order as the (0, 1) partial,
-        so the values agree bit for bit.  A constant H_q is returned as a
-        scalar; the results broadcast against p and q.  Other models
-        call their (1, 0) and (0, 1) partials.
+        the Horner evaluator of the (0, 1) partial, so the values agree
+        bit for bit.  A constant H_q is returned as a scalar; the results
+        broadcast against p and q.  Other models call their (1, 0) and
+        (0, 1) partials.
         """
         if self.kind != "general" and self._vcoeffs is not None:
             m = self.mass
-            coeffs = [float(c) for c in self._vcoeffs[1]]
-            lead, rest = coeffs[-1], coeffs[-2::-1]
-
-            def field(p, q):
-                hq = lead
-                for c in rest:
-                    hq = hq * q
-                    if c:  # adding 0.0 changes no finite value
-                        hq = hq + c
-                return p / m, hq
-
-            return field
+            hq = _horner(self._vcoeffs[1])
+            return lambda p, q: (p / m, hq(q))
         hp, hq = self._derivative(1, 0), self._derivative(0, 1)
         return lambda p, q: (hp(p, q), hq(p, q))
 

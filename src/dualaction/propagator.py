@@ -37,14 +37,11 @@ MAX_PHASE_STEP = 0.9 * math.pi   # aliasing guard on the quadrature grid
 @dataclass(frozen=True)
 class SliceScheme:
     n_slices: int
-    representation: str = "position"
     hbar: float = 1.0
 
     def __post_init__(self):
         if self.n_slices < 1:
             raise PreconditionError("slicing needs n_slices >= 1")
-        if self.representation not in ("position", "momentum"):
-            raise PreconditionError("representation must be 'position' or 'momentum'")
         if self.hbar <= 0:
             raise PreconditionError("hbar must be positive")
 
@@ -295,11 +292,6 @@ class KernelSamples:
     x_initial: np.ndarray
     values: np.ndarray
     hbar: float = 1.0
-
-    def value_at(self, x_f, x_i):
-        i = int(np.argmin(np.abs(self.x_final - x_f)))
-        j = int(np.argmin(np.abs(self.x_initial - x_i)))
-        return complex(self.values[i, j])
 
     def to_csv(self, path):
         write_series(path, ["x_final", "x_initial", "re", "im"], (

@@ -65,6 +65,48 @@ def spin_half_closed_form(inertia, l, sign_i, sign_f, t, n_intervals,
     return complex(count * phase / total)
 
 
+def _enumerates(inertia, n_intervals, values, policy, cap, use_closed_form):
+    """Validate a propagator call: True to enumerate, False for the closed form past the cap."""
+    if inertia <= 0:
+        raise PreconditionError("inertia must be positive")
+    SpinPathEnsemble(n_intervals, values, policy)
+    if n_intervals <= cap:
+        return True
+    if use_closed_form:
+        return False
+    raise PreconditionError(
+        f"N = {n_intervals} exceeds the enumeration cap {cap}; pass use_closed_form=True"
+    )
+
+
+def _path_sum(levels, n_intervals, t, inertia, hbar, ends=None):
+    """Sum of exp(-i sum_j v_j^2 dt / (2 I hbar)) over all paths, over the path count.
+
+    Path `code` takes the value levels[d_j] on interval j, d_j being
+    digit j of code in base len(levels) (2 or 4).  With ends =
+    (v_first, v_last) only the paths starting and ending on those
+    values are summed; the normalization keeps the full count.  Codes
+    are uint32: both enumeration caps keep the path count at most 2^20.
+    """
+    base = len(levels)
+    width = base.bit_length() - 1  # bits per digit
+    levels = np.asarray(levels, dtype=float)
+    squares = levels**2
+    dt = t / n_intervals
+    total = base**n_intervals
+    shifts = np.arange(0, width * n_intervals, width, dtype=np.uint32)
+    acc = 0.0 + 0.0j
+    for lo in range(0, total, _CHUNK):
+        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint32)
+        digits = (codes[:, None] >> shifts[None, :]) & (base - 1)
+        if ends is not None:
+            admit = (levels[digits[:, 0]] == ends[0]) & (levels[digits[:, -1]] == ends[1])
+            digits = digits[admit]
+        phases = np.exp(-1j * np.sum(squares[digits], axis=1) * dt / (2.0 * inertia * hbar))
+        acc += np.sum(phases)
+    return complex(acc / total)
+
+
 def spin_half_propagator(inertia, l, sign_i, sign_f, t, n_intervals,
                          policy="paper-unconstrained", hbar=1.0,
                          use_closed_form=False):
@@ -73,32 +115,12 @@ def spin_half_propagator(inertia, l, sign_i, sign_f, t, n_intervals,
     Brute-force enumeration up to N = 20; beyond that the closed form
     must be requested explicitly.
     """
-    if inertia <= 0:
-        raise PreconditionError("inertia must be positive")
-    SpinPathEnsemble(n_intervals, ((l, 1), (-l, 1)), policy)
-    if n_intervals > SPIN_HALF_ENUM_CAP:
-        if use_closed_form:
-            return spin_half_closed_form(inertia, l, sign_i, sign_f, t, n_intervals, policy, hbar)
-        raise PreconditionError(
-            f"N = {n_intervals} exceeds the enumeration cap {SPIN_HALF_ENUM_CAP}; "
-            "pass use_closed_form=True"
-        )
-
-    si, sf = _parse_sign(sign_i), _parse_sign(sign_f)
-    dt = t / n_intervals
-    total = 2**n_intervals
-    shifts = np.arange(n_intervals, dtype=np.uint32)
-    acc = 0.0 + 0.0j
-    for lo in range(0, total, _CHUNK):
-        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint32)
-        bits = (codes[:, None] >> shifts[None, :]) & 1
-        values = l * (2.0 * bits - 1.0)
-        phases = np.exp(-1j * np.sum(values**2, axis=1) * dt / (2.0 * inertia * hbar))
-        if policy == "endpoint-filtered":
-            admit = (values[:, 0] == si * l) & (values[:, -1] == sf * l)
-            phases = phases[admit]
-        acc += np.sum(phases)
-    return complex(acc / total)
+    if not _enumerates(inertia, n_intervals, ((l, 1), (-l, 1)), policy,
+                       SPIN_HALF_ENUM_CAP, use_closed_form):
+        return spin_half_closed_form(inertia, l, sign_i, sign_f, t, n_intervals, policy, hbar)
+    ends = (_parse_sign(sign_i) * l, _parse_sign(sign_f) * l)
+    return _path_sum((-l, l), n_intervals, t, inertia, hbar,
+                     ends if policy == "endpoint-filtered" else None)
 
 
 def composite_values(l0):
@@ -131,30 +153,10 @@ def composite_spin_propagator(inertia, l0, l_i, l_f, t, n_intervals,
                               use_closed_form=False):
     """Two-constituent composite: per-interval values +2 l0, 0, -2 l0 with
     multiplicities 1:2:1 from the four constituent sign pairs, C = 4^-N."""
-    if inertia <= 0:
-        raise PreconditionError("inertia must be positive")
-    SpinPathEnsemble(n_intervals, composite_values(l0), policy)
-    if n_intervals > COMPOSITE_ENUM_CAP:
-        if use_closed_form:
-            return composite_closed_form(inertia, l0, l_i, l_f, t, n_intervals, policy, hbar)
-        raise PreconditionError(
-            f"N = {n_intervals} exceeds the enumeration cap {COMPOSITE_ENUM_CAP}; "
-            "pass use_closed_form=True"
-        )
-
-    dt = t / n_intervals
-    total = 4**n_intervals
-    shifts = np.arange(2 * n_intervals, dtype=np.uint32)
-    acc = 0.0 + 0.0j
-    for lo in range(0, total, _CHUNK):
-        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
-        bits = (codes[:, None] >> shifts[None, :]) & 1
-        s1 = 2.0 * bits[:, 0::2] - 1.0
-        s2 = 2.0 * bits[:, 1::2] - 1.0
-        values = l0 * (s1 + s2)
-        phases = np.exp(-1j * np.sum(values**2, axis=1) * dt / (2.0 * inertia * hbar))
-        if policy == "endpoint-filtered":
-            admit = (values[:, 0] == l_i) & (values[:, -1] == l_f)
-            phases = phases[admit]
-        acc += np.sum(phases)
-    return complex(acc / total)
+    if not _enumerates(inertia, n_intervals, composite_values(l0), policy,
+                       COMPOSITE_ENUM_CAP, use_closed_form):
+        return composite_closed_form(inertia, l0, l_i, l_f, t, n_intervals, policy, hbar)
+    # digit b1 + 2 b2 (b = 1 for a + sign) picks l0 (s1 + s2) for the constituent signs
+    levels = tuple(l0 * s for s in (-2.0, 0.0, 0.0, 2.0))
+    return _path_sum(levels, n_intervals, t, inertia, hbar,
+                     (l_i, l_f) if policy == "endpoint-filtered" else None)

@@ -227,6 +227,24 @@ class TestConfigIngestion:
         assert code == 0
         assert load_report(out)["results"]["classification"] == "minimum"
 
+    @pytest.mark.parametrize("model_args", [
+        ("--config", "{nan_mass_ini}"),
+        ("--potential-coeffs", "0,0,inf"),
+        ("--potential-coeffs", "0,nan"),
+    ])
+    def test_non_finite_model_is_a_json_error(self, capsys, tmp_path, model_args):
+        cfg = tmp_path / "model.ini"
+        cfg.write_text(
+            "[hamiltonian]\nkind = separable\nmass = nan\npotential_coeffs = 0, 0, 0.5\n"
+        )
+        argv = [arg.format(nan_mass_ini=cfg) for arg in model_args]
+        code, out, err = run_cli(capsys, "classify", *argv)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        jsonschema.validate(error, ERROR_SCHEMA)
+        assert error["error_code"] == "precondition"
+
     def test_missing_config_errors(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--config", "/nonexistent.ini")
         assert code == 2
@@ -244,10 +262,12 @@ class TestConfigIngestion:
 
 
 def test_import_loads_no_scipy():
-    # scipy's import alone used to be most of every CLI call's start-up time
+    # scipy's import alone used to be most of every CLI call's start-up time,
+    # numpy.polynomial's a few milliseconds more
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run(
-        [sys.executable, "-c", "import dualaction, sys; assert 'scipy' not in sys.modules"],
-        env=env, check=True,
+    check = (
+        "import dualaction, sys; "
+        "assert 'scipy' not in sys.modules; assert 'numpy.polynomial' not in sys.modules"
     )
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)

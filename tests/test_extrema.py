@@ -101,16 +101,11 @@ class TestClassification:
     def test_exports(self, saddle, tmp_path):
         rep = classify_extremum(saddle, critical_path(saddle, 0.0, 1.0, 1.0), "S")
         csv_path = tmp_path / "eig.csv"
-        json_path = tmp_path / "summary.json"
         rep.to_csv(csv_path)
-        rep.to_json(json_path)
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "t,lambda_1,lambda_2"
         assert len(lines) == 1 + rep.eigenvalues.shape[0]
-        import json
-
-        summary = json.loads(json_path.read_text())
-        assert summary["classification"] == "minimum"
+        assert rep.summary()["classification"] == "minimum"
 
 
 class TestMassIndependence:

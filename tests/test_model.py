@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from dualaction import (
     DomainBox,
@@ -11,6 +14,7 @@ from dualaction import (
     eval_partials,
     saddle_probe,
 )
+from dualaction.model import _horner, _poly
 
 
 class TestEvalPartials:
@@ -175,6 +179,15 @@ class TestConstructors:
         with pytest.raises(PreconditionError):
             HamiltonianModel(kind="general")
 
+    @pytest.mark.parametrize("build", [
+        lambda: HamiltonianModel.separable(float("nan"), potential_coeffs=(0.0, 0.0, 0.5)),
+        lambda: HamiltonianModel.sho(float("inf")),
+        lambda: HamiltonianModel.with_drift(1.0, (0.0,), (0.0, float("nan"))),
+    ])
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(PreconditionError, match="finite"):
+            build()
+
 
 class TestVectorField:
     @pytest.mark.parametrize("model", [
@@ -191,3 +204,21 @@ class TestVectorField:
         hp, hq = model.vector_field()(p, q)
         np.testing.assert_array_equal(np.broadcast_to(hp, p.shape), model._derivative(1, 0)(p, q))
         np.testing.assert_array_equal(np.broadcast_to(hq, q.shape), model._derivative(0, 1)(p, q))
+
+
+_COEFF = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=60)
+@given(
+    coeffs=st.lists(_COEFF, min_size=1, max_size=7),
+    q=st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
+    shape=st.sampled_from([(), (6,), (2, 3)]),
+)
+def test_horner_equals_polyval(coeffs, q, shape):
+    q = float(q[0]) if shape == () else np.reshape(q, shape)
+    expected = P.polyval(q, coeffs)
+    assert np.array_equal(np.broadcast_to(_horner(coeffs)(q), np.shape(q)), expected)
+    value = _poly(coeffs)(q)
+    assert np.shape(value) == np.shape(expected)
+    assert np.array_equal(value, expected)

@@ -28,8 +28,6 @@ class TestSliceScheme:
     def test_validation(self):
         with pytest.raises(PreconditionError):
             SliceScheme(0)
-        with pytest.raises(PreconditionError):
-            SliceScheme(4, representation="energy")
 
 
 class TestPropagatorValue:

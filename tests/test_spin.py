@@ -2,6 +2,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualaction import (
     PreconditionError,
@@ -121,3 +123,28 @@ class TestComposite:
         g = composite_spin_propagator(1.0, 0.5, 1.0, 1.0, 1.0, COMPOSITE_ENUM_CAP + 1,
                                       use_closed_form=True)
         assert np.isfinite(g.real) and np.isfinite(g.imag)
+
+
+_POLICIES = st.sampled_from(["paper-unconstrained", "endpoint-filtered"])
+_NONZERO = st.floats(0.1, 2.5).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=60)
+@given(inertia=st.floats(0.2, 5.0), l=_NONZERO, t=st.floats(-5.0, 5.0),
+       n=st.integers(1, 12), policy=_POLICIES)
+def test_spin_half_enumeration_equals_closed_form(inertia, l, t, n, policy):
+    for sign_i in "+-":
+        for sign_f in "+-":
+            args = (inertia, l, sign_i, sign_f, t, n, policy)
+            assert abs(spin_half_propagator(*args) - spin_half_closed_form(*args)) <= 1e-12
+
+
+@settings(max_examples=60)
+@given(inertia=st.floats(0.2, 5.0), l0=_NONZERO, t=st.floats(-5.0, 5.0),
+       n=st.integers(1, 6), policy=_POLICIES)
+def test_composite_enumeration_equals_closed_form(inertia, l0, t, n, policy):
+    ends = (2.0 * l0, 0.0, -2.0 * l0)
+    for l_i in ends:
+        for l_f in ends:
+            args = (inertia, l0, l_i, l_f, t, n, policy)
+            assert abs(composite_spin_propagator(*args) - composite_closed_form(*args)) <= 1e-12
