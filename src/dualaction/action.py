@@ -56,18 +56,13 @@ def _simpson(y):
     return total + (5 / 12 * y[-1] + 4 / 6 * y[-2] - 1 / 12 * y[-3])
 
 
-def _quadrature(y, dt, rule):
-    """Composite quadrature along axis 0; dt may be per-lane (array) spacing."""
-    n = y.shape[0] - 1
-    if rule == "auto":
-        rule = "simpson" if n % 2 == 0 else "trapezoid"
-    if rule == "simpson":
-        if n < 2:
-            raise PreconditionError("simpson rule needs at least 2 intervals")
+def _quadrature(y, dt):
+    """Composite quadrature along axis 0 and the rule used: Simpson on an
+    even interval count, trapezoid otherwise.  dt may be per-lane (array)
+    spacing."""
+    if (y.shape[0] - 1) % 2 == 0:
         return _simpson(y) * dt, "simpson"
-    if rule == "trapezoid":
-        return _trapezoid(y) * dt, "trapezoid"
-    raise PreconditionError(f"unknown quadrature rule {rule!r}")
+    return _trapezoid(y) * dt, "trapezoid"
 
 
 def _grad(y, dt, axis=0):
@@ -75,39 +70,39 @@ def _grad(y, dt, axis=0):
     return np.gradient(y, 1.0, axis=axis, edge_order=edge) / dt
 
 
-def _action_s_values(model, P, Q, dt, rule="auto"):
+def _action_s_values(model, P, Q, dt):
     qdot = _grad(Q, dt)
     integrand = P * qdot - model.eval(P, Q)
-    return _quadrature(integrand, dt, rule)
+    return _quadrature(integrand, dt)
 
 
-def _action_r_values(model, P, Q, dt, rule="auto"):
+def _action_r_values(model, P, Q, dt):
     pdot = _grad(P, dt)
     integrand = -(Q * pdot + model.eval(P, Q))
-    return _quadrature(integrand, dt, rule)
+    return _quadrature(integrand, dt)
 
 
-def action_s(model: HamiltonianModel, path: PhasePath, rule: str = "auto") -> ActionValue:
+def action_s(model: HamiltonianModel, path: PhasePath) -> ActionValue:
     """Quadrature of p q' - H(p, q) along the path (q' by centered differences)."""
-    value, used = _action_s_values(model, path.p, path.q, path.dt, rule)
+    value, used = _action_s_values(model, path.p, path.q, path.dt)
     return ActionValue(float(value), used, path.n_intervals)
 
 
-def action_r(model: HamiltonianModel, path: PhasePath, rule: str = "auto") -> ActionValue:
+def action_r(model: HamiltonianModel, path: PhasePath) -> ActionValue:
     """Quadrature of -(q p' + H(p, q)) along the path."""
-    value, used = _action_r_values(model, path.p, path.q, path.dt, rule)
+    value, used = _action_r_values(model, path.p, path.q, path.dt)
     return ActionValue(float(value), used, path.n_intervals)
 
 
-def legendre_residual(model: HamiltonianModel, path: PhasePath, rule: str = "auto") -> float:
+def legendre_residual(model: HamiltonianModel, path: PhasePath) -> float:
     """S - R - ([pq] at t_end - [pq] at t_start); -> 0 as the grid refines.
 
     Integration by parts fixes the boundary-term sign as written here:
     the free-particle numbers (S = 1/2, R = -1/2, boundary term 1)
     confirm it.
     """
-    s = action_s(model, path, rule).value
-    r = action_r(model, path, rule).value
+    s = action_s(model, path).value
+    r = action_r(model, path).value
     boundary = path.p[-1] * path.q[-1] - path.p[0] * path.q[0]
     return float(s - r - boundary)
 

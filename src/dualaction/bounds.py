@@ -33,7 +33,7 @@ from .action import (
     _action_r_values, _action_s_values, _cumulative_trapezoid, _grad, _quadrature, action_r,
     action_s,
 )
-from .dynamics import PhasePath, ShootingReport
+from .dynamics import ShootingReport
 from .errors import NotSaddleError, PreconditionError, RootFindError, UnsolvableRestrictionError
 from .model import DomainBox, HamiltonianModel, saddle_probe
 from .series import write_series
@@ -259,19 +259,19 @@ def _value(quadrature):
 # and return a float or k values.  J and G are S, G' is R, each on its
 # restricted pair; J' integrates K with the restriction's own slope.
 
-def functional_J(model: HamiltonianModel, theta, dt, rule="auto"):
+def functional_J(model: HamiltonianModel, theta, dt):
     """S evaluated on (Pi(Theta), Theta) with Pi from dTheta/dt = H_p."""
     theta = np.asarray(theta, dtype=float)
-    return _value(_action_s_values(model, pi_from_theta(model, theta, dt), theta, dt, rule))
+    return _value(_action_s_values(model, pi_from_theta(model, theta, dt), theta, dt))
 
 
-def functional_G(model: HamiltonianModel, pi, dt, rule="auto"):
+def functional_G(model: HamiltonianModel, pi, dt):
     """S evaluated on (Pi, Theta(Pi)) with Theta from dPi/dt = -H_q."""
     pi = np.asarray(pi, dtype=float)
-    return _value(_action_s_values(model, pi, theta_from_pi(model, pi, dt), dt, rule))
+    return _value(_action_s_values(model, pi, theta_from_pi(model, pi, dt), dt))
 
 
-def functional_Jp(model: HamiltonianModel, theta, dt, pi_start, rule="auto"):
+def functional_Jp(model: HamiltonianModel, theta, dt, pi_start):
     """K-quadrature on (Pi(Theta), Theta) with Pi from dPi/dt = -H_q.
 
     The restriction is an initial-value problem anchored at the critical
@@ -282,14 +282,14 @@ def functional_Jp(model: HamiltonianModel, theta, dt, pi_start, rule="auto"):
     theta = np.asarray(theta, dtype=float)
     pi = _restricted_momentum_ivp(model, theta, dt, pi_start)
     k = theta * _h_q(model)(pi, theta) - model.eval(pi, theta)
-    return _value(_quadrature(k, dt, rule))
+    return _value(_quadrature(k, dt))
 
 
-def functional_Gp(model: HamiltonianModel, pi, dt, theta_start, rule="auto"):
+def functional_Gp(model: HamiltonianModel, pi, dt, theta_start):
     """R evaluated on (Pi, Theta(Pi)) with Theta from dTheta/dt = H_p."""
     pi = np.asarray(pi, dtype=float)
     theta = _restricted_position_ivp(model, pi, dt, theta_start)
-    return _value(_action_r_values(model, pi, theta, dt, rule))
+    return _value(_action_r_values(model, pi, theta, dt))
 
 
 def _compatibility_shift(model, theta, dt, pi_start, pi_end, tol=1e-10):
@@ -384,8 +384,7 @@ def _quadrature_slack(model, path, s, r):
 
 
 def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
-                   spec: PerturbationSpec, samples: int,
-                   probe_box: DomainBox | None = None) -> BoundCertificate:
+                   spec: PerturbationSpec, samples: int) -> BoundCertificate:
     """Check one bound chain on seeded random perturbations of a critical path.
 
     S-chain: G(Pi) <= S <= J(Theta) with Theta pinned at the position
@@ -396,7 +395,8 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
     restriction stays endpoint-matched).
 
     Sample idx draws from default_rng((spec.seed, idx)); the samples are
-    evaluated in blocks, as the columns of (nodes, block) arrays.
+    evaluated in blocks, as the columns of (nodes, block) arrays.  The
+    saddle probe box reaches one unit beyond the path and [-1, 1] on both axes.
     """
     if chain not in ("S-chain", "R-chain"):
         raise PreconditionError("chain must be 'S-chain' or 'R-chain'")
@@ -406,7 +406,7 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
     if spec.pinned != expected_pin:
         raise PreconditionError(f"{chain} needs {expected_pin} perturbations")
     path = bvp.path
-    box = probe_box or DomainBox(
+    box = DomainBox(
         min(path.p.min(), -1.0) - 1.0, max(path.p.max(), 1.0) + 1.0,
         min(path.q.min(), -1.0) - 1.0, max(path.q.max(), 1.0) + 1.0,
     )

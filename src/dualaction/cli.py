@@ -24,13 +24,15 @@ from . import action as action_mod
 from . import bounds as bounds_mod
 from . import propagator as prop_mod
 from . import spin as spin_mod
-from .dynamics import BoundarySpec, PhasePath, solve_momentum_bvp, solve_position_bvp
+from .dynamics import BoundarySpec, PhasePath, solve_position_bvp
 from .errors import DualActionError, NumericError, PreconditionError
 from .extrema import classify_extremum
 from .model import BUILTIN_NAMES, HamiltonianModel
 from .series import write_series
 
 log = logging.getLogger("dualaction")
+# silent unless DUALACTION_LOG configures logging: stderr carries only the JSON error
+log.addHandler(logging.NullHandler())
 
 SCHEMA_VERSION = 1
 COMMANDS = ("classify", "action", "bounds", "propagate", "spin", "hj-check", "legendre-check")

@@ -155,8 +155,8 @@ def integrate_ivp(model: HamiltonianModel, p0: float, q0: float, t_span, n_steps
     return PhasePath(t_span[0], t_span[1], P.reshape(n_steps + 1), Q.reshape(n_steps + 1))
 
 
-def _scan_candidates(scan_range):
-    mags = np.geomspace(1e-3, scan_range, 16)
+def _scan_candidates():
+    mags = np.geomspace(1e-3, BRACKET_RANGE, 16)
     return np.concatenate([-mags[::-1], [0.0], mags])
 
 
@@ -175,7 +175,7 @@ def _momentum_unit(model, q_start):
 
 def _pinned_scale(start, end):
     """Size of the pinned values, max(1, |start|, |end|): shooting residuals
-    are held to tol in these units, so momenta of any mass converge alike."""
+    are held to SHOOTING_TOL in these units, so any mass converges alike."""
     return np.maximum(1.0, np.maximum(abs(start), np.abs(end)))
 
 
@@ -190,8 +190,7 @@ class _Shots:
     Q: np.ndarray
 
 
-def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on,
-                 tol=SHOOTING_TOL, scan_range=BRACKET_RANGE):
+def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on):
     """Shoot a family of endpoint targets: one scan, then batched Newton sweeps.
 
     shoot_on = 'p0' varies initial momentum with q(t_i) = start_value and
@@ -206,7 +205,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on,
     J(t) = (E+(t) - E-(t)) / 2h of the endpoint variable E, whose final
     value is the Newton slope, and the centre lanes' paths are kept.  A
     step that leaves the bracket bisects it instead, and a target is
-    solved once |residual| <= tol * max(1, |start|, |target|).  It is
+    solved once |residual| <= SHOOTING_TOL * max(1, |start|, |target|).  It is
     conjugate-degenerate when |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|
     or the scan found several brackets.
     """
@@ -214,7 +213,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on,
         raise PreconditionError("shooting needs n_steps >= 1")
     targets = np.asarray(targets, dtype=float)
     n_t = targets.size
-    tol = tol * _pinned_scale(start_value, targets)
+    tol = SHOOTING_TOL * _pinned_scale(start_value, targets)
     t0 = float(t_span[0])
     t1 = np.broadcast_to(np.asarray(t_span[1], dtype=float), targets.shape)
     dt = (t1 - t0) / n_steps
@@ -228,7 +227,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on,
         pe, qe, P, Q, widest = _rk4(field, p, q, lane_dt, n_steps, **kw)
         return (qe if shoot_on == "p0" else pe), P, Q, widest
 
-    cand = _scan_candidates(scan_range) * unit
+    cand = _scan_candidates() * unit
     ends, _, _, _ = sweep(np.repeat(cand[:, None], n_t, axis=1), dt)
     res = ends - targets
     res = np.where(np.isfinite(res), res, np.nan)
@@ -275,8 +274,9 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on,
         xa = x[todo]
         h = FD_REL_STEP * np.maximum(unit, np.abs(xa))
         ends, P, Q, widest = sweep(np.stack([xa, xa + h, xa - h]), dt[todo], keep=0, spread=end)
-        r = ends[0] - targets[todo]
-        spread = ends[1] - ends[2]
+        with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
+            r = ends[0] - targets[todo]
+            spread = ends[1] - ends[2]
         if P_all is None and todo.size == n_t:
             P_all, Q_all = P, Q
         else:
@@ -310,11 +310,8 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on,
     return _Shots(roots, residuals, flags, P_all, Q_all)
 
 
-def _bvp(model, bounds, t_span, n_steps, shoot_on, tol, scan_range):
-    shots = _shoot_batch(
-        model, bounds.start, [bounds.end], t_span, n_steps, shoot_on,
-        tol=tol, scan_range=scan_range,
-    )
+def _bvp(model, bounds, t_span, n_steps, shoot_on):
+    shots = _shoot_batch(model, bounds.start, [bounds.end], t_span, n_steps, shoot_on)
     P, Q = shots.P[:, 0], shots.Q[:, 0]
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
         raise _blow_up(P, Q)
@@ -323,32 +320,32 @@ def _bvp(model, bounds, t_span, n_steps, shoot_on, tol, scan_range):
                           residual=float(abs(shots.residuals[0])), flag=str(shots.flags[0]))
 
 
-def solve_position_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span, n_steps: int,
-                       tol: float = SHOOTING_TOL, scan_range: float = BRACKET_RANGE) -> ShootingReport:
+def solve_position_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span,
+                       n_steps: int) -> ShootingReport:
     """Newton shooting over the initial momentum for q(t_i) -> q(t_f).
 
-    scan_range bounds the initial velocity: the scan tries momenta up
-    to scan_range / H_pp(0, q(t_i)) in magnitude (scan_range itself when
-    the model has no H_pp), so the search does not depend on the mass.
+    BRACKET_RANGE bounds the initial velocity: the scan tries momenta up
+    to BRACKET_RANGE / H_pp(0, q(t_i)) in magnitude (BRACKET_RANGE itself
+    when the model has no H_pp), so the search does not depend on the mass.
     Flags 'conjugate-degenerate' when t_f is a conjugate point, i.e.
     the Jacobi field J(t) = dq(t)/dp(t_i) has
     |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|, or when several distinct
     initial momenta reach the target; 'infeasible' when no scanned
     momentum brackets the target or Newton does not bring the endpoint
-    residual to tol * max(1, |q(t_i)|, |q(t_f)|).
+    residual to SHOOTING_TOL * max(1, |q(t_i)|, |q(t_f)|).
     """
     if bounds.kind != "position-type":
         raise PreconditionError("solve_position_bvp needs a position-type boundary spec")
-    return _bvp(model, bounds, t_span, n_steps, "p0", tol, scan_range)
+    return _bvp(model, bounds, t_span, n_steps, "p0")
 
 
-def solve_momentum_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span, n_steps: int,
-                       tol: float = SHOOTING_TOL, scan_range: float = BRACKET_RANGE) -> ShootingReport:
+def solve_momentum_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span,
+                       n_steps: int) -> ShootingReport:
     """Newton shooting over the initial position for p(t_i) -> p(t_f).
 
-    scan_range bounds the initial position.  The flags follow
+    BRACKET_RANGE bounds the initial position.  The flags follow
     solve_position_bvp, with the Jacobi field J(t) = dp(t)/dq(t_i) and
-    the residual held to tol * max(1, |p(t_i)|, |p(t_f)|).
+    the residual held to SHOOTING_TOL * max(1, |p(t_i)|, |p(t_f)|).
     When H is cyclic in q (free particle) the momentum never moves: the
     problem is feasible only for equal endpoint momenta, and then any
     initial position works, reported as a zero-residual degenerate
@@ -359,7 +356,7 @@ def solve_momentum_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span, n_
     if model.is_cyclic_in_q():
         path = integrate_ivp(model, bounds.start, 0.0, t_span, n_steps)
         residual = abs(float(path.p[-1]) - bounds.end)
-        flag = ("conjugate-degenerate" if residual <= tol * _pinned_scale(bounds.start, bounds.end)
-                else "infeasible")
+        tol = SHOOTING_TOL * _pinned_scale(bounds.start, bounds.end)
+        flag = "conjugate-degenerate" if residual <= tol else "infeasible"
         return ShootingReport(path=path, parameter=0.0, residual=residual, flag=flag)
-    return _bvp(model, bounds, t_span, n_steps, "q0", tol, scan_range)
+    return _bvp(model, bounds, t_span, n_steps, "q0")

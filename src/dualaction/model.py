@@ -23,29 +23,28 @@ BUILTIN_NAMES = ("free", "sho", "saddle-quadratic", "constant-force")
 # noise, so the second/third-order steps sit near the float64 optimum.
 _FD_STEP = {1: 1e-5, 2: 6e-3, 3: 1.2e-2}
 
+PROBE_GRID = 21      # frozen-axis points of a DomainBox probe
+PROBE_SAMPLES = 24   # chord-test points along the probed axis
+
 
 @dataclass(frozen=True)
 class DomainBox:
-    """Rectangular probe region in phase space."""
+    """Rectangular probe region in phase space, PROBE_GRID points per axis."""
 
     p_min: float
     p_max: float
     q_min: float
     q_max: float
-    n_p: int = 21
-    n_q: int = 21
 
     def __post_init__(self):
         if not (self.p_min < self.p_max and self.q_min < self.q_max):
             raise PreconditionError("domain box must have positive extent on both axes")
-        if self.n_p < 3 or self.n_q < 3:
-            raise PreconditionError("domain box grid counts must be >= 3")
 
     def p_grid(self):
-        return np.linspace(self.p_min, self.p_max, self.n_p)
+        return np.linspace(self.p_min, self.p_max, PROBE_GRID)
 
     def q_grid(self):
-        return np.linspace(self.q_min, self.q_max, self.n_q)
+        return np.linspace(self.q_min, self.q_max, PROBE_GRID)
 
     def contains(self, p, q):
         return (
@@ -137,10 +136,10 @@ class HamiltonianModel:
     kind
         "separable" for p^2/(2m) + V(q), "general" for a black-box
         evaluator of (p, q).
-    derivative_mode
-        "analytic" uses exact polynomial/user-supplied derivatives and
-        raises when an order is missing; "fd" fills missing orders with
-        central finite differences.
+    partials
+        Exact derivatives of a general model by order (a, b).  A general
+        model with partials raises UnsupportedOrderError for an order it
+        lacks; one without finite-differences every order.
     """
 
     kind: str
@@ -149,7 +148,6 @@ class HamiltonianModel:
     potential: Callable | None = None
     evaluator: Callable | None = None
     partials: Mapping[tuple[int, int], Callable] | None = None
-    derivative_mode: str = "analytic"
     domain: DomainBox | None = None
     label: str = ""
     _vcoeffs: tuple = field(default=None, repr=False, compare=False)
@@ -184,11 +182,9 @@ class HamiltonianModel:
         )
 
     @classmethod
-    def general(cls, evaluator, partials=None, derivative_mode=None, label="", **kw):
-        mode = derivative_mode or ("analytic" if partials else "fd")
+    def general(cls, evaluator, partials=None, label="", **kw):
         return cls(
-            kind="general", evaluator=evaluator, partials=dict(partials or {}),
-            derivative_mode=mode, label=label, **kw
+            kind="general", evaluator=evaluator, partials=dict(partials or {}), label=label, **kw
         )
 
     @classmethod
@@ -286,10 +282,8 @@ class HamiltonianModel:
             return lambda p, q: np.asarray(fn(p, q), dtype=float)
         if a == 0 and b == 0:
             return lambda p, q: np.asarray(self.evaluator(p, q), dtype=float)
-        if self.derivative_mode == "analytic":
-            raise UnsupportedOrderError(
-                f"analytic mode has no partial of order ({a},{b}) for this model"
-            )
+        if self.partials:
+            raise UnsupportedOrderError(f"this model has no partial of order ({a},{b})")
         return self._fd_derivative(a, b)
 
     def vector_field(self):
@@ -298,14 +292,17 @@ class HamiltonianModel:
         Polynomial separable models evaluate both in one call, H_q by
         the Horner evaluator of the (0, 1) partial, so the values agree
         bit for bit.  A constant H_q is returned as a scalar; the results
-        broadcast against p and q.  Other models call their (1, 0) and
-        (0, 1) partials.
+        broadcast against p and q.  A general model with both partials
+        calls them as given; other models call their (1, 0) and (0, 1)
+        derivatives.
         """
         if self.kind != "general" and self._vcoeffs is not None:
             m = self.mass
             hq = _horner(self._vcoeffs[1])
             return lambda p, q: (p / m, hq(q))
-        hp, hq = self._derivative(1, 0), self._derivative(0, 1)
+        partials = self.partials or {}
+        hp = partials.get((1, 0)) or self._derivative(1, 0)
+        hq = partials.get((0, 1)) or self._derivative(0, 1)
         return lambda p, q: (hp(p, q), hq(p, q))
 
     def _separable_derivative(self, a, b):
@@ -371,20 +368,16 @@ def eval_partials(model: HamiltonianModel, p, q, order=(0, 0)):
 _LAMBDAS = np.arange(0.1, 0.95, 0.1)
 
 
-def _chord_flags(model, box, axis, samples, slack=1e-12):
+def _chord_flags(model, box, axis, slack=1e-12):
     """(convex_ok, concave_ok) from exhaustive chord tests on the box."""
-    if samples < 10:
-        raise PreconditionError("convexity probe needs samples >= 10")
     if axis == "p-axis":
-        xs, frozen = np.linspace(box.p_min, box.p_max, samples), box.q_grid()
+        xs, frozen = np.linspace(box.p_min, box.p_max, PROBE_SAMPLES), box.q_grid()
     elif axis == "q-axis":
-        xs, frozen = np.linspace(box.q_min, box.q_max, samples), box.p_grid()
+        xs, frozen = np.linspace(box.q_min, box.q_max, PROBE_SAMPLES), box.p_grid()
     else:
         raise PreconditionError(f"axis must be 'p-axis' or 'q-axis', got {axis!r}")
-    if xs[0] == xs[-1]:
-        raise PreconditionError("degenerate box: probed axis has zero extent")
 
-    i, j = np.triu_indices(samples, k=1)
+    i, j = np.triu_indices(PROBE_SAMPLES, k=1)
     x1, x2 = xs[i], xs[j]                      # (P,)
     lam = _LAMBDAS[:, None]                    # (L, 1)
     xmid = lam * x1 + (1.0 - lam) * x2         # (L, P)
@@ -408,13 +401,13 @@ def _chord_flags(model, box, axis, samples, slack=1e-12):
     return convex_ok, concave_ok
 
 
-def convexity_probe(model: HamiltonianModel, box: DomainBox, axis: str, samples: int = 24):
+def convexity_probe(model: HamiltonianModel, box: DomainBox, axis: str):
     """Chord-above-arc verdict on one axis: 'convex', 'concave' or 'neither'.
 
     Verdicts are for the probed box only.  A function passing both
     non-strict tests (affine on the axis) reports 'convex'.
     """
-    convex_ok, concave_ok = _chord_flags(model, box, axis, samples)
+    convex_ok, concave_ok = _chord_flags(model, box, axis)
     if convex_ok:
         return "convex"
     if concave_ok:
@@ -422,12 +415,12 @@ def convexity_probe(model: HamiltonianModel, box: DomainBox, axis: str, samples:
     return "neither"
 
 
-def saddle_probe(model: HamiltonianModel, box: DomainBox, samples: int = 24):
+def saddle_probe(model: HamiltonianModel, box: DomainBox):
     """'saddle' when H is convex along p and concave along q on the box.
 
     Both tests are non-strict, so a q-independent H (free particle)
     still qualifies.
     """
-    convex_p, _ = _chord_flags(model, box, "p-axis", samples)
-    _, concave_q = _chord_flags(model, box, "q-axis", samples)
+    convex_p, _ = _chord_flags(model, box, "p-axis")
+    _, concave_q = _chord_flags(model, box, "q-axis")
     return "saddle" if (convex_p and concave_q) else "not-saddle"

@@ -32,18 +32,18 @@ UNIMODULAR_TOL = 1e-12
 CAUSTIC_DET_TOL = 1e-9
 MIN_TAPER_SWING = 8.0 * math.pi  # phase turns across the taper zone for <1% leakage
 MAX_PHASE_STEP = 0.9 * math.pi   # aliasing guard on the quadrature grid
+CORE_FRACTION = 0.6              # untapered part of a quadrature window
+COMPOSE_BAND = 24.0              # compose_kernels window half-width ...
+COMPOSE_N_QUAD = 4096            # ... and its node count
 
 
 @dataclass(frozen=True)
 class SliceScheme:
     n_slices: int
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.n_slices < 1:
             raise PreconditionError("slicing needs n_slices >= 1")
-        if self.hbar <= 0:
-            raise PreconditionError("hbar must be positive")
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class PropagatorValue:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Raw Gaussian-chain output: amplitude = prefactor * exp(i action / hbar)."""
+    """Raw Gaussian-chain output: amplitude = prefactor * exp(i action)."""
 
     amplitude: complex
     prefactor: complex
@@ -124,7 +124,7 @@ def _gaussian_chain(model, representation, x_i, x_f, t, scheme: SliceScheme) -> 
     """
     mass, c0, c2 = _CHAIN_PARAMETERS[representation](model)
     x_i, x_f, t = float(x_i), float(x_f), float(t)
-    n_slices, hbar = scheme.n_slices, scheme.hbar
+    n_slices = scheme.n_slices
     if t <= 0:
         raise PreconditionError("sliced propagators need t > 0")
     omega_sq = 2.0 * c2 / mass
@@ -148,9 +148,9 @@ def _gaussian_chain(model, representation, x_i, x_f, t, scheme: SliceScheme) -> 
     potential = dt * (np.sum(v) - 0.5 * (v[0] + v[-1]))
     action = kinetic - potential
 
-    prefactor = cmath.sqrt(mass / (2.0j * math.pi * hbar * det))
+    prefactor = cmath.sqrt(mass / (2.0j * math.pi * det))
     return ChainResult(
-        amplitude=prefactor * cmath.exp(1j * action / hbar),
+        amplitude=prefactor * cmath.exp(1j * action),
         prefactor=prefactor, discrete_action=float(action), nodes=nodes, dt=dt,
     )
 
@@ -169,19 +169,16 @@ def sliced_momentum_propagator(model: HamiltonianModel, p_i, p_f, t, scheme: Sli
     return PropagatorValue.regular(_gaussian_chain(model, "momentum", p_i, p_f, t, scheme).amplitude)
 
 
-def free_momentum_propagator(mass, p_i, p_f, t, hbar: float = 1.0,
-                             support_atol: float = 0.0) -> PropagatorValue:
+def free_momentum_propagator(mass, p_i, p_f, t) -> PropagatorValue:
     """Delta-supported free-particle momentum propagator.
 
-    Support matching compares the endpoint momenta exactly (set
-    support_atol > 0 for sampled grids); the phase is
-    exp(-i p^2 t / (2 m hbar)) and the causal flag records t > 0.
+    Support matching compares the endpoint momenta exactly; the phase is
+    exp(-i p^2 t / 2m) and the causal flag records t > 0.
     """
     if mass <= 0:
         raise PreconditionError("mass must be positive")
-    phase = cmath.exp(-1j * p_i**2 * t / (2.0 * mass * hbar))
-    matched = p_i == p_f if support_atol == 0.0 else abs(p_i - p_f) <= support_atol
-    return PropagatorValue.delta(phase, matched, t > 0.0)
+    phase = cmath.exp(-1j * p_i**2 * t / (2.0 * mass))
+    return PropagatorValue.delta(phase, p_i == p_f, t > 0.0)
 
 
 @dataclass(frozen=True)
@@ -193,10 +190,10 @@ class DeltaKernel:
     causal: bool = True
 
 
-def free_momentum_delta_kernel(mass, t, hbar: float = 1.0, prefactor: float = 1.0) -> DeltaKernel:
+def free_momentum_delta_kernel(mass, t, prefactor: float = 1.0) -> DeltaKernel:
     """The free momentum propagator as a transformable kernel object."""
     def phase(p):
-        return np.exp(-1j * np.asarray(p, dtype=float) ** 2 * t / (2.0 * mass * hbar))
+        return np.exp(-1j * np.asarray(p, dtype=float) ** 2 * t / (2.0 * mass))
 
     return DeltaKernel(phase_fn=phase, prefactor=prefactor, causal=t > 0.0)
 
@@ -223,43 +220,48 @@ def _planck_taper(x, lo, hi, core_lo, core_hi):
     return w
 
 
+def _tapered_axis(band, n_quad):
+    """Nodes on [-band, band], their taper weights (untapered on the
+    central CORE_FRACTION of the window) and the node spacing."""
+    x = np.linspace(-band, band, n_quad)
+    core = CORE_FRACTION * band
+    return x, _planck_taper(x, -band, band, -core, core), x[1] - x[0]
+
+
 @dataclass(frozen=True)
 class FourierGrid:
     """Endpoint grids plus the quadrature window for fourier_endpoints.
 
     band is the half-width of the integration window in the source
-    representation; core_fraction is the untapered part of it.
+    representation; its central CORE_FRACTION is untapered.
     """
 
     out_final: np.ndarray
     out_initial: np.ndarray
     band: float = 48.0
     n_quad: int = 4096
-    core_fraction: float = 0.6
 
     def __post_init__(self):
         object.__setattr__(self, "out_final", np.atleast_1d(np.asarray(self.out_final, float)))
         object.__setattr__(self, "out_initial", np.atleast_1d(np.asarray(self.out_initial, float)))
-        if self.band <= 0 or not (0.0 < self.core_fraction < 1.0):
-            raise PreconditionError("grid needs band > 0 and core_fraction in (0, 1)")
+        if self.band <= 0:
+            raise PreconditionError("grid needs band > 0")
         if self.n_quad < 16:
             raise PreconditionError("grid needs n_quad >= 16")
 
     def quad_axis(self):
-        x = np.linspace(-self.band, self.band, self.n_quad)
-        core = self.core_fraction * self.band
-        w = _planck_taper(x, -self.band, self.band, -core, core)
-        return x, w, x[1] - x[0]
+        return _tapered_axis(self.band, self.n_quad)
 
 
-def _check_bandwidth(values, grid: FourierGrid):
+def _check_bandwidth(values, x, band):
     """Aliasing and band-energy guard on a sampled 1-d integrand (untapered).
 
     The phase increment per step must stay resolvable, the stationary
     point must sit in the untapered core, and the phase must wind
     through several full turns across each taper zone (a proxy for the
     kernel keeping <1% of its energy beyond the band).  Magnitudes far
-    below the peak carry no energy and are ignored.
+    below the peak carry no energy and are ignored.  values are sampled
+    on the nodes x of the window [-band, band].
     """
     mag = np.abs(values)
     peak = np.max(mag)
@@ -271,8 +273,7 @@ def _check_bandwidth(values, grid: FourierGrid):
     edge = max(np.max(mag[:8]), np.max(mag[-8:]))
     if edge < 1e-4 * peak:
         return  # magnitude decay alone confines the energy to the band
-    core = grid.core_fraction * grid.band
-    x = np.linspace(-grid.band, grid.band, grid.n_quad)
+    core = CORE_FRACTION * band
     xmid = 0.5 * (x[1:] + x[:-1])
     stationary = xmid[np.nanargmin(absteps)]
     if abs(stationary) > 0.9 * core:
@@ -291,7 +292,6 @@ class KernelSamples:
     x_final: np.ndarray
     x_initial: np.ndarray
     values: np.ndarray
-    hbar: float = 1.0
 
     def to_csv(self, path):
         write_series(path, ["x_final", "x_initial", "re", "im"], (
@@ -300,16 +300,15 @@ class KernelSamples:
         ))
 
 
-def fourier_endpoints(source, grid: FourierGrid, to: str, hbar: float = 1.0,
-                      check_bandwidth: bool = True) -> KernelSamples:
+def fourier_endpoints(source, grid: FourierGrid, to: str) -> KernelSamples:
     """Transform a propagator between representations over both endpoints.
 
-    The momentum-to-position direction applies exp(+i p q / hbar) on the
-    final endpoint and exp(-i p q / hbar) on the initial one (each with
-    1/sqrt(2 pi hbar)); position-to-momentum applies the conjugate pair.
+    The momentum-to-position direction applies exp(+i p q) on the final
+    endpoint and exp(-i p q) on the initial one (each with
+    1/sqrt(2 pi)); position-to-momentum applies the conjugate pair.
     Delta-variant sources collapse one integral analytically and the
     remaining one is quadratured; regular sources get the tapered double
-    quadrature.
+    quadrature.  Both first pass the bandwidth guard on the integrand.
     """
     if to not in ("position", "momentum"):
         raise PreconditionError("to must be 'position' or 'momentum'")
@@ -320,35 +319,33 @@ def fourier_endpoints(source, grid: FourierGrid, to: str, hbar: float = 1.0,
     if isinstance(source, DeltaKernel):
         if not source.causal:
             values = np.zeros((xf.size, xi.size), dtype=complex)
-            return KernelSamples(to, xf, xi, values, hbar)
+            return KernelSamples(to, xf, xi, values)
         phase = source.phase_fn(x) * source.prefactor
         delta = xf[:, None] - xi[None, :]
-        if check_bandwidth:
-            flat = np.unique(np.round(delta.ravel(), 12))
-            for probe_delta in (flat[np.argmax(np.abs(flat))], flat[np.argmin(np.abs(flat))]):
-                _check_bandwidth(phase * np.exp(sign_final * 1j * probe_delta * x / hbar), grid)
-        kernel = np.exp(sign_final * 1j * delta[..., None] * x / hbar)
-        values = (h / (2.0 * math.pi * hbar)) * np.sum(kernel * (phase * w), axis=-1)
-        return KernelSamples(to, xf, xi, values.astype(complex), hbar)
+        flat = np.unique(np.round(delta.ravel(), 12))
+        for probe_delta in (flat[np.argmax(np.abs(flat))], flat[np.argmin(np.abs(flat))]):
+            _check_bandwidth(phase * np.exp(sign_final * 1j * probe_delta * x), x, grid.band)
+        kernel = np.exp(sign_final * 1j * delta[..., None] * x)
+        values = (h / (2.0 * math.pi)) * np.sum(kernel * (phase * w), axis=-1)
+        return KernelSamples(to, xf, xi, values.astype(complex))
 
     # regular source: chunked double quadrature
-    E_f = np.exp(sign_final * 1j * np.outer(xf, x) / hbar) * (w * h)
-    E_i = np.exp(-sign_final * 1j * np.outer(xi, x) / hbar) * (w * h)
-    if check_bandwidth:
-        corner_f = xf[np.argmax(np.abs(xf))]
-        corner_i = xi[np.argmax(np.abs(xi))]
-        row = np.asarray(source(np.full(1, 0.0), x)).reshape(-1)
-        col = np.asarray(source(x, np.full(1, 0.0))).reshape(-1)
-        _check_bandwidth(col * np.exp(sign_final * 1j * corner_f * x / hbar), grid)
-        _check_bandwidth(row * np.exp(-sign_final * 1j * corner_i * x / hbar), grid)
+    E_f = np.exp(sign_final * 1j * np.outer(xf, x)) * (w * h)
+    E_i = np.exp(-sign_final * 1j * np.outer(xi, x)) * (w * h)
+    corner_f = xf[np.argmax(np.abs(xf))]
+    corner_i = xi[np.argmax(np.abs(xi))]
+    row = np.asarray(source(np.full(1, 0.0), x)).reshape(-1)
+    col = np.asarray(source(x, np.full(1, 0.0))).reshape(-1)
+    _check_bandwidth(col * np.exp(sign_final * 1j * corner_f * x), x, grid.band)
+    _check_bandwidth(row * np.exp(-sign_final * 1j * corner_i * x), x, grid.band)
     acc = np.zeros((xf.size, xi.size), dtype=complex)
     chunk = max(1, int(2_000_000 / grid.n_quad))
     for lo in range(0, grid.n_quad, chunk):
         hi = min(lo + chunk, grid.n_quad)
         block = np.asarray(source(x[lo:hi, None], x[None, :]), dtype=complex)
         acc += E_f[:, lo:hi] @ (block @ E_i.T)
-    values = acc / (2.0 * math.pi * hbar)
-    return KernelSamples(to, xf, xi, values, hbar)
+    values = acc / (2.0 * math.pi)
+    return KernelSamples(to, xf, xi, values)
 
 
 def _kernel_sampler(model, representation, t, scheme: SliceScheme):
@@ -366,13 +363,12 @@ def _kernel_sampler(model, representation, t, scheme: SliceScheme):
     a_f = 2.0 * (s01 - s00)
     cross = s11 - s10 - s01 + s00
     pref = ref.prefactor
-    hbar = scheme.hbar
 
     def sample(x_f, x_i):
         x_f = np.asarray(x_f, dtype=float)
         x_i = np.asarray(x_i, dtype=float)
         action = 0.5 * a_i * x_i**2 + 0.5 * a_f * x_f**2 + cross * x_i * x_f + s00
-        return pref * np.exp(1j * action / hbar)
+        return pref * np.exp(1j * action)
 
     return sample
 
@@ -387,28 +383,25 @@ def momentum_kernel_sampler(model: HamiltonianModel, t, scheme: SliceScheme):
     return _kernel_sampler(model, "momentum", t, scheme)
 
 
-def compose_kernels(kernel_late, kernel_early, x_f, x_i, band: float = 24.0,
-                    n_quad: int = 4096, core_fraction: float = 0.6):
+def compose_kernels(kernel_late, kernel_early, x_f, x_i):
     """Semigroup composition: integrate kernel_late(x_f, y) kernel_early(y, x_i)
-    over the intermediate endpoint y with a tapered window."""
-    y = np.linspace(-band, band, n_quad)
-    core = core_fraction * band
-    w = _planck_taper(y, -band, band, -core, core)
-    h = y[1] - y[0]
+    over the intermediate endpoint y on the tapered window of half-width
+    COMPOSE_BAND."""
+    y, w, h = _tapered_axis(COMPOSE_BAND, COMPOSE_N_QUAD)
     vals = np.asarray(kernel_late(np.full_like(y, x_f), y)) * np.asarray(
         kernel_early(y, np.full_like(y, x_i))
     )
     return complex(np.sum(vals * w) * h)
 
 
-def normalization_extraction(samples: KernelSamples, mass, t, hbar: float = 1.0) -> float:
+def normalization_extraction(samples: KernelSamples, mass, t) -> float:
     """Ratio of the transformed unit-prefactor delta kernel to the
-    reference (2 pi hbar t / mass)^(-1/2) magnitude.
+    reference (2 pi t / mass)^(-1/2) magnitude.
 
     The testable content is that the ratio is one constant across
     endpoint separations and times; its value absorbs the overall
     normalization the slicing leaves undetermined.
     """
-    reference = math.sqrt(mass / (2.0 * math.pi * hbar * t))
+    reference = math.sqrt(mass / (2.0 * math.pi * t))
     ratios = np.abs(samples.values) / reference
     return float(np.mean(ratios))

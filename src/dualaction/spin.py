@@ -7,6 +7,9 @@ paths for the two-particle composite), normalized by the same count.
 Only l^2 enters the phase, so the unconstrained sum collapses to a pure
 phase; the endpoint-filtered policy keeps the same normalization but
 admits only paths whose first/last slice match the requested signs.
+Filtering needs distinct per-interval values (l != 0, l0 != 0) and end
+values among them; otherwise no end is defined and it is a precondition
+error.
 """
 
 from __future__ import annotations
@@ -51,15 +54,33 @@ def _parse_sign(sign):
     raise PreconditionError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def spin_half_closed_form(inertia, l, sign_i, sign_f, t, n_intervals,
-                          policy="paper-unconstrained", hbar=1.0):
-    """C * (admitted path count) * exp(-i l^2 t / (2 I hbar)) with C = 2^-N."""
-    phase = np.exp(-1j * l**2 * t / (2.0 * inertia * hbar))
-    total = 2**n_intervals
+def _admitted_ends(values, ends, policy):
+    """The (first, last) interval values a policy admits, None when it admits every path."""
     if policy == "paper-unconstrained":
+        return None
+    levels = [v for v, _ in values]
+    if len(set(levels)) < len(levels) or not all(v in levels for v in ends):
+        raise PreconditionError(f"endpoint filtering needs distinct interval values (l, l0 != 0) "
+                                f"and end values among them, got {tuple(levels)} and {tuple(ends)}")
+    return ends
+
+
+def _spin_half_ends(l, sign_i, sign_f, policy):
+    """_admitted_ends of spin-1/2, whose interval values are +-l."""
+    ends = (_parse_sign(sign_i) * l, _parse_sign(sign_f) * l)
+    return _admitted_ends(((l, 1), (-l, 1)), ends, policy)
+
+
+def spin_half_closed_form(inertia, l, sign_i, sign_f, t, n_intervals,
+                          policy="paper-unconstrained"):
+    """C * (admitted path count) * exp(-i l^2 t / 2I) with C = 2^-N."""
+    ends = _spin_half_ends(l, sign_i, sign_f, policy)
+    phase = np.exp(-1j * l**2 * t / (2.0 * inertia))
+    total = 2**n_intervals
+    if ends is None:
         count = total
     elif n_intervals == 1:
-        count = 1 if _parse_sign(sign_i) == _parse_sign(sign_f) else 0
+        count = 1 if ends[0] == ends[1] else 0
     else:
         count = 2 ** (n_intervals - 2)
     return complex(count * phase / total)
@@ -79,8 +100,8 @@ def _enumerates(inertia, n_intervals, values, policy, cap, use_closed_form):
     )
 
 
-def _path_sum(levels, n_intervals, t, inertia, hbar, ends=None):
-    """Sum of exp(-i sum_j v_j^2 dt / (2 I hbar)) over all paths, over the path count.
+def _path_sum(levels, n_intervals, t, inertia, ends=None):
+    """Sum of exp(-i sum_j v_j^2 dt / 2I) over all paths, over the path count.
 
     Path `code` takes the value levels[d_j] on interval j, d_j being
     digit j of code in base len(levels) (2 or 4).  With ends =
@@ -102,14 +123,13 @@ def _path_sum(levels, n_intervals, t, inertia, hbar, ends=None):
         if ends is not None:
             admit = (levels[digits[:, 0]] == ends[0]) & (levels[digits[:, -1]] == ends[1])
             digits = digits[admit]
-        phases = np.exp(-1j * np.sum(squares[digits], axis=1) * dt / (2.0 * inertia * hbar))
+        phases = np.exp(-1j * np.sum(squares[digits], axis=1) * dt / (2.0 * inertia))
         acc += np.sum(phases)
     return complex(acc / total)
 
 
 def spin_half_propagator(inertia, l, sign_i, sign_f, t, n_intervals,
-                         policy="paper-unconstrained", hbar=1.0,
-                         use_closed_form=False):
+                         policy="paper-unconstrained", use_closed_form=False):
     """Sum over all sign paths of the spinning free particle.
 
     Brute-force enumeration up to N = 20; beyond that the closed form
@@ -117,10 +137,8 @@ def spin_half_propagator(inertia, l, sign_i, sign_f, t, n_intervals,
     """
     if not _enumerates(inertia, n_intervals, ((l, 1), (-l, 1)), policy,
                        SPIN_HALF_ENUM_CAP, use_closed_form):
-        return spin_half_closed_form(inertia, l, sign_i, sign_f, t, n_intervals, policy, hbar)
-    ends = (_parse_sign(sign_i) * l, _parse_sign(sign_f) * l)
-    return _path_sum((-l, l), n_intervals, t, inertia, hbar,
-                     ends if policy == "endpoint-filtered" else None)
+        return spin_half_closed_form(inertia, l, sign_i, sign_f, t, n_intervals, policy)
+    return _path_sum((-l, l), n_intervals, t, inertia, _spin_half_ends(l, sign_i, sign_f, policy))
 
 
 def composite_values(l0):
@@ -129,34 +147,34 @@ def composite_values(l0):
 
 
 def composite_closed_form(inertia, l0, l_i, l_f, t, n_intervals,
-                          policy="paper-unconstrained", hbar=1.0):
+                          policy="paper-unconstrained"):
+    values = composite_values(l0)
+    ends = _admitted_ends(values, (l_i, l_f), policy)
+    mult = dict(values)
     dt = t / n_intervals
-    def mult(v):
-        return 2 if v == 0.0 else 1
 
     def slice_phase(v):
-        return np.exp(-1j * v**2 * dt / (2.0 * inertia * hbar))
+        return np.exp(-1j * v**2 * dt / (2.0 * inertia))
 
-    full = sum(m * slice_phase(v) for v, m in composite_values(l0))
-    if policy == "paper-unconstrained":
+    full = sum(m * slice_phase(v) for v, m in values)
+    if ends is None:
         return complex((full / 4.0) ** n_intervals)
     if n_intervals == 1:
         if l_i != l_f:
             return 0.0 + 0.0j
-        return complex(mult(l_i) * slice_phase(l_i) / 4.0)
-    ends = mult(l_i) * slice_phase(l_i) * mult(l_f) * slice_phase(l_f)
-    return complex(ends * full ** (n_intervals - 2) / 4.0**n_intervals)
+        return complex(mult[l_i] * slice_phase(l_i) / 4.0)
+    weight = mult[l_i] * slice_phase(l_i) * mult[l_f] * slice_phase(l_f)
+    return complex(weight * full ** (n_intervals - 2) / 4.0**n_intervals)
 
 
 def composite_spin_propagator(inertia, l0, l_i, l_f, t, n_intervals,
-                              policy="paper-unconstrained", hbar=1.0,
-                              use_closed_form=False):
+                              policy="paper-unconstrained", use_closed_form=False):
     """Two-constituent composite: per-interval values +2 l0, 0, -2 l0 with
     multiplicities 1:2:1 from the four constituent sign pairs, C = 4^-N."""
     if not _enumerates(inertia, n_intervals, composite_values(l0), policy,
                        COMPOSITE_ENUM_CAP, use_closed_form):
-        return composite_closed_form(inertia, l0, l_i, l_f, t, n_intervals, policy, hbar)
+        return composite_closed_form(inertia, l0, l_i, l_f, t, n_intervals, policy)
     # digit b1 + 2 b2 (b = 1 for a + sign) picks l0 (s1 + s2) for the constituent signs
     levels = tuple(l0 * s for s in (-2.0, 0.0, 0.0, 2.0))
-    return _path_sum(levels, n_intervals, t, inertia, hbar,
-                     (l_i, l_f) if policy == "endpoint-filtered" else None)
+    return _path_sum(levels, n_intervals, t, inertia,
+                     _admitted_ends(composite_values(l0), (l_i, l_f), policy))

@@ -41,11 +41,6 @@ class TestActionS:
         path = critical_path(sho, 0.0, 1.0, math.pi / 2, 4000)
         assert action_s(sho, path).value == pytest.approx(0.0, abs=1e-6)
 
-    def test_simpson_needs_two_intervals(self, free):
-        path = PhasePath(0.0, 1.0, np.ones(2), np.zeros(2))
-        with pytest.raises(PreconditionError):
-            action_s(free, path, rule="simpson")
-
     def test_rule_selection(self, free):
         even = PhasePath(0.0, 1.0, np.ones(101), np.linspace(0, 1, 101))
         odd = PhasePath(0.0, 1.0, np.ones(102), np.linspace(0, 1, 102))

@@ -277,7 +277,7 @@ def _ref_position_ivp(model, pi, dt, theta_start):
 
 
 def _ref_integral(y, dt):
-    return float(_quadrature(y, dt, "auto")[0])
+    return float(_quadrature(y, dt)[0])
 
 
 def _ref_shift(model, theta, dt, pi_start, pi_end, tol=1e-10):

@@ -195,6 +195,21 @@ class TestInputValidation:
         jsonschema.validate(error, ERROR_SCHEMA)
         assert error["error_code"] == "precondition"
 
+    @pytest.mark.parametrize("argv", [
+        ("spin", "--spin", "composite", "--N", "11", "--policy", "endpoint-filtered",
+         "--l-i", "0.3", "--l-f", "0.3", "--use-closed-form"),
+        ("spin", "--spin", "composite", "--N", "3", "--policy", "endpoint-filtered",
+         "--l0", "0", "--l-i", "0", "--l-f", "0"),
+        ("spin", "--N", "3", "--policy", "endpoint-filtered", "--l", "0", "--sign-f=-"),
+    ])
+    def test_undefined_spin_end_is_a_json_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        jsonschema.validate(error, ERROR_SCHEMA)
+        assert error["error_code"] == "precondition"
+
     def test_undefined_cyclic_companion_is_null(self, capsys):
         code, out, _ = run_cli(capsys, "hj-check", "--hamiltonian", "free", "--which", "r",
                                "--start", "1.0", "--grid-min", "0.5", "--grid-max", "1.5",
@@ -259,6 +274,22 @@ class TestConfigIngestion:
         monkeypatch.setenv("DUALACTION_LOG", "INFO")
         code, out, _ = run_cli(capsys, "spin", "--N", "2")
         assert code == 0
+
+
+def test_stderr_carries_only_the_json_error():
+    # a Newton lane that blows up used to print a RuntimeWarning first, and
+    # the error log line reached stderr through logging's last-resort handler
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("DUALACTION_LOG", None)
+    argv = ["classify", "--potential-coeffs", "0,0,0,0,0,0,0,0,0,0,0,0,0,1e300", "--q-end", "5"]
+    proc = subprocess.run([sys.executable, "-m", "dualaction", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    error = json.loads(proc.stderr)  # one JSON object and nothing else
+    jsonschema.validate(error, ERROR_SCHEMA)
+    assert error["error_code"] == "numeric"
 
 
 def test_import_loads_no_scipy():

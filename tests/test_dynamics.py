@@ -13,7 +13,10 @@ from dualaction import (
     PerturbationSpec,
     PhasePath,
     PreconditionError,
+    action_r,
+    action_s,
     certify_bounds,
+    classify_extremum,
     hj_residual_r,
     hj_residual_s,
     integrate_ivp,
@@ -136,9 +139,9 @@ class TestPositionBVP:
         assert abs(refeed.q[-1] - 0.9) <= 2e-9
 
     def test_infeasible_out_of_reach(self, free):
-        # free particle cannot exceed q = scan_range * t from rest
+        # free particle cannot exceed q = BRACKET_RANGE * t = 10 from rest
         rep = solve_position_bvp(free, BoundarySpec("position-type", 0.0, 50.0),
-                                 (0.0, 0.01), 50, scan_range=10.0)
+                                 (0.0, 0.01), 50)
         assert rep.flag == "infeasible"
 
 
@@ -284,6 +287,40 @@ class TestUnitInvariance:
         assert at.flag == "conjugate-degenerate"
         assert below.flag == "unique"
         assert below.residual <= 1e-9
+
+    @settings(max_examples=20)
+    @given(
+        log_mass=st.floats(-0.5, 0.5),
+        c2=st.floats(-1.0, 1.0),
+        c13=st.floats(-1.0, 1.0),
+        c4=st.floats(0.0, 0.2),
+        q1=st.floats(-1.0, 1.0),
+        t=st.floats(0.3, 1.5),
+        log_lam=st.floats(-3.0, 3.0),
+    )
+    def test_scaling_mass_and_potential_scales_p_s_and_r(self, log_mass, c2, c13, c4, q1, t,
+                                                         log_lam):
+        # H = p^2/2(lam m) + lam V(q) has the q-paths of lam = 1 with p = lam p_1,
+        # so S and R scale by lam too; the quartic softens, so the solve is unique
+        mass, lam = 10.0**log_mass, 10.0**log_lam
+        coeffs = (0.0, 0.3 * c13, c2, 0.1 * c13, -c4)
+        ref = HamiltonianModel.separable(mass, potential_coeffs=coeffs)
+        scaled = HamiltonianModel.separable(lam * mass, potential_coeffs=[lam * c for c in coeffs])
+        bounds = BoundarySpec("position-type", 0.0, q1)
+        a = solve_position_bvp(ref, bounds, (0.0, t), 500)
+        b = solve_position_bvp(scaled, bounds, (0.0, t), 500)
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+        assert a.flag == b.flag == "unique"
+        assert close(b.path.q, a.path.q)
+        assert close(b.path.p / lam, a.path.p)
+        assert close(action_s(scaled, b.path).value / lam, action_s(ref, a.path).value)
+        assert close(action_r(scaled, b.path).value / lam, action_r(ref, a.path).value)
+        for which in "SR":
+            assert (classify_extremum(scaled, b.path, which).classification
+                    == classify_extremum(ref, a.path, which).classification)
 
     def test_heavy_free_particle_reaches_its_target(self):
         # the scan is in velocity units: p0 = m v with v = 1

@@ -47,7 +47,7 @@ class TestEvalPartials:
             eval_partials(m, 0.0, 0.0, (0, 1))
 
     def test_non_finite_evaluation_is_domain_error(self):
-        m = HamiltonianModel.general(lambda p, q: np.log(q), derivative_mode="fd")
+        m = HamiltonianModel.general(lambda p, q: np.log(q))
         with np.errstate(invalid="ignore"), pytest.raises(DomainError):
             eval_partials(m, 0.0, -1.0, (0, 0))
 
@@ -71,7 +71,7 @@ class TestFiniteDifferences:
 
     def setup_method(self):
         base = self.BASE
-        self.fd = HamiltonianModel.general(lambda p, q: base.eval(p, q), derivative_mode="fd")
+        self.fd = HamiltonianModel.general(lambda p, q: base.eval(p, q))
 
     @pytest.mark.parametrize("order", [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)])
     def test_low_orders_within_spec_tolerance(self, order):
@@ -93,7 +93,7 @@ class TestFiniteDifferences:
         from dualaction.model import _FD_STEP, _fd_directional
 
         f = lambda p, q: p**2 * q + np.sin(p * q)
-        m = HamiltonianModel.general(f, derivative_mode="fd")
+        m = HamiltonianModel.general(f)
         p, q = 0.7, -0.6
         d_pq = float(m._fd_derivative(1, 1)(p, q))  # q-outer, p-inner
         h = _FD_STEP[2]
@@ -130,10 +130,6 @@ class TestConvexityProbe:
         assert (convex_ok, concave_ok) == (False, False)
         assert verdict == "neither"
 
-    def test_sample_floor(self, sho, box):
-        with pytest.raises(PreconditionError):
-            convexity_probe(sho, box, "q-axis", samples=5)
-
     def test_degenerate_box_rejected(self, sho):
         with pytest.raises(PreconditionError):
             DomainBox(0.0, 0.0, -1.0, 1.0)
@@ -141,7 +137,7 @@ class TestConvexityProbe:
     @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, -0.5), (0.0, 0.0, 0.0, 0.4)])
     def test_negation_flips_verdict(self, coeffs, box):
         plus = HamiltonianModel.separable(1.0, potential_coeffs=coeffs)
-        minus = HamiltonianModel.general(lambda p, q: -plus.eval(p, q), derivative_mode="fd")
+        minus = HamiltonianModel.general(lambda p, q: -plus.eval(p, q))
         v_plus = convexity_probe(plus, box, "q-axis")
         v_minus = convexity_probe(minus, box, "q-axis")
         flip = {"convex": "concave", "concave": "convex", "neither": "neither"}
@@ -189,8 +185,24 @@ class TestConstructors:
             build()
 
 
+def _soft_oscillator(mass=1.3, omega=0.8):
+    """H = p^2/2m + m w^2 (sqrt(1 + q^2) - 1) as a general model with exact partials."""
+    k = mass * omega**2
+    zeros = lambda p, q: np.zeros(np.broadcast(p, q).shape)
+    root = lambda q: np.sqrt(1.0 + np.asarray(q, dtype=float) ** 2)
+    return HamiltonianModel.general(
+        lambda p, q: np.asarray(p, dtype=float) ** 2 / (2.0 * mass) + k * (root(q) - 1.0),
+        partials={
+            (1, 0): lambda p, q: np.asarray(p, dtype=float) / mass + zeros(p, q),
+            (0, 1): lambda p, q: k * np.asarray(q, dtype=float) / root(q) + zeros(p, q),
+            (2, 0): lambda p, q: np.full(np.broadcast(p, q).shape, 1.0 / mass),
+        },
+    )
+
+
 class TestVectorField:
     @pytest.mark.parametrize("model", [
+        _soft_oscillator(),
         HamiltonianModel.sho(2.0, 1.5),
         HamiltonianModel.separable(0.7, potential_coeffs=(0.1, -0.2, 0.5, 0.3, 0.05)),
         HamiltonianModel.constant_force(1.5, 0.8),
@@ -204,6 +216,15 @@ class TestVectorField:
         hp, hq = model.vector_field()(p, q)
         np.testing.assert_array_equal(np.broadcast_to(hp, p.shape), model._derivative(1, 0)(p, q))
         np.testing.assert_array_equal(np.broadcast_to(hq, q.shape), model._derivative(0, 1)(p, q))
+
+    def test_general_partials_are_called_as_given(self):
+        # no conversion layer between the RK4 loop and the model's own partials
+        hp_value, hq_value = object(), object()
+        model = HamiltonianModel.general(lambda p, q: 0.0, partials={
+            (1, 0): lambda p, q: hp_value, (0, 1): lambda p, q: hq_value,
+        })
+        hp, hq = model.vector_field()(0.0, 0.0)
+        assert hp is hp_value and hq is hq_value
 
 
 _COEFF = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))

@@ -162,8 +162,6 @@ class TestFreeMomentumDelta:
 
     def test_support_tolerance_mode(self):
         assert free_momentum_propagator(1.0, 1.0, 1.0 + 1e-9, 1.0).support_matched is False
-        assert free_momentum_propagator(1.0, 1.0, 1.0 + 1e-9, 1.0,
-                                        support_atol=1e-6).support_matched is True
 
     def test_delta_semigroup_phase_composition(self):
         # on the matched support the phases of the two sub-intervals

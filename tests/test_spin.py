@@ -85,6 +85,16 @@ class TestSpinHalf:
                                  use_closed_form=True)
         assert abs(abs(g) - 1.0) <= 1e-12
 
+    def test_filtered_zero_l_is_a_precondition_error(self):
+        # at l = 0 both sign levels are 0, so no end sign is defined
+        for n, closed in ((3, False), (SPIN_HALF_ENUM_CAP + 1, True)):
+            with pytest.raises(PreconditionError):
+                spin_half_propagator(1.0, 0.0, "+", "-", 1.0, n, policy="endpoint-filtered",
+                                     use_closed_form=closed)
+        with pytest.raises(PreconditionError):
+            spin_half_closed_form(1.0, 0.0, "+", "-", 1.0, 3, policy="endpoint-filtered")
+        assert spin_half_propagator(1.0, 0.0, "+", "-", 1.0, 3) == 1.0
+
     def test_sign_parsing(self):
         with pytest.raises(PreconditionError):
             spin_half_propagator(1.0, 1.0, "up", "+", 1.0, 2)
@@ -117,6 +127,24 @@ class TestComposite:
         g = composite_spin_propagator(1.0, 0.5, 0.0, 0.0, 1.0, 1, policy="endpoint-filtered")
         assert abs(g - 0.5) <= 1e-12
 
+    @pytest.mark.parametrize("l0, l_i, l_f", [
+        (0.5, 0.3, 0.3),    # neither end is a value +-2 l0, 0
+        (0.5, 1.0, 0.5),
+        (0.5, 2.0, 0.0),
+        (0.0, 0.0, 0.0),    # l0 = 0: every interval value is 0
+    ])
+    def test_filtered_undefined_end_is_a_precondition_error(self, l0, l_i, l_f):
+        args = (1.0, l0, l_i, l_f, 3.0)
+        for n, closed in ((3, False), (COMPOSITE_ENUM_CAP + 1, True)):
+            with pytest.raises(PreconditionError):
+                composite_spin_propagator(*args, n, policy="endpoint-filtered",
+                                          use_closed_form=closed)
+        with pytest.raises(PreconditionError):
+            composite_closed_form(*args, 3, policy="endpoint-filtered")
+        # the unconstrained sum ignores the ends
+        on_level = composite_spin_propagator(1.0, l0, 0.0, 0.0, 3.0, 3)
+        assert composite_spin_propagator(*args, 3) == on_level
+
     def test_cap_error_and_closed_form_escape(self):
         with pytest.raises(PreconditionError):
             composite_spin_propagator(1.0, 0.5, 1.0, 1.0, 1.0, COMPOSITE_ENUM_CAP + 1)
@@ -143,8 +171,15 @@ def test_spin_half_enumeration_equals_closed_form(inertia, l, t, n, policy):
 @given(inertia=st.floats(0.2, 5.0), l0=_NONZERO, t=st.floats(-5.0, 5.0),
        n=st.integers(1, 6), policy=_POLICIES)
 def test_composite_enumeration_equals_closed_form(inertia, l0, t, n, policy):
-    ends = (2.0 * l0, 0.0, -2.0 * l0)
+    # 0.5 l0 is no interval value: filtering rejects it, the unconstrained sum ignores it
+    off_level = 0.5 * l0
+    ends = (2.0 * l0, 0.0, -2.0 * l0, off_level)
     for l_i in ends:
         for l_f in ends:
             args = (inertia, l0, l_i, l_f, t, n, policy)
+            if policy == "endpoint-filtered" and off_level in (l_i, l_f):
+                for propagator in (composite_spin_propagator, composite_closed_form):
+                    with pytest.raises(PreconditionError):
+                        propagator(*args)
+                continue
             assert abs(composite_spin_propagator(*args) - composite_closed_form(*args)) <= 1e-12
