@@ -24,7 +24,7 @@ from . import action as action_mod
 from . import bounds as bounds_mod
 from . import propagator as prop_mod
 from . import spin as spin_mod
-from .dynamics import BoundarySpec, PhasePath, solve_position_bvp
+from .dynamics import SHOOTING_TOL, BoundarySpec, PhasePath, solve_position_bvp
 from .errors import DualActionError, NumericError, PreconditionError
 from .extrema import classify_extremum
 from .model import BUILTIN_NAMES, HamiltonianModel
@@ -139,7 +139,7 @@ def _cmd_classify(config: RunConfig, model):
     results["eigenvalues_head"] = [
         [float(a), float(b)] for a, b in extremum.eigenvalues[:3]
     ]
-    return results, {"zero_tol": extremum.zero_tol, "shooting_tol": 1e-9}, extremum.to_csv
+    return results, {"zero_tol": extremum.zero_tol, "shooting_tol": SHOOTING_TOL}, extremum.to_csv
 
 
 def _position_bvp_from_dict(params, model):
@@ -162,7 +162,7 @@ def _cmd_action(config: RunConfig, model):
         "bvp_flag": report.flag,
         "initial_momentum": report.parameter,
     }
-    return results, {"shooting_tol": 1e-9}, lambda out: write_series(
+    return results, {"shooting_tol": SHOOTING_TOL}, lambda out: write_series(
         out, ["t", "p", "q"], zip(path.times, path.p, path.q))
 
 
@@ -177,13 +177,7 @@ def _cmd_bounds(config: RunConfig, model):
     )
     cert = bounds_mod.certify_bounds(model, chain, report, spec, params["samples"])
     results = cert.summary()
-    return results, {"slack": cert.slack, "shooting_tol": 1e-9}, cert.to_csv
-
-
-_SLICED = {
-    "position": (prop_mod.sliced_position_propagator, prop_mod.position_kernel_sampler),
-    "momentum": (prop_mod.sliced_momentum_propagator, prop_mod.momentum_kernel_sampler),
-}
+    return results, {"slack": cert.slack, "shooting_tol": SHOOTING_TOL}, cert.to_csv
 
 
 def _cmd_propagate(config: RunConfig, model):
@@ -205,14 +199,14 @@ def _cmd_propagate(config: RunConfig, model):
             "phase_im": value.phase.imag,
         })
         return results, tolerances, None
-    propagator, sampler = _SLICED[rep]
-    value = propagator(model, x_start, x_end, t, scheme)
-    results.update({"variant": "regular", "re": value.amplitude.real,
-                    "im": value.amplitude.imag, "abs": abs(value.amplitude)})
+    kernel = prop_mod._gaussian_kernel(model, rep, t, scheme)
+    amplitude = complex(kernel(x_end, x_start))
+    results.update({"variant": "regular", "re": amplitude.real,
+                    "im": amplitude.imag, "abs": abs(amplitude)})
 
     def write(out):
         grid = np.linspace(params["grid_min"], params["grid_max"], params["grid_count"])
-        vals = sampler(model, t, scheme)(grid, np.full_like(grid, x_start))
+        vals = kernel(grid, np.full_like(grid, x_start))
         write_series(out, [f"{x}_f", "re", "im"], zip(grid, vals.real, vals.imag))
 
     return results, tolerances, write
@@ -227,14 +221,15 @@ def _cmd_spin(config: RunConfig, model):
             t, params["N"], policy=params["policy"],
             use_closed_form=params["use_closed_form"],
         )
-        count = spin_mod.SpinPathEnsemble(params["N"], ((params["l"], 1), (-params["l"], 1))).path_count
+        values = spin_mod.spin_half_values(params["l"])
     else:
         g = spin_mod.composite_spin_propagator(
             params["inertia"], params["l0"], params["l_i"], params["l_f"],
             t, params["N"], policy=params["policy"],
             use_closed_form=params["use_closed_form"],
         )
-        count = spin_mod.SpinPathEnsemble(params["N"], spin_mod.composite_values(params["l0"])).path_count
+        values = spin_mod.composite_values(params["l0"])
+    count = spin_mod.SpinPathEnsemble(params["N"], values).path_count
     results = {
         "N": params["N"], "policy": params["policy"], "re": g.real, "im": g.imag,
         "abs": abs(g), "path_count": count,
@@ -259,7 +254,7 @@ def _cmd_hj_check(config: RunConfig, model):
         "valid_nodes": int(np.sum(fld.valid)),
         "total_nodes": int(fld.valid.size),
     }
-    return results, {"fd_step": params["fd_step"], "shooting_tol": 1e-9}, fld.to_csv
+    return results, {"fd_step": params["fd_step"], "shooting_tol": SHOOTING_TOL}, fld.to_csv
 
 
 def _finite_or_none(value):

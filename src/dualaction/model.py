@@ -53,37 +53,22 @@ class DomainBox:
         )
 
 
-def _richardson_d1(f, x, h):
-    def d1(step):
-        return (f(x + step) - f(x - step)) / (2.0 * step)
-
-    return (4.0 * d1(h / 2.0) - d1(h)) / 3.0
-
-
-def _richardson_d2(f, x, h):
-    def d2(step):
-        return (f(x + step) - 2.0 * f(x) + f(x - step)) / step**2
-
-    return (4.0 * d2(h / 2.0) - d2(h)) / 3.0
-
-
-def _richardson_d3(f, x, h):
-    def d3(step):
-        return (
-            f(x + 2.0 * step) - 2.0 * f(x + step) + 2.0 * f(x - step) - f(x - 2.0 * step)
-        ) / (2.0 * step**3)
-
-    return (4.0 * d3(h / 2.0) - d3(h)) / 3.0
-
-
-_FD_RULE = {1: _richardson_d1, 2: _richardson_d2, 3: _richardson_d3}
+# Central differences of f at x with step s, by derivative order.
+_STENCIL = {
+    1: lambda f, x, s: (f(x + s) - f(x - s)) / (2.0 * s),
+    2: lambda f, x, s: (f(x + s) - 2.0 * f(x) + f(x - s)) / s**2,
+    3: lambda f, x, s: (
+        f(x + 2.0 * s) - 2.0 * f(x + s) + 2.0 * f(x - s) - f(x - 2.0 * s)
+    ) / (2.0 * s**3),
+}
 
 
 def _fd_directional(f, x, order, h_base):
-    """Derivative of a scalar/vectorized 1-argument function at x."""
-    scale = np.maximum(1.0, np.abs(x))
-    h = h_base * scale
-    return _FD_RULE[order](f, x, h)
+    """Derivative of a scalar/vectorized 1-argument function at x: the
+    central difference, Richardson-extrapolated from steps h and h/2."""
+    h = h_base * np.maximum(1.0, np.abs(x))
+    diff = _STENCIL[order]
+    return (4.0 * diff(f, x, h / 2.0) - diff(f, x, h)) / 3.0
 
 
 def _poly_derivs(coeffs, max_order=3):

@@ -4,9 +4,11 @@ representations, plus the endpoint Fourier transform linking them.
 The N-slice Gaussian chain is evaluated exactly: the quadratic-form
 determinant obeys the forward recurrence f_{j+1} = (2 - w^2 dt^2) f_j -
 f_{j-1} (w -> iw flips the sign for the saddle family), and the
-exponent is the discrete action of the discrete classical path.  The
-momentum representation of the oscillator reuses the same chain with
-the dual parameters (mass 1/(m w^2), same frequency).
+exponent is the discrete action of the discrete classical path, a
+quadratic form in the endpoints.  One GaussianKernel holds the prefactor
+and the form's coefficients; point values and samplers both evaluate
+it.  The momentum representation of the oscillator reuses the same
+chain with the dual parameters (mass 1/(m w^2), same frequency).
 
 Delta-supported kernels (free particle in momentum representation) are
 carried symbolically: a support predicate, a unimodular phase and a
@@ -75,14 +77,25 @@ class PropagatorValue:
 
 
 @dataclass(frozen=True)
-class ChainResult:
-    """Raw Gaussian-chain output: amplitude = prefactor * exp(i action)."""
+class GaussianKernel:
+    """The N-slice chain as data: amplitude = prefactor * exp(i action),
+    the discrete action a quadratic form in the endpoints."""
 
-    amplitude: complex
     prefactor: complex
-    discrete_action: float
-    nodes: np.ndarray
-    dt: float
+    a_f: float
+    a_i: float
+    cross: float
+    s00: float
+
+    def action(self, x_f, x_i):
+        """Vectorized (x_f, x_i) -> discrete action of the classical path."""
+        x_f = np.asarray(x_f, dtype=float)
+        x_i = np.asarray(x_i, dtype=float)
+        return 0.5 * self.a_i * x_i**2 + 0.5 * self.a_f * x_f**2 + self.cross * x_i * x_f + self.s00
+
+    def __call__(self, x_f, x_i):
+        """Vectorized (x_f, x_i) -> amplitude."""
+        return self.prefactor * np.exp(1j * self.action(x_f, x_i))
 
 
 def _quadratic_coefficients(model):
@@ -115,15 +128,18 @@ def _dual_chain_parameters(model):
 _CHAIN_PARAMETERS = {"position": _quadratic_coefficients, "momentum": _dual_chain_parameters}
 
 
-def _gaussian_chain(model, representation, x_i, x_f, t, scheme: SliceScheme) -> ChainResult:
+def _gaussian_kernel(model, representation, t, scheme: SliceScheme) -> GaussianKernel:
     """Exact N-slice chain for H = x'^2/(2 mass) + c0 + c2 x^2 in a representation.
 
+    The discrete classical path is x_i g + x_f h with g_j = f_{N-j}/f_N
+    and h_j = f_j/f_N, so the discrete action is B(x, x)/2 - c0 t for the
+    bilinear form B(a, b) = (mass/dt) sum da db - 2 c2 sum_trap a b dt.
     The prefactor square root takes the principal branch, which is the
     continuous continuation from t -> 0+ as long as the determinant
     stays positive (guaranteed below the first caustic).
     """
     mass, c0, c2 = _CHAIN_PARAMETERS[representation](model)
-    x_i, x_f, t = float(x_i), float(x_f), float(t)
+    t = float(t)
     n_slices = scheme.n_slices
     if t <= 0:
         raise PreconditionError("sliced propagators need t > 0")
@@ -141,44 +157,35 @@ def _gaussian_chain(model, representation, x_i, x_f, t, scheme: SliceScheme) -> 
     if abs(det) < CAUSTIC_DET_TOL:
         raise CausticError(f"chain determinant {det:.3e} below caustic tolerance")
 
-    # discrete classical path from the three-term recursion
-    nodes = (x_i * f[::-1] + x_f * f) / f[n_slices]
-    kinetic = mass * np.sum(np.diff(nodes) ** 2) / (2.0 * dt)
-    v = c0 + c2 * nodes**2
-    potential = dt * (np.sum(v) - 0.5 * (v[0] + v[-1]))
-    action = kinetic - potential
+    def form(a, b):
+        v = c2 * (a * b)
+        return float(mass * np.sum(np.diff(a) * np.diff(b)) / dt
+                     - 2.0 * dt * (np.sum(v) - 0.5 * (v[0] + v[-1])))
 
-    prefactor = cmath.sqrt(mass / (2.0j * math.pi * det))
-    return ChainResult(
-        amplitude=prefactor * cmath.exp(1j * action),
-        prefactor=prefactor, discrete_action=float(action), nodes=nodes, dt=dt,
-    )
-
-
-def sliced_position_chain(model: HamiltonianModel, q_i, q_f, t, scheme: SliceScheme) -> ChainResult:
-    return _gaussian_chain(model, "position", q_i, q_f, t, scheme)
+    g, h = f[::-1] / f[n_slices], f / f[n_slices]
+    return GaussianKernel(prefactor=cmath.sqrt(mass / (2.0j * math.pi * det)),
+                          a_f=form(h, h), a_i=form(g, g), cross=form(g, h), s00=-c0 * t)
 
 
 def sliced_position_propagator(model: HamiltonianModel, q_i, q_f, t, scheme: SliceScheme) -> PropagatorValue:
     """Position-representation N-slice propagator for the quadratic family."""
-    return PropagatorValue.regular(_gaussian_chain(model, "position", q_i, q_f, t, scheme).amplitude)
+    return PropagatorValue.regular(_gaussian_kernel(model, "position", t, scheme)(q_f, q_i))
 
 
 def sliced_momentum_propagator(model: HamiltonianModel, p_i, p_f, t, scheme: SliceScheme) -> PropagatorValue:
     """Momentum-representation N-slice oscillator propagator."""
-    return PropagatorValue.regular(_gaussian_chain(model, "momentum", p_i, p_f, t, scheme).amplitude)
+    return PropagatorValue.regular(_gaussian_kernel(model, "momentum", t, scheme)(p_f, p_i))
 
 
 def free_momentum_propagator(mass, p_i, p_f, t) -> PropagatorValue:
     """Delta-supported free-particle momentum propagator.
 
     Support matching compares the endpoint momenta exactly; the phase is
-    exp(-i p^2 t / 2m) and the causal flag records t > 0.
+    exp(-i p^2 t / 2m) of free_momentum_delta_kernel and the causal flag
+    records t > 0.
     """
-    if mass <= 0:
-        raise PreconditionError("mass must be positive")
-    phase = cmath.exp(-1j * p_i**2 * t / (2.0 * mass))
-    return PropagatorValue.delta(phase, p_i == p_f, t > 0.0)
+    kernel = free_momentum_delta_kernel(mass, t)
+    return PropagatorValue.delta(kernel.phase_fn(p_i), p_i == p_f, kernel.causal)
 
 
 @dataclass(frozen=True)
@@ -192,6 +199,9 @@ class DeltaKernel:
 
 def free_momentum_delta_kernel(mass, t, prefactor: float = 1.0) -> DeltaKernel:
     """The free momentum propagator as a transformable kernel object."""
+    if mass <= 0:
+        raise PreconditionError("mass must be positive")
+
     def phase(p):
         return np.exp(-1j * np.asarray(p, dtype=float) ** 2 * t / (2.0 * mass))
 
@@ -348,39 +358,14 @@ def fourier_endpoints(source, grid: FourierGrid, to: str) -> KernelSamples:
     return KernelSamples(to, xf, xi, values)
 
 
-def _kernel_sampler(model, representation, t, scheme: SliceScheme):
-    """Vectorized (x_f, x_i) -> amplitude sampler of the N-slice chain.
-
-    The discrete action of a quadratic chain is a quadratic form in the
-    endpoints, so four chain evaluations determine it exactly.
-    """
-    ref = _gaussian_chain(model, representation, 0.0, 0.0, t, scheme)
-    s00 = ref.discrete_action
-    s10 = _gaussian_chain(model, representation, 1.0, 0.0, t, scheme).discrete_action
-    s01 = _gaussian_chain(model, representation, 0.0, 1.0, t, scheme).discrete_action
-    s11 = _gaussian_chain(model, representation, 1.0, 1.0, t, scheme).discrete_action
-    a_i = 2.0 * (s10 - s00)
-    a_f = 2.0 * (s01 - s00)
-    cross = s11 - s10 - s01 + s00
-    pref = ref.prefactor
-
-    def sample(x_f, x_i):
-        x_f = np.asarray(x_f, dtype=float)
-        x_i = np.asarray(x_i, dtype=float)
-        action = 0.5 * a_i * x_i**2 + 0.5 * a_f * x_f**2 + cross * x_i * x_f + s00
-        return pref * np.exp(1j * action)
-
-    return sample
-
-
-def position_kernel_sampler(model: HamiltonianModel, t, scheme: SliceScheme):
+def position_kernel_sampler(model: HamiltonianModel, t, scheme: SliceScheme) -> GaussianKernel:
     """Vectorized (q_f, q_i) -> amplitude sampler of the position chain."""
-    return _kernel_sampler(model, "position", t, scheme)
+    return _gaussian_kernel(model, "position", t, scheme)
 
 
-def momentum_kernel_sampler(model: HamiltonianModel, t, scheme: SliceScheme):
+def momentum_kernel_sampler(model: HamiltonianModel, t, scheme: SliceScheme) -> GaussianKernel:
     """Vectorized (p_f, p_i) -> amplitude sampler of the momentum chain."""
-    return _kernel_sampler(model, "momentum", t, scheme)
+    return _gaussian_kernel(model, "momentum", t, scheme)
 
 
 def compose_kernels(kernel_late, kernel_early, x_f, x_i):

@@ -45,70 +45,61 @@ class SpinPathEnsemble:
         per_interval = sum(mult for _, mult in self.values)
         return per_interval**self.n_intervals
 
-
-def _parse_sign(sign):
-    if sign in ("+", 1, +1.0):
-        return 1
-    if sign in ("-", -1, -1.0):
-        return -1
-    raise PreconditionError(f"sign must be '+' or '-', got {sign!r}")
-
-
-def _admitted_ends(values, ends, policy):
-    """The (first, last) interval values a policy admits, None when it admits every path."""
-    if policy == "paper-unconstrained":
-        return None
-    levels = [v for v, _ in values]
-    if len(set(levels)) < len(levels) or not all(v in levels for v in ends):
-        raise PreconditionError(f"endpoint filtering needs distinct interval values (l, l0 != 0) "
-                                f"and end values among them, got {tuple(levels)} and {tuple(ends)}")
-    return ends
+    def admitted_ends(self, ends):
+        """The (first, last) interval values the policy admits, None when it admits every path."""
+        if self.policy == "paper-unconstrained":
+            return None
+        levels = [v for v, _ in self.values]
+        if len(set(levels)) < len(levels) or not all(v in levels for v in ends):
+            raise PreconditionError(f"endpoint filtering needs distinct interval values (l, l0 != 0) "
+                                    f"and end values among them, got {tuple(levels)} and {tuple(ends)}")
+        return ends
 
 
-def _spin_half_ends(l, sign_i, sign_f, policy):
-    """_admitted_ends of spin-1/2, whose interval values are +-l."""
-    ends = (_parse_sign(sign_i) * l, _parse_sign(sign_f) * l)
-    return _admitted_ends(((l, 1), (-l, 1)), ends, policy)
-
-
-def spin_half_closed_form(inertia, l, sign_i, sign_f, t, n_intervals,
-                          policy="paper-unconstrained"):
-    """C * (admitted path count) * exp(-i l^2 t / 2I) with C = 2^-N."""
-    ends = _spin_half_ends(l, sign_i, sign_f, policy)
-    phase = np.exp(-1j * l**2 * t / (2.0 * inertia))
-    total = 2**n_intervals
-    if ends is None:
-        count = total
-    elif n_intervals == 1:
-        count = 1 if ends[0] == ends[1] else 0
-    else:
-        count = 2 ** (n_intervals - 2)
-    return complex(count * phase / total)
-
-
-def _enumerates(inertia, n_intervals, values, policy, cap, use_closed_form):
-    """Validate a propagator call: True to enumerate, False for the closed form past the cap."""
+def _validated(inertia, values, ends, n_intervals, policy):
+    """The ensemble of a propagator or closed-form call and the ends its policy admits."""
     if inertia <= 0:
         raise PreconditionError("inertia must be positive")
-    SpinPathEnsemble(n_intervals, values, policy)
-    if n_intervals <= cap:
-        return True
-    if use_closed_form:
-        return False
-    raise PreconditionError(
-        f"N = {n_intervals} exceeds the enumeration cap {cap}; pass use_closed_form=True"
-    )
+    ensemble = SpinPathEnsemble(n_intervals, values, policy)
+    return ensemble, ensemble.admitted_ends(ends)
 
 
-def _path_sum(levels, n_intervals, t, inertia, ends=None):
+def _closed_form(ensemble, ends, t, inertia):
+    """The path sum factorized over intervals: (sum_v m_v phase_v / M)^N for
+    M paths per interval, with the first and last factors fixed to m phase
+    of the admitted ends when there are ends."""
+    n_intervals = ensemble.n_intervals
+    mult = dict(ensemble.values)
+    per_interval = float(sum(m for _, m in ensemble.values))
+    dt = t / n_intervals
+
+    def slice_phase(v):
+        return np.exp(-1j * v**2 * dt / (2.0 * inertia))
+
+    full = sum(m * slice_phase(v) for v, m in ensemble.values)
+    if ends is None:
+        return complex((full / per_interval) ** n_intervals)
+    l_i, l_f = ends
+    if n_intervals == 1:
+        if l_i != l_f:
+            return 0.0 + 0.0j
+        return complex(mult[l_i] * slice_phase(l_i) / per_interval)
+    weight = mult[l_i] * slice_phase(l_i) * mult[l_f] * slice_phase(l_f)
+    return complex(weight * full ** (n_intervals - 2) / per_interval**n_intervals)
+
+
+def _path_sum(ensemble, ends, t, inertia):
     """Sum of exp(-i sum_j v_j^2 dt / 2I) over all paths, over the path count.
 
-    Path `code` takes the value levels[d_j] on interval j, d_j being
-    digit j of code in base len(levels) (2 or 4).  With ends =
-    (v_first, v_last) only the paths starting and ending on those
-    values are summed; the normalization keeps the full count.  Codes
-    are uint32: both enumeration caps keep the path count at most 2^20.
+    Each value enters the levels once per multiplicity, and path `code`
+    takes the value levels[d_j] on interval j, d_j being digit j of code
+    in base len(levels) (2 or 4).  With ends = (v_first, v_last) only the
+    paths starting and ending on those values are summed; the
+    normalization keeps the full count.  Codes are uint32: both
+    enumeration caps keep the path count at most 2^20.
     """
+    levels = [v for v, mult in reversed(ensemble.values) for _ in range(mult)]
+    n_intervals = ensemble.n_intervals
     base = len(levels)
     width = base.bit_length() - 1  # bits per digit
     levels = np.asarray(levels, dtype=float)
@@ -128,6 +119,39 @@ def _path_sum(levels, n_intervals, t, inertia, ends=None):
     return complex(acc / total)
 
 
+def _propagator(inertia, values, ends, t, n_intervals, policy, cap, use_closed_form):
+    """Enumerate the paths up to N = cap; past it, the closed form on request."""
+    ensemble, ends = _validated(inertia, values, ends, n_intervals, policy)
+    if n_intervals <= cap:
+        return _path_sum(ensemble, ends, t, inertia)
+    if use_closed_form:
+        return _closed_form(ensemble, ends, t, inertia)
+    raise PreconditionError(
+        f"N = {n_intervals} exceeds the enumeration cap {cap}; pass use_closed_form=True"
+    )
+
+
+def spin_half_values(l):
+    """Per-interval spin-1/2 values +l and -l, one sign path each."""
+    return ((l, 1), (-l, 1))
+
+
+def _signed_ends(l, sign_i, sign_f):
+    """The (first, last) spin-1/2 values for end signs '+' or '-' (or +-1)."""
+    for sign in (sign_i, sign_f):
+        if sign not in ("+", "-", 1, -1):
+            raise PreconditionError(f"sign must be '+' or '-', got {sign!r}")
+    return tuple(l if sign in ("+", 1) else -l for sign in (sign_i, sign_f))
+
+
+def spin_half_closed_form(inertia, l, sign_i, sign_f, t, n_intervals,
+                          policy="paper-unconstrained"):
+    """C * (admitted path count) * exp(-i l^2 t / 2I) with C = 2^-N."""
+    ensemble, ends = _validated(inertia, spin_half_values(l), _signed_ends(l, sign_i, sign_f),
+                                n_intervals, policy)
+    return _closed_form(ensemble, ends, t, inertia)
+
+
 def spin_half_propagator(inertia, l, sign_i, sign_f, t, n_intervals,
                          policy="paper-unconstrained", use_closed_form=False):
     """Sum over all sign paths of the spinning free particle.
@@ -135,10 +159,8 @@ def spin_half_propagator(inertia, l, sign_i, sign_f, t, n_intervals,
     Brute-force enumeration up to N = 20; beyond that the closed form
     must be requested explicitly.
     """
-    if not _enumerates(inertia, n_intervals, ((l, 1), (-l, 1)), policy,
-                       SPIN_HALF_ENUM_CAP, use_closed_form):
-        return spin_half_closed_form(inertia, l, sign_i, sign_f, t, n_intervals, policy)
-    return _path_sum((-l, l), n_intervals, t, inertia, _spin_half_ends(l, sign_i, sign_f, policy))
+    return _propagator(inertia, spin_half_values(l), _signed_ends(l, sign_i, sign_f), t,
+                       n_intervals, policy, SPIN_HALF_ENUM_CAP, use_closed_form)
 
 
 def composite_values(l0):
@@ -148,33 +170,14 @@ def composite_values(l0):
 
 def composite_closed_form(inertia, l0, l_i, l_f, t, n_intervals,
                           policy="paper-unconstrained"):
-    values = composite_values(l0)
-    ends = _admitted_ends(values, (l_i, l_f), policy)
-    mult = dict(values)
-    dt = t / n_intervals
-
-    def slice_phase(v):
-        return np.exp(-1j * v**2 * dt / (2.0 * inertia))
-
-    full = sum(m * slice_phase(v) for v, m in values)
-    if ends is None:
-        return complex((full / 4.0) ** n_intervals)
-    if n_intervals == 1:
-        if l_i != l_f:
-            return 0.0 + 0.0j
-        return complex(mult[l_i] * slice_phase(l_i) / 4.0)
-    weight = mult[l_i] * slice_phase(l_i) * mult[l_f] * slice_phase(l_f)
-    return complex(weight * full ** (n_intervals - 2) / 4.0**n_intervals)
+    """C * sum over the admitted paths, factorized over intervals, with C = 4^-N."""
+    ensemble, ends = _validated(inertia, composite_values(l0), (l_i, l_f), n_intervals, policy)
+    return _closed_form(ensemble, ends, t, inertia)
 
 
 def composite_spin_propagator(inertia, l0, l_i, l_f, t, n_intervals,
                               policy="paper-unconstrained", use_closed_form=False):
     """Two-constituent composite: per-interval values +2 l0, 0, -2 l0 with
     multiplicities 1:2:1 from the four constituent sign pairs, C = 4^-N."""
-    if not _enumerates(inertia, n_intervals, composite_values(l0), policy,
-                       COMPOSITE_ENUM_CAP, use_closed_form):
-        return composite_closed_form(inertia, l0, l_i, l_f, t, n_intervals, policy)
-    # digit b1 + 2 b2 (b = 1 for a + sign) picks l0 (s1 + s2) for the constituent signs
-    levels = tuple(l0 * s for s in (-2.0, 0.0, 0.0, 2.0))
-    return _path_sum(levels, n_intervals, t, inertia,
-                     _admitted_ends(composite_values(l0), (l_i, l_f), policy))
+    return _propagator(inertia, composite_values(l0), (l_i, l_f), t, n_intervals, policy,
+                       COMPOSITE_ENUM_CAP, use_closed_form)

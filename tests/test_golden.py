@@ -1,12 +1,13 @@
 """The README CLI examples against their committed reports.
 
-Each report in tests/golden/ was written by the command listed here.  A
-change that is meant to keep every number keeps these tests passing:
-keys, strings, ints and bools must be equal, and floats must agree to
-1e-12 absolute plus 1e-9 relative, so a different libm does not fail
-them.
+Each report in tests/golden/ was written by the command listed here, and
+each CSV series there by the command listed in SERIES.  A change that is
+meant to keep every number keeps these tests passing: keys, strings,
+ints and bools must be equal, and floats must agree to 1e-12 absolute
+plus 1e-9 relative, so a different libm does not fail them.
 """
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -26,6 +27,11 @@ EXAMPLES = {
     "spin": "spin --N 4 --policy paper-unconstrained",
     "hj-check": "hj-check --hamiltonian free --which s --grid-min 0.5 --grid-max 1.5",
     "legendre-check": "legendre-check --hamiltonian sho --samples 100 --N 2000",
+}
+
+SERIES = {
+    "propagate-position": "propagate --hamiltonian sho --rep position --format csv",
+    "propagate-momentum": "propagate --hamiltonian sho --rep momentum --t1 0.7 --format csv",
 }
 
 
@@ -53,6 +59,22 @@ def test_readme_example_matches_golden_report(name, capsys):
     assert code == 0
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     assert_same(json.loads(out), want)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_csv_series_matches_golden_series(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.csv"
+    assert main(SERIES[name].split() + ["--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def rows(path):
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    got, want = rows(out), rows(GOLDEN / f"{name}.csv")
+    assert got[0] == want[0] and len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got[1:], want[1:]), start=1):
+        assert_same([float(x) for x in g], [float(x) for x in w], f"{name}.csv row {i}")
 
 
 def test_comparison_tolerates_only_float_noise():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualaction import (
     BandwidthError,
@@ -21,7 +23,27 @@ from dualaction import (
     sliced_momentum_propagator,
     sliced_position_propagator,
 )
-from dualaction.propagator import PropagatorValue, sliced_position_chain
+from dualaction.propagator import GaussianKernel, PropagatorValue
+
+
+def node_sum_chain(mass, c2, x_i, x_f, t, n):
+    """Reference N-slice chain for H = p^2/2m + c2 q^2, node by node: the
+    determinant, the prefactor, the discrete action of the discrete
+    classical path, and the sum of the magnitudes of its kinetic and
+    potential parts."""
+    dt = t / n
+    u = 2.0 - 2.0 * c2 / mass * dt * dt
+    f = np.empty(n + 1)
+    f[0], f[1] = 0.0, 1.0
+    for j in range(1, n):
+        f[j + 1] = u * f[j] - f[j - 1]
+    nodes = (x_i * f[::-1] + x_f * f) / f[n]
+    kinetic = mass * np.sum(np.diff(nodes) ** 2) / (2.0 * dt)
+    v = c2 * nodes**2
+    potential = dt * (np.sum(v) - 0.5 * (v[0] + v[-1]))
+    det = dt * f[n]
+    prefactor = cmath.sqrt(mass / (2.0j * math.pi * det))
+    return det, prefactor, kinetic - potential, kinetic + abs(potential)
 
 
 class TestSliceScheme:
@@ -96,21 +118,51 @@ class TestPositionSlicing:
         # exact agreement for the free particle: both reduce to m dq^2/2t
         from dualaction import PhasePath, action_s
 
-        chain = sliced_position_chain(free, 0.0, 1.0, 1.0, SliceScheme(64))
-        p = np.full(65, 1.0)
-        path = PhasePath(0.0, 1.0, p, chain.nodes)
-        assert abs(chain.discrete_action - action_s(free, path).value) <= 1e-9
+        kernel = position_kernel_sampler(free, 1.0, SliceScheme(64))
+        times = np.linspace(0.0, 1.0, 65)
+        path = PhasePath(0.0, 1.0, np.full(65, 1.0), times)
+        assert abs(kernel.action(1.0, 0.0) - action_s(free, path).value) <= 1e-9
 
     def test_discrete_action_links_to_action_module_sho(self, sho):
-        # same identity for the oscillator at grid accuracy
+        # same identity for the oscillator at grid accuracy, against the
+        # classical path q = sin(s)/sin(t), p = m cos(s)/sin(t)
         from dualaction import PhasePath, action_s
 
-        n = 512
-        chain = sliced_position_chain(sho, 0.0, 1.0, math.pi / 4, SliceScheme(n))
-        dt = (math.pi / 4) / n
-        p = np.gradient(chain.nodes, dt, edge_order=2) * sho.mass
-        path = PhasePath(0.0, math.pi / 4, p, chain.nodes)
-        assert abs(chain.discrete_action - action_s(sho, path).value) <= 5.0 * dt**2
+        n, t = 512, math.pi / 4
+        dt = t / n
+        kernel = position_kernel_sampler(sho, t, SliceScheme(n))
+        times = np.linspace(0.0, t, n + 1)
+        path = PhasePath(0.0, t, sho.mass * np.cos(times) / math.sin(t),
+                         np.sin(times) / math.sin(t))
+        assert abs(kernel.action(1.0, 0.0) - action_s(sho, path).value) <= 5.0 * dt**2
+
+
+_MASS = st.floats(-1.0, 1.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200)
+@given(family=st.sampled_from(["free", "sho", "saddle-quadratic"]), mass=_MASS,
+       omega_t=st.floats(0.05, 0.95 * math.pi), n=st.integers(1, 800),
+       x_i=st.floats(-2.0, 2.0), x_f=st.floats(-2.0, 2.0))
+def test_kernel_matches_node_sum_chain(family, mass, omega_t, n, x_i, x_f):
+    # unit frequency: t = omega t, and c2 = +-m/2 (0 for the free particle)
+    model = HamiltonianModel.builtin(family, mass=mass, k=mass)
+    c2 = model.potential_coeffs[2] if family != "free" else 0.0
+    t = omega_t
+    det, prefactor, action, scale = node_sum_chain(mass, c2, x_i, x_f, t, n)
+    if abs(det) < 1e-6:  # at a caustic of the discrete chain
+        return
+    kernel = position_kernel_sampler(model, t, SliceScheme(n))
+    assert isinstance(kernel, GaussianKernel)
+    reference = prefactor * cmath.exp(1j * action)
+    # relative to the magnitudes both sides sum: the path's kinetic and
+    # potential parts, and the kernel's three endpoint terms
+    scale += abs(0.5 * kernel.a_i * x_i**2) + abs(0.5 * kernel.a_f * x_f**2) \
+        + abs(kernel.cross * x_i * x_f)
+    assert abs(kernel.action(x_f, x_i) - action) <= 1e-11 * scale
+    assert abs(complex(kernel(x_f, x_i)) - reference) <= 1e-11 * abs(reference)
+    point = sliced_position_propagator(model, x_i, x_f, t, SliceScheme(n)).amplitude
+    assert point == complex(kernel(x_f, x_i))
 
 
 class TestMomentumSlicing:
@@ -162,6 +214,19 @@ class TestFreeMomentumDelta:
 
     def test_support_tolerance_mode(self):
         assert free_momentum_propagator(1.0, 1.0, 1.0 + 1e-9, 1.0).support_matched is False
+
+    @pytest.mark.parametrize("mass", [-1.0, 0.0])
+    def test_non_positive_mass_rejected_by_both(self, mass):
+        with pytest.raises(PreconditionError, match="mass must be positive"):
+            free_momentum_delta_kernel(mass, 1.0)
+        with pytest.raises(PreconditionError, match="mass must be positive"):
+            free_momentum_propagator(mass, 1.0, 1.0, 1.0)
+
+    def test_point_value_is_the_kernel_phase(self):
+        for mass, p, t in ((1.0, 1.0, math.pi), (2.0, 1.7, 5.3), (0.3, -0.8, -1.1)):
+            v = free_momentum_propagator(mass, p, p, t)
+            k = free_momentum_delta_kernel(mass, t)
+            assert v.phase == complex(k.phase_fn(p)) and v.causal == k.causal
 
     def test_delta_semigroup_phase_composition(self):
         # on the matched support the phases of the two sub-intervals

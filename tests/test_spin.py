@@ -153,6 +153,25 @@ class TestComposite:
         assert np.isfinite(g.real) and np.isfinite(g.imag)
 
 
+@pytest.mark.parametrize("propagator, closed_form, middle", [
+    (spin_half_propagator, spin_half_closed_form, (1.0, "+", "-")),
+    (composite_spin_propagator, composite_closed_form, (0.5, 1.0, 0.0)),
+])
+@pytest.mark.parametrize("inertia, n, policy", [
+    (1.0, 3, "sideways"), (0.0, 3, "paper-unconstrained"), (-1.0, 3, "paper-unconstrained"),
+    (1.0, 0, "paper-unconstrained"), (1.0, -1, "paper-unconstrained"),
+])
+def test_closed_form_validates_like_the_propagator(propagator, closed_form, middle,
+                                                   inertia, n, policy):
+    # the closed forms reject every call the propagators reject, with the same error
+    args = (inertia, *middle, 1.0, n, policy)
+    with pytest.raises(PreconditionError) as enumerated:
+        propagator(*args)
+    with pytest.raises(PreconditionError) as closed:
+        closed_form(*args)
+    assert str(closed.value) == str(enumerated.value)
+
+
 _POLICIES = st.sampled_from(["paper-unconstrained", "endpoint-filtered"])
 _NONZERO = st.floats(0.1, 2.5).flatmap(lambda x: st.sampled_from([x, -x]))
 
