@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePath, _rk4_batch, _shoot_batch
+from .dynamics import PhasePath, _flow, _shoot_batch
 from .errors import PreconditionError
 from .model import HamiltonianModel
 from .series import write_series
@@ -245,9 +245,9 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
         companion = np.full_like(R, np.nan)
         valid = np.zeros((nt, npf), dtype=bool)
         online = np.isclose(p_f_values, p_i, rtol=0.0, atol=1e-12)
-        # one sweep over the horizons t, t + dt and t - dt of every row
+        # one call for the horizons t, t + dt and t - dt of every row
         horizons = np.concatenate([t_values, t_values + dtt, t_values - dtt])
-        P, Q = _rk4_batch(model, p_i, np.zeros_like(horizons), (0.0, horizons), n_steps)
+        P, Q = _flow(model, p_i, np.zeros_like(horizons), (0.0, horizons), n_steps)
         values, _ = _action_r_values(model, P, Q, horizons / n_steps)
         rc, rp, rm = np.asarray(values).reshape(3, nt)
         dR_dt = (rp - rm) / (2.0 * dtt)

@@ -4,9 +4,20 @@ Position-type boundary conditions pin q at both ends and shoot over the
 initial momentum; momentum-type conditions pin p and shoot over the
 initial position.  The integrator is classical fixed-step RK4: the paths
 here are short and shooting needs smooth dependence on initial data more
-than long-time structure preservation.  Every integration is a sweep of
-one engine over many lanes (one initial condition per array element),
-so a shooting solve costs a few sweeps rather than a few per lane.
+than long-time structure preservation.  Its nodes come from one of two
+evaluators:
+
+* An affine field (a separable model whose potential has degree <= 2:
+  the free particle, the oscillator, the quadratic saddle, the constant
+  force) has an RK4 step that is exactly one 3x3 matrix acting on
+  (p, q, 1).  Its paths are powers of that matrix, and its shooting needs
+  no integration sweep: the endpoint is affine in the shooting parameter.
+* Any other field runs ``_rk4``, the one RK4 loop, as a sweep over many
+  lanes (one initial condition per array element), so a shooting solve
+  costs a few sweeps rather than a few per lane.
+
+``integrate_ivp`` always runs the loop; it is the reference the affine
+evaluator is tested against.
 """
 
 from __future__ import annotations
@@ -179,6 +190,80 @@ def _pinned_scale(start, end):
     return np.maximum(1.0, np.maximum(abs(start), np.abs(end)))
 
 
+def _affine_matrix(model):
+    """Matrix A of an affine vector field, d(p, q, 1)/dt = A (p, q, 1), or None.
+
+    A separable model whose polynomial potential has degree <= 2,
+    V = c0 + c1 q + c2 q^2, moves by dp/dt = -c1 - 2 c2 q and
+    dq/dt = p / m: the four builtins and any three-coefficient potential.
+    """
+    if model.kind != "separable" or model.potential_coeffs is None:
+        return None
+    c = np.trim_zeros(np.asarray(model.potential_coeffs, dtype=float), "b")
+    if c.size > 3:
+        return None
+    _, c1, c2 = np.concatenate([c, np.zeros(3 - c.size)])
+    return np.array([[0.0, -2.0 * c2, -c1], [1.0 / model.mass, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def _step_powers(field_matrix, dt, n_steps):
+    """G^0 .. G^n_steps of the RK4 step map of an affine field, one stack per step size.
+
+    One RK4 step of d(p, q, 1)/dt = A (p, q, 1) is exactly the matrix
+    G = sum_{k<=4} (dt A)^k / k!, the RK4 stability polynomial, so node j
+    of a path is G^j (p0, q0, 1).  dt is a 1-d array of step sizes; the
+    powers, shape (dt.size, n_steps+1, 3, 3), are built by doubling, in
+    log2(n_steps) batched products.
+    """
+    m, eye = dt[:, None, None] * field_matrix, np.eye(3)
+    powers = np.empty((dt.size, n_steps + 1, 3, 3))
+    powers[:, 0] = eye
+    with np.errstate(all="ignore"):  # a flow that outgrows floats turns non-finite
+        powers[:, 1] = eye + m @ (eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0)
+        n = 1
+        while n < n_steps:
+            k = min(n, n_steps - n)
+            powers[:, n + 1:n + 1 + k] = powers[:, 1:k + 1] @ powers[:, n, None]
+            n += k
+    return powers
+
+
+def _affine_paths(powers, horizon, p0, q0):
+    """(n_steps+1, lanes) paths of p and q: lane k starts at (p0[k], q0[k])
+    and its node j is powers[horizon[k], j] (p0, q0, 1)."""
+    nodes = np.empty((horizon.size, 2, powers.shape[1]))
+    with np.errstate(all="ignore"):  # an overflowing lane poisons only itself
+        for i, G in enumerate(powers):
+            lanes = np.flatnonzero(horizon == i)
+            x0 = np.stack([p0[lanes], q0[lanes], np.ones(lanes.size)], axis=1)
+            rows = G[:, :2].transpose(2, 1, 0).reshape(3, -1)  # (p, q, 1) -> every node's p, q
+            nodes[lanes] = (x0 @ rows).reshape(lanes.size, 2, -1)
+    return nodes[:, 0].T, nodes[:, 1].T
+
+
+def _flow(model, p0, q0, t_span, n_steps):
+    """Paths (n_steps+1, lanes) from initial states and horizons t_span[1] that
+    broadcast to one lane axis.
+
+    An affine field is mapped by powers of its RK4 step map, any other
+    by _rk4_batch; both raise BlowUpError on a non-finite state.
+    """
+    field_matrix = _affine_matrix(model)
+    if field_matrix is None:
+        return _rk4_batch(model, p0, q0, t_span, n_steps)
+    if n_steps < 1:
+        raise PreconditionError("integration needs n_steps >= 1")
+    p, q, dt = np.broadcast_arrays(
+        np.asarray(p0, float), np.asarray(q0, float),
+        (np.asarray(t_span[1], float) - float(t_span[0])) / n_steps,
+    )
+    steps, horizon = np.unique(dt, return_inverse=True)
+    P, Q = _affine_paths(_step_powers(field_matrix, steps, n_steps), horizon, p, q)
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
+        raise _blow_up(P, Q)
+    return P, Q
+
+
 @dataclass(frozen=True)
 class _Shots:
     """Shooting results over a batch of targets; paths are (n_steps+1, targets)."""
@@ -190,80 +275,143 @@ class _Shots:
     Q: np.ndarray
 
 
+def _brackets(cand, res, tol):
+    """Starting points of the targets from the scan residuals res, (candidates, targets).
+
+    The sign change nearest x = 0 gives the bracket [lo, hi] and a
+    regula-falsi first guess x.  Without one, the scanned x nearest 0
+    whose residual is within tol is taken as it is; when every finite
+    residual is within 10 tol, every parameter solves (x = 0, flagged
+    conjugate-degenerate); otherwise the target is infeasible at the x
+    of least residual.  Returns (x, lo, hi, r_lo, sign_changes,
+    have_bracket, flags).
+    """
+    cols = np.arange(res.shape[1])
+    finite = np.isfinite(res)
+    any_finite = finite.any(axis=0)
+    size = np.where(finite, np.abs(res), np.inf)
+    with np.errstate(all="ignore"):  # a product that overflows keeps its sign
+        sign_change = res[:-1] * res[1:] < 0
+    changes = sign_change.sum(axis=0)
+    bracketed = changes > 0
+    near = np.minimum(np.abs(cand[:-1]), np.abs(cand[1:]))
+    i = np.argmin(np.where(sign_change, near[:, None], np.inf), axis=0)
+    r_lo, r_hi = res[i, cols], res[i + 1, cols]
+    lo, hi = cand[i], cand[i + 1]
+    with np.errstate(all="ignore"):
+        guess = lo - r_lo * (hi - lo) / (r_hi - r_lo)
+
+    exact_hit = size <= tol
+    hit = ~bracketed & exact_hit.any(axis=0)
+    nearest_hit = cand[np.argmin(np.where(exact_hit, np.abs(cand)[:, None], np.inf), axis=0)]
+    all_solve = (~bracketed & ~hit & any_finite
+                 & (np.max(np.where(finite, size, -np.inf), axis=0) <= 10.0 * tol))
+    infeasible = ~(bracketed | hit | all_solve)
+    least = np.where(any_finite, cand[np.argmin(size, axis=0)], 0.0)
+
+    x = np.where(bracketed, guess, np.where(hit, nearest_hit, np.where(infeasible, least, 0.0)))
+    lo = np.where(bracketed, lo, np.where(hit, nearest_hit, 0.0))
+    hi = np.where(bracketed, hi, np.where(hit, nearest_hit, 0.0))
+    r_lo = np.where(bracketed, r_lo, 0.0)
+    flags = np.where(infeasible, "infeasible",
+                     np.where(all_solve, "conjugate-degenerate", "unique")).astype(object)
+    return x, lo, hi, r_lo, changes, ~infeasible, flags
+
+
 def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on):
-    """Shoot a family of endpoint targets: one scan, then batched Newton sweeps.
+    """Shoot a family of endpoint targets: one scan, then the roots.
 
     shoot_on = 'p0' varies initial momentum with q(t_i) = start_value and
     matches final q (position-type); shoot_on = 'q0' varies initial
     position with p(t_i) = start_value and matches final p.  The horizon
     t_span[1] may be an array giving one horizon per target.
 
-    The scan integrates every candidate for every target in one sweep and
-    picks, per target, the sign-change bracket nearest x = 0 with a
-    regula-falsi first guess.  Each Newton sweep integrates the lanes x,
-    x + h and x - h: the outer pair gives the Jacobi field
-    J(t) = (E+(t) - E-(t)) / 2h of the endpoint variable E, whose final
-    value is the Newton slope, and the centre lanes' paths are kept.  A
-    step that leaves the bracket bisects it instead, and a target is
-    solved once |residual| <= SHOOTING_TOL * max(1, |start|, |target|).  It is
+    The scan evaluates the endpoint at every candidate once per distinct
+    horizon and picks each target's bracket (_brackets).  Then:
+
+    * affine field (separable, potential of degree <= 2): the endpoint
+      E = alpha x + beta is read off G^N, the N-th power of the RK4 step
+      map, so the root is one division and the Jacobi field
+      J(t_j) = dE(t_j)/dx is an entry of G^j, exact; the paths are the
+      powers applied to the initial states.  No RK4 sweep runs.
+    * any other field: each Newton sweep integrates the lanes x, x + h
+      and x - h; the outer pair gives J(t) = (E+(t) - E-(t)) / 2h, whose
+      final value is the Newton slope, and the centre lanes' paths are
+      kept.  A step that leaves the bracket bisects it instead, and the
+      sweeps stop once |residual| <= tol.
+
+    The residual is that of the returned path and must reach
+    tol = SHOOTING_TOL * max(1, |start|, |target|).  A target is
     conjugate-degenerate when |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|
     or the scan found several brackets.
     """
     if n_steps < 1:
         raise PreconditionError("shooting needs n_steps >= 1")
     targets = np.asarray(targets, dtype=float)
-    n_t = targets.size
     tol = SHOOTING_TOL * _pinned_scale(start_value, targets)
-    t0 = float(t_span[0])
     t1 = np.broadcast_to(np.asarray(t_span[1], dtype=float), targets.shape)
-    dt = (t1 - t0) / n_steps
-    field = model.vector_field()
+    dt = (t1 - float(t_span[0])) / n_steps
+    steps, horizon = np.unique(dt, return_inverse=True)
     unit = _momentum_unit(model, start_value) if shoot_on == "p0" else 1.0
-    end = "q" if shoot_on == "p0" else "p"
-
-    def sweep(x, lane_dt, **kw):
-        s = np.full_like(x, start_value)
-        p, q = (x, s) if shoot_on == "p0" else (s, x)
-        pe, qe, P, Q, widest = _rk4(field, p, q, lane_dt, n_steps, **kw)
-        return (qe if shoot_on == "p0" else pe), P, Q, widest
-
     cand = _scan_candidates() * unit
-    ends, _, _, _ = sweep(np.repeat(cand[:, None], n_t, axis=1), dt)
-    res = ends - targets
-    res = np.where(np.isfinite(res), res, np.nan)
+    # (p, q) index of the matched end, which is also the pinned start's;
+    # the shooting parameter is the other one
+    end = 1 if shoot_on == "p0" else 0
+    field_matrix = _affine_matrix(model)
 
-    x = np.zeros(n_t)
-    lo, hi = np.zeros(n_t), np.zeros(n_t)
-    r_lo = np.zeros(n_t)
-    flags = np.array(["unique"] * n_t, dtype=object)
-    bracket_counts = np.zeros(n_t, dtype=int)
-    have_bracket = np.zeros(n_t, dtype=bool)
+    def lanes(x):
+        s = np.full_like(x, start_value)
+        return (x, s) if shoot_on == "p0" else (s, x)
+
+    if field_matrix is not None:
+        powers = _step_powers(field_matrix, steps, n_steps)
+        # the endpoint E(t_f) = alpha x + beta of the shooting parameter x
+        with np.errstate(all="ignore"):
+            alpha = powers[:, -1, end, 1 - end]
+            beta = powers[:, -1, end, end] * start_value + powers[:, -1, end, 2]
+            ends = alpha * cand[:, None] + beta
+    else:
+        field = model.vector_field()
+
+        def sweep(x, lane_dt, **kw):
+            pe, qe, P, Q, widest = _rk4(field, *lanes(x), lane_dt, n_steps, **kw)
+            return (qe if shoot_on == "p0" else pe), P, Q, widest
+
+        ends = sweep(np.repeat(cand[:, None], steps.size, axis=1), steps)[0]
+    with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
+        res = ends[:, horizon] - targets
+    res = np.where(np.isfinite(res), res, np.nan)
+    x, lo, hi, r_lo, changes, have_bracket, flags = _brackets(cand, res, tol)
+
+    if field_matrix is not None:
+        alpha, beta = alpha[horizon], beta[horizon]
+        with np.errstate(all="ignore"):
+            roots = np.where(changes > 0, (targets - beta) / alpha, x)
+        P, Q = _affine_paths(powers, horizon, *lanes(roots))
+        with np.errstate(invalid="ignore"):
+            residuals = (Q if shoot_on == "p0" else P)[-1] - targets
+        j_end = alpha
+        j_max = np.max(np.abs(powers[:, :, end, 1 - end]), axis=1)[horizon]
+    else:
+        roots, residuals, P, Q, j_end, j_max = _newton(
+            sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, "q" if end else "p")
 
     with np.errstate(invalid="ignore"):
-        sign_change = res[:-1] * res[1:] < 0
-        exact_hit = np.abs(res) <= tol
-    near = np.minimum(np.abs(cand[:-1]), np.abs(cand[1:]))
-    for k in range(n_t):
-        changes = np.flatnonzero(sign_change[:, k])
-        bracket_counts[k] = changes.size
-        hits = np.flatnonzero(exact_hit[:, k])
-        col = res[:, k]
-        if changes.size:
-            i = changes[np.argmin(near[changes])]
-            lo[k], hi[k], r_lo[k] = cand[i], cand[i + 1], col[i]
-            x[k] = lo[k] - col[i] * (hi[k] - lo[k]) / (col[i + 1] - col[i])
-            have_bracket[k] = True
-        elif hits.size:
-            x[k] = lo[k] = hi[k] = cand[hits[np.argmin(np.abs(cand[hits]))]]
-            have_bracket[k] = True
-        elif np.any(np.isfinite(col)) and np.nanmax(np.abs(col)) <= 10.0 * tol[k]:
-            # every scanned parameter already solves the problem
-            have_bracket[k] = True
-            flags[k] = "conjugate-degenerate"
-        else:
-            x[k] = cand[np.nanargmin(np.abs(col))] if np.any(np.isfinite(col)) else 0.0
-            flags[k] = "infeasible"
+        unresolved = have_bracket & ~(np.abs(residuals) <= tol) & (flags == "unique")
+        flags[unresolved] = "infeasible"
+        flat = ~(np.abs(j_end) > SENSITIVITY_TOL * j_max)
+        degenerate = have_bracket & (flat | (changes > 1))
+    flags[degenerate & (flags != "infeasible")] = "conjugate-degenerate"
+    return _Shots(roots, residuals, flags, P, Q)
 
+
+def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, spread_on):
+    """Bracketed Newton sweeps of the non-affine shooting (see _shoot_batch).
+
+    Returns (roots, residuals, P, Q, J(t_f), max_t |J(t)|) of the last
+    sweep of each target.
+    """
+    n_t = targets.size
     roots = x.copy()
     residuals = np.full(n_t, np.nan)
     j_end = np.full(n_t, np.nan)
@@ -273,7 +421,8 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on):
     for _ in range(MAX_NEWTON_ITER):
         xa = x[todo]
         h = FD_REL_STEP * np.maximum(unit, np.abs(xa))
-        ends, P, Q, widest = sweep(np.stack([xa, xa + h, xa - h]), dt[todo], keep=0, spread=end)
+        ends, P, Q, widest = sweep(np.stack([xa, xa + h, xa - h]), dt[todo], keep=0,
+                                   spread=spread_on)
         with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
             r = ends[0] - targets[todo]
             spread = ends[1] - ends[2]
@@ -300,14 +449,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on):
         todo = todo[going]
         if not todo.size:
             break
-
-    with np.errstate(invalid="ignore"):
-        unresolved = have_bracket & ~(np.abs(residuals) <= tol) & (flags == "unique")
-        flags[unresolved] = "infeasible"
-        flat = ~(np.abs(j_end) > SENSITIVITY_TOL * j_max)
-        degenerate = have_bracket & (flat | (bracket_counts > 1))
-    flags[degenerate & (flags != "infeasible")] = "conjugate-degenerate"
-    return _Shots(roots, residuals, flags, P_all, Q_all)
+    return roots, residuals, P_all, Q_all, j_end, j_max
 
 
 def _bvp(model, bounds, t_span, n_steps, shoot_on):
@@ -322,7 +464,7 @@ def _bvp(model, bounds, t_span, n_steps, shoot_on):
 
 def solve_position_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span,
                        n_steps: int) -> ShootingReport:
-    """Newton shooting over the initial momentum for q(t_i) -> q(t_f).
+    """Shooting over the initial momentum for q(t_i) -> q(t_f).
 
     BRACKET_RANGE bounds the initial velocity: the scan tries momenta up
     to BRACKET_RANGE / H_pp(0, q(t_i)) in magnitude (BRACKET_RANGE itself
@@ -331,8 +473,10 @@ def solve_position_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span,
     the Jacobi field J(t) = dq(t)/dp(t_i) has
     |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|, or when several distinct
     initial momenta reach the target; 'infeasible' when no scanned
-    momentum brackets the target or Newton does not bring the endpoint
-    residual to SHOOTING_TOL * max(1, |q(t_i)|, |q(t_f)|).
+    momentum brackets the target or the returned path misses it by more
+    than SHOOTING_TOL * max(1, |q(t_i)|, |q(t_f)|).  Affine fields are
+    solved in closed form on the RK4 nodes, others by Newton sweeps
+    (_shoot_batch).
     """
     if bounds.kind != "position-type":
         raise PreconditionError("solve_position_bvp needs a position-type boundary spec")
@@ -341,7 +485,7 @@ def solve_position_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span,
 
 def solve_momentum_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span,
                        n_steps: int) -> ShootingReport:
-    """Newton shooting over the initial position for p(t_i) -> p(t_f).
+    """Shooting over the initial position for p(t_i) -> p(t_f).
 
     BRACKET_RANGE bounds the initial position.  The flags follow
     solve_position_bvp, with the Jacobi field J(t) = dp(t)/dq(t_i) and
@@ -354,7 +498,8 @@ def solve_momentum_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span,
     if bounds.kind != "momentum-type":
         raise PreconditionError("solve_momentum_bvp needs a momentum-type boundary spec")
     if model.is_cyclic_in_q():
-        path = integrate_ivp(model, bounds.start, 0.0, t_span, n_steps)
+        P, Q = _flow(model, bounds.start, np.zeros(1), t_span, n_steps)
+        path = PhasePath(t_span[0], t_span[1], P[:, 0], Q[:, 0])
         residual = abs(float(path.p[-1]) - bounds.end)
         tol = SHOOTING_TOL * _pinned_scale(bounds.start, bounds.end)
         flag = "conjugate-degenerate" if residual <= tol else "infeasible"

@@ -66,8 +66,8 @@ def _validated(inertia, values, ends, n_intervals, policy):
 
 def _closed_form(ensemble, ends, t, inertia):
     """The path sum factorized over intervals: (sum_v m_v phase_v / M)^N for
-    M paths per interval, with the first and last factors fixed to m phase
-    of the admitted ends when there are ends."""
+    M paths per interval, with the first and last factors fixed to
+    m phase / M of the admitted ends when there are ends."""
     n_intervals = ensemble.n_intervals
     mult = dict(ensemble.values)
     per_interval = float(sum(m for _, m in ensemble.values))
@@ -85,7 +85,8 @@ def _closed_form(ensemble, ends, t, inertia):
             return 0.0 + 0.0j
         return complex(mult[l_i] * slice_phase(l_i) / per_interval)
     weight = mult[l_i] * slice_phase(l_i) * mult[l_f] * slice_phase(l_f)
-    return complex(weight * full ** (n_intervals - 2) / per_interval**n_intervals)
+    # normalized per interval: per_interval**N overflows a float past N ~ 500
+    return complex((full / per_interval) ** (n_intervals - 2) * weight / per_interval**2)
 
 
 def _path_sum(ensemble, ends, t, inertia):

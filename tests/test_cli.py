@@ -276,20 +276,32 @@ class TestConfigIngestion:
         assert code == 0
 
 
-def test_stderr_carries_only_the_json_error():
-    # a Newton lane that blows up used to print a RuntimeWarning first, and
-    # the error log line reached stderr through logging's last-resort handler
+def _cold_error(argv):
+    """The JSON error of a fresh `python -m dualaction` run that must fail
+    with exit 1, nothing on stdout and nothing but the error on stderr."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("DUALACTION_LOG", None)
-    argv = ["classify", "--potential-coeffs", "0,0,0,0,0,0,0,0,0,0,0,0,0,1e300", "--q-end", "5"]
     proc = subprocess.run([sys.executable, "-m", "dualaction", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stdout == ""
     error = json.loads(proc.stderr)  # one JSON object and nothing else
     jsonschema.validate(error, ERROR_SCHEMA)
-    assert error["error_code"] == "numeric"
+    return error
+
+
+def test_stderr_carries_only_the_json_error():
+    # a Newton lane that blows up used to print a RuntimeWarning first, and
+    # the error log line reached stderr through logging's last-resort handler
+    argv = ["classify", "--potential-coeffs", "0,0,0,0,0,0,0,0,0,0,0,0,0,1e300", "--q-end", "5"]
+    assert _cold_error(argv)["error_code"] == "numeric"
+
+
+def test_flow_past_float_range_prints_no_warning():
+    # growth e^2000 overflows the scan residuals and the RK4 step-map powers
+    argv = ["classify", "--hamiltonian", "saddle-quadratic", "--q-end", "1", "--t1", "2000"]
+    assert _cold_error(argv)["error_code"] == "blow-up"
 
 
 def test_import_loads_no_scipy():

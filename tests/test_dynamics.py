@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualaction import (
@@ -23,7 +23,9 @@ from dualaction import (
     solve_momentum_bvp,
     solve_position_bvp,
 )
-from dualaction.dynamics import _rk4_batch
+from dualaction import dynamics
+from dualaction.dynamics import SHOOTING_TOL, _rk4_batch, _shoot_batch
+from dualaction.model import BUILTIN_NAMES
 
 
 class TestPhasePath:
@@ -254,6 +256,107 @@ class TestEngineAgainstReference:
         assert err.value.node_index == bad
 
 
+def _zero_or_signed(top):
+    """0, or a magnitude in [0.05, top] of either sign: a coefficient that
+    is zero makes H cyclic in q for both model kinds, a tiny one only for
+    the general kind's probe."""
+    return st.just(0.0) | st.floats(0.05, top).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+class TestAffineBranch:
+    """Separable models with a potential of degree <= 2 shoot by powers of the
+    RK4 step map; with_drift builds the same H as a general-kind model, which
+    runs the RK4 scan and Newton sweeps, the reference here."""
+
+    @settings(max_examples=40)
+    @given(
+        log_mass=st.floats(-3.0, 7.0),
+        curvature=_zero_or_signed(1.5),  # V''/m: w^2 of an oscillator, -k/m of a saddle
+        force=_zero_or_signed(1.0),
+        c0=st.floats(-1.0, 1.0),
+        kind=st.sampled_from(["position-type", "momentum-type"]),
+        start=st.floats(-1.0, 1.0, allow_subnormal=False),
+        end=st.floats(-1.0, 1.0, allow_subnormal=False),
+        horizon=st.one_of(st.floats(0.05, 3.0),
+                          st.tuples(st.sampled_from([1, 2]), st.sampled_from([-1e-3, 1e-3]))),
+        n_steps=st.integers(20, 600),
+    )
+    def test_matches_the_rk4_loop(self, log_mass, curvature, force, c0, kind, start, end,
+                                  horizon, n_steps):
+        if isinstance(horizon, tuple):  # next to the k-th conjugate point k pi / w
+            assume(curvature > 0.01)
+            k, shift = horizon
+            horizon = k * math.pi / math.sqrt(curvature) + shift
+        mass = 10.0**log_mass
+        coeffs = (c0, -mass * force, 0.5 * mass * curvature)
+        affine = HamiltonianModel.separable(mass, coeffs)
+        general = HamiltonianModel.with_drift(mass, (0.0,), coeffs)
+        if kind == "position-type":
+            solve, bounds = solve_position_bvp, BoundarySpec(kind, start, end)
+        else:
+            solve, bounds = solve_momentum_bvp, BoundarySpec(kind, mass * start, mass * end)
+        a = solve(affine, bounds, (0.0, horizon), n_steps)
+        b = solve(general, bounds, (0.0, horizon), n_steps)
+        assert a.flag == b.flag
+        # the loop from the affine root x and from x + u, u the scan's parameter unit
+        x = a.parameter + np.array([0.0, mass if kind == "position-type" else 1.0])
+        s = np.full(2, bounds.start)
+        P, Q = _rk4_batch(affine, *((x, s) if kind == "position-type" else (s, x)),
+                          (0.0, horizon), n_steps)
+        # roots agree as far as the endpoint resolves them: within tol of each other
+        # once mapped by the endpoint's slope dE/dx, the Jacobi field J(t_f)
+        end_value = Q[-1] if kind == "position-type" else P[-1]
+        slope = (end_value[1] - end_value[0]) / (x[1] - x[0])
+        tol = SHOOTING_TOL * max(1.0, abs(bounds.start), abs(bounds.end))
+        assert abs(a.parameter - b.parameter) * abs(slope) <= 2.0 * tol
+        # paths relative to their size, with p and q made commensurate by m / t
+        p_size = max(np.max(np.abs(P[:, 0])), mass * np.max(np.abs(Q[:, 0])) / horizon)
+        assert np.max(np.abs(a.path.p - P[:, 0])) <= 1e-12 * p_size
+        assert np.max(np.abs(a.path.q - Q[:, 0])) <= 1e-12 * p_size * horizon / mass
+
+    def test_affine_models_run_no_rk4_loop(self, monkeypatch):
+        class LoopRan(Exception):
+            pass
+
+        def loop(*args, **kwargs):
+            raise LoopRan
+
+        monkeypatch.setattr(dynamics, "_rk4", loop)
+        for name in BUILTIN_NAMES:
+            model = HamiltonianModel.builtin(name)
+            rep = solve_position_bvp(model, BoundarySpec("position-type", 0.1, 0.6),
+                                     (0.0, 1.0), 400)
+            assert rep.flag == "unique"
+            solve_momentum_bvp(model, BoundarySpec("momentum-type", 0.8, 0.3), (0.0, 1.0), 400)
+        sho, grid, times = HamiltonianModel.sho(), np.linspace(0.5, 1.0, 6), [0.4, 0.6, 0.8]
+        assert np.all(hj_residual_s(sho, 0.1, grid, times).valid)
+        assert np.all(hj_residual_r(sho, 1.0, grid, times).valid)
+        assert np.any(hj_residual_r(HamiltonianModel.free(), 0.6, grid, times).valid)
+        # the reference integrators stay on the loop
+        with pytest.raises(LoopRan):
+            integrate_ivp(sho, 1.0, 0.0, (0.0, 1.0), 10)
+        with pytest.raises(LoopRan):
+            _rk4_batch(sho, 1.0, 0.0, (0.0, 1.0), 10)
+
+
+@pytest.mark.parametrize("shoot_on", ["p0", "q0"])
+@pytest.mark.parametrize("name", ["quartic", "soft-oscillator"])
+def test_scan_per_distinct_horizon_equals_per_target_solves(name, shoot_on):
+    # non-affine models scan once per distinct horizon; lanes stay independent
+    model = ENGINE_MODELS[name]()
+    targets = np.array([0.2, 0.5, -0.3, 0.2, 0.9, 0.1, -0.6])
+    horizons = np.array([0.6, 0.6, 1.1, 1.1, 0.6, 1.4, 1.1])
+    batch = _shoot_batch(model, 0.1, targets, (0.0, horizons), 300, shoot_on)
+    assert not np.any(batch.flags == "infeasible")
+    for k in range(targets.size):
+        one = _shoot_batch(model, 0.1, targets[k:k + 1], (0.0, horizons[k:k + 1]), 300, shoot_on)
+        assert one.flags[0] == batch.flags[k]
+        for got, want in ((one.roots[0], batch.roots[k]),
+                          (one.residuals[0], batch.residuals[k]),
+                          (one.P[:, 0], batch.P[:, k]), (one.Q[:, 0], batch.Q[:, k])):
+            assert np.array_equal(got, want, equal_nan=True)
+
+
 def _sho_p0(mass, omega, q0, q1, t):
     return mass * omega * (q1 - q0 * math.cos(omega * t)) / math.sin(omega * t)
 
@@ -321,6 +424,67 @@ class TestUnitInvariance:
         for which in "SR":
             assert (classify_extremum(scaled, b.path, which).classification
                     == classify_extremum(ref, a.path, which).classification)
+
+    @settings(max_examples=25)
+    @given(
+        log_mass=st.floats(-3.0, 7.0),
+        omega=st.floats(0.2, 5.0),
+        theta=st.one_of(st.floats(0.1, 3.0), st.sampled_from([math.pi, 2.0 * math.pi])),
+        kind=st.sampled_from(["position-type", "momentum-type"]),
+        a=st.floats(-1.0, 1.0),
+        b=st.floats(-1.0, 1.0),
+    )
+    def test_sho_time_scaled_by_frequency(self, log_mass, omega, theta, kind, a, b):
+        # sho(m, w) at t / w has the q-paths of sho(m, 1) at t, with p scaled by w
+        mass = 10.0**log_mass
+        if kind == "position-type":
+            solve, slow = solve_position_bvp, BoundarySpec(kind, a, b)
+            fast = slow
+        else:
+            solve, slow = solve_momentum_bvp, BoundarySpec(kind, mass * a, mass * b)
+            fast = BoundarySpec(kind, omega * slow.start, omega * slow.end)
+        ref = solve(HamiltonianModel.sho(mass, 1.0), slow, (0.0, theta), 400)
+        got = solve(HamiltonianModel.sho(mass, omega), fast, (0.0, theta / omega), 400)
+        assert got.flag == ref.flag
+        if ref.flag != "unique":
+            return
+        if kind == "position-type":  # the root is p(t_i), of size m w
+            assert got.parameter == pytest.approx(omega * ref.parameter, rel=1e-10,
+                                                  abs=1e-10 * omega * mass)
+        else:
+            assert got.parameter == pytest.approx(ref.parameter, rel=1e-10, abs=1e-10)
+        q_scale = max(1.0, np.max(np.abs(ref.path.q)))
+        assert np.max(np.abs(got.path.q - ref.path.q)) <= 1e-10 * q_scale
+        p_scale = max(mass, np.max(np.abs(ref.path.p)))
+        assert np.max(np.abs(got.path.p / omega - ref.path.p)) <= 1e-10 * p_scale
+
+    @settings(max_examples=25)
+    @given(
+        log_mass=st.floats(-3.0, 3.0),
+        curvature=st.floats(0.1, 1.5).flatmap(lambda c: st.sampled_from([c, -c])),
+        force=st.floats(-1.0, 1.0),
+        u0=st.floats(-1.0, 1.0),
+        u1=st.floats(-1.0, 1.0),
+        t=st.floats(0.2, 2.5),
+        log_lam=st.floats(-3.0, 3.0),
+    )
+    def test_momentum_shooting_under_mass_scaling(self, log_mass, curvature, force, u0, u1, t,
+                                                  log_lam):
+        # H = p^2/2(lam m) + lam V(q) has the q-paths of lam = 1 with p = lam p_1
+        mass, lam = 10.0**log_mass, 10.0**log_lam
+        coeffs = (0.0, -mass * force, 0.5 * mass * curvature)
+        ref = HamiltonianModel.separable(mass, coeffs)
+        scaled = HamiltonianModel.separable(lam * mass, [lam * c for c in coeffs])
+        a = solve_momentum_bvp(ref, BoundarySpec("momentum-type", mass * u0, mass * u1),
+                               (0.0, t), 500)
+        b = solve_momentum_bvp(scaled, BoundarySpec("momentum-type", lam * mass * u0,
+                                                    lam * mass * u1), (0.0, t), 500)
+        assert a.flag == b.flag == "unique"
+        assert b.parameter == pytest.approx(a.parameter, rel=1e-10, abs=1e-10)
+        q_scale = max(1.0, np.max(np.abs(a.path.q)))
+        assert np.max(np.abs(b.path.q - a.path.q)) <= 1e-10 * q_scale
+        p_scale = max(mass, np.max(np.abs(a.path.p)))
+        assert np.max(np.abs(b.path.p / lam - a.path.p)) <= 1e-10 * p_scale
 
     def test_heavy_free_particle_reaches_its_target(self):
         # the scan is in velocity units: p0 = m v with v = 1

@@ -1,4 +1,5 @@
 import cmath
+import json
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from dualaction.spin import (
     composite_closed_form,
     composite_values,
     spin_half_closed_form,
+    spin_half_values,
 )
+from dualaction.cli import main
 
 
 class TestEnsemble:
@@ -202,3 +205,42 @@ def test_composite_enumeration_equals_closed_form(inertia, l0, t, n, policy):
                         propagator(*args)
                 continue
             assert abs(composite_spin_propagator(*args) - composite_closed_form(*args)) <= 1e-12
+
+
+def _product_over_full_count(values, ends, t, inertia, n):
+    """The filtered closed form as weight * full^(N-2) / M^N, which overflows past N ~ 500."""
+    mult = dict(values)
+    count = float(sum(mult.values()))
+    phase = {v: cmath.exp(-1j * v**2 * (t / n) / (2.0 * inertia)) for v in mult}
+    full = sum(m * phase[v] for v, m in mult.items())
+    weight = mult[ends[0]] * phase[ends[0]] * mult[ends[1]] * phase[ends[1]]
+    return weight * full ** (n - 2) / count**n
+
+
+@pytest.mark.parametrize("n", [2, 3, 25, 200, 400])
+@pytest.mark.parametrize("spin, ends", [
+    ("half", (0.7, -0.7)), ("half", (-0.7, -0.7)),
+    ("composite", (1.4, 0.0)), ("composite", (0.0, 0.0)), ("composite", (-1.4, 1.4)),
+])
+def test_filtered_closed_form_agrees_with_the_unnormalized_product(n, spin, ends):
+    if spin == "half":
+        values = spin_half_values(0.7)
+        signs = ["+" if v > 0 else "-" for v in ends]
+        got = spin_half_closed_form(1.3, 0.7, *signs, 2.1, n, policy="endpoint-filtered")
+    else:
+        values = composite_values(0.7)
+        got = composite_closed_form(1.3, 0.7, *ends, 2.1, n, policy="endpoint-filtered")
+    want = _product_over_full_count(values, ends, 2.1, 1.3, n)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("argv", [
+    "spin --spin composite --N 600 --use-closed-form --policy endpoint-filtered",
+    "spin --N 2000 --use-closed-form --policy endpoint-filtered",
+])
+def test_filtered_closed_form_past_float_range_reports(argv, capsys):
+    # 4^600 and 2^2000 overflow a float; the per-interval normalization does not
+    assert main(argv.split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    amplitude = complex(report["results"]["re"], report["results"]["im"])
+    assert report["status"] == "ok" and cmath.isfinite(amplitude) and abs(amplitude) > 0.0
