@@ -306,11 +306,13 @@ def test_flow_past_float_range_prints_no_warning():
 
 def test_import_loads_no_scipy():
     # scipy's import alone used to be most of every CLI call's start-up time,
-    # numpy.polynomial's a few milliseconds more
+    # numpy.polynomial's a few milliseconds more; numpy.fft (about 2 ms)
+    # loads on the first chirp-z endpoint transform, not at import
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     check = (
         "import dualaction, sys; "
-        "assert 'scipy' not in sys.modules; assert 'numpy.polynomial' not in sys.modules"
+        "assert 'scipy' not in sys.modules; assert 'numpy.polynomial' not in sys.modules; "
+        "assert 'numpy.fft' not in sys.modules"
     )
     subprocess.run([sys.executable, "-c", check], env=env, check=True)

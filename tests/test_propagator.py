@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,10 @@ class TestSliceScheme:
         with pytest.raises(PreconditionError):
             SliceScheme(0)
 
+    def test_non_integral_slice_count_rejected(self):
+        with pytest.raises(PreconditionError, match="n_slices must be an integer"):
+            SliceScheme(2.5)
+
 
 class TestPropagatorValue:
     def test_delta_phase_must_be_unimodular(self):
@@ -90,6 +95,11 @@ class TestPositionSlicing:
             g = sliced_position_propagator(free, 0.0, 1.0, t, SliceScheme(16))
             values.append(abs(g.amplitude) * math.sqrt(t))
         assert abs(values[0] - values[1]) <= 1e-6
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, sho, t):
+        with pytest.raises(PreconditionError, match="t must be positive and finite"):
+            sliced_position_propagator(sho, 0.0, 1.0, t, SliceScheme(8))
 
     def test_caustic_precondition(self, sho):
         with pytest.raises(PreconditionError):
@@ -222,6 +232,16 @@ class TestFreeMomentumDelta:
         with pytest.raises(PreconditionError, match="mass must be positive"):
             free_momentum_propagator(mass, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_non_finite_mass_rejected(self, mass):
+        with pytest.raises(PreconditionError, match="mass must be positive and finite"):
+            free_momentum_delta_kernel(mass, 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(PreconditionError, match="t must be finite"):
+            free_momentum_delta_kernel(1.0, t)
+
     def test_point_value_is_the_kernel_phase(self):
         for mass, p, t in ((1.0, 1.0, math.pi), (2.0, 1.7, 5.3), (0.3, -0.8, -1.1)):
             v = free_momentum_propagator(mass, p, p, t)
@@ -236,6 +256,25 @@ class TestFreeMomentumDelta:
         b = free_momentum_propagator(m, p, p, 0.9).phase
         c = free_momentum_propagator(m, p, p, 1.3).phase
         assert abs(a * b - c) <= 1e-12
+
+
+class TestFourierGrid:
+    @pytest.mark.parametrize("band", [math.nan, math.inf, -1.0])
+    def test_band_must_be_positive_and_finite(self, band):
+        with pytest.raises(PreconditionError, match="band must be positive and finite"):
+            FourierGrid(np.array([0.0]), np.array([0.0]), band=band)
+
+    @pytest.mark.parametrize("n_quad", [4096.5, 8])
+    def test_n_quad_must_be_an_integer_of_at_least_16(self, n_quad):
+        with pytest.raises(PreconditionError, match="n_quad must be an integer >= 16"):
+            FourierGrid(np.array([0.0]), np.array([0.0]), n_quad=n_quad)
+
+    @pytest.mark.parametrize("out_final", [np.array([0.0, math.nan]), np.array([])])
+    def test_output_grid_must_be_non_empty_and_finite(self, out_final):
+        with pytest.raises(PreconditionError, match="non-empty finite out_final"):
+            FourierGrid(out_final, np.array([0.0]))
+        with pytest.raises(PreconditionError, match="non-empty finite out_initial"):
+            FourierGrid(np.array([0.0]), out_final)
 
 
 class TestFourierEndpoints:
@@ -280,6 +319,29 @@ class TestFourierEndpoints:
                 direct = sliced_momentum_propagator(sho, pi_, pf, t, scheme).amplitude
                 assert abs(km.values[i, j] - direct) <= 2e-3
 
+    def test_chain_kernel_is_never_sampled_on_the_quadrature_grid(self, sho, monkeypatch):
+        # the chirp-z branch reads a GaussianKernel's coefficients; only the
+        # bandwidth guards sample it, one row and one column of n_quad points
+        n_quad = 4096
+
+        class GridSampled(Exception):
+            pass
+
+        call = GaussianKernel.__call__
+
+        def guarded(kernel, x_f, x_i):
+            if np.broadcast(x_f, x_i).size > n_quad:
+                raise GridSampled
+            return call(kernel, x_f, x_i)
+
+        monkeypatch.setattr(GaussianKernel, "__call__", guarded)
+        sampler = position_kernel_sampler(sho, math.pi / 4, SliceScheme(512))
+        pts = np.array([0.0, 0.4])
+        grid = FourierGrid(out_final=pts, out_initial=pts, band=24.0, n_quad=n_quad)
+        assert np.all(np.isfinite(fourier_endpoints(sampler, grid, to="momentum").values))
+        with pytest.raises(GridSampled):
+            fourier_endpoints(lambda xf, xi: sampler(xf, xi), grid, to="momentum")
+
     def test_degenerate_short_time_bandwidth_error(self):
         grid = FourierGrid(out_final=np.array([1.0]), out_initial=np.array([0.0]))
         with pytest.raises(BandwidthError):
@@ -301,6 +363,54 @@ class TestFourierEndpoints:
         for line in lines[1:]:
             for cell in line.split(","):
                 float(cell)
+
+
+_CHAIN_TRANSFORMS = st.sampled_from([
+    ("free", position_kernel_sampler, "momentum"),
+    ("sho", position_kernel_sampler, "momentum"),
+    ("saddle-quadratic", position_kernel_sampler, "momentum"),
+    ("sho", momentum_kernel_sampler, "position"),
+])
+_OUT_POINTS = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4).map(np.array)
+
+
+@settings(max_examples=80)
+@given(case=_CHAIN_TRANSFORMS, mass=_MASS, omega_t=st.floats(0.05, 0.95 * math.pi),
+       n=st.integers(3, 800), band=st.floats(4.0, 24.0),
+       n_quad=st.sampled_from([256, 512, 1000, 1023, 1024]),
+       out_final=_OUT_POINTS, out_initial=_OUT_POINTS)
+def test_chirp_z_matches_double_quadrature(case, mass, omega_t, n, band, n_quad,
+                                           out_final, out_initial):
+    # a plain callable takes the generic n_quad^2 double quadrature, the
+    # kernel itself the chirp-z branch: the same Riemann sum in another order
+    family, sampler, to = case
+    model = HamiltonianModel.builtin(family, mass=mass, k=mass)
+    kernel = sampler(model, omega_t, SliceScheme(n))
+    grid = FourierGrid(out_final, out_initial, band=band, n_quad=n_quad)
+    try:
+        reference = fourier_endpoints(lambda xf, xi: kernel(xf, xi), grid, to=to).values
+    except BandwidthError as err:
+        with pytest.raises(BandwidthError, match=re.escape(str(err))):
+            fourier_endpoints(kernel, grid, to=to)
+        return
+    values = fourier_endpoints(kernel, grid, to=to).values
+    assert np.max(np.abs(values - reference)) <= 1e-11 * np.max(np.abs(reference))
+
+
+@settings(max_examples=20)
+@given(t=st.floats(0.3, 1.2), x_i=st.floats(-0.5, 0.5), x_f=st.floats(-0.5, 0.5))
+def test_fourier_round_trip_between_chains(t, x_i, x_f):
+    # each chain's endpoint transform is the other representation's chain,
+    # to acceptance criterion 8's tolerance
+    sho = HamiltonianModel.sho(1.0, 1.0)
+    scheme = SliceScheme(512)
+    grid = FourierGrid(np.array([x_f]), np.array([x_i]), band=24.0, n_quad=4096)
+    for sampler, to, chain in (
+        (position_kernel_sampler, "momentum", sliced_momentum_propagator),
+        (momentum_kernel_sampler, "position", sliced_position_propagator),
+    ):
+        transformed = fourier_endpoints(sampler(sho, t, scheme), grid, to=to).values[0, 0]
+        assert abs(transformed - chain(sho, x_i, x_f, t, scheme).amplitude) <= 2e-3
 
 
 class TestSemigroup:
@@ -343,6 +453,13 @@ class TestNormalizationExtraction:
             ks = fourier_endpoints(free_momentum_delta_kernel(mass, t), grid, to="position")
             out.append(normalization_extraction(ks, mass, t))
         assert abs(out[0] - out[1]) <= 1e-6
+
+    @pytest.mark.parametrize("mass, t", [(0.0, 1.0), (math.nan, 1.0), (1.0, 0.0)])
+    def test_mass_and_time_must_be_positive_and_finite(self, mass, t):
+        grid = FourierGrid(out_final=np.array([0.5]), out_initial=np.array([0.0]))
+        ks = fourier_endpoints(free_momentum_delta_kernel(1.0, 1.0), grid, to="position")
+        with pytest.raises(PreconditionError, match="must be positive and finite"):
+            normalization_extraction(ks, mass, t)
 
     def test_unit_prefactor_gives_unit_ratio(self):
         grid = FourierGrid(out_final=np.array([0.5]), out_initial=np.array([0.0]))
