@@ -165,7 +165,9 @@ def _solved_actions(model, start_value, targets, horizons, n_steps, shoot_on, ev
     endpoint data of the conjugate variable, and a validity mask."""
     targets = np.asarray(targets, dtype=float)
     horizons = np.asarray(horizons, dtype=float)
-    shots = _shoot_batch(model, start_value, targets, (0.0, horizons), n_steps, shoot_on)
+    # the plain scan: a surface's many lanes make a sweep cost arithmetic, not overhead
+    shots = _shoot_batch(model, start_value, targets, (0.0, horizons), n_steps, shoot_on,
+                         density=1)
     ok = shots.flags == "unique"
     P, Q = shots.P, shots.Q
     values, _ = evaluate(model, P, Q, horizons / n_steps)

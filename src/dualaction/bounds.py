@@ -62,11 +62,23 @@ class PerturbationSpec:
             raise PreconditionError("mode_count must be >= 1")
 
 
-# Samples per batched block.  A (nodes, block) array of a 1000-interval
-# path is 128 kB, so the few arrays alive at once stay in a 2 MB L2
-# cache; 16 was the fastest of 8, 16, 24, 32 and 64 samples on a 2-vCPU
-# Xeon VM, at 1000 and 2000 intervals.
+# Samples per batched block of a separable model.  A (nodes, block)
+# array of a 1000-interval path is 128 kB, so the few arrays alive at
+# once stay in a 2 MB L2 cache; 16 was the fastest of 8, 16, 24, 32 and
+# 64 samples on a 2-vCPU Xeon VM, at 1000 and 2000 intervals.
 _BLOCK = 16
+# Nodes times samples of a general-kind block: 8 MB per (nodes, block) array
+_GENERAL_BLOCK_POINTS = 1 << 20
+
+
+def _block_size(model, nodes):
+    """Samples per block.  A general-kind model steps its restricted IVPs
+    through the nodes in a Python loop (_heun) once per block, which costs
+    far more than cache misses, so its blocks are as wide as memory allows:
+    1000 samples of a 1000-interval path are one block."""
+    if model.kind != "general":
+        return _BLOCK
+    return max(_BLOCK, _GENERAL_BLOCK_POINTS // nodes)
 
 
 def _normalize(delta, amplitude):
@@ -435,8 +447,9 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
     cosines = _mode_basis(path.times, spec.mode_count, np.cos)
     lower_values = np.empty(samples)
     upper_values = np.empty(samples)
-    for start in range(0, samples, _BLOCK):
-        block = slice(start, min(start + _BLOCK, samples))
+    size = _block_size(model, path.p.size)
+    for start in range(0, samples, size):
+        block = slice(start, min(start + size, samples))
         # each sample draws its sine, its cosine and (S-chain) its constant coefficients
         rngs = [np.random.default_rng((spec.seed, idx)) for idx in range(block.start, block.stop)]
         sine = np.array([rng.normal(size=spec.mode_count) for rng in rngs])

@@ -14,7 +14,11 @@ evaluators:
   no integration sweep: the endpoint is affine in the shooting parameter.
 * Any other field runs ``_rk4``, the one RK4 loop, as a sweep over many
   lanes (one initial condition per array element), so a shooting solve
-  costs a few sweeps rather than a few per lane.
+  costs a few sweeps rather than a few per lane: a scan with
+  Chebyshev-Lobatto refinement for single solves, then Newton.  A sweep
+  is bound by per-step overhead, so the single solve's scan carries 481
+  lanes at little more cost than 33, and the root of their interpolant
+  usually meets the tolerance at Newton's first sweep.
 
 ``integrate_ivp`` always runs the loop; it is the reference the affine
 evaluator is tested against.
@@ -34,6 +38,9 @@ SENSITIVITY_TOL = 1e-6
 BRACKET_RANGE = 1e3
 MAX_NEWTON_ITER = 100
 FD_REL_STEP = 1e-6
+# Chebyshev-Lobatto subintervals per scan interval of a single-target solve:
+# one sweep is bound by per-step overhead, so 481 lanes cost little more than 33
+REFINED_DENSITY = 15
 
 
 @dataclass(frozen=True)
@@ -171,6 +178,16 @@ def _scan_candidates():
     return np.concatenate([-mags[::-1], [0.0], mags])
 
 
+def _lobatto_nodes(cand, density):
+    """The candidates with each interval between neighbours split into density
+    subintervals at Chebyshev-Lobatto points; nodes[::density] is cand exactly."""
+    share = np.sin(0.5 * np.pi * np.arange(density) / density) ** 2  # (1 - cos)/2
+    nodes = np.empty((cand.size - 1) * density + 1)
+    nodes[:-1] = (cand[:-1, None] + np.diff(cand)[:, None] * share).ravel()
+    nodes[::density] = cand
+    return nodes
+
+
 def _momentum_unit(model, q_start):
     """Momentum per unit velocity at rest at q_start, 1 / H_pp(0, q_start).
 
@@ -284,7 +301,8 @@ def _brackets(cand, res, tol):
     residual is within 10 tol, every parameter solves (x = 0, flagged
     conjugate-degenerate); otherwise the target is infeasible at the x
     of least residual.  Returns (x, lo, hi, r_lo, sign_changes,
-    have_bracket, flags).
+    have_bracket, flags, i), i being the index of the bracket's lower
+    candidate.
     """
     cols = np.arange(res.shape[1])
     finite = np.isfinite(res)
@@ -315,10 +333,59 @@ def _brackets(cand, res, tol):
     r_lo = np.where(bracketed, r_lo, 0.0)
     flags = np.where(infeasible, "infeasible",
                      np.where(all_solve, "conjugate-degenerate", "unique")).astype(object)
-    return x, lo, hi, r_lo, changes, ~infeasible, flags
+    return x, lo, hi, r_lo, changes, ~infeasible, flags, i
 
 
-def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on):
+def _refine(nodes, res, bracketed):
+    """Root guesses from the dense scan lanes of each target's bracket interval.
+
+    nodes, (n + 1, targets), are the Chebyshev-Lobatto points of each
+    target's bracket interval and res their residuals.  Where these are
+    finite and change sign once, the root of their barycentric
+    interpolant (Berrut & Trefethen, SIAM Rev. 2004) is found by Illinois
+    regula-falsi steps inside the node pair that changes sign.  Returns
+    (refined, x, lo, hi, r_lo): the targets refined, the roots, and the
+    node pair with the residual at lo, each to be used where refined.
+    """
+    cols = np.arange(res.shape[1])
+    with np.errstate(invalid="ignore"):
+        change = res[:-1] * res[1:] < 0
+    refined = bracketed & np.all(np.isfinite(res), axis=0) & (change.sum(axis=0) == 1)
+    k = np.argmax(change, axis=0)
+    lo, hi = nodes[k, cols], nodes[k + 1, cols]
+    r_lo, r_hi = res[k, cols], res[k + 1, cols]
+    weights = np.where(np.arange(res.shape[0]) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    # one row per target, so each target's sums run in the same order in any batch
+    nodes_t, res_t = np.ascontiguousarray(nodes.T), np.ascontiguousarray(res.T)
+
+    def interpolant(x):
+        with np.errstate(all="ignore"):  # x on a node gives nan, which ends its steps
+            w = weights / (x[:, None] - nodes_t)
+            return np.sum(w * res_t, axis=1) / np.sum(w, axis=1)
+
+    # Illinois: halve the residual kept at an end that a step did not move twice running
+    a, b, fa, fb = lo.copy(), hi.copy(), r_lo.copy(), r_hi.copy()
+    side = np.zeros(cols.size)
+    x, live = lo.copy(), refined.copy()
+    for _ in range(MAX_NEWTON_ITER):  # superlinear: 4 to 13 steps reach rounding level
+        with np.errstate(all="ignore"):
+            x = np.where(live, np.clip(b - fb * (b - a) / (fb - fa), lo, hi), x)
+            fx = interpolant(x)
+            to_b = live & (fx * fb > 0)
+            to_a = live & (fx * fa > 0)
+        fa = np.where(to_b & (side == -1), 0.5 * fa, fa)
+        fb = np.where(to_a & (side == 1), 0.5 * fb, fb)
+        b, fb = np.where(to_b, x, b), np.where(to_b, fx, fb)
+        a, fa = np.where(to_a, x, a), np.where(to_a, fx, fa)
+        side = np.where(to_b, -1, np.where(to_a, 1, side))
+        live = (to_a | to_b) & (np.abs(b - a) > 4.0 * np.finfo(float).eps * np.abs(x))
+        if not live.any():
+            break
+    return refined, x, lo, hi, r_lo
+
+
+def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density):
     """Shoot a family of endpoint targets: one scan, then the roots.
 
     shoot_on = 'p0' varies initial momentum with q(t_i) = start_value and
@@ -327,18 +394,27 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on):
     t_span[1] may be an array giving one horizon per target.
 
     The scan evaluates the endpoint at every candidate once per distinct
-    horizon and picks each target's bracket (_brackets).  Then:
+    horizon and picks each target's bracket from those (_brackets).
+    Then:
 
     * affine field (separable, potential of degree <= 2): the endpoint
       E = alpha x + beta is read off G^N, the N-th power of the RK4 step
       map, so the root is one division and the Jacobi field
       J(t_j) = dE(t_j)/dx is an entry of G^j, exact; the paths are the
       powers applied to the initial states.  No RK4 sweep runs.
-    * any other field: each Newton sweep integrates the lanes x, x + h
-      and x - h; the outer pair gives J(t) = (E+(t) - E-(t)) / 2h, whose
-      final value is the Newton slope, and the centre lanes' paths are
-      kept.  A step that leaves the bracket bisects it instead, and the
-      sweeps stop once |residual| <= tol.
+    * any other field: the scan sweep also runs density - 1 lanes at
+      Chebyshev-Lobatto points inside every interval between candidates,
+      and a bracket whose density + 1 residuals are finite and change
+      sign once narrows to the node pair around the root of their
+      interpolant, which is the first iterate (_refine); density 1 is the
+      plain scan with the regula-falsi guess.  Each Newton sweep then
+      integrates the lanes x, x + h and x - h; the outer pair gives
+      J(t) = (E+(t) - E-(t)) / 2h, whose final value is the Newton slope,
+      and the centre lanes' paths are kept.  A step that leaves the
+      bracket bisects it instead, and the sweeps stop once
+      |residual| <= tol.  The refined guess usually meets tol at once,
+      so a single solve costs two sweeps; a surface's many targets share
+      the plain scan, where dense lanes would cost arithmetic.
 
     The residual is that of the returned path and must reach
     tol = SHOOTING_TOL * max(1, |start|, |target|).  A target is
@@ -377,11 +453,17 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on):
             pe, qe, P, Q, widest = _rk4(field, *lanes(x), lane_dt, n_steps, **kw)
             return (qe if shoot_on == "p0" else pe), P, Q, widest
 
-        ends = sweep(np.repeat(cand[:, None], steps.size, axis=1), steps)[0]
+        nodes = _lobatto_nodes(cand, density)
+        ends = sweep(np.repeat(nodes[:, None], steps.size, axis=1), steps)[0]
     with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
         res = ends[:, horizon] - targets
     res = np.where(np.isfinite(res), res, np.nan)
-    x, lo, hi, r_lo, changes, have_bracket, flags = _brackets(cand, res, tol)
+    coarse = 1 if field_matrix is not None else density  # rows per candidate interval
+    x, lo, hi, r_lo, changes, have_bracket, flags, i = _brackets(cand, res[::coarse], tol)
+    if coarse > 1:
+        rows = i * coarse + np.arange(coarse + 1)[:, None]
+        refined, *guess = _refine(nodes[rows], res[rows, np.arange(targets.size)], changes > 0)
+        x, lo, hi, r_lo = (np.where(refined, g, v) for g, v in zip(guess, (x, lo, hi, r_lo)))
 
     if field_matrix is not None:
         alpha, beta = alpha[horizon], beta[horizon]
@@ -453,7 +535,8 @@ def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, spread
 
 
 def _bvp(model, bounds, t_span, n_steps, shoot_on):
-    shots = _shoot_batch(model, bounds.start, [bounds.end], t_span, n_steps, shoot_on)
+    shots = _shoot_batch(model, bounds.start, [bounds.end], t_span, n_steps, shoot_on,
+                         density=REFINED_DENSITY)
     P, Q = shots.P[:, 0], shots.Q[:, 0]
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
         raise _blow_up(P, Q)

@@ -95,9 +95,12 @@ def _path_sum(ensemble, ends, t, inertia):
     Each value enters the levels once per multiplicity, and path `code`
     takes the value levels[d_j] on interval j, d_j being digit j of code
     in base len(levels) (2 or 4).  With ends = (v_first, v_last) only the
-    paths starting and ending on those values are summed; the
-    normalization keeps the full count.  Codes are uint32: both
-    enumeration caps keep the path count at most 2^20.
+    paths starting and ending on those values are summed: the first and
+    last values are fixed, only the interior digits are walked, and each
+    interior path counts once per digit pair giving those ends (the
+    composite's 0 has two digits).  The normalization keeps the full
+    count.  Codes are uint32: both enumeration caps keep the path count
+    at most 2^20.
     """
     levels = [v for v, mult in reversed(ensemble.values) for _ in range(mult)]
     n_intervals = ensemble.n_intervals
@@ -107,17 +110,24 @@ def _path_sum(ensemble, ends, t, inertia):
     squares = levels**2
     dt = t / n_intervals
     total = base**n_intervals
-    shifts = np.arange(0, width * n_intervals, width, dtype=np.uint32)
+    if ends is None:
+        walked, fixed, count = n_intervals, 0.0, 1
+    elif n_intervals == 1:  # one interval is both ends
+        if ends[0] != ends[1]:
+            return 0.0 + 0.0j
+        walked, fixed, count = 0, ends[0] ** 2, int(np.sum(levels == ends[0]))
+    else:
+        walked, fixed = n_intervals - 2, ends[0] ** 2 + ends[1] ** 2
+        count = int(np.sum(levels == ends[0])) * int(np.sum(levels == ends[1]))
     acc = 0.0 + 0.0j
-    for lo in range(0, total, _CHUNK):
-        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint32)
-        digits = (codes[:, None] >> shifts[None, :]) & (base - 1)
-        if ends is not None:
-            admit = (levels[digits[:, 0]] == ends[0]) & (levels[digits[:, -1]] == ends[1])
-            digits = digits[admit]
-        phases = np.exp(-1j * np.sum(squares[digits], axis=1) * dt / (2.0 * inertia))
-        acc += np.sum(phases)
-    return complex(acc / total)
+    for lo in range(0, base**walked, _CHUNK):
+        codes = np.arange(lo, min(lo + _CHUNK, base**walked), dtype=np.uint32)
+        # digit by digit: a (codes, digits) array would be the largest allocation
+        square_sum = np.full(codes.size, fixed)
+        for shift in range(0, width * walked, width):
+            square_sum += squares[(codes >> shift) & (base - 1)]
+        acc += np.sum(np.exp(-1j * square_sum * dt / (2.0 * inertia)))
+    return complex(count * acc / total)
 
 
 def _propagator(inertia, values, ends, t, n_intervals, policy, cap, use_closed_form):

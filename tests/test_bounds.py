@@ -24,6 +24,7 @@ from dualaction import (
     theta_from_pi,
 )
 from dualaction.action import _cumulative_trapezoid, _grad, _quadrature
+from dualaction import bounds
 from dualaction.bounds import cosine_series, sine_series
 from dualaction.errors import RootFindError
 
@@ -371,6 +372,21 @@ def test_blocked_certificate_matches_sample_loop(name, chain, pin):
         margins = np.concatenate([crit - lower[:samples], upper[:samples] - crit])
         assert cert.violations == int(np.sum(margins < -cert.slack))
         assert cert.worst_margin == pytest.approx(np.min(margins), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
+def test_general_model_block_equals_blocks_of_sixteen(chain, pin, monkeypatch):
+    # a general-kind model runs its samples as one block; the columns stay independent.
+    # 40 samples end in a block of 8: a block of one column sums its nodes in
+    # another order (numpy's pairwise sum along a contiguous axis)
+    model = _general_saddle()
+    bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 40)
+    spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=17, pinned=pin)
+    whole = certify_bounds(model, chain, bvp, spec, 40)
+    monkeypatch.setattr(bounds, "_block_size", lambda model, nodes: 16)
+    blocked = certify_bounds(model, chain, bvp, spec, 40)
+    assert np.array_equal(whole.lower_values, blocked.lower_values)
+    assert np.array_equal(whole.upper_values, blocked.upper_values)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the failing Newton runs overflow

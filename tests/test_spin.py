@@ -244,3 +244,33 @@ def test_filtered_closed_form_past_float_range_reports(argv, capsys):
     report = json.loads(capsys.readouterr().out)
     amplitude = complex(report["results"]["re"], report["results"]["im"])
     assert report["status"] == "ok" and cmath.isfinite(amplitude) and abs(amplitude) > 0.0
+
+
+def _every_path(values, t, inertia, n):
+    """(first value, last value, phase) of every path, by enumerating all M^N of
+    them: the filtered enumeration walks only the interior and must agree."""
+    levels = np.array([v for v, mult in reversed(values) for _ in range(mult)])
+    base = levels.size
+    codes = np.arange(base**n)
+    square_sum = np.zeros(codes.size)
+    for j in range(n):
+        square_sum += levels[codes // base**j % base] ** 2
+    phases = np.exp(-1j * square_sum * (t / n) / (2.0 * inertia))
+    return levels[codes % base], levels[codes // base ** (n - 1) % base], phases
+
+
+@pytest.mark.parametrize("spin, n", [("half", n) for n in (1, 2, 3, 10, 20)]
+                         + [("composite", n) for n in (1, 2, 3, 8, 10)])
+def test_filtered_enumeration_equals_the_full_enumeration(spin, n):
+    inertia, level, t = 1.3, 0.7, 2.1
+    values = spin_half_values(level) if spin == "half" else composite_values(level)
+    first, last, phases = _every_path(values, t, inertia, n)
+    for ends in [(a, b) for a, _ in values for b, _ in values]:
+        if spin == "half":
+            signs = ["+" if v > 0 else "-" for v in ends]
+            got = spin_half_propagator(inertia, level, *signs, t, n, policy="endpoint-filtered")
+        else:
+            got = composite_spin_propagator(inertia, level, *ends, t, n,
+                                            policy="endpoint-filtered")
+        want = np.sum(phases[(first == ends[0]) & (last == ends[1])]) / phases.size
+        assert abs(got - want) <= 1e-13 * abs(want)
