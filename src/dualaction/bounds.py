@@ -81,11 +81,15 @@ def _block_size(model, nodes):
     return max(_BLOCK, _GENERAL_BLOCK_POINTS // nodes)
 
 
+def _scale(peak, amplitude):
+    """Factor taking a series of sup-norm peak to sup-norm amplitude; 1 for a zero series."""
+    zero = peak == 0.0
+    return np.where(zero, 1.0, amplitude / np.where(zero, 1.0, peak))
+
+
 def _normalize(delta, amplitude):
     """Scale each column of delta to sup-norm amplitude (all-zero columns stay)."""
-    peak = np.max(np.abs(delta), axis=0)
-    zero = peak == 0.0
-    return delta * np.where(zero, 1.0, amplitude / np.where(zero, 1.0, peak))
+    return delta * _scale(np.max(np.abs(delta), axis=0), amplitude)
 
 
 def _mode_basis(times, mode_count, wave):
@@ -95,18 +99,23 @@ def _mode_basis(times, mode_count, wave):
     return [wave(np.pi * (k + 1) * u) for k in range(mode_count)]
 
 
-def _series(basis, amplitude, coeffs, constants=None):
-    """Columns sum_k coeffs[j, k] basis[k] (+ constants[j]), each of sup-norm amplitude.
+def _free_basis(times, mode_count, constant):
+    """Cosine modes, then (with constant) the constant mode, a row of ones."""
+    basis = _mode_basis(times, mode_count, np.cos)
+    return basis + [np.ones(times.size)] if constant else basis
+
+
+def _series(basis, amplitude, coeffs):
+    """Columns sum_k coeffs[j, k] basis[k], each of sup-norm amplitude.
 
     The modes are added in k order, as a sum over the modes of one
-    sample would add them.
+    sample would add them; a constant mode, added last, adds its
+    coefficient exactly.
     """
     delta = np.zeros((basis[0].size, coeffs.shape[0]))
     term = np.empty_like(delta)
     for k, mode in enumerate(basis):
         delta += np.multiply(mode[:, None], coeffs[:, k], out=term)
-    if constants is not None:
-        delta += constants
     return _normalize(delta, amplitude)
 
 
@@ -122,10 +131,8 @@ def cosine_series(times, amplitude, mode_count, rng, include_constant=True):
     Without the constant mode every term integrates to zero over the
     window, which keeps an integrated partner variable endpoint-matched.
     """
-    basis = _mode_basis(times, mode_count, np.cos)
-    coeffs = rng.normal(size=(1, mode_count))
-    constants = rng.normal(size=1) if include_constant else None
-    return _series(basis, amplitude, coeffs, constants)[:, 0]
+    basis = _free_basis(times, mode_count, include_constant)
+    return _series(basis, amplitude, rng.normal(size=(1, len(basis))))[:, 0]
 
 
 def _newton_nodes(f, fprime, x0, tol_scale, max_iter=60):
@@ -203,9 +210,8 @@ def theta_from_pi(model: HamiltonianModel, pi, dt):
         raise UnsolvableRestrictionError(
             "H_q vanishes identically; position cannot be recovered from the momentum slope"
         )
-    if model.kind != "general" and model.potential_coeffs is not None \
-            and len(model.potential_coeffs) <= 3:
-        c = list(model.potential_coeffs) + [0.0, 0.0]
+    c = model._quadratic_potential()
+    if c is not None:
         if c[2] == 0.0:
             raise UnsolvableRestrictionError("linear potential has H_qq = 0")
         return (-pi_dot - c[1]) / (2.0 * c[2])
@@ -348,6 +354,10 @@ class BoundCertificate:
     critical_value: float
     lower_values: np.ndarray  # G(Pi) samples for the S-chain, J'(Theta) for R
     upper_values: np.ndarray  # J(Theta) samples for the S-chain, G'(Pi) for R
+    # how the values were computed, kept out of summary(): "quadratic-form"
+    # or "blocked", and the columns passed through the two functionals
+    method: str
+    evaluations: int
 
     @property
     def margins_low(self):
@@ -383,6 +393,67 @@ class BoundCertificate:
         )
 
 
+def _draws(spec, start, stop, constant):
+    """(pinned, free) mode coefficients of samples start..stop-1, one row per sample.
+
+    Sample idx draws from its own default_rng((spec.seed, idx)): its sine
+    coefficients, then its cosine coefficients and (with constant) its
+    constant-mode coefficient.  The generators are made one at a time.
+    """
+    d = spec.mode_count
+    draws = np.empty((stop - start, 2 * d + int(constant)))
+    for row, idx in enumerate(range(start, stop)):
+        draws[row] = np.random.default_rng((spec.seed, idx)).normal(size=draws.shape[1])
+    return draws[:, :d], draws[:, d:]
+
+
+def _takes_quadratic_form(model):
+    """True for a separable model whose potential has degree <= 2.
+
+    Then J, G, J' and G' are exact quadratic functions of a sample's
+    perturbation: Pi = m dTheta/dt, the closed-form Theta(Pi), the
+    cumulative trapezoids and the compatibility shift are linear in it,
+    the quadrature is a fixed weight vector, and H is quadratic.
+    """
+    return model._quadratic_potential() is not None
+
+
+def _form_values(side, path_values, basis, coeffs, amplitude):
+    """Values of side(path_values + the series of each row of coeffs) from one quadratic form.
+
+    basis is (nodes, d).  side is taken to be exactly quadratic in the
+    perturbation basis @ x: with y = x / h, side = v0 + a.y + y.U.y, U
+    upper triangular.  Polarization reads v0, a and U off the
+    1 + 2d + d(d - 1)/2 columns x = 0, +-h e_i and h (e_i + e_j), i < j,
+    evaluated _BLOCK at a time at the samples' own scale h (the amplitude,
+    or 1 when it is 0).  A sample with coefficients c and sup-norm scale s
+    has y = (s / h) c, so it costs its peak, max |basis @ c| (_BLOCK
+    samples per product), and the form.  Returns the values and the
+    number of columns evaluated.
+    """
+    d = basis.shape[1]
+    h = amplitude if amplitude != 0.0 else 1.0
+    eye = np.eye(d)
+    i, j = np.triu_indices(d, k=1)
+    steps = h * np.concatenate([np.zeros((1, d)), eye, -eye, eye[i] + eye[j]])
+    f = np.empty(len(steps))
+    for start in range(0, len(steps), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        f[rows] = side(path_values[:, None] + basis @ steps[rows].T)
+    v0, plus, minus = f[0], f[1:d + 1], f[d + 1:2 * d + 1]
+    linear = 0.5 * (plus - minus)
+    form = np.diag(0.5 * (plus + minus) - v0)
+    form[i, j] = f[2 * d + 1:] - plus[i] - plus[j] + v0
+
+    values = np.empty(len(coeffs))
+    for start in range(0, len(coeffs), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        c = coeffs[rows]
+        r = _scale(np.max(np.abs(basis @ c.T), axis=0), amplitude) / h
+        values[rows] = v0 + r * (c @ linear) + r * r * np.sum((c @ form) * c, axis=1)
+    return values, len(steps)
+
+
 def _quadrature_slack(model, path, s, r):
     """Tolerance of a bound: the four functionals' distance from S and R on the path itself."""
     dt = path.dt
@@ -406,9 +477,15 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
     endpoints and Theta free (zero-mean so the induced momentum
     restriction stays endpoint-matched).
 
-    Sample idx draws from default_rng((spec.seed, idx)); the samples are
-    evaluated in blocks, as the columns of (nodes, block) arrays.  The
-    saddle probe box reaches one unit beyond the path and [-1, 1] on both axes.
+    Sample idx draws from default_rng((spec.seed, idx)).  A separable
+    model whose potential has degree <= 2 reads each side's values off
+    one quadratic form in the mode coefficients (_form_values), built
+    from 1 + 2d + d(d - 1)/2 columns for d modes whatever the sample
+    count; any other model evaluates the samples in blocks, as the
+    columns of (nodes, block) arrays.  The certificate records which
+    (method) and the columns passed through the functionals
+    (evaluations).  The saddle probe box reaches one unit beyond the path
+    and [-1, 1] on both axes.
     """
     if chain not in ("S-chain", "R-chain"):
         raise PreconditionError("chain must be 'S-chain' or 'R-chain'")
@@ -434,36 +511,49 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
     # the pinned variable (Theta for S, Pi for R) gets the sine modes
     pinned_path, free_path = (path.q, path.p) if s_chain else (path.p, path.q)
 
-    def evaluate(pinned, free):
-        """(lower, upper) values per column; upper first, as in a sample-by-sample run."""
-        if s_chain:
-            upper = functional_J(model, pinned, dt)
-            return functional_G(model, free, dt), upper
-        theta = _compatibility_shift(model, free, dt, path.p[0], path.p[-1])
-        upper = functional_Gp(model, pinned, dt, path.q[0])
-        return functional_Jp(model, theta, dt, path.p[0]), upper
+    if s_chain:
+        def upper(theta):
+            return functional_J(model, theta, dt)
+
+        def lower(pi):
+            return functional_G(model, pi, dt)
+    else:
+        def upper(pi):
+            return functional_Gp(model, pi, dt, path.q[0])
+
+        def lower(theta):
+            theta = _compatibility_shift(model, theta, dt, path.p[0], path.p[-1])
+            return functional_Jp(model, theta, dt, path.p[0])
 
     sines = _mode_basis(path.times, spec.mode_count, np.sin)
-    cosines = _mode_basis(path.times, spec.mode_count, np.cos)
-    lower_values = np.empty(samples)
-    upper_values = np.empty(samples)
-    size = _block_size(model, path.p.size)
-    for start in range(0, samples, size):
-        block = slice(start, min(start + size, samples))
-        # each sample draws its sine, its cosine and (S-chain) its constant coefficients
-        rngs = [np.random.default_rng((spec.seed, idx)) for idx in range(block.start, block.stop)]
-        sine = np.array([rng.normal(size=spec.mode_count) for rng in rngs])
-        cosine = np.array([rng.normal(size=spec.mode_count) for rng in rngs])
-        constant = np.array([rng.normal() for rng in rngs]) if s_chain else None
-        pinned = pinned_path[:, None] + _series(sines, spec.amplitude, sine)
-        free = free_path[:, None] + _series(cosines, spec.amplitude, cosine, constant)
-        try:
-            lower_values[block], upper_values[block] = evaluate(pinned, free)
-        except RootFindError:
-            # raise the error of the first failing sample, as a sample loop meets it
-            for j in range(len(rngs)):
-                evaluate(pinned[:, j:j + 1], free[:, j:j + 1])
-            raise
+    # the S-chain's free variable also gets a constant mode
+    cosines = _free_basis(path.times, spec.mode_count, s_chain)
+    if _takes_quadratic_form(model):
+        pinned, free = _draws(spec, 0, samples, s_chain)
+        upper_values, upper_columns = _form_values(
+            upper, pinned_path, np.stack(sines, axis=1), pinned, spec.amplitude)
+        lower_values, lower_columns = _form_values(
+            lower, free_path, np.stack(cosines, axis=1), free, spec.amplitude)
+        method, evaluations = "quadratic-form", upper_columns + lower_columns
+    else:
+        lower_values = np.empty(samples)
+        upper_values = np.empty(samples)
+        size = _block_size(model, path.p.size)
+        for start in range(0, samples, size):
+            block = slice(start, min(start + size, samples))
+            pinned, free = _draws(spec, block.start, block.stop, s_chain)
+            pinned = pinned_path[:, None] + _series(sines, spec.amplitude, pinned)
+            free = free_path[:, None] + _series(cosines, spec.amplitude, free)
+            try:
+                upper_values[block] = upper(pinned)
+                lower_values[block] = lower(free)
+            except RootFindError:
+                # raise the error of the first failing sample, as a sample loop meets it
+                for j in range(pinned.shape[1]):
+                    upper(pinned[:, j:j + 1])
+                    lower(free[:, j:j + 1])
+                raise
+        method, evaluations = "blocked", 2 * samples
 
     margins = np.concatenate([crit - lower_values, upper_values - crit])
     violations = int(np.sum(margins < -slack))
@@ -472,4 +562,5 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
         worst_margin=float(np.min(margins)), n_quad=path.n_intervals,
         slack=float(slack), amplitude=spec.amplitude, seed=spec.seed,
         critical_value=crit, lower_values=lower_values, upper_values=upper_values,
+        method=method, evaluations=evaluations,
     )

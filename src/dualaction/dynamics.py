@@ -214,12 +214,10 @@ def _affine_matrix(model):
     V = c0 + c1 q + c2 q^2, moves by dp/dt = -c1 - 2 c2 q and
     dq/dt = p / m: the four builtins and any three-coefficient potential.
     """
-    if model.kind != "separable" or model.potential_coeffs is None:
+    c = model._quadratic_potential()
+    if c is None:
         return None
-    c = np.trim_zeros(np.asarray(model.potential_coeffs, dtype=float), "b")
-    if c.size > 3:
-        return None
-    _, c1, c2 = np.concatenate([c, np.zeros(3 - c.size)])
+    _, c1, c2 = c
     return np.array([[0.0, -2.0 * c2, -c1], [1.0 / model.mass, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
@@ -297,16 +295,16 @@ def _brackets(cand, res, tol):
 
     The sign change nearest x = 0 gives the bracket [lo, hi] and a
     regula-falsi first guess x.  Without one, the scanned x nearest 0
-    whose residual is within tol is taken as it is; when every finite
-    residual is within 10 tol, every parameter solves (x = 0, flagged
-    conjugate-degenerate); otherwise the target is infeasible at the x
-    of least residual.  Returns (x, lo, hi, r_lo, sign_changes,
-    have_bracket, flags, i), i being the index of the bracket's lower
-    candidate.
+    whose residual is within tol is taken as it is; otherwise the target
+    is infeasible at the x of least residual.  So a target that every
+    parameter solves is taken at x = 0, and only when its residual there
+    is within tol; its flat Jacobi field then flags it
+    conjugate-degenerate (_shoot_batch).  Returns (x, lo, hi, r_lo,
+    sign_changes, have_bracket, flags, i), i being the index of the
+    bracket's lower candidate.
     """
     cols = np.arange(res.shape[1])
     finite = np.isfinite(res)
-    any_finite = finite.any(axis=0)
     size = np.where(finite, np.abs(res), np.inf)
     with np.errstate(all="ignore"):  # a product that overflows keeps its sign
         sign_change = res[:-1] * res[1:] < 0
@@ -322,17 +320,14 @@ def _brackets(cand, res, tol):
     exact_hit = size <= tol
     hit = ~bracketed & exact_hit.any(axis=0)
     nearest_hit = cand[np.argmin(np.where(exact_hit, np.abs(cand)[:, None], np.inf), axis=0)]
-    all_solve = (~bracketed & ~hit & any_finite
-                 & (np.max(np.where(finite, size, -np.inf), axis=0) <= 10.0 * tol))
-    infeasible = ~(bracketed | hit | all_solve)
-    least = np.where(any_finite, cand[np.argmin(size, axis=0)], 0.0)
+    infeasible = ~(bracketed | hit)
+    least = np.where(finite.any(axis=0), cand[np.argmin(size, axis=0)], 0.0)
 
-    x = np.where(bracketed, guess, np.where(hit, nearest_hit, np.where(infeasible, least, 0.0)))
+    x = np.where(bracketed, guess, np.where(hit, nearest_hit, least))
     lo = np.where(bracketed, lo, np.where(hit, nearest_hit, 0.0))
     hi = np.where(bracketed, hi, np.where(hit, nearest_hit, 0.0))
     r_lo = np.where(bracketed, r_lo, 0.0)
-    flags = np.where(infeasible, "infeasible",
-                     np.where(all_solve, "conjugate-degenerate", "unique")).astype(object)
+    flags = np.where(infeasible, "infeasible", "unique").astype(object)
     return x, lo, hi, r_lo, changes, ~infeasible, flags, i
 
 

@@ -325,6 +325,19 @@ class HamiltonianModel:
         f = lambda pp: np.asarray(self.evaluator(pp, np.broadcast_to(q, pp.shape)), dtype=float)
         return _fd_directional(f, np.broadcast_to(p, np.broadcast(p, q).shape), a, h)
 
+    def _quadratic_potential(self):
+        """(c0, c1, c2) when the model is separable with V = c0 + c1 q + c2 q^2
+        (trailing zero coefficients allowed), else None.
+
+        The one test of degree <= 2: the affine flow, the closed-form
+        position restriction, the quadratic-form bound certificate and the
+        Gaussian chain all ask it.
+        """
+        if self.kind != "separable" or self.potential_coeffs is None:
+            return None
+        c = tuple(float(x) for x in self.potential_coeffs) + (0.0, 0.0, 0.0)
+        return None if any(c[3:]) else c[:3]
+
     def is_cyclic_in_q(self):
         """True when H_q vanishes identically (free-particle structure)."""
         if self.kind != "general" and self._vcoeffs is not None:

@@ -114,10 +114,8 @@ class GaussianKernel:
 
 def _quadratic_coefficients(model):
     """(mass, c0, c2) for H = p^2/2m + c0 + c2 q^2; rejects anything else."""
-    if model.kind != "separable" or model._vcoeffs is None:
-        raise PreconditionError("sliced propagators need a polynomial quadratic model")
-    c = list(model.potential_coeffs) + [0.0, 0.0, 0.0]
-    if any(abs(x) > 0 for x in c[3:]) or c[1] != 0.0:
+    c = model._quadratic_potential()
+    if c is None or c[1] != 0.0:
         raise PreconditionError(
             "sliced propagators cover the quadratic family only (V = c0 + c2 q^2)"
         )

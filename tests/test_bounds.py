@@ -187,10 +187,11 @@ class TestPerturbationSpec:
         from dualaction.bounds import _mode_basis, _series
 
         t = np.linspace(0.0, 1.3, 1001)
-        rngs = [np.random.default_rng((5, idx)) for idx in range(20)]
-        coeffs = np.array([rng.normal(size=8) for rng in rngs])
-        constants = np.array([rng.normal() for rng in rngs]) if wave is np.cos else None
-        block = _series(_mode_basis(t, 8, wave), 0.3, coeffs, constants)
+        # the cosine series' constant is one more mode, a row of ones, drawn last
+        basis = _mode_basis(t, 8, wave) + ([np.ones_like(t)] if wave is np.cos else [])
+        coeffs = np.array([np.random.default_rng((5, idx)).normal(size=len(basis))
+                           for idx in range(20)])
+        block = _series(basis, 0.3, coeffs)
         for idx in range(20):
             rng = np.random.default_rng((5, idx))
             looped = _ref_series(t, 0.3, 8, rng, wave, constant=wave is np.cos)
@@ -357,7 +358,9 @@ REFERENCE_MODELS = {
 
 @pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
 @pytest.mark.parametrize("name", list(REFERENCE_MODELS))
-def test_blocked_certificate_matches_sample_loop(name, chain, pin):
+def test_blocked_certificate_matches_sample_loop(name, chain, pin, monkeypatch):
+    # the quadratic models take the blocked path here, as every other model does
+    monkeypatch.setattr(bounds, "_takes_quadratic_form", lambda model: False)
     model, n, most = REFERENCE_MODELS[name]
     bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), n)
     spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=17, pinned=pin)
@@ -367,11 +370,166 @@ def test_blocked_certificate_matches_sample_loop(name, chain, pin):
         if samples > most:
             break
         cert = certify_bounds(model, chain, bvp, spec, samples)
+        assert (cert.method, cert.evaluations) == ("blocked", 2 * samples)
         np.testing.assert_allclose(cert.lower_values, lower[:samples], rtol=1e-11, atol=0)
         np.testing.assert_allclose(cert.upper_values, upper[:samples], rtol=1e-11, atol=0)
         margins = np.concatenate([crit - lower[:samples], upper[:samples] - crit])
         assert cert.violations == int(np.sum(margins < -cert.slack))
         assert cert.worst_margin == pytest.approx(np.min(margins), rel=1e-12, abs=0)
+
+
+# G reads Theta(Pi) off the slope of Pi and then differentiates Theta, so
+# its rounding noise is that of second differences of Pi: against a
+# long-double evaluation, the sample loop's own G is off by up to 2.5e-13 of
+# max |G| at N = 100 and 2.4e-12 at N = 1000 (rescaled saddle, seed 17).
+# The quadratic form differs from the loop by up to 5.2e-13 of max |G| at
+# N = 100.  J, J' and G' carry no second difference.
+FORM_G_TOL = 2e-12
+
+
+@pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
+@pytest.mark.parametrize("name", ["saddle-quadratic", "rescaled-saddle"])
+def test_quadratic_form_certificate_matches_sample_loop(name, chain, pin):
+    model, n, most = REFERENCE_MODELS[name]
+    bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), n)
+    spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=17, pinned=pin)
+    lower, upper = reference_values(model, chain, bvp.path, spec, most)
+    crit = action_s(model, bvp.path).value if chain == "S-chain" else action_r(model, bvp.path).value
+    for samples in (1, 63, 65, 1000):
+        if samples > most:
+            break
+        cert = certify_bounds(model, chain, bvp, spec, samples)
+        assert cert.method == "quadratic-form"
+        np.testing.assert_allclose(cert.upper_values, upper[:samples], rtol=1e-11, atol=0)
+        if chain == "S-chain":
+            g_tol = FORM_G_TOL * np.max(np.abs(lower))
+            np.testing.assert_allclose(cert.lower_values, lower[:samples], rtol=0, atol=g_tol)
+        else:
+            g_tol = 0.0
+            np.testing.assert_allclose(cert.lower_values, lower[:samples], rtol=1e-11, atol=0)
+        margins = np.concatenate([crit - lower[:samples], upper[:samples] - crit])
+        assert cert.violations == int(np.sum(margins < -cert.slack))
+        assert cert.worst_margin == pytest.approx(np.min(margins), rel=1e-11, abs=g_tol)
+
+
+@pytest.mark.parametrize("chain, pin, columns", [("S-chain", "q-pinned", 100),
+                                                 ("R-chain", "p-pinned", 90)])
+def test_quadratic_form_work_does_not_grow_with_samples(chain, pin, columns, saddle, saddle_bvp):
+    # 1 + 2d + d(d - 1)/2 columns per side: 45 for 8 sine or cosine modes,
+    # 55 for the S-chain's free side with its constant mode
+    spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=4, pinned=pin)
+    for samples in (10, 1000):
+        cert = certify_bounds(saddle, chain, saddle_bvp, spec, samples)
+        assert (cert.method, cert.evaluations) == ("quadratic-form", columns)
+    assert "method" not in cert.summary() and "evaluations" not in cert.summary()
+
+
+@pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
+def test_trailing_zero_potential_certifies_as_its_quadratic(chain, pin):
+    padded = HamiltonianModel.separable(1.0, (0.0, 0.0, -0.5, 0.0, 0.0))
+    saddle = HamiltonianModel.saddle_quadratic()
+    spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=6, pinned=pin)
+    certs = []
+    for model in (padded, saddle):
+        bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 200)
+        certs.append(certify_bounds(model, chain, bvp, spec, 50))
+    assert certs[0].method == certs[1].method == "quadratic-form"
+    assert certs[0].summary() == certs[1].summary()
+    assert np.array_equal(certs[0].lower_values, certs[1].lower_values)
+    assert np.array_equal(certs[0].upper_values, certs[1].upper_values)
+
+
+def _both_paths(model, chain, bvp, spec, samples):
+    """certify_bounds(...) by the quadratic form and by the blocked loop."""
+    form = certify_bounds(model, chain, bvp, spec, samples)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_takes_quadratic_form", lambda model: False)
+        blocked = certify_bounds(model, chain, bvp, spec, samples)
+    assert (form.method, blocked.method) == ("quadratic-form", "blocked")
+    return form, blocked
+
+
+@settings(max_examples=12)
+@given(
+    log_mass=st.floats(-2.0, 3.0), kappa=st.floats(0.3, 3.0), q_end=st.floats(0.3, 1.5),
+    t=st.floats(0.5, 1.5), eps=st.floats(0.05, 0.3), seed=st.integers(0, 2**31 - 1),
+    chain=st.sampled_from(["S-chain", "R-chain"]), n=st.sampled_from([60, 61, 400, 401]),
+)
+def test_quadratic_form_agrees_with_blocked_loop(log_mass, kappa, q_end, t, eps, seed, chain, n):
+    # even N integrates by Simpson, odd N by the trapezoid rule; 6.0e-12 of
+    # max |G| was the largest G difference over 150 random draws of this space
+    mass = 10.0**log_mass
+    model = HamiltonianModel.saddle_quadratic(mass, mass * kappa**2)
+    bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, q_end), (0.0, t), n)
+    pin = "q-pinned" if chain == "S-chain" else "p-pinned"
+    spec = PerturbationSpec(amplitude=eps, mode_count=8, seed=seed, pinned=pin)
+    form, blocked = _both_paths(model, chain, bvp, spec, 40)
+    np.testing.assert_allclose(form.upper_values, blocked.upper_values, rtol=1e-11, atol=0)
+    if chain == "S-chain":
+        g_tol = 2e-11 * np.max(np.abs(blocked.lower_values))
+        np.testing.assert_allclose(form.lower_values, blocked.lower_values, rtol=0, atol=g_tol)
+    else:
+        np.testing.assert_allclose(form.lower_values, blocked.lower_values, rtol=1e-11, atol=0)
+    assert form.violations == blocked.violations
+
+
+@settings(max_examples=8)
+@given(
+    log_lam=st.floats(-2.0, 3.0), log_mass=st.floats(-1.0, 1.0), kappa=st.floats(0.3, 3.0),
+    q_end=st.floats(0.3, 1.5), t=st.floats(0.5, 1.5), eps=st.floats(0.05, 0.3),
+    n=st.sampled_from([100, 101]),
+)
+def test_margins_scale_with_mass_and_momentum_amplitude(log_lam, log_mass, kappa, q_end, t, eps,
+                                                        n):
+    # saddle_quadratic(lam m, lam k) keeps the critical q and scales p, S and R
+    # by lam; with the momentum-side perturbation scaled by lam too, each
+    # functional scales by lam, and so does every margin
+    lam, mass = 10.0**log_lam, 10.0**log_mass
+    ends = BoundarySpec("position-type", 0.0, q_end)
+    base = HamiltonianModel.saddle_quadratic(mass, mass * kappa**2)
+    scaled = HamiltonianModel.saddle_quadratic(lam * mass, lam * mass * kappa**2)
+    base_bvp = solve_position_bvp(base, ends, (0.0, t), n)
+    scaled_bvp = solve_position_bvp(scaled, ends, (0.0, t), n)
+    for chain, pin in (("S-chain", "q-pinned"), ("R-chain", "p-pinned")):
+        def cert(model, bvp, amplitude):
+            spec = PerturbationSpec(amplitude=amplitude, mode_count=8, seed=5, pinned=pin)
+            return certify_bounds(model, chain, bvp, spec, 100)
+
+        ref = cert(base, base_bvp, eps)
+        position_side = cert(scaled, scaled_bvp, eps)
+        momentum_side = cert(scaled, scaled_bvp, lam * eps)
+        # S-chain: J perturbs the position, G the momentum; R-chain the other way
+        low, high = ((momentum_side, position_side) if chain == "S-chain"
+                     else (position_side, momentum_side))
+        margins = np.concatenate([ref.margins_low, ref.margins_high])
+        scaled_margins = np.concatenate([low.margins_low, high.margins_high])
+        # measured up to 6.1e-13 of the largest margin over 40 random draws
+        np.testing.assert_allclose(scaled_margins, lam * margins, rtol=0,
+                                   atol=1e-11 * lam * np.max(np.abs(margins)))
+        assert np.array_equal(np.argsort(scaled_margins), np.argsort(margins))
+        assert int(np.sum(scaled_margins < -position_side.slack)) == ref.violations
+
+
+@pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
+def test_zero_amplitude_form_is_the_blocked_critical_value(chain, pin, saddle, saddle_bvp):
+    # every sample is the critical path itself
+    spec = PerturbationSpec(amplitude=0.0, mode_count=8, seed=8, pinned=pin)
+    form, blocked = _both_paths(saddle, chain, saddle_bvp, spec, 20)
+    assert np.array_equal(form.lower_values, blocked.lower_values)
+    assert np.array_equal(form.upper_values, blocked.upper_values)
+    assert form.summary() == blocked.summary()
+
+
+@pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
+@pytest.mark.parametrize("model", [HamiltonianModel.free(), HamiltonianModel.constant_force()],
+                         ids=["free", "constant-force"])
+def test_no_position_restriction_raises(model, chain, pin):
+    # H_qq = 0 leaves G without a position restriction: the slack check on
+    # the critical path raises before either the form or the blocks run
+    bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 100)
+    spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=8, pinned=pin)
+    with pytest.raises(UnsolvableRestrictionError):
+        certify_bounds(model, chain, bvp, spec, 20)
 
 
 @pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])

@@ -158,6 +158,19 @@ class TestMomentumBVP:
         rep = solve_momentum_bvp(free, BoundarySpec("momentum-type", 1.0, 2.0), (0.0, 1.0), 100)
         assert rep.flag == "infeasible"
 
+    @pytest.mark.parametrize("model", [
+        HamiltonianModel.free(), HamiltonianModel.with_drift(1.0, (0.0,), (0.0,))
+    ], ids=["affine", "rk4"])
+    def test_every_shot_missing_by_five_tol_is_infeasible(self, model):
+        # p never moves, so every initial position misses the target by 5 tol:
+        # the generic shooting must not report it solved, as the cyclic branch
+        # does not
+        bounds = BoundarySpec("momentum-type", 0.3, 0.3 + 5.0 * SHOOTING_TOL)
+        rep = dynamics._bvp(model, bounds, (0.0, 1.0), 100, "q0")
+        assert rep.residual > SHOOTING_TOL
+        assert rep.flag == "infeasible" and not rep.solved
+        assert solve_momentum_bvp(model, bounds, (0.0, 1.0), 100).flag == "infeasible"
+
     def test_sho_initial_position(self, sho):
         rep = solve_momentum_bvp(sho, BoundarySpec("momentum-type", 1.0, 0.0),
                                  (0.0, math.pi / 2), 800)
