@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePath, _flow, _shoot_batch
+from .dynamics import PhasePath, _blow_up, _shoot_batch
 from .errors import PreconditionError
 from .model import HamiltonianModel
 from .series import write_series
@@ -170,7 +170,8 @@ def _solved_actions(model, start_value, targets, horizons, n_steps, shoot_on, ev
                          density=1)
     ok = shots.flags == "unique"
     P, Q = shots.P, shots.Q
-    values, _ = evaluate(model, P, Q, horizons / n_steps)
+    with np.errstate(all="ignore"):  # infeasible or overflowed lanes are masked by ok
+        values, _ = evaluate(model, P, Q, horizons / n_steps)
     conjugate_end = P[-1] if shoot_on == "p0" else Q[-1]
     return np.asarray(values), conjugate_end, ok
 
@@ -193,8 +194,9 @@ def _hj_surface(model, start_value, endpoint_values, t_values, n_steps, fd_step,
     center, xp, xm, tp, tm = (vals[:, k, :] for k in range(5))
     valid = np.all(ok, axis=1)
 
-    dA_dx = (xp - xm) / (2.0 * d)
-    dA_dt = (tp - tm) / (2.0 * d)
+    with np.errstate(all="ignore"):  # differences of masked, overflowed lanes
+        dA_dx = (xp - xm) / (2.0 * d)
+        dA_dt = (tp - tm) / (2.0 * d)
     return center, dA_dx, dA_dt, conj_end[:, 0, :], valid
 
 
@@ -220,8 +222,9 @@ def hj_residual_s(model: HamiltonianModel, q_i: float, q_f_values, t_values,
         model, q_i, q_f_values, t_values, n_steps, fd_step, "p0", _action_s_values
     )
     QF = np.broadcast_to(q_f_values[None, :], S.shape)
-    hj = model.eval(dS_dq, QF) + dS_dt
-    companion = dS_dq - p_tf
+    with np.errstate(all="ignore"):  # masked nodes may hold overflowed values
+        hj = model.eval(dS_dq, QF) + dS_dt
+        companion = dS_dq - p_tf
     return SurfaceResidualField("q_f", q_f_values, t_values, S, hj, companion, valid)
 
 
@@ -230,10 +233,12 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
     """Residual of H(p_f, -dR/dp_f) + dR/dt on the R(p_f, t) surface.
 
     The companion field is dR/dp_f + q(t_f).  For models cyclic in q the
-    surface collapses to the feasible line p_f = p_i: off-line nodes are
-    masked infeasible, the q-argument of H is immaterial, and the
-    companion (a p_f-derivative across an empty surface) is undefined
-    and masked.
+    momentum never moves, so the surface collapses to the feasible line
+    p_f = p_i: only its horizons t and t +/- fd_step are shot (every q0
+    reaches p_i, and the shots take q0 = 0), off-line nodes are masked
+    infeasible, the q-argument of H is immaterial, and the companion (a
+    p_f-derivative across an empty surface) is undefined and masked.  A
+    line path that leaves the float range raises BlowUpError.
     """
     p_f_values = np.asarray(p_f_values, dtype=float)
     t_values = np.asarray(t_values, dtype=float)
@@ -247,14 +252,19 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
         companion = np.full_like(R, np.nan)
         valid = np.zeros((nt, npf), dtype=bool)
         online = np.isclose(p_f_values, p_i, rtol=0.0, atol=1e-12)
-        # one call for the horizons t, t + dt and t - dt of every row
+        # one batch for the horizons t, t + dt and t - dt of every row
         horizons = np.concatenate([t_values, t_values + dtt, t_values - dtt])
-        P, Q = _flow(model, p_i, np.zeros_like(horizons), (0.0, horizons), n_steps)
-        values, _ = _action_r_values(model, P, Q, horizons / n_steps)
-        rc, rp, rm = np.asarray(values).reshape(3, nt)
-        dR_dt = (rp - rm) / (2.0 * dtt)
+        shots = _shoot_batch(model, p_i, np.full(horizons.shape, float(p_i)), (0.0, horizons),
+                             n_steps, "q0", density=1)
+        P, Q = shots.P, shots.Q
+        if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
+            raise _blow_up(P, Q)
+        with np.errstate(all="ignore"):  # an overflowing H leaves the line non-finite
+            values, _ = _action_r_values(model, P, Q, horizons / n_steps)
+            rc, rp, rm = np.asarray(values).reshape(3, nt)
+            dR_dt = (rp - rm) / (2.0 * dtt)
+            hj[:, online] = (model.eval(p_i, 0.0) + dR_dt)[:, None]
         R[:, online] = rc[:, None]
-        hj[:, online] = (model.eval(p_i, 0.0) + dR_dt)[:, None]
         valid[:, online] = True
         return SurfaceResidualField("p_f", p_f_values, t_values, R, hj, companion, valid)
 
@@ -262,6 +272,7 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
         model, p_i, p_f_values, t_values, n_steps, fd_step, "q0", _action_r_values
     )
     PF = np.broadcast_to(p_f_values[None, :], R.shape)
-    hj = model.eval(PF, -dR_dp) + dR_dt
-    companion = dR_dp + q_tf
+    with np.errstate(all="ignore"):  # masked nodes may hold overflowed values
+        hj = model.eval(PF, -dR_dp) + dR_dt
+        companion = dR_dp + q_tf
     return SurfaceResidualField("p_f", p_f_values, t_values, R, hj, companion, valid)

@@ -82,20 +82,27 @@ class RunConfig:
 def _resolve_model(spec: dict) -> HamiltonianModel:
     kind = spec.get("kind", "builtin")
     if kind == "builtin" or spec.get("builtin"):
-        name = spec.get("builtin", spec.get("name", "free"))
+        name = spec.get("builtin", "free")
         return HamiltonianModel.builtin(
             name, mass=spec.get("mass", 1.0), omega=spec.get("omega", 1.0),
             k=spec.get("k", 1.0), force=spec.get("force", 1.0),
         )
     if kind == "separable":
         coeffs = spec.get("potential_coeffs")
-        if coeffs is None:
+        if not coeffs:
             raise PreconditionError("separable hamiltonian needs potential_coeffs")
         return HamiltonianModel.separable(spec.get("mass", 1.0), potential_coeffs=coeffs)
     raise PreconditionError(f"cannot build hamiltonian of kind {kind!r} from config")
 
 
 def _hamiltonian_spec(args) -> dict:
+    try:
+        return _parse_hamiltonian_spec(args)
+    except (ValueError, configparser.Error) as exc:
+        raise PreconditionError(f"cannot parse the hamiltonian spec: {exc}") from exc
+
+
+def _parse_hamiltonian_spec(args) -> dict:
     spec = {}
     if args.config:
         parser = configparser.ConfigParser()
@@ -119,7 +126,7 @@ def _hamiltonian_spec(args) -> dict:
         spec.pop("kind", None)
     if getattr(args, "mass", None) is not None:
         spec["mass"] = args.mass
-    if getattr(args, "potential_coeffs", None):
+    if getattr(args, "potential_coeffs", None) is not None:
         spec["potential_coeffs"] = [float(x) for x in args.potential_coeffs.split(",")]
         spec["kind"] = "separable"
         spec.pop("builtin", None)

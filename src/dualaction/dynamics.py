@@ -256,29 +256,6 @@ def _affine_paths(powers, horizon, p0, q0):
     return nodes[:, 0].T, nodes[:, 1].T
 
 
-def _flow(model, p0, q0, t_span, n_steps):
-    """Paths (n_steps+1, lanes) from initial states and horizons t_span[1] that
-    broadcast to one lane axis.
-
-    An affine field is mapped by powers of its RK4 step map, any other
-    by _rk4_batch; both raise BlowUpError on a non-finite state.
-    """
-    field_matrix = _affine_matrix(model)
-    if field_matrix is None:
-        return _rk4_batch(model, p0, q0, t_span, n_steps)
-    if n_steps < 1:
-        raise PreconditionError("integration needs n_steps >= 1")
-    p, q, dt = np.broadcast_arrays(
-        np.asarray(p0, float), np.asarray(q0, float),
-        (np.asarray(t_span[1], float) - float(t_span[0])) / n_steps,
-    )
-    steps, horizon = np.unique(dt, return_inverse=True)
-    P, Q = _affine_paths(_step_powers(field_matrix, steps, n_steps), horizon, p, q)
-    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
-        raise _blow_up(P, Q)
-    return P, Q
-
-
 @dataclass(frozen=True)
 class _Shots:
     """Shooting results over a batch of targets; paths are (n_steps+1, targets)."""
@@ -293,19 +270,19 @@ class _Shots:
 def _brackets(cand, res, tol):
     """Starting points of the targets from the scan residuals res, (candidates, targets).
 
-    The sign change nearest x = 0 gives the bracket [lo, hi] and a
-    regula-falsi first guess x.  Without one, the scanned x nearest 0
-    whose residual is within tol is taken as it is; otherwise the target
-    is infeasible at the x of least residual.  So a target that every
-    parameter solves is taken at x = 0, and only when its residual there
-    is within tol; its flat Jacobi field then flags it
-    conjugate-degenerate (_shoot_batch).  Returns (x, lo, hi, r_lo,
-    sign_changes, have_bracket, flags, i), i being the index of the
-    bracket's lower candidate.
+    Each outcome takes the qualifying candidate nearest x = 0.  The sign
+    change nearest 0 gives the bracket [lo, hi] and a regula-falsi first
+    guess x.  Without one, a scanned x whose residual is within tol is a
+    hit, taken as it is; otherwise the target is infeasible at an x of
+    least residual (x = 0 when all are equal or all non-finite).  So a
+    flat residual, as on a model cyclic in q, is a hit at x = 0 only when
+    within tol; its flat Jacobi field then flags it conjugate-degenerate
+    (_shoot_batch).  Returns (x, lo, hi, r_lo, sign_changes,
+    have_bracket, flags, i), i being the index of the bracket's lower
+    candidate.
     """
     cols = np.arange(res.shape[1])
-    finite = np.isfinite(res)
-    size = np.where(finite, np.abs(res), np.inf)
+    size = np.where(np.isfinite(res), np.abs(res), np.inf)
     with np.errstate(all="ignore"):  # a product that overflows keeps its sign
         sign_change = res[:-1] * res[1:] < 0
     changes = sign_change.sum(axis=0)
@@ -317,11 +294,14 @@ def _brackets(cand, res, tol):
     with np.errstate(all="ignore"):
         guess = lo - r_lo * (hi - lo) / (r_hi - r_lo)
 
+    def nearest_zero(chosen):
+        return cand[np.argmin(np.where(chosen, np.abs(cand)[:, None], np.inf), axis=0)]
+
     exact_hit = size <= tol
     hit = ~bracketed & exact_hit.any(axis=0)
-    nearest_hit = cand[np.argmin(np.where(exact_hit, np.abs(cand)[:, None], np.inf), axis=0)]
+    nearest_hit = nearest_zero(exact_hit)
     infeasible = ~(bracketed | hit)
-    least = np.where(finite.any(axis=0), cand[np.argmin(size, axis=0)], 0.0)
+    least = nearest_zero(size == size.min(axis=0))
 
     x = np.where(bracketed, guess, np.where(hit, nearest_hit, least))
     lo = np.where(bracketed, lo, np.where(hit, nearest_hit, 0.0))
@@ -568,18 +548,12 @@ def solve_momentum_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span,
     BRACKET_RANGE bounds the initial position.  The flags follow
     solve_position_bvp, with the Jacobi field J(t) = dp(t)/dq(t_i) and
     the residual held to SHOOTING_TOL * max(1, |p(t_i)|, |p(t_f)|).
-    When H is cyclic in q (free particle) the momentum never moves: the
-    problem is feasible only for equal endpoint momenta, and then any
-    initial position works, reported as a zero-residual degenerate
-    family at q0 = 0.
+    A model cyclic in q (the free particle) needs no case of its own: the
+    momentum never moves, so every scanned position leaves the same
+    residual.  Equal endpoint momenta are then a hit at q0 = 0 whose flat
+    Jacobi field flags it 'conjugate-degenerate' (any initial position
+    works); unequal ones are 'infeasible', also reported at q0 = 0.
     """
     if bounds.kind != "momentum-type":
         raise PreconditionError("solve_momentum_bvp needs a momentum-type boundary spec")
-    if model.is_cyclic_in_q():
-        P, Q = _flow(model, bounds.start, np.zeros(1), t_span, n_steps)
-        path = PhasePath(t_span[0], t_span[1], P[:, 0], Q[:, 0])
-        residual = abs(float(path.p[-1]) - bounds.end)
-        tol = SHOOTING_TOL * _pinned_scale(bounds.start, bounds.end)
-        flag = "conjugate-degenerate" if residual <= tol else "infeasible"
-        return ShootingReport(path=path, parameter=0.0, residual=residual, flag=flag)
     return _bvp(model, bounds, t_span, n_steps, "q0")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dualaction import (
+    BlowUpError,
     BoundarySpec,
     HamiltonianModel,
     PhasePath,
@@ -222,6 +223,11 @@ class TestHJResidualR:
             d_rdt = (r_at(t + 1e-3) - r_at(t - 1e-3)) / 2e-3
             assert fld.hj[i, 0] == pytest.approx(free.eval(1.0, 0.0) + d_rdt, abs=1e-9)
 
+    def test_free_particle_line_past_float_range_raises(self):
+        # q = p t / m overflows on the feasible line itself, which no mask covers
+        with pytest.raises(BlowUpError):
+            hj_residual_r(HamiltonianModel.free(1e-300), 1e10, [1e10, 2e10], [1.0])
+
     def test_free_particle_line_rejects_non_positive_horizon(self, free):
         with pytest.raises(PreconditionError):
             hj_residual_r(free, 1.0, [1.0], np.array([0.5]), fd_step=0.6)
@@ -245,7 +251,7 @@ class TestHJResidualR:
 @pytest.mark.parametrize("residual, model", [
     (hj_residual_s, HamiltonianModel.free()),
     (hj_residual_r, HamiltonianModel.sho()),
-    (hj_residual_r, HamiltonianModel.free()),  # the cyclic branch
+    (hj_residual_r, HamiltonianModel.free()),  # the cyclic line p_f = p_i
 ])
 @pytest.mark.parametrize("t_values", [[0.0, 0.5], [-1.0, 1.0], [0.5, 1e-3]])
 def test_surfaces_need_forward_horizons(residual, model, t_values):

@@ -210,6 +210,15 @@ class TestInputValidation:
         jsonschema.validate(error, ERROR_SCHEMA)
         assert error["error_code"] == "precondition"
 
+    def test_infeasible_free_target_reported_at_zero_momentum(self, capsys):
+        # every scanned momentum misses q = 1e200 by the same rounded residual
+        code, out, _ = run_cli(capsys, "action", "--hamiltonian", "free", "--q-end", "1e200",
+                               "--N", "50")
+        assert code == 0
+        results = load_report(out)["results"]
+        assert results["bvp_flag"] == "infeasible"
+        assert results["initial_momentum"] == 0.0
+
     def test_undefined_cyclic_companion_is_null(self, capsys):
         code, out, _ = run_cli(capsys, "hj-check", "--hamiltonian", "free", "--which", "r",
                                "--start", "1.0", "--grid-min", "0.5", "--grid-max", "1.5",
@@ -276,15 +285,20 @@ class TestConfigIngestion:
         assert code == 0
 
 
-def _cold_error(argv):
-    """The JSON error of a fresh `python -m dualaction` run that must fail
-    with exit 1, nothing on stdout and nothing but the error on stderr."""
+def _cold_run(argv):
+    """A fresh `python -m dualaction` run, logging left unconfigured."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("DUALACTION_LOG", None)
-    proc = subprocess.run([sys.executable, "-m", "dualaction", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "dualaction", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
+
+
+def _cold_error(argv, exit_code=1):
+    """The JSON error of a fresh run that must fail with exit_code, nothing
+    on stdout and nothing but the error on stderr."""
+    proc = _cold_run(argv)
+    assert proc.returncode == exit_code
     assert proc.stdout == ""
     error = json.loads(proc.stderr)  # one JSON object and nothing else
     jsonschema.validate(error, ERROR_SCHEMA)
@@ -302,6 +316,38 @@ def test_flow_past_float_range_prints_no_warning():
     # growth e^2000 overflows the scan residuals and the RK4 step-map powers
     argv = ["classify", "--hamiltonian", "saddle-quadratic", "--q-end", "1", "--t1", "2000"]
     assert _cold_error(argv)["error_code"] == "blow-up"
+
+
+@pytest.mark.parametrize("spec", [
+    ["--potential-coeffs", "1,,2"],
+    ["--potential-coeffs", ""],
+    "[hamiltonian]\nkind = separable\nmass = abc\npotential_coeffs = 0, 0, 1\n",
+    "[hamiltonian]\nkind = separable\npotential_coeffs = 0, x\n",
+    "[hamiltonian\nkind = separable\n",
+    "[hamiltonian]\nkind = separable\npotential_coeffs =\n",
+], ids=["empty-coefficient", "empty-flag", "ini-mass", "ini-coefficient", "ini-header",
+        "ini-empty"])
+def test_unparsable_model_spec_is_a_json_error(spec, tmp_path):
+    if isinstance(spec, str):
+        config = tmp_path / "model.ini"
+        config.write_text(spec)
+        spec = ["--config", str(config)]
+    assert _cold_error(["classify", *spec], exit_code=2)["error_code"] == "precondition"
+
+
+@pytest.mark.parametrize("which, model", [
+    ("s", "sho"), ("r", "sho"), ("s", "saddle-quadratic"), ("r", "saddle-quadratic"),
+    ("r", "free"),
+])
+def test_masked_overflowed_surface_prints_no_warning(which, model):
+    # every lane started at 1e300 overflows; all are masked, so the run is quiet
+    proc = _cold_run(["hj-check", "--which", which, "--hamiltonian", model, "--start", "1e300",
+                      "--grid-count", "3", "--t-count", "3", "--N", "100"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    results = json.loads(proc.stdout)["results"]
+    assert results["valid_nodes"] == 0
+    assert results["max_abs_residual"] is None and results["max_abs_companion"] is None
 
 
 def test_import_loads_no_scipy():

@@ -163,13 +163,52 @@ class TestMomentumBVP:
     ], ids=["affine", "rk4"])
     def test_every_shot_missing_by_five_tol_is_infeasible(self, model):
         # p never moves, so every initial position misses the target by 5 tol:
-        # the generic shooting must not report it solved, as the cyclic branch
-        # does not
+        # the shooting must not report it solved, whatever the model's kind
         bounds = BoundarySpec("momentum-type", 0.3, 0.3 + 5.0 * SHOOTING_TOL)
         rep = dynamics._bvp(model, bounds, (0.0, 1.0), 100, "q0")
         assert rep.residual > SHOOTING_TOL
         assert rep.flag == "infeasible" and not rep.solved
         assert solve_momentum_bvp(model, bounds, (0.0, 1.0), 100).flag == "infeasible"
+
+    @settings(max_examples=30)
+    @given(
+        model=st.one_of(
+            st.floats(-3.0, 7.0).map(lambda u: HamiltonianModel.free(10.0**u)),
+            st.builds(lambda u, b0, c0: HamiltonianModel.with_drift(10.0**u, (b0,), (c0,)),
+                      st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        ),
+        start=st.floats(-1e3, 1e3),
+        miss=st.just(0.0) | st.floats(1.5, 1e6).flatmap(lambda x: st.sampled_from([x, -x])),
+        horizon=st.floats(0.05, 3.0),
+        n_steps=st.integers(20, 400),
+    )
+    def test_cyclic_models_take_q0_zero(self, model, start, miss, horizon, n_steps):
+        # p never moves: equal ends are solved by every q0 and reported at 0 as a
+        # degenerate family; unequal ones are infeasible, also reported at 0
+        tol = SHOOTING_TOL * max(1.0, abs(start))
+        end = start + miss * tol
+        assume(miss == 0.0 or abs(end - start) > SHOOTING_TOL * max(1.0, abs(start), abs(end)))
+        rep = solve_momentum_bvp(model, BoundarySpec("momentum-type", start, end),
+                                 (0.0, horizon), n_steps)
+        assert rep.parameter == 0.0 and rep.path.q[0] == 0.0
+        assert np.all(rep.path.p == start)
+        if miss == 0.0:
+            assert rep.flag == "conjugate-degenerate" and rep.residual <= tol
+        else:
+            assert rep.flag == "infeasible"
+
+    @pytest.mark.parametrize("coeffs, ends", [
+        ((0.0, -4.7e-63, 0.0), (0.0, 1.0)),
+        ((0.0, 0.0, 4.7e-63), (0.0, 0.0)),
+    ], ids=["force", "curvature"])
+    def test_model_kind_does_not_decide_a_nearly_cyclic_solve(self, coeffs, ends):
+        # H_q is tiny but not zero: the general kind's probe calls H cyclic in q,
+        # the separable kind's exact coefficients do not; the solve must agree
+        bounds = BoundarySpec("momentum-type", *ends)
+        a = solve_momentum_bvp(HamiltonianModel.separable(1.0, coeffs), bounds, (0.0, 1.0), 100)
+        b = solve_momentum_bvp(HamiltonianModel.with_drift(1.0, (0.0,), coeffs), bounds,
+                               (0.0, 1.0), 100)
+        assert (a.flag, a.parameter) == (b.flag, b.parameter)
 
     def test_sho_initial_position(self, sho):
         rep = solve_momentum_bvp(sho, BoundarySpec("momentum-type", 1.0, 0.0),
