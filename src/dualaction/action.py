@@ -70,16 +70,33 @@ def _grad(y, dt, axis=0):
     return np.gradient(y, 1.0, axis=axis, edge_order=edge) / dt
 
 
+def _s_integrand(model, P, Q, dt):
+    return P * _grad(Q, dt) - model.eval(P, Q)
+
+
+def _r_integrand(model, P, Q, dt):
+    return -(Q * _grad(P, dt) + model.eval(P, Q))
+
+
 def _action_s_values(model, P, Q, dt):
-    qdot = _grad(Q, dt)
-    integrand = P * qdot - model.eval(P, Q)
-    return _quadrature(integrand, dt)
+    return _quadrature(_s_integrand(model, P, Q, dt), dt)
 
 
 def _action_r_values(model, P, Q, dt):
-    pdot = _grad(P, dt)
-    integrand = -(Q * pdot + model.eval(P, Q))
-    return _quadrature(integrand, dt)
+    return _quadrature(_r_integrand(model, P, Q, dt), dt)
+
+
+def _legendre_values(model, P, Q, dt):
+    """S - R - ([pq] at the last node - [pq] at the first) of one path, or of
+    a (nodes, lanes) block of paths, one value per lane.
+
+    The integrands go to the quadrature in Fortran order: numpy then sums
+    each lane along axis 0 as it sums a single path, so a lane's value
+    equals its path's bit for bit.
+    """
+    s, _ = _quadrature(np.asfortranarray(_s_integrand(model, P, Q, dt)), dt)
+    r, _ = _quadrature(np.asfortranarray(_r_integrand(model, P, Q, dt)), dt)
+    return s - r - (P[-1] * Q[-1] - P[0] * Q[0])
 
 
 def action_s(model: HamiltonianModel, path: PhasePath) -> ActionValue:
@@ -101,10 +118,7 @@ def legendre_residual(model: HamiltonianModel, path: PhasePath) -> float:
     the free-particle numbers (S = 1/2, R = -1/2, boundary term 1)
     confirm it.
     """
-    s = action_s(model, path).value
-    r = action_r(model, path).value
-    boundary = path.p[-1] * path.q[-1] - path.p[0] * path.q[0]
-    return float(s - r - boundary)
+    return float(_legendre_values(model, path.p, path.q, path.dt))
 
 
 def k_total_derivative_residual(model: HamiltonianModel, path: PhasePath) -> float:
@@ -129,8 +143,9 @@ class SurfaceResidualField:
     """Hamilton-Jacobi residuals on an action surface over (endpoint, t).
 
     values are indexed [t_index, endpoint_index]; nodes where any of the
-    required boundary-value solves was degenerate or infeasible are
-    masked out (valid == False) and excluded from the max views.
+    required boundary-value solves was degenerate or infeasible, or where
+    the surface or HJ value is not finite, are masked out (valid == False)
+    and excluded from the max views.
     """
 
     endpoint_name: str
@@ -158,6 +173,12 @@ class SurfaceResidualField:
             for i, t in enumerate(self.times) for j, x in enumerate(self.endpoints)
             if self.valid[i, j]
         ))
+
+
+def _residual_field(endpoint_name, endpoints, times, surface, hj, companion, solved):
+    """The field, valid where the solves succeeded and surface and HJ value are finite."""
+    valid = solved & np.isfinite(surface) & np.isfinite(hj)
+    return SurfaceResidualField(endpoint_name, endpoints, times, surface, hj, companion, valid)
 
 
 def _solved_actions(model, start_value, targets, horizons, n_steps, shoot_on, evaluate):
@@ -225,7 +246,7 @@ def hj_residual_s(model: HamiltonianModel, q_i: float, q_f_values, t_values,
     with np.errstate(all="ignore"):  # masked nodes may hold overflowed values
         hj = model.eval(dS_dq, QF) + dS_dt
         companion = dS_dq - p_tf
-    return SurfaceResidualField("q_f", q_f_values, t_values, S, hj, companion, valid)
+    return _residual_field("q_f", q_f_values, t_values, S, hj, companion, valid)
 
 
 def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
@@ -238,7 +259,8 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
     reaches p_i, and the shots take q0 = 0), off-line nodes are masked
     infeasible, the q-argument of H is immaterial, and the companion (a
     p_f-derivative across an empty surface) is undefined and masked.  A
-    line path that leaves the float range raises BlowUpError.
+    line path that leaves the float range raises BlowUpError; a line node
+    whose action or H overflows is masked.
     """
     p_f_values = np.asarray(p_f_values, dtype=float)
     t_values = np.asarray(t_values, dtype=float)
@@ -250,7 +272,6 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
         R = np.full((nt, npf), np.nan)
         hj = np.full_like(R, np.nan)
         companion = np.full_like(R, np.nan)
-        valid = np.zeros((nt, npf), dtype=bool)
         online = np.isclose(p_f_values, p_i, rtol=0.0, atol=1e-12)
         # one batch for the horizons t, t + dt and t - dt of every row
         horizons = np.concatenate([t_values, t_values + dtt, t_values - dtt])
@@ -265,8 +286,7 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
             dR_dt = (rp - rm) / (2.0 * dtt)
             hj[:, online] = (model.eval(p_i, 0.0) + dR_dt)[:, None]
         R[:, online] = rc[:, None]
-        valid[:, online] = True
-        return SurfaceResidualField("p_f", p_f_values, t_values, R, hj, companion, valid)
+        return _residual_field("p_f", p_f_values, t_values, R, hj, companion, online)
 
     R, dR_dp, dR_dt, q_tf, valid = _hj_surface(
         model, p_i, p_f_values, t_values, n_steps, fd_step, "q0", _action_r_values
@@ -275,4 +295,4 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
     with np.errstate(all="ignore"):  # masked nodes may hold overflowed values
         hj = model.eval(PF, -dR_dp) + dR_dt
         companion = dR_dp + q_tf
-    return SurfaceResidualField("p_f", p_f_values, t_values, R, hj, companion, valid)
+    return _residual_field("p_f", p_f_values, t_values, R, hj, companion, valid)

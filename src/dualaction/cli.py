@@ -5,6 +5,10 @@ parameters, results, and tolerances; --format csv additionally writes
 the command's data series to --out as CSV while the JSON report goes to
 stdout.  Exit status: 0 success, 2 precondition/usage error, 1 numeric
 failure.  Set DUALACTION_LOG=DEBUG|INFO|WARNING for logging.
+
+A command imports only the modules it uses: each handler imports its
+own solvers, so a cold ``spin`` or ``propagate`` call loads no shooting
+or bounds code.
 """
 
 from __future__ import annotations
@@ -20,15 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import action as action_mod
-from . import bounds as bounds_mod
-from . import propagator as prop_mod
 from . import spin as spin_mod
-from .dynamics import SHOOTING_TOL, BoundarySpec, PhasePath, solve_position_bvp
 from .errors import DualActionError, NumericError, PreconditionError
-from .extrema import classify_extremum
 from .model import BUILTIN_NAMES, HamiltonianModel
-from .series import write_series
 
 log = logging.getLogger("dualaction")
 # silent unless DUALACTION_LOG configures logging: stderr carries only the JSON error
@@ -136,6 +134,9 @@ def _parse_hamiltonian_spec(args) -> dict:
 
 
 def _cmd_classify(config: RunConfig, model):
+    from .dynamics import SHOOTING_TOL
+    from .extrema import classify_extremum
+
     args = config.params
     report = _position_bvp_from_dict(args, model)
     if report.flag == "infeasible":
@@ -150,22 +151,28 @@ def _cmd_classify(config: RunConfig, model):
 
 
 def _position_bvp_from_dict(params, model):
+    from .dynamics import BoundarySpec, solve_position_bvp
+
     bounds = BoundarySpec("position-type", params["q_start"], params["q_end"])
     return solve_position_bvp(model, bounds, (params["t0"], params["t1"]), params["N"])
 
 
 def _cmd_action(config: RunConfig, model):
+    from .action import action_r, action_s, k_total_derivative_residual, legendre_residual
+    from .dynamics import SHOOTING_TOL
+    from .series import write_series
+
     params = config.params
     report = _position_bvp_from_dict(params, model)
     path = report.path
-    s = action_mod.action_s(model, path)
-    r = action_mod.action_r(model, path)
+    s = action_s(model, path)
+    r = action_r(model, path)
     results = {
         "S": s.value,
         "R": r.value,
         "quadrature_rule": s.rule,
-        "legendre_residual": action_mod.legendre_residual(model, path),
-        "k_total_derivative_residual": action_mod.k_total_derivative_residual(model, path),
+        "legendre_residual": legendre_residual(model, path),
+        "k_total_derivative_residual": k_total_derivative_residual(model, path),
         "bvp_flag": report.flag,
         "initial_momentum": report.parameter,
     }
@@ -174,30 +181,38 @@ def _cmd_action(config: RunConfig, model):
 
 
 def _cmd_bounds(config: RunConfig, model):
+    from .bounds import PerturbationSpec, certify_bounds
+    from .dynamics import SHOOTING_TOL
+
     params = config.params
     report = _position_bvp_from_dict(params, model)
     chain = params["chain"]
     pin = "q-pinned" if chain == "S-chain" else "p-pinned"
-    spec = bounds_mod.PerturbationSpec(
+    spec = PerturbationSpec(
         amplitude=params["epsilon"], mode_count=params["modes"],
         seed=config.seed, pinned=pin,
     )
-    cert = bounds_mod.certify_bounds(model, chain, report, spec, params["samples"])
+    cert = certify_bounds(model, chain, report, spec, params["samples"])
     results = cert.summary()
     return results, {"slack": cert.slack, "shooting_tol": SHOOTING_TOL}, cert.to_csv
 
 
 def _cmd_propagate(config: RunConfig, model):
+    from .propagator import (
+        CAUSTIC_DET_TOL, SliceScheme, _gaussian_kernel, free_momentum_propagator,
+    )
+    from .series import write_series
+
     params = config.params
     rep = params["rep"]
-    scheme = prop_mod.SliceScheme(params["slices"])
+    scheme = SliceScheme(params["slices"])
     t = params["t1"] - params["t0"]
     x = "q" if rep == "position" else "p"
     x_start, x_end = params[f"{x}_start"], params[f"{x}_end"]
     results = {"representation": rep, "slices": params["slices"], "t": t}
-    tolerances = {"caustic_det_tol": prop_mod.CAUSTIC_DET_TOL}
+    tolerances = {"caustic_det_tol": CAUSTIC_DET_TOL}
     if rep == "momentum" and model.is_cyclic_in_q():
-        value = prop_mod.free_momentum_propagator(model.mass, x_start, x_end, t)
+        value = free_momentum_propagator(model.mass, x_start, x_end, t)
         results.update({
             "variant": "delta",
             "support_matched": value.support_matched,
@@ -206,7 +221,7 @@ def _cmd_propagate(config: RunConfig, model):
             "phase_im": value.phase.imag,
         })
         return results, tolerances, None
-    kernel = prop_mod._gaussian_kernel(model, rep, t, scheme)
+    kernel = _gaussian_kernel(model, rep, t, scheme)
     amplitude = complex(kernel(x_end, x_start))
     results.update({"variant": "regular", "re": amplitude.real,
                     "im": amplitude.imag, "abs": abs(amplitude)})
@@ -220,6 +235,8 @@ def _cmd_propagate(config: RunConfig, model):
 
 
 def _cmd_spin(config: RunConfig, model):
+    from .series import write_series
+
     params = config.params
     t = params["t1"] - params["t0"]
     if params["spin_kind"] == "half":
@@ -247,10 +264,13 @@ def _cmd_spin(config: RunConfig, model):
 
 
 def _cmd_hj_check(config: RunConfig, model):
+    from .action import hj_residual_r, hj_residual_s
+    from .dynamics import SHOOTING_TOL
+
     params = config.params
     grid = np.linspace(params["grid_min"], params["grid_max"], params["grid_count"])
     times = np.linspace(params["t_min"], params["t_max"], params["t_count"])
-    residual = action_mod.hj_residual_s if params["which"] == "s" else action_mod.hj_residual_r
+    residual = hj_residual_s if params["which"] == "s" else hj_residual_r
     fld = residual(model, params["start"], grid, times, n_steps=params["N"],
                    fd_step=params["fd_step"])
     results = {
@@ -268,26 +288,48 @@ def _finite_or_none(value):
     return value if math.isfinite(value) else None
 
 
+_LEGENDRE_BLOCK = 8  # samples per block: 256 KB per array at N = 4000
+
+
+def _legendre_residuals(model, amp_p, amp_q, n):
+    """|S - R - [pq]| of each sample's smooth path on n intervals of [0, 1].
+
+    Sample i has p = 0.3 + sum_k amp_p[i, k] / (k+1)^3 sin(pi (k+1) t) and
+    q = sum_k amp_q[i, k] / (k+1)^3 cos(pi (k+1) t).  Blocks of samples
+    add the modes in k order, as one path does, so every value equals the
+    single path's.
+    """
+    from .action import _legendre_values
+
+    tt = np.linspace(0.0, 1.0, n + 1)
+    modes = range(amp_p.shape[1])
+    sines = [np.sin(np.pi * (k + 1) * tt) for k in modes]
+    cosines = [np.cos(np.pi * (k + 1) * tt) for k in modes]
+    out = []
+    for lo in range(0, len(amp_p), _LEGENDRE_BLOCK):
+        a_p = amp_p[lo:lo + _LEGENDRE_BLOCK, :, None]
+        a_q = amp_q[lo:lo + _LEGENDRE_BLOCK, :, None]
+        # built (lanes, nodes) and transposed: (nodes, lanes) in Fortran order
+        P = (0.3 + sum(a_p[:, k] / (k + 1) ** 3 * sines[k] for k in modes)).T
+        Q = sum(a_q[:, k] / (k + 1) ** 3 * cosines[k] for k in modes).T
+        out.extend(np.abs(_legendre_values(model, P, Q, 1.0 / n)).tolist())
+    return out
+
+
 def _cmd_legendre_check(config: RunConfig, model):
+    from .series import write_series
+
     params = config.params
     n = params["N"]
     rng_root = np.random.default_rng(config.seed)
     seeds = rng_root.integers(0, 2**31, size=params["samples"])
-    rows = []
-    worst = {n: 0.0, 2 * n: 0.0}
-    for s in seeds:
+    amp_p, amp_q = np.empty((seeds.size, 4)), np.empty((seeds.size, 4))
+    for i, s in enumerate(seeds):
         rng = np.random.default_rng(s)
-        amp_p = rng.normal(size=4) * 0.25
-        amp_q = rng.normal(size=4) * 0.25
-        entry = {"seed": int(s)}
-        for nn in (n, 2 * n):
-            tt = np.linspace(0.0, 1.0, nn + 1)
-            p = 0.3 + sum(a / (k + 1) ** 3 * np.sin(np.pi * (k + 1) * tt) for k, a in enumerate(amp_p))
-            q = sum(a / (k + 1) ** 3 * np.cos(np.pi * (k + 1) * tt) for k, a in enumerate(amp_q))
-            res = abs(action_mod.legendre_residual(model, PhasePath(0.0, 1.0, p, q)))
-            entry[f"residual_N{nn}"] = res
-            worst[nn] = max(worst[nn], res)
-        rows.append(entry)
+        amp_p[i] = rng.normal(size=4) * 0.25
+        amp_q[i] = rng.normal(size=4) * 0.25
+    residuals = {nn: _legendre_residuals(model, amp_p, amp_q, nn) for nn in (n, 2 * n)}
+    worst = {nn: max([0.0, *values]) for nn, values in residuals.items()}
     results = {
         "samples": params["samples"],
         "N": n,
@@ -297,7 +339,7 @@ def _cmd_legendre_check(config: RunConfig, model):
     }
     names = ["seed", f"residual_N{n}", f"residual_N{2 * n}"]
     return results, {"residual_bound": 1e-6, "min_shrink": 3.5}, lambda out: write_series(
-        out, names, ([row[k] for k in names] for row in rows))
+        out, names, zip(seeds.tolist(), residuals[n], residuals[2 * n]))
 
 
 _HANDLERS = {

@@ -99,13 +99,18 @@ def _path_sum(ensemble, ends, t, inertia):
     last values are fixed, only the interior digits are walked, and each
     interior path counts once per digit pair giving those ends (the
     composite's 0 has two digits).  The normalization keeps the full
-    count.  Codes are uint32: both enumeration caps keep the path count
-    at most 2^20.
+    count.
+
+    The walk goes in chunks of _CHUNK consecutive codes.  The low digits,
+    those that vary inside a chunk, are summed once into a table: the
+    fixed ends' squares plus each low digit's square in digit order.  A
+    chunk is the table plus the squares of its high digits, added one
+    digit at a time, so every path adds its squares left to right from
+    the lowest digit, and each chunk costs one array add per high digit.
     """
     levels = [v for v, mult in reversed(ensemble.values) for _ in range(mult)]
     n_intervals = ensemble.n_intervals
     base = len(levels)
-    width = base.bit_length() - 1  # bits per digit
     levels = np.asarray(levels, dtype=float)
     squares = levels**2
     dt = t / n_intervals
@@ -119,13 +124,18 @@ def _path_sum(ensemble, ends, t, inertia):
     else:
         walked, fixed = n_intervals - 2, ends[0] ** 2 + ends[1] ** 2
         count = int(np.sum(levels == ends[0])) * int(np.sum(levels == ends[1]))
+    # base is 2 or 4, so a chunk's codes share all digits above the lowest `low`
+    low = 0
+    while low < walked and base ** (low + 1) <= _CHUNK:
+        low += 1
+    table = np.array([fixed])
+    for _ in range(low):  # code c + d base^j gets digit d at position j
+        table = (table[None, :] + squares[:, None]).ravel()
     acc = 0.0 + 0.0j
-    for lo in range(0, base**walked, _CHUNK):
-        codes = np.arange(lo, min(lo + _CHUNK, base**walked), dtype=np.uint32)
-        # digit by digit: a (codes, digits) array would be the largest allocation
-        square_sum = np.full(codes.size, fixed)
-        for shift in range(0, width * walked, width):
-            square_sum += squares[(codes >> shift) & (base - 1)]
+    for chunk in range(base ** (walked - low)):
+        square_sum = table
+        for j in range(walked - low):  # the chunk's high digits, lowest first
+            square_sum = square_sum + squares[chunk // base**j % base]
         acc += np.sum(np.exp(-1j * square_sum * dt / (2.0 * inertia)))
     return complex(count * acc / total)
 

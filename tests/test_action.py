@@ -259,6 +259,15 @@ def test_surfaces_need_forward_horizons(residual, model, t_values):
         residual(model, 1.0, [0.5, 1.0], t_values, n_steps=50, fd_step=1e-3)
 
 
+def test_model_kind_does_not_decide_the_r_surface():
+    # H_q = 9.4e-63 q is tiny but not zero, so neither kind takes the cyclic line
+    args = (0.0, [-0.5, 0.0, 0.5], [0.5, 1.0])
+    a = hj_residual_r(HamiltonianModel.separable(1.0, (0.0, 0.0, 4.7e-63)), *args, n_steps=100)
+    b = hj_residual_r(HamiltonianModel.with_drift(1.0, (0.0,), (0.0, 0.0, 4.7e-63)), *args,
+                      n_steps=100)
+    assert np.array_equal(a.valid, b.valid)
+
+
 class TestQuadratureMatchesScipy:
     """The numpy rules reproduce scipy.integrate bit for bit on unit grids."""
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -6,9 +7,12 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from dualaction.cli import ERROR_SCHEMA, REPORT_SCHEMA, main
+import dualaction
+from dualaction import HamiltonianModel, PhasePath, legendre_residual
+from dualaction.cli import ERROR_SCHEMA, REPORT_SCHEMA, _legendre_residuals, main
 
 
 def run_cli(capsys, *argv):
@@ -219,6 +223,16 @@ class TestInputValidation:
         assert results["bvp_flag"] == "infeasible"
         assert results["initial_momentum"] == 0.0
 
+    def test_overflowed_cyclic_line_has_no_valid_node(self, capsys):
+        # H(1e300) overflows on the line p_f = p_i, so no node has a residual
+        code, out, _ = run_cli(capsys, "hj-check", "--which", "r", "--hamiltonian", "free",
+                               "--start", "1e300", "--grid-min", "1e300", "--grid-max", "1e300",
+                               "--grid-count", "1", "--t-count", "3", "--N", "100")
+        assert code == 0
+        results = load_report(out)["results"]
+        assert results["valid_nodes"] == 0 and results["total_nodes"] == 3
+        assert results["max_abs_residual"] is None
+
     def test_undefined_cyclic_companion_is_null(self, capsys):
         code, out, _ = run_cli(capsys, "hj-check", "--hamiltonian", "free", "--which", "r",
                                "--start", "1.0", "--grid-min", "0.5", "--grid-max", "1.5",
@@ -362,3 +376,72 @@ def test_import_loads_no_scipy():
         "assert 'numpy.fft' not in sys.modules"
     )
     subprocess.run([sys.executable, "-c", check], env=env, check=True)
+
+
+def _per_sample_legendre(model, amp_p, amp_q, n):
+    """The reference: one smooth path per sample, modes added in k order."""
+    tt = np.linspace(0.0, 1.0, n + 1)
+    out = []
+    for a_p, a_q in zip(amp_p, amp_q):
+        p = 0.3 + sum(a / (k + 1) ** 3 * np.sin(np.pi * (k + 1) * tt) for k, a in enumerate(a_p))
+        q = sum(a / (k + 1) ** 3 * np.cos(np.pi * (k + 1) * tt) for k, a in enumerate(a_q))
+        out.append(abs(legendre_residual(model, PhasePath(0.0, 1.0, p, q))))
+    return out
+
+
+@pytest.mark.parametrize("model", [
+    HamiltonianModel.free(), HamiltonianModel.sho(2.0, 0.7), HamiltonianModel.saddle_quadratic(),
+    HamiltonianModel.separable(1.3, (0.1, 0.2, 0.3, 0.4)),
+], ids=["free", "sho", "saddle", "quartic"])
+@pytest.mark.parametrize("samples, n", [(1, 2), (19, 131), (8, 2000), (37, 500)])
+def test_legendre_blocks_equal_the_per_sample_loop(model, samples, n):
+    rng = np.random.default_rng(samples * n)
+    amp_p, amp_q = rng.normal(size=(2, samples, 4)) * 0.25
+    assert np.array_equal(_legendre_residuals(model, amp_p, amp_q, n),
+                          _per_sample_legendre(model, amp_p, amp_q, n))
+
+
+def _cold_modules(code):
+    """The dualaction modules loaded by a fresh interpreter that runs code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    check = (
+        "import contextlib, io, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {code}\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('dualaction')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", check], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return set(proc.stdout.split())
+
+
+def test_package_import_loads_no_submodule():
+    assert _cold_modules("import dualaction") == {"dualaction"}
+    # a submodule's name imports that submodule and the ones it imports
+    assert _cold_modules("import dualaction; dualaction.propagator.SliceScheme") == {
+        "dualaction", "dualaction.propagator", "dualaction.errors", "dualaction.model",
+        "dualaction.series"}
+
+
+_SOLVERS = {f"dualaction.{m}" for m in ("dynamics", "action", "bounds", "extrema")}
+
+
+@pytest.mark.parametrize("argv, not_loaded", [
+    (["spin", "--N", "4"], _SOLVERS | {"dualaction.propagator"}),
+    (["propagate", "--rep", "momentum"], _SOLVERS),
+], ids=["spin", "propagate"])
+def test_cold_command_loads_only_its_modules(argv, not_loaded):
+    # a cold CLI call pays the import of every module it loads
+    loaded = _cold_modules(f"from dualaction.cli import main; main({argv!r})")
+    assert "dualaction.cli" in loaded and not loaded & not_loaded, sorted(loaded & not_loaded)
+
+
+def test_package_exports_resolve_to_their_submodules():
+    assert set(dualaction.__all__) <= set(dir(dualaction))
+    for name in dualaction.__all__:
+        module = importlib.import_module(f"dualaction.{dualaction._MODULE_OF[name]}")
+        assert getattr(dualaction, name) is getattr(module, name), name
+        assert name in vars(dualaction)  # cached after the first lookup
+    with pytest.raises(AttributeError):
+        dualaction.no_such_name

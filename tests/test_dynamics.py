@@ -202,8 +202,8 @@ class TestMomentumBVP:
         ((0.0, 0.0, 4.7e-63), (0.0, 0.0)),
     ], ids=["force", "curvature"])
     def test_model_kind_does_not_decide_a_nearly_cyclic_solve(self, coeffs, ends):
-        # H_q is tiny but not zero: the general kind's probe calls H cyclic in q,
-        # the separable kind's exact coefficients do not; the solve must agree
+        # H_q is tiny but not zero, so neither kind is cyclic in q; the solves
+        # must agree
         bounds = BoundarySpec("momentum-type", *ends)
         a = solve_momentum_bvp(HamiltonianModel.separable(1.0, coeffs), bounds, (0.0, 1.0), 100)
         b = solve_momentum_bvp(HamiltonianModel.with_drift(1.0, (0.0,), coeffs), bounds,
@@ -309,9 +309,8 @@ class TestEngineAgainstReference:
 
 
 def _zero_or_signed(top):
-    """0, or a magnitude in [0.05, top] of either sign: a coefficient that
-    is zero makes H cyclic in q for both model kinds, a tiny one only for
-    the general kind's probe."""
+    """0, or a magnitude in [0.05, top] of either sign: zero force and
+    curvature give the models cyclic in q."""
     return st.just(0.0) | st.floats(0.05, top).flatmap(lambda x: st.sampled_from([x, -x]))
 
 

@@ -185,6 +185,21 @@ class TestConstructors:
             build()
 
 
+@pytest.mark.parametrize("model, cyclic", [
+    (HamiltonianModel.free(), True),
+    (HamiltonianModel.general(lambda p, q: p**2 / 2.0 + 0.0 * q), True),  # finite differences
+    (HamiltonianModel.with_drift(1.0, (0.0,), (1.5,)), True),
+    (HamiltonianModel.separable(1.0, potential=lambda q: np.full(np.shape(q), 2.0)), True),
+    (HamiltonianModel.separable(1.0, (0.0, 0.0, 4.7e-63)), False),
+    (HamiltonianModel.with_drift(1.0, (0.0,), (0.0, 0.0, 4.7e-63)), False),
+    (HamiltonianModel.with_drift(1.0, (0.0, 1e-70), (0.0,)), False),
+], ids=["free", "general-fd", "drift-constant-V", "separable-callable", "separable-tiny",
+        "drift-tiny", "drift-tiny-B"])
+def test_cyclic_exactly_when_h_q_is_zero(model, cyclic):
+    # one rule for both kinds: no threshold, so a tiny H_q is not cyclic
+    assert model.is_cyclic_in_q() is cyclic
+
+
 def _soft_oscillator(mass=1.3, omega=0.8):
     """H = p^2/2m + m w^2 (sqrt(1 + q^2) - 1) as a general model with exact partials."""
     k = mass * omega**2

@@ -13,8 +13,12 @@ from dualaction import (
     spin_half_propagator,
 )
 from dualaction.spin import (
+    _CHUNK,
     COMPOSITE_ENUM_CAP,
+    POLICIES,
     SPIN_HALF_ENUM_CAP,
+    _path_sum,
+    _validated,
     composite_closed_form,
     composite_values,
     spin_half_closed_form,
@@ -274,3 +278,46 @@ def test_filtered_enumeration_equals_the_full_enumeration(spin, n):
                                             policy="endpoint-filtered")
         want = np.sum(phases[(first == ends[0]) & (last == ends[1])]) / phases.size
         assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def _digit_by_digit_path_sum(ensemble, ends, t, inertia):
+    """The reference enumeration: chunks of _CHUNK path codes, each path's
+    squares added to the fixed ends' one digit at a time from the lowest."""
+    levels = np.array([v for v, mult in reversed(ensemble.values) for _ in range(mult)])
+    n, base = ensemble.n_intervals, levels.size
+    squares = levels**2
+    if ends is None:
+        walked, fixed, count = n, 0.0, 1
+    elif n == 1:
+        if ends[0] != ends[1]:
+            return 0.0 + 0.0j
+        walked, fixed, count = 0, ends[0] ** 2, int(np.sum(levels == ends[0]))
+    else:
+        walked, fixed = n - 2, ends[0] ** 2 + ends[1] ** 2
+        count = int(np.sum(levels == ends[0])) * int(np.sum(levels == ends[1]))
+    acc = 0.0 + 0.0j
+    for lo in range(0, base**walked, _CHUNK):
+        codes = np.arange(lo, min(lo + _CHUNK, base**walked))
+        square_sum = np.full(codes.size, fixed)
+        for j in range(walked):
+            square_sum += squares[codes // base**j % base]
+        acc += np.sum(np.exp(-1j * square_sum * (t / n) / (2.0 * inertia)))
+    return complex(count * acc / base**n)
+
+
+@settings(max_examples=60)
+@given(spin=st.sampled_from(["half", "composite"]), n=st.integers(1, SPIN_HALF_ENUM_CAP),
+       policy=st.sampled_from(POLICIES), level=_NONZERO, t=st.floats(-5.0, 5.0),
+       inertia=st.floats(0.2, 5.0), end_digits=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_table_enumeration_equals_the_digit_by_digit_sum(spin, n, policy, level, t, inertia,
+                                                          end_digits):
+    # the low-digit table adds every path's squares in the same order and
+    # chunks, so the sums are equal, not just close
+    if spin == "half":
+        values = spin_half_values(level)
+    else:
+        values, n = composite_values(level), 1 + (n - 1) % COMPOSITE_ENUM_CAP
+    ends = tuple(values[d % len(values)][0] for d in end_digits)
+    ensemble, admitted = _validated(inertia, values, ends, n, policy)
+    assert _path_sum(ensemble, admitted, t, inertia) == _digit_by_digit_path_sum(
+        ensemble, admitted, t, inertia)
