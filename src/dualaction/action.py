@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePath, _blow_up, _shoot_batch
+from .dynamics import PhasePath, _affine_paths, _blow_up, _shoot_batch
 from .errors import PreconditionError
 from .model import HamiltonianModel
 from .series import write_series
@@ -86,6 +86,57 @@ def _action_r_values(model, P, Q, dt):
     return _quadrature(_r_integrand(model, P, Q, dt), dt)
 
 
+_FORM_BLOCK = 1 << 15  # integrand entries per block of horizons (256 KB arrays)
+
+
+def _action_forms(model, powers, steps, which):
+    """S (which = 's') or R ('r') of affine critical paths as forms in their ends: (horizons, 3, 3).
+
+    Node j of an affine path from x0 = (p0, q0, 1) is G^j x0, G^j being
+    powers[h, j] at step size steps[h] (dynamics._step_powers).  Pinning
+    the path to y = (start, end, 1) (q_i, q_f for S; p_i, p_f for R) fixes
+    the shooting parameter by the last node's pinned row, so x0 = T y
+    with T read off G^N, and the quadrature of the path is y^T M[h] y: the
+    action is a quadratic form in the endpoint data.  M takes the steps of
+    the path quadrature on the rows of G^j T in place of the path's
+    values: _grad along the nodes, the integrand node by node with
+    H = z^T E z for z = (p, q, 1), and _quadrature along the nodes.
+    G^j T is as large as the path, where a form in x0 grows as (G^j)^2
+    on an unstable flow; and the node axis is last in memory, so the
+    quadrature sums each entry pairwise.  Horizons go in blocks of at
+    most _FORM_BLOCK integrand entries: arrays that small are reused
+    from the heap, where larger ones cost a page fault per 4 KB.
+    """
+    c0, c1, c2 = model._quadratic_potential()
+    energy = np.array([[0.5 / model.mass, 0.0, 0.0], [0.0, c2, 0.5 * c1], [0.0, 0.5 * c1, c0]])
+    terms = list(zip(*np.nonzero(energy)))
+    # S shoots on p0 to pin q_f and integrates p dq/dt - H; R shoots on q0 to pin p_f and
+    # integrates -(q dp/dt + H).  p and q are rows 0 and 1.
+    par, pinned, sign = (0, 1, 1.0) if which == "s" else (1, 0, -1.0)
+    last = powers[:, -1, pinned]
+    with np.errstate(all="ignore"):  # a conjugate point leaves a zero slope
+        # x0[par] = tau . y: (end - G^N[pinned, pinned] start - G^N[pinned, 2]) / slope
+        tau = np.stack([-last[:, pinned], np.ones(last.shape[0]), -last[:, 2]], axis=1)
+        tau /= last[:, par, None]
+    n_h, n_nodes = powers.shape[:2]
+    block = max(1, _FORM_BLOCK // (9 * n_nodes))
+    forms = np.empty((n_h, 3, 3))
+    for i in range(0, n_h, block):
+        dt = steps[i:i + block, None, None]
+        g = np.moveaxis(powers[i:i + block], 1, -1)  # g[h, k, c, j] = G^j[k, c]
+        # rows[h, k, :, j] is row k of G^j T: column par of G^j spread by tau, plus
+        # the columns of the pinned start and the constant
+        rows = g[:, :, par, None, :] * tau[i:i + block, None, :, None]
+        rows[:, :, 0] += g[:, :, pinned]
+        rows[:, :, 2] += g[:, :, 2]
+        integrand = rows[:, par, :, None] * _grad(rows[:, pinned], sign * dt, axis=-1)[:, None]
+        for k, l in terms:
+            integrand -= (energy[k, l] * rows[:, k, :, None]) * rows[:, l, None]
+        value, _ = _quadrature(np.moveaxis(integrand, -1, 0), 1.0)
+        forms[i:i + block] = dt * value
+    return forms
+
+
 def _legendre_values(model, P, Q, dt):
     """S - R - ([pq] at the last node - [pq] at the first) of one path, or of
     a (nodes, lanes) block of paths, one value per lane.
@@ -145,7 +196,10 @@ class SurfaceResidualField:
     values are indexed [t_index, endpoint_index]; nodes where any of the
     required boundary-value solves was degenerate or infeasible, or where
     the surface or HJ value is not finite, are masked out (valid == False)
-    and excluded from the max views.
+    and excluded from the max views.  method records how the actions were
+    evaluated ('affine-form': read off one quadratic form per horizon;
+    'quadrature': integrated along each path) and lanes the number of
+    boundary-value targets shot.
     """
 
     endpoint_name: str
@@ -155,6 +209,8 @@ class SurfaceResidualField:
     hj: np.ndarray
     companion: np.ndarray
     valid: np.ndarray
+    method: str
+    lanes: int
 
     def max_abs_hj(self):
         if not np.any(self.valid):
@@ -175,30 +231,59 @@ class SurfaceResidualField:
         ))
 
 
-def _residual_field(endpoint_name, endpoints, times, surface, hj, companion, solved):
+def _residual_field(endpoint_name, endpoints, times, surface, hj, companion, solved, method,
+                    lanes):
     """The field, valid where the solves succeeded and surface and HJ value are finite."""
     valid = solved & np.isfinite(surface) & np.isfinite(hj)
-    return SurfaceResidualField(endpoint_name, endpoints, times, surface, hj, companion, valid)
+    return SurfaceResidualField(endpoint_name, endpoints, times, surface, hj, companion, valid,
+                                method, lanes)
 
 
-def _solved_actions(model, start_value, targets, horizons, n_steps, shoot_on, evaluate):
-    """Batch-shoot (target, horizon) pairs; return per-pair action values,
-    endpoint data of the conjugate variable, and a validity mask."""
+def _solved_actions(model, start_value, targets, horizons, n_steps, shoot_on):
+    """Batch-shoot (target, horizon) pairs; return per-pair action values (S
+    for position shooting, R for momentum shooting), endpoint data of the
+    conjugate variable, a validity mask and the evaluation method.
+
+    An affine batch builds no path: each lane's value is y^T M y with
+    y = (start, target, 1) and M its horizon's form (_action_forms),
+    equal to the path quadrature up to rounding.  Only a solved lane
+    whose form overflows (an unstable flow whose G^N nears the float
+    range) has its path built and integrated, as a swept batch does for
+    every lane.
+    """
     targets = np.asarray(targets, dtype=float)
     horizons = np.asarray(horizons, dtype=float)
     # the plain scan: a surface's many lanes make a sweep cost arithmetic, not overhead
     shots = _shoot_batch(model, start_value, targets, (0.0, horizons), n_steps, shoot_on,
                          density=1)
     ok = shots.flags == "unique"
-    P, Q = shots.P, shots.Q
+    which = "s" if shoot_on == "p0" else "r"
+    evaluate = _action_s_values if which == "s" else _action_r_values
+    dt = horizons / n_steps
     with np.errstate(all="ignore"):  # infeasible or overflowed lanes are masked by ok
-        values, _ = evaluate(model, P, Q, horizons / n_steps)
-    conjugate_end = P[-1] if shoot_on == "p0" else Q[-1]
-    return np.asarray(values), conjugate_end, ok
+        if shots.powers is None:
+            values, _ = evaluate(model, shots.P, shots.Q, dt)
+            method = "quadrature"
+        else:
+            forms = _action_forms(model, shots.powers, shots.steps, which)[shots.horizon]
+            ends = np.stack([np.full_like(targets, start_value), targets, np.ones_like(targets)],
+                            axis=1)
+            values = np.einsum("ki,kij,kj->k", ends, forms, ends)
+            method = "affine-form"
+            lanes = np.flatnonzero(ok & ~np.isfinite(values))
+            if lanes.size:
+                P, Q = _affine_paths(shots.powers, shots.horizon[lanes], shots.x0[lanes])
+                values[lanes], _ = evaluate(model, P, Q, dt[lanes])
+    conjugate_end = shots.end[0 if shoot_on == "p0" else 1]
+    return values, conjugate_end, ok, method
 
 
-def _hj_surface(model, start_value, endpoint_values, t_values, n_steps, fd_step, shoot_on, evaluate):
-    """Five-point surface sampling: center, endpoint +/- delta, t +/- delta."""
+def _hj_surface(model, start_value, endpoint_values, t_values, n_steps, fd_step, shoot_on):
+    """Five-point surface sampling: center, endpoint +/- delta, t +/- delta.
+
+    Returns the surface, its two derivatives, the conjugate endpoint,
+    the valid mask, the evaluation method and the number of lanes shot.
+    """
     x = np.asarray(endpoint_values, dtype=float)
     tv = np.asarray(t_values, dtype=float)
     nx, nt = x.size, tv.size
@@ -207,7 +292,8 @@ def _hj_surface(model, start_value, endpoint_values, t_values, n_steps, fd_step,
     # per t-row: [x, x+d, x-d] at t, then x at t+d and t-d
     targets = np.concatenate([np.concatenate([x, x + d, x - d, x, x]) for _ in range(nt)])
     horizons = np.concatenate([np.repeat([t, t, t, t + d, t - d], nx) for t in tv])
-    vals, conj_end, ok = _solved_actions(model, start_value, targets, horizons, n_steps, shoot_on, evaluate)
+    vals, conj_end, ok, method = _solved_actions(model, start_value, targets, horizons, n_steps,
+                                                 shoot_on)
 
     vals = vals.reshape(nt, 5, nx)
     conj_end = conj_end.reshape(nt, 5, nx)
@@ -218,7 +304,7 @@ def _hj_surface(model, start_value, endpoint_values, t_values, n_steps, fd_step,
     with np.errstate(all="ignore"):  # differences of masked, overflowed lanes
         dA_dx = (xp - xm) / (2.0 * d)
         dA_dt = (tp - tm) / (2.0 * d)
-    return center, dA_dx, dA_dt, conj_end[:, 0, :], valid
+    return center, dA_dx, dA_dt, conj_end[:, 0, :], valid, method, targets.size
 
 
 def _check_horizons(t_values, fd_step):
@@ -231,28 +317,31 @@ def hj_residual_s(model: HamiltonianModel, q_i: float, q_f_values, t_values,
                   n_steps: int = 800, fd_step: float = 1e-3) -> SurfaceResidualField:
     """Residual of H(dS/dq_f, q_f) + dS/dt on the S(q_f, t) surface.
 
-    S is built pointwise from position-type shooting plus quadrature;
-    both surface derivatives come from centered re-solves offset by
-    fd_step.  The companion field is dS/dq_f - p(t_f), which should also
-    vanish on the surface.
+    S is built pointwise from position-type shooting: for an affine
+    model (separable, potential of degree <= 2) each node's S is read
+    off one 3x3 quadratic form per horizon, with no path built
+    (method 'affine-form'); otherwise the quadrature runs on each solved
+    path (method 'quadrature').  Both surface derivatives come from
+    centered re-solves offset by fd_step.  The companion field is
+    dS/dq_f - p(t_f), which should also vanish on the surface.
     """
     q_f_values = np.asarray(q_f_values, dtype=float)
     t_values = np.asarray(t_values, dtype=float)
     _check_horizons(t_values, fd_step)
-    S, dS_dq, dS_dt, p_tf, valid = _hj_surface(
-        model, q_i, q_f_values, t_values, n_steps, fd_step, "p0", _action_s_values
-    )
+    S, dS_dq, dS_dt, p_tf, valid, method, lanes = _hj_surface(
+        model, q_i, q_f_values, t_values, n_steps, fd_step, "p0")
     QF = np.broadcast_to(q_f_values[None, :], S.shape)
     with np.errstate(all="ignore"):  # masked nodes may hold overflowed values
         hj = model.eval(dS_dq, QF) + dS_dt
         companion = dS_dq - p_tf
-    return _residual_field("q_f", q_f_values, t_values, S, hj, companion, valid)
+    return _residual_field("q_f", q_f_values, t_values, S, hj, companion, valid, method, lanes)
 
 
 def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
                   n_steps: int = 800, fd_step: float = 1e-3) -> SurfaceResidualField:
     """Residual of H(p_f, -dR/dp_f) + dR/dt on the R(p_f, t) surface.
 
+    R is built as S is in hj_residual_s, from momentum-type shooting.
     The companion field is dR/dp_f + q(t_f).  For models cyclic in q the
     momentum never moves, so the surface collapses to the feasible line
     p_f = p_i: only its horizons t and t +/- fd_step are shot (every q0
@@ -260,7 +349,8 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
     infeasible, the q-argument of H is immaterial, and the companion (a
     p_f-derivative across an empty surface) is undefined and masked.  A
     line path that leaves the float range raises BlowUpError; a line node
-    whose action or H overflows is masked.
+    whose action or H overflows is masked.  The line runs the quadrature
+    on its paths, which the blow-up check reads anyway.
     """
     p_f_values = np.asarray(p_f_values, dtype=float)
     t_values = np.asarray(t_values, dtype=float)
@@ -286,13 +376,13 @@ def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
             dR_dt = (rp - rm) / (2.0 * dtt)
             hj[:, online] = (model.eval(p_i, 0.0) + dR_dt)[:, None]
         R[:, online] = rc[:, None]
-        return _residual_field("p_f", p_f_values, t_values, R, hj, companion, online)
+        return _residual_field("p_f", p_f_values, t_values, R, hj, companion, online,
+                               "quadrature", horizons.size)
 
-    R, dR_dp, dR_dt, q_tf, valid = _hj_surface(
-        model, p_i, p_f_values, t_values, n_steps, fd_step, "q0", _action_r_values
-    )
+    R, dR_dp, dR_dt, q_tf, valid, method, lanes = _hj_surface(
+        model, p_i, p_f_values, t_values, n_steps, fd_step, "q0")
     PF = np.broadcast_to(p_f_values[None, :], R.shape)
     with np.errstate(all="ignore"):  # masked nodes may hold overflowed values
         hj = model.eval(PF, -dR_dp) + dR_dt
         companion = dR_dp + q_tf
-    return _residual_field("p_f", p_f_values, t_values, R, hj, companion, valid)
+    return _residual_field("p_f", p_f_values, t_values, R, hj, companion, valid, method, lanes)

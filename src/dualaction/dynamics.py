@@ -27,6 +27,7 @@ evaluator is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -243,28 +244,55 @@ def _step_powers(field_matrix, dt, n_steps):
     return powers
 
 
-def _affine_paths(powers, horizon, p0, q0):
-    """(n_steps+1, lanes) paths of p and q: lane k starts at (p0[k], q0[k])
-    and its node j is powers[horizon[k], j] (p0, q0, 1)."""
+def _affine_paths(powers, horizon, x0):
+    """(n_steps+1, lanes) paths of p and q: lane k starts at x0[k] = (p0, q0, 1)
+    and its node j is powers[horizon[k], j] x0[k]."""
     nodes = np.empty((horizon.size, 2, powers.shape[1]))
     with np.errstate(all="ignore"):  # an overflowing lane poisons only itself
         for i, G in enumerate(powers):
             lanes = np.flatnonzero(horizon == i)
-            x0 = np.stack([p0[lanes], q0[lanes], np.ones(lanes.size)], axis=1)
             rows = G[:, :2].transpose(2, 1, 0).reshape(3, -1)  # (p, q, 1) -> every node's p, q
-            nodes[lanes] = (x0 @ rows).reshape(lanes.size, 2, -1)
+            nodes[lanes] = (x0[lanes] @ rows).reshape(lanes.size, 2, powers.shape[1])
     return nodes[:, 0].T, nodes[:, 1].T
 
 
 @dataclass(frozen=True)
 class _Shots:
-    """Shooting results over a batch of targets; paths are (n_steps+1, targets)."""
+    """Shooting results over a batch of targets.
+
+    end holds each target's (p, q) at t_f, shape (2, targets).  An affine
+    batch keeps what its paths are made of: the step powers G^0 .. G^N
+    (one stack per distinct step size in steps), each target's index
+    into them (horizon) and its start x0 = (p0, q0, 1), shape
+    (targets, 3).  A quadratic functional of its paths is then a form
+    read off the powers (action._action_forms), and the paths P and Q,
+    (n_steps+1, targets), are built only when first read.  A swept batch
+    carries the paths of its last Newton sweep.
+    """
 
     roots: np.ndarray
     residuals: np.ndarray
     flags: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
+    end: np.ndarray
+    steps: np.ndarray | None = None
+    powers: np.ndarray | None = None
+    horizon: np.ndarray | None = None
+    x0: np.ndarray | None = None
+    swept: tuple | None = None
+
+    @cached_property
+    def _paths(self):
+        if self.swept is not None:
+            return self.swept
+        return _affine_paths(self.powers, self.horizon, self.x0)
+
+    @property
+    def P(self):
+        return self._paths[0]
+
+    @property
+    def Q(self):
+        return self._paths[1]
 
 
 def _brackets(cand, res, tol):
@@ -375,8 +403,9 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
     * affine field (separable, potential of degree <= 2): the endpoint
       E = alpha x + beta is read off G^N, the N-th power of the RK4 step
       map, so the root is one division and the Jacobi field
-      J(t_j) = dE(t_j)/dx is an entry of G^j, exact; the paths are the
-      powers applied to the initial states.  No RK4 sweep runs.
+      J(t_j) = dE(t_j)/dx is an entry of G^j, exact; the residual is read
+      off G^N x0 with x0 = (p0, q0, 1), and the paths, the powers applied
+      to x0, are built only when read (_Shots).  No RK4 sweep runs.
     * any other field: the scan sweep also runs density - 1 lanes at
       Chebyshev-Lobatto points inside every interval between candidates,
       and a bracket whose density + 1 residuals are finite and change
@@ -391,10 +420,12 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
       so a single solve costs two sweeps; a surface's many targets share
       the plain scan, where dense lanes would cost arithmetic.
 
-    The residual is that of the returned path and must reach
-    tol = SHOOTING_TOL * max(1, |start|, |target|).  A target is
+    The residual is that of the returned endpoint (for an affine field
+    G^N x0, which the path's last node equals up to rounding) and must
+    reach tol = SHOOTING_TOL * max(1, |start|, |target|).  A target is
     conjugate-degenerate when |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|
-    or the scan found several brackets.
+    or the scan changes sign more than once: on every dense row when
+    density > 1, so a root between two candidates counts too.
     """
     if n_steps < 1:
         raise PreconditionError("shooting needs n_steps >= 1")
@@ -439,19 +470,25 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
         rows = i * coarse + np.arange(coarse + 1)[:, None]
         refined, *guess = _refine(nodes[rows], res[rows, np.arange(targets.size)], changes > 0)
         x, lo, hi, r_lo = (np.where(refined, g, v) for g, v in zip(guess, (x, lo, hi, r_lo)))
+        # a root between two candidates shows only on the dense rows: count them all
+        with np.errstate(all="ignore"):  # a product that overflows keeps its sign
+            changes = np.sum(res[:-1] * res[1:] < 0, axis=0)
 
     if field_matrix is not None:
         alpha, beta = alpha[horizon], beta[horizon]
         with np.errstate(all="ignore"):
             roots = np.where(changes > 0, (targets - beta) / alpha, x)
-        P, Q = _affine_paths(powers, horizon, *lanes(roots))
-        with np.errstate(invalid="ignore"):
-            residuals = (Q if shoot_on == "p0" else P)[-1] - targets
+        x0 = np.stack([*lanes(roots), np.ones(targets.size)], axis=1)
+        with np.errstate(all="ignore"):  # an overflowing lane poisons only itself
+            end_state = np.einsum("kij,kj->ik", powers[horizon, -1, :2], x0)  # G^N x0
+            residuals = end_state[end] - targets
         j_end = alpha
         j_max = np.max(np.abs(powers[:, :, end, 1 - end]), axis=1)[horizon]
+        kept = dict(end=end_state, steps=steps, powers=powers, horizon=horizon, x0=x0)
     else:
         roots, residuals, P, Q, j_end, j_max = _newton(
             sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, "q" if end else "p")
+        kept = dict(end=np.stack([P[-1], Q[-1]]), swept=(P, Q))
 
     with np.errstate(invalid="ignore"):
         unresolved = have_bracket & ~(np.abs(residuals) <= tol) & (flags == "unique")
@@ -459,7 +496,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
         flat = ~(np.abs(j_end) > SENSITIVITY_TOL * j_max)
         degenerate = have_bracket & (flat | (changes > 1))
     flags[degenerate & (flags != "infeasible")] = "conjugate-degenerate"
-    return _Shots(roots, residuals, flags, P, Q)
+    return _Shots(roots, residuals, flags, **kept)
 
 
 def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, spread_on):

@@ -1,7 +1,12 @@
+import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualaction import (
     BlowUpError,
@@ -17,7 +22,10 @@ from dualaction import (
     legendre_residual,
     solve_position_bvp,
 )
-from dualaction.action import _grad
+from dualaction import action, dynamics
+from dualaction.action import _action_r_values, _action_s_values, _grad, _solved_actions
+from dualaction.dynamics import _shoot_batch
+from dualaction.model import BUILTIN_NAMES
 
 from conftest import smooth_fourier_path
 
@@ -266,6 +274,115 @@ def test_model_kind_does_not_decide_the_r_surface():
     b = hj_residual_r(HamiltonianModel.with_drift(1.0, (0.0,), (0.0, 0.0, 4.7e-63)), *args,
                       n_steps=100)
     assert np.array_equal(a.valid, b.valid)
+
+
+def _affine_model(name, mass, coeffs):
+    """A builtin, or separable(m, m * coeffs) for 'separable', with rates of order 1 at
+    any mass: an unstable flow at kappa t >> 1 loses digits on paths and forms alike."""
+    if name == "separable":
+        return HamiltonianModel.separable(mass, tuple(mass * c for c in coeffs))
+    return HamiltonianModel.builtin(name, mass=mass, k=mass, force=mass)
+
+
+def _on_paths(monkeypatch):
+    """Make every surface shot a swept one, so its actions come from the path quadrature."""
+    shoot = action._shoot_batch
+
+    def swept(*args, **kwargs):
+        shots = shoot(*args, **kwargs)
+        return dataclasses.replace(shots, powers=None, swept=(shots.P, shots.Q))
+
+    monkeypatch.setattr(action, "_shoot_batch", swept)
+
+
+class TestAffineForms:
+    """Affine surfaces read S and R off one 3x3 form per horizon instead of
+    integrating each lane's path."""
+
+    @settings(max_examples=60)
+    @given(
+        name=st.sampled_from(BUILTIN_NAMES + ("separable",)),
+        log_mass=st.floats(-3.0, 5.0),
+        coeffs=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+        n_steps=st.sampled_from([1, 2, 3, 4, 5, 8, 51, 300]),
+        shoot_on=st.sampled_from(["p0", "q0"]),
+        start=st.floats(-1.0, 1.0),
+        targets=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=6),
+        horizons=st.lists(st.sampled_from([0.3, 0.8, 1.7]), min_size=6, max_size=6),
+    )
+    def test_forms_match_the_path_quadrature(self, name, log_mass, coeffs, n_steps, shoot_on,
+                                             start, targets, horizons):
+        mass = 10.0**log_mass
+        model = _affine_model(name, mass, coeffs)
+        scale = 1.0 if shoot_on == "p0" else mass  # momenta in units of the mass
+        start, targets = scale * start, scale * np.array(targets)
+        horizons = np.array(horizons[:targets.size])
+        values, conjugate_end, ok, method = _solved_actions(model, start, targets, horizons,
+                                                            n_steps, shoot_on)
+        assert method == "affine-form"
+        shots = _shoot_batch(model, start, targets, (0.0, horizons), n_steps, shoot_on, 1)
+        evaluate = _action_s_values if shoot_on == "p0" else _action_r_values
+        end = 0 if shoot_on == "p0" else 1
+        with np.errstate(all="ignore"):
+            want, _ = evaluate(model, shots.P, shots.Q, horizons / n_steps)
+            size = np.maximum(np.abs(want), np.max(np.abs(shots.P * shots.Q), axis=0))
+            # G^N x0 in two orders of summation differ by rounding in its largest term
+            terms = np.sum(np.abs(shots.powers[shots.horizon, -1, end] * shots.x0), axis=1)
+        assert np.array_equal(ok & np.isfinite(values), ok & np.isfinite(want))
+        good = ok & np.isfinite(want)
+        assert np.all(np.abs(values - want)[good] <= 1e-12 * size[good])
+        path_end = (shots.P if shoot_on == "p0" else shots.Q)[-1]
+        assert np.all(np.abs(conjugate_end - path_end)[good] <= 1e-15 * terms[good])
+
+    @pytest.mark.parametrize("name", ["sho", "saddle-quadratic"])
+    def test_surfaces_build_no_path(self, name, monkeypatch):
+        def build(*args):
+            raise AssertionError("an affine surface built a path")
+
+        monkeypatch.setattr(dynamics, "_affine_paths", build)
+        monkeypatch.setattr(action, "_affine_paths", build)
+        model = HamiltonianModel.builtin(name)
+        grid, times = np.linspace(0.3, 1.0, 6), np.linspace(0.4, 0.9, 4)
+        for fld in (hj_residual_s(model, 0.1, grid, times), hj_residual_r(model, 1.0, grid, times)):
+            assert np.all(fld.valid)
+            assert fld.method == "affine-form" and fld.lanes == 5 * grid.size * times.size
+            assert fld.max_abs_hj() <= 1e-3
+
+    def test_surface_records_its_method_and_lanes(self, free):
+        quartic = HamiltonianModel.separable(1.0, (0.0, 0.0, 0.5, 0.0, 0.1))
+        fld = hj_residual_s(quartic, 0.0, [0.5, 1.0], [0.5, 0.7, 0.9], n_steps=100)
+        assert (fld.method, fld.lanes) == ("quadrature", 30)
+        fld = hj_residual_r(free, 1.0, [0.5, 1.0], [0.5, 0.7, 0.9], n_steps=100)
+        assert (fld.method, fld.lanes) == ("quadrature", 9)  # the cyclic line: 3 per row
+
+    def test_sho_surface_memory(self, sho):
+        # the forms need G^0..G^N per horizon, not the (nodes x lanes) paths
+        args = (sho, 0.0, np.linspace(0.5, 1.5, 11), np.linspace(0.3, 1.0, 11))
+        hj_residual_s(*args)
+        tracemalloc.start()
+        try:
+            fld = hj_residual_s(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(fld.valid) and fld.lanes == 605
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("residual", [hj_residual_s, hj_residual_r])
+    def test_overflowing_saddle_masks_as_the_paths_do(self, residual, monkeypatch):
+        # kappa = 1000 on t in [0.7, 1.3]: G^N reaches e^700 and beyond, so forms overflow
+        # first; the t = 0.7 row stays a finite path pinned at 0, the later rows do not
+        saddle = HamiltonianModel.saddle_quadratic(1.0, 1e6)
+        args = (saddle, 0.0, np.linspace(0.5, 1.5, 5), np.linspace(0.7, 1.3, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fld = residual(*args)
+        _on_paths(monkeypatch)
+        want = residual(*args)
+        assert (fld.method, want.method) == ("affine-form", "quadrature")
+        assert np.array_equal(fld.valid, want.valid)
+        assert np.any(fld.valid) and not np.all(fld.valid)
+        np.testing.assert_allclose(fld.surface[fld.valid], want.surface[want.valid], rtol=1e-12)
 
 
 class TestQuadratureMatchesScipy:

@@ -389,6 +389,25 @@ class TestAffineBranch:
         with pytest.raises(LoopRan):
             _rk4_batch(sho, 1.0, 0.0, (0.0, 1.0), 10)
 
+    @pytest.mark.parametrize("kind", ["position-type", "momentum-type"])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_solve_path_is_built_from_the_kept_powers(self, name, kind):
+        # the shots keep G^0..G^N and x0 = (p0, q0, 1); the path is G^j x0, built on first read
+        model = HamiltonianModel.builtin(name, mass=1.3)
+        shoot_on = "p0" if kind == "position-type" else "q0"
+        shots = _shoot_batch(model, 0.2, [0.7], (0.0, 0.9), 200, shoot_on, REFINED_DENSITY)
+        assert "_paths" not in vars(shots)
+        root_slot = 0 if shoot_on == "p0" else 1
+        assert shots.x0[0, root_slot] == shots.roots[0]
+        assert shots.x0[0, 1 - root_slot] == 0.2 and shots.x0[0, 2] == 1.0
+        P, Q = dynamics._affine_paths(shots.powers, shots.horizon, shots.x0)
+        solve = solve_position_bvp if kind == "position-type" else solve_momentum_bvp
+        rep = solve(model, BoundarySpec(kind, 0.2, 0.7), (0.0, 0.9), 200)
+        assert np.array_equal(rep.path.p, P[:, 0]) and np.array_equal(rep.path.q, Q[:, 0])
+        assert np.array_equal(shots.P, P) and np.array_equal(shots.Q, Q)
+        # the residual and the conjugate end come from G^N x0, the path's last node
+        assert shots.end == pytest.approx(np.stack([P[-1], Q[-1]]), rel=1e-14, abs=1e-15)
+
 
 @pytest.mark.parametrize("density", [1, REFINED_DENSITY])
 @pytest.mark.parametrize("shoot_on", ["p0", "q0"])
@@ -505,10 +524,63 @@ class TestRefinedScan:
         _, q_end, *_ = dynamics._rk4(model.vector_field(), nodes, np.zeros_like(nodes),
                                      t / n_steps, n_steps)
         assert np.all(np.isfinite(q_end[[0, -1]])) and not np.all(np.isfinite(q_end))
-        assert dense.flags[0] == "unique" and abs(dense.residuals[0]) <= SHOOTING_TOL
+        # the dense rows change sign more than once, so the flag says the root is not alone
+        assert dense.flags[0] == "conjugate-degenerate" and abs(dense.residuals[0]) <= SHOOTING_TOL
         for got, want in ((dense.roots, plain.roots), (dense.residuals, plain.residuals),
                           (dense.P, plain.P), (dense.Q, plain.Q)):
             assert np.array_equal(got, want)
+
+
+def _dense_sign_changes(model, start, end, t, n_steps, shoot_on):
+    """Sign changes of the endpoint residual over a single solve's dense scan lanes."""
+    unit = dynamics._momentum_unit(model, start) if shoot_on == "p0" else 1.0
+    nodes = dynamics._lobatto_nodes(dynamics._scan_candidates() * unit, REFINED_DENSITY)
+    pinned = np.full_like(nodes, start)
+    p, q = (nodes, pinned) if shoot_on == "p0" else (pinned, nodes)
+    p_end, q_end, *_ = dynamics._rk4(model.vector_field(), p, q, t / n_steps, n_steps)
+    with np.errstate(all="ignore"):
+        res = (q_end if shoot_on == "p0" else p_end) - end
+        res = np.where(np.isfinite(res), res, np.nan)
+        return int(np.sum(res[:-1] * res[1:] < 0))
+
+
+class TestDenseFlags:
+    """A single solve counts roots on its dense scan rows, not only on the candidates."""
+
+    @pytest.mark.parametrize("n_steps, p0", [(50, -885.169395849281), (2000, 401.4702675221621)])
+    def test_hidden_roots_flag_the_quartic_solve(self, n_steps, p0):
+        # V = q^2/2 + 10 q^4: the 33 candidates change sign once, the dense lanes many times
+        model = _anharmonic(1.0, 10.0)
+        assert _dense_sign_changes(model, 0.0, 2.0, 0.5, n_steps, "p0") > 1
+        rep = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 2.0), (0.0, 0.5),
+                                 n_steps)
+        assert rep.flag == "conjugate-degenerate"
+        assert rep.parameter == pytest.approx(p0, rel=1e-9)
+        assert rep.residual <= SHOOTING_TOL * 2.0
+
+    @settings(max_examples=40)
+    @given(
+        log_mass=st.floats(-2.0, 3.0),
+        log_lam=st.floats(-6.0, 1.0),  # weak couplings keep one root, strong ones wind
+        kind=st.sampled_from(["position-type", "momentum-type"]),
+        start=st.floats(-1.0, 1.0),
+        end=st.floats(-2.0, 2.0),
+        t=st.floats(0.1, 1.5),
+    )
+    def test_unique_means_at_most_one_dense_sign_change(self, log_mass, log_lam, kind, start,
+                                                        end, t):
+        mass = 10.0**log_mass
+        model = _anharmonic(mass, 10.0**log_lam)
+        shoot_on, scale = ("p0", 1.0) if kind == "position-type" else ("q0", mass)
+        start, end = scale * start, scale * end
+        shots = _shoot_batch(model, start, [end], (0.0, t), 100, shoot_on, REFINED_DENSITY)
+        changes = _dense_sign_changes(model, start, end, t, 100, shoot_on)
+        if changes > 1:
+            assert shots.flags[0] != "unique"
+        elif shots.flags[0] == "unique" and changes == 0:
+            # no sign change: the root is a scanned candidate whose residual is within tol
+            unit = dynamics._momentum_unit(model, start) if shoot_on == "p0" else 1.0
+            assert shots.roots[0] in dynamics._scan_candidates() * unit
 
 
 def _sho_p0(mass, omega, q0, q1, t):
