@@ -34,26 +34,23 @@ def _trapezoid(y):
     return np.sum((y[1:] + y[:-1]) / 2.0, axis=0)
 
 
-def _cumulative_trapezoid(y, dt, axis=0):
-    """Running trapezoid integral of y along axis from its first node, starting at 0."""
-    y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
+def _cumulative_trapezoid(y, dt):
+    """Running trapezoid integral of y along axis 0 from its first node, starting at 0."""
+    y = np.asarray(y, dtype=float)
     out = np.zeros(y.shape)
     np.cumsum(dt * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def _simpson(y):
-    """Unit-spacing composite Simpson rule along axis 0 (at least 3 nodes).
+    """Unit-spacing composite Simpson rule along axis 0 on an odd node count (at least 3).
 
-    An odd number of intervals closes with Cartwright's correction for
-    the last one.  The operations follow scipy.integrate.simpson in
-    order, so the values agree bit for bit.
+    _quadrature sends it nothing else, so an odd interval count needs no
+    closing correction here.  The operations follow scipy.integrate.simpson
+    in order, so the values agree bit for bit.
     """
-    m = y.shape[0] if y.shape[0] % 2 else y.shape[0] - 1
-    total = np.sum(y[0:m - 2:2] + 4.0 * y[1:m - 1:2] + y[2:m:2], axis=0) * (1.0 / 3.0)
-    if m == y.shape[0]:
-        return total
-    return total + (5 / 12 * y[-1] + 4 / 6 * y[-2] - 1 / 12 * y[-3])
+    n = y.shape[0]
+    return np.sum(y[0:n - 2:2] + 4.0 * y[1:n - 1:2] + y[2:n:2], axis=0) * (1.0 / 3.0)
 
 
 def _quadrature(y, dt):
@@ -70,20 +67,16 @@ def _grad(y, dt, axis=0):
     return np.gradient(y, 1.0, axis=axis, edge_order=edge) / dt
 
 
-def _s_integrand(model, P, Q, dt):
-    return P * _grad(Q, dt) - model.eval(P, Q)
-
-
-def _r_integrand(model, P, Q, dt):
+def _integrand(model, P, Q, dt, which):
+    """p q' - H for S (which = 's'), -(q p' + H) for R ('r'), node by node."""
+    if which == "s":
+        return P * _grad(Q, dt) - model.eval(P, Q)
     return -(Q * _grad(P, dt) + model.eval(P, Q))
 
 
-def _action_s_values(model, P, Q, dt):
-    return _quadrature(_s_integrand(model, P, Q, dt), dt)
-
-
-def _action_r_values(model, P, Q, dt):
-    return _quadrature(_r_integrand(model, P, Q, dt), dt)
+def _action_values(model, P, Q, dt, which):
+    """S or R of one path, or one value per lane of a (nodes, lanes) block, and the rule used."""
+    return _quadrature(_integrand(model, P, Q, dt, which), dt)
 
 
 _FORM_BLOCK = 1 << 15  # integrand entries per block of horizons (256 KB arrays)
@@ -145,20 +138,20 @@ def _legendre_values(model, P, Q, dt):
     each lane along axis 0 as it sums a single path, so a lane's value
     equals its path's bit for bit.
     """
-    s, _ = _quadrature(np.asfortranarray(_s_integrand(model, P, Q, dt)), dt)
-    r, _ = _quadrature(np.asfortranarray(_r_integrand(model, P, Q, dt)), dt)
+    s, _ = _quadrature(np.asfortranarray(_integrand(model, P, Q, dt, "s")), dt)
+    r, _ = _quadrature(np.asfortranarray(_integrand(model, P, Q, dt, "r")), dt)
     return s - r - (P[-1] * Q[-1] - P[0] * Q[0])
 
 
 def action_s(model: HamiltonianModel, path: PhasePath) -> ActionValue:
     """Quadrature of p q' - H(p, q) along the path (q' by centered differences)."""
-    value, used = _action_s_values(model, path.p, path.q, path.dt)
+    value, used = _action_values(model, path.p, path.q, path.dt, "s")
     return ActionValue(float(value), used, path.n_intervals)
 
 
 def action_r(model: HamiltonianModel, path: PhasePath) -> ActionValue:
     """Quadrature of -(q p' + H(p, q)) along the path."""
-    value, used = _action_r_values(model, path.p, path.q, path.dt)
+    value, used = _action_values(model, path.p, path.q, path.dt, "r")
     return ActionValue(float(value), used, path.n_intervals)
 
 
@@ -231,18 +224,10 @@ class SurfaceResidualField:
         ))
 
 
-def _residual_field(endpoint_name, endpoints, times, surface, hj, companion, solved, method,
-                    lanes):
-    """The field, valid where the solves succeeded and surface and HJ value are finite."""
-    valid = solved & np.isfinite(surface) & np.isfinite(hj)
-    return SurfaceResidualField(endpoint_name, endpoints, times, surface, hj, companion, valid,
-                                method, lanes)
-
-
-def _solved_actions(model, start_value, targets, horizons, n_steps, shoot_on):
+def _surface_actions(model, start_value, targets, horizons, n_steps, which):
     """Batch-shoot (target, horizon) pairs; return per-pair action values (S
-    for position shooting, R for momentum shooting), endpoint data of the
-    conjugate variable, a validity mask and the evaluation method.
+    for which = 's', shot on p0; R for 'r', shot on q0), endpoint data of
+    the conjugate variable, a validity mask and the evaluation method.
 
     An affine batch builds no path: each lane's value is y^T M y with
     y = (start, target, 1) and M its horizon's form (_action_forms),
@@ -251,66 +236,91 @@ def _solved_actions(model, start_value, targets, horizons, n_steps, shoot_on):
     range) has its path built and integrated, as a swept batch does for
     every lane.
     """
-    targets = np.asarray(targets, dtype=float)
-    horizons = np.asarray(horizons, dtype=float)
     # the plain scan: a surface's many lanes make a sweep cost arithmetic, not overhead
-    shots = _shoot_batch(model, start_value, targets, (0.0, horizons), n_steps, shoot_on,
-                         density=1)
+    shots = _shoot_batch(model, start_value, targets, (0.0, horizons), n_steps,
+                         "p0" if which == "s" else "q0", density=1)
     ok = shots.flags == "unique"
-    which = "s" if shoot_on == "p0" else "r"
-    evaluate = _action_s_values if which == "s" else _action_r_values
     dt = horizons / n_steps
     with np.errstate(all="ignore"):  # infeasible or overflowed lanes are masked by ok
         if shots.powers is None:
-            values, _ = evaluate(model, shots.P, shots.Q, dt)
+            values, _ = _action_values(model, shots.P, shots.Q, dt, which)
             method = "quadrature"
         else:
             forms = _action_forms(model, shots.powers, shots.steps, which)[shots.horizon]
-            ends = np.stack([np.full_like(targets, start_value), targets, np.ones_like(targets)],
-                            axis=1)
-            values = np.einsum("ki,kij,kj->k", ends, forms, ends)
+            y = np.stack([np.full_like(targets, start_value), targets, np.ones_like(targets)],
+                         axis=1)
+            values = np.einsum("ki,kij,kj->k", y, forms, y)
             method = "affine-form"
             lanes = np.flatnonzero(ok & ~np.isfinite(values))
             if lanes.size:
                 P, Q = _affine_paths(shots.powers, shots.horizon[lanes], shots.x0[lanes])
-                values[lanes], _ = evaluate(model, P, Q, dt[lanes])
-    conjugate_end = shots.end[0 if shoot_on == "p0" else 1]
-    return values, conjugate_end, ok, method
+                values[lanes], _ = _action_values(model, P, Q, dt[lanes], which)
+    # the conjugate end: p(t_f) for S, q(t_f) for R
+    return values, shots.end[0 if which == "s" else 1], ok, method
 
 
-def _hj_surface(model, start_value, endpoint_values, t_values, n_steps, fd_step, shoot_on):
-    """Five-point surface sampling: center, endpoint +/- delta, t +/- delta.
+def _cyclic_r_line(model, p_i, p_f_values, t_values, n_steps, fd_step):
+    """R, its HJ value, companion, solved mask and lanes shot on the line
+    p_f = p_i of a model cyclic in q (see hj_residual_r)."""
+    nt = t_values.size
+    R = np.full((nt, p_f_values.size), np.nan)
+    hj = np.full_like(R, np.nan)
+    online = np.isclose(p_f_values, p_i, rtol=0.0, atol=1e-12)
+    horizons = np.concatenate([t_values, t_values + fd_step, t_values - fd_step])
+    shots = _shoot_batch(model, p_i, np.full(horizons.shape, float(p_i)), (0.0, horizons),
+                         n_steps, "q0", density=1)
+    P, Q = shots.P, shots.Q
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
+        raise _blow_up(P, Q)
+    with np.errstate(all="ignore"):  # an overflowing H leaves the line non-finite
+        values, _ = _action_values(model, P, Q, horizons / n_steps, "r")
+        rc, rp, rm = np.asarray(values).reshape(3, nt)
+        dR_dt = (rp - rm) / (2.0 * fd_step)
+        hj[:, online] = (model.eval(p_i, 0.0) + dR_dt)[:, None]
+    R[:, online] = rc[:, None]
+    # the companion, a p_f-derivative across an empty surface, is undefined
+    return R, hj, np.full_like(R, np.nan), online, horizons.size
 
-    Returns the surface, its two derivatives, the conjugate endpoint,
-    the valid mask, the evaluation method and the number of lanes shot.
+
+def _hj_field(model, start, ends, t_values, n_steps, fd_step, which):
+    """The HJ residual field of S(q_f, t) (which = 's') or R(p_f, t) ('r').
+
+    Five-point sampling: each node is shot at its end, at end +/- fd_step
+    and at t +/- fd_step, and the two surface derivatives are centred
+    differences of those actions.  A node is valid where all five solves
+    are 'unique' and the action and HJ value are finite.
     """
-    x = np.asarray(endpoint_values, dtype=float)
+    x = np.asarray(ends, dtype=float)
     tv = np.asarray(t_values, dtype=float)
-    nx, nt = x.size, tv.size
     d = fd_step
-
-    # per t-row: [x, x+d, x-d] at t, then x at t+d and t-d
-    targets = np.concatenate([np.concatenate([x, x + d, x - d, x, x]) for _ in range(nt)])
-    horizons = np.concatenate([np.repeat([t, t, t, t + d, t - d], nx) for t in tv])
-    vals, conj_end, ok, method = _solved_actions(model, start_value, targets, horizons, n_steps,
-                                                 shoot_on)
-
-    vals = vals.reshape(nt, 5, nx)
-    conj_end = conj_end.reshape(nt, 5, nx)
-    ok = ok.reshape(nt, 5, nx)
-    center, xp, xm, tp, tm = (vals[:, k, :] for k in range(5))
-    valid = np.all(ok, axis=1)
-
-    with np.errstate(all="ignore"):  # differences of masked, overflowed lanes
-        dA_dx = (xp - xm) / (2.0 * d)
-        dA_dt = (tp - tm) / (2.0 * d)
-    return center, dA_dx, dA_dt, conj_end[:, 0, :], valid, method, targets.size
-
-
-def _check_horizons(t_values, fd_step):
-    """Every re-solve of a surface, t - fd_step included, must run forward in time."""
-    if not (fd_step > 0.0 and np.all(t_values - fd_step > 0.0)):
+    # every re-solve, t - fd_step included, must run forward in time
+    if not (d > 0.0 and np.all(tv - d > 0.0)):
         raise PreconditionError("action surfaces need fd_step > 0 and t - fd_step > 0")
+    if which == "r" and model.is_cyclic_in_q():
+        surface, hj, companion, solved, lanes = _cyclic_r_line(model, start, x, tv, n_steps, d)
+        method = "quadrature"
+    else:
+        nx, nt = x.size, tv.size
+        # per t-row: [x, x+d, x-d] at t, then x at t+d and t-d
+        targets = np.concatenate([np.concatenate([x, x + d, x - d, x, x]) for _ in range(nt)])
+        horizons = np.concatenate([np.repeat([t, t, t, t + d, t - d], nx) for t in tv])
+        values, conj_end, ok, method = _surface_actions(model, start, targets, horizons,
+                                                        n_steps, which)
+        surface, xp, xm, tp, tm = np.moveaxis(values.reshape(nt, 5, nx), 1, 0)
+        conj_end = conj_end.reshape(nt, 5, nx)[:, 0, :]
+        solved = np.all(ok.reshape(nt, 5, nx), axis=1)
+        lanes = targets.size
+        X = np.broadcast_to(x[None, :], surface.shape)
+        with np.errstate(all="ignore"):  # masked nodes may hold overflowed values
+            dA_dx = (xp - xm) / (2.0 * d)
+            dA_dt = (tp - tm) / (2.0 * d)
+            if which == "s":  # H(dS/dq_f, q_f) + dS/dt and dS/dq_f - p(t_f)
+                hj, companion = model.eval(dA_dx, X) + dA_dt, dA_dx - conj_end
+            else:  # H(p_f, -dR/dp_f) + dR/dt and dR/dp_f + q(t_f)
+                hj, companion = model.eval(X, -dA_dx) + dA_dt, dA_dx + conj_end
+    valid = solved & np.isfinite(surface) & np.isfinite(hj)
+    return SurfaceResidualField("q_f" if which == "s" else "p_f", x, tv, surface, hj, companion,
+                                valid, method, lanes)
 
 
 def hj_residual_s(model: HamiltonianModel, q_i: float, q_f_values, t_values,
@@ -325,64 +335,23 @@ def hj_residual_s(model: HamiltonianModel, q_i: float, q_f_values, t_values,
     centered re-solves offset by fd_step.  The companion field is
     dS/dq_f - p(t_f), which should also vanish on the surface.
     """
-    q_f_values = np.asarray(q_f_values, dtype=float)
-    t_values = np.asarray(t_values, dtype=float)
-    _check_horizons(t_values, fd_step)
-    S, dS_dq, dS_dt, p_tf, valid, method, lanes = _hj_surface(
-        model, q_i, q_f_values, t_values, n_steps, fd_step, "p0")
-    QF = np.broadcast_to(q_f_values[None, :], S.shape)
-    with np.errstate(all="ignore"):  # masked nodes may hold overflowed values
-        hj = model.eval(dS_dq, QF) + dS_dt
-        companion = dS_dq - p_tf
-    return _residual_field("q_f", q_f_values, t_values, S, hj, companion, valid, method, lanes)
+    return _hj_field(model, q_i, q_f_values, t_values, n_steps, fd_step, "s")
 
 
 def hj_residual_r(model: HamiltonianModel, p_i: float, p_f_values, t_values,
                   n_steps: int = 800, fd_step: float = 1e-3) -> SurfaceResidualField:
     """Residual of H(p_f, -dR/dp_f) + dR/dt on the R(p_f, t) surface.
 
-    R is built as S is in hj_residual_s, from momentum-type shooting.
-    The companion field is dR/dp_f + q(t_f).  For models cyclic in q the
-    momentum never moves, so the surface collapses to the feasible line
-    p_f = p_i: only its horizons t and t +/- fd_step are shot (every q0
-    reaches p_i, and the shots take q0 = 0), off-line nodes are masked
-    infeasible, the q-argument of H is immaterial, and the companion (a
-    p_f-derivative across an empty surface) is undefined and masked.  A
-    line path that leaves the float range raises BlowUpError; a line node
-    whose action or H overflows is masked.  The line runs the quadrature
-    on its paths, which the blow-up check reads anyway.
+    R is built by the routine that builds S in hj_residual_s, from
+    momentum-type shooting.  The companion field is dR/dp_f + q(t_f).
+    Its one special case is a model cyclic in q: the momentum never
+    moves, so the surface collapses to the feasible line p_f = p_i.  Only
+    its horizons t and t +/- fd_step are shot (every q0 reaches p_i, and
+    the shots take q0 = 0) and integrated along their paths (method
+    'quadrature'), which the blow-up check reads anyway; off-line nodes
+    are masked infeasible, the q-argument of H is immaterial, and the
+    companion (a p_f-derivative across an empty surface) is undefined and
+    masked.  A line path that leaves the float range raises BlowUpError;
+    a line node whose action or H overflows is masked.
     """
-    p_f_values = np.asarray(p_f_values, dtype=float)
-    t_values = np.asarray(t_values, dtype=float)
-    _check_horizons(t_values, fd_step)
-    npf, nt = p_f_values.size, t_values.size
-    dtt = fd_step
-
-    if model.is_cyclic_in_q():
-        R = np.full((nt, npf), np.nan)
-        hj = np.full_like(R, np.nan)
-        companion = np.full_like(R, np.nan)
-        online = np.isclose(p_f_values, p_i, rtol=0.0, atol=1e-12)
-        # one batch for the horizons t, t + dt and t - dt of every row
-        horizons = np.concatenate([t_values, t_values + dtt, t_values - dtt])
-        shots = _shoot_batch(model, p_i, np.full(horizons.shape, float(p_i)), (0.0, horizons),
-                             n_steps, "q0", density=1)
-        P, Q = shots.P, shots.Q
-        if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
-            raise _blow_up(P, Q)
-        with np.errstate(all="ignore"):  # an overflowing H leaves the line non-finite
-            values, _ = _action_r_values(model, P, Q, horizons / n_steps)
-            rc, rp, rm = np.asarray(values).reshape(3, nt)
-            dR_dt = (rp - rm) / (2.0 * dtt)
-            hj[:, online] = (model.eval(p_i, 0.0) + dR_dt)[:, None]
-        R[:, online] = rc[:, None]
-        return _residual_field("p_f", p_f_values, t_values, R, hj, companion, online,
-                               "quadrature", horizons.size)
-
-    R, dR_dp, dR_dt, q_tf, valid, method, lanes = _hj_surface(
-        model, p_i, p_f_values, t_values, n_steps, fd_step, "q0")
-    PF = np.broadcast_to(p_f_values[None, :], R.shape)
-    with np.errstate(all="ignore"):  # masked nodes may hold overflowed values
-        hj = model.eval(PF, -dR_dp) + dR_dt
-        companion = dR_dp + q_tf
-    return _residual_field("p_f", p_f_values, t_values, R, hj, companion, valid, method, lanes)
+    return _hj_field(model, p_i, p_f_values, t_values, n_steps, fd_step, "r")

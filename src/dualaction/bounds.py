@@ -29,10 +29,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .action import (
-    _action_r_values, _action_s_values, _cumulative_trapezoid, _grad, _quadrature, action_r,
-    action_s,
-)
+from .action import _action_values, _cumulative_trapezoid, _grad, _quadrature, action_r, action_s
 from .dynamics import ShootingReport
 from .errors import NotSaddleError, PreconditionError, RootFindError, UnsolvableRestrictionError
 from .model import DomainBox, HamiltonianModel, saddle_probe
@@ -135,7 +132,10 @@ def cosine_series(times, amplitude, mode_count, rng, include_constant=True):
     return _series(basis, amplitude, rng.normal(size=(1, len(basis))))[:, 0]
 
 
-def _newton_nodes(f, fprime, x0, tol_scale, max_iter=60):
+_NEWTON_MAX_ITER = 60
+
+
+def _newton_nodes(f, fprime, x0, tol_scale):
     """Solve f(x) = 0 node by node on a (nodes, columns) array.
 
     Each column iterates until all its nodes meet the tolerance, or
@@ -146,7 +146,7 @@ def _newton_nodes(f, fprime, x0, tol_scale, max_iter=60):
     x = np.array(x0, dtype=float)
     converged = np.zeros(x.shape[1], dtype=bool)
     live = ~converged
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         r = f(x)
         converged |= live & np.all(np.abs(r) <= 1e-11 * tol_scale, axis=0)
         live &= ~converged
@@ -280,13 +280,13 @@ def _value(quadrature):
 def functional_J(model: HamiltonianModel, theta, dt):
     """S evaluated on (Pi(Theta), Theta) with Pi from dTheta/dt = H_p."""
     theta = np.asarray(theta, dtype=float)
-    return _value(_action_s_values(model, pi_from_theta(model, theta, dt), theta, dt))
+    return _value(_action_values(model, pi_from_theta(model, theta, dt), theta, dt, "s"))
 
 
 def functional_G(model: HamiltonianModel, pi, dt):
     """S evaluated on (Pi, Theta(Pi)) with Theta from dPi/dt = -H_q."""
     pi = np.asarray(pi, dtype=float)
-    return _value(_action_s_values(model, pi, theta_from_pi(model, pi, dt), dt))
+    return _value(_action_values(model, pi, theta_from_pi(model, pi, dt), dt, "s"))
 
 
 def functional_Jp(model: HamiltonianModel, theta, dt, pi_start):
@@ -307,10 +307,13 @@ def functional_Gp(model: HamiltonianModel, pi, dt, theta_start):
     """R evaluated on (Pi, Theta(Pi)) with Theta from dTheta/dt = H_p."""
     pi = np.asarray(pi, dtype=float)
     theta = _restricted_position_ivp(model, pi, dt, theta_start)
-    return _value(_action_r_values(model, pi, theta, dt))
+    return _value(_action_values(model, pi, theta, dt, "r"))
 
 
-def _compatibility_shift(model, theta, dt, pi_start, pi_end, tol=1e-10):
+_SHIFT_TOL = 1e-10  # |restricted Pi(end) - pi_end| a shift must reach
+
+
+def _compatibility_shift(model, theta, dt, pi_start, pi_end):
     """Constant shift of Theta (of each column) making the restricted Pi hit pi_end.
 
     Exact in one step for potentials with constant curvature; secant
@@ -324,7 +327,7 @@ def _compatibility_shift(model, theta, dt, pi_start, pi_end, tol=1e-10):
 
     c0 = np.zeros(theta.shape[1:])
     m0 = mismatch(c0)
-    live = np.abs(m0) > tol
+    live = np.abs(m0) > _SHIFT_TOL
     if not np.any(live):
         return theta
     c1 = np.where(live, 1e-3, 0.0)
@@ -337,7 +340,7 @@ def _compatibility_shift(model, theta, dt, pi_start, pi_end, tol=1e-10):
         c0, m0 = np.where(live, c1, c0), np.where(live, m1, m0)
         c1 = np.where(live, c2, c1)
         m1 = np.where(live, mismatch(c1), m1)
-        live &= np.abs(m1) > tol
+        live &= np.abs(m1) > _SHIFT_TOL
     return theta + c1
 
 

@@ -71,10 +71,10 @@ def _fd_directional(f, x, order, h_base):
     return (4.0 * diff(f, x, h / 2.0) - diff(f, x, h)) / 3.0
 
 
-def _poly_derivs(coeffs, max_order=3):
+def _poly_derivs(coeffs):
     """Ascending-order coefficient arrays for V, V', V'', V'''."""
     out = [np.asarray(coeffs, dtype=float)]
-    for _ in range(max_order):
+    for _ in range(3):
         c = out[-1]
         out.append(c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1))
     return out
@@ -366,10 +366,15 @@ def eval_partials(model: HamiltonianModel, p, q, order=(0, 0)):
 
 
 _LAMBDAS = np.arange(0.1, 0.95, 0.1)
+_CHORD_SLACK = 1e-12
 
 
-def _chord_flags(model, box, axis, slack=1e-12):
-    """(convex_ok, concave_ok) from exhaustive chord tests on the box."""
+def _chord_flags(model, box, axis):
+    """(convex_ok, concave_ok) from exhaustive chord tests on the box.
+
+    Each frozen row evaluates H on the chords' interior points, then once
+    on the probe points, whose values are every chord's two ends.
+    """
     if axis == "p-axis":
         xs, frozen = np.linspace(box.p_min, box.p_max, PROBE_SAMPLES), box.q_grid()
     elif axis == "q-axis":
@@ -378,9 +383,8 @@ def _chord_flags(model, box, axis, slack=1e-12):
         raise PreconditionError(f"axis must be 'p-axis' or 'q-axis', got {axis!r}")
 
     i, j = np.triu_indices(PROBE_SAMPLES, k=1)
-    x1, x2 = xs[i], xs[j]                      # (P,)
     lam = _LAMBDAS[:, None]                    # (L, 1)
-    xmid = lam * x1 + (1.0 - lam) * x2         # (L, P)
+    xmid = lam * xs[i] + (1.0 - lam) * xs[j]   # (L, P)
 
     def h(x, w):
         if axis == "p-axis":
@@ -389,12 +393,13 @@ def _chord_flags(model, box, axis, slack=1e-12):
 
     convex_ok = concave_ok = True
     for w in frozen:
-        ww = np.full_like(xmid, w)
-        arc = h(xmid, ww)
-        chord = lam * h(x1, np.full_like(x1, w)) + (1.0 - lam) * h(x2, np.full_like(x2, w))
-        if np.any(arc > chord + slack):
+        arc = h(xmid, np.full_like(xmid, w))
+        # a black-box H may answer a constant with a scalar
+        ends = np.broadcast_to(h(xs, np.full_like(xs, w)), xs.shape)
+        chord = lam * ends[i] + (1.0 - lam) * ends[j]
+        if np.any(arc > chord + _CHORD_SLACK):
             convex_ok = False
-        if np.any(arc < chord - slack):
+        if np.any(arc < chord - _CHORD_SLACK):
             concave_ok = False
         if not (convex_ok or concave_ok):
             break

@@ -427,10 +427,20 @@ def test_package_import_loads_no_submodule():
 _SOLVERS = {f"dualaction.{m}" for m in ("dynamics", "action", "bounds", "extrema")}
 
 
+_UNUSED_BY_ACTION = {f"dualaction.{m}" for m in ("bounds", "extrema", "propagator")}
+
+
 @pytest.mark.parametrize("argv, not_loaded", [
     (["spin", "--N", "4"], _SOLVERS | {"dualaction.propagator"}),
     (["propagate", "--rep", "momentum"], _SOLVERS),
-], ids=["spin", "propagate"])
+    (["hj-check", "--hamiltonian", "free", "--grid-count", "3", "--t-count", "3"],
+     _UNUSED_BY_ACTION),
+    (["legendre-check", "--hamiltonian", "sho", "--samples", "2", "--N", "50"],
+     _UNUSED_BY_ACTION),
+    (["action", "--hamiltonian", "sho", "--N", "50"], _UNUSED_BY_ACTION),
+    (["classify", "--hamiltonian", "saddle-quadratic", "--N", "50"],
+     {"dualaction.bounds", "dualaction.propagator"}),
+], ids=["spin", "propagate", "hj-check", "legendre-check", "action", "classify"])
 def test_cold_command_loads_only_its_modules(argv, not_loaded):
     # a cold CLI call pays the import of every module it loads
     loaded = _cold_modules(f"from dualaction.cli import main; main({argv!r})")

@@ -14,7 +14,8 @@ from dualaction import (
     eval_partials,
     saddle_probe,
 )
-from dualaction.model import _horner, _poly
+from dualaction import model as model_mod
+from dualaction.model import PROBE_GRID, PROBE_SAMPLES, _horner, _poly
 
 
 class TestEvalPartials:
@@ -153,6 +154,25 @@ class TestSaddleProbe:
 
     def test_free_particle_saddle_non_strict(self, free, box):
         assert saddle_probe(free, box) == "saddle"
+
+    def test_each_row_evaluates_the_chord_ends_once(self, saddle, box, monkeypatch):
+        # per frozen row: H on the chords' interior points, then on the probe points
+        evaluate = model_mod.eval_partials
+        sizes = []
+
+        def counted(model, p, q, order=(0, 0)):
+            sizes.append(np.size(p))
+            return evaluate(model, p, q, order)
+
+        monkeypatch.setattr(model_mod, "eval_partials", counted)
+        assert saddle_probe(saddle, box) == "saddle"
+        chords = PROBE_SAMPLES * (PROBE_SAMPLES - 1) // 2
+        assert sizes == [len(model_mod._LAMBDAS) * chords, PROBE_SAMPLES] * (2 * PROBE_GRID)
+
+    def test_black_box_constant_is_affine(self, box):
+        constant = HamiltonianModel.general(lambda p, q: 1.5)  # a scalar for any (p, q)
+        assert convexity_probe(constant, box, "q-axis") == "convex"
+        assert saddle_probe(constant, box) == "saddle"
 
 
 class TestConstructors:
