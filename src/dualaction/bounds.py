@@ -396,18 +396,18 @@ class BoundCertificate:
         )
 
 
-def _draws(spec, start, stop, constant):
-    """(pinned, free) mode coefficients of samples start..stop-1, one row per sample.
+def _draws(rng, mode_count, rows, constant):
+    """(pinned, free) mode coefficients of the next rows samples, one row per sample.
 
-    Sample idx draws from its own default_rng((spec.seed, idx)): its sine
-    coefficients, then its cosine coefficients and (with constant) its
-    constant-mode coefficient.  The generators are made one at a time.
+    A row is the next 2 mode_count normals of rng (one more with
+    constant): its sine coefficients, then its cosine coefficients and
+    the constant-mode coefficient.  Generator.normal carries no spare
+    value from one call to the next, so rows drawn block by block equal
+    one draw of them all: sample idx takes normals idx k .. idx k + k - 1
+    of the stream.
     """
-    d = spec.mode_count
-    draws = np.empty((stop - start, 2 * d + int(constant)))
-    for row, idx in enumerate(range(start, stop)):
-        draws[row] = np.random.default_rng((spec.seed, idx)).normal(size=draws.shape[1])
-    return draws[:, :d], draws[:, d:]
+    draws = rng.normal(size=(rows, 2 * mode_count + int(constant)))
+    return draws[:, :mode_count], draws[:, mode_count:]
 
 
 def _takes_quadratic_form(model):
@@ -480,15 +480,19 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
     endpoints and Theta free (zero-mean so the induced momentum
     restriction stays endpoint-matched).
 
-    Sample idx draws from default_rng((spec.seed, idx)).  A separable
-    model whose potential has degree <= 2 reads each side's values off
-    one quadratic form in the mode coefficients (_form_values), built
-    from 1 + 2d + d(d - 1)/2 columns for d modes whatever the sample
-    count; any other model evaluates the samples in blocks, as the
-    columns of (nodes, block) arrays.  The certificate records which
-    (method) and the columns passed through the functionals
-    (evaluations).  The saddle probe box reaches one unit beyond the path
-    and [-1, 1] on both axes.
+    One default_rng(spec.seed) per call draws every sample's mode
+    coefficients: sample idx takes normals idx k .. idx k + k - 1 of its
+    stream, k = 2d for d modes (2d + 1 with the S-chain's constant mode).
+    So a sample's perturbation does not depend on the sample count: the
+    first n samples of a longer certificate are those of an n-sample
+    one, bit for bit.  A separable model whose potential has degree <= 2
+    reads each side's values off one quadratic form in the mode
+    coefficients (_form_values), built from 1 + 2d + d(d - 1)/2 columns
+    whatever the sample count; any other model evaluates the samples in
+    blocks, as the columns of (nodes, block) arrays.  The certificate
+    records which (method) and the columns passed through the
+    functionals (evaluations).  The saddle probe box reaches one unit
+    beyond the path and [-1, 1] on both axes.
     """
     if chain not in ("S-chain", "R-chain"):
         raise PreconditionError("chain must be 'S-chain' or 'R-chain'")
@@ -531,8 +535,9 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
     sines = _mode_basis(path.times, spec.mode_count, np.sin)
     # the S-chain's free variable also gets a constant mode
     cosines = _free_basis(path.times, spec.mode_count, s_chain)
+    rng = np.random.default_rng(spec.seed)
     if _takes_quadratic_form(model):
-        pinned, free = _draws(spec, 0, samples, s_chain)
+        pinned, free = _draws(rng, spec.mode_count, samples, s_chain)
         upper_values, upper_columns = _form_values(
             upper, pinned_path, np.stack(sines, axis=1), pinned, spec.amplitude)
         lower_values, lower_columns = _form_values(
@@ -544,7 +549,7 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
         size = _block_size(model, path.p.size)
         for start in range(0, samples, size):
             block = slice(start, min(start + size, samples))
-            pinned, free = _draws(spec, block.start, block.stop, s_chain)
+            pinned, free = _draws(rng, spec.mode_count, block.stop - block.start, s_chain)
             pinned = pinned_path[:, None] + _series(sines, spec.amplitude, pinned)
             free = free_path[:, None] + _series(cosines, spec.amplitude, free)
             try:

@@ -305,8 +305,8 @@ def reference_values(model, chain, path, spec, samples):
     """(lower_values, upper_values) of the chain, one sample at a time."""
     dt, times = path.dt, path.times
     lower, upper = np.empty(samples), np.empty(samples)
+    rng = np.random.default_rng(spec.seed)
     for idx in range(samples):
-        rng = np.random.default_rng((spec.seed, idx))
         sine = _ref_series(times, spec.amplitude, spec.mode_count, rng, np.sin)
         if chain == "S-chain":
             theta = path.q + sine
@@ -376,6 +376,65 @@ def test_blocked_certificate_matches_sample_loop(name, chain, pin, monkeypatch):
         margins = np.concatenate([crit - lower[:samples], upper[:samples] - crit])
         assert cert.violations == int(np.sum(margins < -cert.slack))
         assert cert.worst_margin == pytest.approx(np.min(margins), rel=1e-12, abs=0)
+
+
+# One generator per certificate: sample idx takes row idx of
+# default_rng(seed).normal(size=(n, k)), k = 2d normals (2d + 1 with the
+# S-chain's constant mode), on the quadratic form, in blocks of 16
+# (anharmonic) and in one wide block (general).
+STREAM_MODELS = ["saddle-quadratic", "anharmonic-saddle", "general-saddle"]
+
+
+def _stream_case(name, pin):
+    model = REFERENCE_MODELS[name][0]
+    bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 40)
+    return model, bvp, PerturbationSpec(amplitude=0.2, mode_count=8, seed=23, pinned=pin)
+
+
+@pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
+@pytest.mark.parametrize("name", STREAM_MODELS)
+def test_sample_coefficients_are_rows_of_one_stream(name, chain, pin, monkeypatch):
+    model, bvp, spec = _stream_case(name, pin)
+    drawn = []
+    draws = bounds._draws
+
+    def recording(*args):
+        pinned, free = draws(*args)
+        drawn.append(np.hstack([pinned, free]))
+        return pinned, free
+
+    monkeypatch.setattr(bounds, "_draws", recording)
+    certify_bounds(model, chain, bvp, spec, 40)
+    k = 2 * spec.mode_count + (chain == "S-chain")
+    assert np.array_equal(np.vstack(drawn), np.random.default_rng(23).normal(size=(40, k)))
+
+
+@pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
+@pytest.mark.parametrize("name", STREAM_MODELS)
+def test_certificate_prefix_is_the_shorter_certificate(name, chain, pin):
+    # 37 samples end in a partial block of 5, 100 in one of 4
+    model, bvp, spec = _stream_case(name, pin)
+    short = certify_bounds(model, chain, bvp, spec, 37)
+    long = certify_bounds(model, chain, bvp, spec, 100)
+    assert np.array_equal(long.lower_values[:37], short.lower_values)
+    assert np.array_equal(long.upper_values[:37], short.upper_values)
+
+
+@pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
+@pytest.mark.parametrize("name", STREAM_MODELS)
+def test_certificate_makes_one_generator(name, chain, pin, monkeypatch):
+    model, bvp, spec = _stream_case(name, pin)
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    cert = certify_bounds(model, chain, bvp, spec, 1000)
+    assert made == [(23,)]
+    assert cert.method == ("quadratic-form" if name == "saddle-quadratic" else "blocked")
 
 
 # G reads Theta(Pi) off the slope of Pi and then differentiates Theta, so
@@ -551,9 +610,9 @@ def test_general_model_block_equals_blocks_of_sixteen(chain, pin, monkeypatch):
 def test_blocked_root_find_failure_names_the_looped_node():
     # H_p = 2 p / sqrt(1 + p^2) and H_q = -q / sqrt(1 + q^2) are bounded, so
     # a slope of the perturbed Theta beyond 2 leaves J's restriction without
-    # a root, and a slope of the perturbed Pi beyond 1 leaves G's.  Sample 7
-    # fails first, in G; sample 14, in the same block, fails in J, which a
-    # block evaluates before G.
+    # a root, and a slope of the perturbed Pi beyond 1 leaves G's.  Sample 6
+    # (counting from 0) fails first, in G at node 77; sample 13, in the same
+    # block, fails in J at node 98, and a block evaluates J before G.
     model = HamiltonianModel.general(
         lambda p, q: 2.0 * (np.sqrt(1.0 + p**2) - 1.0) - (np.sqrt(1.0 + q**2) - 1.0),
         partials={
@@ -564,12 +623,12 @@ def test_blocked_root_find_failure_names_the_looped_node():
         },
     )
     bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 100)
-    spec = PerturbationSpec(amplitude=0.04, mode_count=8, seed=0, pinned="q-pinned")
+    spec = PerturbationSpec(amplitude=0.04, mode_count=8, seed=10, pinned="q-pinned")
     with pytest.raises(RootFindError) as looped:
         reference_values(model, "S-chain", bvp.path, spec, 40)
     with pytest.raises(RootFindError) as blocked:
         certify_bounds(model, "S-chain", bvp, spec, 40)
-    assert blocked.value.node_index == looped.value.node_index
+    assert blocked.value.node_index == looped.value.node_index == 77
 
 
 @settings(max_examples=8)
