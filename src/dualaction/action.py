@@ -56,7 +56,15 @@ def _simpson(y):
 def _quadrature(y, dt):
     """Composite quadrature along axis 0 and the rule used: Simpson on an
     even interval count, trapezoid otherwise.  dt may be per-lane (array)
-    spacing."""
+    spacing.
+
+    Each lane of a (nodes, ...) block equals the quadrature of that lane
+    as a 1-d path, bit for bit, whatever the block's layout: numpy sums a
+    contiguous axis pairwise and a strided one node by node, so a block
+    whose axis 0 is not contiguous is summed as a Fortran-ordered copy.
+    """
+    if y.ndim > 1 and y.strides[0] != y.itemsize:
+        y = np.asfortranarray(y)
     if (y.shape[0] - 1) % 2 == 0:
         return _simpson(y) * dt, "simpson"
     return _trapezoid(y) * dt, "trapezoid"
@@ -95,8 +103,7 @@ def _action_forms(model, powers, steps, which):
     values: _grad along the nodes, the integrand node by node with
     H = z^T E z for z = (p, q, 1), and _quadrature along the nodes.
     G^j T is as large as the path, where a form in x0 grows as (G^j)^2
-    on an unstable flow; and the node axis is last in memory, so the
-    quadrature sums each entry pairwise.  Horizons go in blocks of at
+    on an unstable flow.  Horizons go in blocks of at
     most _FORM_BLOCK integrand entries: arrays that small are reused
     from the heap, where larger ones cost a page fault per 4 KB.
     """
@@ -132,15 +139,54 @@ def _action_forms(model, powers, steps, which):
 
 def _legendre_values(model, P, Q, dt):
     """S - R - ([pq] at the last node - [pq] at the first) of one path, or of
-    a (nodes, lanes) block of paths, one value per lane.
-
-    The integrands go to the quadrature in Fortran order: numpy then sums
-    each lane along axis 0 as it sums a single path, so a lane's value
-    equals its path's bit for bit.
-    """
-    s, _ = _quadrature(np.asfortranarray(_integrand(model, P, Q, dt, "s")), dt)
-    r, _ = _quadrature(np.asfortranarray(_integrand(model, P, Q, dt, "r")), dt)
+    a (nodes, lanes) block of paths, one value per lane."""
+    s, _ = _quadrature(_integrand(model, P, Q, dt, "s"), dt)
+    r, _ = _quadrature(_integrand(model, P, Q, dt, "r"), dt)
     return s - r - (P[-1] * Q[-1] - P[0] * Q[0])
+
+
+def _mode_basis(times, mode_count, wave):
+    """Rows wave(pi (k + 1) u), k < mode_count, with u running from 0 to 1 over times."""
+    t0, t1 = times[0], times[-1]
+    u = (times - t0) / (t1 - t0)
+    return [wave(np.pi * (k + 1) * u) for k in range(mode_count)]
+
+
+def _mode_sum(basis, coeffs):
+    """(nodes, rows) columns sum_k coeffs[j, k] basis[k].
+
+    The modes are added in k order, as a sum over the modes of one path
+    adds them, so each column equals its row's series bit for bit.  The
+    sum is built row by row, (rows, nodes), and returned transposed.
+    """
+    total = np.zeros((coeffs.shape[0], basis[0].size))
+    term = np.empty_like(total)
+    for k, mode in enumerate(basis):
+        total += np.multiply(coeffs[:, k, None], mode, out=term)
+    return total.T
+
+
+_LEGENDRE_BLOCK = 8  # paths per block: 256 KB per array at N = 4000
+
+
+def _legendre_residuals(model, amp_p, amp_q, n):
+    """|S - R - [pq]| of each sample's smooth path on n intervals of [0, 1].
+
+    Sample i has p = 0.3 + sum_k amp_p[i, k] / (k+1)^3 sin(pi (k+1) t) and
+    q = sum_k amp_q[i, k] / (k+1)^3 cos(pi (k+1) t); a value equals the
+    single path's bit for bit.
+    """
+    tt = np.linspace(0.0, 1.0, n + 1)
+    sines = _mode_basis(tt, amp_p.shape[1], np.sin)
+    cosines = _mode_basis(tt, amp_q.shape[1], np.cos)
+    c_p = amp_p / np.arange(1, amp_p.shape[1] + 1) ** 3
+    c_q = amp_q / np.arange(1, amp_q.shape[1] + 1) ** 3
+    out = []
+    for lo in range(0, len(amp_p), _LEGENDRE_BLOCK):
+        P = 0.3 + _mode_sum(sines, c_p[lo:lo + _LEGENDRE_BLOCK])
+        Q = _mode_sum(cosines, c_q[lo:lo + _LEGENDRE_BLOCK])
+        out.extend(np.abs(_legendre_values(model, P, Q, 1.0 / n)).tolist())
+    return out
 
 
 def action_s(model: HamiltonianModel, path: PhasePath) -> ActionValue:

@@ -29,7 +29,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .action import _action_values, _cumulative_trapezoid, _grad, _quadrature, action_r, action_s
+from .action import (
+    _action_values, _cumulative_trapezoid, _grad, _mode_basis, _mode_sum, _quadrature, action_r,
+    action_s,
+)
 from .dynamics import ShootingReport
 from .errors import NotSaddleError, PreconditionError, RootFindError, UnsolvableRestrictionError
 from .model import DomainBox, HamiltonianModel, saddle_probe
@@ -84,52 +87,12 @@ def _scale(peak, amplitude):
     return np.where(zero, 1.0, amplitude / np.where(zero, 1.0, peak))
 
 
-def _normalize(delta, amplitude):
-    """Scale each column of delta to sup-norm amplitude (all-zero columns stay)."""
-    return delta * _scale(np.max(np.abs(delta), axis=0), amplitude)
-
-
-def _mode_basis(times, mode_count, wave):
-    """Rows wave(pi (k + 1) u), k < mode_count, with u running from 0 to 1 over times."""
-    t0, t1 = times[0], times[-1]
-    u = (times - t0) / (t1 - t0)
-    return [wave(np.pi * (k + 1) * u) for k in range(mode_count)]
-
-
-def _free_basis(times, mode_count, constant):
-    """Cosine modes, then (with constant) the constant mode, a row of ones."""
-    basis = _mode_basis(times, mode_count, np.cos)
-    return basis + [np.ones(times.size)] if constant else basis
-
-
 def _series(basis, amplitude, coeffs):
-    """Columns sum_k coeffs[j, k] basis[k], each of sup-norm amplitude.
-
-    The modes are added in k order, as a sum over the modes of one
-    sample would add them; a constant mode, added last, adds its
-    coefficient exactly.
-    """
-    delta = np.zeros((basis[0].size, coeffs.shape[0]))
-    term = np.empty_like(delta)
-    for k, mode in enumerate(basis):
-        delta += np.multiply(mode[:, None], coeffs[:, k], out=term)
-    return _normalize(delta, amplitude)
-
-
-def sine_series(times, amplitude, mode_count, rng):
-    """Endpoint-vanishing random sine series with the given sup-norm."""
-    basis = _mode_basis(times, mode_count, np.sin)
-    return _series(basis, amplitude, rng.normal(size=(1, mode_count)))[:, 0]
-
-
-def cosine_series(times, amplitude, mode_count, rng, include_constant=True):
-    """Random cosine series; its derivative vanishes at both endpoints.
-
-    Without the constant mode every term integrates to zero over the
-    window, which keeps an integrated partner variable endpoint-matched.
-    """
-    basis = _free_basis(times, mode_count, include_constant)
-    return _series(basis, amplitude, rng.normal(size=(1, len(basis))))[:, 0]
+    """Columns sum_k coeffs[j, k] basis[k], each scaled to sup-norm amplitude
+    (an all-zero column stays); a constant mode, added last, adds its
+    coefficient exactly."""
+    delta = _mode_sum(basis, coeffs)
+    return delta * _scale(np.max(np.abs(delta), axis=0), amplitude)
 
 
 _NEWTON_MAX_ITER = 60
@@ -533,8 +496,9 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
             return functional_Jp(model, theta, dt, path.p[0])
 
     sines = _mode_basis(path.times, spec.mode_count, np.sin)
-    # the S-chain's free variable also gets a constant mode
-    cosines = _free_basis(path.times, spec.mode_count, s_chain)
+    # the S-chain's free variable also gets a constant mode, a row of ones
+    cosines = _mode_basis(path.times, spec.mode_count, np.cos)
+    cosines += [np.ones(path.times.size)] if s_chain else []
     rng = np.random.default_rng(spec.seed)
     if _takes_quadratic_form(model):
         pinned, free = _draws(rng, spec.mode_count, samples, s_chain)

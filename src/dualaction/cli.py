@@ -288,35 +288,8 @@ def _finite_or_none(value):
     return value if math.isfinite(value) else None
 
 
-_LEGENDRE_BLOCK = 8  # samples per block: 256 KB per array at N = 4000
-
-
-def _legendre_residuals(model, amp_p, amp_q, n):
-    """|S - R - [pq]| of each sample's smooth path on n intervals of [0, 1].
-
-    Sample i has p = 0.3 + sum_k amp_p[i, k] / (k+1)^3 sin(pi (k+1) t) and
-    q = sum_k amp_q[i, k] / (k+1)^3 cos(pi (k+1) t).  Blocks of samples
-    add the modes in k order, as one path does, so every value equals the
-    single path's.
-    """
-    from .action import _legendre_values
-
-    tt = np.linspace(0.0, 1.0, n + 1)
-    modes = range(amp_p.shape[1])
-    sines = [np.sin(np.pi * (k + 1) * tt) for k in modes]
-    cosines = [np.cos(np.pi * (k + 1) * tt) for k in modes]
-    out = []
-    for lo in range(0, len(amp_p), _LEGENDRE_BLOCK):
-        a_p = amp_p[lo:lo + _LEGENDRE_BLOCK, :, None]
-        a_q = amp_q[lo:lo + _LEGENDRE_BLOCK, :, None]
-        # built (lanes, nodes) and transposed: (nodes, lanes) in Fortran order
-        P = (0.3 + sum(a_p[:, k] / (k + 1) ** 3 * sines[k] for k in modes)).T
-        Q = sum(a_q[:, k] / (k + 1) ** 3 * cosines[k] for k in modes).T
-        out.extend(np.abs(_legendre_values(model, P, Q, 1.0 / n)).tolist())
-    return out
-
-
 def _cmd_legendre_check(config: RunConfig, model):
+    from .action import _legendre_residuals
     from .series import write_series
 
     params = config.params

@@ -50,7 +50,7 @@ class NumericError(DualActionError):
 
 
 class DomainError(NumericError):
-    """Evaluation left the declared domain or returned a non-finite value."""
+    """A Hamiltonian partial evaluated to a non-finite value."""
 
     code = "domain"
 

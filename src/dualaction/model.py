@@ -46,12 +46,6 @@ class DomainBox:
     def q_grid(self):
         return np.linspace(self.q_min, self.q_max, PROBE_GRID)
 
-    def contains(self, p, q):
-        return (
-            np.all(p >= self.p_min) and np.all(p <= self.p_max)
-            and np.all(q >= self.q_min) and np.all(q <= self.q_max)
-        )
-
 
 # Central differences of f at x with step s, by derivative order.
 _STENCIL = {
@@ -133,7 +127,6 @@ class HamiltonianModel:
     potential: Callable | None = None
     evaluator: Callable | None = None
     partials: Mapping[tuple[int, int], Callable] | None = None
-    domain: DomainBox | None = None
     label: str = ""
     _vcoeffs: tuple = field(default=None, repr=False, compare=False)
 
@@ -158,19 +151,17 @@ class HamiltonianModel:
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def separable(cls, mass, potential_coeffs=None, potential=None, label="", **kw):
+    def separable(cls, mass, potential_coeffs=None, potential=None, label=""):
         if potential_coeffs is not None:
             potential_coeffs = tuple(float(c) for c in potential_coeffs)
         return cls(
             kind="separable", mass=float(mass), potential_coeffs=potential_coeffs,
-            potential=potential, label=label, **kw
+            potential=potential, label=label
         )
 
     @classmethod
-    def general(cls, evaluator, partials=None, label="", **kw):
-        return cls(
-            kind="general", evaluator=evaluator, partials=dict(partials or {}), label=label, **kw
-        )
+    def general(cls, evaluator, partials=None, label=""):
+        return cls(kind="general", evaluator=evaluator, partials=dict(partials or {}), label=label)
 
     @classmethod
     def free(cls, mass=1.0):
@@ -355,8 +346,6 @@ def eval_partials(model: HamiltonianModel, p, q, order=(0, 0)):
     a, b = order
     if a + b > 3:
         raise UnsupportedOrderError(f"requested order {order} exceeds total order 3")
-    if model.domain is not None and not model.domain.contains(p, q):
-        raise DomainError(f"point ({p}, {q}) lies outside the declared domain box")
     val = model._derivative(a, b)(p, q)
     if not np.all(np.isfinite(val)):
         raise DomainError(f"non-finite H partial {order} at (p={p}, q={q})")

@@ -350,9 +350,10 @@ def fourier_endpoints(source, grid: FourierGrid, to: str) -> KernelSamples:
         flat = np.unique(np.round(delta.ravel(), 12))
         for probe_delta in (flat[np.argmax(np.abs(flat))], flat[np.argmin(np.abs(flat))]):
             _check_bandwidth(phase * np.exp(sign_final * 1j * probe_delta * x), x, grid.band)
-        kernel = np.exp(sign_final * 1j * delta[..., None] * x)
-        values = (h / (2.0 * math.pi)) * np.sum(kernel * (phase * w), axis=-1)
-        return KernelSamples(to, xf, xi, values.astype(complex))
+        # exp(i s (x_f - x_i) x) factors into one exponential per endpoint
+        E_f = np.exp(sign_final * 1j * np.outer(xf, x)) * (phase * w * h)
+        E_i = np.exp(-sign_final * 1j * np.outer(xi, x))
+        return KernelSamples(to, xf, xi, (E_f @ E_i.T) / (2.0 * math.pi))
 
     # regular source: the guards read one row and one column of the kernel
     corner_f = xf[np.argmax(np.abs(xf))]

@@ -434,3 +434,57 @@ class TestQuadratureMatchesScipy:
             assert np.array_equal(_trapezoid(y), integrate.trapezoid(y, dx=1.0, axis=0)), n_nodes
             expected = integrate.cumulative_trapezoid(y, dx=0.37, axis=0, initial=0)
             assert np.array_equal(_cumulative_trapezoid(y, 0.37), expected), n_nodes
+
+
+class TestLaneExactQuadrature:
+    """A lane of a batch integrates to the value of the same 1-d path, bit for bit."""
+
+    @settings(max_examples=80)
+    @given(
+        nodes=st.integers(2, 400),
+        lanes=st.integers(2, 7),
+        layout=st.sampled_from(["C", "F", "strided", "lane-strided"]),
+        per_lane_dt=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lanes_equal_their_paths(self, nodes, lanes, layout, per_lane_dt, seed):
+        from dualaction.action import _quadrature
+
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(2 * nodes, 3 * lanes))
+        if layout == "C":
+            y = np.ascontiguousarray(base[:nodes, :lanes])
+        elif layout == "F":
+            y = np.asfortranarray(base[:nodes, :lanes])
+        elif layout == "strided":  # neither axis contiguous
+            y = base[::2, ::3]
+        else:  # axis 0 contiguous, lanes spread apart
+            y = np.asfortranarray(base[:nodes])[:, ::3]
+        dt = rng.uniform(0.1, 2.0, size=lanes) if per_lane_dt else 0.37
+        values, rule = _quadrature(y, dt)
+        for k in range(lanes):
+            lane, used = _quadrature(np.array(y[:, k]), dt[k] if per_lane_dt else dt)
+            assert used == rule and values[k] == lane, (k, layout)
+
+    @pytest.mark.parametrize("which", ["s", "r"])
+    def test_swept_surface_lanes_equal_their_paths(self, which, monkeypatch):
+        quartic_saddle = HamiltonianModel.separable(1.0, (0.0, 0.0, -0.5, 0.0, -0.05))
+        shot = []
+        shoot = action._shoot_batch
+
+        def recording(*args, **kwargs):
+            shot.append(shoot(*args, **kwargs))
+            return shot[-1]
+
+        monkeypatch.setattr(action, "_shoot_batch", recording)
+        ends, times, n = np.linspace(0.5, 1.5, 4), np.array([0.6, 0.9, 1.2]), 200
+        residual = hj_residual_s if which == "s" else hj_residual_r
+        fld = residual(quartic_saddle, 0.2, ends, times, n_steps=n)
+        assert fld.method == "quadrature" and np.any(fld.valid)
+        (shots,) = shot
+        own = action_s if which == "s" else action_r
+        for i, t in enumerate(times):
+            for j in np.flatnonzero(fld.valid[i]):
+                lane = 5 * ends.size * i + j  # the unshifted node of row i
+                path = PhasePath(0.0, t, shots.P[:, lane], shots.Q[:, lane])
+                assert fld.surface[i, j] == own(quartic_saddle, path).value, (i, j)

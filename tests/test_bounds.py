@@ -23,10 +23,16 @@ from dualaction import (
     solve_position_bvp,
     theta_from_pi,
 )
-from dualaction.action import _cumulative_trapezoid, _grad, _quadrature
+from dualaction.action import _cumulative_trapezoid, _grad, _mode_basis, _quadrature
 from dualaction import bounds
-from dualaction.bounds import cosine_series, sine_series
 from dualaction.errors import RootFindError
+
+
+def _random_series(times, amplitude, mode_count, rng, wave, constant=False):
+    """One series of sine or cosine modes (then, with constant, the constant
+    mode) with normal coefficients from rng, scaled to sup-norm amplitude."""
+    basis = _mode_basis(times, mode_count, wave) + ([np.ones(times.size)] if constant else [])
+    return bounds._series(basis, amplitude, rng.normal(size=(1, len(basis))))[:, 0]
 
 
 @pytest.fixture
@@ -145,9 +151,9 @@ class TestCertificates:
         dt = path.dt
         u = (path.times - path.times[0]) / (path.times[-1] - path.times[0])
         rng = np.random.default_rng(9)
-        d_sine = sine_series(path.times, 0.2, 6, rng)
-        d_cos = cosine_series(path.times, 0.2, 6, rng)
-        d_cos0 = cosine_series(path.times, 0.2, 6, rng, include_constant=False)
+        d_sine = _random_series(path.times, 0.2, 6, rng, np.sin)
+        d_cos = _random_series(path.times, 0.2, 6, rng, np.cos, constant=True)
+        d_cos0 = _random_series(path.times, 0.2, 6, rng, np.cos)
         s = action_s(saddle, path).value
         r = action_r(saddle, path).value
         assert functional_J(saddle, path.q + d_sine, dt) >= s
@@ -176,7 +182,7 @@ class TestPerturbationSpec:
 
     def test_sine_series_pinned_and_normalized(self):
         t = np.linspace(0.0, 2.0, 401)
-        d = sine_series(t, 0.3, 8, np.random.default_rng(0))
+        d = _random_series(t, 0.3, 8, np.random.default_rng(0), np.sin)
         assert d[0] == pytest.approx(0.0, abs=1e-15)
         assert d[-1] == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(d)) == pytest.approx(0.3)
@@ -184,7 +190,7 @@ class TestPerturbationSpec:
     @pytest.mark.parametrize("wave", [np.sin, np.cos])
     def test_block_columns_equal_looped_series(self, wave):
         # each column is bit for bit the series the per-sample loop drew
-        from dualaction.bounds import _mode_basis, _series
+        from dualaction.bounds import _series
 
         t = np.linspace(0.0, 1.3, 1001)
         # the cosine series' constant is one more mode, a row of ones, drawn last
@@ -196,12 +202,12 @@ class TestPerturbationSpec:
             rng = np.random.default_rng((5, idx))
             looped = _ref_series(t, 0.3, 8, rng, wave, constant=wave is np.cos)
             assert np.array_equal(block[:, idx], looped)
-        assert np.array_equal(sine_series(t, 0.3, 8, np.random.default_rng((5, 3))),
+        assert np.array_equal(_random_series(t, 0.3, 8, np.random.default_rng((5, 3)), np.sin),
                               _ref_series(t, 0.3, 8, np.random.default_rng((5, 3)), np.sin))
 
     def test_cosine_series_zero_mean_without_constant(self):
         t = np.linspace(0.0, 2.0, 4001)
-        d = cosine_series(t, 0.3, 8, np.random.default_rng(1), include_constant=False)
+        d = _random_series(t, 0.3, 8, np.random.default_rng(1), np.cos)
         assert abs(np.trapezoid(d, t)) <= 1e-4
 
 
@@ -371,8 +377,14 @@ def test_blocked_certificate_matches_sample_loop(name, chain, pin, monkeypatch):
             break
         cert = certify_bounds(model, chain, bvp, spec, samples)
         assert (cert.method, cert.evaluations) == ("blocked", 2 * samples)
-        np.testing.assert_allclose(cert.lower_values, lower[:samples], rtol=1e-11, atol=0)
-        np.testing.assert_allclose(cert.upper_values, upper[:samples], rtol=1e-11, atol=0)
+        if name == "general-saddle":
+            # its q**3 rounds differently on a numpy scalar (a loop's Heun
+            # step) than on an array, so the loop's steps differ by ~2.6e-16
+            np.testing.assert_allclose(cert.lower_values, lower[:samples], rtol=1e-11, atol=0)
+            np.testing.assert_allclose(cert.upper_values, upper[:samples], rtol=1e-11, atol=0)
+        else:
+            assert np.array_equal(cert.lower_values, lower[:samples])
+            assert np.array_equal(cert.upper_values, upper[:samples])
         margins = np.concatenate([crit - lower[:samples], upper[:samples] - crit])
         assert cert.violations == int(np.sum(margins < -cert.slack))
         assert cert.worst_margin == pytest.approx(np.min(margins), rel=1e-12, abs=0)

@@ -12,7 +12,8 @@ import pytest
 
 import dualaction
 from dualaction import HamiltonianModel, PhasePath, legendre_residual
-from dualaction.cli import ERROR_SCHEMA, REPORT_SCHEMA, _legendre_residuals, main
+from dualaction.action import _legendre_residuals
+from dualaction.cli import ERROR_SCHEMA, REPORT_SCHEMA, main
 
 
 def run_cli(capsys, *argv):

@@ -32,6 +32,9 @@ EXAMPLES = {
 SERIES = {
     "propagate-position": "propagate --hamiltonian sho --rep position --format csv",
     "propagate-momentum": "propagate --hamiltonian sho --rep momentum --t1 0.7 --format csv",
+    "bounds": "bounds --hamiltonian saddle-quadratic --samples 1000 --epsilon 0.2 --seed 7 "
+              "--format csv",
+    "legendre-check": "legendre-check --hamiltonian sho --samples 100 --N 2000 --format csv",
 }
 
 

@@ -52,13 +52,6 @@ class TestEvalPartials:
         with np.errstate(invalid="ignore"), pytest.raises(DomainError):
             eval_partials(m, 0.0, -1.0, (0, 0))
 
-    def test_domain_box_enforced(self):
-        m = HamiltonianModel.separable(
-            1.0, potential_coeffs=(0.0,), domain=DomainBox(-1, 1, -1, 1)
-        )
-        with pytest.raises(DomainError):
-            eval_partials(m, 3.0, 0.0, (0, 0))
-
     def test_separable_mixed_partials_vanish(self):
         m = HamiltonianModel.separable(1.3, potential_coeffs=(0.0, 1.0, 0.5, 0.2))
         for order in [(1, 1), (2, 1), (1, 2)]:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,22 @@ class TestFourierEndpoints:
         dq = grid.out_final
         ref = np.sqrt(1.0 / (2.0j * math.pi)) * np.exp(0.5j * dq**2)
         assert np.max(np.abs(ks.values[:, 0] - ref)) <= 1e-3
+
+    def test_delta_transform_memory(self):
+        # one product of per-endpoint exponentials, not an (n_f, n_i, n_quad) array (~290 MiB)
+        grid = FourierGrid(out_final=np.linspace(-1.0, 1.0, 48),
+                           out_initial=np.linspace(-0.8, 1.2, 48))
+        kernel = free_momentum_delta_kernel(1.0, 1.0)
+        tracemalloc.start()
+        try:
+            ks = fourier_endpoints(kernel, grid, to="position")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        dq = grid.out_final[:, None] - grid.out_initial[None, :]
+        ref = np.sqrt(1.0 / (2.0j * math.pi)) * np.exp(0.5j * dq**2)
+        assert np.max(np.abs(ks.values - ref)) <= 1e-3
 
     def test_round_trip_identity_on_band_limited_kernel(self):
         def source(qf, qi):
