@@ -17,8 +17,11 @@ evaluators:
   costs a few sweeps rather than a few per lane: a scan with
   Chebyshev-Lobatto refinement for single solves, then Newton.  A sweep
   is bound by per-step overhead, so the single solve's scan carries 481
-  lanes at little more cost than 33, and the root of their interpolant
-  usually meets the tolerance at Newton's first sweep.
+  lanes at little more cost than 33.  The same scan on N/8 and N/4 steps
+  predicts the root by Richardson extrapolation, and the N-step scan
+  carries the predicted lanes too: when the prediction meets a tolerance
+  a thousand times tighter, the solve is done in 1 3/8 sweeps' worth of
+  steps and Newton does not run.
 
 ``integrate_ivp`` always runs the loop; it is the reference the affine
 evaluator is tested against.
@@ -40,8 +43,11 @@ BRACKET_RANGE = 1e3
 MAX_NEWTON_ITER = 100
 FD_REL_STEP = 1e-6
 # Chebyshev-Lobatto subintervals per scan interval of a single-target solve:
-# one sweep is bound by per-step overhead, so 481 lanes cost little more than 33
+# one sweep is bound by per-step overhead, so 481 lanes cost little more than 33,
+# and the same lanes on ceil(N/8) and ceil(N/4) steps predict the root
 REFINED_DENSITY = 15
+# a predicted root stands when its residual is within this share of the tolerance
+_PREDICTION_GATE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,8 @@ class ShootingReport:
     parameter: float
     residual: float
     flag: str  # unique | conjugate-degenerate | infeasible
+    method: str = "affine"  # affine | predicted | newton: how the root was found
+    sweeps: tuple = ()  # (lanes, steps) of each RK4 sweep, in the order run
 
     @property
     def solved(self):
@@ -109,11 +117,13 @@ def _rk4(field, p, q, dt, n_steps, keep=None, spread=None):
     field is a model's vector_field(); p and q are equal-shape arrays of
     initial states (one lane per element) and dt is the step per lane,
     broadcastable against them.  keep indexes the lanes whose path is
-    stored, e.g. ``...`` for all of them or ``0`` for the first row;
-    spread ('p' or 'q') tracks max over nodes of |x[1] - x[2]| for that
-    variable.  Nothing is checked: a blowing-up lane poisons only itself
-    with non-finite values.  Returns (p, q, P, Q, spread_max), with None
-    for what was not asked for.
+    stored, e.g. ``...`` for all of them, ``0`` for the first row or a
+    slice of a flat lane array; spread = (variable, upper, lower), the
+    variable 'p' or 'q' and two lane indexes of equal size, tracks max
+    over nodes of |x[upper] - x[lower]| for that variable.  Nothing is
+    checked: a blowing-up lane poisons only itself with non-finite
+    values.  Returns (p, q, P, Q, spread_max), with None for what was not
+    asked for.
     """
     h2, dt6 = 0.5 * dt, dt / 6.0
     P = Q = widest = None
@@ -122,7 +132,8 @@ def _rk4(field, p, q, dt, n_steps, keep=None, spread=None):
         Q = np.empty_like(P)
         P[0], Q[0] = p[keep], q[keep]
     if spread is not None:
-        widest = np.zeros(np.shape(p[0]))
+        on, upper, lower = spread
+        widest = np.zeros(np.shape(p[upper]))
     with np.errstate(all="ignore"):
         for j in range(n_steps):
             a1, b1 = field(p, q)
@@ -134,8 +145,8 @@ def _rk4(field, p, q, dt, n_steps, keep=None, spread=None):
             if keep is not None:
                 P[j + 1], Q[j + 1] = p[keep], q[keep]
             if spread is not None:
-                x = q if spread == "q" else p
-                np.maximum(widest, np.abs(x[1] - x[2]), out=widest)
+                x = q if on == "q" else p
+                np.maximum(widest, np.abs(x[upper] - x[lower]), out=widest)
     return p, q, P, Q, widest
 
 
@@ -267,7 +278,9 @@ class _Shots:
     (targets, 3).  A quadratic functional of its paths is then a form
     read off the powers (action._action_forms), and the paths P and Q,
     (n_steps+1, targets), are built only when first read.  A swept batch
-    carries the paths of its last Newton sweep.
+    carries the paths of each target's last sweep.  method says how each
+    target's root was found ('affine', 'predicted' or 'newton') and
+    sweeps lists the (lanes, steps) of every RK4 sweep the batch ran.
     """
 
     roots: np.ndarray
@@ -279,6 +292,8 @@ class _Shots:
     horizon: np.ndarray | None = None
     x0: np.ndarray | None = None
     swept: tuple | None = None
+    method: np.ndarray | None = None
+    sweeps: tuple = ()
 
     @cached_property
     def _paths(self):
@@ -416,9 +431,21 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
       J(t) = (E+(t) - E-(t)) / 2h, whose final value is the Newton slope,
       and the centre lanes' paths are kept.  A step that leaves the
       bracket bisects it instead, and the sweeps stop once
-      |residual| <= tol.  The refined guess usually meets tol at once,
-      so a single solve costs two sweeps; a surface's many targets share
-      the plain scan, where dense lanes would cost arithmetic.
+      |residual| <= tol.  A surface's many targets share the plain scan,
+      where dense lanes would cost arithmetic.
+    * a dense scan (density > 1) on N > 4 steps first predicts the root.
+      The same dense scan on ceil(N/8) and on ceil(N/4) steps gives two
+      refined roots x8 and x4, whose RK4 error falls as n^-4, so
+      Richardson extrapolation gives x^ = (w x4 - x8) / (w - 1) with
+      w = (n4 / n8)^4.  The N-step scan sweep carries the lanes x^ and
+      x^ +- h besides its dense ones, so x^ costs no sweep of its own.
+      x^ is the root when that scan refined a bracket, x^ lies in the
+      node pair _refine picked and |r(x^)| <= _PREDICTION_GATE * tol;
+      its lanes then give the path and J(t) as a Newton sweep's would,
+      and the solve has run n8 + n4 + N loop steps instead of 2N.
+      Otherwise Newton runs from the refined guess, as above.  Brackets,
+      refinement and sign changes come from the N-step dense lanes in
+      either case.
 
     The residual is that of the returned endpoint (for an affine field
     G^N x0, which the path's last node equals up to rounding) and must
@@ -432,18 +459,38 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
     targets = np.asarray(targets, dtype=float)
     tol = SHOOTING_TOL * _pinned_scale(start_value, targets)
     t1 = np.broadcast_to(np.asarray(t_span[1], dtype=float), targets.shape)
-    dt = (t1 - float(t_span[0])) / n_steps
-    steps, horizon = np.unique(dt, return_inverse=True)
+    span = t1 - float(t_span[0])
+    dt = span / n_steps
+    steps, first, horizon = np.unique(dt, return_index=True, return_inverse=True)
     unit = _momentum_unit(model, start_value) if shoot_on == "p0" else 1.0
     cand = _scan_candidates() * unit
     # (p, q) index of the matched end, which is also the pinned start's;
     # the shooting parameter is the other one
     end = 1 if shoot_on == "p0" else 0
     field_matrix = _affine_matrix(model)
+    sub = 1 if field_matrix is not None else density  # rows per candidate interval
+    nodes = _lobatto_nodes(cand, sub)
 
     def lanes(x):
         s = np.full_like(x, start_value)
         return (x, s) if shoot_on == "p0" else (s, x)
+
+    def bracket(ends):
+        """Each target's start from the scan endpoints ends, (nodes, horizons):
+        (x, lo, hi, r_lo, sign_changes, have_bracket, flags, refined)."""
+        with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
+            res = ends[:, horizon] - targets
+        res = np.where(np.isfinite(res), res, np.nan)
+        x, lo, hi, r_lo, changes, have_bracket, flags, i = _brackets(cand, res[::sub], tol)
+        refined = np.zeros(targets.size, dtype=bool)
+        if sub > 1:
+            rows = i * sub + np.arange(sub + 1)[:, None]
+            refined, *guess = _refine(nodes[rows], res[rows, np.arange(targets.size)], changes > 0)
+            x, lo, hi, r_lo = (np.where(refined, g, v) for g, v in zip(guess, (x, lo, hi, r_lo)))
+            # a root between two candidates shows only on the dense rows: count them all
+            with np.errstate(all="ignore"):  # a product that overflows keeps its sign
+                changes = np.sum(res[:-1] * res[1:] < 0, axis=0)
+        return x, lo, hi, r_lo, changes, have_bracket, flags, refined
 
     if field_matrix is not None:
         powers = _step_powers(field_matrix, steps, n_steps)
@@ -452,29 +499,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
             alpha = powers[:, -1, end, 1 - end]
             beta = powers[:, -1, end, end] * start_value + powers[:, -1, end, 2]
             ends = alpha * cand[:, None] + beta
-    else:
-        field = model.vector_field()
-
-        def sweep(x, lane_dt, **kw):
-            pe, qe, P, Q, widest = _rk4(field, *lanes(x), lane_dt, n_steps, **kw)
-            return (qe if shoot_on == "p0" else pe), P, Q, widest
-
-        nodes = _lobatto_nodes(cand, density)
-        ends = sweep(np.repeat(nodes[:, None], steps.size, axis=1), steps)[0]
-    with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
-        res = ends[:, horizon] - targets
-    res = np.where(np.isfinite(res), res, np.nan)
-    coarse = 1 if field_matrix is not None else density  # rows per candidate interval
-    x, lo, hi, r_lo, changes, have_bracket, flags, i = _brackets(cand, res[::coarse], tol)
-    if coarse > 1:
-        rows = i * coarse + np.arange(coarse + 1)[:, None]
-        refined, *guess = _refine(nodes[rows], res[rows, np.arange(targets.size)], changes > 0)
-        x, lo, hi, r_lo = (np.where(refined, g, v) for g, v in zip(guess, (x, lo, hi, r_lo)))
-        # a root between two candidates shows only on the dense rows: count them all
-        with np.errstate(all="ignore"):  # a product that overflows keeps its sign
-            changes = np.sum(res[:-1] * res[1:] < 0, axis=0)
-
-    if field_matrix is not None:
+        x, lo, hi, r_lo, changes, have_bracket, flags, _ = bracket(ends)
         alpha, beta = alpha[horizon], beta[horizon]
         with np.errstate(all="ignore"):
             roots = np.where(changes > 0, (targets - beta) / alpha, x)
@@ -484,11 +509,70 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
             residuals = end_state[end] - targets
         j_end = alpha
         j_max = np.max(np.abs(powers[:, :, end, 1 - end]), axis=1)[horizon]
-        kept = dict(end=end_state, steps=steps, powers=powers, horizon=horizon, x0=x0)
+        kept = dict(end=end_state, steps=steps, powers=powers, horizon=horizon, x0=x0,
+                    method=np.full(targets.size, "affine"))
     else:
-        roots, residuals, P, Q, j_end, j_max = _newton(
-            sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, "q" if end else "p")
-        kept = dict(end=np.stack([P[-1], Q[-1]]), swept=(P, Q))
+        field = model.vector_field()
+        spread_on = "q" if end else "p"
+        sweeps = []
+
+        def sweep(x, lane_dt, n=n_steps, **kw):
+            sweeps.append((x.size, n))
+            pe, qe, P, Q, widest = _rk4(field, *lanes(x), lane_dt, n, **kw)
+            return (qe if shoot_on == "p0" else pe), P, Q, widest
+
+        grid = np.repeat(nodes[:, None], steps.size, axis=1)
+        n8, n4 = -(-n_steps // 8), -(-n_steps // 4)
+        x_hat = np.full(targets.size, np.nan)
+        if sub > 1 and n4 > n8:  # n4 == n8 for N <= 4 leaves nothing to extrapolate
+            x8, *_, ok8 = bracket(sweep(grid, span[first] / n8, n8)[0])
+            x4, *_, ok4 = bracket(sweep(grid, span[first] / n4, n4)[0])
+            w = (n4 / n8) ** 4
+            x_hat = np.where(ok8 & ok4, (w * x4 - x8) / (w - 1.0), np.nan)
+        pred = np.flatnonzero(np.isfinite(x_hat))
+        if pred.size:
+            # one flat sweep: the dense lanes, then x^, x^ + h and x^ - h of each prediction
+            m, k, xh = grid.size, pred.size, x_hat[pred]
+            h = FD_REL_STEP * np.maximum(unit, np.abs(xh))
+            swept_ends, P_hat, Q_hat, widest = sweep(
+                np.concatenate([grid.ravel(), xh, xh + h, xh - h]),
+                np.concatenate([np.tile(steps, nodes.size), np.tile(dt[pred], 3)]),
+                keep=slice(m, m + k),
+                spread=(spread_on, slice(m + k, m + 2 * k), slice(m + 2 * k, None)))
+            ends = swept_ends[:m].reshape(grid.shape)
+            hat, plus, minus = np.split(swept_ends[m:], 3)
+        else:
+            ends = sweep(grid, steps)[0]
+        x, lo, hi, r_lo, changes, have_bracket, flags, refined = bracket(ends)
+
+        # (targets, (roots, residuals, P, Q, J(t_f), max_t |J(t)|)) of each route taken
+        parts = []
+        took = np.zeros(targets.size, dtype=bool)
+        if pred.size:
+            with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
+                r_hat = hat - targets[pred]
+                spread = plus - minus
+            s = (refined[pred] & (lo[pred] <= xh) & (xh <= hi[pred])
+                 & (np.abs(r_hat) <= _PREDICTION_GATE * tol[pred]))
+            if s.any():
+                took[pred[s]] = True
+                parts.append((pred[s], (xh[s], r_hat[s], P_hat[:, s], Q_hat[:, s], spread[s],
+                                        widest[s])))
+        rest = np.flatnonzero(~took)
+        if rest.size:
+            parts.append((rest, _newton(sweep, *(a[rest] for a in (x, lo, hi, r_lo, have_bracket,
+                                                                   targets, tol, dt)),
+                                        unit, spread_on)))
+        if len(parts) == 1:  # one route took every target, in order
+            roots, residuals, P, Q, j_end, j_max = parts[0][1]
+        else:
+            roots, residuals, j_end, j_max = (np.empty(targets.size) for _ in range(4))
+            P, Q = (np.empty((n_steps + 1, targets.size)) for _ in range(2))
+            for cols, values in parts:
+                for a, v in zip((roots, residuals, P, Q, j_end, j_max), values):
+                    a[..., cols] = v
+        kept = dict(end=np.stack([P[-1], Q[-1]]), swept=(P, Q), sweeps=tuple(sweeps),
+                    method=np.where(took, "predicted", "newton"))
 
     with np.errstate(invalid="ignore"):
         unresolved = have_bracket & ~(np.abs(residuals) <= tol) & (flags == "unique")
@@ -500,7 +584,8 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
 
 
 def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, spread_on):
-    """Bracketed Newton sweeps of the non-affine shooting (see _shoot_batch).
+    """Bracketed Newton sweeps of the non-affine shooting, for the targets
+    whose predicted root, if any, did not stand (see _shoot_batch).
 
     Returns (roots, residuals, P, Q, J(t_f), max_t |J(t)|) of the last
     sweep of each target.
@@ -516,7 +601,7 @@ def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, spread
         xa = x[todo]
         h = FD_REL_STEP * np.maximum(unit, np.abs(xa))
         ends, P, Q, widest = sweep(np.stack([xa, xa + h, xa - h]), dt[todo], keep=0,
-                                   spread=spread_on)
+                                   spread=(spread_on, 1, 2))
         with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
             r = ends[0] - targets[todo]
             spread = ends[1] - ends[2]
@@ -554,7 +639,8 @@ def _bvp(model, bounds, t_span, n_steps, shoot_on):
         raise _blow_up(P, Q)
     path = PhasePath(t_span[0], t_span[1], P, Q)
     return ShootingReport(path=path, parameter=float(shots.roots[0]),
-                          residual=float(abs(shots.residuals[0])), flag=str(shots.flags[0]))
+                          residual=float(abs(shots.residuals[0])), flag=str(shots.flags[0]),
+                          method=str(shots.method[0]), sweeps=shots.sweeps)
 
 
 def solve_position_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span,

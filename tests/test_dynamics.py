@@ -434,9 +434,40 @@ def _anharmonic(mass, lam):
     return HamiltonianModel.separable(mass, (0.0, 0.0, 0.5 * mass, 0.0, lam * mass))
 
 
+def _refined_case(name, log_mass, kind, start, end, strength):
+    """(model, shoot_on, start, end) of a drawn non-affine single solve; momentum
+    ends scale with the mass."""
+    mass = 10.0**log_mass
+    if name == "quartic":
+        model = _anharmonic(mass, strength)
+    elif name == "drift":
+        model = HamiltonianModel.with_drift(mass, (0.0, strength),
+                                            (0.0, 0.0, 0.5 * mass, 0.0, strength * mass))
+    else:
+        model = _soft_oscillator(mass, 0.5 + strength)
+    shoot_on, scale = ("p0", 1.0) if kind == "position-type" else ("q0", mass)
+    return model, shoot_on, scale * start, scale * end
+
+
+def _endpoint_slope(model, shoot_on, start, x, t, n_steps):
+    """dE/dx of the endpoint at the shooting parameter x, by a forward difference."""
+    x = x + np.array([0.0, 1e-6 * max(1.0, abs(x))])
+    s = np.full(2, start)
+    P, Q = _rk4_batch(model, *((x, s) if shoot_on == "p0" else (s, x)), (0.0, t), n_steps)
+    end_value = Q[-1] if shoot_on == "p0" else P[-1]
+    return (end_value[1] - end_value[0]) / (x[1] - x[0])
+
+
+def _predicted_steps(n_steps):
+    """RK4 loop steps of a solve whose predicted root stands."""
+    return -(-n_steps // 8) + -(-n_steps // 4) + n_steps
+
+
 class TestRefinedScan:
     """Single-target solves of non-affine fields refine the scan with
-    Chebyshev-Lobatto lanes, so the first Newton iterate meets the tolerance."""
+    Chebyshev-Lobatto lanes; the same scan on ceil(N/8) and ceil(N/4) steps
+    predicts the root, which the N-step scan checks on lanes of its own, and
+    Newton runs from the refined guess only when the prediction does not stand."""
 
     # (model, boundary kind, start, end, horizon, n_steps): the quartic windows are
     # the benchmark's fixed paths cells, the soft-oscillator ones are drawn from its ranges
@@ -452,24 +483,40 @@ class TestRefinedScan:
         "drift-position": (ENGINE_MODELS["drift"], "position-type", 0.1, 0.5, 1.0, 500),
         "drift-momentum": (ENGINE_MODELS["drift"], "momentum-type", 0.1, 0.5, 1.0, 500),
     }
+    # how each root is found and the (lanes, steps) of every sweep: the 481 dense lanes
+    # on ceil(N/8) and ceil(N/4) steps, then on N steps with x^ and x^ +- h; the quartic
+    # momentum window's prediction misses the gate (4e-3 tol), so Newton runs once more
+    SWEEPS = {
+        "quartic-position": ("predicted", [(481, 125), (481, 250), (484, 1000)]),
+        "quartic-momentum": ("newton", [(481, 63), (481, 125), (484, 500), (3, 500)]),
+        "soft-oscillator-position": ("predicted", [(481, 250), (481, 500), (484, 2000)]),
+        "soft-oscillator-momentum": ("predicted", [(481, 250), (481, 500), (484, 2000)]),
+        "drift-position": ("predicted", [(481, 63), (481, 125), (484, 500)]),
+        "drift-momentum": ("predicted", [(481, 63), (481, 125), (484, 500)]),
+    }
 
     @pytest.mark.parametrize("case", sorted(SOLVES))
-    def test_single_solve_runs_two_sweeps(self, case, monkeypatch):
+    def test_single_solve_sweeps(self, case, monkeypatch):
         build, kind, start, end, t, n_steps = self.SOLVES[case]
-        sweeps = []
+        ran = []
         loop = dynamics._rk4
 
         def counted(*args, **kwargs):
-            sweeps.append(np.shape(args[1]))
+            ran.append((np.size(args[1]), args[4]))
             return loop(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_rk4", counted)
         solve = solve_position_bvp if kind == "position-type" else solve_momentum_bvp
         rep = solve(build(), BoundarySpec(kind, start, end), (0.0, t), n_steps)
         assert rep.flag != "infeasible"
-        assert rep.residual <= SHOOTING_TOL * max(1.0, abs(start), abs(end))
-        # the scan (32 intervals of 15 subintervals, one horizon), then one Newton sweep
-        assert sweeps == [(481, 1), (3, 1)]
+        tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
+        assert rep.residual <= tol
+        method, sweeps = self.SWEEPS[case]
+        assert rep.method == method
+        assert list(rep.sweeps) == ran == sweeps
+        if method == "predicted":
+            assert rep.residual <= 1e-3 * tol
+            assert sum(steps for _, steps in rep.sweeps) == _predicted_steps(n_steps)
 
     @settings(max_examples=30)
     @given(
@@ -483,16 +530,7 @@ class TestRefinedScan:
     )
     def test_dense_and_plain_scans_find_the_same_root(self, name, log_mass, kind, start, end, t,
                                                       strength):
-        mass = 10.0**log_mass
-        if name == "quartic":
-            model = _anharmonic(mass, strength)
-        elif name == "drift":
-            model = HamiltonianModel.with_drift(mass, (0.0, strength),
-                                                (0.0, 0.0, 0.5 * mass, 0.0, strength * mass))
-        else:
-            model = _soft_oscillator(mass, 0.5 + strength)
-        shoot_on, scale = ("p0", 1.0) if kind == "position-type" else ("q0", mass)
-        start, end = scale * start, scale * end
+        model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
         dense = _shoot_batch(model, start, [end], (0.0, t), 200, shoot_on, REFINED_DENSITY)
         plain = _shoot_batch(model, start, [end], (0.0, t), 200, shoot_on, 1)
         assert dense.flags[0] == plain.flags[0]
@@ -502,12 +540,60 @@ class TestRefinedScan:
         assert abs(dense.residuals[0]) <= tol and abs(plain.residuals[0]) <= tol
         # the same root as far as the endpoint resolves it: within tol of each other
         # once mapped by the endpoint's slope dE/dx (light masses make it small)
-        x = plain.roots[0] + np.array([0.0, 1e-6 * max(1.0, abs(plain.roots[0]))])
-        s = np.full(2, start)
-        P, Q = _rk4_batch(model, *((x, s) if shoot_on == "p0" else (s, x)), (0.0, t), 200)
-        end_value = Q[-1] if shoot_on == "p0" else P[-1]
-        slope = (end_value[1] - end_value[0]) / (x[1] - x[0])
+        slope = _endpoint_slope(model, shoot_on, start, plain.roots[0], t, 200)
         assert abs(dense.roots[0] - plain.roots[0]) * abs(slope) <= 2.0 * tol
+
+    @settings(max_examples=40)
+    @given(
+        name=st.sampled_from(["quartic", "drift", "soft-oscillator"]),
+        log_mass=st.floats(-3.0, 5.0),
+        kind=st.sampled_from(["position-type", "momentum-type"]),
+        start=st.floats(-0.5, 0.5),
+        end=st.floats(-1.0, 1.0),
+        t=st.floats(0.2, 2.0),
+        strength=st.floats(0.01, 1.0),
+        n_steps=st.integers(20, 600),
+    )
+    def test_predicted_root_agrees_with_forced_newton(self, name, log_mass, kind, start, end,
+                                                      t, strength, n_steps):
+        model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
+        shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on, REFINED_DENSITY)
+        with pytest.MonkeyPatch.context() as patch:
+            # a gate of 0 lets no prediction stand short of an exact root
+            patch.setattr(dynamics, "_PREDICTION_GATE", 0.0)
+            newton = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
+                                  REFINED_DENSITY)
+        assert shots.flags[0] == newton.flags[0]
+        if shots.method[0] != "predicted":
+            # a prediction that does not stand changes nothing
+            for got, want in ((shots.roots, newton.roots), (shots.residuals, newton.residuals),
+                              (shots.P, newton.P), (shots.Q, newton.Q)):
+                assert np.array_equal(got, want, equal_nan=True)
+            return
+        tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
+        assert abs(shots.residuals[0]) <= 1e-3 * tol
+        assert sum(steps for _, steps in shots.sweeps) == _predicted_steps(n_steps)
+        assert abs(newton.residuals[0]) <= tol
+        slope = _endpoint_slope(model, shoot_on, start, newton.roots[0], t, n_steps)
+        assert abs(shots.roots[0] - newton.roots[0]) * abs(slope) <= 2.0 * tol
+
+    @pytest.mark.parametrize("n_steps", range(1, 9))
+    @pytest.mark.parametrize("name", ["quartic", "soft-oscillator"])
+    def test_few_steps_predict_only_when_the_coarse_scans_differ(self, name, n_steps):
+        # at N <= 4, ceil(N/4) == ceil(N/8) and Richardson's weight w - 1 is 0: such
+        # solves skip the coarse scans and run the scan, then Newton; RuntimeWarnings
+        # are errors in this suite, so no step may divide by 0 or overflow unguarded
+        model = _anharmonic(1.0, 0.1) if name == "quartic" else _soft_oscillator()
+        shots = _shoot_batch(model, 0.1, [0.6], (0.0, 1.0), n_steps, "p0", REFINED_DENSITY)
+        assert shots.flags[0] != "infeasible"
+        coarse = [(481, -(-n_steps // 8)), (481, -(-n_steps // 4))]
+        if n_steps <= 4:
+            assert shots.method[0] == "newton"
+            assert shots.sweeps[0] == (481, n_steps)
+            assert all(sweep == (3, n_steps) for sweep in shots.sweeps[1:])
+        else:
+            assert list(shots.sweeps[:2]) == coarse
+            assert shots.sweeps[2] == (484, n_steps)
 
     def test_bracket_with_blown_up_lanes_keeps_the_plain_guess(self):
         # V = q^2/2 + 10 q^4 at dt = 0.2: RK4 is unstable for large amplitudes, so
