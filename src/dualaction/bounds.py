@@ -62,10 +62,13 @@ class PerturbationSpec:
             raise PreconditionError("mode_count must be >= 1")
 
 
-# Samples per batched block of a separable model.  A (nodes, block)
-# array of a 1000-interval path is 128 kB, so the few arrays alive at
-# once stay in a 2 MB L2 cache; 16 was the fastest of 8, 16, 24, 32 and
-# 64 samples on a 2-vCPU Xeon VM, at 1000 and 2000 intervals.
+# Samples per batched block of a separable model, and rows of a
+# quadratic-form peak product.  A (nodes, block) array of a 1000-interval
+# path is 128 kB, so the few arrays alive at once stay in a 2 MB L2 cache;
+# 16 was the fastest of 8, 16, 24, 32 and 64 samples on a 2-vCPU Xeon VM,
+# at 1000 and 2000 intervals.  For the peaks of 1000 samples of 9 modes at
+# 1000 intervals, one product over all samples took 1.56 ms against 1.19 ms
+# in rows of 16 (1.08-1.52 ms for 8 to 64), and needs an 8 MB array.
 _BLOCK = 16
 # Nodes times samples of a general-kind block: 8 MB per (nodes, block) array
 _GENERAL_BLOCK_POINTS = 1 << 20
@@ -393,8 +396,11 @@ def _form_values(side, path_values, basis, coeffs, amplitude):
     1 + 2d + d(d - 1)/2 columns x = 0, +-h e_i and h (e_i + e_j), i < j,
     evaluated _BLOCK at a time at the samples' own scale h (the amplitude,
     or 1 when it is 0).  A sample with coefficients c and sup-norm scale s
-    has y = (s / h) c, so it costs its peak, max |basis @ c| (_BLOCK
-    samples per product), and the form.  Returns the values and the
+    has y = (s / h) c, so it costs its peak, max |basis @ c|, and the form.
+    The peak is one row of a (_BLOCK, d) @ (d, nodes) product, the last
+    block padded with zero rows, and the form is summed term by term over
+    the samples without BLAS: every product has one shape, so a sample's
+    value does not depend on the sample count.  Returns the values and the
     number of columns evaluated.
     """
     d = basis.shape[1]
@@ -411,13 +417,20 @@ def _form_values(side, path_values, basis, coeffs, amplitude):
     form = np.diag(0.5 * (plus + minus) - v0)
     form[i, j] = f[2 * d + 1:] - plus[i] - plus[j] + v0
 
-    values = np.empty(len(coeffs))
-    for start in range(0, len(coeffs), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        c = coeffs[rows]
-        r = _scale(np.max(np.abs(basis @ c.T), axis=0), amplitude) / h
-        values[rows] = v0 + r * (c @ linear) + r * r * np.sum((c @ form) * c, axis=1)
-    return values, len(steps)
+    n = len(coeffs)
+    padded = np.zeros((-(-n // _BLOCK) * _BLOCK, d))
+    padded[:n] = coeffs
+    waves = np.ascontiguousarray(basis.T)
+    peak = np.empty(len(padded))
+    for start in range(0, len(padded), _BLOCK):
+        v = padded[start:start + _BLOCK] @ waves
+        peak[start:start + _BLOCK] = np.maximum(v.max(axis=1), -v.min(axis=1))
+    r = _scale(peak[:n], amplitude) / h
+    c = coeffs.T  # one row per mode
+    linear_part = sum(a * ck for a, ck in zip(linear, c))
+    form_part = sum(ck * sum(u * cl for u, cl in zip(form[k, k:], c[k:]))
+                    for k, ck in enumerate(c))
+    return v0 + r * linear_part + r * r * form_part, len(steps)
 
 
 def _quadrature_slack(model, path, s, r):

@@ -358,33 +358,55 @@ _LAMBDAS = np.arange(0.1, 0.95, 0.1)
 _CHORD_SLACK = 1e-12
 
 
+def _axis_flags(model, box, axis):
+    """(convex_ok, concave_ok) of H along one axis of the box.
+
+    Exact for a separable model with potential coefficients: along p,
+    H_pp = 1/m > 0; along q, V'' takes its extremes at q_min, q_max or a
+    real root of V''' (an eigenvalue of its companion matrix, np.roots;
+    clipped to the box, any eigenvalue's real part is a point of it), and
+    may pass zero by _CHORD_SLACK of sum |V''_k| max(|q_min|, |q_max|)^k.
+    Any other model takes the chord probe.
+    """
+    if axis not in ("p-axis", "q-axis"):
+        raise PreconditionError(f"axis must be 'p-axis' or 'q-axis', got {axis!r}")
+    if model.kind == "general" or model._vcoeffs is None:
+        return _chord_flags(model, box, axis)
+    if axis == "p-axis":
+        return True, False
+    lo, hi = box.q_min, box.q_max
+    v2, v3 = model._vcoeffs[2:]
+    roots = np.clip(np.roots(v3[::-1]).real, lo, hi)
+    curvature = _poly(v2)(np.concatenate([[lo, hi], roots]))
+    slack = _CHORD_SLACK * _horner(np.abs(v2))(max(abs(lo), abs(hi)))
+    return bool(curvature.min() >= -slack), bool(curvature.max() <= slack)
+
+
 def _chord_flags(model, box, axis):
     """(convex_ok, concave_ok) from exhaustive chord tests on the box.
 
-    Each frozen row evaluates H on the chords' interior points, then once
-    on the probe points, whose values are every chord's two ends.
+    Each frozen row evaluates H once on the distinct chord points: the
+    probe points, whose values are every chord's two ends, and the
+    chords' interior points, of which only about 900 of 2484 differ.
     """
     if axis == "p-axis":
         xs, frozen = np.linspace(box.p_min, box.p_max, PROBE_SAMPLES), box.q_grid()
-    elif axis == "q-axis":
-        xs, frozen = np.linspace(box.q_min, box.q_max, PROBE_SAMPLES), box.p_grid()
     else:
-        raise PreconditionError(f"axis must be 'p-axis' or 'q-axis', got {axis!r}")
+        xs, frozen = np.linspace(box.q_min, box.q_max, PROBE_SAMPLES), box.p_grid()
 
     i, j = np.triu_indices(PROBE_SAMPLES, k=1)
     lam = _LAMBDAS[:, None]                    # (L, 1)
     xmid = lam * xs[i] + (1.0 - lam) * xs[j]   # (L, P)
-
-    def h(x, w):
-        if axis == "p-axis":
-            return eval_partials(model, x, w, (0, 0))
-        return eval_partials(model, w, x, (0, 0))
+    points, at = np.unique(np.concatenate([xmid.ravel(), xs]), return_inverse=True)
+    mid_at, end_at = at[:xmid.size].reshape(xmid.shape), at[xmid.size:]
 
     convex_ok = concave_ok = True
     for w in frozen:
-        arc = h(xmid, np.full_like(xmid, w))
+        row = np.full_like(points, w)
+        p, q = (points, row) if axis == "p-axis" else (row, points)
         # a black-box H may answer a constant with a scalar
-        ends = np.broadcast_to(h(xs, np.full_like(xs, w)), xs.shape)
+        values = np.broadcast_to(eval_partials(model, p, q, (0, 0)), points.shape)
+        arc, ends = values[mid_at], values[end_at]
         chord = lam * ends[i] + (1.0 - lam) * ends[j]
         if np.any(arc > chord + _CHORD_SLACK):
             convex_ok = False
@@ -396,12 +418,14 @@ def _chord_flags(model, box, axis):
 
 
 def convexity_probe(model: HamiltonianModel, box: DomainBox, axis: str):
-    """Chord-above-arc verdict on one axis: 'convex', 'concave' or 'neither'.
+    """Convexity verdict on one axis: 'convex', 'concave' or 'neither'.
 
-    Verdicts are for the probed box only.  A function passing both
-    non-strict tests (affine on the axis) reports 'convex'.
+    Exact for a separable model with potential coefficients, a chord
+    probe otherwise (_axis_flags).  Verdicts are for the probed box
+    only.  A function passing both non-strict tests (affine on the axis)
+    reports 'convex'.
     """
-    convex_ok, concave_ok = _chord_flags(model, box, axis)
+    convex_ok, concave_ok = _axis_flags(model, box, axis)
     if convex_ok:
         return "convex"
     if concave_ok:
@@ -412,9 +436,10 @@ def convexity_probe(model: HamiltonianModel, box: DomainBox, axis: str):
 def saddle_probe(model: HamiltonianModel, box: DomainBox):
     """'saddle' when H is convex along p and concave along q on the box.
 
-    Both tests are non-strict, so a q-independent H (free particle)
-    still qualifies.
+    Exact for a separable model with potential coefficients, a chord
+    probe otherwise (_axis_flags).  Both tests are non-strict, so a
+    q-independent H (free particle) still qualifies.
     """
-    convex_p, _ = _chord_flags(model, box, "p-axis")
-    _, concave_q = _chord_flags(model, box, "q-axis")
+    convex_p, _ = _axis_flags(model, box, "p-axis")
+    _, concave_q = _axis_flags(model, box, "q-axis")
     return "saddle" if (convex_p and concave_q) else "not-saddle"

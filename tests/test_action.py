@@ -104,6 +104,28 @@ class TestLegendreResidual:
         r400 = abs(legendre_residual(sho, PhasePath(0.0, 1.0, p, q)))
         assert r200 / r400 >= 3.5
 
+    @settings(max_examples=30)
+    @given(
+        log_mass=st.floats(-1.0, 1.0),
+        drift=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+        potential=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_drift_models_obey_the_identity(self, log_mass, drift, potential, seed):
+        # S - R - [pq] integrates p dq/dt + q dp/dt - d(pq)/dt: H cancels, so the
+        # residual is the free particle's on the same path, to rounding of H
+        model = HamiltonianModel.with_drift(10.0**log_mass, drift, potential)
+        free = HamiltonianModel.free()
+        res = {}
+        for n in (2000, 4000):
+            _, p, q = smooth_fourier_path(seed, n)
+            path = PhasePath(0.0, 1.0, p, q)
+            res[n] = legendre_residual(model, path)
+            size = 1.0 + np.max(np.abs(model.eval(p, q)))
+            assert res[n] == pytest.approx(legendre_residual(free, path), abs=1e-13 * size)
+        assert abs(res[2000]) <= 1e-6
+        assert abs(res[2000]) <= 1e-10 or abs(res[2000] / res[4000]) >= 3.5
+
 
 class TestKTotalDerivative:
     def test_free_critical(self, free):

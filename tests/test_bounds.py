@@ -424,12 +424,14 @@ def test_sample_coefficients_are_rows_of_one_stream(name, chain, pin, monkeypatc
 @pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
 @pytest.mark.parametrize("name", STREAM_MODELS)
 def test_certificate_prefix_is_the_shorter_certificate(name, chain, pin):
-    # 37 samples end in a partial block of 5, 100 in one of 4
+    # 37 samples end in a partial block of 5, 100 in one of 4; 1, 17, 33 and 65
+    # end in a block of one sample
     model, bvp, spec = _stream_case(name, pin)
-    short = certify_bounds(model, chain, bvp, spec, 37)
     long = certify_bounds(model, chain, bvp, spec, 100)
-    assert np.array_equal(long.lower_values[:37], short.lower_values)
-    assert np.array_equal(long.upper_values[:37], short.upper_values)
+    for samples in (1, 17, 33, 37, 65):
+        short = certify_bounds(model, chain, bvp, spec, samples)
+        assert np.array_equal(long.lower_values[:samples], short.lower_values)
+        assert np.array_equal(long.upper_values[:samples], short.upper_values)
 
 
 @pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])

@@ -54,6 +54,14 @@ class TestCommands:
         jsonschema.validate(error, ERROR_SCHEMA)
         assert error["error_code"] == "not-saddle"
 
+    def test_bounds_on_narrow_convex_band_exits_2(self, capsys):
+        # V'' = 1e-3 - 1.6 (q - 0.174)^2 > 0 on a band narrower than the chord spacing
+        code, out, err = run_cli(capsys, "bounds",
+                                 "--potential-coeffs=-1.2222e-4,2.8096e-3,-2.37208e-2,0.0928,"
+                                 "-0.13333", "--samples", "3")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error_code"] == "not-saddle"
+
     def test_bounds_on_saddle(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--hamiltonian", "saddle-quadratic",
                                "--samples", "20", "--N", "800", "--seed", "4")

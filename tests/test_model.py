@@ -17,6 +17,9 @@ from dualaction import (
 from dualaction import model as model_mod
 from dualaction.model import PROBE_GRID, PROBE_SAMPLES, _horner, _poly
 
+# a general-kind saddle, which takes the chord probe: H = p^2/2 + 0.3 q p - q^2/2
+DRIFT_SADDLE = HamiltonianModel.with_drift(1.0, (0.0, 0.3), (0.0, 0.0, -0.5))
+
 
 class TestEvalPartials:
     def test_free_particle_value(self):
@@ -148,8 +151,8 @@ class TestSaddleProbe:
     def test_free_particle_saddle_non_strict(self, free, box):
         assert saddle_probe(free, box) == "saddle"
 
-    def test_each_row_evaluates_the_chord_ends_once(self, saddle, box, monkeypatch):
-        # per frozen row: H on the chords' interior points, then on the probe points
+    def test_each_row_evaluates_the_chord_ends_once(self, box, monkeypatch):
+        # per frozen row: H once on the distinct chord points, the probe points among them
         evaluate = model_mod.eval_partials
         sizes = []
 
@@ -158,14 +161,154 @@ class TestSaddleProbe:
             return evaluate(model, p, q, order)
 
         monkeypatch.setattr(model_mod, "eval_partials", counted)
-        assert saddle_probe(saddle, box) == "saddle"
-        chords = PROBE_SAMPLES * (PROBE_SAMPLES - 1) // 2
-        assert sizes == [len(model_mod._LAMBDAS) * chords, PROBE_SAMPLES] * (2 * PROBE_GRID)
+        assert saddle_probe(DRIFT_SADDLE, box) == "saddle"
+        xs = np.linspace(-2.0, 2.0, PROBE_SAMPLES)
+        i, j = np.triu_indices(PROBE_SAMPLES, k=1)
+        lam = model_mod._LAMBDAS[:, None]
+        interior = (lam * xs[i] + (1.0 - lam) * xs[j]).ravel()
+        assert interior.size == 2484 and np.unique(interior).size == 901
+        assert sizes == [904] * (2 * PROBE_GRID)
+        assert np.unique(np.concatenate([interior, xs])).size == 904
+
+    @pytest.mark.parametrize("model", [
+        DRIFT_SADDLE,
+        HamiltonianModel.with_drift(0.7, (0.2, -0.1, 0.3), (0.0, 0.4, 0.0, -1.0)),
+        HamiltonianModel.general(lambda p, q: np.cosh(p) - np.cos(2.0 * q) * (1.0 + 0.1 * p)),
+        HamiltonianModel.separable(1.0, potential=lambda q: np.sin(3.0 * q)),
+    ])
+    @pytest.mark.parametrize("axis", ["p-axis", "q-axis"])
+    def test_distinct_points_give_every_chord_point_its_value(self, model, axis):
+        # the probe of the parent design: H on all 2484 interior points and the 24 ends per row
+        box = DomainBox(-1.3, 0.9, -2.1, 1.7)
+        xs, frozen = ((np.linspace(-1.3, 0.9, PROBE_SAMPLES), box.q_grid()) if axis == "p-axis"
+                      else (np.linspace(-2.1, 1.7, PROBE_SAMPLES), box.p_grid()))
+        i, j = np.triu_indices(PROBE_SAMPLES, k=1)
+        lam = model_mod._LAMBDAS[:, None]
+        xmid = lam * xs[i] + (1.0 - lam) * xs[j]
+        convex_ok = concave_ok = True
+        for w in frozen:
+            h = (lambda x: model.eval(x, np.full_like(x, w))) if axis == "p-axis" else (
+                lambda x: model.eval(np.full_like(x, w), x))
+            arc, ends = h(xmid), h(xs)
+            chord = lam * ends[i] + (1.0 - lam) * ends[j]
+            convex_ok &= not np.any(arc > chord + 1e-12)
+            concave_ok &= not np.any(arc < chord - 1e-12)
+        assert model_mod._chord_flags(model, box, axis) == (convex_ok, concave_ok)
 
     def test_black_box_constant_is_affine(self, box):
         constant = HamiltonianModel.general(lambda p, q: 1.5)  # a scalar for any (p, q)
         assert convexity_probe(constant, box, "q-axis") == "convex"
         assert saddle_probe(constant, box) == "saddle"
+
+
+# V'' = 1e-3 - 1.6 (q - 0.174)^2: positive only for |q - 0.174| < 0.025, a band
+# narrower than the chord probe's sample spacing on [-2, 2] (4 / 23)
+NARROW_BAND = (-1.2222e-4, 2.8096e-3, -2.37208e-2, 0.0928, -0.13333)
+
+
+def _verdict_slack(coeffs, lo, hi):
+    """The exact verdict's slack, 1e-12 of sum |V''_k| max(|lo|, |hi|)^k."""
+    return 1e-12 * P.polyval(max(abs(lo), abs(hi)), np.abs(P.polyder(coeffs, 2)))
+
+
+class TestExactVerdict:
+    """A separable model with potential coefficients is decided on the
+    extremes of V'' instead of the chord probe."""
+
+    @pytest.mark.parametrize("model", [
+        HamiltonianModel.free(2.0), HamiltonianModel.sho(0.5, 2.0),
+        HamiltonianModel.saddle_quadratic(3.0, 0.4), HamiltonianModel.constant_force(1.0, 2.0),
+        HamiltonianModel.separable(1.0, potential_coeffs=(0.0, 0.0, -0.5, 0.0, -0.05)),
+        HamiltonianModel.separable(1.0, potential_coeffs=NARROW_BAND),
+    ])
+    def test_polynomial_models_skip_the_chord_probe(self, model, box, monkeypatch):
+        def chord(*args):
+            raise AssertionError("a polynomial separable model took the chord probe")
+
+        monkeypatch.setattr(model_mod, "_chord_flags", chord)
+        saddle_probe(model, box)
+        convexity_probe(model, box, "p-axis")
+        convexity_probe(model, box, "q-axis")
+
+    @pytest.mark.parametrize("model", [
+        DRIFT_SADDLE, HamiltonianModel.general(lambda p, q: p**2 - q**2),
+        HamiltonianModel.separable(1.0, potential=lambda q: -q**2),
+    ])
+    def test_other_models_take_the_chord_probe(self, model, box, monkeypatch):
+        chord = model_mod._chord_flags
+        axes = []
+
+        def recording(model, box, axis):
+            axes.append(axis)
+            return chord(model, box, axis)
+
+        monkeypatch.setattr(model_mod, "_chord_flags", recording)
+        assert saddle_probe(model, box) == "saddle"
+        assert axes == ["p-axis", "q-axis"]
+
+    def test_narrow_band_is_not_a_saddle(self, box):
+        model = HamiltonianModel.separable(1.0, potential_coeffs=NARROW_BAND)
+        q = np.linspace(0.15, 0.2, 1001)
+        assert P.polyval(q, P.polyder(NARROW_BAND, 2)).max() > 9e-4
+        # 24 chord samples on [-2, 2] step over the band
+        assert model_mod._chord_flags(model, box, "q-axis") == (False, True)
+        assert convexity_probe(model, box, "q-axis") == "neither"
+        assert saddle_probe(model, box) == "not-saddle"
+
+    @pytest.mark.parametrize("coeffs", [
+        (0.0,), (0.0, -1.0), (0.3, -0.7, 0.0, 0.0), (0.0, 0.0, -0.5, 0.0, 0.0),
+        # V'' = -(q - 0.3)^2, zero at a double root inside the box
+        (-0.000675, 0.009, -0.045, 0.1, -1.0 / 12.0),
+    ])
+    def test_curvature_zero_up_to_rounding_stays_a_saddle(self, coeffs, box):
+        model = HamiltonianModel.separable(1.0, potential_coeffs=coeffs)
+        assert saddle_probe(model, box) == "saddle"
+        assert model_mod._chord_flags(model, box, "q-axis")[1]
+
+    @pytest.mark.parametrize("model", [
+        HamiltonianModel.free(), HamiltonianModel.sho(), HamiltonianModel.saddle_quadratic(),
+        HamiltonianModel.constant_force(), HamiltonianModel.sho(1e-3, 30.0),
+        HamiltonianModel.saddle_quadratic(3.0, 3.0 * 0.6**2),
+        HamiltonianModel.saddle_quadratic(1.17e-3, 1.0),
+        HamiltonianModel.separable(1.0, potential_coeffs=(0.0, 0.0, -0.5, 0.0, -0.05)),
+        HamiltonianModel.separable(2.0, potential_coeffs=(0.0, 0.0, 1.0, 0.0, 0.1)),
+        HamiltonianModel.separable(1.0, potential_coeffs=(0.0, 0.0, 0.5, 0.0, 10.0)),
+        HamiltonianModel.separable(1.0, potential_coeffs=(0.0, 0.0, 0.0, 1.0)),
+        HamiltonianModel.separable(1.7, potential_coeffs=(0.3, -0.2, 0.4, 0.1)),
+    ])
+    @pytest.mark.parametrize("bounds", [(-2.0, 2.0, -2.0, 2.0), (-2.9, 2.1, -2.0, 2.4),
+                                        (-40.0, 40.0, -1.0, 3.0)])
+    def test_models_of_the_suites_keep_their_chord_verdict(self, model, bounds):
+        # along p only convex_ok enters a verdict
+        box = DomainBox(*bounds)
+        assert model_mod._axis_flags(model, box, "p-axis")[0]
+        assert model_mod._chord_flags(model, box, "p-axis")[0]
+        assert model_mod._axis_flags(model, box, "q-axis") == model_mod._chord_flags(
+            model, box, "q-axis")
+
+    @settings(max_examples=50)
+    @given(coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=7),
+           q_min=st.floats(-3.0, 3.0), width=st.floats(0.01, 5.0))
+    def test_exact_verdict_agrees_with_a_dense_scan(self, coeffs, q_min, width):
+        q_max = q_min + width
+        model = HamiltonianModel.separable(1.0, potential_coeffs=coeffs)
+        convex_ok, concave_ok = model_mod._axis_flags(model, DomainBox(-1.0, 1.0, q_min, q_max),
+                                                 "q-axis")
+        q = np.linspace(q_min, q_max, 10_000)
+        curvature = P.polyval(q, P.polyder(coeffs, 2))
+        slack = _verdict_slack(coeffs, q_min, q_max)
+        # between scan points V'' exceeds the scan by at most (spacing / 2)^2 / 2 max |V''''|
+        size = max(abs(q_min), abs(q_max))
+        gap = (q[1] - q[0]) ** 2 / 8.0 * P.polyval(size, np.abs(P.polyder(coeffs, 4)))
+        rounding = 1e-14 * P.polyval(size, np.abs(P.polyder(coeffs, 2)))
+        if curvature.max() > slack + rounding:
+            assert not concave_ok
+        if curvature.max() + gap < slack - rounding:
+            assert concave_ok
+        if curvature.min() < -slack - rounding:
+            assert not convex_ok
+        if curvature.min() - gap > -slack + rounding:
+            assert convex_ok
 
 
 class TestConstructors:
