@@ -53,18 +53,28 @@ def _simpson(y):
     return np.sum(y[0:n - 2:2] + 4.0 * y[1:n - 1:2] + y[2:n:2], axis=0) * (1.0 / 3.0)
 
 
+def _lane_major(y):
+    """y with each lane's nodes contiguous, a Fortran-ordered copy if they are not.
+
+    numpy sums a contiguous axis pairwise and a strided one node by node,
+    so a sum along axis 0 of the result gives each lane of a (nodes, ...)
+    block the sum of that lane as a 1-d path, bit for bit, whatever the
+    block's layout.  Elementwise operations keep the layout.
+    """
+    if y.ndim > 1 and y.strides[0] != y.itemsize:
+        return np.asfortranarray(y)
+    return y
+
+
 def _quadrature(y, dt):
     """Composite quadrature along axis 0 and the rule used: Simpson on an
     even interval count, trapezoid otherwise.  dt may be per-lane (array)
     spacing.
 
     Each lane of a (nodes, ...) block equals the quadrature of that lane
-    as a 1-d path, bit for bit, whatever the block's layout: numpy sums a
-    contiguous axis pairwise and a strided one node by node, so a block
-    whose axis 0 is not contiguous is summed as a Fortran-ordered copy.
+    as a 1-d path, bit for bit, whatever the block's layout (_lane_major).
     """
-    if y.ndim > 1 and y.strides[0] != y.itemsize:
-        y = np.asfortranarray(y)
+    y = _lane_major(y)
     if (y.shape[0] - 1) % 2 == 0:
         return _simpson(y) * dt, "simpson"
     return _trapezoid(y) * dt, "trapezoid"

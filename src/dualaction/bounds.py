@@ -24,14 +24,15 @@ for the primed chain whose integral - vanishes appropriately).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from .action import (
-    _action_values, _cumulative_trapezoid, _grad, _mode_basis, _mode_sum, _quadrature, action_r,
-    action_s,
+    _action_values, _cumulative_trapezoid, _grad, _lane_major, _mode_basis, _mode_sum,
+    _quadrature, _trapezoid, action_r, action_s,
 )
 from .dynamics import ShootingReport
 from .errors import NotSaddleError, PreconditionError, RootFindError, UnsolvableRestrictionError
@@ -102,31 +103,38 @@ _NEWTON_MAX_ITER = 60
 
 
 def _newton_nodes(f, fprime, x0, tol_scale):
-    """Solve f(x) = 0 node by node on a (nodes, columns) array.
+    """Solve f(x, cols) = 0 node by node on a (nodes, columns) array.
 
-    Each column iterates until all its nodes meet the tolerance, or
-    until a derivative of its own is zero or non-finite, exactly as a
+    f and fprime take the iterate of the columns cols (an index array)
+    and evaluate those columns alone, so a column costs nothing once it
+    stops.  Each column iterates until all its nodes meet the tolerance,
+    or until a derivative of its own is zero or non-finite, exactly as a
     solve of that column alone would; tol_scale holds one scale per
     column.
     """
     x = np.array(x0, dtype=float)
     converged = np.zeros(x.shape[1], dtype=bool)
-    live = ~converged
+    live = np.arange(x.shape[1])
     for _ in range(_NEWTON_MAX_ITER):
-        r = f(x)
-        converged |= live & np.all(np.abs(r) <= 1e-11 * tol_scale, axis=0)
-        live &= ~converged
-        if not np.any(live):
+        xl = x[:, live]
+        r = f(xl, live)
+        done = np.all(np.abs(r) <= 1e-11 * tol_scale[live], axis=0)
+        converged[live[done]] = True
+        if np.all(done):
             break
-        d = fprime(x)
-        live &= np.all((d != 0) & np.isfinite(d), axis=0)
-        if np.all(live):
-            x -= r / d
-        else:
-            x[:, live] -= r[:, live] / d[:, live]
+        if np.any(done):
+            live, xl, r = live[~done], xl[:, ~done], r[:, ~done]
+        d = fprime(xl, live)
+        ok = np.all((d != 0) & np.isfinite(d), axis=0)
+        if not np.all(ok):
+            live, xl, r, d = live[ok], xl[:, ok], r[:, ok], d[:, ok]
+            if not live.size:
+                break
+        x[:, live] = xl - r / d
     if np.all(converged):
         return x
-    bad = np.abs(f(x)) > 1e-9 * tol_scale
+    rest = np.flatnonzero(~converged)
+    bad = np.abs(f(x[:, rest], rest)) > 1e-9 * tol_scale[rest]
     failed = np.flatnonzero(np.any(bad, axis=0))
     if failed.size:
         column = failed[0]
@@ -158,7 +166,7 @@ def pi_from_theta(model: HamiltonianModel, theta, dt):
     th, th_dot = _columns(theta), _columns(theta_dot)
     scale = 1.0 + np.max(np.abs(th_dot), axis=0)
     pi = _newton_nodes(
-        lambda x: hp(x, th) - th_dot, lambda x: hpp(x, th), th_dot, scale
+        lambda x, k: hp(x, th[:, k]) - th_dot[:, k], lambda x, k: hpp(x, th[:, k]), th_dot, scale
     )
     return pi.reshape(theta.shape)
 
@@ -168,7 +176,8 @@ def theta_from_pi(model: HamiltonianModel, pi, dt):
 
     pi is one path or a (nodes, k) array of k paths.  Requires the force
     to respond to position (H_qq != 0); a model cyclic in q (free
-    particle) is unsolvable.
+    particle) is unsolvable.  A separable model's H_q = V'(Theta) and
+    H_qq = V''(Theta) do not depend on Pi.
     """
     pi = np.asarray(pi, dtype=float)
     pi_dot = _grad(pi, dt)
@@ -181,13 +190,15 @@ def theta_from_pi(model: HamiltonianModel, pi, dt):
         if c[2] == 0.0:
             raise UnsolvableRestrictionError("linear potential has H_qq = 0")
         return (-pi_dot - c[1]) / (2.0 * c[2])
-    hq = _h_q(model)
-    hqq = model._derivative(0, 2)
     p, p_dot = _columns(pi), _columns(pi_dot)
     scale = 1.0 + np.max(np.abs(p_dot), axis=0)
-    theta = _newton_nodes(
-        lambda x: hq(p, x) + p_dot, lambda x: hqq(p, x), np.zeros_like(p), scale
-    )
+    if model.kind != "general":
+        v1, v2 = model._v_derivative(1), model._v_derivative(2)
+        f, fprime = (lambda x, k: v1(x) + p_dot[:, k]), (lambda x, k: v2(x))
+    else:
+        hq, hqq = model._derivative(0, 1), model._derivative(0, 2)
+        f, fprime = (lambda x, k: hq(p[:, k], x) + p_dot[:, k]), (lambda x, k: hqq(p[:, k], x))
+    theta = _newton_nodes(f, fprime, np.zeros_like(p), scale)
     return theta.reshape(pi.shape)
 
 
@@ -277,17 +288,43 @@ def functional_Gp(model: HamiltonianModel, pi, dt, theta_start):
 
 
 _SHIFT_TOL = 1e-10  # |restricted Pi(end) - pi_end| a shift must reach
+_SHIFT_MAX_ITER = 20
+_SHIFT_FAIL = 1e-9  # share of the momentum's scale a miss may reach by rounding
+
+
+def _takes_power_sums(model):
+    """True for a separable model with a polynomial potential of degree > 2.
+
+    Its restricted momentum ends at pi_start - dt sum_j w_j V'(Theta_j + c),
+    w the trapezoid weights (1/2, 1, ..., 1, 1/2), a polynomial in the
+    shift c whose coefficients are power sums of Theta.  A potential of
+    degree <= 2 makes the end affine in c, which the secant solves in one
+    step.
+    """
+    return model.kind != "general" and model._vcoeffs is not None and (
+        model._quadratic_potential() is None)
 
 
 def _compatibility_shift(model, theta, dt, pi_start, pi_end):
     """Constant shift of Theta (of each column) making the restricted Pi hit pi_end.
 
-    Exact in one step for potentials with constant curvature; secant
-    otherwise, each column stopping where a solve of that column alone
-    would.  Returns the shifted Theta.
+    A polynomial potential of degree > 2 solves the end's polynomial in
+    the shift (_power_sum_shift); any other model runs the secant on the
+    restricted IVP, exact in one step for potentials with constant
+    curvature.  Each column stops where a solve of that column alone
+    would.  Returns the shifted Theta; raises RootFindError when a column
+    misses pi_end (_check_shift).
     """
     theta = np.asarray(theta, dtype=float)
+    solve = _power_sum_shift if _takes_power_sums(model) else _secant_shift
+    c, miss = solve(model, theta, dt, pi_start, pi_end)
+    shifted = theta + c
+    _check_shift(model, shifted, dt, pi_start, pi_end, miss)
+    return shifted
 
+
+def _secant_shift(model, theta, dt, pi_start, pi_end):
+    """(shift, mismatch) of each column by the secant on the restricted IVP's end."""
     def mismatch(c):
         return _restricted_momentum_ivp(model, theta + c, dt, pi_start)[-1] - pi_end
 
@@ -295,10 +332,10 @@ def _compatibility_shift(model, theta, dt, pi_start, pi_end):
     m0 = mismatch(c0)
     live = np.abs(m0) > _SHIFT_TOL
     if not np.any(live):
-        return theta
+        return c0, m0
     c1 = np.where(live, 1e-3, 0.0)
     m1 = mismatch(c1)
-    for _ in range(20):
+    for _ in range(_SHIFT_MAX_ITER):
         live &= m1 != m0
         if not np.any(live):
             break
@@ -307,7 +344,68 @@ def _compatibility_shift(model, theta, dt, pi_start, pi_end):
         c1 = np.where(live, c2, c1)
         m1 = np.where(live, mismatch(c1), m1)
         live &= np.abs(m1) > _SHIFT_TOL
-    return theta + c1
+    return c1, m1
+
+
+def _power_sum_shift(model, theta, dt, pi_start, pi_end):
+    """(shift, mismatch) of each column by Newton on the end's polynomial in the shift.
+
+    With V' = sum_i a_i q^i, the end is pi_start - dt sum_k b_k c^k,
+    b_k = sum_i binom(i, k) a_i M_(i-k), from the power sums
+    M_i = sum_j w_j Theta_j^i: M_0 is the interval count, and each other
+    M_i the unit-spacing trapezoid of a column's i-th power, summed as a
+    1-d path is (_lane_major).  So each column's shift is that of the
+    column alone, bit for bit.
+    """
+    a = model._vcoeffs[1]
+    lanes = _lane_major(theta)
+    power = lanes
+    sums = [theta.shape[0] - 1.0, _trapezoid(power)]
+    for _ in range(2, len(a)):
+        power = power * lanes
+        sums.append(_trapezoid(power))
+    b = [sum(math.comb(i, k) * a[i] * sums[i - k] for i in range(k, len(a)))
+         for k in range(len(a))]
+    slope = [k * b[k] for k in range(1, len(b))]
+
+    def horner(coeffs, c):
+        value = coeffs[-1]
+        for coeff in coeffs[-2::-1]:
+            value = value * c + coeff
+        return value
+
+    def mismatch(c):
+        return (pi_start - dt * horner(b, c)) - pi_end
+
+    c = np.zeros(theta.shape[1:])
+    m = mismatch(c)
+    live = np.abs(m) > _SHIFT_TOL
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_SHIFT_MAX_ITER):
+            if not np.any(live):
+                break
+            c = np.where(live, c + m / (dt * horner(slope, c)), c)
+            m = np.where(live, mismatch(c), m)
+            live &= np.abs(m) > _SHIFT_TOL
+    return c, m
+
+
+def _check_shift(model, theta, dt, pi_start, pi_end, miss):
+    """Raise RootFindError when a shifted column missed pi_end.
+
+    A miss above _SHIFT_TOL, or not finite, raises unless it is within
+    _SHIFT_FAIL (1 + max(|Pi|, |pi_end|)), Pi the column's restricted
+    momentum: a miss that small is rounding of the momentum's sum, which
+    at a large momentum scale stays above the absolute _SHIFT_TOL.
+    """
+    missed = ~(np.abs(miss) <= _SHIFT_TOL)
+    if not np.any(missed):
+        return
+    with np.errstate(all="ignore"):
+        pi = _restricted_momentum_ivp(model, theta, dt, pi_start)
+        scale = 1.0 + np.maximum(np.max(np.abs(pi), axis=0), abs(pi_end))
+        if np.any(missed & ~(np.abs(miss) <= _SHIFT_FAIL * scale)):
+            raise RootFindError("compatibility shift missed the momentum end")
 
 
 @dataclass(frozen=True)

@@ -288,13 +288,13 @@ def _ref_integral(y, dt):
     return float(_quadrature(y, dt)[0])
 
 
-def _ref_shift(model, theta, dt, pi_start, pi_end, tol=1e-10):
+def _ref_secant_shift(model, theta, dt, pi_start, pi_end, tol):
     def mismatch(c):
         return _ref_momentum_ivp(model, theta + c, dt, pi_start)[-1] - pi_end
 
     c0, m0 = 0.0, mismatch(0.0)
     if abs(m0) <= tol:
-        return theta
+        return c0, m0
     c1 = 1e-3
     m1 = mismatch(c1)
     for _ in range(20):
@@ -304,7 +304,52 @@ def _ref_shift(model, theta, dt, pi_start, pi_end, tol=1e-10):
         c0, m0, c1, m1 = c1, m1, c2, mismatch(c2)
         if abs(m1) <= tol:
             break
-    return theta + c1
+    return c1, m1
+
+
+def _ref_power_sum_shift(model, theta, dt, pi_start, pi_end, tol):
+    # V' = sum_i a_i q^i, so the restricted momentum ends at
+    # pi_start - dt sum_k b_k c^k, b_k = sum_i binom(i, k) a_i M_(i-k), with the
+    # trapezoid power sums M_i = sum_j w_j theta_j^i; Newton on that polynomial
+    a = model._vcoeffs[1]
+    sums, power = [theta.size - 1.0], theta
+    for _ in range(1, len(a)):
+        sums.append(np.sum((power[1:] + power[:-1]) / 2.0))
+        power = power * theta
+    b = [sum(math.comb(i, k) * a[i] * sums[i - k] for i in range(k, len(a)))
+         for k in range(len(a))]
+
+    def poly(coeffs, c):
+        value = coeffs[-1]
+        for coeff in coeffs[-2::-1]:
+            value = value * c + coeff
+        return value
+
+    slope = [k * b[k] for k in range(1, len(b))]
+    c, m = 0.0, (pi_start - dt * poly(b, 0.0)) - pi_end
+    for _ in range(20):
+        if not abs(m) > tol:
+            break
+        c = c + m / (dt * poly(slope, c))
+        m = (pi_start - dt * poly(b, c)) - pi_end
+    return c, m
+
+
+def _ref_shift(model, theta, dt, pi_start, pi_end, tol=1e-10):
+    """theta shifted so its restricted momentum ends at pi_end: Newton on the
+    end's polynomial in the shift for a polynomial potential of degree > 2,
+    the secant on the restricted IVP otherwise.  A miss above tol raises
+    unless it is below 1e-9 of 1 + the momentum's largest magnitude."""
+    polynomial = (model.kind != "general" and model.potential_coeffs is not None
+                  and any(model.potential_coeffs[3:]))
+    shift = _ref_power_sum_shift if polynomial else _ref_secant_shift
+    with np.errstate(all="ignore"):
+        c, miss = shift(model, theta, dt, pi_start, pi_end, tol)
+        pi = _ref_momentum_ivp(model, theta + c, dt, pi_start)
+        scale = 1.0 + max(np.max(np.abs(pi)), abs(pi_end))
+    if not (abs(miss) <= tol or abs(miss) <= 1e-9 * scale):
+        raise RootFindError("compatibility shift missed the momentum end")
+    return theta + c
 
 
 def reference_values(model, chain, path, spec, samples):
@@ -620,14 +665,9 @@ def test_general_model_block_equals_blocks_of_sixteen(chain, pin, monkeypatch):
     assert np.array_equal(whole.upper_values, blocked.upper_values)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the failing Newton runs overflow
-def test_blocked_root_find_failure_names_the_looped_node():
-    # H_p = 2 p / sqrt(1 + p^2) and H_q = -q / sqrt(1 + q^2) are bounded, so
-    # a slope of the perturbed Theta beyond 2 leaves J's restriction without
-    # a root, and a slope of the perturbed Pi beyond 1 leaves G's.  Sample 6
-    # (counting from 0) fails first, in G at node 77; sample 13, in the same
-    # block, fails in J at node 98, and a block evaluates J before G.
-    model = HamiltonianModel.general(
+def _bounded_force_model():
+    """H = 2 (sqrt(1 + p^2) - 1) - (sqrt(1 + q^2) - 1): H_p and H_q are bounded."""
+    return HamiltonianModel.general(
         lambda p, q: 2.0 * (np.sqrt(1.0 + p**2) - 1.0) - (np.sqrt(1.0 + q**2) - 1.0),
         partials={
             (1, 0): lambda p, q: 2.0 * p / np.sqrt(1.0 + p**2) + 0.0 * q,
@@ -636,6 +676,16 @@ def test_blocked_root_find_failure_names_the_looped_node():
             (0, 2): lambda p, q: -1.0 / (1.0 + q**2) ** 1.5 + 0.0 * p,
         },
     )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the failing Newton runs overflow
+def test_blocked_root_find_failure_names_the_looped_node():
+    # H_p = 2 p / sqrt(1 + p^2) and H_q = -q / sqrt(1 + q^2) are bounded, so
+    # a slope of the perturbed Theta beyond 2 leaves J's restriction without
+    # a root, and a slope of the perturbed Pi beyond 1 leaves G's.  Sample 6
+    # (counting from 0) fails first, in G at node 77; sample 13, in the same
+    # block, fails in J at node 98, and a block evaluates J before G.
+    model = _bounded_force_model()
     bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 100)
     spec = PerturbationSpec(amplitude=0.04, mode_count=8, seed=10, pinned="q-pinned")
     with pytest.raises(RootFindError) as looped:
@@ -643,6 +693,133 @@ def test_blocked_root_find_failure_names_the_looped_node():
     with pytest.raises(RootFindError) as blocked:
         certify_bounds(model, "S-chain", bvp, spec, 40)
     assert blocked.value.node_index == looped.value.node_index == 77
+
+
+CUBIC_SADDLE = (0.0, 0.0, -0.5, -0.05)  # V = -q^2/2 - q^3/20, concave for q > -10/3
+
+
+@pytest.mark.parametrize("model", [
+    HamiltonianModel.separable(1.0, potential_coeffs=CUBIC_SADDLE),
+    HamiltonianModel.separable(1.0, potential=lambda q: -0.5 * q**2 - 0.05 * q**3),
+], ids=["power-sums", "secant"])
+def test_unreachable_shift_raises_at_the_looped_sample(model):
+    # -V'(q) = q + 0.15 q^2 is bounded below, so the restricted momentum's
+    # end rises with the variance of Theta: from sample 4 (counting from 0)
+    # on, some perturbations of amplitude 8 leave no shift reaching p(t_f).
+    # The coefficients take the power-sum shift, the same potential as a
+    # callable the secant; both raise at the same first sample as the loop.
+    bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 0.5), 100)
+    assert bvp.flag == "unique"
+    spec = PerturbationSpec(amplitude=8.0, mode_count=8, seed=10, pinned="p-pinned")
+    assert bounds._takes_power_sums(model) == (model.potential_coeffs is not None)
+    certify_bounds(model, "R-chain", bvp, spec, 4)
+    reference_values(model, "R-chain", bvp.path, spec, 4)
+    with pytest.raises(RootFindError, match="compatibility shift"):
+        certify_bounds(model, "R-chain", bvp, spec, 5)
+    with pytest.raises(RootFindError, match="compatibility shift"):
+        reference_values(model, "R-chain", bvp.path, spec, 5)
+
+
+@pytest.mark.parametrize("model, miss", [
+    (_bounded_force_model(), 5.0), (HamiltonianModel.separable(1.0, CUBIC_SADDLE), -5.0),
+], ids=["secant", "power-sums"])
+def test_shift_that_misses_the_momentum_end_raises(model, miss):
+    # |H_q| < 1 moves the bounded-force momentum by less than 1 over t = 1,
+    # and the cubic's -V' >= -5/3 keeps its end above p(0) - 5/3, so neither
+    # restricted momentum can end 5 beyond p(t_f); two columns, as in a block
+    bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 100)
+    path = bvp.path
+    theta = path.q[:, None] * np.ones(2)
+    with pytest.raises(RootFindError, match="compatibility shift"):
+        bounds._compatibility_shift(model, theta, path.dt, path.p[0], path.p[-1] + miss)
+    with pytest.raises(RootFindError, match="compatibility shift"):
+        _ref_shift(model, path.q, path.dt, path.p[0], path.p[-1] + miss)
+
+
+def _concave_coeffs(coeffs, lead, degree):
+    """V = sum_k c_k q^k / k! of the given degree (c_k = coeffs[k] below it,
+    lead at it), its q^2 term lowered until V'' <= -1/2 on [-3, 3] (on a
+    601-point grid)."""
+    c = np.array(coeffs[:degree] + [lead]) / [math.factorial(k) for k in range(degree + 1)]
+    q = np.linspace(-3.0, 3.0, 601)
+    curvature = sum(k * (k - 1) * c[k] * q ** (k - 2) for k in range(2, degree + 1))
+    c[2] -= max(0.0, np.max(curvature) + 0.5) / 2.0
+    return tuple(c)
+
+
+@settings(max_examples=40)
+@given(
+    degree=st.integers(3, 6), coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    lead=st.floats(0.1, 1.0) | st.floats(-1.0, -0.1),
+    log_mass=st.floats(-1.0, 1.0), n=st.integers(100, 1000), t=st.floats(0.5, 2.0),
+    offset=st.floats(-0.5, 0.5), eps=st.floats(0.05, 0.5), seed=st.integers(0, 2**31 - 1),
+)
+def test_power_sum_shift_meets_the_momentum_end(degree, coeffs, lead, log_mass, n, t, offset,
+                                                eps, seed):
+    # a block of four columns, each shifted towards the end its restricted
+    # momentum takes at a shift in [-1, 1] (so a root exists where V is
+    # concave): the direct IVP from the shifted column meets that end
+    # within _SHIFT_TOL, and each column is its own 1-d shift, bit for bit
+    mass = 10.0**log_mass
+    model = HamiltonianModel.separable(mass, potential_coeffs=_concave_coeffs(coeffs, lead, degree))
+    assert bounds._takes_power_sums(model)
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, t, n + 1)
+    dt = times[1] - times[0]
+    theta = offset + bounds._series(_mode_basis(times, 8, np.cos), eps, rng.normal(size=(4, 8)))
+    pi_start = mass * rng.normal()
+    pi_end = bounds._restricted_momentum_ivp(model, theta + rng.uniform(-1, 1, 4), dt, pi_start)[-1]
+    shifted = bounds._compatibility_shift(model, theta, dt, pi_start, pi_end)
+    ends = bounds._restricted_momentum_ivp(model, shifted, dt, pi_start)[-1]
+    assert np.all(np.abs(ends - pi_end) <= bounds._SHIFT_TOL)
+    for j in range(4):
+        column = bounds._compatibility_shift(model, theta[:, j], dt, pi_start, pi_end[j])
+        assert np.array_equal(column, shifted[:, j])
+        assert np.array_equal(column, _ref_shift(model, theta[:, j], dt, pi_start, pi_end[j]))
+
+
+def test_blocked_r_chain_shift_runs_no_momentum_ivp(monkeypatch):
+    # 40 samples are blocks of 16, 16 and 8: one restricted-momentum IVP per
+    # block, for J', and one on the critical path, for the slack
+    model, n, _ = REFERENCE_MODELS["anharmonic-saddle"]
+    bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), n)
+    spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=17, pinned="p-pinned")
+    widths = []
+    ivp = bounds._restricted_momentum_ivp
+
+    def counting(model, theta, dt, pi_start):
+        widths.append(np.shape(theta)[1:])
+        return ivp(model, theta, dt, pi_start)
+
+    monkeypatch.setattr(bounds, "_restricted_momentum_ivp", counting)
+    certify_bounds(model, "R-chain", bvp, spec, 40)
+    assert widths == [(), (16,), (16,), (8,)]
+
+
+def test_node_newton_evaluates_live_columns_only(monkeypatch):
+    # G's per-node Newton on a block: converged columns drop out, so fewer
+    # columns reach f than iterations times the block width
+    model, n, _ = REFERENCE_MODELS["anharmonic-saddle"]
+    bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), n)
+    spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=17, pinned="q-pinned")
+    solves = []  # (block width, columns of each f call) of every Newton solve
+    newton = bounds._newton_nodes
+
+    def counting(f, fprime, x0, tol_scale):
+        seen = []
+        solves.append((x0.shape[1], seen))
+
+        def f_counted(x, cols):
+            seen.append(x.shape[1])
+            return f(x, cols)
+
+        return newton(f_counted, fprime, x0, tol_scale)
+
+    monkeypatch.setattr(bounds, "_newton_nodes", counting)
+    certify_bounds(model, "S-chain", bvp, spec, 32)
+    assert [width for width, _ in solves] == [1, 16, 16]  # the slack's critical path, two blocks
+    for width, seen in solves[1:]:
+        assert sum(seen) < len(seen) * width
 
 
 @settings(max_examples=8)

@@ -89,6 +89,31 @@ class TestIntegrateIVP:
         order = math.log2(drift(200) / drift(400))
         assert order >= 3.9
 
+    @settings(max_examples=25)
+    @given(
+        log_mass=st.floats(-0.3, 0.3),
+        v=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                    st.floats(0.05, 1.0)),
+        drift=st.none() | st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        p0=st.floats(-1.0, 1.0), q0=st.floats(-1.0, 1.0), t=st.floats(0.5, 1.0),
+    )
+    def test_rk4_converges_at_fourth_order(self, log_mass, v, drift, p0, q0, t):
+        # a confining quartic V, alone (separable) or with a linear drift B(q) p
+        # (general kind): the paths at N, 2N and 4N steps differ on their shared
+        # nodes by 16 times less at each doubling.  The largest difference over
+        # the nodes (the end state among them) does not dip where the leading
+        # error term of one node passes zero
+        mass = 10.0**log_mass
+        coeffs = (0.0,) + v
+        model = (HamiltonianModel.separable(mass, potential_coeffs=coeffs) if drift is None
+                 else HamiltonianModel.with_drift(mass, drift, coeffs))
+        paths = [integrate_ivp(model, p0, q0, (0.0, t), n) for n in (128, 256, 512)]
+        shared = [np.stack([path.p[::2**k], path.q[::2**k]]) for k, path in enumerate(paths)]
+        coarse = np.max(np.abs(shared[0] - shared[1]))
+        fine = np.max(np.abs(shared[1] - shared[2]))
+        assume(fine >= 1e-12)  # a difference near rounding measures noise, not order
+        assert math.log2(coarse / fine) >= 3.9
+
     def test_reversibility(self, sho):
         fwd = integrate_ivp(sho, 1.0, 0.3, (0.0, 2.0), 400)
         # backward integration = forward integration of the reversed flow

@@ -176,6 +176,25 @@ def test_kernel_matches_node_sum_chain(family, mass, omega_t, n, x_i, x_f):
     assert point == complex(kernel(x_f, x_i))
 
 
+@settings(max_examples=40)
+@given(mass=_MASS, log_omega=st.floats(-0.5, 0.5), omega_t=st.floats(0.05, 0.9 * math.pi),
+       x_i=st.floats(-2.0, 2.0), x_f=st.floats(-2.0, 2.0))
+def test_chain_approaches_van_vleck_kernel_at_second_order(mass, log_omega, omega_t, x_i, x_f):
+    # the oscillator's continuum kernel (hbar = 1), away from its caustic at
+    # omega t = pi: sqrt(m w / (2 pi i sin wt)) exp(i m w ((x_i^2 + x_f^2) cos wt
+    # - 2 x_i x_f) / (2 sin wt)); doubling the slices quarters the error
+    omega = 10.0**log_omega
+    model = HamiltonianModel.sho(mass, omega)
+    sin, cos = math.sin(omega_t), math.cos(omega_t)
+    exact = cmath.sqrt(mass * omega / (2j * math.pi * sin)) * cmath.exp(
+        0.5j * mass * omega * ((x_i**2 + x_f**2) * cos - 2.0 * x_i * x_f) / sin)
+    t = omega_t / omega
+    errors = [abs(sliced_position_propagator(model, x_i, x_f, t, SliceScheme(n)).amplitude - exact)
+              for n in (64, 128, 256)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.9 <= coarse / fine <= 4.1
+
+
 class TestMomentumSlicing:
     def test_matches_fourier_oracle(self, sho):
         scheme = SliceScheme(512)
