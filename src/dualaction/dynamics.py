@@ -19,9 +19,10 @@ evaluators:
   is bound by per-step overhead, so the single solve's scan carries 481
   lanes at little more cost than 33.  The same scan on N/8 and N/4 steps
   predicts the root by Richardson extrapolation, and the N-step scan
-  carries the predicted lanes too: when the prediction meets a tolerance
-  a thousand times tighter, the solve is done in 1 3/8 sweeps' worth of
-  steps and Newton does not run.
+  carries the predicted lanes too, so the prediction is Newton's first
+  iterate at no sweep of its own: when it meets a tolerance a thousand
+  times tighter, the solve is done in 1 3/8 sweeps' worth of steps, and
+  otherwise Newton steps on from it.
 
 ``integrate_ivp`` always runs the loop; it is the reference the affine
 evaluator is tested against.
@@ -425,27 +426,24 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
       Chebyshev-Lobatto points inside every interval between candidates,
       and a bracket whose density + 1 residuals are finite and change
       sign once narrows to the node pair around the root of their
-      interpolant, which is the first iterate (_refine); density 1 is the
-      plain scan with the regula-falsi guess.  Each Newton sweep then
-      integrates the lanes x, x + h and x - h; the outer pair gives
-      J(t) = (E+(t) - E-(t)) / 2h, whose final value is the Newton slope,
-      and the centre lanes' paths are kept.  A step that leaves the
-      bracket bisects it instead, and the sweeps stop once
-      |residual| <= tol.  A surface's many targets share the plain scan,
-      where dense lanes would cost arithmetic.
-    * a dense scan (density > 1) on N > 4 steps first predicts the root.
-      The same dense scan on ceil(N/8) and on ceil(N/4) steps gives two
-      refined roots x8 and x4, whose RK4 error falls as n^-4, so
-      Richardson extrapolation gives x^ = (w x4 - x8) / (w - 1) with
-      w = (n4 / n8)^4.  The N-step scan sweep carries the lanes x^ and
-      x^ +- h besides its dense ones, so x^ costs no sweep of its own.
-      x^ is the root when that scan refined a bracket, x^ lies in the
-      node pair _refine picked and |r(x^)| <= _PREDICTION_GATE * tol;
-      its lanes then give the path and J(t) as a Newton sweep's would,
-      and the solve has run n8 + n4 + N loop steps instead of 2N.
-      Otherwise Newton runs from the refined guess, as above.  Brackets,
-      refinement and sign changes come from the N-step dense lanes in
-      either case.
+      interpolant, the refined guess (_refine); density 1 is the plain
+      scan with the regula-falsi guess.  A dense scan on N > 4 steps
+      first runs on ceil(N/8) and on ceil(N/4) steps, whose refined
+      guesses x8 and x4 have an RK4 error falling as n^-4, so Richardson
+      extrapolation predicts x^ = (w x4 - x8) / (w - 1) with
+      w = (n4 / n8)^4; brackets, refinement and sign changes still come
+      from the N-step lanes.  Each Newton iterate integrates the lanes
+      x, x + h and x - h; the outer pair gives J(t) = (E+(t) - E-(t)) / 2h,
+      whose final value is the Newton slope, and the centre lanes' paths
+      are kept.  The first iterate is x^ where x^ lies in the node pair
+      _refine picked and its residual is finite: the N-step scan sweep
+      carries its lanes, so it costs no sweep of its own, and it stands
+      when |r(x^)| <= _PREDICTION_GATE * tol: the solve has then run
+      n8 + n4 + N loop steps instead of 2N and no sweep of its own
+      (method 'predicted'; 'newton' otherwise).  Any other target
+      starts from its refined guess.  A step that leaves the bracket bisects it instead, and the iterates
+      stop once |residual| <= tol.  A surface's many targets share the
+      plain scan, where dense lanes would cost arithmetic.
 
     The residual is that of the returned endpoint (for an affine field
     G^N x0, which the path's last node equals up to rounding) and must
@@ -513,66 +511,49 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
                     method=np.full(targets.size, "affine"))
     else:
         field = model.vector_field()
-        spread_on = "q" if end else "p"
         sweeps = []
 
-        def sweep(x, lane_dt, n=n_steps, **kw):
+        def sweep(x, lane_dt, n=n_steps, keep=None, spread=None):
+            # one _rk4 sweep from the parameters x; spread = (upper, lower) lanes of J
             sweeps.append((x.size, n))
-            pe, qe, P, Q, widest = _rk4(field, *lanes(x), lane_dt, n, **kw)
+            pe, qe, P, Q, widest = _rk4(field, *lanes(x), lane_dt, n, keep,
+                                        spread and ("pq"[end], *spread))
             return (qe if shoot_on == "p0" else pe), P, Q, widest
 
         grid = np.repeat(nodes[:, None], steps.size, axis=1)
         n8, n4 = -(-n_steps // 8), -(-n_steps // 4)
-        x_hat = np.full(targets.size, np.nan)
+        pred = np.arange(0)
         if sub > 1 and n4 > n8:  # n4 == n8 for N <= 4 leaves nothing to extrapolate
             x8, *_, ok8 = bracket(sweep(grid, span[first] / n8, n8)[0])
             x4, *_, ok4 = bracket(sweep(grid, span[first] / n4, n4)[0])
             w = (n4 / n8) ** 4
-            x_hat = np.where(ok8 & ok4, (w * x4 - x8) / (w - 1.0), np.nan)
-        pred = np.flatnonzero(np.isfinite(x_hat))
+            pred = np.flatnonzero(ok8 & ok4)
+            xh = ((w * x4 - x8) / (w - 1.0))[pred]
         if pred.size:
             # one flat sweep: the dense lanes, then x^, x^ + h and x^ - h of each prediction
-            m, k, xh = grid.size, pred.size, x_hat[pred]
+            m, k = grid.size, pred.size
             h = FD_REL_STEP * np.maximum(unit, np.abs(xh))
             swept_ends, P_hat, Q_hat, widest = sweep(
                 np.concatenate([grid.ravel(), xh, xh + h, xh - h]),
                 np.concatenate([np.tile(steps, nodes.size), np.tile(dt[pred], 3)]),
-                keep=slice(m, m + k),
-                spread=(spread_on, slice(m + k, m + 2 * k), slice(m + 2 * k, None)))
+                keep=slice(m, m + k), spread=(slice(m + k, m + 2 * k), slice(m + 2 * k, None)))
             ends = swept_ends[:m].reshape(grid.shape)
-            hat, plus, minus = np.split(swept_ends[m:], 3)
         else:
             ends = sweep(grid, steps)[0]
         x, lo, hi, r_lo, changes, have_bracket, flags, refined = bracket(ends)
-
-        # (targets, (roots, residuals, P, Q, J(t_f), max_t |J(t)|)) of each route taken
-        parts = []
-        took = np.zeros(targets.size, dtype=bool)
+        seeds = None
         if pred.size:
-            with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
-                r_hat = hat - targets[pred]
-                spread = plus - minus
-            s = (refined[pred] & (lo[pred] <= xh) & (xh <= hi[pred])
-                 & (np.abs(r_hat) <= _PREDICTION_GATE * tol[pred]))
+            # x^ is Newton's first iterate where it lies in the node pair _refine picked
+            # and its residual is finite: the scan sweep has run its lanes
+            hat = swept_ends[m:].reshape(3, k)
+            s = refined[pred] & (lo[pred] <= xh) & (xh <= hi[pred]) & np.isfinite(hat[0])
             if s.any():
-                took[pred[s]] = True
-                parts.append((pred[s], (xh[s], r_hat[s], P_hat[:, s], Q_hat[:, s], spread[s],
-                                        widest[s])))
-        rest = np.flatnonzero(~took)
-        if rest.size:
-            parts.append((rest, _newton(sweep, *(a[rest] for a in (x, lo, hi, r_lo, have_bracket,
-                                                                   targets, tol, dt)),
-                                        unit, spread_on)))
-        if len(parts) == 1:  # one route took every target, in order
-            roots, residuals, P, Q, j_end, j_max = parts[0][1]
-        else:
-            roots, residuals, j_end, j_max = (np.empty(targets.size) for _ in range(4))
-            P, Q = (np.empty((n_steps + 1, targets.size)) for _ in range(2))
-            for cols, values in parts:
-                for a, v in zip((roots, residuals, P, Q, j_end, j_max), values):
-                    a[..., cols] = v
+                x[pred[s]] = xh[s]
+                seeds = pred[s], (hat[:, s], P_hat[:, s], Q_hat[:, s], widest[s])
+        roots, residuals, P, Q, j_end, j_max, method = _newton(
+            sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, seeds)
         kept = dict(end=np.stack([P[-1], Q[-1]]), swept=(P, Q), sweeps=tuple(sweeps),
-                    method=np.where(took, "predicted", "newton"))
+                    method=method)
 
     with np.errstate(invalid="ignore"):
         unresolved = have_bracket & ~(np.abs(residuals) <= tol) & (flags == "unique")
@@ -583,37 +564,45 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
     return _Shots(roots, residuals, flags, **kept)
 
 
-def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, spread_on):
-    """Bracketed Newton sweeps of the non-affine shooting, for the targets
-    whose predicted root, if any, did not stand (see _shoot_batch).
+def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, seeds):
+    """Bracketed Newton iterates of the non-affine shooting (see _shoot_batch).
 
-    Returns (roots, residuals, P, Q, J(t_f), max_t |J(t)|) of the last
-    sweep of each target.
+    An iterate sweeps the lanes x, x + h and x - h of each target still
+    going.  seeds = (cols, (ends, P, Q, widest)) holds the first iterate
+    of the targets cols, already swept, which stands when |residual| <=
+    _PREDICTION_GATE * tol; the other targets sweep their first iterate
+    in the next iteration.  Without seeds every target sweeps its first.
+    Returns (roots, residuals, P, Q, J(t_f), max_t |J(t)|, method) of each
+    target's last iterate, method being 'predicted' for a target that
+    swept no iterate of its own and 'newton' otherwise.
     """
     n_t = targets.size
     roots = x.copy()
-    residuals = np.full(n_t, np.nan)
-    j_end = np.full(n_t, np.nan)
-    j_max = np.full(n_t, np.nan)
+    residuals, j_end, j_max = (np.full(n_t, np.nan) for _ in range(3))
+    method = np.full(n_t, "predicted")
     P_all = Q_all = None
-    todo = np.arange(n_t)
+    todo, swept = seeds or (np.arange(n_t), None)
+    waiting = np.delete(np.arange(n_t), todo)
+    gate = 1.0 if swept is None else _PREDICTION_GATE
     for _ in range(MAX_NEWTON_ITER):
         xa = x[todo]
         h = FD_REL_STEP * np.maximum(unit, np.abs(xa))
-        ends, P, Q, widest = sweep(np.stack([xa, xa + h, xa - h]), dt[todo], keep=0,
-                                   spread=(spread_on, 1, 2))
+        if swept is None:
+            swept = sweep(np.stack([xa, xa + h, xa - h]), dt[todo], keep=0, spread=(1, 2))
+            method[todo] = "newton"
+        ends, P, Q, widest = swept
         with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
             r = ends[0] - targets[todo]
             spread = ends[1] - ends[2]
-        if P_all is None and todo.size == n_t:
-            P_all, Q_all = P, Q
-        else:
+        if P_all is None:  # a first sweep of every target, in order, is the batch's paths
+            P_all, Q_all = (P, Q) if todo.size == n_t else np.empty((2, P.shape[0], n_t))
+        if P_all is not P:
             P_all[:, todo], Q_all[:, todo] = P, Q
         roots[todo], residuals[todo] = xa, r
         j_end[todo], j_max[todo] = spread, widest
 
         with np.errstate(invalid="ignore", divide="ignore"):
-            going = have_bracket[todo] & (np.abs(r) > tol[todo])
+            going = have_bracket[todo] & (np.abs(r) > gate * tol[todo])
             # keep the root bracketed: replace the end whose residual has r's sign
             move_lo = going & (np.sign(r) == np.sign(r_lo[todo]))
             lo[todo] = np.where(move_lo, xa, lo[todo])
@@ -625,10 +614,11 @@ def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, spread
             xn = np.where(inside, xn, 0.5 * (a + b))
         going &= xn != xa
         x[todo] = np.where(going, xn, xa)
-        todo = todo[going]
+        todo, waiting = np.concatenate([todo[going], waiting]), waiting[:0]
+        swept, gate = None, 1.0
         if not todo.size:
             break
-    return roots, residuals, P_all, Q_all, j_end, j_max
+    return roots, residuals, P_all, Q_all, j_end, j_max, method
 
 
 def _bvp(model, bounds, t_span, n_steps, shoot_on):

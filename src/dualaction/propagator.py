@@ -284,11 +284,16 @@ def _check_bandwidth(values, x, band):
     through several full turns across each taper zone (a proxy for the
     kernel keeping <1% of its energy beyond the band).  Magnitudes far
     below the peak carry no energy and are ignored.  values are sampled
-    on the nodes x of the window [-band, band].
+    on the nodes x of the window [-band, band]; all zero, they transform
+    to exactly zero and pass.
     """
     mag = np.abs(values)
     peak = np.max(mag)
+    if peak == 0.0:
+        return
     alive = np.minimum(mag[1:], mag[:-1]) > 1e-12 * peak
+    if not alive.any():
+        raise BandwidthError("no two neighbouring kernel samples carry energy")
     steps = np.angle(values[1:] * np.conj(values[:-1]))
     absteps = np.where(alive, np.abs(steps), np.nan)
     if np.nanmax(absteps) > MAX_PHASE_STEP:

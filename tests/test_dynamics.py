@@ -491,8 +491,9 @@ def _predicted_steps(n_steps):
 class TestRefinedScan:
     """Single-target solves of non-affine fields refine the scan with
     Chebyshev-Lobatto lanes; the same scan on ceil(N/8) and ceil(N/4) steps
-    predicts the root, which the N-step scan checks on lanes of its own, and
-    Newton runs from the refined guess only when the prediction does not stand."""
+    predicts the root, and the N-step scan sweeps it as Newton's first
+    iterate, which stands or which Newton continues from; Newton starts from
+    the refined guess only when there is no such prediction."""
 
     # (model, boundary kind, start, end, horizon, n_steps): the quartic windows are
     # the benchmark's fixed paths cells, the soft-oscillator ones are drawn from its ranges
@@ -510,7 +511,7 @@ class TestRefinedScan:
     }
     # how each root is found and the (lanes, steps) of every sweep: the 481 dense lanes
     # on ceil(N/8) and ceil(N/4) steps, then on N steps with x^ and x^ +- h; the quartic
-    # momentum window's prediction misses the gate (4e-3 tol), so Newton runs once more
+    # momentum window's prediction misses the gate (4e-3 tol), so Newton continues from x^
     SWEEPS = {
         "quartic-position": ("predicted", [(481, 125), (481, 250), (484, 1000)]),
         "quartic-momentum": ("newton", [(481, 63), (481, 125), (484, 500), (3, 500)]),
@@ -542,6 +543,28 @@ class TestRefinedScan:
         if method == "predicted":
             assert rep.residual <= 1e-3 * tol
             assert sum(steps for _, steps in rep.sweeps) == _predicted_steps(n_steps)
+
+    def test_turned_away_prediction_seeds_newton(self, monkeypatch):
+        # the quartic momentum window: |r(x^)| = 1.22e-9 misses the gate, so the sweep after
+        # the N-step scan is the Newton step from x^ with the slope of x^ +- h on that scan
+        build, kind, start, end, t, n_steps = self.SOLVES["quartic-momentum"]
+        ran = []
+        loop = dynamics._rk4
+
+        def recorded(*args, **kwargs):
+            out = loop(*args, **kwargs)
+            ran.append((args[2], out[0]))  # initial q (the parameter) and final p of each lane
+            return out
+
+        monkeypatch.setattr(dynamics, "_rk4", recorded)
+        rep = solve_momentum_bvp(build(), BoundarySpec(kind, start, end), (0.0, t), n_steps)
+        assert [len(ran), rep.method] == [4, "newton"]
+        (lanes, ends), (newton_lanes, _) = ran[2], ran[3]
+        x_hat, r_hat = lanes[-3], ends[-3] - end
+        h = dynamics.FD_REL_STEP * max(1.0, abs(x_hat))
+        assert abs(r_hat) > dynamics._PREDICTION_GATE * SHOOTING_TOL * abs(end)
+        assert newton_lanes[0, 0] == x_hat - r_hat * (2.0 * h) / (ends[-2] - ends[-1])
+        assert rep.parameter == newton_lanes[0, 0]
 
     @settings(max_examples=30)
     @given(
@@ -589,6 +612,9 @@ class TestRefinedScan:
             newton = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
                                   REFINED_DENSITY)
         assert shots.flags[0] == newton.flags[0]
+        # predicted exactly when the solve ran no sweep after the N-step scan sweep
+        for solve in (shots, newton):
+            assert (solve.method[0] == "predicted") == (len(solve.sweeps) == 3)
         if shots.method[0] != "predicted":
             # a prediction that does not stand changes nothing
             for got, want in ((shots.roots, newton.roots), (shots.residuals, newton.residuals),

@@ -27,6 +27,9 @@ EXAMPLES = {
     "spin": "spin --N 4 --policy paper-unconstrained",
     "hj-check": "hj-check --hamiltonian free --which s --grid-min 0.5 --grid-max 1.5",
     "legendre-check": "legendre-check --hamiltonian sho --samples 100 --N 2000",
+    "action-anharmonic": "action --potential-coeffs 0,0,-0.5,0,-0.05 --q-end 1 --t1 1",
+    "bounds-anharmonic": "bounds --potential-coeffs 0,0,-0.5,0,-0.05 --q-end 1 --t1 1 "
+                         "--chain R-chain --samples 200 --seed 7",
 }
 
 SERIES = {

@@ -383,6 +383,24 @@ class TestFourierEndpoints:
         with pytest.raises(BandwidthError):
             fourier_endpoints(free_momentum_delta_kernel(1.0, 1e-6), grid, to="position")
 
+    def test_zero_kernel_transforms_to_zero(self):
+        grid = FourierGrid(out_final=np.array([0.0, 0.5]), out_initial=np.array([0.0]))
+        for source in (free_momentum_delta_kernel(1.0, 1.0, prefactor=0.0),
+                       lambda qf, qi: np.zeros(np.broadcast(qf, qi).shape)):
+            ks = fourier_endpoints(source, grid, to="position")
+            assert np.all(ks.values == 0.0)
+
+    def test_kernel_without_neighbouring_samples_is_a_bandwidth_error(self):
+        # one non-zero sample on the quadrature axis: no phase step can be read off it
+        grid = FourierGrid(out_final=np.array([0.0, 0.5]), out_initial=np.array([0.0]))
+        x = grid.quad_axis()[0]
+
+        def spike(qf, qi):
+            return (np.asarray(qf + qi) == x[x.size // 3]).astype(float)
+
+        with pytest.raises(BandwidthError, match="neighbouring"):
+            fourier_endpoints(spike, grid, to="position")
+
     def test_non_causal_delta_gives_zero(self):
         grid = FourierGrid(out_final=np.array([0.5]), out_initial=np.array([0.0]))
         ks = fourier_endpoints(free_momentum_delta_kernel(1.0, -1.0), grid, to="position")
