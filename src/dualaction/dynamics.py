@@ -441,9 +441,10 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
       when |r(x^)| <= _PREDICTION_GATE * tol: the solve has then run
       n8 + n4 + N loop steps instead of 2N and no sweep of its own
       (method 'predicted'; 'newton' otherwise).  Any other target
-      starts from its refined guess.  A step that leaves the bracket bisects it instead, and the iterates
-      stop once |residual| <= tol.  A surface's many targets share the
-      plain scan, where dense lanes would cost arithmetic.
+      starts from its refined guess.  A step that leaves the bracket
+      bisects it instead, and the iterates stop once |residual| <= tol.
+      A surface's many targets share the plain scan, where dense lanes
+      would cost arithmetic.
 
     The residual is that of the returned endpoint (for an affine field
     G^N x0, which the path's last node equals up to rounding) and must
@@ -517,7 +518,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
             # one _rk4 sweep from the parameters x; spread = (upper, lower) lanes of J
             sweeps.append((x.size, n))
             pe, qe, P, Q, widest = _rk4(field, *lanes(x), lane_dt, n, keep,
-                                        spread and ("pq"[end], *spread))
+                                        None if spread is None else ("pq"[end], *spread))
             return (qe if shoot_on == "p0" else pe), P, Q, widest
 
         grid = np.repeat(nodes[:, None], steps.size, axis=1)
@@ -572,19 +573,22 @@ def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, seeds)
     of the targets cols, already swept, which stands when |residual| <=
     _PREDICTION_GATE * tol; the other targets sweep their first iterate
     in the next iteration.  Without seeds every target sweeps its first.
+    Each target sweeps at most MAX_NEWTON_ITER iterates of its own.
     Returns (roots, residuals, P, Q, J(t_f), max_t |J(t)|, method) of each
     target's last iterate, method being 'predicted' for a target that
     swept no iterate of its own and 'newton' otherwise.
     """
     n_t = targets.size
     roots = x.copy()
-    residuals, j_end, j_max = (np.full(n_t, np.nan) for _ in range(3))
+    residuals = np.full(n_t, np.nan)
+    j_end = np.full(n_t, np.nan)
+    j_max = np.full(n_t, np.nan)
     method = np.full(n_t, "predicted")
     P_all = Q_all = None
     todo, swept = seeds or (np.arange(n_t), None)
     waiting = np.delete(np.arange(n_t), todo)
     gate = 1.0 if swept is None else _PREDICTION_GATE
-    for _ in range(MAX_NEWTON_ITER):
+    for _ in range(MAX_NEWTON_ITER + int(swept is not None)):  # a seed is no sweep
         xa = x[todo]
         h = FD_REL_STEP * np.maximum(unit, np.abs(xa))
         if swept is None:
@@ -614,7 +618,8 @@ def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, seeds)
             xn = np.where(inside, xn, 0.5 * (a + b))
         going &= xn != xa
         x[todo] = np.where(going, xn, xa)
-        todo, waiting = np.concatenate([todo[going], waiting]), waiting[:0]
+        todo = np.concatenate([todo[going], waiting])
+        waiting = waiting[:0]
         swept, gate = None, 1.0
         if not todo.size:
             break

@@ -284,13 +284,10 @@ def _check_bandwidth(values, x, band):
     through several full turns across each taper zone (a proxy for the
     kernel keeping <1% of its energy beyond the band).  Magnitudes far
     below the peak carry no energy and are ignored.  values are sampled
-    on the nodes x of the window [-band, band]; all zero, they transform
-    to exactly zero and pass.
+    on the nodes x of the window [-band, band].
     """
     mag = np.abs(values)
     peak = np.max(mag)
-    if peak == 0.0:
-        return
     alive = np.minimum(mag[1:], mag[:-1]) > 1e-12 * peak
     if not alive.any():
         raise BandwidthError("no two neighbouring kernel samples carry energy")
@@ -338,7 +335,9 @@ def fourier_endpoints(source, grid: FourierGrid, to: str) -> KernelSamples:
     remaining one is quadratured; regular sources get the tapered double
     quadrature, summed by the chirp-z transform for a GaussianKernel (no
     n_quad^2 kernel grid) and over the full grid for any other callable.
-    All first pass the bandwidth guard on the integrand.
+    All first pass the bandwidth guard on the integrand, which reads a
+    regular source on one row and one column: zero along either, it
+    raises BandwidthError.
     """
     if to not in ("position", "momentum"):
         raise PreconditionError("to must be 'position' or 'momentum'")
@@ -347,7 +346,7 @@ def fourier_endpoints(source, grid: FourierGrid, to: str) -> KernelSamples:
     xf, xi = grid.out_final, grid.out_initial
 
     if isinstance(source, DeltaKernel):
-        if not source.causal:
+        if not source.causal or source.prefactor == 0.0:  # the integrand is zero
             values = np.zeros((xf.size, xi.size), dtype=complex)
             return KernelSamples(to, xf, xi, values)
         phase = source.phase_fn(x) * source.prefactor

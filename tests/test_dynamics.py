@@ -483,6 +483,24 @@ def _endpoint_slope(model, shoot_on, start, x, t, n_steps):
     return (end_value[1] - end_value[0]) / (x[1] - x[0])
 
 
+def _newton_from_refined_guess(patch):
+    """Patch dynamics so that _newton runs without seeds from _refine's guess, as
+    it did before x^ became its first iterate: a reference that never reads x^."""
+    refine, newton = dynamics._refine, dynamics._newton
+    last = []
+
+    def recorded(*args):
+        last[:] = refine(*args)
+        return tuple(last)
+
+    def unseeded(sweep, x, *rest):
+        refined, guess = last[:2]
+        return newton(sweep, np.where(refined, guess, x), *rest[:-1], None)
+
+    patch.setattr(dynamics, "_refine", recorded)
+    patch.setattr(dynamics, "_newton", unseeded)
+
+
 def _predicted_steps(n_steps):
     """RK4 loop steps of a solve whose predicted root stands."""
     return -(-n_steps // 8) + -(-n_steps // 4) + n_steps
@@ -611,22 +629,30 @@ class TestRefinedScan:
             patch.setattr(dynamics, "_PREDICTION_GATE", 0.0)
             newton = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
                                   REFINED_DENSITY)
-        assert shots.flags[0] == newton.flags[0]
+            _newton_from_refined_guess(patch)
+            reference = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
+                                     REFINED_DENSITY)
+        assert reference.method[0] == "newton"
+        assert shots.flags[0] == newton.flags[0] == reference.flags[0]
         # predicted exactly when the solve ran no sweep after the N-step scan sweep
         for solve in (shots, newton):
             assert (solve.method[0] == "predicted") == (len(solve.sweeps) == 3)
         if shots.method[0] != "predicted":
-            # a prediction that does not stand changes nothing
+            # turned away at the gate, the solve steps on from x^ just as at gate 0
             for got, want in ((shots.roots, newton.roots), (shots.residuals, newton.residuals),
                               (shots.P, newton.P), (shots.Q, newton.Q)):
                 assert np.array_equal(got, want, equal_nan=True)
+        if shots.flags[0] == "infeasible":
             return
         tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
-        assert abs(shots.residuals[0]) <= 1e-3 * tol
-        assert sum(steps for _, steps in shots.sweeps) == _predicted_steps(n_steps)
-        assert abs(newton.residuals[0]) <= tol
-        slope = _endpoint_slope(model, shoot_on, start, newton.roots[0], t, n_steps)
-        assert abs(shots.roots[0] - newton.roots[0]) * abs(slope) <= 2.0 * tol
+        if shots.method[0] == "predicted":
+            assert abs(shots.residuals[0]) <= 1e-3 * tol
+            assert sum(steps for _, steps in shots.sweeps) == _predicted_steps(n_steps)
+        slope = _endpoint_slope(model, shoot_on, start, reference.roots[0], t, n_steps)
+        for solve in (shots, newton, reference):
+            assert abs(solve.residuals[0]) <= tol
+            # the same root as the reference's, once mapped by the endpoint's slope
+            assert abs(solve.roots[0] - reference.roots[0]) * abs(slope) <= 2.0 * tol
 
     @pytest.mark.parametrize("n_steps", range(1, 9))
     @pytest.mark.parametrize("name", ["quartic", "soft-oscillator"])

@@ -383,12 +383,24 @@ class TestFourierEndpoints:
         with pytest.raises(BandwidthError):
             fourier_endpoints(free_momentum_delta_kernel(1.0, 1e-6), grid, to="position")
 
-    def test_zero_kernel_transforms_to_zero(self):
+    def test_zero_delta_kernel_transforms_to_zero(self):
         grid = FourierGrid(out_final=np.array([0.0, 0.5]), out_initial=np.array([0.0]))
-        for source in (free_momentum_delta_kernel(1.0, 1.0, prefactor=0.0),
-                       lambda qf, qi: np.zeros(np.broadcast(qf, qi).shape)):
-            ks = fourier_endpoints(source, grid, to="position")
-            assert np.all(ks.values == 0.0)
+        ks = fourier_endpoints(free_momentum_delta_kernel(1.0, 1.0, prefactor=0.0), grid,
+                               to="position")
+        assert np.all(ks.values == 0.0)
+
+    @pytest.mark.parametrize("source", [
+        lambda qf, qi: np.zeros(np.broadcast(qf, qi).shape),
+        # zero on both probe lines qf = 0 and qi = 0, not elsewhere
+        lambda qf, qi: qf * qi * np.exp(-(qf**2 + qi**2)),
+        # zero on the row qf = 0 only
+        lambda qf, qi: np.abs(qf) * np.exp(-(qf**2 + qi**2)),
+    ], ids=["zero", "zero-on-both-lines", "zero-on-the-row"])
+    def test_regular_kernel_zero_on_a_probe_line_is_a_bandwidth_error(self, source):
+        # the guard reads a regular source on those lines only, so it cannot vouch for it
+        grid = FourierGrid(out_final=np.array([0.0, 0.5]), out_initial=np.array([0.0]))
+        with pytest.raises(BandwidthError, match="neighbouring"):
+            fourier_endpoints(source, grid, to="position")
 
     def test_kernel_without_neighbouring_samples_is_a_bandwidth_error(self):
         # one non-zero sample on the quadrature axis: no phase step can be read off it
