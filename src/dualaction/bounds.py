@@ -292,31 +292,19 @@ _SHIFT_MAX_ITER = 20
 _SHIFT_FAIL = 1e-9  # share of the momentum's scale a miss may reach by rounding
 
 
-def _takes_power_sums(model):
-    """True for a separable model with a polynomial potential of degree > 2.
-
-    Its restricted momentum ends at pi_start - dt sum_j w_j V'(Theta_j + c),
-    w the trapezoid weights (1/2, 1, ..., 1, 1/2), a polynomial in the
-    shift c whose coefficients are power sums of Theta.  A potential of
-    degree <= 2 makes the end affine in c, which the secant solves in one
-    step.
-    """
-    return model.kind != "general" and model._vcoeffs is not None and (
-        model._quadratic_potential() is None)
-
-
 def _compatibility_shift(model, theta, dt, pi_start, pi_end):
     """Constant shift of Theta (of each column) making the restricted Pi hit pi_end.
 
-    A polynomial potential of degree > 2 solves the end's polynomial in
-    the shift (_power_sum_shift); any other model runs the secant on the
-    restricted IVP, exact in one step for potentials with constant
-    curvature.  Each column stops where a solve of that column alone
+    A separable model with potential coefficients, of any degree, solves
+    the end's polynomial in the shift (_power_sum_shift); a model without
+    them (general kind, callable V) runs the secant on the restricted IVP
+    (_secant_shift).  Each column stops where a solve of that column alone
     would.  Returns the shifted Theta; raises RootFindError when a column
     misses pi_end (_check_shift).
     """
     theta = np.asarray(theta, dtype=float)
-    solve = _power_sum_shift if _takes_power_sums(model) else _secant_shift
+    polynomial = model.kind != "general" and model._vcoeffs is not None
+    solve = _power_sum_shift if polynomial else _secant_shift
     c, miss = solve(model, theta, dt, pi_start, pi_end)
     shifted = theta + c
     _check_shift(model, shifted, dt, pi_start, pi_end, miss)
@@ -324,7 +312,12 @@ def _compatibility_shift(model, theta, dt, pi_start, pi_end):
 
 
 def _secant_shift(model, theta, dt, pi_start, pi_end):
-    """(shift, mismatch) of each column by the secant on the restricted IVP's end."""
+    """(shift, mismatch) of each column by the secant on the restricted IVP's end.
+
+    The route of a model without potential coefficients: each step runs
+    the restricted momentum IVP over the block, and a column stops once
+    its miss is within _SHIFT_TOL or stops changing.
+    """
     def mismatch(c):
         return _restricted_momentum_ivp(model, theta + c, dt, pi_start)[-1] - pi_end
 
@@ -350,12 +343,15 @@ def _secant_shift(model, theta, dt, pi_start, pi_end):
 def _power_sum_shift(model, theta, dt, pi_start, pi_end):
     """(shift, mismatch) of each column by Newton on the end's polynomial in the shift.
 
-    With V' = sum_i a_i q^i, the end is pi_start - dt sum_k b_k c^k,
-    b_k = sum_i binom(i, k) a_i M_(i-k), from the power sums
-    M_i = sum_j w_j Theta_j^i: M_0 is the interval count, and each other
-    M_i the unit-spacing trapezoid of a column's i-th power, summed as a
-    1-d path is (_lane_major).  So each column's shift is that of the
-    column alone, bit for bit.
+    With V' = sum_i a_i q^i, the restricted momentum ends at
+    pi_start - dt sum_k b_k c^k for the shift c, b_k = sum_i binom(i, k)
+    a_i M_(i-k), from the power sums M_i = sum_j w_j Theta_j^i, w the
+    trapezoid weights (1/2, 1, ..., 1, 1/2): M_0 is the interval count,
+    and each other M_i the unit-spacing trapezoid of a column's i-th
+    power, summed as a 1-d path is (_lane_major).  So each column's shift
+    is that of the column alone, bit for bit.  A potential of degree <= 2
+    makes the end affine in c, so one Newton step lands at rounding; a
+    constant V' leaves the end independent of c, so no step is taken.
     """
     a = model._vcoeffs[1]
     lanes = _lane_major(theta)
@@ -379,7 +375,7 @@ def _power_sum_shift(model, theta, dt, pi_start, pi_end):
 
     c = np.zeros(theta.shape[1:])
     m = mismatch(c)
-    live = np.abs(m) > _SHIFT_TOL
+    live = (np.abs(m) > _SHIFT_TOL) & (len(a) > 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_SHIFT_MAX_ITER):
             if not np.any(live):

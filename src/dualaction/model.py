@@ -297,24 +297,26 @@ class HamiltonianModel:
         return lambda p, q: dv(q) * np.ones(np.broadcast(p, q).shape)
 
     def _fd_derivative(self, a, b):
+        """d^{a+b} H / dp^a dq^b of a black-box evaluator: a differences along
+        p nested inside b differences along q, where an order of 0 is the
+        value itself, all at the step of the total order."""
         h = _FD_STEP[a + b]
+
+        def nest(f, x, order):
+            return f(x) if order == 0 else _fd_directional(f, x, order, h)
 
         def deriv(p, q):
             p = np.asarray(p, dtype=float)
             q = np.asarray(q, dtype=float)
-            if a and b:
-                inner = lambda qq: self._fd_p_only(a, h, np.broadcast_to(p, qq.shape), qq)
-                return _fd_directional(inner, np.broadcast_to(q, np.broadcast(p, q).shape), b, h)
-            if a:
-                return self._fd_p_only(a, h, p, q)
-            f = lambda qq: np.asarray(self.evaluator(np.broadcast_to(p, qq.shape), qq), dtype=float)
-            return _fd_directional(f, np.broadcast_to(q, np.broadcast(p, q).shape), b, h)
+
+            def along_q(qq):
+                along_p = lambda pp: np.asarray(
+                    self.evaluator(pp, np.broadcast_to(qq, pp.shape)), dtype=float)
+                return nest(along_p, np.broadcast_to(p, qq.shape), a)
+
+            return nest(along_q, np.broadcast_to(q, np.broadcast(p, q).shape), b)
 
         return deriv
-
-    def _fd_p_only(self, a, h, p, q):
-        f = lambda pp: np.asarray(self.evaluator(pp, np.broadcast_to(q, pp.shape)), dtype=float)
-        return _fd_directional(f, np.broadcast_to(p, np.broadcast(p, q).shape), a, h)
 
     def _quadratic_potential(self):
         """(c0, c1, c2) when the model is separable with V = c0 + c1 q + c2 q^2

@@ -313,7 +313,6 @@ def _check_bandwidth(values, x, band):
 class KernelSamples:
     """Propagator samples over final x initial endpoint grids."""
 
-    representation: str
     x_final: np.ndarray
     x_initial: np.ndarray
     values: np.ndarray
@@ -348,7 +347,7 @@ def fourier_endpoints(source, grid: FourierGrid, to: str) -> KernelSamples:
     if isinstance(source, DeltaKernel):
         if not source.causal or source.prefactor == 0.0:  # the integrand is zero
             values = np.zeros((xf.size, xi.size), dtype=complex)
-            return KernelSamples(to, xf, xi, values)
+            return KernelSamples(xf, xi, values)
         phase = source.phase_fn(x) * source.prefactor
         delta = xf[:, None] - xi[None, :]
         flat = np.unique(np.round(delta.ravel(), 12))
@@ -357,7 +356,7 @@ def fourier_endpoints(source, grid: FourierGrid, to: str) -> KernelSamples:
         # exp(i s (x_f - x_i) x) factors into one exponential per endpoint
         E_f = np.exp(sign_final * 1j * np.outer(xf, x)) * (phase * w * h)
         E_i = np.exp(-sign_final * 1j * np.outer(xi, x))
-        return KernelSamples(to, xf, xi, (E_f @ E_i.T) / (2.0 * math.pi))
+        return KernelSamples(xf, xi, (E_f @ E_i.T) / (2.0 * math.pi))
 
     # regular source: the guards read one row and one column of the kernel
     corner_f = xf[np.argmax(np.abs(xf))]
@@ -377,7 +376,7 @@ def fourier_endpoints(source, grid: FourierGrid, to: str) -> KernelSamples:
             hi = min(lo + chunk, grid.n_quad)
             block = np.asarray(source(x[lo:hi, None], x[None, :]), dtype=complex)
             acc += E_f[:, lo:hi] @ (block @ E_i.T)
-    return KernelSamples(to, xf, xi, acc / (2.0 * math.pi))
+    return KernelSamples(xf, xi, acc / (2.0 * math.pi))
 
 
 def _chirp_z(kernel: GaussianKernel, E_f, E_i, x, band):

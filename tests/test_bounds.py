@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -121,6 +123,12 @@ class TestCertificates:
         spec = PerturbationSpec(amplitude=0.2, seed=1, pinned="q-pinned")
         with pytest.raises(NotSaddleError):
             certify_bounds(sho, "S-chain", saddle_bvp, spec, 5)
+
+    def test_unknown_chain_rejected(self, saddle, saddle_bvp):
+        spec = PerturbationSpec(amplitude=0.2, seed=1, pinned="q-pinned")
+        with pytest.raises(PreconditionError, match="chain must be") as err:
+            certify_bounds(saddle, "T-chain", saddle_bvp, spec, 5)
+        assert err.value.code == "precondition"
 
     def test_pin_mismatch_rejected(self, saddle, saddle_bvp):
         spec = PerturbationSpec(amplitude=0.2, seed=1, pinned="p-pinned")
@@ -328,7 +336,7 @@ def _ref_power_sum_shift(model, theta, dt, pi_start, pi_end, tol):
     slope = [k * b[k] for k in range(1, len(b))]
     c, m = 0.0, (pi_start - dt * poly(b, 0.0)) - pi_end
     for _ in range(20):
-        if not abs(m) > tol:
+        if not abs(m) > tol or not slope:  # a constant V' leaves the end where it is
             break
         c = c + m / (dt * poly(slope, c))
         m = (pi_start - dt * poly(b, c)) - pi_end
@@ -337,11 +345,10 @@ def _ref_power_sum_shift(model, theta, dt, pi_start, pi_end, tol):
 
 def _ref_shift(model, theta, dt, pi_start, pi_end, tol=1e-10):
     """theta shifted so its restricted momentum ends at pi_end: Newton on the
-    end's polynomial in the shift for a polynomial potential of degree > 2,
+    end's polynomial in the shift whenever the potential has coefficients,
     the secant on the restricted IVP otherwise.  A miss above tol raises
     unless it is below 1e-9 of 1 + the momentum's largest magnitude."""
-    polynomial = (model.kind != "general" and model.potential_coeffs is not None
-                  and any(model.potential_coeffs[3:]))
+    polynomial = model.kind != "general" and model.potential_coeffs is not None
     shift = _ref_power_sum_shift if polynomial else _ref_secant_shift
     with np.errstate(all="ignore"):
         c, miss = shift(model, theta, dt, pi_start, pi_end, tol)
@@ -698,11 +705,23 @@ def test_blocked_root_find_failure_names_the_looped_node():
 CUBIC_SADDLE = (0.0, 0.0, -0.5, -0.05)  # V = -q^2/2 - q^3/20, concave for q > -10/3
 
 
+def _secant_calls(monkeypatch):
+    """A list that gets the arguments of every later call of bounds._secant_shift."""
+    calls, secant = [], bounds._secant_shift
+
+    def recording(*args):
+        calls.append(args)
+        return secant(*args)
+
+    monkeypatch.setattr(bounds, "_secant_shift", recording)
+    return calls
+
+
 @pytest.mark.parametrize("model", [
     HamiltonianModel.separable(1.0, potential_coeffs=CUBIC_SADDLE),
     HamiltonianModel.separable(1.0, potential=lambda q: -0.5 * q**2 - 0.05 * q**3),
 ], ids=["power-sums", "secant"])
-def test_unreachable_shift_raises_at_the_looped_sample(model):
+def test_unreachable_shift_raises_at_the_looped_sample(model, monkeypatch):
     # -V'(q) = q + 0.15 q^2 is bounded below, so the restricted momentum's
     # end rises with the variance of Theta: from sample 4 (counting from 0)
     # on, some perturbations of amplitude 8 leave no shift reaching p(t_f).
@@ -711,8 +730,9 @@ def test_unreachable_shift_raises_at_the_looped_sample(model):
     bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 0.5), 100)
     assert bvp.flag == "unique"
     spec = PerturbationSpec(amplitude=8.0, mode_count=8, seed=10, pinned="p-pinned")
-    assert bounds._takes_power_sums(model) == (model.potential_coeffs is not None)
+    secant = _secant_calls(monkeypatch)
     certify_bounds(model, "R-chain", bvp, spec, 4)
+    assert bool(secant) == (model.potential_coeffs is None)
     reference_values(model, "R-chain", bvp.path, spec, 4)
     with pytest.raises(RootFindError, match="compatibility shift"):
         certify_bounds(model, "R-chain", bvp, spec, 5)
@@ -762,14 +782,14 @@ def test_power_sum_shift_meets_the_momentum_end(degree, coeffs, lead, log_mass, 
     # within _SHIFT_TOL, and each column is its own 1-d shift, bit for bit
     mass = 10.0**log_mass
     model = HamiltonianModel.separable(mass, potential_coeffs=_concave_coeffs(coeffs, lead, degree))
-    assert bounds._takes_power_sums(model)
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, t, n + 1)
     dt = times[1] - times[0]
     theta = offset + bounds._series(_mode_basis(times, 8, np.cos), eps, rng.normal(size=(4, 8)))
     pi_start = mass * rng.normal()
     pi_end = bounds._restricted_momentum_ivp(model, theta + rng.uniform(-1, 1, 4), dt, pi_start)[-1]
-    shifted = bounds._compatibility_shift(model, theta, dt, pi_start, pi_end)
+    with mock.patch.object(bounds, "_secant_shift", side_effect=AssertionError("secant ran")):
+        shifted = bounds._compatibility_shift(model, theta, dt, pi_start, pi_end)
     ends = bounds._restricted_momentum_ivp(model, shifted, dt, pi_start)[-1]
     assert np.all(np.abs(ends - pi_end) <= bounds._SHIFT_TOL)
     for j in range(4):
@@ -778,10 +798,15 @@ def test_power_sum_shift_meets_the_momentum_end(degree, coeffs, lead, log_mass, 
         assert np.array_equal(column, _ref_shift(model, theta[:, j], dt, pi_start, pi_end[j]))
 
 
-def test_blocked_r_chain_shift_runs_no_momentum_ivp(monkeypatch):
-    # 40 samples are blocks of 16, 16 and 8: one restricted-momentum IVP per
-    # block, for J', and one on the critical path, for the slack
-    model, n, _ = REFERENCE_MODELS["anharmonic-saddle"]
+@pytest.mark.parametrize("name, want", [
+    ("anharmonic-saddle", [(), (16,), (16,), (8,)]),
+    ("saddle-quadratic", [(), (16,), (16,), (13,)]),
+])
+def test_blocked_r_chain_shift_runs_no_momentum_ivp(name, want, monkeypatch):
+    # one restricted-momentum IVP per block, for J', and one on the critical
+    # path, for the slack: 40 blocked samples are blocks of 16, 16 and 8, and
+    # the quadratic form evaluates J' on 45 columns, in blocks of 16, 16 and 13
+    model, n, _ = REFERENCE_MODELS[name]
     bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), n)
     spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=17, pinned="p-pinned")
     widths = []
@@ -793,7 +818,28 @@ def test_blocked_r_chain_shift_runs_no_momentum_ivp(monkeypatch):
 
     monkeypatch.setattr(bounds, "_restricted_momentum_ivp", counting)
     certify_bounds(model, "R-chain", bvp, spec, 40)
-    assert widths == [(), (16,), (16,), (8,)]
+    assert widths == want
+
+
+@pytest.mark.parametrize("model", [
+    HamiltonianModel.free(2.0), HamiltonianModel.constant_force(1.0, 0.5),
+], ids=["free", "constant-force"])
+def test_constant_force_shift_takes_no_step(model):
+    # a constant V' moves the restricted momentum by -V' t whatever Theta is:
+    # Theta comes back unshifted when that end is pi_end, and no shift reaches
+    # any other pi_end
+    times = np.linspace(0.0, 1.0, 101)
+    dt = times[1] - times[0]
+    theta = 0.3 + bounds._series(_mode_basis(times, 8, np.cos), 0.2,
+                                 np.random.default_rng(4).normal(size=(3, 8)))
+    pi_end = bounds._restricted_momentum_ivp(model, theta, dt, 0.7)[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(bounds._compatibility_shift(model, theta, dt, 0.7, pi_end), theta)
+        assert np.array_equal(bounds._compatibility_shift(model, theta[:, 0], dt, 0.7, pi_end[0]),
+                              theta[:, 0])
+        with pytest.raises(RootFindError, match="compatibility shift"):
+            bounds._compatibility_shift(model, theta, dt, 0.7, pi_end + 1.0)
 
 
 def test_node_newton_evaluates_live_columns_only(monkeypatch):

@@ -28,6 +28,17 @@ def load_report(out):
     return report
 
 
+def run_error(capsys, exit_code, *argv):
+    """The JSON error of an in-process run that must exit with exit_code
+    and print nothing on stdout."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, ERROR_SCHEMA)
+    return error
+
+
 class TestCommands:
     def test_classify_saddle_minimum(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--hamiltonian", "saddle-quadratic",
@@ -223,6 +234,37 @@ class TestInputValidation:
         jsonschema.validate(error, ERROR_SCHEMA)
         assert error["error_code"] == "precondition"
 
+    def test_mass_flag_sets_the_builtin_mass(self, capsys):
+        code, out, _ = run_cli(capsys, "action", "--hamiltonian", "sho", "--mass", "2",
+                               "--q-end", "1", "--t1", "1")
+        assert code == 0
+        report = load_report(out)
+        assert report["parameters"]["hamiltonian"]["mass"] == 2.0
+        # S = (m omega / 2) cot(omega t) (q0^2 + q1^2) - m omega q0 q1 / sin(omega t): cot 1
+        # for m = 2, omega = 1, q 0 -> 1 in t = 1 (m = 1 would give half)
+        assert report["results"]["S"] == pytest.approx(1.0 / math.tan(1.0), abs=1e-6)
+
+    def test_zero_mass_is_a_precondition_error(self, capsys):
+        error = run_error(capsys, 2, "action", "--hamiltonian", "sho", "--mass", "0")
+        assert error["error_code"] == "precondition"
+        assert "positive mass" in error["message"]
+
+    def test_classify_infeasible_target_exits_1(self, capsys):
+        # a free particle reaches q = 100 in t = 0.01 only at p = 1e4, beyond the
+        # scan's |p| <= BRACKET_RANGE = 1e3
+        error = run_error(capsys, 1, "classify", "--hamiltonian", "free", "--q-end", "100",
+                          "--t1", "0.01")
+        assert error["error_code"] == "numeric"
+        assert "infeasible" in error["message"]
+
+    def test_solve_that_blows_up_exits_1(self, capsys):
+        # m = 1e-20 gives the saddle a growth rate sqrt(k / m) = 1e10, so the RK4
+        # step map of t = 0.1 grows by ~1e34 a step and the flow overflows at node 9
+        error = run_error(capsys, 1, "action", "--hamiltonian", "saddle-quadratic",
+                          "--mass", "1e-20", "--N", "10")
+        assert error["error_code"] == "blow-up"
+        assert error["message"] == "non-finite state at node 9"
+
     def test_infeasible_free_target_reported_at_zero_momentum(self, capsys):
         # every scanned momentum misses q = 1e200 by the same rounded residual
         code, out, _ = run_cli(capsys, "action", "--hamiltonian", "free", "--q-end", "1e200",
@@ -291,6 +333,18 @@ class TestConfigIngestion:
         error = json.loads(err)
         jsonschema.validate(error, ERROR_SCHEMA)
         assert error["error_code"] == "precondition"
+
+    @pytest.mark.parametrize("ini, message", [
+        ("kind = separable\nmass = 2\n", "needs potential_coeffs"),
+        ("kind = general\n", "cannot build hamiltonian of kind 'general'"),
+        ("builtin = sho\nomega = fast\n", "cannot parse the hamiltonian spec"),
+    ], ids=["separable-without-coefficients", "general", "unparsable-value"])
+    def test_unusable_config_is_a_precondition_error(self, capsys, tmp_path, ini, message):
+        cfg = tmp_path / "model.ini"
+        cfg.write_text("[hamiltonian]\n" + ini)
+        error = run_error(capsys, 2, "classify", "--config", str(cfg))
+        assert error["error_code"] == "precondition"
+        assert message in error["message"]
 
     def test_missing_config_errors(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--config", "/nonexistent.ini")

@@ -30,6 +30,8 @@ EXAMPLES = {
     "action-anharmonic": "action --potential-coeffs 0,0,-0.5,0,-0.05 --q-end 1 --t1 1",
     "bounds-anharmonic": "bounds --potential-coeffs 0,0,-0.5,0,-0.05 --q-end 1 --t1 1 "
                          "--chain R-chain --samples 200 --seed 7",
+    "bounds-r-chain": "bounds --hamiltonian saddle-quadratic --chain R-chain --samples 1000 "
+                      "--epsilon 0.2 --seed 7",
 }
 
 SERIES = {
@@ -38,6 +40,8 @@ SERIES = {
     "bounds": "bounds --hamiltonian saddle-quadratic --samples 1000 --epsilon 0.2 --seed 7 "
               "--format csv",
     "legendre-check": "legendre-check --hamiltonian sho --samples 100 --N 2000 --format csv",
+    "bounds-r-chain": "bounds --hamiltonian saddle-quadratic --chain R-chain --samples 1000 "
+                      "--epsilon 0.2 --seed 7 --format csv",
 }
 
 

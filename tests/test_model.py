@@ -100,6 +100,30 @@ class TestFiniteDifferences:
         d_qp = float(_fd_directional(dq_inner, np.asarray(p, float), 1, h))
         assert abs(d_pq - d_qp) <= 1e-9 * max(1.0, abs(d_pq))
 
+    @pytest.mark.parametrize("order", [(a, b) for a in range(4) for b in range(4 - a)])
+    @pytest.mark.parametrize("p", [np.array([[0.7], [-1.1]]), 0.4], ids=["array", "scalar"])
+    def test_every_order_is_the_explicit_nesting(self, order, p):
+        # a differences along p inside b differences along q, written out
+        from dualaction.model import _FD_STEP, _fd_directional
+
+        f = lambda p, q: np.cosh(p) - q**2 / 2.0 - 0.05 * q**4 + 0.1 * p * q**2
+        m = HamiltonianModel.general(f)
+        a, b = order
+        q = np.array([-0.6, 0.2, 1.3])
+        p_full, q_full = np.broadcast_arrays(np.asarray(p, dtype=float), q)
+        h = _FD_STEP.get(a + b)
+        if a and b:
+            inner = lambda qq: _fd_directional(lambda pp: f(pp, qq), p_full, a, h)
+            want = _fd_directional(inner, q_full, b, h)
+        elif a:
+            want = _fd_directional(lambda pp: f(pp, q_full), p_full, a, h)
+        elif b:
+            want = _fd_directional(lambda qq: f(p_full, qq), q_full, b, h)
+        else:
+            want = f(p_full, q_full)
+        got = m._derivative(a, b)(p, q)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
     def test_callable_potential_fd_on_q_axis_only(self):
         m = HamiltonianModel.separable(2.0, potential=lambda q: np.cos(q))
         assert eval_partials(m, 1.5, 0.0, (1, 0)) == 0.75  # analytic p-side
@@ -330,6 +354,22 @@ class TestConstructors:
     def test_general_needs_evaluator(self):
         with pytest.raises(PreconditionError):
             HamiltonianModel(kind="general")
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: HamiltonianModel(kind="hamiltonian", mass=1.0, potential_coeffs=(0.0,)),
+         "unknown Hamiltonian kind"),
+        (lambda: HamiltonianModel.separable(0.0, potential_coeffs=(0.0, 0.0, 0.5)),
+         "positive mass"),
+        (lambda: HamiltonianModel(kind="separable", potential_coeffs=(0.0, 0.0, 0.5)),
+         "positive mass"),
+        (lambda: HamiltonianModel.with_drift(-1.0, (0.0,), (0.0, 0.0, 0.5)), "positive mass"),
+        (lambda: convexity_probe(HamiltonianModel.sho(), DomainBox(-1, 1, -1, 1), "t-axis"),
+         "axis must be"),
+    ], ids=["kind", "mass", "no-mass", "drift-mass", "axis"])
+    def test_precondition_violations_raise(self, build, message):
+        with pytest.raises(PreconditionError, match=message) as err:
+            build()
+        assert err.value.code == "precondition"
 
     @pytest.mark.parametrize("build", [
         lambda: HamiltonianModel.separable(float("nan"), potential_coeffs=(0.0, 0.0, 0.5)),

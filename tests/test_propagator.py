@@ -298,6 +298,12 @@ class TestFourierGrid:
 
 
 class TestFourierEndpoints:
+    def test_unknown_target_rejected(self):
+        grid = FourierGrid(out_final=np.array([0.0]), out_initial=np.array([0.0]))
+        with pytest.raises(PreconditionError, match="to must be") as err:
+            fourier_endpoints(free_momentum_delta_kernel(1.0, 1.0), grid, to="energy")
+        assert err.value.code == "precondition"
+
     def test_delta_collapse_matches_closed_form(self):
         grid = FourierGrid(out_final=np.linspace(-3.0, 3.0, 512), out_initial=np.array([0.0]))
         ks = fourier_endpoints(free_momentum_delta_kernel(1.0, 1.0), grid, to="position")
