@@ -18,11 +18,15 @@ evaluators:
   Chebyshev-Lobatto refinement for single solves, then Newton.  A sweep
   is bound by per-step overhead, so the single solve's scan carries 481
   lanes at little more cost than 33.  The same scan on N/8 and N/4 steps
-  predicts the root by Richardson extrapolation, and the N-step scan
-  carries the predicted lanes too, so the prediction is Newton's first
-  iterate at no sweep of its own: when it meets a tolerance a thousand
-  times tighter, the solve is done in 1 3/8 sweeps' worth of steps, and
-  otherwise Newton steps on from it.
+  predicts the root by Richardson extrapolation.  Where both coarse scans
+  see the same roots, Newton on the whole N-step trajectory takes over
+  from the prediction: each iteration is one vectorized RK4 step from
+  every node, its exact Jacobian and a doubling scan of the linearized
+  steps, so the solve runs 3/8 of a sweep's worth of loop steps.
+  Otherwise the N-step scan carries the predicted lanes too, so the
+  prediction is Newton's first iterate at no sweep of its own: when it
+  meets a tolerance a thousand times tighter, the solve is done in 1 3/8
+  sweeps' worth of steps, and otherwise Newton steps on from it.
 
 ``integrate_ivp`` always runs the loop; it is the reference the affine
 evaluator is tested against.
@@ -42,6 +46,11 @@ SHOOTING_TOL = 1e-9
 SENSITIVITY_TOL = 1e-6
 BRACKET_RANGE = 1e3
 MAX_NEWTON_ITER = 100
+# iterations of a trajectory Newton solve before the solve falls back to the N-step scan
+MAX_TRAJECTORY_ITER = 6
+# a trajectory Newton correction within this many ulps of its path's largest |p| or |q|
+# is at rounding level
+_SETTLED = 64
 FD_REL_STEP = 1e-6
 # Chebyshev-Lobatto subintervals per scan interval of a single-target solve:
 # one sweep is bound by per-step overhead, so 481 lanes cost little more than 33,
@@ -104,8 +113,9 @@ class ShootingReport:
     parameter: float
     residual: float
     flag: str  # unique | conjugate-degenerate | infeasible
-    method: str = "affine"  # affine | predicted | newton: how the root was found
+    method: str = "affine"  # affine | trajectory | predicted | newton: how the root was found
     sweeps: tuple = ()  # (lanes, steps) of each RK4 sweep, in the order run
+    iterations: int = 0  # trajectory Newton iterations (method 'trajectory'), else 0
 
     @property
     def solved(self):
@@ -118,10 +128,11 @@ def _rk4(field, p, q, dt, n_steps, keep=None, spread=None):
     field is a model's vector_field(); p and q are equal-shape arrays of
     initial states (one lane per element) and dt is the step per lane,
     broadcastable against them.  keep indexes the lanes whose path is
-    stored, e.g. ``...`` for all of them, ``0`` for the first row or a
-    slice of a flat lane array; spread = (variable, upper, lower), the
-    variable 'p' or 'q' and two lane indexes of equal size, tracks max
-    over nodes of |x[upper] - x[lower]| for that variable.  Nothing is
+    stored, e.g. ``...`` for all of them, ``0`` for the first row, a
+    slice of a flat lane array or a tuple of index arrays; spread =
+    (variable, upper, lower), the variable 'p' or 'q' and two lane
+    indexes of equal size, tracks max over nodes of |x[upper] - x[lower]|
+    for that variable.  Nothing is
     checked: a blowing-up lane poisons only itself with non-finite
     values.  Returns (p, q, P, Q, spread_max), with None for what was not
     asked for.
@@ -149,6 +160,24 @@ def _rk4(field, p, q, dt, n_steps, keep=None, spread=None):
                 x = q if on == "q" else p
                 np.maximum(widest, np.abs(x[upper] - x[lower]), out=widest)
     return p, q, P, Q, widest
+
+
+def _rk4_step(field, p, q, dt, h2, dt6):
+    """One RK4 step of every lane from (p, q), h2 = dt / 2 and dt6 = dt / 6:
+    (p, q) after it and the stage points 2 to 4, each a (p, q) pair.
+
+    The same arithmetic as one step of _rk4, which inlines it because a
+    call per step would cost a sweep several percent.
+    """
+    a1, b1 = field(p, q)
+    s2 = p - h2 * b1, q + h2 * a1
+    a2, b2 = field(*s2)
+    s3 = p - h2 * b2, q + h2 * a2
+    a3, b3 = field(*s3)
+    s4 = p - dt * b3, q + dt * a3
+    a4, b4 = field(*s4)
+    return (p - dt6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+            q + dt6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4), (s2, s3, s4))
 
 
 def _blow_up(P, Q):
@@ -279,8 +308,10 @@ class _Shots:
     (targets, 3).  A quadratic functional of its paths is then a form
     read off the powers (action._action_forms), and the paths P and Q,
     (n_steps+1, targets), are built only when first read.  A swept batch
-    carries the paths of each target's last sweep.  method says how each
-    target's root was found ('affine', 'predicted' or 'newton') and
+    carries the paths of each target's last sweep, or of its trajectory
+    Newton.  method says how each target's root was found ('affine',
+    'trajectory', 'predicted' or 'newton'), iterations counts each
+    target's trajectory Newton iterations (0 on the other routes) and
     sweeps lists the (lanes, steps) of every RK4 sweep the batch ran.
     """
 
@@ -294,6 +325,7 @@ class _Shots:
     x0: np.ndarray | None = None
     swept: tuple | None = None
     method: np.ndarray | None = None
+    iterations: np.ndarray | None = None
     sweeps: tuple = ()
 
     @cached_property
@@ -431,27 +463,37 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
       first runs on ceil(N/8) and on ceil(N/4) steps, whose refined
       guesses x8 and x4 have an RK4 error falling as n^-4, so Richardson
       extrapolation predicts x^ = (w x4 - x8) / (w - 1) with
-      w = (n4 / n8)^4; brackets, refinement and sign changes still come
-      from the N-step lanes.  Each Newton iterate integrates the lanes
-      x, x + h and x - h; the outer pair gives J(t) = (E+(t) - E-(t)) / 2h,
-      whose final value is the Newton slope, and the centre lanes' paths
-      are kept.  The first iterate is x^ where x^ lies in the node pair
-      _refine picked and its residual is finite: the N-step scan sweep
-      carries its lanes, so it costs no sweep of its own, and it stands
-      when |r(x^)| <= _PREDICTION_GATE * tol: the solve has then run
-      n8 + n4 + N loop steps instead of 2N and no sweep of its own
-      (method 'predicted'; 'newton' otherwise).  Any other target
-      starts from its refined guess.  A step that leaves the bracket
-      bisects it instead, and the iterates stop once |residual| <= tol.
-      A surface's many targets share the plain scan, where dense lanes
-      would cost arithmetic.
+      w = (n4 / n8)^4.  Where both coarse rows have as many sign changes,
+      the one nearest 0 in the same candidate interval, and x^ lies in
+      the ceil(N/4) node pair, no N-step sweep runs: _trajectory_newton
+      solves the whole N-step trajectory from x^, seeded by the paths of
+      that interval's density + 1 lanes, which the ceil(N/4) sweep kept
+      (_seed_path), and brackets, refinement and sign changes come from
+      the ceil(N/4) rows (method 'trajectory': n8 + n4 loop steps).  That
+      route falls back to the next one, as if never tried, when the
+      model lacks a second partial or the iteration does not converge
+      inside the ceil(N/4) node pair.  Otherwise brackets, refinement and
+      sign changes come from the N-step lanes, and each Newton iterate
+      integrates the lanes x, x + h and x - h; the outer pair gives
+      J(t) = (E+(t) - E-(t)) / 2h, whose final value is the Newton slope,
+      and the centre lanes' paths are kept.  The first iterate is x^
+      where x^ lies in the node pair _refine picked and its residual is
+      finite: the N-step scan sweep carries its lanes, so it costs no
+      sweep of its own, and it stands when |r(x^)| <= _PREDICTION_GATE *
+      tol: the solve has then run n8 + n4 + N loop steps instead of 2N
+      and no sweep of its own (method 'predicted'; 'newton' otherwise).
+      Any other target starts from its refined guess.  A step that
+      leaves the bracket bisects it instead, and the iterates stop once
+      |residual| <= tol.  A surface's many targets share the plain scan,
+      where dense lanes would cost arithmetic.
 
     The residual is that of the returned endpoint (for an affine field
     G^N x0, which the path's last node equals up to rounding) and must
     reach tol = SHOOTING_TOL * max(1, |start|, |target|).  A target is
     conjugate-degenerate when |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|
-    or the scan changes sign more than once: on every dense row when
-    density > 1, so a root between two candidates counts too.
+    or the scan changes sign more than once: on every dense row of the
+    last scan when density > 1, so a root between two candidates counts
+    too.
     """
     if n_steps < 1:
         raise PreconditionError("shooting needs n_steps >= 1")
@@ -476,7 +518,8 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
 
     def bracket(ends):
         """Each target's start from the scan endpoints ends, (nodes, horizons):
-        (x, lo, hi, r_lo, sign_changes, have_bracket, flags, refined)."""
+        (x, lo, hi, r_lo, sign_changes, have_bracket, flags, refined, i), i the
+        candidate interval of the sign change nearest 0."""
         with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
             res = ends[:, horizon] - targets
         res = np.where(np.isfinite(res), res, np.nan)
@@ -489,7 +532,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
             # a root between two candidates shows only on the dense rows: count them all
             with np.errstate(all="ignore"):  # a product that overflows keeps its sign
                 changes = np.sum(res[:-1] * res[1:] < 0, axis=0)
-        return x, lo, hi, r_lo, changes, have_bracket, flags, refined
+        return x, lo, hi, r_lo, changes, have_bracket, flags, refined, i
 
     if field_matrix is not None:
         powers = _step_powers(field_matrix, steps, n_steps)
@@ -498,7 +541,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
             alpha = powers[:, -1, end, 1 - end]
             beta = powers[:, -1, end, end] * start_value + powers[:, -1, end, 2]
             ends = alpha * cand[:, None] + beta
-        x, lo, hi, r_lo, changes, have_bracket, flags, _ = bracket(ends)
+        x, lo, hi, r_lo, changes, have_bracket, flags, *_ = bracket(ends)
         alpha, beta = alpha[horizon], beta[horizon]
         with np.errstate(all="ignore"):
             roots = np.where(changes > 0, (targets - beta) / alpha, x)
@@ -509,7 +552,8 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
         j_end = alpha
         j_max = np.max(np.abs(powers[:, :, end, 1 - end]), axis=1)[horizon]
         kept = dict(end=end_state, steps=steps, powers=powers, horizon=horizon, x0=x0,
-                    method=np.full(targets.size, "affine"))
+                    method=np.full(targets.size, "affine"),
+                    iterations=np.zeros(targets.size, dtype=int))
     else:
         field = model.vector_field()
         sweeps = []
@@ -524,37 +568,69 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
         grid = np.repeat(nodes[:, None], steps.size, axis=1)
         n8, n4 = -(-n_steps // 8), -(-n_steps // 4)
         pred = np.arange(0)
+        routed = np.zeros(targets.size, dtype=bool)
         if sub > 1 and n4 > n8:  # n4 == n8 for N <= 4 leaves nothing to extrapolate
-            x8, *_, ok8 = bracket(sweep(grid, span[first] / n8, n8)[0])
-            x4, *_, ok4 = bracket(sweep(grid, span[first] / n4, n4)[0])
+            x8, _, _, _, changes8, _, _, ok8, i8 = bracket(sweep(grid, span[first] / n8, n8)[0])
+            # the ceil(N/4) sweep keeps the paths of the dense lanes of each ceil(N/8) bracket
+            # interval, the trajectory seed when both coarse rows agree
+            seed_lanes = i8 * sub + np.arange(sub + 1)[:, None]
+            ends4, P4, Q4, _ = sweep(grid, span[first] / n4, n4, keep=(seed_lanes, horizon))
+            x4, lo4, hi4, _, changes4, have4, flags4, ok4, i4 = bracket(ends4)
             w = (n4 / n8) ** 4
             pred = np.flatnonzero(ok8 & ok4)
             xh = ((w * x4 - x8) / (w - 1.0))[pred]
-        if pred.size:
-            # one flat sweep: the dense lanes, then x^, x^ + h and x^ - h of each prediction
-            m, k = grid.size, pred.size
-            h = FD_REL_STEP * np.maximum(unit, np.abs(xh))
-            swept_ends, P_hat, Q_hat, widest = sweep(
-                np.concatenate([grid.ravel(), xh, xh + h, xh - h]),
-                np.concatenate([np.tile(steps, nodes.size), np.tile(dt[pred], 3)]),
-                keep=slice(m, m + k), spread=(slice(m + k, m + 2 * k), slice(m + 2 * k, None)))
-            ends = swept_ends[:m].reshape(grid.shape)
+            go = ((changes8 == changes4) & (i8 == i4))[pred] & (lo4[pred] <= xh) & (xh <= hi4[pred])
+            second = _second_partials(model) if go.any() else None
+            if second is not None:
+                cols = pred[go]
+                seed = _seed_path(nodes[seed_lanes[:, cols]], xh[go], P4[:, :, cols],
+                                  Q4[:, :, cols], n_steps)
+                seed[end, 0], seed[1 - end, 0] = start_value, xh[go]
+                solved, *solution = _trajectory_newton(
+                    field, second, seed, 1 - end, targets[cols], tol[cols], dt[cols], lo4[cols],
+                    hi4[cols])
+                routed[cols[solved]] = True
+                pred, xh = pred[~routed[pred]], xh[~routed[pred]]
+        if routed.any() and routed.all():  # cols is then every target, in order
+            roots, residuals, P, Q, j_end, j_max, iterations = solution
+            changes, have_bracket, flags = changes4, have4, flags4
+            method = np.full(targets.size, "trajectory")
         else:
-            ends = sweep(grid, steps)[0]
-        x, lo, hi, r_lo, changes, have_bracket, flags, refined = bracket(ends)
-        seeds = None
-        if pred.size:
-            # x^ is Newton's first iterate where it lies in the node pair _refine picked
-            # and its residual is finite: the scan sweep has run its lanes
-            hat = swept_ends[m:].reshape(3, k)
-            s = refined[pred] & (lo[pred] <= xh) & (xh <= hi[pred]) & np.isfinite(hat[0])
-            if s.any():
-                x[pred[s]] = xh[s]
-                seeds = pred[s], (hat[:, s], P_hat[:, s], Q_hat[:, s], widest[s])
-        roots, residuals, P, Q, j_end, j_max, method = _newton(
-            sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, seeds)
+            if pred.size:
+                # one flat sweep: the dense lanes, then x^, x^ + h and x^ - h of each prediction
+                m, k = grid.size, pred.size
+                h = FD_REL_STEP * np.maximum(unit, np.abs(xh))
+                swept_ends, P_hat, Q_hat, widest = sweep(
+                    np.concatenate([grid.ravel(), xh, xh + h, xh - h]),
+                    np.concatenate([np.tile(steps, nodes.size), np.tile(dt[pred], 3)]),
+                    keep=slice(m, m + k), spread=(slice(m + k, m + 2 * k), slice(m + 2 * k, None)))
+                ends = swept_ends[:m].reshape(grid.shape)
+            else:
+                ends = sweep(grid, steps)[0]
+            x, lo, hi, r_lo, changes, have_bracket, flags, refined, _ = bracket(ends)
+            seeds = None
+            if pred.size:
+                # x^ is Newton's first iterate where it lies in the node pair _refine picked
+                # and its residual is finite: the scan sweep has run its lanes
+                hat = swept_ends[m:].reshape(3, k)
+                s = refined[pred] & (lo[pred] <= xh) & (xh <= hi[pred]) & np.isfinite(hat[0])
+                if s.any():
+                    x[pred[s]] = xh[s]
+                    seeds = pred[s], (hat[:, s], P_hat[:, s], Q_hat[:, s], widest[s])
+            roots, residuals, P, Q, j_end, j_max, method = _newton(
+                sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, ~routed, seeds)
+            iterations = np.zeros(targets.size, dtype=int)
+            if routed.any():
+                done = cols[solved]
+                for mine, theirs in zip((roots, residuals, P, Q, j_end, j_max, iterations),
+                                        solution):
+                    mine[..., done] = theirs[..., solved]
+                for mine, theirs in zip((changes, have_bracket, flags),
+                                        (changes4, have4, flags4)):
+                    mine[done] = theirs[done]
+                method = np.where(routed, "trajectory", method)
         kept = dict(end=np.stack([P[-1], Q[-1]]), swept=(P, Q), sweeps=tuple(sweeps),
-                    method=method)
+                    method=method, iterations=iterations)
 
     with np.errstate(invalid="ignore"):
         unresolved = have_bracket & ~(np.abs(residuals) <= tol) & (flags == "unique")
@@ -565,18 +641,20 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
     return _Shots(roots, residuals, flags, **kept)
 
 
-def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, seeds):
+def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, active, seeds):
     """Bracketed Newton iterates of the non-affine shooting (see _shoot_batch).
 
-    An iterate sweeps the lanes x, x + h and x - h of each target still
-    going.  seeds = (cols, (ends, P, Q, widest)) holds the first iterate
-    of the targets cols, already swept, which stands when |residual| <=
-    _PREDICTION_GATE * tol; the other targets sweep their first iterate
-    in the next iteration.  Without seeds every target sweeps its first.
-    Each target sweeps at most MAX_NEWTON_ITER iterates of its own.
-    Returns (roots, residuals, P, Q, J(t_f), max_t |J(t)|, method) of each
-    target's last iterate, method being 'predicted' for a target that
-    swept no iterate of its own and 'newton' otherwise.
+    Only the targets where the mask active is set are solved; the others
+    keep placeholders.  An iterate sweeps the lanes x, x + h and x - h of
+    each target still going.  seeds = (cols, (ends, P, Q, widest)) holds
+    the first iterate of the targets cols, already swept, which stands
+    when |residual| <= _PREDICTION_GATE * tol; the other targets sweep
+    their first iterate in the next iteration.  Without seeds every
+    target sweeps its first.  Each target sweeps at most MAX_NEWTON_ITER
+    iterates of its own.  Returns (roots, residuals, P, Q, J(t_f),
+    max_t |J(t)|, method) of each target's last iterate, method being
+    'predicted' for a target that swept no iterate of its own and
+    'newton' otherwise.
     """
     n_t = targets.size
     roots = x.copy()
@@ -585,8 +663,10 @@ def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, seeds)
     j_max = np.full(n_t, np.nan)
     method = np.full(n_t, "predicted")
     P_all = Q_all = None
-    todo, swept = seeds or (np.arange(n_t), None)
-    waiting = np.delete(np.arange(n_t), todo)
+    todo, swept = seeds or (np.flatnonzero(active), None)
+    waiting = active.copy()
+    waiting[todo] = False
+    waiting = np.flatnonzero(waiting)
     gate = 1.0 if swept is None else _PREDICTION_GATE
     for _ in range(MAX_NEWTON_ITER + int(swept is not None)):  # a seed is no sweep
         xa = x[todo]
@@ -626,6 +706,121 @@ def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, seeds)
     return roots, residuals, P_all, Q_all, j_end, j_max, method
 
 
+def _second_partials(model):
+    """Callables of H_pp, H_pq and H_qq, or None when a general model's
+    partials lack one of them."""
+    try:
+        return [model._derivative(*order) for order in ((2, 0), (1, 1), (0, 2))]
+    except UnsupportedOrderError:
+        return None
+
+
+def _seed_path(lanes, x, P, Q, n_steps):
+    """(2, n_steps + 1, targets) seed paths through the parameters x.
+
+    lanes, (k, targets), are ascending parameters whose paths P and Q,
+    (n + 1, k, targets), were swept on n steps.  Each target's seed is
+    linear in x between the two lanes around it, then linear in time
+    between their nodes.
+    """
+    cols = np.arange(x.size)
+    i = np.clip(np.sum(lanes <= x, axis=0) - 1, 0, lanes.shape[0] - 2)
+    share = (x - lanes[i, cols]) / (lanes[i + 1, cols] - lanes[i, cols])
+    Y = np.stack([(1.0 - share) * Z[:, i, cols] + share * Z[:, i + 1, cols] for Z in (P, Q)])
+    n = Y.shape[1] - 1
+    at = np.arange(n_steps + 1) * (n / n_steps)
+    j = np.minimum(at.astype(int), n - 1)
+    share = (at - j)[:, None]
+    return (1.0 - share) * Y[:, j] + share * Y[:, j + 1]
+
+
+def _compose(a, b):
+    """a b for stacks of 2x2 matrices a, (2, 2, ...), and 2xk blocks b, (2, k, ...)."""
+    return a[:, :1] * b[0] + a[:, 1:] * b[1]
+
+
+def _step_jacobian(second, stages, dt, h2, dt6):
+    """Jacobian of the RK4 step, (2, 2, nodes, lanes), from its four stage
+    points and the field's Jacobian [[-H_pq, -H_qq], [H_pp, H_pq]] at each,
+    second being the callables of H_pp, H_pq and H_qq."""
+    eye = np.eye(2)[:, :, None, None]
+
+    def field_jacobian(p, q):
+        hpp, hpq, hqq = np.broadcast_arrays(*(d(p, q) for d in second))
+        return np.array([[-hpq, -hqq], [hpp, hpq]])
+
+    k = total = field_jacobian(*stages[0])
+    for stage, h, weight in zip(stages[1:], (h2, h2, dt), (2.0, 2.0, 1.0)):
+        k = _compose(field_jacobian(*stage), eye + h * k)
+        total = total + weight * k
+    return eye + dt6 * total
+
+
+def _trajectory_newton(field, second, Y, shot, targets, tol, dt, lo, hi):
+    """Newton on whole RK4 trajectories: a target's parameter and nodes 1..N at once.
+
+    Y, (2, N + 1, targets), holds the seed paths, (p, q) at every node,
+    each with its shooting parameter x at Y[shot, 0]; the other variable
+    is pinned; the first iteration overwrites Y.  An iteration takes one
+    RK4 step Phi from every node at once, with its exact Jacobian A_j
+    from the stage points, so the correction d_j of node j obeys
+    d_{j+1} = A_j d_j + c_j with c_j = Phi(y_j) - y_{j+1}.  Composing these affine maps by doubling,
+    log2(N) batched products, gives every d_j as u_j dx + v_j, dx the
+    change of x: u_j, the products applied to the shooting direction, is
+    the Jacobi field J(t_j) of the discrete flow, exact, and the end
+    condition fixes dx.  A target is solved by the iteration whose
+    correction is at rounding level (every |d_j| within _SETTLED ulps of
+    its path's largest |p| or |q|) and leaves its end residual within tol
+    and x in [lo, hi]; the corrected path is then a fixed point of the
+    RK4 step to rounding.  One whose values turn non-finite, or that is
+    not solved within MAX_TRAJECTORY_ITER iterations, is not.  second
+    holds the callables of H_pp, H_pq and H_qq (_second_partials).  Returns
+    (solved, x, residual, P, Q, J(t_f), max_t |J(t)|, iterations), each
+    target's solution valid where solved.
+    """
+    end, n_t, n = 1 - shot, targets.size, Y.shape[1] - 1
+    solved = np.zeros(n_t, dtype=bool)
+    x, residuals, j_end, j_max = np.full((4, n_t), np.nan)
+    paths = np.full(Y.shape, np.nan)
+    iterations = np.zeros(n_t, dtype=int)
+    live = np.arange(n_t)
+    with np.errstate(all="ignore"):  # a lane that turns non-finite is dropped
+        for it in range(1, MAX_TRAJECTORY_ITER + 1):
+            step = dt[live]
+            h2, dt6 = 0.5 * step, step / 6.0
+            p, q, stages = _rk4_step(field, Y[0, :-1], Y[1, :-1], step, h2, dt6)
+            maps = np.empty((2, 3, n, live.size))  # [A_j | c_j]
+            maps[:, :2] = _step_jacobian(second, ((Y[0, :-1], Y[1, :-1]),) + stages, step, h2,
+                                         dt6)
+            maps[:, 2] = np.stack([p, q]) - Y[:, 1:]
+            d = 1
+            while d < n:  # node j of the prefix maps is M_j ... M_0, by doubling
+                composed = _compose(maps[:, :2, d:], maps[:, :, :-d])
+                composed[:, 2] += maps[:, 2, d:]
+                maps[:, :, d:] = composed
+                d *= 2
+            J = maps[end, shot]
+            dx = -(Y[end, -1] - targets[live] + maps[end, 2, -1]) / J[-1]
+            correction = maps[:, shot] * dx + maps[:, 2]
+            settled = np.all(np.abs(correction) <= _SETTLED * np.finfo(float).eps
+                             * np.max(np.abs(Y), axis=1, keepdims=True), axis=(0, 1))
+            Y[:, 1:] += correction
+            Y[shot, 0] += dx
+            r = Y[end, -1] - targets[live]
+            finite = np.all(np.isfinite(Y), axis=(0, 1)) & np.all(np.isfinite(J), axis=0)
+            done = finite & settled & (np.abs(r) <= tol[live])
+            won = done & (lo[live] <= Y[shot, 0]) & (Y[shot, 0] <= hi[live])
+            cols = live[won]
+            solved[cols], iterations[cols], paths[..., cols] = True, it, Y[..., won]
+            x[cols], residuals[cols] = Y[shot, 0, won], r[won]
+            j_end[cols], j_max[cols] = J[-1, won], np.max(np.abs(J[:, won]), axis=0)
+            going = finite & ~done
+            live, Y = live[going], Y[..., going]
+            if not live.size:
+                break
+    return solved, x, residuals, paths[0], paths[1], j_end, j_max, iterations
+
+
 def _bvp(model, bounds, t_span, n_steps, shoot_on):
     shots = _shoot_batch(model, bounds.start, [bounds.end], t_span, n_steps, shoot_on,
                          density=REFINED_DENSITY)
@@ -635,7 +830,8 @@ def _bvp(model, bounds, t_span, n_steps, shoot_on):
     path = PhasePath(t_span[0], t_span[1], P, Q)
     return ShootingReport(path=path, parameter=float(shots.roots[0]),
                           residual=float(abs(shots.residuals[0])), flag=str(shots.flags[0]),
-                          method=str(shots.method[0]), sweeps=shots.sweeps)
+                          method=str(shots.method[0]), sweeps=shots.sweeps,
+                          iterations=int(shots.iterations[0]))
 
 
 def solve_position_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span,

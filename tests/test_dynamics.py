@@ -286,14 +286,20 @@ def _reference_rk4(model, p0, q0, t_span, n_steps):
     return P, Q, first_bad
 
 
-def _soft_oscillator(mass=1.0, omega=1.3):
+def _soft_oscillator(mass=1.0, omega=1.3, lacking=()):
+    """H = p^2/(2m) + m w^2 (sqrt(1 + q^2) - 1) with exact partials through
+    second order, less the orders in lacking."""
     k = mass * omega**2
+    partials = {
+        (1, 0): lambda p, q: p / mass + 0.0 * q,
+        (0, 1): lambda p, q: k * q / np.sqrt(1.0 + q**2) + 0.0 * p,
+        (2, 0): lambda p, q: 1.0 / mass + 0.0 * (p + q),
+        (1, 1): lambda p, q: 0.0 * (p + q),
+        (0, 2): lambda p, q: k / np.sqrt(1.0 + q**2) ** 3 + 0.0 * p,
+    }
     return HamiltonianModel.general(
         lambda p, q: p**2 / (2.0 * mass) + k * (np.sqrt(1.0 + q**2) - 1.0),
-        partials={
-            (1, 0): lambda p, q: p / mass + 0.0 * q,
-            (0, 1): lambda p, q: k * q / np.sqrt(1.0 + q**2) + 0.0 * p,
-        },
+        partials={order: fn for order, fn in partials.items() if order not in lacking},
     )
 
 
@@ -321,6 +327,17 @@ class TestEngineAgainstReference:
         got_p, got_q = _rk4_batch(model, p0, q0, (0.0, t1), 300)
         np.testing.assert_allclose(got_p, want_p, rtol=1e-12, atol=1e-300)
         np.testing.assert_allclose(got_q, want_q, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_MODELS))
+    def test_one_step_equals_the_loop(self, name):
+        # the trajectory Newton's step and the loop's must agree bit for bit, or its
+        # paths would not be the loop's fixed points
+        field = ENGINE_MODELS[name]().vector_field()
+        rng = np.random.default_rng(5)
+        p, q, dt = rng.uniform(-1.0, 1.0, size=(3, 40))
+        p_loop, q_loop, *_ = dynamics._rk4(field, p, q, dt, 1)
+        p_step, q_step, _ = dynamics._rk4_step(field, p, q, dt, 0.5 * dt, dt / 6.0)
+        assert np.array_equal(p_loop, p_step) and np.array_equal(q_loop, q_step)
 
     def test_blow_up_names_first_non_finite_node(self):
         # a quartic well: the lane started farthest out overflows first
@@ -501,17 +518,36 @@ def _newton_from_refined_guess(patch):
     patch.setattr(dynamics, "_newton", unseeded)
 
 
-def _predicted_steps(n_steps):
-    """RK4 loop steps of a solve whose predicted root stands."""
-    return -(-n_steps // 8) + -(-n_steps // 4) + n_steps
+def _scan_steps(n_steps, method):
+    """RK4 loop steps of a solve whose root was found on its whole trajectory (the
+    two coarse scans) or whose predicted root stands (the N-step scan too)."""
+    coarse = -(-n_steps // 8) + -(-n_steps // 4)
+    return coarse if method == "trajectory" else coarse + n_steps
+
+
+def _on_the_scan_route(patch):
+    """Patch dynamics so that no trajectory Newton iteration runs: every solve
+    takes the N-step scan and the Newton sweeps."""
+    patch.setattr(dynamics, "MAX_TRAJECTORY_ITER", 0)
+
+
+def _same_shots(got, want):
+    """Two solves with the same numbers, bit for bit, found the same way."""
+    return all(np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+               for name in ("roots", "residuals", "P", "Q", "iterations")) and all(
+        np.array_equal(getattr(got, name), getattr(want, name))
+        for name in ("flags", "method")) and got.sweeps == want.sweeps
 
 
 class TestRefinedScan:
     """Single-target solves of non-affine fields refine the scan with
-    Chebyshev-Lobatto lanes; the same scan on ceil(N/8) and ceil(N/4) steps
-    predicts the root, and the N-step scan sweeps it as Newton's first
-    iterate, which stands or which Newton continues from; Newton starts from
-    the refined guess only when there is no such prediction."""
+    Chebyshev-Lobatto lanes, and the same scan on ceil(N/8) and ceil(N/4)
+    steps predicts the root.  Where both coarse rows show the same sign
+    changes in the same bracket interval, Newton on the whole N-step
+    trajectory solves from the prediction and no N-step sweep runs.
+    Otherwise the N-step scan sweeps the prediction as Newton's first
+    iterate, which stands or which Newton continues from; Newton starts
+    from the refined guess only when there is no prediction."""
 
     # (model, boundary kind, start, end, horizon, n_steps): the quartic windows are
     # the benchmark's fixed paths cells, the soft-oscillator ones are drawn from its ranges
@@ -527,15 +563,18 @@ class TestRefinedScan:
         "drift-position": (ENGINE_MODELS["drift"], "position-type", 0.1, 0.5, 1.0, 500),
         "drift-momentum": (ENGINE_MODELS["drift"], "momentum-type", 0.1, 0.5, 1.0, 500),
     }
-    # how each root is found and the (lanes, steps) of every sweep: the 481 dense lanes
-    # on ceil(N/8) and ceil(N/4) steps, then on N steps with x^ and x^ +- h; the quartic
-    # momentum window's prediction misses the gate (4e-3 tol), so Newton continues from x^
+    # how each root is found and the (lanes, steps) of every sweep: the 481 dense lanes on
+    # ceil(N/8) and ceil(N/4) steps.  Where their rows agree (sign changes n8/n4: quartic
+    # position 23/23, soft oscillators 1/1, drift position 7/7) the trajectory Newton
+    # finishes with no sweep.  Otherwise (quartic momentum 44/51, drift momentum 14/24) the
+    # N-step scan sweeps x^ and x^ +- h too, and the quartic momentum window's prediction
+    # misses the gate (4e-3 tol), so Newton continues from x^
     SWEEPS = {
-        "quartic-position": ("predicted", [(481, 125), (481, 250), (484, 1000)]),
+        "quartic-position": ("trajectory", [(481, 125), (481, 250)]),
         "quartic-momentum": ("newton", [(481, 63), (481, 125), (484, 500), (3, 500)]),
-        "soft-oscillator-position": ("predicted", [(481, 250), (481, 500), (484, 2000)]),
-        "soft-oscillator-momentum": ("predicted", [(481, 250), (481, 500), (484, 2000)]),
-        "drift-position": ("predicted", [(481, 63), (481, 125), (484, 500)]),
+        "soft-oscillator-position": ("trajectory", [(481, 250), (481, 500)]),
+        "soft-oscillator-momentum": ("trajectory", [(481, 250), (481, 500)]),
+        "drift-position": ("trajectory", [(481, 63), (481, 125)]),
         "drift-momentum": ("predicted", [(481, 63), (481, 125), (484, 500)]),
     }
 
@@ -558,9 +597,13 @@ class TestRefinedScan:
         method, sweeps = self.SWEEPS[case]
         assert rep.method == method
         assert list(rep.sweeps) == ran == sweeps
-        if method == "predicted":
+        if method == "trajectory":
+            assert 1 <= rep.iterations <= dynamics.MAX_TRAJECTORY_ITER
+        else:
+            assert rep.iterations == 0
+        if method in ("trajectory", "predicted"):
             assert rep.residual <= 1e-3 * tol
-            assert sum(steps for _, steps in rep.sweeps) == _predicted_steps(n_steps)
+            assert sum(steps for _, steps in rep.sweeps) == _scan_steps(n_steps, method)
 
     def test_turned_away_prediction_seeds_newton(self, monkeypatch):
         # the quartic momentum window: |r(x^)| = 1.22e-9 misses the gate, so the sweep after
@@ -625,6 +668,7 @@ class TestRefinedScan:
         model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
         shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on, REFINED_DENSITY)
         with pytest.MonkeyPatch.context() as patch:
+            _on_the_scan_route(patch)
             # a gate of 0 lets no prediction stand short of an exact root
             patch.setattr(dynamics, "_PREDICTION_GATE", 0.0)
             newton = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
@@ -634,25 +678,130 @@ class TestRefinedScan:
                                      REFINED_DENSITY)
         assert reference.method[0] == "newton"
         assert shots.flags[0] == newton.flags[0] == reference.flags[0]
-        # predicted exactly when the solve ran no sweep after the N-step scan sweep
+        # found on its trajectory exactly when the solve ran no sweep after the coarse scans,
+        # predicted exactly when it ran none after the N-step scan sweep
         for solve in (shots, newton):
+            assert (solve.method[0] == "trajectory") == (len(solve.sweeps) == 2)
             assert (solve.method[0] == "predicted") == (len(solve.sweeps) == 3)
-        if shots.method[0] != "predicted":
+        if shots.method[0] == "newton":
             # turned away at the gate, the solve steps on from x^ just as at gate 0
-            for got, want in ((shots.roots, newton.roots), (shots.residuals, newton.residuals),
-                              (shots.P, newton.P), (shots.Q, newton.Q)):
-                assert np.array_equal(got, want, equal_nan=True)
+            assert _same_shots(shots, newton)
         if shots.flags[0] == "infeasible":
             return
         tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
-        if shots.method[0] == "predicted":
+        if shots.method[0] in ("trajectory", "predicted"):
             assert abs(shots.residuals[0]) <= 1e-3 * tol
-            assert sum(steps for _, steps in shots.sweeps) == _predicted_steps(n_steps)
+            assert sum(steps for _, steps in shots.sweeps) == _scan_steps(n_steps, shots.method[0])
         slope = _endpoint_slope(model, shoot_on, start, reference.roots[0], t, n_steps)
         for solve in (shots, newton, reference):
             assert abs(solve.residuals[0]) <= tol
             # the same root as the reference's, once mapped by the endpoint's slope
             assert abs(solve.roots[0] - reference.roots[0]) * abs(slope) <= 2.0 * tol
+
+    @settings(max_examples=40)
+    @given(
+        name=st.sampled_from(["quartic", "drift", "soft-oscillator"]),
+        log_mass=st.floats(-3.0, 5.0),
+        kind=st.sampled_from(["position-type", "momentum-type"]),
+        start=st.floats(-0.5, 0.5),
+        end=st.floats(-1.0, 1.0),
+        t=st.floats(0.2, 2.0),
+        strength=st.floats(0.01, 1.0),
+        n_steps=st.integers(20, 600),
+    )
+    def test_trajectory_jacobi_field_matches_the_lane_spread(self, name, log_mass, kind, start,
+                                                             end, t, strength, n_steps):
+        # the trajectory Newton's prefix products give J(t) exactly; the scan route takes
+        # (E+(t) - E-(t)) / 2h from the lanes x +- h of its last iterate
+        model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
+        seen = {}
+
+        def recorded(name, fn):
+            def call(*args):
+                seen[name] = fn(*args)
+                return seen[name]
+            return call
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_trajectory_newton",
+                          recorded("trajectory", dynamics._trajectory_newton))
+            shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
+                                 REFINED_DENSITY)
+            assume(shots.method[0] == "trajectory")
+            j_end, j_max = (value[0] for value in seen["trajectory"][5:7])
+            _on_the_scan_route(patch)
+            patch.setattr(dynamics, "_newton", recorded("newton", dynamics._newton))
+            scanned = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
+                                 REFINED_DENSITY)
+        assert scanned.method[0] != "trajectory" and shots.flags[0] == scanned.flags[0]
+        unit = dynamics._momentum_unit(model, start) if shoot_on == "p0" else 1.0
+        two_h = 2.0 * dynamics.FD_REL_STEP * max(unit, abs(scanned.roots[0]))
+        spread_end, spread_max = seen["newton"][4][0] / two_h, seen["newton"][5][0] / two_h
+        assert abs(j_end - spread_end) <= 1e-5 * j_max
+        assert abs(j_max - spread_max) <= 1e-5 * j_max
+        tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
+        slope = _endpoint_slope(model, shoot_on, start, scanned.roots[0], t, n_steps)
+        assert abs(shots.roots[0] - scanned.roots[0]) * abs(slope) <= 2.0 * tol
+
+    @settings(max_examples=40)
+    @given(
+        name=st.sampled_from(["quartic", "drift", "soft-oscillator"]),
+        log_mass=st.floats(-3.0, 5.0),
+        kind=st.sampled_from(["position-type", "momentum-type"]),
+        start=st.floats(-0.5, 0.5),
+        end=st.floats(-1.0, 1.0),
+        t=st.floats(0.2, 2.0),
+        strength=st.floats(0.01, 1.0),
+        n_steps=st.integers(20, 600),
+        route=st.sampled_from(["any", "scan"]),
+    )
+    def test_path_is_the_rk4_loop_from_its_root(self, name, log_mass, kind, start, end, t,
+                                                strength, n_steps, route):
+        model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
+        with pytest.MonkeyPatch.context() as patch:
+            if route == "scan":
+                _on_the_scan_route(patch)
+            shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
+                                 REFINED_DENSITY)
+        P, Q = shots.P[:, 0], shots.Q[:, 0]
+        assume(np.all(np.isfinite(P)) and np.all(np.isfinite(Q)))
+        x = shots.roots[0]
+        path = integrate_ivp(model, *((x, start) if shoot_on == "p0" else (start, x)),
+                             (0.0, t), n_steps)
+        scale = max(np.max(np.abs(path.p)), np.max(np.abs(path.q)))
+        assert np.max(np.abs(P - path.p)) <= 1e-13 * scale
+        assert np.max(np.abs(Q - path.q)) <= 1e-13 * scale
+
+    def test_missing_partials_and_overflowing_products_fall_back(self, monkeypatch):
+        # the soft-oscillator position window routes with every second partial; without
+        # H_qq, or with one so large that the prefix products of the step Jacobians
+        # overflow, the solve falls back to the N-step scan route with its numbers exactly
+        _, _, start, end, t, n_steps = self.SOLVES["soft-oscillator-position"]
+        full = _soft_oscillator(1e2, 1.1)
+        stiff = HamiltonianModel.general(full.evaluator, partials={
+            **full.partials, (0, 2): lambda p, q: 1e300 + 0.0 * (p + q)})
+        attempts = []
+        newton = dynamics._trajectory_newton
+
+        def attempted(*args):
+            out = newton(*args)
+            attempts.append(out[0])
+            return out
+
+        def shoot(model):
+            return _shoot_batch(model, start, [end], (0.0, t), n_steps, "p0", REFINED_DENSITY)
+
+        monkeypatch.setattr(dynamics, "_trajectory_newton", attempted)
+        assert shoot(full).method[0] == "trajectory"
+        with pytest.MonkeyPatch.context() as patch:
+            _on_the_scan_route(patch)
+            scanned = shoot(full)
+        assert scanned.method[0] == "predicted"
+        del attempts[:]
+        assert _same_shots(shoot(_soft_oscillator(1e2, 1.1, lacking={(0, 2)})), scanned)
+        assert attempts == []
+        assert _same_shots(shoot(stiff), scanned)
+        assert len(attempts) == 1 and not np.any(attempts[0])
 
     @pytest.mark.parametrize("n_steps", range(1, 9))
     @pytest.mark.parametrize("name", ["quartic", "soft-oscillator"])
@@ -668,9 +817,17 @@ class TestRefinedScan:
             assert shots.method[0] == "newton"
             assert shots.sweeps[0] == (481, n_steps)
             assert all(sweep == (3, n_steps) for sweep in shots.sweeps[1:])
+            with pytest.MonkeyPatch.context() as patch:
+                _on_the_scan_route(patch)
+                scanned = _shoot_batch(model, 0.1, [0.6], (0.0, 1.0), n_steps, "p0",
+                                     REFINED_DENSITY)
+            assert _same_shots(shots, scanned)
         else:
             assert list(shots.sweeps[:2]) == coarse
-            assert shots.sweeps[2] == (484, n_steps)
+            if shots.method[0] == "trajectory":
+                assert len(shots.sweeps) == 2
+            else:
+                assert shots.sweeps[2] == (484, n_steps)
 
     def test_bracket_with_blown_up_lanes_keeps_the_plain_guess(self):
         # V = q^2/2 + 10 q^4 at dt = 0.2: RK4 is unstable for large amplitudes, so
@@ -679,6 +836,12 @@ class TestRefinedScan:
         t, n_steps = 4.0, 20
         dense = _shoot_batch(model, 0.0, [0.5], (0.0, t), n_steps, "p0", REFINED_DENSITY)
         plain = _shoot_batch(model, 0.0, [0.5], (0.0, t), n_steps, "p0", 1)
+        # no prediction without a refined bracket, so the solve takes the scan route
+        assert dense.method[0] == "newton"
+        with pytest.MonkeyPatch.context() as patch:
+            _on_the_scan_route(patch)
+            scanned = _shoot_batch(model, 0.0, [0.5], (0.0, t), n_steps, "p0", REFINED_DENSITY)
+        assert _same_shots(dense, scanned)
         # the dense lanes of the scan interval holding the root
         cand = dynamics._scan_candidates()
         i = np.searchsorted(cand, dense.roots[0]) - 1
