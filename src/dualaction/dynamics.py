@@ -17,15 +17,17 @@ evaluators:
   costs a few sweeps rather than a few per lane: a scan with
   Chebyshev-Lobatto refinement for single solves, then Newton.  A sweep
   is bound by per-step overhead, so the single solve's scan carries 481
-  lanes at little more cost than 33.  The same scan on N/8 and N/4 steps
-  predicts the root by Richardson extrapolation.  Where both coarse scans
-  see the same roots, Newton on the whole N-step trajectory takes over
-  from the prediction: each iteration is one vectorized RK4 step from
-  every node, its exact Jacobian and a doubling scan of the linearized
-  steps, so the solve runs 3/8 of a sweep's worth of loop steps.
-  Otherwise the N-step scan carries the predicted lanes too, so the
-  prediction is Newton's first iterate at no sweep of its own: when it
-  meets a tolerance a thousand times tighter, the solve is done in 1 3/8
+  lanes at little more cost than 33.  The same scan on N/16 and N/8
+  steps places the bracket, reads what the flag needs and predicts the
+  root by Richardson extrapolation.  Where both coarse scans put the
+  nearest root in the same interval and agree on whether there are
+  several, Newton on the whole N-step trajectory takes over from the
+  prediction: each iteration is one vectorized RK4 step from every node,
+  its exact Jacobian and a doubling scan of the linearized steps, so the
+  solve runs 3/16 of a sweep's worth of loop steps.  Otherwise the
+  N-step scan carries the predicted lanes too, so the prediction is
+  Newton's first iterate at no sweep of its own: when it meets a
+  tolerance a thousand times tighter, the solve is done in 1 3/16
   sweeps' worth of steps, and otherwise Newton steps on from it.
 
 ``integrate_ivp`` always runs the loop; it is the reference the affine
@@ -54,8 +56,11 @@ _SETTLED = 64
 FD_REL_STEP = 1e-6
 # Chebyshev-Lobatto subintervals per scan interval of a single-target solve:
 # one sweep is bound by per-step overhead, so 481 lanes cost little more than 33,
-# and the same lanes on ceil(N/8) and ceil(N/4) steps predict the root
+# and the same lanes on ceil(N/16) and ceil(N/8) steps place the bracket, set the
+# flag and predict the root
 REFINED_DENSITY = 15
+# N / these are the step counts of the two coarse scans of a single-target solve
+COARSE_DIVISORS = (16, 8)
 # a predicted root stands when its residual is within this share of the tolerance
 _PREDICTION_GATE = 1e-3
 
@@ -116,6 +121,9 @@ class ShootingReport:
     method: str = "affine"  # affine | trajectory | predicted | newton: how the root was found
     sweeps: tuple = ()  # (lanes, steps) of each RK4 sweep, in the order run
     iterations: int = 0  # trajectory Newton iterations (method 'trajectory'), else 0
+    # sign changes of the residual over the scan row the flag read: the ceil(N/8) dense row
+    # on the trajectory route, else the N-step one (dense for a non-affine field)
+    sign_changes: int = 0
 
     @property
     def solved(self):
@@ -128,14 +136,13 @@ def _rk4(field, p, q, dt, n_steps, keep=None, spread=None):
     field is a model's vector_field(); p and q are equal-shape arrays of
     initial states (one lane per element) and dt is the step per lane,
     broadcastable against them.  keep indexes the lanes whose path is
-    stored, e.g. ``...`` for all of them, ``0`` for the first row, a
-    slice of a flat lane array or a tuple of index arrays; spread =
-    (variable, upper, lower), the variable 'p' or 'q' and two lane
-    indexes of equal size, tracks max over nodes of |x[upper] - x[lower]|
-    for that variable.  Nothing is
-    checked: a blowing-up lane poisons only itself with non-finite
-    values.  Returns (p, q, P, Q, spread_max), with None for what was not
-    asked for.
+    stored, ``...`` for all of them, ``0`` for the first row or a slice
+    of rows: a basic index, so a step copies the kept lanes once.
+    spread = (variable, upper, lower), the variable 'p' or 'q' and two
+    lane indexes of equal size, tracks max over nodes of
+    |x[upper] - x[lower]| for that variable.  Nothing is checked: a
+    blowing-up lane poisons only itself with non-finite values.  Returns
+    (p, q, P, Q, spread_max), with None for what was not asked for.
     """
     h2, dt6 = 0.5 * dt, dt / 6.0
     P = Q = widest = None
@@ -313,12 +320,15 @@ class _Shots:
     'trajectory', 'predicted' or 'newton'), iterations counts each
     target's trajectory Newton iterations (0 on the other routes) and
     sweeps lists the (lanes, steps) of every RK4 sweep the batch ran.
+    sign_changes counts each target's sign changes on the scan row its
+    flag read.
     """
 
     roots: np.ndarray
     residuals: np.ndarray
     flags: np.ndarray
     end: np.ndarray
+    sign_changes: np.ndarray
     steps: np.ndarray | None = None
     powers: np.ndarray | None = None
     horizon: np.ndarray | None = None
@@ -459,29 +469,32 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
       and a bracket whose density + 1 residuals are finite and change
       sign once narrows to the node pair around the root of their
       interpolant, the refined guess (_refine); density 1 is the plain
-      scan with the regula-falsi guess.  A dense scan on N > 4 steps
-      first runs on ceil(N/8) and on ceil(N/4) steps, whose refined
-      guesses x8 and x4 have an RK4 error falling as n^-4, so Richardson
-      extrapolation predicts x^ = (w x4 - x8) / (w - 1) with
-      w = (n4 / n8)^4.  Where both coarse rows have as many sign changes,
-      the one nearest 0 in the same candidate interval, and x^ lies in
-      the ceil(N/4) node pair, no N-step sweep runs: _trajectory_newton
-      solves the whole N-step trajectory from x^, seeded by the paths of
-      that interval's density + 1 lanes, which the ceil(N/4) sweep kept
-      (_seed_path), and brackets, refinement and sign changes come from
-      the ceil(N/4) rows (method 'trajectory': n8 + n4 loop steps).  That
-      route falls back to the next one, as if never tried, when the
-      model lacks a second partial or the iteration does not converge
-      inside the ceil(N/4) node pair.  Otherwise brackets, refinement and
-      sign changes come from the N-step lanes, and each Newton iterate
-      integrates the lanes x, x + h and x - h; the outer pair gives
-      J(t) = (E+(t) - E-(t)) / 2h, whose final value is the Newton slope,
-      and the centre lanes' paths are kept.  The first iterate is x^
-      where x^ lies in the node pair _refine picked and its residual is
-      finite: the N-step scan sweep carries its lanes, so it costs no
-      sweep of its own, and it stands when |r(x^)| <= _PREDICTION_GATE *
-      tol: the solve has then run n8 + n4 + N loop steps instead of 2N
-      and no sweep of its own (method 'predicted'; 'newton' otherwise).
+      scan with the regula-falsi guess.  A dense scan on N > 8 steps
+      first runs on n_c = ceil(N/16) and on n_f = ceil(N/8) steps
+      (COARSE_DIVISORS), whose refined guesses x_c and x_f have an RK4
+      error falling as n^-4, so Richardson extrapolation predicts
+      x^ = (w x_f - x_c) / (w - 1) with w = (n_f / n_c)^4.  The coarse
+      rows need only place the bracket and give what the flag reads.  So
+      where both put their sign change nearest 0 in the same candidate
+      interval, agree on whether they change sign more than once, and x^
+      lies in the ceil(N/8) node pair, no N-step sweep runs:
+      _trajectory_newton solves the whole N-step trajectory from x^,
+      seeded by the paths of that interval's density + 1 lanes, which the
+      ceil(N/8) sweep kept (_seed_path), and brackets, refinement and sign
+      changes come from the ceil(N/8) rows (method 'trajectory': n_c + n_f
+      loop steps).  That route falls back to the next one, as if never
+      tried, when the model lacks a second partial or the iteration does
+      not converge inside the ceil(N/8) node pair.  Otherwise brackets,
+      refinement and sign changes come from the N-step lanes, and each
+      Newton iterate integrates the lanes x, x + h and x - h; the outer
+      pair gives J(t) = (E+(t) - E-(t)) / 2h, whose final value is the
+      Newton slope, and the centre lanes' paths are kept.  The first
+      iterate is x^ where x^ lies in the node pair _refine picked and its
+      residual is finite: the N-step scan sweep carries its lanes, so it
+      costs no sweep of its own, and it stands when
+      |r(x^)| <= _PREDICTION_GATE * tol: the solve has then run
+      n_c + n_f + N loop steps instead of 2N and no sweep of its own
+      (method 'predicted'; 'newton' otherwise).
       Any other target starts from its refined guess.  A step that
       leaves the bracket bisects it instead, and the iterates stop once
       |residual| <= tol.  A surface's many targets share the plain scan,
@@ -492,8 +505,8 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
     reach tol = SHOOTING_TOL * max(1, |start|, |target|).  A target is
     conjugate-degenerate when |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|
     or the scan changes sign more than once: on every dense row of the
-    last scan when density > 1, so a root between two candidates counts
-    too.
+    last scan when density > 1 (the ceil(N/8) one on the trajectory
+    route), so a root between two candidates counts too.
     """
     if n_steps < 1:
         raise PreconditionError("shooting needs n_steps >= 1")
@@ -566,34 +579,39 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
             return (qe if shoot_on == "p0" else pe), P, Q, widest
 
         grid = np.repeat(nodes[:, None], steps.size, axis=1)
-        n8, n4 = -(-n_steps // 8), -(-n_steps // 4)
+        n_c, n_f = (-(-n_steps // d) for d in COARSE_DIVISORS)
         pred = np.arange(0)
         routed = np.zeros(targets.size, dtype=bool)
-        if sub > 1 and n4 > n8:  # n4 == n8 for N <= 4 leaves nothing to extrapolate
-            x8, _, _, _, changes8, _, _, ok8, i8 = bracket(sweep(grid, span[first] / n8, n8)[0])
-            # the ceil(N/4) sweep keeps the paths of the dense lanes of each ceil(N/8) bracket
-            # interval, the trajectory seed when both coarse rows agree
-            seed_lanes = i8 * sub + np.arange(sub + 1)[:, None]
-            ends4, P4, Q4, _ = sweep(grid, span[first] / n4, n4, keep=(seed_lanes, horizon))
-            x4, lo4, hi4, _, changes4, have4, flags4, ok4, i4 = bracket(ends4)
-            w = (n4 / n8) ** 4
-            pred = np.flatnonzero(ok8 & ok4)
-            xh = ((w * x4 - x8) / (w - 1.0))[pred]
-            go = ((changes8 == changes4) & (i8 == i4))[pred] & (lo4[pred] <= xh) & (xh <= hi4[pred])
+        if sub > 1 and n_f > n_c:  # n_f == n_c for N <= 8 leaves nothing to extrapolate
+            ends_c = sweep(grid, span[first] / n_c, n_c)[0]
+            x_c, _, _, _, changes_c, _, _, ok_c, i_c = bracket(ends_c)
+            # the fine sweep keeps the dense lanes of the coarse bracket intervals for the
+            # trajectory seed: contiguous rows of the grid, a single solve's 16 exactly
+            top = i_c.min() * sub
+            ends_f, P_f, Q_f, _ = sweep(grid, span[first] / n_f, n_f,
+                                        keep=slice(top, i_c.max() * sub + sub + 1))
+            x_f, lo_f, hi_f, _, changes_f, have_f, flags_f, ok_f, i_f = bracket(ends_f)
+            w = (n_f / n_c) ** 4
+            pred = np.flatnonzero(ok_c & ok_f)
+            xh = ((w * x_f - x_c) / (w - 1.0))[pred]
+            # of a sign-change count the flag reads only whether it exceeds 1
+            agree = (i_c == i_f) & ((changes_c > 1) == (changes_f > 1))
+            go = agree[pred] & (lo_f[pred] <= xh) & (xh <= hi_f[pred])
             second = _second_partials(model) if go.any() else None
             if second is not None:
                 cols = pred[go]
-                seed = _seed_path(nodes[seed_lanes[:, cols]], xh[go], P4[:, :, cols],
-                                  Q4[:, :, cols], n_steps)
+                seed_lanes = i_c[cols] * sub + np.arange(sub + 1)[:, None]
+                at = slice(None), seed_lanes - top, horizon[cols]
+                seed = _seed_path(nodes[seed_lanes], xh[go], P_f[at], Q_f[at], n_steps)
                 seed[end, 0], seed[1 - end, 0] = start_value, xh[go]
                 solved, *solution = _trajectory_newton(
-                    field, second, seed, 1 - end, targets[cols], tol[cols], dt[cols], lo4[cols],
-                    hi4[cols])
+                    field, second, seed, 1 - end, targets[cols], tol[cols], dt[cols], lo_f[cols],
+                    hi_f[cols])
                 routed[cols[solved]] = True
                 pred, xh = pred[~routed[pred]], xh[~routed[pred]]
         if routed.any() and routed.all():  # cols is then every target, in order
             roots, residuals, P, Q, j_end, j_max, iterations = solution
-            changes, have_bracket, flags = changes4, have4, flags4
+            changes, have_bracket, flags = changes_f, have_f, flags_f
             method = np.full(targets.size, "trajectory")
         else:
             if pred.size:
@@ -626,7 +644,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
                                         solution):
                     mine[..., done] = theirs[..., solved]
                 for mine, theirs in zip((changes, have_bracket, flags),
-                                        (changes4, have4, flags4)):
+                                        (changes_f, have_f, flags_f)):
                     mine[done] = theirs[done]
                 method = np.where(routed, "trajectory", method)
         kept = dict(end=np.stack([P[-1], Q[-1]]), swept=(P, Q), sweeps=tuple(sweeps),
@@ -638,7 +656,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
         flat = ~(np.abs(j_end) > SENSITIVITY_TOL * j_max)
         degenerate = have_bracket & (flat | (changes > 1))
     flags[degenerate & (flags != "infeasible")] = "conjugate-degenerate"
-    return _Shots(roots, residuals, flags, **kept)
+    return _Shots(roots, residuals, flags, sign_changes=changes, **kept)
 
 
 def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, active, seeds):
@@ -831,7 +849,8 @@ def _bvp(model, bounds, t_span, n_steps, shoot_on):
     return ShootingReport(path=path, parameter=float(shots.roots[0]),
                           residual=float(abs(shots.residuals[0])), flag=str(shots.flags[0]),
                           method=str(shots.method[0]), sweeps=shots.sweeps,
-                          iterations=int(shots.iterations[0]))
+                          iterations=int(shots.iterations[0]),
+                          sign_changes=int(shots.sign_changes[0]))
 
 
 def solve_position_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span,
@@ -847,8 +866,9 @@ def solve_position_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span,
     initial momenta reach the target; 'infeasible' when no scanned
     momentum brackets the target or the returned path misses it by more
     than SHOOTING_TOL * max(1, |q(t_i)|, |q(t_f)|).  Affine fields are
-    solved in closed form on the RK4 nodes, others by Newton sweeps
-    (_shoot_batch).
+    solved in closed form on the RK4 nodes, others by Newton on the whole
+    RK4 trajectory or, where the coarse scans cannot route it there, by
+    Newton sweeps (_shoot_batch).
     """
     if bounds.kind != "position-type":
         raise PreconditionError("solve_position_bvp needs a position-type boundary spec")

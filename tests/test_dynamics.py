@@ -491,13 +491,19 @@ def _refined_case(name, log_mass, kind, start, end, strength):
     return model, shoot_on, scale * start, scale * end
 
 
-def _endpoint_slope(model, shoot_on, start, x, t, n_steps):
-    """dE/dx of the endpoint at the shooting parameter x, by a forward difference."""
+def _jacobi_field(model, shoot_on, start, x, t, n_steps):
+    """J(t_j) = dE(t_j)/dx at every node of the path from the shooting parameter x, E
+    the matched variable, by a forward difference."""
     x = x + np.array([0.0, 1e-6 * max(1.0, abs(x))])
     s = np.full(2, start)
     P, Q = _rk4_batch(model, *((x, s) if shoot_on == "p0" else (s, x)), (0.0, t), n_steps)
-    end_value = Q[-1] if shoot_on == "p0" else P[-1]
-    return (end_value[1] - end_value[0]) / (x[1] - x[0])
+    matched = Q if shoot_on == "p0" else P
+    return (matched[:, 1] - matched[:, 0]) / (x[1] - x[0])
+
+
+def _endpoint_slope(model, shoot_on, start, x, t, n_steps):
+    """dE/dx of the endpoint at the shooting parameter x, by a forward difference."""
+    return _jacobi_field(model, shoot_on, start, x, t, n_steps)[-1]
 
 
 def _newton_from_refined_guess(patch):
@@ -518,10 +524,16 @@ def _newton_from_refined_guess(patch):
     patch.setattr(dynamics, "_newton", unseeded)
 
 
+def _coarse_sweeps(n_steps):
+    """(lanes, steps) of a single solve's two coarse scan sweeps: the 481 dense lanes
+    on ceil(N / d) steps for each of dynamics.COARSE_DIVISORS."""
+    return [(481, -(-n_steps // d)) for d in dynamics.COARSE_DIVISORS]
+
+
 def _scan_steps(n_steps, method):
     """RK4 loop steps of a solve whose root was found on its whole trajectory (the
     two coarse scans) or whose predicted root stands (the N-step scan too)."""
-    coarse = -(-n_steps // 8) + -(-n_steps // 4)
+    coarse = sum(steps for _, steps in _coarse_sweeps(n_steps))
     return coarse if method == "trajectory" else coarse + n_steps
 
 
@@ -541,16 +553,19 @@ def _same_shots(got, want):
 
 class TestRefinedScan:
     """Single-target solves of non-affine fields refine the scan with
-    Chebyshev-Lobatto lanes, and the same scan on ceil(N/8) and ceil(N/4)
-    steps predicts the root.  Where both coarse rows show the same sign
-    changes in the same bracket interval, Newton on the whole N-step
+    Chebyshev-Lobatto lanes, and the same scan on ceil(N/16) and ceil(N/8)
+    steps places the bracket, reads the flag's facts and predicts the
+    root.  Where both coarse rows put the sign change nearest 0 in the same
+    bracket interval, agree on whether there is more than one and the
+    prediction lies in the ceil(N/8) node pair, Newton on the whole N-step
     trajectory solves from the prediction and no N-step sweep runs.
     Otherwise the N-step scan sweeps the prediction as Newton's first
     iterate, which stands or which Newton continues from; Newton starts
     from the refined guess only when there is no prediction."""
 
     # (model, boundary kind, start, end, horizon, n_steps): the quartic windows are
-    # the benchmark's fixed paths cells, the soft-oscillator ones are drawn from its ranges
+    # the benchmark's fixed paths cells, the soft-oscillator ones are drawn from its ranges;
+    # the heavy quartic window's trajectory Newton needs 11 iterations from x^
     SOLVES = {
         "quartic-position": (lambda: _anharmonic(1.0, 0.1), "position-type", 0.0, 0.5,
                              0.45 * math.pi, 1000),
@@ -562,20 +577,25 @@ class TestRefinedScan:
                                      3e3, -5e3, 0.5 * math.pi / 0.9, 2000),
         "drift-position": (ENGINE_MODELS["drift"], "position-type", 0.1, 0.5, 1.0, 500),
         "drift-momentum": (ENGINE_MODELS["drift"], "momentum-type", 0.1, 0.5, 1.0, 500),
+        "heavy-quartic-position": (lambda: _anharmonic(1e2, 0.1), "position-type", 0.0, -1.0,
+                                   1.83, 300),
     }
     # how each root is found and the (lanes, steps) of every sweep: the 481 dense lanes on
-    # ceil(N/8) and ceil(N/4) steps.  Where their rows agree (sign changes n8/n4: quartic
-    # position 23/23, soft oscillators 1/1, drift position 7/7) the trajectory Newton
-    # finishes with no sweep.  Otherwise (quartic momentum 44/51, drift momentum 14/24) the
-    # N-step scan sweeps x^ and x^ +- h too, and the quartic momentum window's prediction
-    # misses the gate (4e-3 tol), so Newton continues from x^
+    # the two coarse step counts.  Where their rows put the sign change nearest 0 in the same
+    # interval and agree on whether there is more than one (sign changes on ceil(N/16) and
+    # ceil(N/8) steps: quartic position 23/23, quartic momentum 31/44, soft oscillators 1/1,
+    # drift position 7/7, drift momentum 11/14) the trajectory Newton finishes with no
+    # sweep.  The heavy quartic window's rows agree too (29/23), but its trajectory Newton
+    # does not settle within MAX_TRAJECTORY_ITER, so the N-step scan sweeps x^ and x^ +- h
+    # too; x^ misses the gate (20 tol), so Newton continues from it
     SWEEPS = {
-        "quartic-position": ("trajectory", [(481, 125), (481, 250)]),
-        "quartic-momentum": ("newton", [(481, 63), (481, 125), (484, 500), (3, 500)]),
-        "soft-oscillator-position": ("trajectory", [(481, 250), (481, 500)]),
-        "soft-oscillator-momentum": ("trajectory", [(481, 250), (481, 500)]),
-        "drift-position": ("trajectory", [(481, 63), (481, 125)]),
-        "drift-momentum": ("predicted", [(481, 63), (481, 125), (484, 500)]),
+        "quartic-position": ("trajectory", _coarse_sweeps(1000)),
+        "quartic-momentum": ("trajectory", _coarse_sweeps(500)),
+        "soft-oscillator-position": ("trajectory", _coarse_sweeps(2000)),
+        "soft-oscillator-momentum": ("trajectory", _coarse_sweeps(2000)),
+        "drift-position": ("trajectory", _coarse_sweeps(500)),
+        "drift-momentum": ("trajectory", _coarse_sweeps(500)),
+        "heavy-quartic-position": ("newton", _coarse_sweeps(300) + [(484, 300), (3, 300)]),
     }
 
     @pytest.mark.parametrize("case", sorted(SOLVES))
@@ -591,6 +611,7 @@ class TestRefinedScan:
         monkeypatch.setattr(dynamics, "_rk4", counted)
         solve = solve_position_bvp if kind == "position-type" else solve_momentum_bvp
         rep = solve(build(), BoundarySpec(kind, start, end), (0.0, t), n_steps)
+        monkeypatch.undo()
         assert rep.flag != "infeasible"
         tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
         assert rep.residual <= tol
@@ -601,31 +622,56 @@ class TestRefinedScan:
             assert 1 <= rep.iterations <= dynamics.MAX_TRAJECTORY_ITER
         else:
             assert rep.iterations == 0
+        # the count the flag read: on the finer coarse row when routed, else on the N-step row
+        flag_row = sweeps[1][1] if method == "trajectory" else n_steps
+        shoot_on = "p0" if kind == "position-type" else "q0"
+        assert rep.sign_changes == _dense_sign_changes(build(), start, end, t, flag_row, shoot_on)
         if method in ("trajectory", "predicted"):
             assert rep.residual <= 1e-3 * tol
             assert sum(steps for _, steps in rep.sweeps) == _scan_steps(n_steps, method)
 
     def test_turned_away_prediction_seeds_newton(self, monkeypatch):
-        # the quartic momentum window: |r(x^)| = 1.22e-9 misses the gate, so the sweep after
-        # the N-step scan is the Newton step from x^ with the slope of x^ +- h on that scan
-        build, kind, start, end, t, n_steps = self.SOLVES["quartic-momentum"]
+        # the heavy quartic window falls back and |r(x^)| = 1.95e-8 misses the gate, so the
+        # sweep after the N-step scan is the Newton step from x^ with the slope of x^ +- h on
+        # that scan
+        build, kind, start, end, t, n_steps = self.SOLVES["heavy-quartic-position"]
+        model = build()
         ran = []
         loop = dynamics._rk4
 
         def recorded(*args, **kwargs):
             out = loop(*args, **kwargs)
-            ran.append((args[2], out[0]))  # initial q (the parameter) and final p of each lane
+            ran.append((args[1], out[1]))  # initial p (the parameter) and final q of each lane
             return out
 
         monkeypatch.setattr(dynamics, "_rk4", recorded)
-        rep = solve_momentum_bvp(build(), BoundarySpec(kind, start, end), (0.0, t), n_steps)
+        rep = solve_position_bvp(model, BoundarySpec(kind, start, end), (0.0, t), n_steps)
         assert [len(ran), rep.method] == [4, "newton"]
         (lanes, ends), (newton_lanes, _) = ran[2], ran[3]
         x_hat, r_hat = lanes[-3], ends[-3] - end
-        h = dynamics.FD_REL_STEP * max(1.0, abs(x_hat))
+        h = dynamics.FD_REL_STEP * max(dynamics._momentum_unit(model, start), abs(x_hat))
         assert abs(r_hat) > dynamics._PREDICTION_GATE * SHOOTING_TOL * abs(end)
         assert newton_lanes[0, 0] == x_hat - r_hat * (2.0 * h) / (ends[-2] - ends[-1])
         assert rep.parameter == newton_lanes[0, 0]
+
+    def test_quartic_momentum_window_routes_with_the_forced_flag(self):
+        # its coarse rows change sign 31 and 44 times: they differ in count but agree that
+        # there is more than one, so the solve routes, with the forced route's flag and root
+        build, kind, start, end, t, n_steps = self.SOLVES["quartic-momentum"]
+        model = build()
+
+        def shoot():
+            return _shoot_batch(model, start, [end], (0.0, t), n_steps, "q0", REFINED_DENSITY)
+
+        shots = shoot()
+        with pytest.MonkeyPatch.context() as patch:
+            _on_the_scan_route(patch)
+            forced = shoot()
+        assert shots.method[0] == "trajectory" and forced.method[0] != "trajectory"
+        assert shots.flags[0] == forced.flags[0] == "conjugate-degenerate"
+        tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
+        slope = _endpoint_slope(model, "q0", start, forced.roots[0], t, n_steps)
+        assert abs(shots.roots[0] - forced.roots[0]) * abs(slope) <= 2.0 * tol
 
     @settings(max_examples=30)
     @given(
@@ -803,17 +849,17 @@ class TestRefinedScan:
         assert _same_shots(shoot(stiff), scanned)
         assert len(attempts) == 1 and not np.any(attempts[0])
 
-    @pytest.mark.parametrize("n_steps", range(1, 9))
+    @pytest.mark.parametrize("n_steps", range(1, 2 * dynamics.COARSE_DIVISORS[-1] + 1))
     @pytest.mark.parametrize("name", ["quartic", "soft-oscillator"])
     def test_few_steps_predict_only_when_the_coarse_scans_differ(self, name, n_steps):
-        # at N <= 4, ceil(N/4) == ceil(N/8) and Richardson's weight w - 1 is 0: such
-        # solves skip the coarse scans and run the scan, then Newton; RuntimeWarnings
-        # are errors in this suite, so no step may divide by 0 or overflow unguarded
+        # at N <= 8 both coarse scans would take one step and Richardson's weight w - 1 is
+        # 0: such solves skip them and run the scan, then Newton; RuntimeWarnings are
+        # errors in this suite, so no step may divide by 0 or overflow unguarded
         model = _anharmonic(1.0, 0.1) if name == "quartic" else _soft_oscillator()
         shots = _shoot_batch(model, 0.1, [0.6], (0.0, 1.0), n_steps, "p0", REFINED_DENSITY)
         assert shots.flags[0] != "infeasible"
-        coarse = [(481, -(-n_steps // 8)), (481, -(-n_steps // 4))]
-        if n_steps <= 4:
+        coarse = _coarse_sweeps(n_steps)
+        if coarse[0] == coarse[1]:
             assert shots.method[0] == "newton"
             assert shots.sweeps[0] == (481, n_steps)
             assert all(sweep == (3, n_steps) for sweep in shots.sweeps[1:])
@@ -907,6 +953,34 @@ class TestDenseFlags:
             # no sign change: the root is a scanned candidate whose residual is within tol
             unit = dynamics._momentum_unit(model, start) if shoot_on == "p0" else 1.0
             assert shots.roots[0] in dynamics._scan_candidates() * unit
+
+
+    @settings(max_examples=40)
+    @given(
+        name=st.sampled_from(["quartic", "drift", "soft-oscillator"]),
+        log_mass=st.floats(-3.0, 5.0),
+        kind=st.sampled_from(["position-type", "momentum-type"]),
+        start=st.floats(-0.5, 0.5),
+        end=st.floats(-1.0, 1.0),
+        t=st.floats(0.2, 2.0),
+        strength=st.floats(0.01, 1.0),
+        n_steps=st.integers(20, 2000),
+    )
+    # the quartic momentum window of TestRefinedScan, which routes on rows of 31 and 44
+    @example(name="quartic", log_mass=3.0, kind="momentum-type", start=0.3, end=-0.3,
+             t=0.45 * math.pi, strength=0.1, n_steps=500)
+    def test_degenerate_with_a_steep_end_means_several_dense_sign_changes(
+            self, name, log_mass, kind, start, end, t, strength, n_steps):
+        # the converse: a routed solve reads the count on its coarse rows, yet a flag it
+        # raises for several roots holds on the N-step dense row too
+        model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
+        shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on, REFINED_DENSITY)
+        if shots.flags[0] != "conjugate-degenerate":
+            return
+        J = _jacobi_field(model, shoot_on, start, shots.roots[0], t, n_steps)
+        # well clear of flat, so the difference quotient cannot decide it
+        if abs(J[-1]) > 100.0 * dynamics.SENSITIVITY_TOL * np.max(np.abs(J)):
+            assert _dense_sign_changes(model, start, end, t, n_steps, shoot_on) > 1
 
 
 def _sho_p0(mass, omega, q0, q1, t):
