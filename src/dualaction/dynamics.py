@@ -17,18 +17,20 @@ evaluators:
   costs a few sweeps rather than a few per lane: a scan with
   Chebyshev-Lobatto refinement for single solves, then Newton.  A sweep
   is bound by per-step overhead, so the single solve's scan carries 481
-  lanes at little more cost than 33.  The same scan on N/16 and N/8
-  steps places the bracket, reads what the flag needs and predicts the
-  root by Richardson extrapolation.  Where both coarse scans put the
-  nearest root in the same interval and agree on whether there are
-  several, Newton on the whole N-step trajectory takes over from the
-  prediction: each iteration is one vectorized RK4 step from every node,
-  its exact Jacobian and a doubling scan of the linearized steps, so the
-  solve runs 3/16 of a sweep's worth of loop steps.  Otherwise the
-  N-step scan carries the predicted lanes too, so the prediction is
-  Newton's first iterate at no sweep of its own: when it meets a
-  tolerance a thousand times tighter, the solve is done in 1 3/16
-  sweeps' worth of steps, and otherwise Newton steps on from it.
+  lanes at little more cost than 33.  The same scan on coarse rows of
+  N/8, N/16, ... steps places the bracket, reads what the flag needs and
+  predicts the root by Richardson extrapolation.  The rows, down to 16
+  steps, run from the coarsest up, so their cost follows the dynamics
+  rather than N.  At the first pair of rows that put the nearest root in
+  the same interval and agree on whether there are several, Newton on
+  the whole N-step trajectory takes over from the prediction: each
+  iteration is one vectorized RK4 step from every node, its exact
+  Jacobian and a doubling scan of the linearized steps, so a solve that
+  routes on the first pair runs 47 to 90 loop steps in all.  Past the
+  top pair, N/16 and N/8, the N-step scan carries the predicted lanes
+  too, so the prediction is Newton's first iterate at no sweep of its
+  own: when it meets a tolerance a thousand times tighter, the solve is
+  done, and otherwise Newton steps on from it.
 
 ``integrate_ivp`` always runs the loop; it is the reference the affine
 evaluator is tested against.
@@ -56,11 +58,11 @@ _SETTLED = 64
 FD_REL_STEP = 1e-6
 # Chebyshev-Lobatto subintervals per scan interval of a single-target solve:
 # one sweep is bound by per-step overhead, so 481 lanes cost little more than 33,
-# and the same lanes on ceil(N/16) and ceil(N/8) steps place the bracket, set the
-# flag and predict the root
+# and the same lanes on coarse rows of ceil(N/8), ceil(N/16), ... steps place the
+# bracket, set the flag and predict the root
 REFINED_DENSITY = 15
-# N / these are the step counts of the two coarse scans of a single-target solve
-COARSE_DIVISORS = (16, 8)
+# fewest steps of a coarse row below the top pair, ceil(N/16) and ceil(N/8)
+_LADDER_FLOOR = 16
 # a predicted root stands when its residual is within this share of the tolerance
 _PREDICTION_GATE = 1e-3
 
@@ -121,8 +123,9 @@ class ShootingReport:
     method: str = "affine"  # affine | trajectory | predicted | newton: how the root was found
     sweeps: tuple = ()  # (lanes, steps) of each RK4 sweep, in the order run
     iterations: int = 0  # trajectory Newton iterations (method 'trajectory'), else 0
-    # sign changes of the residual over the scan row the flag read: the ceil(N/8) dense row
-    # on the trajectory route, else the N-step one (dense for a non-affine field)
+    # sign changes of the residual over the scan row the flag read: the finer dense row of
+    # the routing pair on the trajectory route, else the N-step one (dense for a non-affine
+    # field)
     sign_changes: int = 0
 
     @property
@@ -409,7 +412,7 @@ def _refine(nodes, res, bracketed):
     node pair with the residual at lo, each to be used where refined.
     """
     cols = np.arange(res.shape[1])
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # an overflowing product keeps its sign
         change = res[:-1] * res[1:] < 0
     refined = bracketed & np.all(np.isfinite(res), axis=0) & (change.sum(axis=0) == 1)
     k = np.argmax(change, axis=0)
@@ -446,6 +449,17 @@ def _refine(nodes, res, bracketed):
     return refined, x, lo, hi, r_lo
 
 
+def _coarse_rows(n_steps, ladder):
+    """Step counts of a dense solve's coarse scan rows, coarsest first: ceil(N/16)
+    and ceil(N/8), and with ladder ceil(N/32), ceil(N/64), ... below them, down
+    to the last of at least _LADDER_FLOOR steps."""
+    rows, d = [], 8
+    while d <= 16 or (ladder and -(-n_steps // d) >= _LADDER_FLOOR):
+        rows.insert(0, -(-n_steps // d))
+        d *= 2
+    return rows
+
+
 def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density):
     """Shoot a family of endpoint targets: one scan, then the roots.
 
@@ -470,31 +484,36 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
       sign once narrows to the node pair around the root of their
       interpolant, the refined guess (_refine); density 1 is the plain
       scan with the regula-falsi guess.  A dense scan on N > 8 steps
-      first runs on n_c = ceil(N/16) and on n_f = ceil(N/8) steps
-      (COARSE_DIVISORS), whose refined guesses x_c and x_f have an RK4
-      error falling as n^-4, so Richardson extrapolation predicts
-      x^ = (w x_f - x_c) / (w - 1) with w = (n_f / n_c)^4.  The coarse
-      rows need only place the bracket and give what the flag reads.  So
-      where both put their sign change nearest 0 in the same candidate
-      interval, agree on whether they change sign more than once, and x^
-      lies in the ceil(N/8) node pair, no N-step sweep runs:
-      _trajectory_newton solves the whole N-step trajectory from x^,
-      seeded by the paths of that interval's density + 1 lanes, which the
-      ceil(N/8) sweep kept (_seed_path), and brackets, refinement and sign
-      changes come from the ceil(N/8) rows (method 'trajectory': n_c + n_f
-      loop steps).  That route falls back to the next one, as if never
-      tried, when the model lacks a second partial or the iteration does
-      not converge inside the ceil(N/8) node pair.  Otherwise brackets,
-      refinement and sign changes come from the N-step lanes, and each
-      Newton iterate integrates the lanes x, x + h and x - h; the outer
-      pair gives J(t) = (E+(t) - E-(t)) / 2h, whose final value is the
-      Newton slope, and the centre lanes' paths are kept.  The first
-      iterate is x^ where x^ lies in the node pair _refine picked and its
-      residual is finite: the N-step scan sweep carries its lanes, so it
-      costs no sweep of its own, and it stands when
-      |r(x^)| <= _PREDICTION_GATE * tol: the solve has then run
-      n_c + n_f + N loop steps instead of 2N and no sweep of its own
-      (method 'predicted'; 'newton' otherwise).
+      first runs on coarse rows (_coarse_rows): n_c = ceil(N/16) and
+      n_f = ceil(N/8) and, when the model has every second partial, a
+      ladder below them of ceil(N/32), ceil(N/64), ... steps, down to the
+      last of at least _LADDER_FLOOR.  The rows run from the coarsest up,
+      each pairing with the one before it.  A pair's refined guesses x_c
+      and x_f have an RK4 error falling as n^-4, so Richardson
+      extrapolation predicts x^ = (w x_f - x_c) / (w - 1) with
+      w = (n_f / n_c)^4.  The coarse rows need only place the bracket and
+      give what the flag reads.  So at the first pair whose rows put their
+      sign change nearest 0 in the same candidate interval and agree on
+      whether they change sign more than once, and whose x^ lies in the
+      finer row's node pair, no N-step sweep runs: _trajectory_newton
+      solves the whole N-step trajectory from x^, seeded by the paths of
+      that interval's density + 1 lanes, which the finer sweep kept
+      (_seed_path), and brackets, refinement and sign changes come from
+      the finer row (method 'trajectory': the loop steps of the rows
+      run).  A pair that does not pass, or whose iteration does not
+      converge inside the finer node pair, sends the target one rung up.
+      Past the top pair, or on a model that lacks a second partial, the
+      next route runs with the top pair's x^, as if the trajectory route
+      were never tried.  Brackets, refinement and sign changes then come
+      from the N-step lanes, and each Newton iterate integrates the lanes
+      x, x + h and x - h; the outer pair gives
+      J(t) = (E+(t) - E-(t)) / 2h, whose final value is the Newton slope,
+      and the centre lanes' paths are kept.  The first iterate is x^ where
+      x^ lies in the node pair _refine picked and its residual is finite:
+      the N-step scan sweep carries its lanes, so it costs no sweep of its
+      own, and it stands when |r(x^)| <= _PREDICTION_GATE * tol: the
+      solve has then run the coarse rows and N loop steps and no sweep of
+      its own (method 'predicted'; 'newton' otherwise).
       Any other target starts from its refined guess.  A step that
       leaves the bracket bisects it instead, and the iterates stop once
       |residual| <= tol.  A surface's many targets share the plain scan,
@@ -505,8 +524,8 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
     reach tol = SHOOTING_TOL * max(1, |start|, |target|).  A target is
     conjugate-degenerate when |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|
     or the scan changes sign more than once: on every dense row of the
-    last scan when density > 1 (the ceil(N/8) one on the trajectory
-    route), so a root between two candidates counts too.
+    last scan when density > 1 (the routing pair's finer row on the
+    trajectory route), so a root between two candidates counts too.
     """
     if n_steps < 1:
         raise PreconditionError("shooting needs n_steps >= 1")
@@ -579,39 +598,55 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
             return (qe if shoot_on == "p0" else pe), P, Q, widest
 
         grid = np.repeat(nodes[:, None], steps.size, axis=1)
-        n_c, n_f = (-(-n_steps // d) for d in COARSE_DIVISORS)
+        second = _second_partials(model) if sub > 1 else None
+        rows = _coarse_rows(n_steps, ladder=second is not None)
         pred = np.arange(0)
         routed = np.zeros(targets.size, dtype=bool)
-        if sub > 1 and n_f > n_c:  # n_f == n_c for N <= 8 leaves nothing to extrapolate
+        if sub > 1 and rows[-1] > rows[-2]:  # equal rows (N <= 8) leave nothing to extrapolate
+            # each routed target's trajectory solution and its finer row's facts: the results
+            # of _trajectory_newton, then (changes, have_bracket, flags)
+            n_t = targets.size
+            route = [*np.full((2, n_t), np.nan), *np.full((2, n_steps + 1, n_t), np.nan),
+                     *np.full((2, n_t), np.nan), *np.zeros((2, n_t), dtype=int),
+                     np.zeros(n_t, dtype=bool), np.full(n_t, "infeasible", dtype=object)]
+            n_c = rows[0]
             ends_c = sweep(grid, span[first] / n_c, n_c)[0]
             x_c, _, _, _, changes_c, _, _, ok_c, i_c = bracket(ends_c)
-            # the fine sweep keeps the dense lanes of the coarse bracket intervals for the
-            # trajectory seed: contiguous rows of the grid, a single solve's 16 exactly
-            top = i_c.min() * sub
-            ends_f, P_f, Q_f, _ = sweep(grid, span[first] / n_f, n_f,
-                                        keep=slice(top, i_c.max() * sub + sub + 1))
-            x_f, lo_f, hi_f, _, changes_f, have_f, flags_f, ok_f, i_f = bracket(ends_f)
-            w = (n_f / n_c) ** 4
-            pred = np.flatnonzero(ok_c & ok_f)
-            xh = ((w * x_f - x_c) / (w - 1.0))[pred]
-            # of a sign-change count the flag reads only whether it exceeds 1
-            agree = (i_c == i_f) & ((changes_c > 1) == (changes_f > 1))
-            go = agree[pred] & (lo_f[pred] <= xh) & (xh <= hi_f[pred])
-            second = _second_partials(model) if go.any() else None
-            if second is not None:
-                cols = pred[go]
-                seed_lanes = i_c[cols] * sub + np.arange(sub + 1)[:, None]
-                at = slice(None), seed_lanes - top, horizon[cols]
-                seed = _seed_path(nodes[seed_lanes], xh[go], P_f[at], Q_f[at], n_steps)
-                seed[end, 0], seed[1 - end, 0] = start_value, xh[go]
-                solved, *solution = _trajectory_newton(
-                    field, second, seed, 1 - end, targets[cols], tol[cols], dt[cols], lo_f[cols],
-                    hi_f[cols])
-                routed[cols[solved]] = True
-                pred, xh = pred[~routed[pred]], xh[~routed[pred]]
-        if routed.any() and routed.all():  # cols is then every target, in order
-            roots, residuals, P, Q, j_end, j_max, iterations = solution
-            changes, have_bracket, flags = changes_f, have_f, flags_f
+            for n_f in rows[1:]:
+                # the finer sweep keeps the dense lanes of the coarser row's bracket intervals
+                # for the trajectory seed: contiguous rows of the grid, a single solve's 16
+                live = i_c[~routed]
+                top = live.min() * sub
+                ends_f, P_f, Q_f, _ = sweep(grid, span[first] / n_f, n_f,
+                                            keep=slice(top, live.max() * sub + sub + 1))
+                x_f, lo_f, hi_f, _, changes_f, have_f, flags_f, ok_f, i_f = bracket(ends_f)
+                w = (n_f / n_c) ** 4
+                pred = np.flatnonzero(ok_c & ok_f & ~routed)
+                xh = ((w * x_f - x_c) / (w - 1.0))[pred]
+                # of a sign-change count the flag reads only whether it exceeds 1
+                agree = (i_c == i_f) & ((changes_c > 1) == (changes_f > 1))
+                go = agree[pred] & (lo_f[pred] <= xh) & (xh <= hi_f[pred])
+                if second is not None and go.any():
+                    cols = pred[go]
+                    seed_lanes = i_c[cols] * sub + np.arange(sub + 1)[:, None]
+                    at = slice(None), seed_lanes - top, horizon[cols]
+                    seed = _seed_path(nodes[seed_lanes], xh[go], P_f[at], Q_f[at], n_steps)
+                    seed[end, 0], seed[1 - end, 0] = start_value, xh[go]
+                    solved, *solution = _trajectory_newton(
+                        field, second, seed, 1 - end, targets[cols], tol[cols], dt[cols],
+                        lo_f[cols], hi_f[cols])
+                    done = cols[solved]
+                    for mine, theirs in zip(route, solution):
+                        mine[..., done] = theirs[..., solved]
+                    for mine, theirs in zip(route[7:], (changes_f, have_f, flags_f)):
+                        mine[done] = theirs[done]
+                    routed[done] = True
+                    pred, xh = pred[~routed[pred]], xh[~routed[pred]]
+                if routed.all():
+                    break
+                n_c, x_c, changes_c, ok_c, i_c = n_f, x_f, changes_f, ok_f, i_f
+        if routed.any() and routed.all():
+            roots, residuals, P, Q, j_end, j_max, iterations, changes, have_bracket, flags = route
             method = np.full(targets.size, "trajectory")
         else:
             if pred.size:
@@ -639,13 +674,9 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
                 sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, ~routed, seeds)
             iterations = np.zeros(targets.size, dtype=int)
             if routed.any():
-                done = cols[solved]
-                for mine, theirs in zip((roots, residuals, P, Q, j_end, j_max, iterations),
-                                        solution):
-                    mine[..., done] = theirs[..., solved]
-                for mine, theirs in zip((changes, have_bracket, flags),
-                                        (changes_f, have_f, flags_f)):
-                    mine[done] = theirs[done]
+                for mine, theirs in zip((roots, residuals, P, Q, j_end, j_max, iterations,
+                                         changes, have_bracket, flags), route):
+                    mine[..., routed] = theirs[..., routed]
                 method = np.where(routed, "trajectory", method)
         kept = dict(end=np.stack([P[-1], Q[-1]]), swept=(P, Q), sweeps=tuple(sweeps),
                     method=method, iterations=iterations)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -524,17 +525,16 @@ def _newton_from_refined_guess(patch):
     patch.setattr(dynamics, "_newton", unseeded)
 
 
-def _coarse_sweeps(n_steps):
-    """(lanes, steps) of a single solve's two coarse scan sweeps: the 481 dense lanes
-    on ceil(N / d) steps for each of dynamics.COARSE_DIVISORS."""
-    return [(481, -(-n_steps // d)) for d in dynamics.COARSE_DIVISORS]
-
-
-def _scan_steps(n_steps, method):
-    """RK4 loop steps of a solve whose root was found on its whole trajectory (the
-    two coarse scans) or whose predicted root stands (the N-step scan too)."""
-    coarse = sum(steps for _, steps in _coarse_sweeps(n_steps))
-    return coarse if method == "trajectory" else coarse + n_steps
+def _ladder(n_steps, rungs=None):
+    """(lanes, steps) of a dense single solve's coarse scan sweeps, coarsest first, up to
+    its rungs-th pair of rows (all of them when rungs is None): the 481 dense lanes on
+    ceil(N / 2^k) steps, k = 3, 4, ..., for the top pair ceil(N/16), ceil(N/8) and every
+    row below it of at least 16 steps.  Each row pairs with the one before it."""
+    rows, d = [], 8
+    while d <= 16 or -(-n_steps // d) >= 16:
+        rows.insert(0, (481, -(-n_steps // d)))
+        d *= 2
+    return rows if rungs is None else rows[:rungs + 1]
 
 
 def _on_the_scan_route(patch):
@@ -553,15 +553,17 @@ def _same_shots(got, want):
 
 class TestRefinedScan:
     """Single-target solves of non-affine fields refine the scan with
-    Chebyshev-Lobatto lanes, and the same scan on ceil(N/16) and ceil(N/8)
-    steps places the bracket, reads the flag's facts and predicts the
-    root.  Where both coarse rows put the sign change nearest 0 in the same
-    bracket interval, agree on whether there is more than one and the
-    prediction lies in the ceil(N/8) node pair, Newton on the whole N-step
-    trajectory solves from the prediction and no N-step sweep runs.
-    Otherwise the N-step scan sweeps the prediction as Newton's first
-    iterate, which stands or which Newton continues from; Newton starts
-    from the refined guess only when there is no prediction."""
+    Chebyshev-Lobatto lanes, and the same scan on coarse rows places the
+    bracket, reads the flag's facts and predicts the root.  The rows run
+    from the coarsest up, ceil(N/2^k) steps down to 16 and at least the
+    pair ceil(N/16), ceil(N/8).  At the first pair of rows that put the
+    sign change nearest 0 in the same bracket interval, agree on whether
+    there is more than one and hold the prediction in the finer row's node
+    pair, Newton on the whole N-step trajectory solves from the prediction
+    and no N-step sweep runs.  Past the top pair, the N-step scan sweeps
+    the prediction as Newton's first iterate, which stands or which Newton
+    continues from; Newton starts from the refined guess only when there
+    is no prediction."""
 
     # (model, boundary kind, start, end, horizon, n_steps): the quartic windows are
     # the benchmark's fixed paths cells, the soft-oscillator ones are drawn from its ranges;
@@ -579,23 +581,28 @@ class TestRefinedScan:
         "drift-momentum": (ENGINE_MODELS["drift"], "momentum-type", 0.1, 0.5, 1.0, 500),
         "heavy-quartic-position": (lambda: _anharmonic(1e2, 0.1), "position-type", 0.0, -1.0,
                                    1.83, 300),
+        # omega t = 22.5: too fast for the coarsest rows, so the solve climbs the ladder
+        "fast-soft-oscillator-momentum": (lambda: _soft_oscillator(1.0, 10.0), "momentum-type",
+                                          0.3, -0.5, 2.25, 2000),
     }
     # how each root is found and the (lanes, steps) of every sweep: the 481 dense lanes on
-    # the two coarse step counts.  Where their rows put the sign change nearest 0 in the same
-    # interval and agree on whether there is more than one (sign changes on ceil(N/16) and
-    # ceil(N/8) steps: quartic position 23/23, quartic momentum 31/44, soft oscillators 1/1,
-    # drift position 7/7, drift momentum 11/14) the trajectory Newton finishes with no
-    # sweep.  The heavy quartic window's rows agree too (29/23), but its trajectory Newton
-    # does not settle within MAX_TRAJECTORY_ITER, so the N-step scan sweeps x^ and x^ +- h
-    # too; x^ misses the gate (20 tol), so Newton continues from it
+    # the coarse rows, from the coarsest up.  Where a pair of rows puts the sign change
+    # nearest 0 in the same interval and agrees on whether there is more than one the
+    # trajectory Newton finishes with no sweep; the windows with N > 480 do so at the first
+    # rung, 16 and 32 steps (sign changes: quartic position 29/23, quartic momentum 19/31,
+    # soft oscillators 1/1, drift position 5/7, drift momentum 9/11).  The heavy quartic
+    # window (N = 300) has only the pair of 19 and 38 steps, whose rows agree (29/23), but
+    # its trajectory Newton does not settle within MAX_TRAJECTORY_ITER, so the N-step scan
+    # sweeps x^ and x^ +- h too; x^ misses the gate (20 tol), so Newton continues from it
     SWEEPS = {
-        "quartic-position": ("trajectory", _coarse_sweeps(1000)),
-        "quartic-momentum": ("trajectory", _coarse_sweeps(500)),
-        "soft-oscillator-position": ("trajectory", _coarse_sweeps(2000)),
-        "soft-oscillator-momentum": ("trajectory", _coarse_sweeps(2000)),
-        "drift-position": ("trajectory", _coarse_sweeps(500)),
-        "drift-momentum": ("trajectory", _coarse_sweeps(500)),
-        "heavy-quartic-position": ("newton", _coarse_sweeps(300) + [(484, 300), (3, 300)]),
+        "quartic-position": ("trajectory", _ladder(1000, 1)),
+        "quartic-momentum": ("trajectory", _ladder(500, 1)),
+        "soft-oscillator-position": ("trajectory", _ladder(2000, 1)),
+        "soft-oscillator-momentum": ("trajectory", _ladder(2000, 1)),
+        "drift-position": ("trajectory", _ladder(500, 1)),
+        "drift-momentum": ("trajectory", _ladder(500, 1)),
+        "heavy-quartic-position": ("newton", _ladder(300) + [(484, 300), (3, 300)]),
+        "fast-soft-oscillator-momentum": ("trajectory", _ladder(2000, 3)),
     }
 
     @pytest.mark.parametrize("case", sorted(SOLVES))
@@ -622,13 +629,12 @@ class TestRefinedScan:
             assert 1 <= rep.iterations <= dynamics.MAX_TRAJECTORY_ITER
         else:
             assert rep.iterations == 0
-        # the count the flag read: on the finer coarse row when routed, else on the N-step row
-        flag_row = sweeps[1][1] if method == "trajectory" else n_steps
+        # the count the flag read: on the routing pair's finer row, else on the N-step row
+        flag_row = sweeps[-1][1] if method == "trajectory" else n_steps
         shoot_on = "p0" if kind == "position-type" else "q0"
         assert rep.sign_changes == _dense_sign_changes(build(), start, end, t, flag_row, shoot_on)
         if method in ("trajectory", "predicted"):
             assert rep.residual <= 1e-3 * tol
-            assert sum(steps for _, steps in rep.sweeps) == _scan_steps(n_steps, method)
 
     def test_turned_away_prediction_seeds_newton(self, monkeypatch):
         # the heavy quartic window falls back and |r(x^)| = 1.95e-8 misses the gate, so the
@@ -654,10 +660,12 @@ class TestRefinedScan:
         assert newton_lanes[0, 0] == x_hat - r_hat * (2.0 * h) / (ends[-2] - ends[-1])
         assert rep.parameter == newton_lanes[0, 0]
 
-    def test_quartic_momentum_window_routes_with_the_forced_flag(self):
-        # its coarse rows change sign 31 and 44 times: they differ in count but agree that
-        # there is more than one, so the solve routes, with the forced route's flag and root
-        build, kind, start, end, t, n_steps = self.SOLVES["quartic-momentum"]
+    # the quartic momentum window's rows of 16 and 32 steps change sign 19 and 31 times:
+    # they differ in count but agree that there is more than one, so the solve routes at the
+    # first rung; the fast soft-oscillator window climbs to the third
+    @pytest.mark.parametrize("case", ["quartic-momentum", "fast-soft-oscillator-momentum"])
+    def test_momentum_window_routes_with_the_forced_flag(self, case):
+        build, kind, start, end, t, n_steps = self.SOLVES[case]
         model = build()
 
         def shoot():
@@ -682,17 +690,55 @@ class TestRefinedScan:
         end=st.floats(-1.0, 1.0),
         t=st.floats(0.2, 2.0),
         strength=st.floats(0.01, 1.0),
+        n_steps=st.integers(481, 2000),
     )
+    def test_ladder_keeps_the_forced_flag(self, name, log_mass, kind, start, end, t, strength,
+                                          n_steps):
+        # above N = 480 the coarse rows form a ladder of more than one pair; wherever the solve
+        # leaves it, its flag is the forced N-step route's, and so is a unique root
+        model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
+        shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on, REFINED_DENSITY)
+        with pytest.MonkeyPatch.context() as patch:
+            _on_the_scan_route(patch)
+            forced = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
+                                  REFINED_DENSITY)
+        coarse = [sweep for sweep in shots.sweeps if sweep[1] < n_steps]
+        assert coarse == _ladder(n_steps, len(coarse) - 1)
+        assert shots.flags[0] == forced.flags[0]
+        if shots.flags[0] == "unique":
+            tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
+            slope = _endpoint_slope(model, shoot_on, start, forced.roots[0], t, n_steps)
+            assert abs(shots.roots[0] - forced.roots[0]) * abs(slope) <= 2.0 * tol
+
+    @settings(max_examples=30)
+    @given(
+        name=st.sampled_from(["quartic", "drift", "soft-oscillator"]),
+        log_mass=st.floats(-3.0, 5.0),
+        kind=st.sampled_from(["position-type", "momentum-type"]),
+        start=st.floats(-0.5, 0.5),
+        end=st.floats(-1.0, 1.0),
+        t=st.floats(0.2, 2.0),
+        strength=st.floats(0.01, 1.0),
+    )
+    # the dense rows change sign 11 and 19 times on 13 and 25 steps and 51 times on 200, the
+    # plain scan once: dense says conjugate-degenerate where plain says unique
+    @example(name="quartic", log_mass=0.0, kind="momentum-type", start=0.0, end=1.0, t=1.5,
+             strength=0.9375)
     def test_dense_and_plain_scans_find_the_same_root(self, name, log_mass, kind, start, end, t,
                                                       strength):
+        # the dense rows hold the plain scan's candidates and see roots between them too, so
+        # several roots on the plain scan are several on the dense one, and a root each calls
+        # unique is the same root
         model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
         dense = _shoot_batch(model, start, [end], (0.0, t), 200, shoot_on, REFINED_DENSITY)
         plain = _shoot_batch(model, start, [end], (0.0, t), 200, shoot_on, 1)
-        assert dense.flags[0] == plain.flags[0]
-        if dense.flags[0] == "infeasible":
-            return
+        if plain.flags[0] == "conjugate-degenerate":
+            assert dense.flags[0] == "conjugate-degenerate"
         tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
-        assert abs(dense.residuals[0]) <= tol and abs(plain.residuals[0]) <= tol
+        for solve in (dense, plain):
+            assert solve.flags[0] == "infeasible" or abs(solve.residuals[0]) <= tol
+        if not dense.flags[0] == plain.flags[0] == "unique":
+            return
         # the same root as far as the endpoint resolves it: within tol of each other
         # once mapped by the endpoint's slope dE/dx (light masses make it small)
         slope = _endpoint_slope(model, shoot_on, start, plain.roots[0], t, 200)
@@ -725,10 +771,14 @@ class TestRefinedScan:
         assert reference.method[0] == "newton"
         assert shots.flags[0] == newton.flags[0] == reference.flags[0]
         # found on its trajectory exactly when the solve ran no sweep after the coarse scans,
-        # predicted exactly when it ran none after the N-step scan sweep
+        # predicted exactly when it ran one; a solve that leaves the ladder climbed all of it
         for solve in (shots, newton):
-            assert (solve.method[0] == "trajectory") == (len(solve.sweeps) == 2)
-            assert (solve.method[0] == "predicted") == (len(solve.sweeps) == 3)
+            coarse = [sweep for sweep in solve.sweeps if sweep[1] < n_steps]
+            after = len(solve.sweeps) - len(coarse)
+            assert coarse == _ladder(n_steps, len(coarse) - 1)
+            assert (solve.method[0] == "trajectory") == (after == 0)
+            assert (solve.method[0] == "predicted") == (after == 1)
+            assert after == 0 or coarse == _ladder(n_steps)
         if shots.method[0] == "newton":
             # turned away at the gate, the solve steps on from x^ just as at gate 0
             assert _same_shots(shots, newton)
@@ -737,7 +787,6 @@ class TestRefinedScan:
         tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
         if shots.method[0] in ("trajectory", "predicted"):
             assert abs(shots.residuals[0]) <= 1e-3 * tol
-            assert sum(steps for _, steps in shots.sweeps) == _scan_steps(n_steps, shots.method[0])
         slope = _endpoint_slope(model, shoot_on, start, reference.roots[0], t, n_steps)
         for solve in (shots, newton, reference):
             assert abs(solve.residuals[0]) <= tol
@@ -819,9 +868,11 @@ class TestRefinedScan:
         assert np.max(np.abs(Q - path.q)) <= 1e-13 * scale
 
     def test_missing_partials_and_overflowing_products_fall_back(self, monkeypatch):
-        # the soft-oscillator position window routes with every second partial; without
-        # H_qq, or with one so large that the prefix products of the step Jacobians
-        # overflow, the solve falls back to the N-step scan route with its numbers exactly
+        # the soft-oscillator position window routes at the first rung with every second
+        # partial.  With an H_qq so large that the prefix products of the step Jacobians
+        # overflow, the trajectory Newton fails on every rung, and the solve climbs the whole
+        # ladder to the N-step scan route with its numbers exactly.  Without H_qq there is no
+        # trajectory route and no ladder: only the top pair of rows runs, to the same numbers
         _, _, start, end, t, n_steps = self.SOLVES["soft-oscillator-position"]
         full = _soft_oscillator(1e2, 1.1)
         stiff = HamiltonianModel.general(full.evaluator, partials={
@@ -844,12 +895,14 @@ class TestRefinedScan:
             scanned = shoot(full)
         assert scanned.method[0] == "predicted"
         del attempts[:]
-        assert _same_shots(shoot(_soft_oscillator(1e2, 1.1, lacking={(0, 2)})), scanned)
+        lacking = shoot(_soft_oscillator(1e2, 1.1, lacking={(0, 2)}))
         assert attempts == []
+        assert list(lacking.sweeps) == _ladder(n_steps)[-2:] + [(484, n_steps)]
+        assert _same_shots(lacking, dataclasses.replace(scanned, sweeps=lacking.sweeps))
         assert _same_shots(shoot(stiff), scanned)
-        assert len(attempts) == 1 and not np.any(attempts[0])
+        assert len(attempts) == len(_ladder(n_steps)) - 1 and not np.any(attempts)
 
-    @pytest.mark.parametrize("n_steps", range(1, 2 * dynamics.COARSE_DIVISORS[-1] + 1))
+    @pytest.mark.parametrize("n_steps", range(1, 17))
     @pytest.mark.parametrize("name", ["quartic", "soft-oscillator"])
     def test_few_steps_predict_only_when_the_coarse_scans_differ(self, name, n_steps):
         # at N <= 8 both coarse scans would take one step and Richardson's weight w - 1 is
@@ -858,7 +911,7 @@ class TestRefinedScan:
         model = _anharmonic(1.0, 0.1) if name == "quartic" else _soft_oscillator()
         shots = _shoot_batch(model, 0.1, [0.6], (0.0, 1.0), n_steps, "p0", REFINED_DENSITY)
         assert shots.flags[0] != "infeasible"
-        coarse = _coarse_sweeps(n_steps)
+        coarse = _ladder(n_steps)
         if coarse[0] == coarse[1]:
             assert shots.method[0] == "newton"
             assert shots.sweeps[0] == (481, n_steps)
@@ -966,7 +1019,8 @@ class TestDenseFlags:
         strength=st.floats(0.01, 1.0),
         n_steps=st.integers(20, 2000),
     )
-    # the quartic momentum window of TestRefinedScan, which routes on rows of 31 and 44
+    # the quartic momentum window of TestRefinedScan, which routes on rows of 16 and 32 steps
+    # with 19 and 31 sign changes
     @example(name="quartic", log_mass=3.0, kind="momentum-type", start=0.3, end=-0.3,
              t=0.45 * math.pi, strength=0.1, n_steps=500)
     def test_degenerate_with_a_steep_end_means_several_dense_sign_changes(
@@ -1030,6 +1084,8 @@ class TestUnitInvariance:
     # a cubic-dominated V: the scan sees two brackets, so both solves are degenerate
     @example(log_mass=math.log10(1.022), c2=-0.0163, c13=0.269, c4=1e-5, q1=0.5, t=1.2071,
              log_lam=1.0)
+    # the coarse rows of 16 and 32 steps hold residuals whose products overflow
+    @example(log_mass=-0.5, c2=1.0, c13=-0.375, c4=0.0, q1=-1.0, t=1.5, log_lam=0.0)
     def test_scaling_mass_and_potential_scales_p_s_and_r(self, log_mass, c2, c13, c4, q1, t,
                                                          log_lam):
         # H = p^2/2(lam m) + lam V(q) has the q-paths of lam = 1 with p = lam p_1,
