@@ -26,7 +26,8 @@ evaluators:
   the whole N-step trajectory takes over from the prediction: each
   iteration is one vectorized RK4 step from every node, its exact
   Jacobian and a doubling scan of the linearized steps, so a solve that
-  routes on the first pair runs 47 to 90 loop steps in all.  Past the
+  routes on the first pair runs, for N > 480, 47 to 90 loop steps in all,
+  and otherwise ceil(N/16) + ceil(N/8).  Past the
   top pair, N/16 and N/8, the N-step scan carries the predicted lanes
   too, so the prediction is Newton's first iterate at no sweep of its
   own: when it meets a tolerance a thousand times tighter, the solve is

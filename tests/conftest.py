@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -39,8 +37,8 @@ def smooth_fourier_path(seed, n_intervals, t_span=(0.0, 1.0), amplitude=0.25, mo
     return t, p, q
 
 
-# property tests draw the same examples on every run; HYPOTHESIS_PROFILE=random draws fresh
-# ones, to search for the draws a fixed set misses
+# property tests draw the same examples on every run; pytest --hypothesis-profile=random
+# draws fresh ones, to search for the draws a fixed set misses
 settings.register_profile("derandomized", derandomize=True, deadline=None)
 settings.register_profile("random", deadline=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
+settings.load_profile("derandomized")

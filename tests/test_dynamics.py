@@ -457,19 +457,40 @@ class TestAffineBranch:
 @pytest.mark.parametrize("name", ["quartic", "soft-oscillator"])
 def test_scan_per_distinct_horizon_equals_per_target_solves(name, shoot_on, density):
     # non-affine models scan once per distinct horizon; lanes stay independent
-    model = ENGINE_MODELS[name]()
     targets = np.array([0.2, 0.5, -0.3, 0.2, 0.9, 0.1, -0.6])
     horizons = np.array([0.6, 0.6, 1.1, 1.1, 0.6, 1.4, 1.1])
-    batch = _shoot_batch(model, 0.1, targets, (0.0, horizons), 300, shoot_on, density)
+    _batch_and_single_solves(ENGINE_MODELS[name](), targets, horizons, 300, shoot_on, density)
+
+
+@pytest.mark.parametrize("shoot_on", ["p0", "q0"])
+def test_ladder_batch_equals_per_target_solves(shoot_on):
+    # omega t from 6 to 30 at N = 2000: in one batch, targets route on different rungs of
+    # the coarse ladder and (position-type) some fall back to the N-step scan
+    targets = np.array([0.2, 0.5, -0.3, 0.2, -0.5, 0.1, -0.6, 0.4])
+    horizons = np.array([0.6, 0.6, 1.1, 1.4, 2.25, 2.25, 3.0, 4.0])
+    singles = _batch_and_single_solves(_soft_oscillator(1.0, 10.0), targets, horizons, 2000,
+                                       shoot_on, REFINED_DENSITY)
+    rungs = {(one.method[0], len(one.sweeps)) for one in singles if one.method[0] == "trajectory"}
+    assert len(rungs) > 1
+    assert ("newton" in {one.method[0] for one in singles}) == (shoot_on == "p0")
+
+
+def _batch_and_single_solves(model, targets, horizons, n_steps, shoot_on, density):
+    """Shoot targets in one batch and one by one; the batch's results equal the single
+    solves' bit for bit.  Returns the single solves."""
+    batch = _shoot_batch(model, 0.1, targets, (0.0, horizons), n_steps, shoot_on, density)
     assert not np.any(batch.flags == "infeasible")
+    singles = []
     for k in range(targets.size):
-        one = _shoot_batch(model, 0.1, targets[k:k + 1], (0.0, horizons[k:k + 1]), 300,
+        one = _shoot_batch(model, 0.1, targets[k:k + 1], (0.0, horizons[k:k + 1]), n_steps,
                            shoot_on, density)
         assert one.flags[0] == batch.flags[k]
         for got, want in ((one.roots[0], batch.roots[k]),
                           (one.residuals[0], batch.residuals[k]),
                           (one.P[:, 0], batch.P[:, k]), (one.Q[:, 0], batch.Q[:, k])):
             assert np.array_equal(got, want, equal_nan=True)
+        singles.append(one)
+    return singles
 
 
 def _anharmonic(mass, lam):
@@ -528,12 +549,8 @@ def _newton_from_refined_guess(patch):
 def _ladder(n_steps, rungs=None):
     """(lanes, steps) of a dense single solve's coarse scan sweeps, coarsest first, up to
     its rungs-th pair of rows (all of them when rungs is None): the 481 dense lanes on
-    ceil(N / 2^k) steps, k = 3, 4, ..., for the top pair ceil(N/16), ceil(N/8) and every
-    row below it of at least 16 steps.  Each row pairs with the one before it."""
-    rows, d = [], 8
-    while d <= 16 or -(-n_steps // d) >= 16:
-        rows.insert(0, (481, -(-n_steps // d)))
-        d *= 2
+    each row of dynamics._coarse_rows.  Each row pairs with the one before it."""
+    rows = [(481, n) for n in dynamics._coarse_rows(n_steps, ladder=True)]
     return rows if rungs is None else rows[:rungs + 1]
 
 
@@ -734,6 +751,8 @@ class TestRefinedScan:
         plain = _shoot_batch(model, start, [end], (0.0, t), 200, shoot_on, 1)
         if plain.flags[0] == "conjugate-degenerate":
             assert dense.flags[0] == "conjugate-degenerate"
+        # a routed solve always has a bracket, and the dense N-step row holds the plain lanes
+        assert not (dense.flags[0] == "infeasible" and plain.flags[0] != "infeasible")
         tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
         for solve in (dense, plain):
             assert solve.flags[0] == "infeasible" or abs(solve.residuals[0]) <= tol
