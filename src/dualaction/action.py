@@ -37,7 +37,7 @@ def _trapezoid(y):
 def _cumulative_trapezoid(y, dt):
     """Running trapezoid integral of y along axis 0 from its first node, starting at 0."""
     y = np.asarray(y, dtype=float)
-    out = np.zeros(y.shape)
+    out = np.zeros_like(y)  # in y's layout: a column-major block stays one
     np.cumsum(dt * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
     return out
 
@@ -85,16 +85,21 @@ def _grad(y, dt, axis=0):
     return np.gradient(y, 1.0, axis=axis, edge_order=edge) / dt
 
 
-def _integrand(model, P, Q, dt, which):
-    """p q' - H for S (which = 's'), -(q p' + H) for R ('r'), node by node."""
+def _integrand(model, P, Q, dt, which, slope=None):
+    """p q' - H for S (which = 's'), -(q p' + H) for R ('r'), node by node.
+
+    slope is q' for S, p' for R, when the caller has already taken it.
+    """
+    if slope is None:
+        slope = _grad(Q if which == "s" else P, dt)
     if which == "s":
-        return P * _grad(Q, dt) - model.eval(P, Q)
-    return -(Q * _grad(P, dt) + model.eval(P, Q))
+        return P * slope - model.eval(P, Q)
+    return -(Q * slope + model.eval(P, Q))
 
 
-def _action_values(model, P, Q, dt, which):
+def _action_values(model, P, Q, dt, which, slope=None):
     """S or R of one path, or one value per lane of a (nodes, lanes) block, and the rule used."""
-    return _quadrature(_integrand(model, P, Q, dt, which), dt)
+    return _quadrature(_integrand(model, P, Q, dt, which, slope), dt)
 
 
 _FORM_BLOCK = 1 << 15  # integrand entries per block of horizons (256 KB arrays)
@@ -162,18 +167,34 @@ def _mode_basis(times, mode_count, wave):
     return [wave(np.pi * (k + 1) * u) for k in range(mode_count)]
 
 
-def _mode_sum(basis, coeffs):
-    """(nodes, rows) columns sum_k coeffs[j, k] basis[k].
+_ROWS = 16  # rows of every mode-sum product
 
-    The modes are added in k order, as a sum over the modes of one path
-    adds them, so each column equals its row's series bit for bit.  The
-    sum is built row by row, (rows, nodes), and returned transposed.
+
+def _row_products(coeffs, waves):
+    """The products coeffs[lo:lo + _ROWS] @ waves, lo = 0, _ROWS, ..., as (_ROWS, nodes) arrays.
+
+    waves is (modes, nodes), C-contiguous, and the last block of rows is
+    padded with zero rows.  Every product has one shape, so a row's values
+    depend on its own coefficients alone, not on the row count or its
+    block: a (1, k) product would round differently from a row of a
+    (_ROWS, k) one.
     """
-    total = np.zeros((coeffs.shape[0], basis[0].size))
-    term = np.empty_like(total)
-    for k, mode in enumerate(basis):
-        total += np.multiply(coeffs[:, k, None], mode, out=term)
-    return total.T
+    rows = len(coeffs)
+    padded = np.zeros((-(-rows // _ROWS) * _ROWS, coeffs.shape[1]))
+    padded[:rows] = coeffs
+    return (padded[lo:lo + _ROWS] @ waves for lo in range(0, rows, _ROWS))
+
+
+def _mode_sum(waves, coeffs):
+    """(nodes, rows) columns sum_k coeffs[j, k] waves[k], from fixed-shape products (_row_products).
+
+    waves is a (modes, nodes) array or a list of modes.  The columns are a
+    transposed view of the (rows, nodes) products, so each column's nodes
+    are contiguous.
+    """
+    products = list(_row_products(coeffs, np.asarray(waves, dtype=float)))
+    total = products[0] if len(products) == 1 else np.concatenate(products)
+    return total[:len(coeffs)].T
 
 
 _LEGENDRE_BLOCK = 8  # paths per block: 256 KB per array at N = 4000
@@ -183,12 +204,13 @@ def _legendre_residuals(model, amp_p, amp_q, n):
     """|S - R - [pq]| of each sample's smooth path on n intervals of [0, 1].
 
     Sample i has p = 0.3 + sum_k amp_p[i, k] / (k+1)^3 sin(pi (k+1) t) and
-    q = sum_k amp_q[i, k] / (k+1)^3 cos(pi (k+1) t); a value equals the
-    single path's bit for bit.
+    q = sum_k amp_q[i, k] / (k+1)^3 cos(pi (k+1) t), each series a row of
+    fixed-shape products (_mode_sum); a value equals that single path's bit
+    for bit, whatever the sample count.
     """
     tt = np.linspace(0.0, 1.0, n + 1)
-    sines = _mode_basis(tt, amp_p.shape[1], np.sin)
-    cosines = _mode_basis(tt, amp_q.shape[1], np.cos)
+    sines = np.array(_mode_basis(tt, amp_p.shape[1], np.sin))
+    cosines = np.array(_mode_basis(tt, amp_q.shape[1], np.cos))
     c_p = amp_p / np.arange(1, amp_p.shape[1] + 1) ** 3
     c_q = amp_q / np.arange(1, amp_q.shape[1] + 1) ** 3
     out = []

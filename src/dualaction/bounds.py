@@ -31,8 +31,8 @@ from itertools import repeat
 import numpy as np
 
 from .action import (
-    _action_values, _cumulative_trapezoid, _grad, _lane_major, _mode_basis, _mode_sum,
-    _quadrature, _trapezoid, action_r, action_s,
+    _ROWS, _action_values, _cumulative_trapezoid, _grad, _lane_major, _mode_basis, _mode_sum,
+    _quadrature, _row_products, _trapezoid, action_r, action_s,
 )
 from .dynamics import ShootingReport
 from .errors import NotSaddleError, PreconditionError, RootFindError, UnsolvableRestrictionError
@@ -63,14 +63,15 @@ class PerturbationSpec:
             raise PreconditionError("mode_count must be >= 1")
 
 
-# Samples per batched block of a separable model, and rows of a
-# quadratic-form peak product.  A (nodes, block) array of a 1000-interval
-# path is 128 kB, so the few arrays alive at once stay in a 2 MB L2 cache;
-# 16 was the fastest of 8, 16, 24, 32 and 64 samples on a 2-vCPU Xeon VM,
-# at 1000 and 2000 intervals.  For the peaks of 1000 samples of 9 modes at
-# 1000 intervals, one product over all samples took 1.56 ms against 1.19 ms
-# in rows of 16 (1.08-1.52 ms for 8 to 64), and needs an 8 MB array.
-_BLOCK = 16
+# Bytes per (nodes, block) array of a separable model's block.  glibc's
+# malloc serves a request of 128 KiB or more (its initial mmap threshold)
+# with a fresh mmap, which costs a page fault per 4 KB on every block; an
+# array below it is reused from the heap.  That gives 16 samples per block
+# at 1000 intervals (128 128 B) and 8 at 2000, the faster width at each
+# (at 2000 intervals 8 against 16 took 193 vs 242 ms for the S-chain and
+# 117 vs 175 ms for the R-chain of 1000 samples on a 2-vCPU Xeon VM).
+# A separable model's values do not depend on the block width.
+_BLOCK_BYTES = (128 << 10) - 64  # less malloc's chunk header
 # Nodes times samples of a general-kind block: 8 MB per (nodes, block) array
 _GENERAL_BLOCK_POINTS = 1 << 20
 
@@ -78,11 +79,10 @@ _GENERAL_BLOCK_POINTS = 1 << 20
 def _block_size(model, nodes):
     """Samples per block.  A general-kind model steps its restricted IVPs
     through the nodes in a Python loop (_heun) once per block, which costs
-    far more than cache misses, so its blocks are as wide as memory allows:
+    far more than page faults, so its blocks are as wide as memory allows:
     1000 samples of a 1000-interval path are one block."""
-    if model.kind != "general":
-        return _BLOCK
-    return max(_BLOCK, _GENERAL_BLOCK_POINTS // nodes)
+    points = _GENERAL_BLOCK_POINTS if model.kind == "general" else _BLOCK_BYTES // 8
+    return max(1, points // nodes)
 
 
 def _scale(peak, amplitude):
@@ -91,11 +91,11 @@ def _scale(peak, amplitude):
     return np.where(zero, 1.0, amplitude / np.where(zero, 1.0, peak))
 
 
-def _series(basis, amplitude, coeffs):
-    """Columns sum_k coeffs[j, k] basis[k], each scaled to sup-norm amplitude
-    (an all-zero column stays); a constant mode, added last, adds its
-    coefficient exactly."""
-    delta = _mode_sum(basis, coeffs)
+def _series(waves, amplitude, coeffs):
+    """Columns sum_k coeffs[j, k] waves[k], each scaled to sup-norm amplitude
+    (an all-zero column stays); each column is a row of fixed-shape
+    products (_mode_sum), so it does not depend on its block."""
+    delta = _mode_sum(waves, coeffs)
     return delta * _scale(np.max(np.abs(delta), axis=0), amplitude)
 
 
@@ -105,32 +105,44 @@ _NEWTON_MAX_ITER = 60
 def _newton_nodes(f, fprime, x0, tol_scale):
     """Solve f(x, cols) = 0 node by node on a (nodes, columns) array.
 
-    f and fprime take the iterate of the columns cols (an index array)
-    and evaluate those columns alone, so a column costs nothing once it
-    stops.  Each column iterates until all its nodes meet the tolerance,
-    or until a derivative of its own is zero or non-finite, exactly as a
-    solve of that column alone would; tol_scale holds one scale per
-    column.
+    f and fprime take the iterate of the columns cols and evaluate those
+    columns alone, so a column costs nothing once it stops.  cols is
+    slice(None) while every column is live, and the iterate is x itself;
+    once a column stops, cols is an index array and the iterate a compact
+    copy, which gives each stopping column back to x.  Each column iterates
+    until all its nodes meet the tolerance, or until a derivative of its
+    own is zero or non-finite, exactly as a solve of that column alone
+    would; tol_scale holds one scale per column.
     """
     x = np.array(x0, dtype=float)
     converged = np.zeros(x.shape[1], dtype=bool)
-    live = np.arange(x.shape[1])
+    index = np.arange(x.shape[1])
+    live, xl = slice(None), x
+
+    def keep_only(keep):
+        if xl is x:
+            cols = index[keep]
+            return cols, x[:, cols]
+        x[:, live[~keep]] = xl[:, ~keep]
+        return live[keep], xl[:, keep]
+
     for _ in range(_NEWTON_MAX_ITER):
-        xl = x[:, live]
         r = f(xl, live)
         done = np.all(np.abs(r) <= 1e-11 * tol_scale[live], axis=0)
-        converged[live[done]] = True
+        converged[index[live][done]] = True
         if np.all(done):
             break
         if np.any(done):
-            live, xl, r = live[~done], xl[:, ~done], r[:, ~done]
+            (live, xl), r = keep_only(~done), r[:, ~done]
         d = fprime(xl, live)
         ok = np.all((d != 0) & np.isfinite(d), axis=0)
         if not np.all(ok):
-            live, xl, r, d = live[ok], xl[:, ok], r[:, ok], d[:, ok]
+            (live, xl), r, d = keep_only(ok), r[:, ok], d[:, ok]
             if not live.size:
                 break
-        x[:, live] = xl - r / d
+        xl -= r / d
+    if xl is not x:
+        x[:, live] = xl
     if np.all(converged):
         return x
     rest = np.flatnonzero(~converged)
@@ -158,7 +170,11 @@ def pi_from_theta(model: HamiltonianModel, theta, dt):
     iteration (requires H_pp > 0 on the range).
     """
     theta = np.asarray(theta, dtype=float)
-    theta_dot = _grad(theta, dt)
+    return _momentum(model, theta, _grad(theta, dt))
+
+
+def _momentum(model, theta, theta_dot):
+    """pi_from_theta of theta, whose slope theta_dot the caller has taken."""
     if model.kind != "general":
         return model.mass * theta_dot
     hp = model._derivative(1, 0)
@@ -257,7 +273,9 @@ def _value(quadrature):
 def functional_J(model: HamiltonianModel, theta, dt):
     """S evaluated on (Pi(Theta), Theta) with Pi from dTheta/dt = H_p."""
     theta = np.asarray(theta, dtype=float)
-    return _value(_action_values(model, pi_from_theta(model, theta, dt), theta, dt, "s"))
+    theta_dot = _grad(theta, dt)
+    pi = _momentum(model, theta, theta_dot)
+    return _value(_action_values(model, pi, theta, dt, "s", theta_dot))
 
 
 def functional_G(model: HamiltonianModel, pi, dt):
@@ -481,30 +499,31 @@ def _takes_quadratic_form(model):
     return model._quadratic_potential() is not None
 
 
-def _form_values(side, path_values, basis, coeffs, amplitude):
+def _form_values(side, path_values, waves, coeffs, amplitude):
     """Values of side(path_values + the series of each row of coeffs) from one quadratic form.
 
-    basis is (nodes, d).  side is taken to be exactly quadratic in the
-    perturbation basis @ x: with y = x / h, side = v0 + a.y + y.U.y, U
+    waves is (d, nodes).  side is taken to be exactly quadratic in the
+    perturbation waves.T @ x: with y = x / h, side = v0 + a.y + y.U.y, U
     upper triangular.  Polarization reads v0, a and U off the
     1 + 2d + d(d - 1)/2 columns x = 0, +-h e_i and h (e_i + e_j), i < j,
-    evaluated _BLOCK at a time at the samples' own scale h (the amplitude,
+    evaluated _ROWS at a time at the samples' own scale h (the amplitude,
     or 1 when it is 0).  A sample with coefficients c and sup-norm scale s
-    has y = (s / h) c, so it costs its peak, max |basis @ c|, and the form.
-    The peak is one row of a (_BLOCK, d) @ (d, nodes) product, the last
-    block padded with zero rows, and the form is summed term by term over
-    the samples without BLAS: every product has one shape, so a sample's
-    value does not depend on the sample count.  Returns the values and the
-    number of columns evaluated.
+    has y = (s / h) c, so it costs its peak, max |waves.T @ c|, and the
+    form.  The peak is one row of the fixed-shape products that also build
+    a block's series (_row_products), and the form is summed term by term
+    over the samples without BLAS: every product has one shape, so a
+    sample's value does not depend on the sample count.  Returns the
+    values and the number of columns evaluated.
     """
-    d = basis.shape[1]
+    d = len(waves)
+    basis = np.ascontiguousarray(waves.T)
     h = amplitude if amplitude != 0.0 else 1.0
     eye = np.eye(d)
     i, j = np.triu_indices(d, k=1)
     steps = h * np.concatenate([np.zeros((1, d)), eye, -eye, eye[i] + eye[j]])
     f = np.empty(len(steps))
-    for start in range(0, len(steps), _BLOCK):
-        rows = slice(start, start + _BLOCK)
+    for start in range(0, len(steps), _ROWS):
+        rows = slice(start, start + _ROWS)
         f[rows] = side(path_values[:, None] + basis @ steps[rows].T)
     v0, plus, minus = f[0], f[1:d + 1], f[d + 1:2 * d + 1]
     linear = 0.5 * (plus - minus)
@@ -512,13 +531,8 @@ def _form_values(side, path_values, basis, coeffs, amplitude):
     form[i, j] = f[2 * d + 1:] - plus[i] - plus[j] + v0
 
     n = len(coeffs)
-    padded = np.zeros((-(-n // _BLOCK) * _BLOCK, d))
-    padded[:n] = coeffs
-    waves = np.ascontiguousarray(basis.T)
-    peak = np.empty(len(padded))
-    for start in range(0, len(padded), _BLOCK):
-        v = padded[start:start + _BLOCK] @ waves
-        peak[start:start + _BLOCK] = np.maximum(v.max(axis=1), -v.min(axis=1))
+    peak = np.concatenate([np.maximum(v.max(axis=1), -v.min(axis=1))
+                           for v in _row_products(coeffs, waves)])
     r = _scale(peak[:n], amplitude) / h
     c = coeffs.T  # one row per mode
     linear_part = sum(a * ck for a, ck in zip(linear, c))
@@ -602,17 +616,17 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
             theta = _compatibility_shift(model, theta, dt, path.p[0], path.p[-1])
             return functional_Jp(model, theta, dt, path.p[0])
 
-    sines = _mode_basis(path.times, spec.mode_count, np.sin)
+    sines = np.array(_mode_basis(path.times, spec.mode_count, np.sin))
     # the S-chain's free variable also gets a constant mode, a row of ones
     cosines = _mode_basis(path.times, spec.mode_count, np.cos)
-    cosines += [np.ones(path.times.size)] if s_chain else []
+    cosines = np.array(cosines + ([np.ones(path.times.size)] if s_chain else []))
     rng = np.random.default_rng(spec.seed)
     if _takes_quadratic_form(model):
         pinned, free = _draws(rng, spec.mode_count, samples, s_chain)
         upper_values, upper_columns = _form_values(
-            upper, pinned_path, np.stack(sines, axis=1), pinned, spec.amplitude)
+            upper, pinned_path, sines, pinned, spec.amplitude)
         lower_values, lower_columns = _form_values(
-            lower, free_path, np.stack(cosines, axis=1), free, spec.amplitude)
+            lower, free_path, cosines, free, spec.amplitude)
         method, evaluations = "quadratic-form", upper_columns + lower_columns
     else:
         lower_values = np.empty(samples)

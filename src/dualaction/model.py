@@ -83,13 +83,18 @@ def _horner(coeffs):
     """
     coeffs = [float(c) for c in coeffs]
     lead, rest = coeffs[-1], coeffs[-2::-1]
+    later = rest[1:]
 
     def poly(q):
-        value = lead
-        for c in rest:
-            value = value * q
+        if not rest:
+            return lead
+        value = lead * q  # a new array, which the later steps update in place: q is never written
+        if rest[0]:
+            value += rest[0]
+        for c in later:
+            value *= q
             if c:
-                value = value + c
+                value += c
         return value
 
     return poly
@@ -360,6 +365,22 @@ _LAMBDAS = np.arange(0.1, 0.95, 0.1)
 _CHORD_SLACK = 1e-12
 
 
+def _significant(coeffs, size):
+    """Ascending coeffs without the leading terms below rounding of the largest at |q| <= size.
+
+    np.roots divides by the leading coefficient, and a tiny one overflows
+    (V''' = 6 + 1.2e-322 q ended in a LinAlgError).  A term below eps of
+    max |coeffs_k| size^k moves V''' by less than its rounding on the box,
+    and V'' by far less than _CHORD_SLACK.  The terms are compared by
+    their logarithms, which do not overflow on a large box.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    with np.errstate(divide="ignore"):  # a zero coefficient's term is -inf
+        logs = np.log(np.abs(coeffs)) + np.arange(len(coeffs)) * np.log(size)
+    kept = np.flatnonzero(logs > np.max(logs, initial=-np.inf) + np.log(np.finfo(float).eps))
+    return coeffs[:kept[-1] + 1] if kept.size else coeffs[:0]
+
+
 def _axis_flags(model, box, axis):
     """(convex_ok, concave_ok) of H along one axis of the box.
 
@@ -368,7 +389,8 @@ def _axis_flags(model, box, axis):
     real root of V''' (an eigenvalue of its companion matrix, np.roots;
     clipped to the box, any eigenvalue's real part is a point of it), and
     may pass zero by _CHORD_SLACK of sum |V''_k| max(|q_min|, |q_max|)^k.
-    Any other model takes the chord probe.
+    The roots are those of V''' without its terms negligible on the box
+    (_significant).  Any other model takes the chord probe.
     """
     if axis not in ("p-axis", "q-axis"):
         raise PreconditionError(f"axis must be 'p-axis' or 'q-axis', got {axis!r}")
@@ -377,10 +399,11 @@ def _axis_flags(model, box, axis):
     if axis == "p-axis":
         return True, False
     lo, hi = box.q_min, box.q_max
+    size = max(abs(lo), abs(hi))
     v2, v3 = model._vcoeffs[2:]
-    roots = np.clip(np.roots(v3[::-1]).real, lo, hi)
+    roots = np.clip(np.roots(_significant(v3, size)[::-1]).real, lo, hi)
     curvature = _poly(v2)(np.concatenate([[lo, hi], roots]))
-    slack = _CHORD_SLACK * _horner(np.abs(v2))(max(abs(lo), abs(hi)))
+    slack = _CHORD_SLACK * _horner(np.abs(v2))(size)
     return bool(curvature.min() >= -slack), bool(curvature.max() <= slack)
 
 

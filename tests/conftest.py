@@ -37,6 +37,24 @@ def smooth_fourier_path(seed, n_intervals, t_span=(0.0, 1.0), amplitude=0.25, mo
     return t, p, q
 
 
+def padded_row_series(coeffs, waves):
+    """A sample's series as a block builds it: row 0 of the zero-padded
+    (16, k) product of its k coefficients with the (k, nodes) modes.
+
+    A row of that product does not depend on the other rows, so every
+    sample gets this series whatever its block.  It agrees with the modes
+    added in k order, one sample's loop, to a few ulp of the series' peak
+    (at most 4 seen over 2560 draws of 4 to 9 modes on 3 to 4001 nodes).
+    """
+    waves = np.array(waves, dtype=float)
+    padded = np.zeros((16, len(coeffs)))
+    padded[0] = coeffs
+    series = (padded @ waves)[0]
+    looped = sum(c * w for c, w in zip(coeffs, waves))
+    assert np.max(np.abs(series - looped)) <= 8 * np.spacing(np.max(np.abs(looped)))
+    return series
+
+
 # property tests draw the same examples on every run; pytest --hypothesis-profile=random
 # draws fresh ones, to search for the draws a fixed set misses
 settings.register_profile("derandomized", derandomize=True, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -28,6 +29,8 @@ from dualaction import (
 from dualaction.action import _cumulative_trapezoid, _grad, _mode_basis, _quadrature
 from dualaction import bounds
 from dualaction.errors import RootFindError
+
+from conftest import padded_row_series
 
 
 def _random_series(times, amplitude, mode_count, rng, wave, constant=False):
@@ -221,14 +224,18 @@ class TestPerturbationSpec:
 
 # The certificate as a loop over the samples, one Python iteration and
 # one 1-d path per sample, as certify_bounds computed it before it ran
-# in blocks.  The batched certificate must reproduce it.
+# in blocks.  The batched certificate must reproduce it.  A sample's
+# series is the row a block builds for it (padded_row_series), which is
+# within a few ulp of its modes added in k order.
 
 def _ref_series(times, amplitude, mode_count, rng, wave, constant=False):
     u = (times - times[0]) / (times[-1] - times[0])
-    coeffs = rng.normal(size=mode_count)
-    delta = sum(c * wave(np.pi * (k + 1) * u) for k, c in enumerate(coeffs))
+    waves = [wave(np.pi * (k + 1) * u) for k in range(mode_count)]
+    coeffs = list(rng.normal(size=mode_count))
     if constant:
-        delta = delta + rng.normal()
+        waves.append(np.ones_like(u))
+        coeffs.append(rng.normal())
+    delta = padded_row_series(coeffs, waves)
     peak = np.max(np.abs(delta))
     return delta if peak == 0.0 else delta * (amplitude / peak)
 
@@ -424,9 +431,14 @@ def test_blocked_certificate_matches_sample_loop(name, chain, pin, monkeypatch):
     spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=17, pinned=pin)
     lower, upper = reference_values(model, chain, bvp.path, spec, most)
     crit = action_s(model, bvp.path).value if chain == "S-chain" else action_r(model, bvp.path).value
-    for samples in (1, 63, 65, 1000):
+    # at 100 intervals a block holds 162 samples (_block_size); blocks of 16
+    # also split 63 and 65 samples across several blocks and a partial one
+    sized = bounds._block_size
+    for samples, width in itertools.product((1, 63, 65, 1000), (None, 16)):
         if samples > most:
             break
+        monkeypatch.setattr(bounds, "_block_size", sized if width is None else
+                            lambda model, nodes: width)
         cert = certify_bounds(model, chain, bvp, spec, samples)
         assert (cert.method, cert.evaluations) == ("blocked", 2 * samples)
         if name == "general-saddle":
@@ -657,6 +669,27 @@ def test_no_position_restriction_raises(model, chain, pin):
         certify_bounds(model, chain, bvp, spec, 20)
 
 
+def test_separable_block_width_is_set_by_bytes():
+    # a (nodes, block) array stays below glibc's 128 KiB mmap threshold
+    model = REFERENCE_MODELS["anharmonic-saddle"][0]
+    assert [bounds._block_size(model, n + 1) for n in (100, 1000, 2000, 20000)] == [162, 16, 8, 1]
+    assert bounds._block_size(_general_saddle(), 1001) == 1047
+
+
+@pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
+def test_separable_certificate_does_not_depend_on_the_block_width(chain, pin, monkeypatch):
+    # at 2000 intervals _block_size gives 8 samples a block; blocks of 16 give the same values
+    model = REFERENCE_MODELS["anharmonic-saddle"][0]
+    bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 2000)
+    spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=7, pinned=pin)
+    sized = certify_bounds(model, chain, bvp, spec, 40)
+    monkeypatch.setattr(bounds, "_block_size", lambda model, nodes: 16)
+    sixteen = certify_bounds(model, chain, bvp, spec, 40)
+    assert np.array_equal(sized.lower_values, sixteen.lower_values)
+    assert np.array_equal(sized.upper_values, sixteen.upper_values)
+    assert sized.summary() == sixteen.summary()
+
+
 @pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
 def test_general_model_block_equals_blocks_of_sixteen(chain, pin, monkeypatch):
     # a general-kind model runs its samples as one block; the columns stay independent.
@@ -804,8 +837,11 @@ def test_power_sum_shift_meets_the_momentum_end(degree, coeffs, lead, log_mass, 
 ])
 def test_blocked_r_chain_shift_runs_no_momentum_ivp(name, want, monkeypatch):
     # one restricted-momentum IVP per block, for J', and one on the critical
-    # path, for the slack: 40 blocked samples are blocks of 16, 16 and 8, and
-    # the quadratic form evaluates J' on 45 columns, in blocks of 16, 16 and 13
+    # path, for the slack: 40 blocked samples in blocks of 16 (one block at
+    # the 162 samples _block_size gives 100 intervals) are blocks of 16, 16
+    # and 8, and the quadratic form evaluates J' on 45 columns, in blocks of
+    # 16, 16 and 13
+    monkeypatch.setattr(bounds, "_block_size", lambda model, nodes: 16)
     model, n, _ = REFERENCE_MODELS[name]
     bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), n)
     spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=17, pinned="p-pinned")
@@ -844,7 +880,9 @@ def test_constant_force_shift_takes_no_step(model):
 
 def test_node_newton_evaluates_live_columns_only(monkeypatch):
     # G's per-node Newton on a block: converged columns drop out, so fewer
-    # columns reach f than iterations times the block width
+    # columns reach f than iterations times the block width.  Blocks of 16
+    # (not the 162 _block_size gives 100 intervals) make 32 samples two blocks
+    monkeypatch.setattr(bounds, "_block_size", lambda model, nodes: 16)
     model, n, _ = REFERENCE_MODELS["anharmonic-saddle"]
     bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), n)
     spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=17, pinned="q-pinned")
@@ -866,6 +904,67 @@ def test_node_newton_evaluates_live_columns_only(monkeypatch):
     assert [width for width, _ in solves] == [1, 16, 16]  # the slack's critical path, two blocks
     for width, seen in solves[1:]:
         assert sum(seen) < len(seen) * width
+
+
+def _square_root_newton(a, x0):
+    """_newton_nodes on x^2 = a, one column of a (nodes, columns) per solve."""
+    return bounds._newton_nodes(lambda x, k: x * x - a[:, k], lambda x, k: 2.0 * x,
+                                x0, np.ones(a.shape[1]))
+
+
+# x^2 = a from x0, node by node: each column is (a, x0) of two nodes.  From
+# x0 = 2^-17, a = -2^-34, one step lands on x = 0, where the derivative is
+# zero and the miss, 2^-34, is within the final tolerance; from x0 = 1,
+# a = -1 lands on 0 with a miss of 1; a < 0 otherwise has no root, and
+# Newton wanders for all 60 iterations
+NEWTON_COLUMNS = {
+    "quick": ([4.0, 9.0], [1.0, 1.0]),
+    "slow": ([1e4, 2e4], [1.0, 1.0]),
+    "exact": ([2.25, 0.0625], [1.5, 0.25]),
+    "zero-slope": ([-2.0**-34, -2.0**-34], [2.0**-17, 2.0**-17]),
+    "zero-slope-miss": ([4.0, -1.0], [2.0, 1.0]),
+    "no-root": ([-3.0, 4.0], [1.0, 2.0]),
+}
+
+
+def _newton_block(names):
+    a, x0 = (np.array([NEWTON_COLUMNS[name][i] for name in names]).T for i in (0, 1))
+    return a, x0
+
+
+@pytest.mark.parametrize("names", [
+    ["quick", "quick"],  # every column stops at once: the block never leaves the view of x
+    ["slow", "quick", "zero-slope", "slow"],  # the first stops after one step on the view
+    ["slow", "quick", "exact", "zero-slope", "slow"],  # and at once
+])
+def test_node_newton_block_equals_per_column_solves(names):
+    # columns stop at different iterations, for convergence or a zero slope,
+    # and each ends where a solve of it alone, and the 1-d reference, end
+    a, x0 = _newton_block(names)
+    block = _square_root_newton(a, x0)
+    for j in range(len(names)):
+        alone = _square_root_newton(a[:, j:j + 1], x0[:, j:j + 1])[:, 0]
+        ref = _ref_newton(lambda x: x * x - a[:, j], lambda x: 2.0 * x, x0[:, j], 1.0)
+        assert np.array_equal(block[:, j], alone) and np.array_equal(alone, ref), names[j]
+    assert np.array_equal(block[:, names.index("quick")], [2.0, 3.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a zero slope divides by zero in the loop
+@pytest.mark.parametrize("names, node", [
+    (["slow", "zero-slope-miss", "no-root", "quick"], 1),
+    (["slow", "no-root", "zero-slope-miss", "quick"], 0),
+])
+def test_node_newton_block_raises_the_first_failing_columns_node(names, node):
+    # column 1 fails first, at its own failing node, as its solve alone does
+    a, x0 = _newton_block(names)
+    column = 1
+    with pytest.raises(RootFindError) as blocked:
+        _square_root_newton(a, x0)
+    with pytest.raises(RootFindError) as alone:
+        _square_root_newton(a[:, column:column + 1], x0[:, column:column + 1])
+    with pytest.raises(RootFindError) as ref:
+        _ref_newton(lambda x: x * x - a[:, column], lambda x: 2.0 * x, x0[:, column], 1.0)
+    assert blocked.value.node_index == alone.value.node_index == ref.value.node_index == node
 
 
 @settings(max_examples=8)

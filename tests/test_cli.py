@@ -15,6 +15,8 @@ from dualaction import HamiltonianModel, PhasePath, legendre_residual
 from dualaction.action import _legendre_residuals
 from dualaction.cli import ERROR_SCHEMA, REPORT_SCHEMA, main
 
+from conftest import padded_row_series
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -72,6 +74,13 @@ class TestCommands:
                                  "-0.13333", "--samples", "3")
         assert (code, out) == (2, "")
         assert json.loads(err)["error_code"] == "not-saddle"
+
+    def test_bounds_with_a_subnormal_quartic_coefficient_is_a_json_error(self, capsys):
+        # V''' = 6 + 1.2e-322 q: the saddle probe drops the subnormal term, which
+        # overflowed np.roots into a LinAlgError; V'' = 6 q - 1 > 0 for q > 1/6
+        error = run_error(capsys, 2, "bounds", "--potential-coeffs", "0,0,-0.5,1,5e-324",
+                          "--q-end", "1", "--t1", "1", "--samples", "10")
+        assert error["error_code"] == "not-saddle"
 
     def test_bounds_on_saddle(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--hamiltonian", "saddle-quadratic",
@@ -442,12 +451,16 @@ def test_import_loads_no_scipy():
 
 
 def _per_sample_legendre(model, amp_p, amp_q, n):
-    """The reference: one smooth path per sample, modes added in k order."""
+    """The reference: one smooth path per sample, each series the row a block
+    builds for it (padded_row_series), within a few ulp of its modes added
+    in k order."""
     tt = np.linspace(0.0, 1.0, n + 1)
+    sines = [np.sin(np.pi * (k + 1) * tt) for k in range(amp_p.shape[1])]
+    cosines = [np.cos(np.pi * (k + 1) * tt) for k in range(amp_q.shape[1])]
     out = []
     for a_p, a_q in zip(amp_p, amp_q):
-        p = 0.3 + sum(a / (k + 1) ** 3 * np.sin(np.pi * (k + 1) * tt) for k, a in enumerate(a_p))
-        q = sum(a / (k + 1) ** 3 * np.cos(np.pi * (k + 1) * tt) for k, a in enumerate(a_q))
+        p = 0.3 + padded_row_series([a / (k + 1) ** 3 for k, a in enumerate(a_p)], sines)
+        q = padded_row_series([a / (k + 1) ** 3 for k, a in enumerate(a_q)], cosines)
         out.append(abs(legendre_residual(model, PhasePath(0.0, 1.0, p, q))))
     return out
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
@@ -313,6 +313,8 @@ class TestExactVerdict:
     @settings(max_examples=50)
     @given(coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=7),
            q_min=st.floats(-3.0, 3.0), width=st.floats(0.01, 5.0))
+    # V''' = 6 + 1.2e-322 q: np.roots overflowed dividing by its subnormal lead
+    @example(coeffs=[0.0, 0.0, 0.0, 1.0, 5e-324], q_min=0.0, width=1.0)
     def test_exact_verdict_agrees_with_a_dense_scan(self, coeffs, q_min, width):
         q_max = q_min + width
         model = HamiltonianModel.separable(1.0, potential_coeffs=coeffs)
@@ -454,3 +456,40 @@ def test_horner_equals_polyval(coeffs, q, shape):
     value = _poly(coeffs)(q)
     assert np.shape(value) == np.shape(expected)
     assert np.array_equal(value, expected)
+
+
+def _out_of_place_horner(coeffs, q):
+    """Horner's rule with a new array per step, skipping zero coefficients."""
+    coeffs = [float(c) for c in coeffs]
+    value = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        value = value * q
+        if c:
+            value = value + c
+    return value
+
+
+_HORNER_INPUTS = {
+    "float": lambda q: float(q[0]),
+    "0-d": lambda q: np.array(q[0]),
+    "int": lambda q: np.array(q).astype(np.int64),
+    "broadcast": lambda q: np.broadcast_to(np.reshape(q, (1, 6)), (3, 6)),  # read-only
+    "fortran": lambda q: np.asfortranarray(np.reshape(q, (2, 3))),
+}
+
+
+@settings(max_examples=60)
+@given(
+    coeffs=st.lists(_COEFF, min_size=1, max_size=7),
+    q=st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
+    form=st.sampled_from(sorted(_HORNER_INPUTS)),
+)
+def test_horner_in_place_equals_out_of_place(coeffs, q, form):
+    # _horner updates its first product in place; q itself is never written
+    q = _HORNER_INPUTS[form](q)
+    before = np.array(q, copy=True)
+    value, expected = _horner(coeffs)(q), _out_of_place_horner(coeffs, q)
+    assert type(value) is type(expected)
+    assert np.shape(value) == np.shape(expected)
+    assert np.array_equal(value, expected)
+    assert np.array_equal(q, before) and np.asarray(q).dtype == before.dtype
