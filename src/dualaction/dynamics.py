@@ -14,24 +14,19 @@ evaluators:
   no integration sweep: the endpoint is affine in the shooting parameter.
 * Any other field runs ``_rk4``, the one RK4 loop, as a sweep over many
   lanes (one initial condition per array element), so a shooting solve
-  costs a few sweeps rather than a few per lane: a scan with
-  Chebyshev-Lobatto refinement for single solves, then Newton.  A sweep
-  is bound by per-step overhead, so the single solve's scan carries 481
-  lanes at little more cost than 33.  The same scan on coarse rows of
-  N/8, N/16, ... steps places the bracket, reads what the flag needs and
-  predicts the root by Richardson extrapolation.  The rows, down to 16
-  steps, run from the coarsest up, so their cost follows the dynamics
-  rather than N.  At the first pair of rows that put the nearest root in
-  the same interval and agree on whether there are several, Newton on
-  the whole N-step trajectory takes over from the prediction: each
-  iteration is one vectorized RK4 step from every node, its exact
-  Jacobian and a doubling scan of the linearized steps, so a solve that
-  routes on the first pair runs, for N > 480, 47 to 90 loop steps in all,
-  and otherwise ceil(N/16) + ceil(N/8).  Past the
-  top pair, N/16 and N/8, the N-step scan carries the predicted lanes
-  too, so the prediction is Newton's first iterate at no sweep of its
-  own: when it meets a tolerance a thousand times tighter, the solve is
-  done, and otherwise Newton steps on from it.
+  costs a few sweeps rather than a few per lane.  A sweep is bound by
+  per-step overhead, so a single solve's scan carries 481 lanes at
+  little more cost than 33.  It runs on rows of ceil(N/2^k) steps, from
+  the coarsest of at least 16 up to the N-step row, so its cost follows
+  the dynamics rather than N.  Each row brackets the dense sign change
+  nearest 0.  On the first row that agrees with the one before it, or
+  else on the N-step row, Newton on the whole N-step trajectory polishes
+  that root: each iteration is one vectorized RK4 step from every node,
+  its exact Jacobian and a doubling scan of the linearized steps, so a
+  solve that ends on the second row runs, for N > 480, 47 to 90 loop
+  steps in all.
+  Newton sweeps of the parameter and the parameter +- h serve the plain
+  scan of many targets and every solve the trajectory Newton cannot.
 
 ``integrate_ivp`` always runs the loop; it is the reference the affine
 evaluator is tested against.
@@ -51,7 +46,8 @@ SHOOTING_TOL = 1e-9
 SENSITIVITY_TOL = 1e-6
 BRACKET_RANGE = 1e3
 MAX_NEWTON_ITER = 100
-# iterations of a trajectory Newton solve before the solve falls back to the N-step scan
+# iterations of a trajectory Newton solve before the solve climbs a row (on the N-step row:
+# takes Newton sweeps)
 MAX_TRAJECTORY_ITER = 6
 # a trajectory Newton correction within this many ulps of its path's largest |p| or |q|
 # is at rounding level
@@ -60,12 +56,10 @@ FD_REL_STEP = 1e-6
 # Chebyshev-Lobatto subintervals per scan interval of a single-target solve:
 # one sweep is bound by per-step overhead, so 481 lanes cost little more than 33,
 # and the same lanes on coarse rows of ceil(N/8), ceil(N/16), ... steps place the
-# bracket, set the flag and predict the root
+# bracket and set the flag
 REFINED_DENSITY = 15
 # fewest steps of a coarse row below the top pair, ceil(N/16) and ceil(N/8)
 _LADDER_FLOOR = 16
-# a predicted root stands when its residual is within this share of the tolerance
-_PREDICTION_GATE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -121,12 +115,14 @@ class ShootingReport:
     parameter: float
     residual: float
     flag: str  # unique | conjugate-degenerate | infeasible
-    method: str = "affine"  # affine | trajectory | predicted | newton: how the root was found
+    # how the root was found: affine | trajectory | newton | scan (infeasible: the scanned
+    # value of least residual)
+    method: str = "affine"
     sweeps: tuple = ()  # (lanes, steps) of each RK4 sweep, in the order run
     iterations: int = 0  # trajectory Newton iterations (method 'trajectory'), else 0
-    # sign changes of the residual over the scan row the flag read: the finer dense row of
-    # the routing pair on the trajectory route, else the N-step one (dense for a non-affine
-    # field)
+    # sign changes of the residual over the scan row the solve ended on (all 481 dense
+    # lanes for a non-affine field): the row the trajectory Newton polished on, else the
+    # N-step one
     sign_changes: int = 0
 
     @property
@@ -140,8 +136,8 @@ def _rk4(field, p, q, dt, n_steps, keep=None, spread=None):
     field is a model's vector_field(); p and q are equal-shape arrays of
     initial states (one lane per element) and dt is the step per lane,
     broadcastable against them.  keep indexes the lanes whose path is
-    stored, ``...`` for all of them, ``0`` for the first row or a slice
-    of rows: a basic index, so a step copies the kept lanes once.
+    stored: ``...`` for all of them, ``0`` for the first row or an array
+    of rows.
     spread = (variable, upper, lower), the variable 'p' or 'q' and two
     lane indexes of equal size, tracks max over nodes of
     |x[upper] - x[lower]| for that variable.  Nothing is checked: a
@@ -319,13 +315,13 @@ class _Shots:
     (targets, 3).  A quadratic functional of its paths is then a form
     read off the powers (action._action_forms), and the paths P and Q,
     (n_steps+1, targets), are built only when first read.  A swept batch
-    carries the paths of each target's last sweep, or of its trajectory
-    Newton.  method says how each target's root was found ('affine',
-    'trajectory', 'predicted' or 'newton'), iterations counts each
+    carries the paths of each target's trajectory Newton, last Newton
+    sweep or scan lane.  method says how each target's root was found
+    ('affine', 'trajectory', 'newton' or 'scan'), iterations counts each
     target's trajectory Newton iterations (0 on the other routes) and
     sweeps lists the (lanes, steps) of every RK4 sweep the batch ran.
-    sign_changes counts each target's sign changes on the scan row its
-    flag read.
+    sign_changes counts each target's sign changes on the scan row it
+    ended on.
     """
 
     roots: np.ndarray
@@ -357,48 +353,48 @@ class _Shots:
         return self._paths[1]
 
 
-def _brackets(cand, res, tol):
-    """Starting points of the targets from the scan residuals res, (candidates, targets).
+def _brackets(nodes, res, tol, sub):
+    """Starting points of the targets from one scan row's residuals res, (nodes, targets).
 
-    Each outcome takes the qualifying candidate nearest x = 0.  The sign
-    change nearest 0 gives the bracket [lo, hi] and a regula-falsi first
-    guess x.  Without one, a scanned x whose residual is within tol is a
-    hit, taken as it is; otherwise the target is infeasible at an x of
-    least residual (x = 0 when all are equal or all non-finite).  So a
-    flat residual, as on a model cyclic in q, is a hit at x = 0 only when
-    within tol; its flat Jacobi field then flags it conjugate-degenerate
-    (_shoot_batch).  Returns (x, lo, hi, r_lo, sign_changes,
-    have_bracket, flags, i), i being the index of the bracket's lower
-    candidate.
+    The sign change nearest x = 0 over all the nodes gives the bracket
+    [lo, hi], the node pair k, k + 1, and a regula-falsi first guess x.
+    Without one, a candidate (every sub-th node) whose residual is within
+    tol is a hit, taken as it is; otherwise the target is infeasible at
+    the candidate of least residual nearest 0 (x = 0 when all are equal or
+    all non-finite).  So a flat residual, as on a model cyclic in q, is a
+    hit at x = 0 only when within tol; its flat Jacobi field then flags it
+    conjugate-degenerate (_shoot_batch).  Returns (x, lo, hi, r_lo,
+    sign_changes, have_bracket, flags, k, at), at being the node of x
+    where there is no bracket.
     """
     cols = np.arange(res.shape[1])
-    size = np.where(np.isfinite(res), np.abs(res), np.inf)
     with np.errstate(all="ignore"):  # a product that overflows keeps its sign
         sign_change = res[:-1] * res[1:] < 0
     changes = sign_change.sum(axis=0)
     bracketed = changes > 0
-    near = np.minimum(np.abs(cand[:-1]), np.abs(cand[1:]))
-    i = np.argmin(np.where(sign_change, near[:, None], np.inf), axis=0)
-    r_lo, r_hi = res[i, cols], res[i + 1, cols]
-    lo, hi = cand[i], cand[i + 1]
+    near = np.minimum(np.abs(nodes[:-1]), np.abs(nodes[1:]))
+    k = np.argmin(np.where(sign_change, near[:, None], np.inf), axis=0)
+    r_lo, r_hi = res[k, cols], res[k + 1, cols]
+    lo, hi = nodes[k], nodes[k + 1]
     with np.errstate(all="ignore"):
         guess = lo - r_lo * (hi - lo) / (r_hi - r_lo)
 
+    distance = np.abs(nodes[::sub])[:, None]  # of each candidate from 0
+    size = np.where(np.isfinite(res[::sub]), np.abs(res[::sub]), np.inf)
+
     def nearest_zero(chosen):
-        return cand[np.argmin(np.where(chosen, np.abs(cand)[:, None], np.inf), axis=0)]
+        return sub * np.argmin(np.where(chosen, distance, np.inf), axis=0)
 
     exact_hit = size <= tol
     hit = ~bracketed & exact_hit.any(axis=0)
-    nearest_hit = nearest_zero(exact_hit)
     infeasible = ~(bracketed | hit)
-    least = nearest_zero(size == size.min(axis=0))
-
-    x = np.where(bracketed, guess, np.where(hit, nearest_hit, least))
-    lo = np.where(bracketed, lo, np.where(hit, nearest_hit, 0.0))
-    hi = np.where(bracketed, hi, np.where(hit, nearest_hit, 0.0))
+    at = np.where(hit, nearest_zero(exact_hit), nearest_zero(size == size.min(axis=0)))
+    x = np.where(bracketed, guess, nodes[at])
+    lo = np.where(bracketed, lo, np.where(hit, x, 0.0))
+    hi = np.where(bracketed, hi, np.where(hit, x, 0.0))
     r_lo = np.where(bracketed, r_lo, 0.0)
     flags = np.where(infeasible, "infeasible", "unique").astype(object)
-    return x, lo, hi, r_lo, changes, ~infeasible, flags, i
+    return x, lo, hi, r_lo, changes, ~infeasible, flags, k, at
 
 
 def _refine(nodes, res, bracketed):
@@ -409,8 +405,8 @@ def _refine(nodes, res, bracketed):
     finite and change sign once, the root of their barycentric
     interpolant (Berrut & Trefethen, SIAM Rev. 2004) is found by Illinois
     regula-falsi steps inside the node pair that changes sign.  Returns
-    (refined, x, lo, hi, r_lo): the targets refined, the roots, and the
-    node pair with the residual at lo, each to be used where refined.
+    (refined, x): the targets refined and the roots, to be used where
+    refined.
     """
     cols = np.arange(res.shape[1])
     with np.errstate(invalid="ignore", over="ignore"):  # an overflowing product keeps its sign
@@ -447,16 +443,19 @@ def _refine(nodes, res, bracketed):
         live = (to_a | to_b) & (np.abs(b - a) > 4.0 * np.finfo(float).eps * np.abs(x))
         if not live.any():
             break
-    return refined, x, lo, hi, r_lo
+    return refined, x
 
 
-def _coarse_rows(n_steps, ladder):
+def _coarse_rows(n_steps):
     """Step counts of a dense solve's coarse scan rows, coarsest first: ceil(N/16)
-    and ceil(N/8), and with ladder ceil(N/32), ceil(N/64), ... below them, down
-    to the last of at least _LADDER_FLOOR steps."""
+    and ceil(N/8), and ceil(N/32), ceil(N/64), ... below them, down to the last of
+    at least _LADDER_FLOOR steps; a count that repeats or is not below N is left
+    out."""
     rows, d = [], 8
-    while d <= 16 or (ladder and -(-n_steps // d) >= _LADDER_FLOOR):
-        rows.insert(0, -(-n_steps // d))
+    while d <= 16 or -(-n_steps // d) >= _LADDER_FLOOR:
+        n = -(-n_steps // d)
+        if n < n_steps and n not in rows:
+            rows.insert(0, n)
         d *= 2
     return rows
 
@@ -480,53 +479,42 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
       off G^N x0 with x0 = (p0, q0, 1), and the paths, the powers applied
       to x0, are built only when read (_Shots).  No RK4 sweep runs.
     * any other field: the scan sweep also runs density - 1 lanes at
-      Chebyshev-Lobatto points inside every interval between candidates,
-      and a bracket whose density + 1 residuals are finite and change
-      sign once narrows to the node pair around the root of their
-      interpolant, the refined guess (_refine); density 1 is the plain
-      scan with the regula-falsi guess.  A dense scan on N > 8 steps
-      first runs on coarse rows (_coarse_rows): n_c = ceil(N/16) and
-      n_f = ceil(N/8) and, when the model has every second partial, a
-      ladder below them of ceil(N/32), ceil(N/64), ... steps, down to the
-      last of at least _LADDER_FLOOR.  The rows run from the coarsest up,
-      each pairing with the one before it.  A pair's refined guesses x_c
-      and x_f have an RK4 error falling as n^-4, so Richardson
-      extrapolation predicts x^ = (w x_f - x_c) / (w - 1) with
-      w = (n_f / n_c)^4.  The coarse rows need only place the bracket and
-      give what the flag reads.  So at the first pair whose rows put their
-      sign change nearest 0 in the same candidate interval and agree on
-      whether they change sign more than once, and whose x^ lies in the
-      finer row's node pair, no N-step sweep runs: _trajectory_newton
-      solves the whole N-step trajectory from x^, seeded by the paths of
-      that interval's density + 1 lanes, which the finer sweep kept
-      (_seed_path), and brackets, refinement and sign changes come from
-      the finer row (method 'trajectory': the loop steps of the rows
-      run).  A pair that does not pass, or whose iteration does not
-      converge inside the finer node pair, sends the target one rung up.
-      Past the top pair, or on a model that lacks a second partial, the
-      next route runs with the top pair's x^, as if the trajectory route
-      were never tried.  Brackets, refinement and sign changes then come
-      from the N-step lanes, and each Newton iterate integrates the lanes
-      x, x + h and x - h; the outer pair gives
-      J(t) = (E+(t) - E-(t)) / 2h, whose final value is the Newton slope,
-      and the centre lanes' paths are kept.  The first iterate is x^ where
-      x^ lies in the node pair _refine picked and its residual is finite:
-      the N-step scan sweep carries its lanes, so it costs no sweep of its
-      own, and it stands when |r(x^)| <= _PREDICTION_GATE * tol: the
-      solve has then run the coarse rows and N loop steps and no sweep of
-      its own (method 'predicted'; 'newton' otherwise).
-      Any other target starts from its refined guess.  A step that
-      leaves the bracket bisects it instead, and the iterates stop once
-      |residual| <= tol.  A surface's many targets share the plain scan,
-      where dense lanes would cost arithmetic.
+      Chebyshev-Lobatto points inside every interval between candidates
+      (density 1 is the plain scan), and each target brackets the sign
+      change nearest 0 over all of them.  When the model has every second
+      partial and density > 1, the scan runs on rows: the coarse rows
+      (_coarse_rows), from the coarsest up, then the N-step row.  On each
+      row the starting parameter is, in this order: x^ = (w x - x') /
+      (w - 1), w = (n / n')^4, Richardson's extrapolation of this row's
+      refined guess x and the row before's x' (their RK4 error falls as
+      n^-4), where the two rows agree and x^ lies in the bracket; else
+      the refined guess, the root of the interpolant through the
+      density + 1 residuals of the bracket's candidate interval where
+      these are finite and change sign once (_refine); else the
+      regula-falsi guess.  Two rows agree when they put the bracket in
+      the same candidate interval and agree on whether they change sign
+      more than once, which is all the flag reads.  On a row that agrees
+      with the one before it, and on the N-step row, _trajectory_newton
+      polishes the root from the starting parameter, on a path seeded
+      from the bracket's two lanes (_seed_path), which the row's sweep
+      kept (the lanes of the interval of the row before): a target it
+      solves ends there (method 'trajectory'), with its sign changes
+      and flag from that row, and no finer row runs for it.  On the
+      N-step row, a target the trajectory Newton did not solve, or whose
+      bracket lies outside the kept lanes, a hit, and every target of a
+      plain scan or of a model that lacks a second partial, is solved by
+      _newton from its starting parameter in its bracket (method
+      'newton').  An infeasible target reports the kept path of its
+      scan lane (method 'scan').  A surface's many targets share the
+      plain scan, where dense lanes would cost arithmetic.
 
     The residual is that of the returned endpoint (for an affine field
     G^N x0, which the path's last node equals up to rounding) and must
     reach tol = SHOOTING_TOL * max(1, |start|, |target|).  A target is
     conjugate-degenerate when |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|
-    or the scan changes sign more than once: on every dense row of the
-    last scan when density > 1 (the routing pair's finer row on the
-    trajectory route), so a root between two candidates counts too.
+    or the scan row it ended on changes sign more than once: on every
+    dense lane when density > 1, so a root between two candidates counts
+    too.
     """
     if n_steps < 1:
         raise PreconditionError("shooting needs n_steps >= 1")
@@ -544,6 +532,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
     field_matrix = _affine_matrix(model)
     sub = 1 if field_matrix is not None else density  # rows per candidate interval
     nodes = _lobatto_nodes(cand, sub)
+    n_t = targets.size
 
     def lanes(x):
         s = np.full_like(x, start_value)
@@ -551,21 +540,18 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
 
     def bracket(ends):
         """Each target's start from the scan endpoints ends, (nodes, horizons):
-        (x, lo, hi, r_lo, sign_changes, have_bracket, flags, refined, i), i the
-        candidate interval of the sign change nearest 0."""
+        (x, lo, hi, r_lo, sign_changes, have_bracket, flags, refined, k, at), k the
+        bracket's lower node and at the node of x where there is no bracket."""
         with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
             res = ends[:, horizon] - targets
         res = np.where(np.isfinite(res), res, np.nan)
-        x, lo, hi, r_lo, changes, have_bracket, flags, i = _brackets(cand, res[::sub], tol)
-        refined = np.zeros(targets.size, dtype=bool)
+        x, lo, hi, r_lo, changes, have_bracket, flags, k, at = _brackets(nodes, res, tol, sub)
+        refined = np.zeros(n_t, dtype=bool)
         if sub > 1:
-            rows = i * sub + np.arange(sub + 1)[:, None]
-            refined, *guess = _refine(nodes[rows], res[rows, np.arange(targets.size)], changes > 0)
-            x, lo, hi, r_lo = (np.where(refined, g, v) for g, v in zip(guess, (x, lo, hi, r_lo)))
-            # a root between two candidates shows only on the dense rows: count them all
-            with np.errstate(all="ignore"):  # a product that overflows keeps its sign
-                changes = np.sum(res[:-1] * res[1:] < 0, axis=0)
-        return x, lo, hi, r_lo, changes, have_bracket, flags, refined, i
+            rows = k // sub * sub + np.arange(sub + 1)[:, None]
+            refined, guess = _refine(nodes[rows], res[rows, np.arange(n_t)], changes > 0)
+            x = np.where(refined, guess, x)
+        return x, lo, hi, r_lo, changes, have_bracket, flags, refined, k, at
 
     if field_matrix is not None:
         powers = _step_powers(field_matrix, steps, n_steps)
@@ -578,15 +564,14 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
         alpha, beta = alpha[horizon], beta[horizon]
         with np.errstate(all="ignore"):
             roots = np.where(changes > 0, (targets - beta) / alpha, x)
-        x0 = np.stack([*lanes(roots), np.ones(targets.size)], axis=1)
+        x0 = np.stack([*lanes(roots), np.ones(n_t)], axis=1)
         with np.errstate(all="ignore"):  # an overflowing lane poisons only itself
             end_state = np.einsum("kij,kj->ik", powers[horizon, -1, :2], x0)  # G^N x0
             residuals = end_state[end] - targets
         j_end = alpha
         j_max = np.max(np.abs(powers[:, :, end, 1 - end]), axis=1)[horizon]
         kept = dict(end=end_state, steps=steps, powers=powers, horizon=horizon, x0=x0,
-                    method=np.full(targets.size, "affine"),
-                    iterations=np.zeros(targets.size, dtype=int))
+                    method=np.full(n_t, "affine"), iterations=np.zeros(n_t, dtype=int))
     else:
         field = model.vector_field()
         sweeps = []
@@ -600,85 +585,75 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
 
         grid = np.repeat(nodes[:, None], steps.size, axis=1)
         second = _second_partials(model) if sub > 1 else None
-        rows = _coarse_rows(n_steps, ladder=second is not None)
-        pred = np.arange(0)
-        routed = np.zeros(targets.size, dtype=bool)
-        if sub > 1 and rows[-1] > rows[-2]:  # equal rows (N <= 8) leave nothing to extrapolate
-            # each routed target's trajectory solution and its finer row's facts: the results
-            # of _trajectory_newton, then (changes, have_bracket, flags)
-            n_t = targets.size
-            route = [*np.full((2, n_t), np.nan), *np.full((2, n_steps + 1, n_t), np.nan),
-                     *np.full((2, n_t), np.nan), *np.zeros((2, n_t), dtype=int),
-                     np.zeros(n_t, dtype=bool), np.full(n_t, "infeasible", dtype=object)]
-            n_c = rows[0]
-            ends_c = sweep(grid, span[first] / n_c, n_c)[0]
-            x_c, _, _, _, changes_c, _, _, ok_c, i_c = bracket(ends_c)
-            for n_f in rows[1:]:
-                # the finer sweep keeps the dense lanes of the coarser row's bracket intervals
-                # for the trajectory seed: contiguous rows of the grid, a single solve's 16
-                live = i_c[~routed]
-                top = live.min() * sub
-                ends_f, P_f, Q_f, _ = sweep(grid, span[first] / n_f, n_f,
-                                            keep=slice(top, live.max() * sub + sub + 1))
-                x_f, lo_f, hi_f, _, changes_f, have_f, flags_f, ok_f, i_f = bracket(ends_f)
-                w = (n_f / n_c) ** 4
-                pred = np.flatnonzero(ok_c & ok_f & ~routed)
-                xh = ((w * x_f - x_c) / (w - 1.0))[pred]
-                # of a sign-change count the flag reads only whether it exceeds 1
-                agree = (i_c == i_f) & ((changes_c > 1) == (changes_f > 1))
-                go = agree[pred] & (lo_f[pred] <= xh) & (xh <= hi_f[pred])
-                if second is not None and go.any():
-                    cols = pred[go]
-                    seed_lanes = i_c[cols] * sub + np.arange(sub + 1)[:, None]
-                    at = slice(None), seed_lanes - top, horizon[cols]
-                    seed = _seed_path(nodes[seed_lanes], xh[go], P_f[at], Q_f[at], n_steps)
-                    seed[end, 0], seed[1 - end, 0] = start_value, xh[go]
-                    solved, *solution = _trajectory_newton(
-                        field, second, seed, 1 - end, targets[cols], tol[cols], dt[cols],
-                        lo_f[cols], hi_f[cols])
-                    done = cols[solved]
-                    for mine, theirs in zip(route, solution):
-                        mine[..., done] = theirs[..., solved]
-                    for mine, theirs in zip(route[7:], (changes_f, have_f, flags_f)):
-                        mine[done] = theirs[done]
-                    routed[done] = True
-                    pred, xh = pred[~routed[pred]], xh[~routed[pred]]
-                if routed.all():
-                    break
-                n_c, x_c, changes_c, ok_c, i_c = n_f, x_f, changes_f, ok_f, i_f
-        if routed.any() and routed.all():
-            roots, residuals, P, Q, j_end, j_max, iterations, changes, have_bracket, flags = route
-            method = np.full(targets.size, "trajectory")
-        else:
-            if pred.size:
-                # one flat sweep: the dense lanes, then x^, x^ + h and x^ - h of each prediction
-                m, k = grid.size, pred.size
-                h = FD_REL_STEP * np.maximum(unit, np.abs(xh))
-                swept_ends, P_hat, Q_hat, widest = sweep(
-                    np.concatenate([grid.ravel(), xh, xh + h, xh - h]),
-                    np.concatenate([np.tile(steps, nodes.size), np.tile(dt[pred], 3)]),
-                    keep=slice(m, m + k), spread=(slice(m + k, m + 2 * k), slice(m + 2 * k, None)))
-                ends = swept_ends[:m].reshape(grid.shape)
-            else:
-                ends = sweep(grid, steps)[0]
-            x, lo, hi, r_lo, changes, have_bracket, flags, refined, _ = bracket(ends)
-            seeds = None
-            if pred.size:
-                # x^ is Newton's first iterate where it lies in the node pair _refine picked
-                # and its residual is finite: the scan sweep has run its lanes
-                hat = swept_ends[m:].reshape(3, k)
-                s = refined[pred] & (lo[pred] <= xh) & (xh <= hi[pred]) & np.isfinite(hat[0])
-                if s.any():
-                    x[pred[s]] = xh[s]
-                    seeds = pred[s], (hat[:, s], P_hat[:, s], Q_hat[:, s], widest[s])
-            roots, residuals, P, Q, j_end, j_max, method = _newton(
-                sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, ~routed, seeds)
-            iterations = np.zeros(targets.size, dtype=int)
-            if routed.any():
-                for mine, theirs in zip((roots, residuals, P, Q, j_end, j_max, iterations,
-                                         changes, have_bracket, flags), route):
-                    mine[..., routed] = theirs[..., routed]
-                method = np.where(routed, "trajectory", method)
+        roots, residuals, j_end, j_max = np.full((4, n_t), np.nan)
+        P, Q = np.full((2, n_steps + 1, n_t), np.nan)
+        iterations, changes = np.zeros((2, n_t), dtype=int)
+        have_bracket = np.zeros(n_t, dtype=bool)
+        flags = np.full(n_t, "infeasible", dtype=object)
+        method = np.full(n_t, "trajectory")
+        done = np.zeros(n_t, dtype=bool)
+        before = None  # the row before: (steps, x, refined, candidate interval, sign changes)
+        for n in (_coarse_rows(n_steps) if second is not None else []) + [n_steps]:
+            # the sweep keeps the lanes of the row before's bracket intervals, where an
+            # agreeing row's bracket lies, and on the N-step row every candidate's
+            keep = np.zeros(nodes.size, dtype=bool)
+            keep[::sub] = n == n_steps
+            if before is not None:
+                n_b, x_b, refined_b, i_b, changes_b = before
+                keep[i_b[~done & (changes_b > 0)] * sub + np.arange(sub + 1)[:, None]] = True
+            keep = np.flatnonzero(keep)
+            run = None  # a run of lanes is kept by a slice, which a step copies faster
+            if keep.size:
+                run = slice(keep[0], keep[-1] + 1) if keep[-1] - keep[0] < keep.size else keep
+            ends, P_n, Q_n, _ = sweep(grid, span[first] / n, n, keep=run)
+            x, lo, hi, r_lo, row_changes, row_have, row_flags, refined, k, at = bracket(ends)
+            i, start = k // sub, x
+            polish = np.zeros(n_t, dtype=bool)
+            if before is not None:
+                # the bracket lies in the lanes kept for the target
+                inside = (changes_b > 0) & (i == i_b)
+                agree = inside & ((row_changes > 1) == (changes_b > 1))
+                w = (n / n_b) ** 4
+                x_hat = (w * x - x_b) / (w - 1.0)
+                start = np.where(agree & refined & refined_b & (lo <= x_hat) & (x_hat <= hi),
+                                 x_hat, x)
+                polish = ~done & (row_changes > 0) & (inside if n == n_steps else agree)
+            if second is not None and polish.any():
+                cols = np.flatnonzero(polish)
+                pair = k[cols] + np.arange(2)[:, None]
+                on = slice(None), np.searchsorted(keep, pair), horizon[cols]
+                seed = _seed_path(nodes[pair], start[cols], P_n[on], Q_n[on], n_steps)
+                seed[end, 0], seed[1 - end, 0] = start_value, start[cols]
+                solved, *solution = _trajectory_newton(
+                    field, second, seed, 1 - end, targets[cols], tol[cols], dt[cols], lo[cols],
+                    hi[cols])
+                won = cols[solved]
+                for mine, theirs in zip((roots, residuals, P, Q, j_end, j_max, iterations),
+                                        solution):
+                    mine[..., won] = theirs[..., solved]
+                changes[won], have_bracket[won], flags[won] = (
+                    row_changes[won], row_have[won], row_flags[won])
+                done[won] = True
+            if done.all():
+                break
+            before = n, x, refined, i, row_changes
+        else:  # the N-step row ran and some targets are left
+            rest = np.flatnonzero(~done)
+            changes[rest], have_bracket[rest], flags[rest] = (
+                row_changes[rest], row_have[rest], row_flags[rest])
+            # an infeasible target's path is its scan lane's, the candidate of least residual
+            lost = rest[~row_have[rest]]
+            on = slice(None), np.searchsorted(keep, at[lost]), horizon[lost]
+            P[:, lost], Q[:, lost], roots[lost] = P_n[on], Q_n[on], nodes[at[lost]]
+            with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
+                residuals[lost] = (Q if shoot_on == "p0" else P)[-1, lost] - targets[lost]
+            method[lost] = "scan"
+            todo = rest[row_have[rest]]
+            if todo.size:
+                (roots[todo], residuals[todo], P[:, todo], Q[:, todo], j_end[todo],
+                 j_max[todo]) = _newton(sweep, start[todo], lo[todo], hi[todo], r_lo[todo],
+                                        targets[todo], tol[todo], dt[todo], unit)
+                method[todo] = "newton"
         kept = dict(end=np.stack([P[-1], Q[-1]]), swept=(P, Q), sweeps=tuple(sweeps),
                     method=method, iterations=iterations)
 
@@ -691,52 +666,39 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
     return _Shots(roots, residuals, flags, sign_changes=changes, **kept)
 
 
-def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, active, seeds):
+def _newton(sweep, x, lo, hi, r_lo, targets, tol, dt, unit):
     """Bracketed Newton iterates of the non-affine shooting (see _shoot_batch).
 
-    Only the targets where the mask active is set are solved; the others
-    keep placeholders.  An iterate sweeps the lanes x, x + h and x - h of
-    each target still going.  seeds = (cols, (ends, P, Q, widest)) holds
-    the first iterate of the targets cols, already swept, which stands
-    when |residual| <= _PREDICTION_GATE * tol; the other targets sweep
-    their first iterate in the next iteration.  Without seeds every
-    target sweeps its first.  Each target sweeps at most MAX_NEWTON_ITER
-    iterates of its own.  Returns (roots, residuals, P, Q, J(t_f),
-    max_t |J(t)|, method) of each target's last iterate, method being
-    'predicted' for a target that swept no iterate of its own and
-    'newton' otherwise.
+    Each target starts from x inside its bracket [lo, hi] (lo = hi for a
+    hit), r_lo being the residual at lo.  An iterate sweeps the lanes x,
+    x + h and x - h of each target still going: the outer pair gives
+    J(t) = (E+(t) - E-(t)) / 2h, whose final value is the Newton slope,
+    and the centre lanes' paths are kept.  A step that leaves the bracket
+    bisects it instead, and the iterates stop once |residual| <= tol or
+    after MAX_NEWTON_ITER sweeps.  Returns (roots, residuals, P, Q,
+    J(t_f), max_t |J(t)|) of each target's last iterate.
     """
-    n_t = targets.size
     roots = x.copy()
-    residuals = np.full(n_t, np.nan)
-    j_end = np.full(n_t, np.nan)
-    j_max = np.full(n_t, np.nan)
-    method = np.full(n_t, "predicted")
+    residuals, j_end, j_max = np.full((3, targets.size), np.nan)
     P_all = Q_all = None
-    todo, swept = seeds or (np.flatnonzero(active), None)
-    waiting = active.copy()
-    waiting[todo] = False
-    waiting = np.flatnonzero(waiting)
-    gate = 1.0 if swept is None else _PREDICTION_GATE
-    for _ in range(MAX_NEWTON_ITER + int(swept is not None)):  # a seed is no sweep
+    todo = np.arange(targets.size)
+    for _ in range(MAX_NEWTON_ITER):
         xa = x[todo]
         h = FD_REL_STEP * np.maximum(unit, np.abs(xa))
-        if swept is None:
-            swept = sweep(np.stack([xa, xa + h, xa - h]), dt[todo], keep=0, spread=(1, 2))
-            method[todo] = "newton"
-        ends, P, Q, widest = swept
+        ends, P, Q, widest = sweep(np.stack([xa, xa + h, xa - h]), dt[todo], keep=0,
+                                   spread=(1, 2))
         with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
             r = ends[0] - targets[todo]
             spread = ends[1] - ends[2]
-        if P_all is None:  # a first sweep of every target, in order, is the batch's paths
-            P_all, Q_all = (P, Q) if todo.size == n_t else np.empty((2, P.shape[0], n_t))
-        if P_all is not P:
+        if P_all is None:  # the first sweep runs every target, in order
+            P_all, Q_all = P, Q
+        else:
             P_all[:, todo], Q_all[:, todo] = P, Q
         roots[todo], residuals[todo] = xa, r
         j_end[todo], j_max[todo] = spread, widest
 
         with np.errstate(invalid="ignore", divide="ignore"):
-            going = have_bracket[todo] & (np.abs(r) > gate * tol[todo])
+            going = np.abs(r) > tol[todo]
             # keep the root bracketed: replace the end whose residual has r's sign
             move_lo = going & (np.sign(r) == np.sign(r_lo[todo]))
             lo[todo] = np.where(move_lo, xa, lo[todo])
@@ -748,12 +710,10 @@ def _newton(sweep, x, lo, hi, r_lo, have_bracket, targets, tol, dt, unit, active
             xn = np.where(inside, xn, 0.5 * (a + b))
         going &= xn != xa
         x[todo] = np.where(going, xn, xa)
-        todo = np.concatenate([todo[going], waiting])
-        waiting = waiting[:0]
-        swept, gate = None, 1.0
+        todo = todo[going]
         if not todo.size:
             break
-    return roots, residuals, P_all, Q_all, j_end, j_max, method
+    return roots, residuals, P_all, Q_all, j_end, j_max
 
 
 def _second_partials(model):
@@ -897,9 +857,10 @@ def solve_position_bvp(model: HamiltonianModel, bounds: BoundarySpec, t_span,
     |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|, or when several distinct
     initial momenta reach the target; 'infeasible' when no scanned
     momentum brackets the target or the returned path misses it by more
-    than SHOOTING_TOL * max(1, |q(t_i)|, |q(t_f)|).  Affine fields are
-    solved in closed form on the RK4 nodes, others by Newton on the whole
-    RK4 trajectory or, where the coarse scans cannot route it there, by
+    than SHOOTING_TOL * max(1, |q(t_i)|, |q(t_f)|).  The root is the one
+    the scan brackets nearest p(t_i) = 0.  Affine fields are solved in
+    closed form on the RK4 nodes, others by Newton on the whole RK4
+    trajectory or, where that does not converge on the N-step row, by
     Newton sweeps (_shoot_batch).
     """
     if bounds.kind != "position-type":

@@ -365,20 +365,25 @@ _LAMBDAS = np.arange(0.1, 0.95, 0.1)
 _CHORD_SLACK = 1e-12
 
 
-def _significant(coeffs, size):
-    """Ascending coeffs without the leading terms below rounding of the largest at |q| <= size.
+def _on_unit_box(coeffs, size):
+    """Ascending coefficients of c(size u) / max_k |c_k| size^k, u = q / size,
+    without the leading terms below eps of the largest (none when c = 0).
 
-    np.roots divides by the leading coefficient, and a tiny one overflows
-    (V''' = 6 + 1.2e-322 q ended in a LinAlgError).  A term below eps of
-    max |coeffs_k| size^k moves V''' by less than its rounding on the box,
-    and V'' by far less than _CHORD_SLACK.  The terms are compared by
-    their logarithms, which do not overflow on a large box.
+    Scaled through logarithms, they do not overflow on a huge box, and
+    np.roots, which divides by the leading coefficient, gets a finite
+    companion matrix (V''' = 6 + 1.2e-322 q on any box, and
+    V''' = 1e10 + 1e-300 q^2 on |q| <= 1e300, ended in a LinAlgError).  A
+    dropped term moves V''' by less than its rounding on the box, and V''
+    by far less than _CHORD_SLACK.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     with np.errstate(divide="ignore"):  # a zero coefficient's term is -inf
         logs = np.log(np.abs(coeffs)) + np.arange(len(coeffs)) * np.log(size)
-    kept = np.flatnonzero(logs > np.max(logs, initial=-np.inf) + np.log(np.finfo(float).eps))
-    return coeffs[:kept[-1] + 1] if kept.size else coeffs[:0]
+    top = np.max(logs, initial=-np.inf)
+    kept = np.flatnonzero(logs > top + np.log(np.finfo(float).eps))
+    if not kept.size:
+        return coeffs[:0]
+    return (np.sign(coeffs) * np.exp(logs - top))[:kept[-1] + 1]
 
 
 def _axis_flags(model, box, axis):
@@ -389,8 +394,9 @@ def _axis_flags(model, box, axis):
     real root of V''' (an eigenvalue of its companion matrix, np.roots;
     clipped to the box, any eigenvalue's real part is a point of it), and
     may pass zero by _CHORD_SLACK of sum |V''_k| max(|q_min|, |q_max|)^k.
-    The roots are those of V''' without its terms negligible on the box
-    (_significant).  Any other model takes the chord probe.
+    Both are taken in u = q / max(|q_min|, |q_max|) and in units of their
+    largest term on the box (_on_unit_box), so no box overflows them.
+    Any other model takes the chord probe.
     """
     if axis not in ("p-axis", "q-axis"):
         raise PreconditionError(f"axis must be 'p-axis' or 'q-axis', got {axis!r}")
@@ -398,12 +404,14 @@ def _axis_flags(model, box, axis):
         return _chord_flags(model, box, axis)
     if axis == "p-axis":
         return True, False
-    lo, hi = box.q_min, box.q_max
-    size = max(abs(lo), abs(hi))
-    v2, v3 = model._vcoeffs[2:]
-    roots = np.clip(np.roots(_significant(v3, size)[::-1]).real, lo, hi)
-    curvature = _poly(v2)(np.concatenate([[lo, hi], roots]))
-    slack = _CHORD_SLACK * _horner(np.abs(v2))(size)
+    size = max(abs(box.q_min), abs(box.q_max))
+    v2, v3 = (_on_unit_box(c, size) for c in model._vcoeffs[2:])
+    if not v2.size:  # V'' = 0
+        return True, True
+    ends = np.array([box.q_min, box.q_max]) / size
+    roots = np.clip(np.roots(v3[::-1]).real, *ends)
+    curvature = _poly(v2)(np.concatenate([ends, roots]))
+    slack = _CHORD_SLACK * np.sum(np.abs(v2))
     return bool(curvature.min() >= -slack), bool(curvature.max() <= slack)
 
 

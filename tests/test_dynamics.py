@@ -464,15 +464,14 @@ def test_scan_per_distinct_horizon_equals_per_target_solves(name, shoot_on, dens
 
 @pytest.mark.parametrize("shoot_on", ["p0", "q0"])
 def test_ladder_batch_equals_per_target_solves(shoot_on):
-    # omega t from 6 to 30 at N = 2000: in one batch, targets route on different rungs of
-    # the coarse ladder and (position-type) some fall back to the N-step scan
+    # omega t from 6 to 30 at N = 2000: in one batch, targets end on different rows of the
+    # coarse ladder, each polished by the trajectory Newton
     targets = np.array([0.2, 0.5, -0.3, 0.2, -0.5, 0.1, -0.6, 0.4])
     horizons = np.array([0.6, 0.6, 1.1, 1.4, 2.25, 2.25, 3.0, 4.0])
     singles = _batch_and_single_solves(_soft_oscillator(1.0, 10.0), targets, horizons, 2000,
                                        shoot_on, REFINED_DENSITY)
-    rungs = {(one.method[0], len(one.sweeps)) for one in singles if one.method[0] == "trajectory"}
-    assert len(rungs) > 1
-    assert ("newton" in {one.method[0] for one in singles}) == (shoot_on == "p0")
+    assert {one.method[0] for one in singles} == {"trajectory"}
+    assert len({len(one.sweeps) for one in singles}) > 1
 
 
 def _batch_and_single_solves(model, targets, horizons, n_steps, shoot_on, density):
@@ -528,35 +527,17 @@ def _endpoint_slope(model, shoot_on, start, x, t, n_steps):
     return _jacobi_field(model, shoot_on, start, x, t, n_steps)[-1]
 
 
-def _newton_from_refined_guess(patch):
-    """Patch dynamics so that _newton runs without seeds from _refine's guess, as
-    it did before x^ became its first iterate: a reference that never reads x^."""
-    refine, newton = dynamics._refine, dynamics._newton
-    last = []
-
-    def recorded(*args):
-        last[:] = refine(*args)
-        return tuple(last)
-
-    def unseeded(sweep, x, *rest):
-        refined, guess = last[:2]
-        return newton(sweep, np.where(refined, guess, x), *rest[:-1], None)
-
-    patch.setattr(dynamics, "_refine", recorded)
-    patch.setattr(dynamics, "_newton", unseeded)
-
-
 def _ladder(n_steps, rungs=None):
-    """(lanes, steps) of a dense single solve's coarse scan sweeps, coarsest first, up to
-    its rungs-th pair of rows (all of them when rungs is None): the 481 dense lanes on
-    each row of dynamics._coarse_rows.  Each row pairs with the one before it."""
-    rows = [(481, n) for n in dynamics._coarse_rows(n_steps, ladder=True)]
+    """(lanes, steps) of a dense single solve's coarse scan sweeps, coarsest first: the
+    481 dense lanes on each row of dynamics._coarse_rows, the first rungs + 1 of them (all
+    when rungs is None)."""
+    rows = [(481, n) for n in dynamics._coarse_rows(n_steps)]
     return rows if rungs is None else rows[:rungs + 1]
 
 
 def _on_the_scan_route(patch):
     """Patch dynamics so that no trajectory Newton iteration runs: every solve
-    takes the N-step scan and the Newton sweeps."""
+    climbs to the N-step row and takes the Newton sweeps from its bracket."""
     patch.setattr(dynamics, "MAX_TRAJECTORY_ITER", 0)
 
 
@@ -570,21 +551,17 @@ def _same_shots(got, want):
 
 class TestRefinedScan:
     """Single-target solves of non-affine fields refine the scan with
-    Chebyshev-Lobatto lanes, and the same scan on coarse rows places the
-    bracket, reads the flag's facts and predicts the root.  The rows run
-    from the coarsest up, ceil(N/2^k) steps down to 16 and at least the
-    pair ceil(N/16), ceil(N/8).  At the first pair of rows that put the
-    sign change nearest 0 in the same bracket interval, agree on whether
-    there is more than one and hold the prediction in the finer row's node
-    pair, Newton on the whole N-step trajectory solves from the prediction
-    and no N-step sweep runs.  Past the top pair, the N-step scan sweeps
-    the prediction as Newton's first iterate, which stands or which Newton
-    continues from; Newton starts from the refined guess only when there
-    is no prediction."""
+    Chebyshev-Lobatto lanes, and run it on rows: the coarse rows, from
+    ceil(N/2^k) steps down to 16 and at least ceil(N/16) and ceil(N/8),
+    coarsest first, then the N-step row.  Each row brackets the dense sign
+    change nearest 0.  On the first row that puts it in the same candidate
+    interval as the row before and agrees on whether there is more than
+    one, or else on the N-step row, Newton on the whole N-step trajectory
+    polishes the root, and no finer row runs.  Newton sweeps of the
+    parameter and the parameter +- h solve what it does not."""
 
     # (model, boundary kind, start, end, horizon, n_steps): the quartic windows are
-    # the benchmark's fixed paths cells, the soft-oscillator ones are drawn from its ranges;
-    # the heavy quartic window's trajectory Newton needs 11 iterations from x^
+    # the benchmark's fixed paths cells, the soft-oscillator ones are drawn from its ranges
     SOLVES = {
         "quartic-position": (lambda: _anharmonic(1.0, 0.1), "position-type", 0.0, 0.5,
                              0.45 * math.pi, 1000),
@@ -603,14 +580,14 @@ class TestRefinedScan:
                                           0.3, -0.5, 2.25, 2000),
     }
     # how each root is found and the (lanes, steps) of every sweep: the 481 dense lanes on
-    # the coarse rows, from the coarsest up.  Where a pair of rows puts the sign change
-    # nearest 0 in the same interval and agrees on whether there is more than one the
-    # trajectory Newton finishes with no sweep; the windows with N > 480 do so at the first
-    # rung, 16 and 32 steps (sign changes: quartic position 29/23, quartic momentum 19/31,
-    # soft oscillators 1/1, drift position 5/7, drift momentum 9/11).  The heavy quartic
-    # window (N = 300) has only the pair of 19 and 38 steps, whose rows agree (29/23), but
-    # its trajectory Newton does not settle within MAX_TRAJECTORY_ITER, so the N-step scan
-    # sweeps x^ and x^ +- h too; x^ misses the gate (20 tol), so Newton continues from it
+    # each row, from the coarsest up.  Where a row puts the sign change nearest 0 in the
+    # same interval as the row before and agrees on whether there is more than one, the
+    # trajectory Newton finishes with no further sweep; the windows with N > 480 do so on
+    # the second row, 32 steps (sign changes: quartic position 29/23, quartic momentum
+    # 19/31, soft oscillators 1/1, drift position 5/7, drift momentum 9/11).  The heavy
+    # quartic window (N = 300) has only the rows of 19 and 38 steps, which agree (29/23),
+    # but its trajectory Newton does not settle there within MAX_TRAJECTORY_ITER; it does on
+    # the N-step row
     SWEEPS = {
         "quartic-position": ("trajectory", _ladder(1000, 1)),
         "quartic-momentum": ("trajectory", _ladder(500, 1)),
@@ -618,7 +595,7 @@ class TestRefinedScan:
         "soft-oscillator-momentum": ("trajectory", _ladder(2000, 1)),
         "drift-position": ("trajectory", _ladder(500, 1)),
         "drift-momentum": ("trajectory", _ladder(500, 1)),
-        "heavy-quartic-position": ("newton", _ladder(300) + [(484, 300), (3, 300)]),
+        "heavy-quartic-position": ("trajectory", _ladder(300) + [(481, 300)]),
         "fast-soft-oscillator-momentum": ("trajectory", _ladder(2000, 3)),
     }
 
@@ -642,44 +619,16 @@ class TestRefinedScan:
         method, sweeps = self.SWEEPS[case]
         assert rep.method == method
         assert list(rep.sweeps) == ran == sweeps
-        if method == "trajectory":
-            assert 1 <= rep.iterations <= dynamics.MAX_TRAJECTORY_ITER
-        else:
-            assert rep.iterations == 0
-        # the count the flag read: on the routing pair's finer row, else on the N-step row
-        flag_row = sweeps[-1][1] if method == "trajectory" else n_steps
+        assert 1 <= rep.iterations <= dynamics.MAX_TRAJECTORY_ITER
+        # the count the flag read: on the row the solve ended on
         shoot_on = "p0" if kind == "position-type" else "q0"
-        assert rep.sign_changes == _dense_sign_changes(build(), start, end, t, flag_row, shoot_on)
-        if method in ("trajectory", "predicted"):
-            assert rep.residual <= 1e-3 * tol
-
-    def test_turned_away_prediction_seeds_newton(self, monkeypatch):
-        # the heavy quartic window falls back and |r(x^)| = 1.95e-8 misses the gate, so the
-        # sweep after the N-step scan is the Newton step from x^ with the slope of x^ +- h on
-        # that scan
-        build, kind, start, end, t, n_steps = self.SOLVES["heavy-quartic-position"]
-        model = build()
-        ran = []
-        loop = dynamics._rk4
-
-        def recorded(*args, **kwargs):
-            out = loop(*args, **kwargs)
-            ran.append((args[1], out[1]))  # initial p (the parameter) and final q of each lane
-            return out
-
-        monkeypatch.setattr(dynamics, "_rk4", recorded)
-        rep = solve_position_bvp(model, BoundarySpec(kind, start, end), (0.0, t), n_steps)
-        assert [len(ran), rep.method] == [4, "newton"]
-        (lanes, ends), (newton_lanes, _) = ran[2], ran[3]
-        x_hat, r_hat = lanes[-3], ends[-3] - end
-        h = dynamics.FD_REL_STEP * max(dynamics._momentum_unit(model, start), abs(x_hat))
-        assert abs(r_hat) > dynamics._PREDICTION_GATE * SHOOTING_TOL * abs(end)
-        assert newton_lanes[0, 0] == x_hat - r_hat * (2.0 * h) / (ends[-2] - ends[-1])
-        assert rep.parameter == newton_lanes[0, 0]
+        assert rep.sign_changes == _dense_sign_changes(build(), start, end, t, sweeps[-1][1],
+                                                       shoot_on)
+        assert rep.residual <= 1e-3 * tol
 
     # the quartic momentum window's rows of 16 and 32 steps change sign 19 and 31 times:
-    # they differ in count but agree that there is more than one, so the solve routes at the
-    # first rung; the fast soft-oscillator window climbs to the third
+    # they differ in count but agree that there is more than one, so the solve ends on the
+    # second row; the fast soft-oscillator window climbs to the fourth
     @pytest.mark.parametrize("case", ["quartic-momentum", "fast-soft-oscillator-momentum"])
     def test_momentum_window_routes_with_the_forced_flag(self, case):
         build, kind, start, end, t, n_steps = self.SOLVES[case]
@@ -751,7 +700,8 @@ class TestRefinedScan:
         plain = _shoot_batch(model, start, [end], (0.0, t), 200, shoot_on, 1)
         if plain.flags[0] == "conjugate-degenerate":
             assert dense.flags[0] == "conjugate-degenerate"
-        # a routed solve always has a bracket, and the dense N-step row holds the plain lanes
+        # a solve that ends on a coarse row has a bracket, and the dense N-step row holds the
+        # plain lanes
         assert not (dense.flags[0] == "infeasible" and plain.flags[0] != "infeasible")
         tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
         for solve in (dense, plain):
@@ -774,43 +724,43 @@ class TestRefinedScan:
         strength=st.floats(0.01, 1.0),
         n_steps=st.integers(20, 600),
     )
-    def test_predicted_root_agrees_with_forced_newton(self, name, log_mass, kind, start, end,
-                                                      t, strength, n_steps):
+    # the rows of 7 and 13 steps agree and the trajectory Newton polishes q0 = 1.854 there;
+    # when the solve bracketed the candidate interval instead, the N-step Newton sweeps
+    # found -4.027, another root of this conjugate-degenerate solve
+    @example(name="quartic", log_mass=-2.824730419082581, kind="momentum-type",
+             start=0.2252946531754212, end=0.8350854169229935, t=1.9684766414098442,
+             strength=0.19891053406671474, n_steps=100)
+    def test_root_agrees_with_forced_newton(self, name, log_mass, kind, start, end, t,
+                                            strength, n_steps):
+        # with no trajectory Newton iteration the solve climbs every row and the Newton
+        # sweeps solve the N-step row's bracket, the dense sign change nearest 0 there
         model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
         shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on, REFINED_DENSITY)
         with pytest.MonkeyPatch.context() as patch:
             _on_the_scan_route(patch)
-            # a gate of 0 lets no prediction stand short of an exact root
-            patch.setattr(dynamics, "_PREDICTION_GATE", 0.0)
-            newton = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
+            forced = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
                                   REFINED_DENSITY)
-            _newton_from_refined_guess(patch)
-            reference = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
-                                     REFINED_DENSITY)
-        assert reference.method[0] == "newton"
-        assert shots.flags[0] == newton.flags[0] == reference.flags[0]
-        # found on its trajectory exactly when the solve ran no sweep after the coarse scans,
-        # predicted exactly when it ran one; a solve that leaves the ladder climbed all of it
-        for solve in (shots, newton):
-            coarse = [sweep for sweep in solve.sweeps if sweep[1] < n_steps]
-            after = len(solve.sweeps) - len(coarse)
-            assert coarse == _ladder(n_steps, len(coarse) - 1)
-            assert (solve.method[0] == "trajectory") == (after == 0)
-            assert (solve.method[0] == "predicted") == (after == 1)
-            assert after == 0 or coarse == _ladder(n_steps)
-        if shots.method[0] == "newton":
-            # turned away at the gate, the solve steps on from x^ just as at gate 0
-            assert _same_shots(shots, newton)
+        assert shots.flags[0] == forced.flags[0]
+        assert forced.method[0] == ("scan" if forced.flags[0] == "infeasible" else "newton")
+        assert list(forced.sweeps[:len(_ladder(n_steps)) + 1]) == _ladder(n_steps) + [
+            (481, n_steps)]
+        # only the Newton sweeps run after the rows, and a solve that the trajectory Newton
+        # does not end is the forced solve
+        rows = [sweep for sweep in shots.sweeps if sweep[0] == 481]
+        assert rows == (_ladder(n_steps) + [(481, n_steps)])[:len(rows)]
+        assert (shots.method[0] == "newton") == (rows != list(shots.sweeps))
+        if shots.method[0] != "trajectory":
+            assert _same_shots(shots, forced)
         if shots.flags[0] == "infeasible":
             return
         tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
-        if shots.method[0] in ("trajectory", "predicted"):
+        if shots.method[0] == "trajectory":
             assert abs(shots.residuals[0]) <= 1e-3 * tol
-        slope = _endpoint_slope(model, shoot_on, start, reference.roots[0], t, n_steps)
-        for solve in (shots, newton, reference):
+        slope = _endpoint_slope(model, shoot_on, start, forced.roots[0], t, n_steps)
+        for solve in (shots, forced):
             assert abs(solve.residuals[0]) <= tol
-            # the same root as the reference's, once mapped by the endpoint's slope
-            assert abs(solve.roots[0] - reference.roots[0]) * abs(slope) <= 2.0 * tol
+        # the same root, once mapped by the endpoint's slope
+        assert abs(shots.roots[0] - forced.roots[0]) * abs(slope) <= 2.0 * tol
 
     @settings(max_examples=40)
     @given(
@@ -887,11 +837,12 @@ class TestRefinedScan:
         assert np.max(np.abs(Q - path.q)) <= 1e-13 * scale
 
     def test_missing_partials_and_overflowing_products_fall_back(self, monkeypatch):
-        # the soft-oscillator position window routes at the first rung with every second
+        # the soft-oscillator position window ends on the second row with every second
         # partial.  With an H_qq so large that the prefix products of the step Jacobians
-        # overflow, the trajectory Newton fails on every rung, and the solve climbs the whole
-        # ladder to the N-step scan route with its numbers exactly.  Without H_qq there is no
-        # trajectory route and no ladder: only the top pair of rows runs, to the same numbers
+        # overflow, the trajectory Newton fails on every row it polishes, the N-step row
+        # too, and the Newton sweeps solve that row's bracket exactly as with no trajectory
+        # Newton iteration.  Without H_qq there is neither a trajectory Newton nor a coarse
+        # row: the N-step row and the Newton sweeps find the same root
         _, _, start, end, t, n_steps = self.SOLVES["soft-oscillator-position"]
         full = _soft_oscillator(1e2, 1.1)
         stiff = HamiltonianModel.general(full.evaluator, partials={
@@ -912,71 +863,121 @@ class TestRefinedScan:
         with pytest.MonkeyPatch.context() as patch:
             _on_the_scan_route(patch)
             scanned = shoot(full)
-        assert scanned.method[0] == "predicted"
+        assert scanned.method[0] == "newton"
+        del attempts[:]
+        assert _same_shots(shoot(stiff), scanned)
+        assert len(attempts) > 1 and not np.any(attempts)
         del attempts[:]
         lacking = shoot(_soft_oscillator(1e2, 1.1, lacking={(0, 2)}))
         assert attempts == []
-        assert list(lacking.sweeps) == _ladder(n_steps)[-2:] + [(484, n_steps)]
-        assert _same_shots(lacking, dataclasses.replace(scanned, sweeps=lacking.sweeps))
-        assert _same_shots(shoot(stiff), scanned)
-        assert len(attempts) == len(_ladder(n_steps)) - 1 and not np.any(attempts)
+        assert lacking.method[0] == "newton" and lacking.sweeps[0] == (481, n_steps)
+        assert all(sweep == (3, n_steps) for sweep in lacking.sweeps[1:])
+        assert lacking.flags[0] == scanned.flags[0] == "unique"
+        tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
+        slope = _endpoint_slope(full, "p0", start, scanned.roots[0], t, n_steps)
+        assert abs(lacking.roots[0] - scanned.roots[0]) * abs(slope) <= 2.0 * tol
 
     @pytest.mark.parametrize("n_steps", range(1, 17))
     @pytest.mark.parametrize("name", ["quartic", "soft-oscillator"])
-    def test_few_steps_predict_only_when_the_coarse_scans_differ(self, name, n_steps):
-        # at N <= 8 both coarse scans would take one step and Richardson's weight w - 1 is
-        # 0: such solves skip them and run the scan, then Newton; RuntimeWarnings are
-        # errors in this suite, so no step may divide by 0 or overflow unguarded
+    def test_few_steps_run_each_distinct_row_once(self, name, n_steps):
+        # at N <= 16 the coarse rows ceil(N/16) and ceil(N/8) may equal each other or N: each
+        # distinct count runs once, so Richardson's weight (n / n')^4 - 1 is never 0, and
+        # RuntimeWarnings are errors in this suite, so no step may divide by 0 or overflow
+        # unguarded.  At N = 1 the one row has no row before it, so no lanes of a bracket
+        # are kept and the Newton sweeps solve it
         model = _anharmonic(1.0, 0.1) if name == "quartic" else _soft_oscillator()
         shots = _shoot_batch(model, 0.1, [0.6], (0.0, 1.0), n_steps, "p0", REFINED_DENSITY)
         assert shots.flags[0] != "infeasible"
-        coarse = _ladder(n_steps)
-        if coarse[0] == coarse[1]:
-            assert shots.method[0] == "newton"
-            assert shots.sweeps[0] == (481, n_steps)
-            assert all(sweep == (3, n_steps) for sweep in shots.sweeps[1:])
+        rows = _ladder(n_steps) + [(481, n_steps)]
+        assert len({n for _, n in rows}) == len(rows)
+        if n_steps == 1:
+            assert shots.method[0] == "newton" and shots.sweeps[0] == (481, 1)
+            assert all(sweep == (3, 1) for sweep in shots.sweeps[1:])
             with pytest.MonkeyPatch.context() as patch:
                 _on_the_scan_route(patch)
                 scanned = _shoot_batch(model, 0.1, [0.6], (0.0, 1.0), n_steps, "p0",
-                                     REFINED_DENSITY)
+                                       REFINED_DENSITY)
             assert _same_shots(shots, scanned)
         else:
-            assert list(shots.sweeps[:2]) == coarse
-            if shots.method[0] == "trajectory":
-                assert len(shots.sweeps) == 2
-            else:
-                assert shots.sweeps[2] == (484, n_steps)
+            assert shots.method[0] == "trajectory"
+            assert list(shots.sweeps) == rows[:len(shots.sweeps)]
 
-    def test_bracket_with_blown_up_lanes_keeps_the_plain_guess(self):
-        # V = q^2/2 + 10 q^4 at dt = 0.2: RK4 is unstable for large amplitudes, so
-        # some dense lanes inside the bracket overflow and the refinement is skipped
+    def test_bracket_with_blown_up_lanes_is_the_sign_change_nearest_0(self):
+        # V = q^2/2 + 10 q^4 at dt = 0.2: RK4 is unstable for large amplitudes, so some dense
+        # lanes of the plain scan's bracket interval overflow.  The dense rows see sign
+        # changes nearer 0 than that interval, and the solve brackets the nearest of them
         model = _anharmonic(1.0, 10.0)
         t, n_steps = 4.0, 20
         dense = _shoot_batch(model, 0.0, [0.5], (0.0, t), n_steps, "p0", REFINED_DENSITY)
         plain = _shoot_batch(model, 0.0, [0.5], (0.0, t), n_steps, "p0", 1)
-        # no prediction without a refined bracket, so the solve takes the scan route
-        assert dense.method[0] == "newton"
-        with pytest.MonkeyPatch.context() as patch:
-            _on_the_scan_route(patch)
-            scanned = _shoot_batch(model, 0.0, [0.5], (0.0, t), n_steps, "p0", REFINED_DENSITY)
-        assert _same_shots(dense, scanned)
-        # the dense lanes of the scan interval holding the root
+        # the dense lanes of the scan interval holding the plain root
         cand = dynamics._scan_candidates()
-        i = np.searchsorted(cand, dense.roots[0]) - 1
+        i = np.searchsorted(cand, plain.roots[0]) - 1
         nodes = dynamics._lobatto_nodes(cand, REFINED_DENSITY)[
             i * REFINED_DENSITY:(i + 1) * REFINED_DENSITY + 1]
         _, q_end, *_ = dynamics._rk4(model.vector_field(), nodes, np.zeros_like(nodes),
                                      t / n_steps, n_steps)
         assert np.all(np.isfinite(q_end[[0, -1]])) and not np.all(np.isfinite(q_end))
+        lo, hi = _nearest_sign_change(model, 0.0, 0.5, t, n_steps, "p0")
+        assert lo <= dense.roots[0] <= hi and abs(dense.roots[0]) < abs(plain.roots[0])
         # the dense rows change sign more than once, so the flag says the root is not alone
         assert dense.flags[0] == "conjugate-degenerate" and abs(dense.residuals[0]) <= SHOOTING_TOL
-        for got, want in ((dense.roots, plain.roots), (dense.residuals, plain.residuals),
-                          (dense.P, plain.P), (dense.Q, plain.Q)):
-            assert np.array_equal(got, want)
+        assert plain.flags[0] == "unique" and abs(plain.residuals[0]) <= SHOOTING_TOL
+
+    def test_several_sign_changes_near_0_reach_the_trajectory_newton(self, monkeypatch):
+        # a fast draw, omega t = 22: on the rows of 18 and 36 steps the candidate interval of
+        # the sign change nearest 0 holds several dense ones, so there is neither a refined
+        # guess nor x^, and the trajectory Newton starts from regula falsi on the dense pair.
+        # Bracketing the candidate interval, the solve took the N-step row and Newton
+        # sweeps: 8184 loop steps, against 54
+        model, shoot_on, start, end = _refined_case(
+            "soft-oscillator", -2.757197644927107, "position-type", -0.37710789779499065,
+            0.9342964707947354, 15.716965836235303)
+        t, n_steps = 1.3839693140693259, 1131
+        solved = []
+        newton = dynamics._trajectory_newton
+
+        def recorded(*args):
+            out = newton(*args)
+            solved.append(out[0][0])
+            return out
+
+        monkeypatch.setattr(dynamics, "_trajectory_newton", recorded)
+        shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on, REFINED_DENSITY)
+        assert shots.method[0] == "trajectory" and solved == [True]
+        row = shots.sweeps[-1][1]
+        assert list(shots.sweeps) == _ladder(n_steps, 1) and row < n_steps
+        nodes, res = _dense_residuals(model, start, end, t, row, shoot_on)
+        lo, hi = _nearest_sign_change(model, start, end, t, row, shoot_on)
+        i = np.searchsorted(nodes, lo) // REFINED_DENSITY
+        interval = res[i * REFINED_DENSITY:(i + 1) * REFINED_DENSITY + 1]
+        assert np.sum(interval[:-1] * interval[1:] < 0) > 1
+        assert lo <= shots.roots[0] <= hi
+        assert shots.flags[0] == "conjugate-degenerate"
+        assert abs(shots.residuals[0]) <= SHOOTING_TOL * max(1.0, abs(start), abs(end))
+
+    def test_infeasible_solve_reports_its_scan_lane(self):
+        # q 0 -> 1e4 in t = 1 lies beyond the scanned velocities, so no dense lane changes
+        # sign.  The solve reports the candidate of least residual with its path from the
+        # N-step row, which sweeps N steps once: the path and residual are those of the
+        # lane x of the sweep of x and x +- h that the Newton route ran for it
+        model = _anharmonic(1.0, 0.1)
+        rep = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1e4), (0.0, 1.0),
+                                 600)
+        assert rep.flag == "infeasible" and rep.method == "scan"
+        assert [sweep for sweep in rep.sweeps if sweep[1] == 600] == [(481, 600)]
+        unit = dynamics._momentum_unit(model, 0.0)
+        x = rep.parameter
+        assert x in dynamics._scan_candidates() * unit
+        h = dynamics.FD_REL_STEP * max(unit, abs(x))
+        _, q_end, P, Q, _ = dynamics._rk4(model.vector_field(), np.array([x, x + h, x - h]),
+                                          np.zeros(3), 1.0 / 600, 600, keep=0)
+        assert np.array_equal(rep.path.p, P) and np.array_equal(rep.path.q, Q)
+        assert rep.residual == abs(q_end[0] - 1e4)
 
 
-def _dense_sign_changes(model, start, end, t, n_steps, shoot_on):
-    """Sign changes of the endpoint residual over a single solve's dense scan lanes."""
+def _dense_residuals(model, start, end, t, n_steps, shoot_on):
+    """A single solve's dense scan lanes and their endpoint residuals, nan where not finite."""
     unit = dynamics._momentum_unit(model, start) if shoot_on == "p0" else 1.0
     nodes = dynamics._lobatto_nodes(dynamics._scan_candidates() * unit, REFINED_DENSITY)
     pinned = np.full_like(nodes, start)
@@ -984,23 +985,47 @@ def _dense_sign_changes(model, start, end, t, n_steps, shoot_on):
     p_end, q_end, *_ = dynamics._rk4(model.vector_field(), p, q, t / n_steps, n_steps)
     with np.errstate(all="ignore"):
         res = (q_end if shoot_on == "p0" else p_end) - end
-        res = np.where(np.isfinite(res), res, np.nan)
+    return nodes, np.where(np.isfinite(res), res, np.nan)
+
+
+def _dense_sign_changes(model, start, end, t, n_steps, shoot_on):
+    """Sign changes of the endpoint residual over a single solve's dense scan lanes."""
+    _, res = _dense_residuals(model, start, end, t, n_steps, shoot_on)
+    with np.errstate(all="ignore"):
         return int(np.sum(res[:-1] * res[1:] < 0))
+
+
+def _nearest_sign_change(model, start, end, t, n_steps, shoot_on):
+    """(lo, hi), the pair of neighbouring dense scan lanes nearest 0 whose residuals
+    change sign."""
+    nodes, res = _dense_residuals(model, start, end, t, n_steps, shoot_on)
+    with np.errstate(all="ignore"):
+        k = np.flatnonzero(res[:-1] * res[1:] < 0)
+    k = k[np.argmin(np.minimum(np.abs(nodes[k]), np.abs(nodes[k + 1])))]
+    return nodes[k], nodes[k + 1]
 
 
 class TestDenseFlags:
     """A single solve counts roots on its dense scan rows, not only on the candidates."""
 
-    @pytest.mark.parametrize("n_steps, p0", [(50, -885.169395849281), (2000, 401.4702675221621)])
-    def test_hidden_roots_flag_the_quartic_solve(self, n_steps, p0):
-        # V = q^2/2 + 10 q^4: the 33 candidates change sign once, the dense lanes many times
+    def test_hidden_roots_take_the_one_nearest_0(self):
+        # V = q^2/2 + 10 q^4, q 0 -> 2 in t = 0.5: the 33 candidates change sign once, the
+        # dense lanes many times.  Every N brackets the dense sign change nearest 0, so the
+        # solves find one root, p0 = 32.317, to the RK4 error, which falls as N^-4 (from the
+        # candidate interval's bracket they found -885.17 at N = 50 and 401.47 at 500 and 2000)
         model = _anharmonic(1.0, 10.0)
-        assert _dense_sign_changes(model, 0.0, 2.0, 0.5, n_steps, "p0") > 1
-        rep = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 2.0), (0.0, 0.5),
-                                 n_steps)
-        assert rep.flag == "conjugate-degenerate"
-        assert rep.parameter == pytest.approx(p0, rel=1e-9)
-        assert rep.residual <= SHOOTING_TOL * 2.0
+        roots = []
+        for n_steps in (50, 500, 2000):
+            assert _dense_sign_changes(model, 0.0, 2.0, 0.5, n_steps, "p0") > 1
+            rep = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 2.0),
+                                     (0.0, 0.5), n_steps)
+            assert rep.flag == "conjugate-degenerate"
+            assert rep.residual <= SHOOTING_TOL * 2.0
+            lo, hi = _nearest_sign_change(model, 0.0, 2.0, 0.5, n_steps, "p0")
+            assert lo <= rep.parameter <= hi
+            roots.append(rep.parameter)
+        assert roots[0] == pytest.approx(roots[2], rel=1e-4)
+        assert roots[1] == pytest.approx(roots[2], rel=1e-8)
 
     @settings(max_examples=40)
     @given(
@@ -1038,13 +1063,13 @@ class TestDenseFlags:
         strength=st.floats(0.01, 1.0),
         n_steps=st.integers(20, 2000),
     )
-    # the quartic momentum window of TestRefinedScan, which routes on rows of 16 and 32 steps
-    # with 19 and 31 sign changes
+    # the quartic momentum window of TestRefinedScan, which ends on the second of its rows of
+    # 16 and 32 steps, with 19 and 31 sign changes
     @example(name="quartic", log_mass=3.0, kind="momentum-type", start=0.3, end=-0.3,
              t=0.45 * math.pi, strength=0.1, n_steps=500)
     def test_degenerate_with_a_steep_end_means_several_dense_sign_changes(
             self, name, log_mass, kind, start, end, t, strength, n_steps):
-        # the converse: a routed solve reads the count on its coarse rows, yet a flag it
+        # the converse: a solve that ends on a coarse row reads the count there, yet a flag it
         # raises for several roots holds on the N-step dense row too
         model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
         shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on, REFINED_DENSITY)

@@ -279,6 +279,15 @@ class TestExactVerdict:
         assert convexity_probe(model, box, "q-axis") == "neither"
         assert saddle_probe(model, box) == "not-saddle"
 
+    def test_a_huge_box_is_decided_without_overflow(self):
+        # V''' = 1e10 + 1e-300 q^2 on |q| <= 1e300: both terms count there, and their ratio
+        # overflowed np.roots' companion matrix (a LinAlgError), as V'' = 1e10 q + q^3 / 3e300
+        # overflows at the box's ends; V'' changes sign at 0
+        model = HamiltonianModel.separable(1.0, (0.0, 0.0, 0.0, 1e10 / 6, 0.0, 1e-300 / 60))
+        box = DomainBox(-1.0, 1.0, -1e300, 1e300)
+        assert saddle_probe(model, box) == "not-saddle"
+        assert convexity_probe(model, box, "q-axis") == "neither"
+
     @pytest.mark.parametrize("coeffs", [
         (0.0,), (0.0, -1.0), (0.3, -0.7, 0.0, 0.0), (0.0, 0.0, -0.5, 0.0, 0.0),
         # V'' = -(q - 0.3)^2, zero at a double root inside the box
@@ -315,6 +324,8 @@ class TestExactVerdict:
            q_min=st.floats(-3.0, 3.0), width=st.floats(0.01, 5.0))
     # V''' = 6 + 1.2e-322 q: np.roots overflowed dividing by its subnormal lead
     @example(coeffs=[0.0, 0.0, 0.0, 1.0, 5e-324], q_min=0.0, width=1.0)
+    # the coefficients of test_a_huge_box_is_decided_without_overflow, on a small box
+    @example(coeffs=[0.0, 0.0, 0.0, 1e10 / 6, 0.0, 1e-300 / 60], q_min=-3.0, width=5.0)
     def test_exact_verdict_agrees_with_a_dense_scan(self, coeffs, q_min, width):
         q_max = q_min + width
         model = HamiltonianModel.separable(1.0, potential_coeffs=coeffs)
