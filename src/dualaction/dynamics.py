@@ -21,10 +21,10 @@ evaluators:
   the dynamics rather than N.  Each row brackets the dense sign change
   nearest 0.  On the first row that agrees with the one before it, or
   else on the N-step row, Newton on the whole N-step trajectory polishes
-  that root: each iteration is one vectorized RK4 step from every node,
-  its exact Jacobian and a doubling scan of the linearized steps, so a
-  solve that ends on the second row runs, for N > 480, 47 to 90 loop
-  steps in all.
+  that root from regula falsi on the bracket: each iteration is one
+  vectorized RK4 step from every node, its exact Jacobian and a doubling
+  scan of the linearized steps, so a solve that ends on the second row
+  runs, for N > 480, 47 to 90 loop steps in all.
   Newton sweeps of the parameter and the parameter +- h serve the plain
   scan of many targets and every solve the trajectory Newton cannot.
 
@@ -48,7 +48,7 @@ BRACKET_RANGE = 1e3
 MAX_NEWTON_ITER = 100
 # iterations of a trajectory Newton solve before the solve climbs a row (on the N-step row:
 # takes Newton sweeps)
-MAX_TRAJECTORY_ITER = 6
+MAX_TRAJECTORY_ITER = 8
 # a trajectory Newton correction within this many ulps of its path's largest |p| or |q|
 # is at rounding level
 _SETTLED = 64
@@ -279,10 +279,11 @@ def _step_powers(field_matrix, dt, n_steps):
     powers, shape (dt.size, n_steps+1, 3, 3), are built by doubling, in
     log2(n_steps) batched products.
     """
-    m, eye = dt[:, None, None] * field_matrix, np.eye(3)
+    eye = np.eye(3)
     powers = np.empty((dt.size, n_steps + 1, 3, 3))
     powers[:, 0] = eye
     with np.errstate(all="ignore"):  # a flow that outgrows floats turns non-finite
+        m = dt[:, None, None] * field_matrix
         powers[:, 1] = eye + m @ (eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0)
         n = 1
         while n < n_steps:
@@ -397,55 +398,6 @@ def _brackets(nodes, res, tol, sub):
     return x, lo, hi, r_lo, changes, ~infeasible, flags, k, at
 
 
-def _refine(nodes, res, bracketed):
-    """Root guesses from the dense scan lanes of each target's bracket interval.
-
-    nodes, (n + 1, targets), are the Chebyshev-Lobatto points of each
-    target's bracket interval and res their residuals.  Where these are
-    finite and change sign once, the root of their barycentric
-    interpolant (Berrut & Trefethen, SIAM Rev. 2004) is found by Illinois
-    regula-falsi steps inside the node pair that changes sign.  Returns
-    (refined, x): the targets refined and the roots, to be used where
-    refined.
-    """
-    cols = np.arange(res.shape[1])
-    with np.errstate(invalid="ignore", over="ignore"):  # an overflowing product keeps its sign
-        change = res[:-1] * res[1:] < 0
-    refined = bracketed & np.all(np.isfinite(res), axis=0) & (change.sum(axis=0) == 1)
-    k = np.argmax(change, axis=0)
-    lo, hi = nodes[k, cols], nodes[k + 1, cols]
-    r_lo, r_hi = res[k, cols], res[k + 1, cols]
-    weights = np.where(np.arange(res.shape[0]) % 2, -1.0, 1.0)
-    weights[[0, -1]] *= 0.5
-    # one row per target, so each target's sums run in the same order in any batch
-    nodes_t, res_t = np.ascontiguousarray(nodes.T), np.ascontiguousarray(res.T)
-
-    def interpolant(x):
-        with np.errstate(all="ignore"):  # x on a node gives nan, which ends its steps
-            w = weights / (x[:, None] - nodes_t)
-            return np.sum(w * res_t, axis=1) / np.sum(w, axis=1)
-
-    # Illinois: halve the residual kept at an end that a step did not move twice running
-    a, b, fa, fb = lo.copy(), hi.copy(), r_lo.copy(), r_hi.copy()
-    side = np.zeros(cols.size)
-    x, live = lo.copy(), refined.copy()
-    for _ in range(MAX_NEWTON_ITER):  # superlinear: 4 to 13 steps reach rounding level
-        with np.errstate(all="ignore"):
-            x = np.where(live, np.clip(b - fb * (b - a) / (fb - fa), lo, hi), x)
-            fx = interpolant(x)
-            to_b = live & (fx * fb > 0)
-            to_a = live & (fx * fa > 0)
-        fa = np.where(to_b & (side == -1), 0.5 * fa, fa)
-        fb = np.where(to_a & (side == 1), 0.5 * fb, fb)
-        b, fb = np.where(to_b, x, b), np.where(to_b, fx, fb)
-        a, fa = np.where(to_a, x, a), np.where(to_a, fx, fa)
-        side = np.where(to_b, -1, np.where(to_a, 1, side))
-        live = (to_a | to_b) & (np.abs(b - a) > 4.0 * np.finfo(float).eps * np.abs(x))
-        if not live.any():
-            break
-    return refined, x
-
-
 def _coarse_rows(n_steps):
     """Step counts of a dense solve's coarse scan rows, coarsest first: ceil(N/16)
     and ceil(N/8), and ceil(N/32), ceil(N/64), ... below them, down to the last of
@@ -483,30 +435,23 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
       (density 1 is the plain scan), and each target brackets the sign
       change nearest 0 over all of them.  When the model has every second
       partial and density > 1, the scan runs on rows: the coarse rows
-      (_coarse_rows), from the coarsest up, then the N-step row.  On each
-      row the starting parameter is, in this order: x^ = (w x - x') /
-      (w - 1), w = (n / n')^4, Richardson's extrapolation of this row's
-      refined guess x and the row before's x' (their RK4 error falls as
-      n^-4), where the two rows agree and x^ lies in the bracket; else
-      the refined guess, the root of the interpolant through the
-      density + 1 residuals of the bracket's candidate interval where
-      these are finite and change sign once (_refine); else the
-      regula-falsi guess.  Two rows agree when they put the bracket in
-      the same candidate interval and agree on whether they change sign
-      more than once, which is all the flag reads.  On a row that agrees
-      with the one before it, and on the N-step row, _trajectory_newton
-      polishes the root from the starting parameter, on a path seeded
-      from the bracket's two lanes (_seed_path), which the row's sweep
-      kept (the lanes of the interval of the row before): a target it
-      solves ends there (method 'trajectory'), with its sign changes
-      and flag from that row, and no finer row runs for it.  On the
-      N-step row, a target the trajectory Newton did not solve, or whose
-      bracket lies outside the kept lanes, a hit, and every target of a
-      plain scan or of a model that lacks a second partial, is solved by
-      _newton from its starting parameter in its bracket (method
-      'newton').  An infeasible target reports the kept path of its
-      scan lane (method 'scan').  A surface's many targets share the
-      plain scan, where dense lanes would cost arithmetic.
+      (_coarse_rows), from the coarsest up, then the N-step row.  Two
+      rows agree when they put the bracket in the same candidate
+      interval and agree on whether they change sign more than once,
+      which is all the flag reads.  On a row that agrees with the one
+      before it, and on the N-step row, _trajectory_newton polishes the
+      root from the row's regula-falsi guess, on a path seeded from the
+      bracket's two lanes (_seed_path), which the row's sweep kept (the
+      lanes of the interval of the row before): a target it solves ends
+      there (method 'trajectory'), with its sign changes and flag from
+      that row, and no finer row runs for it.  On the N-step row, a
+      target the trajectory Newton did not solve, or whose bracket lies
+      outside the kept lanes, a hit, and every target of a plain scan or
+      of a model that lacks a second partial, is solved by _newton from
+      that row's guess in its bracket (method 'newton').  An infeasible
+      target reports the kept path of its scan lane (method 'scan').  A
+      surface's many targets share the plain scan, where dense lanes
+      would cost arithmetic.
 
     The residual is that of the returned endpoint (for an affine field
     G^N x0, which the path's last node equals up to rounding) and must
@@ -525,13 +470,14 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
     dt = span / n_steps
     steps, first, horizon = np.unique(dt, return_index=True, return_inverse=True)
     unit = _momentum_unit(model, start_value) if shoot_on == "p0" else 1.0
-    cand = _scan_candidates() * unit
     # (p, q) index of the matched end, which is also the pinned start's;
     # the shooting parameter is the other one
     end = 1 if shoot_on == "p0" else 0
     field_matrix = _affine_matrix(model)
     sub = 1 if field_matrix is not None else density  # rows per candidate interval
-    nodes = _lobatto_nodes(cand, sub)
+    with np.errstate(all="ignore"):  # a unit past the float range leaves non-finite lanes
+        cand = _scan_candidates() * unit
+        nodes = _lobatto_nodes(cand, sub)
     n_t = targets.size
 
     def lanes(x):
@@ -539,19 +485,11 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
         return (x, s) if shoot_on == "p0" else (s, x)
 
     def bracket(ends):
-        """Each target's start from the scan endpoints ends, (nodes, horizons):
-        (x, lo, hi, r_lo, sign_changes, have_bracket, flags, refined, k, at), k the
-        bracket's lower node and at the node of x where there is no bracket."""
-        with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
+        """_brackets of the scan endpoints ends, (nodes, horizons)."""
+        # a blown-up lane leaves inf - inf, and a huge end minus a huge target overflows
+        with np.errstate(invalid="ignore", over="ignore"):
             res = ends[:, horizon] - targets
-        res = np.where(np.isfinite(res), res, np.nan)
-        x, lo, hi, r_lo, changes, have_bracket, flags, k, at = _brackets(nodes, res, tol, sub)
-        refined = np.zeros(n_t, dtype=bool)
-        if sub > 1:
-            rows = k // sub * sub + np.arange(sub + 1)[:, None]
-            refined, guess = _refine(nodes[rows], res[rows, np.arange(n_t)], changes > 0)
-            x = np.where(refined, guess, x)
-        return x, lo, hi, r_lo, changes, have_bracket, flags, refined, k, at
+        return _brackets(nodes, np.where(np.isfinite(res), res, np.nan), tol, sub)
 
     if field_matrix is not None:
         powers = _step_powers(field_matrix, steps, n_steps)
@@ -592,38 +530,34 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
         flags = np.full(n_t, "infeasible", dtype=object)
         method = np.full(n_t, "trajectory")
         done = np.zeros(n_t, dtype=bool)
-        before = None  # the row before: (steps, x, refined, candidate interval, sign changes)
+        before = None  # the row before: (candidate interval, sign changes) of each target
         for n in (_coarse_rows(n_steps) if second is not None else []) + [n_steps]:
             # the sweep keeps the lanes of the row before's bracket intervals, where an
             # agreeing row's bracket lies, and on the N-step row every candidate's
             keep = np.zeros(nodes.size, dtype=bool)
             keep[::sub] = n == n_steps
             if before is not None:
-                n_b, x_b, refined_b, i_b, changes_b = before
+                i_b, changes_b = before
                 keep[i_b[~done & (changes_b > 0)] * sub + np.arange(sub + 1)[:, None]] = True
             keep = np.flatnonzero(keep)
             run = None  # a run of lanes is kept by a slice, which a step copies faster
             if keep.size:
                 run = slice(keep[0], keep[-1] + 1) if keep[-1] - keep[0] < keep.size else keep
             ends, P_n, Q_n, _ = sweep(grid, span[first] / n, n, keep=run)
-            x, lo, hi, r_lo, row_changes, row_have, row_flags, refined, k, at = bracket(ends)
-            i, start = k // sub, x
+            x, lo, hi, r_lo, row_changes, row_have, row_flags, k, at = bracket(ends)
+            i = k // sub
             polish = np.zeros(n_t, dtype=bool)
             if before is not None:
                 # the bracket lies in the lanes kept for the target
                 inside = (changes_b > 0) & (i == i_b)
                 agree = inside & ((row_changes > 1) == (changes_b > 1))
-                w = (n / n_b) ** 4
-                x_hat = (w * x - x_b) / (w - 1.0)
-                start = np.where(agree & refined & refined_b & (lo <= x_hat) & (x_hat <= hi),
-                                 x_hat, x)
                 polish = ~done & (row_changes > 0) & (inside if n == n_steps else agree)
             if second is not None and polish.any():
                 cols = np.flatnonzero(polish)
                 pair = k[cols] + np.arange(2)[:, None]
                 on = slice(None), np.searchsorted(keep, pair), horizon[cols]
-                seed = _seed_path(nodes[pair], start[cols], P_n[on], Q_n[on], n_steps)
-                seed[end, 0], seed[1 - end, 0] = start_value, start[cols]
+                seed = _seed_path(nodes[pair], x[cols], P_n[on], Q_n[on], n_steps)
+                seed[end, 0], seed[1 - end, 0] = start_value, x[cols]
                 solved, *solution = _trajectory_newton(
                     field, second, seed, 1 - end, targets[cols], tol[cols], dt[cols], lo[cols],
                     hi[cols])
@@ -636,7 +570,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
                 done[won] = True
             if done.all():
                 break
-            before = n, x, refined, i, row_changes
+            before = i, row_changes
         else:  # the N-step row ran and some targets are left
             rest = np.flatnonzero(~done)
             changes[rest], have_bracket[rest], flags[rest] = (
@@ -651,7 +585,7 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
             todo = rest[row_have[rest]]
             if todo.size:
                 (roots[todo], residuals[todo], P[:, todo], Q[:, todo], j_end[todo],
-                 j_max[todo]) = _newton(sweep, start[todo], lo[todo], hi[todo], r_lo[todo],
+                 j_max[todo]) = _newton(sweep, x[todo], lo[todo], hi[todo], r_lo[todo],
                                         targets[todo], tol[todo], dt[todo], unit)
                 method[todo] = "newton"
         kept = dict(end=np.stack([P[-1], Q[-1]]), swept=(P, Q), sweeps=tuple(sweeps),
@@ -728,15 +662,13 @@ def _second_partials(model):
 def _seed_path(lanes, x, P, Q, n_steps):
     """(2, n_steps + 1, targets) seed paths through the parameters x.
 
-    lanes, (k, targets), are ascending parameters whose paths P and Q,
-    (n + 1, k, targets), were swept on n steps.  Each target's seed is
-    linear in x between the two lanes around it, then linear in time
+    lanes, (2, targets), are the parameters below and above x whose paths
+    P and Q, (n + 1, 2, targets), were swept on n steps.  Each target's
+    seed is linear in x between those two paths, then linear in time
     between their nodes.
     """
-    cols = np.arange(x.size)
-    i = np.clip(np.sum(lanes <= x, axis=0) - 1, 0, lanes.shape[0] - 2)
-    share = (x - lanes[i, cols]) / (lanes[i + 1, cols] - lanes[i, cols])
-    Y = np.stack([(1.0 - share) * Z[:, i, cols] + share * Z[:, i + 1, cols] for Z in (P, Q)])
+    share = (x - lanes[0]) / (lanes[1] - lanes[0])
+    Y = np.stack([(1.0 - share) * Z[:, 0] + share * Z[:, 1] for Z in (P, Q)])
     n = Y.shape[1] - 1
     at = np.arange(n_steps + 1) * (n / n_steps)
     j = np.minimum(at.astype(int), n - 1)

@@ -398,10 +398,24 @@ def test_stderr_carries_only_the_json_error():
     assert _cold_error(argv)["error_code"] == "numeric"
 
 
-def test_flow_past_float_range_prints_no_warning():
+@pytest.mark.parametrize("argv, error_code", [
     # growth e^2000 overflows the scan residuals and the RK4 step-map powers
-    argv = ["classify", "--hamiltonian", "saddle-quadratic", "--q-end", "1", "--t1", "2000"]
-    assert _cold_error(argv)["error_code"] == "blow-up"
+    (["classify", "--hamiltonian", "saddle-quadratic", "--q-end", "1", "--t1", "2000"],
+     "blow-up"),
+    # a horizon at the float range overflows the RK4 step times the field matrix
+    (["bounds", "--potential-coeffs", "1.0,9.313203315072441e+26,-9803.324067967054",
+      "--q-start", "0.47318965240115174", "--q-end", "-0.0", "--t1", "1.7976931348623157e+308",
+      "--N", "15", "--samples", "13", "--epsilon", "6.54514034450093e-12"], "blow-up"),
+    # a target at the float range overflows the scan residuals
+    (["classify", "--potential-coeffs", "-16257503.151357545", "--q-start", "634.252606663473",
+      "--q-end", "1.7976931348623157e+308", "--t1", "1.7976931348623157e+308", "--N", "51"],
+     "numeric"),
+    # a mass at the float range makes the momentum per unit velocity non-finite
+    (["classify", "--mass", "1.7976931348623157e+308", "--q-start", "8.058002942570637e+26",
+      "--q-end", "8.755788659765918e-13", "--t1", "1e+308", "--N", "47"], "blow-up"),
+], ids=["saddle-growth", "huge-horizon", "huge-target", "huge-mass"])
+def test_flow_past_float_range_prints_no_warning(argv, error_code):
+    assert _cold_error(argv)["error_code"] == error_code
 
 
 @pytest.mark.parametrize("spec", [

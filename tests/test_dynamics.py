@@ -512,6 +512,28 @@ def _refined_case(name, log_mass, kind, start, end, strength):
     return model, shoot_on, scale * start, scale * end
 
 
+def _family_draws(family, count):
+    """The first count draws of a property family, seed 7, each (case, t, n_steps) with case
+    the arguments of _refined_case.  "standard": quartic, drift or soft oscillator of
+    strength 0.01 to 1, N 20 to 600; "fast": quartic with lambda 0.01 to 300 or soft
+    oscillator of strength 0.01 to 30, N 481 to 2000."""
+    rng = np.random.default_rng(7)
+    draws = []
+    for _ in range(count):
+        kind = ("position-type", "momentum-type")[rng.integers(2)]
+        log_mass, start = rng.uniform(-3.0, 5.0), rng.uniform(-0.5, 0.5)
+        end, t = rng.uniform(-1.0, 1.0), rng.uniform(0.2, 2.0)
+        if family == "standard":
+            name = ("quartic", "drift", "soft-oscillator")[rng.integers(3)]
+            strength, n_steps = rng.uniform(0.01, 1.0), rng.integers(20, 601)
+        else:
+            name = ("quartic", "soft-oscillator")[rng.integers(2)]
+            strength = rng.uniform(0.01, 300.0 if name == "quartic" else 30.0)
+            n_steps = rng.integers(481, 2001)
+        draws.append(((name, log_mass, kind, start, end, strength), t, int(n_steps)))
+    return draws
+
+
 def _jacobi_field(model, shoot_on, start, x, t, n_steps):
     """J(t_j) = dE(t_j)/dx at every node of the path from the shooting parameter x, E
     the matched variable, by a forward difference."""
@@ -557,8 +579,9 @@ class TestRefinedScan:
     change nearest 0.  On the first row that puts it in the same candidate
     interval as the row before and agrees on whether there is more than
     one, or else on the N-step row, Newton on the whole N-step trajectory
-    polishes the root, and no finer row runs.  Newton sweeps of the
-    parameter and the parameter +- h solve what it does not."""
+    polishes the root from regula falsi on the bracket, and no finer row
+    runs.  Newton sweeps of the parameter and the parameter +- h solve
+    what it does not."""
 
     # (model, boundary kind, start, end, horizon, n_steps): the quartic windows are
     # the benchmark's fixed paths cells, the soft-oscillator ones are drawn from its ranges
@@ -582,12 +605,10 @@ class TestRefinedScan:
     # how each root is found and the (lanes, steps) of every sweep: the 481 dense lanes on
     # each row, from the coarsest up.  Where a row puts the sign change nearest 0 in the
     # same interval as the row before and agrees on whether there is more than one, the
-    # trajectory Newton finishes with no further sweep; the windows with N > 480 do so on
-    # the second row, 32 steps (sign changes: quartic position 29/23, quartic momentum
-    # 19/31, soft oscillators 1/1, drift position 5/7, drift momentum 9/11).  The heavy
-    # quartic window (N = 300) has only the rows of 19 and 38 steps, which agree (29/23),
-    # but its trajectory Newton does not settle there within MAX_TRAJECTORY_ITER; it does on
-    # the N-step row
+    # trajectory Newton finishes with no further sweep; every window does so on the second
+    # row (sign changes: quartic position 29/23, quartic momentum 19/31, soft oscillators
+    # 1/1, drift position 5/7, drift momentum 9/11), which for N > 480 has 32 steps, for
+    # the heavy quartic window (N = 300, rows of 19 and 38 steps) 38, in 4 iterations
     SWEEPS = {
         "quartic-position": ("trajectory", _ladder(1000, 1)),
         "quartic-momentum": ("trajectory", _ladder(500, 1)),
@@ -595,7 +616,7 @@ class TestRefinedScan:
         "soft-oscillator-momentum": ("trajectory", _ladder(2000, 1)),
         "drift-position": ("trajectory", _ladder(500, 1)),
         "drift-momentum": ("trajectory", _ladder(500, 1)),
-        "heavy-quartic-position": ("trajectory", _ladder(300) + [(481, 300)]),
+        "heavy-quartic-position": ("trajectory", _ladder(300)),
         "fast-soft-oscillator-momentum": ("trajectory", _ladder(2000, 3)),
     }
 
@@ -881,10 +902,9 @@ class TestRefinedScan:
     @pytest.mark.parametrize("name", ["quartic", "soft-oscillator"])
     def test_few_steps_run_each_distinct_row_once(self, name, n_steps):
         # at N <= 16 the coarse rows ceil(N/16) and ceil(N/8) may equal each other or N: each
-        # distinct count runs once, so Richardson's weight (n / n')^4 - 1 is never 0, and
-        # RuntimeWarnings are errors in this suite, so no step may divide by 0 or overflow
-        # unguarded.  At N = 1 the one row has no row before it, so no lanes of a bracket
-        # are kept and the Newton sweeps solve it
+        # distinct count runs once.  RuntimeWarnings are errors in this suite, so no step may
+        # divide by 0 or overflow unguarded.  At N = 1 the one row has no row before it, so
+        # no lanes of a bracket are kept and the Newton sweeps solve it
         model = _anharmonic(1.0, 0.1) if name == "quartic" else _soft_oscillator()
         shots = _shoot_batch(model, 0.1, [0.6], (0.0, 1.0), n_steps, "p0", REFINED_DENSITY)
         assert shots.flags[0] != "infeasible"
@@ -926,10 +946,10 @@ class TestRefinedScan:
 
     def test_several_sign_changes_near_0_reach_the_trajectory_newton(self, monkeypatch):
         # a fast draw, omega t = 22: on the rows of 18 and 36 steps the candidate interval of
-        # the sign change nearest 0 holds several dense ones, so there is neither a refined
-        # guess nor x^, and the trajectory Newton starts from regula falsi on the dense pair.
-        # Bracketing the candidate interval, the solve took the N-step row and Newton
-        # sweeps: 8184 loop steps, against 54
+        # the sign change nearest 0 holds several dense ones; the trajectory Newton polishes
+        # the one nearest 0 from regula falsi on its dense pair.  Bracketing the candidate
+        # interval, the solve took the N-step row and Newton sweeps: 8184 loop steps,
+        # against 54
         model, shoot_on, start, end = _refined_case(
             "soft-oscillator", -2.757197644927107, "position-type", -0.37710789779499065,
             0.9342964707947354, 15.716965836235303)
@@ -955,6 +975,48 @@ class TestRefinedScan:
         assert lo <= shots.roots[0] <= hi
         assert shots.flags[0] == "conjugate-degenerate"
         assert abs(shots.residuals[0]) <= SHOOTING_TOL * max(1.0, abs(start), abs(end))
+
+    def test_strong_quartic_settles_on_the_trajectory_route(self):
+        # fast draw #65, lambda = 216 at N = 1102: on the row of 138 steps the trajectory
+        # Newton settles at its 8th iteration.  With at most 6 the solve took the Newton
+        # sweeps of the N-step row: 6872 loop steps, against 260
+        model, shoot_on, start, end = _refined_case(
+            "quartic", 2.8227365235541724, "position-type", -0.4845675230494967,
+            0.916700057990582, 216.13619081380696)
+        t, n_steps = 1.0436056408971721, 1102
+
+        def shoot():
+            return _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
+                                REFINED_DENSITY)
+
+        shots = shoot()
+        with pytest.MonkeyPatch.context() as patch:
+            _on_the_scan_route(patch)
+            forced = shoot()
+        assert shots.method[0] == "trajectory" and forced.method[0] == "newton"
+        assert sum(n for _, n in shots.sweeps) == 260
+        assert shots.flags[0] == forced.flags[0]
+        tol = SHOOTING_TOL * max(1.0, abs(start), abs(end))
+        slope = _endpoint_slope(model, shoot_on, start, forced.roots[0], t, n_steps)
+        assert abs(shots.roots[0] - forced.roots[0]) * abs(slope) <= 2.0 * tol
+
+    # the routes and RK4 loop steps of the first 100 draws of each family (_family_draws).
+    # They do not depend on the machine, so a change of route shows here
+    FAMILY_ROUTES = {
+        "standard": ({"trajectory": 95, "scan": 5}, 6791),
+        "fast": ({"trajectory": 98, "newton": 1, "scan": 1}, 23133),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_ROUTES))
+    def test_family_routes_and_loop_steps(self, family):
+        methods, loop_steps = {}, 0
+        for case, t, n_steps in _family_draws(family, 100):
+            model, shoot_on, start, end = _refined_case(*case)
+            shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
+                                 REFINED_DENSITY)
+            methods[shots.method[0]] = methods.get(shots.method[0], 0) + 1
+            loop_steps += sum(n for _, n in shots.sweeps)
+        assert (methods, loop_steps) == self.FAMILY_ROUTES[family]
 
     def test_infeasible_solve_reports_its_scan_lane(self):
         # q 0 -> 1e4 in t = 1 lies beyond the scanned velocities, so no dense lane changes
