@@ -44,6 +44,10 @@ _SUBMODULES = (*_EXPORTS, "cli", "series")
 __all__ = [name for names in _EXPORTS.values() for name in names]
 __version__ = "0.1.0"
 
+# the builtin Hamiltonians of HamiltonianModel.builtin, defined here so the CLI
+# lists them as --hamiltonian choices without importing the model (and numpy)
+BUILTIN_NAMES = ("free", "sho", "saddle-quadratic", "constant-force")
+
 
 def __getattr__(name):
     """Import the submodule that defines a public name, and cache the name

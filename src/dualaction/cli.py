@@ -8,13 +8,16 @@ failure.  Set DUALACTION_LOG=DEBUG|INFO|WARNING for logging.
 
 A command imports only the modules it uses: each handler imports its
 own solvers, so a cold ``spin`` or ``propagate`` call loads no shooting
-or bounds code.
+or bounds code.  numpy, the model and configparser load only where a run
+uses them: a ``spin`` run on the default free model builds no model, and
+loads numpy only when it enumerates paths or evaluates the closed form,
+so one that stops at a precondition (such as the enumeration cap) loads
+none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import logging
 import math
@@ -22,11 +25,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from . import BUILTIN_NAMES
 from . import spin as spin_mod
 from .errors import DualActionError, NumericError, PreconditionError
-from .model import BUILTIN_NAMES, HamiltonianModel
 
 log = logging.getLogger("dualaction")
 # silent unless DUALACTION_LOG configures logging: stderr carries only the JSON error
@@ -77,7 +78,12 @@ class RunConfig:
         return block
 
 
-def _resolve_model(spec: dict) -> HamiltonianModel:
+_DEFAULT_SPEC = {"builtin": "free"}
+
+
+def _resolve_model(spec: dict):
+    from .model import HamiltonianModel
+
     kind = spec.get("kind", "builtin")
     if kind == "builtin" or spec.get("builtin"):
         name = spec.get("builtin", "free")
@@ -93,20 +99,27 @@ def _resolve_model(spec: dict) -> HamiltonianModel:
     raise PreconditionError(f"cannot build hamiltonian of kind {kind!r} from config")
 
 
+def _unparsable(exc):
+    return PreconditionError(f"cannot parse the hamiltonian spec: {exc}")
+
+
 def _hamiltonian_spec(args) -> dict:
     try:
         return _parse_hamiltonian_spec(args)
-    except (ValueError, configparser.Error) as exc:
-        raise PreconditionError(f"cannot parse the hamiltonian spec: {exc}") from exc
+    except ValueError as exc:
+        raise _unparsable(exc) from exc
 
 
-def _parse_hamiltonian_spec(args) -> dict:
+def _config_spec(path) -> dict:
+    """The [hamiltonian] section of an INI file as a spec."""
+    import configparser
+
     spec = {}
-    if args.config:
-        parser = configparser.ConfigParser()
-        read = parser.read(args.config)
+    parser = configparser.ConfigParser()
+    try:
+        read = parser.read(path)
         if not read:
-            raise PreconditionError(f"config file not found: {args.config}")
+            raise PreconditionError(f"config file not found: {path}")
         if parser.has_section("hamiltonian"):
             section = parser["hamiltonian"]
             for key in ("kind", "builtin"):
@@ -119,6 +132,13 @@ def _parse_hamiltonian_spec(args) -> dict:
                 spec["potential_coeffs"] = [
                     float(x) for x in section["potential_coeffs"].replace(",", " ").split()
                 ]
+    except configparser.Error as exc:
+        raise _unparsable(exc) from exc
+    return spec
+
+
+def _parse_hamiltonian_spec(args) -> dict:
+    spec = _config_spec(args.config) if args.config else {}
     if args.hamiltonian:
         spec["builtin"] = args.hamiltonian
         spec.pop("kind", None)
@@ -128,9 +148,7 @@ def _parse_hamiltonian_spec(args) -> dict:
         spec["potential_coeffs"] = [float(x) for x in args.potential_coeffs.split(",")]
         spec["kind"] = "separable"
         spec.pop("builtin", None)
-    if not spec:
-        spec["builtin"] = "free"
-    return spec
+    return spec or dict(_DEFAULT_SPEC)
 
 
 def _cmd_classify(config: RunConfig, model):
@@ -227,6 +245,8 @@ def _cmd_propagate(config: RunConfig, model):
                     "im": amplitude.imag, "abs": abs(amplitude)})
 
     def write(out):
+        import numpy as np
+
         grid = np.linspace(params["grid_min"], params["grid_max"], params["grid_count"])
         vals = kernel(grid, np.full_like(grid, x_start))
         write_series(out, [f"{x}_f", "re", "im"], zip(grid, vals.real, vals.imag))
@@ -235,8 +255,6 @@ def _cmd_propagate(config: RunConfig, model):
 
 
 def _cmd_spin(config: RunConfig, model):
-    from .series import write_series
-
     params = config.params
     t = params["t1"] - params["t0"]
     if params["spin_kind"] == "half":
@@ -258,12 +276,19 @@ def _cmd_spin(config: RunConfig, model):
         "N": params["N"], "policy": params["policy"], "re": g.real, "im": g.imag,
         "abs": abs(g), "path_count": count,
     }
-    return results, {"closed_form_match_tol": 1e-12}, lambda out: write_series(
-        out, ["N", "policy", "re", "im", "path_count"],
-        [(params["N"], params["policy"], g.real, g.imag, count)])
+
+    def write(out):
+        from .series import write_series
+
+        write_series(out, ["N", "policy", "re", "im", "path_count"],
+                     [(params["N"], params["policy"], g.real, g.imag, count)])
+
+    return results, {"closed_form_match_tol": 1e-12}, write
 
 
 def _cmd_hj_check(config: RunConfig, model):
+    import numpy as np
+
     from .action import hj_residual_r, hj_residual_s
     from .dynamics import SHOOTING_TOL
 
@@ -289,6 +314,8 @@ def _finite_or_none(value):
 
 
 def _cmd_legendre_check(config: RunConfig, model):
+    import numpy as np
+
     from .action import _legendre_residuals
     from .series import write_series
 
@@ -458,8 +485,11 @@ def run(config: RunConfig):
 
     A handler returns (results, tolerances, write), where write(path)
     writes the command's data series, or is None for a run without one.
+    Spin ignores the model, so a spin run on the default one builds none;
+    any other spec is built, so its errors stand.
     """
-    model = _resolve_model(config.hamiltonian)
+    default_spin = config.command == "spin" and config.hamiltonian == _DEFAULT_SPEC
+    model = None if default_spin else _resolve_model(config.hamiltonian)
     results, tolerances, write = _HANDLERS[config.command](config, model)
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -13,9 +13,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import BUILTIN_NAMES
 from .errors import DomainError, PreconditionError, UnsupportedOrderError
-
-BUILTIN_NAMES = ("free", "sho", "saddle-quadratic", "constant-force")
 
 # Stencil steps per total derivative order, in the natural scale of the
 # axis.  Orders 2-3 need wider Richardson stencils than the first-order

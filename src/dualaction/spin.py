@@ -10,13 +10,14 @@ admits only paths whose first/last slice match the requested signs.
 Filtering needs distinct per-interval values (l != 0, l0 != 0) and end
 values among them; otherwise no end is defined and it is a precondition
 error.
+
+numpy loads on the first enumeration or closed form, not at import: a
+call that stops at a precondition never needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import PreconditionError
 
@@ -67,26 +68,30 @@ def _validated(inertia, values, ends, n_intervals, policy):
 def _closed_form(ensemble, ends, t, inertia):
     """The path sum factorized over intervals: (sum_v m_v phase_v / M)^N for
     M paths per interval, with the first and last factors fixed to
-    m phase / M of the admitted ends when there are ends."""
+    m phase / M of the admitted ends when there are ends.  A value or time
+    past the float range gives a non-finite phase, not a warning."""
+    import numpy as np
+
     n_intervals = ensemble.n_intervals
     mult = dict(ensemble.values)
     per_interval = float(sum(m for _, m in ensemble.values))
     dt = t / n_intervals
 
-    def slice_phase(v):
-        return np.exp(-1j * v**2 * dt / (2.0 * inertia))
+    def slice_phase(v):  # v * v, not v**2, which raises past the float range
+        return np.exp(-1j * (v * v) * dt / (2.0 * inertia))
 
-    full = sum(m * slice_phase(v) for v, m in ensemble.values)
-    if ends is None:
-        return complex((full / per_interval) ** n_intervals)
-    l_i, l_f = ends
-    if n_intervals == 1:
-        if l_i != l_f:
-            return 0.0 + 0.0j
-        return complex(mult[l_i] * slice_phase(l_i) / per_interval)
-    weight = mult[l_i] * slice_phase(l_i) * mult[l_f] * slice_phase(l_f)
-    # normalized per interval: per_interval**N overflows a float past N ~ 500
-    return complex((full / per_interval) ** (n_intervals - 2) * weight / per_interval**2)
+    with np.errstate(all="ignore"):
+        full = sum(m * slice_phase(v) for v, m in ensemble.values)
+        if ends is None:
+            return complex((full / per_interval) ** n_intervals)
+        l_i, l_f = ends
+        if n_intervals == 1:
+            if l_i != l_f:
+                return 0.0 + 0.0j
+            return complex(mult[l_i] * slice_phase(l_i) / per_interval)
+        weight = mult[l_i] * slice_phase(l_i) * mult[l_f] * slice_phase(l_f)
+        # normalized per interval: per_interval**N overflows a float past N ~ 500
+        return complex((full / per_interval) ** (n_intervals - 2) * weight / per_interval**2)
 
 
 def _path_sum(ensemble, ends, t, inertia):
@@ -106,13 +111,22 @@ def _path_sum(ensemble, ends, t, inertia):
     fixed ends' squares plus each low digit's square in digit order.  A
     chunk is the table plus the squares of its high digits, added one
     digit at a time, so every path adds its squares left to right from
-    the lowest digit, and each chunk costs one array add per high digit.
+    the lowest digit.
+
+    The table holds few distinct sums (a spin-1/2 table one, since every
+    level has the same square), and equal sums stay equal when the same
+    high digits are added to them.  So a chunk adds its high digits to
+    the distinct sums only, takes one phase per distinct sum, and gathers
+    the phases back into path order for the same np.sum: every chunk sums
+    the same values in the same order as the whole table would.  A value
+    or time past the float range gives a non-finite sum, not a warning.
     """
+    import numpy as np
+
     levels = [v for v, mult in reversed(ensemble.values) for _ in range(mult)]
     n_intervals = ensemble.n_intervals
     base = len(levels)
     levels = np.asarray(levels, dtype=float)
-    squares = levels**2
     dt = t / n_intervals
     total = base**n_intervals
     if ends is None:
@@ -120,24 +134,28 @@ def _path_sum(ensemble, ends, t, inertia):
     elif n_intervals == 1:  # one interval is both ends
         if ends[0] != ends[1]:
             return 0.0 + 0.0j
-        walked, fixed, count = 0, ends[0] ** 2, int(np.sum(levels == ends[0]))
+        # products, not **, which raises past the float range
+        walked, fixed, count = 0, ends[0] * ends[0], int(np.sum(levels == ends[0]))
     else:
-        walked, fixed = n_intervals - 2, ends[0] ** 2 + ends[1] ** 2
+        walked, fixed = n_intervals - 2, ends[0] * ends[0] + ends[1] * ends[1]
         count = int(np.sum(levels == ends[0])) * int(np.sum(levels == ends[1]))
     # base is 2 or 4, so a chunk's codes share all digits above the lowest `low`
     low = 0
     while low < walked and base ** (low + 1) <= _CHUNK:
         low += 1
-    table = np.array([fixed])
-    for _ in range(low):  # code c + d base^j gets digit d at position j
-        table = (table[None, :] + squares[:, None]).ravel()
-    acc = 0.0 + 0.0j
-    for chunk in range(base ** (walked - low)):
-        square_sum = table
-        for j in range(walked - low):  # the chunk's high digits, lowest first
-            square_sum = square_sum + squares[chunk // base**j % base]
-        acc += np.sum(np.exp(-1j * square_sum * dt / (2.0 * inertia)))
-    return complex(count * acc / total)
+    with np.errstate(all="ignore"):
+        squares = levels**2
+        table = np.array([fixed])
+        for _ in range(low):  # code c + d base^j gets digit d at position j
+            table = (table[None, :] + squares[:, None]).ravel()
+        distinct, path_order = np.unique(table, return_inverse=True)
+        acc = 0.0 + 0.0j
+        for chunk in range(base ** (walked - low)):
+            square_sum = distinct
+            for j in range(walked - low):  # the chunk's high digits, lowest first
+                square_sum = square_sum + squares[chunk // base**j % base]
+            acc += np.sum(np.exp(-1j * square_sum * dt / (2.0 * inertia))[path_order])
+        return complex(count * acc / total)
 
 
 def _propagator(inertia, values, ends, t, n_intervals, policy, cap, use_closed_form):

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -9,11 +11,14 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dualaction
 from dualaction import HamiltonianModel, PhasePath, legendre_residual
 from dualaction.action import _legendre_residuals
 from dualaction.cli import ERROR_SCHEMA, REPORT_SCHEMA, main
+from dualaction.spin import POLICIES
 
 from conftest import padded_row_series
 
@@ -243,6 +248,19 @@ class TestInputValidation:
         jsonschema.validate(error, ERROR_SCHEMA)
         assert error["error_code"] == "precondition"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--mass", "-1"), "separable kind requires a positive mass"),
+        (("--potential-coeffs", "1,nan"), "potential coefficients must be finite"),
+        (("--config", "/nonexistent.ini"), "config file not found: /nonexistent.ini"),
+        (("--potential-coeffs", "abc"),
+         "cannot parse the hamiltonian spec: could not convert string to float: 'abc'"),
+    ], ids=["negative-mass", "nan-coefficient", "missing-config", "unparsable-coefficient"])
+    def test_spin_still_checks_its_model_options(self, capsys, argv, message):
+        # spin builds no model for the default spec, but any model option is built
+        error = run_error(capsys, 2, "spin", *argv)
+        assert error["error_code"] == "precondition"
+        assert error["message"] == message
+
     def test_mass_flag_sets_the_builtin_mass(self, capsys):
         code, out, _ = run_cli(capsys, "action", "--hamiltonian", "sho", "--mass", "2",
                                "--q-end", "1", "--t1", "1")
@@ -418,6 +436,73 @@ def test_flow_past_float_range_prints_no_warning(argv, error_code):
     assert _cold_error(argv)["error_code"] == error_code
 
 
+@pytest.mark.parametrize("argv", [
+    ["spin", "--inertia", "5e-324"],  # the phase's divide overflows
+    ["spin", "--l", "1e308"],  # the square overflows
+    ["spin", "--spin", "composite", "--l0", "1e300", "--N", "10"],
+    # Python's float ** raised OverflowError on these
+    ["spin", "--l", "1e308", "--N", "30", "--use-closed-form"],
+    ["spin", "--l", "1e308", "--N", "3", "--policy", "endpoint-filtered"],
+], ids=["tiny-inertia", "huge-l", "huge-l0", "huge-l-closed-form", "huge-l-filtered"])
+def test_spin_past_float_range_prints_no_warning(argv):
+    assert _cold_error(argv, exit_code=2)["error_code"] == "non-finite"
+
+
+# the whole float range, nan and infinities included, with its ends drawn more often
+_ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([5e-324, -5e-324, 1e308, -1e308]))
+
+
+@settings(max_examples=200)
+@given(composite=st.booleans(), n=st.integers(1, 25), policy=st.sampled_from(POLICIES),
+       closed_form=st.booleans(), l=_ANY_FLOAT, l0=_ANY_FLOAT, inertia=_ANY_FLOAT,
+       t0=_ANY_FLOAT, t1=_ANY_FLOAT, signs=st.sampled_from(["++", "+-", "-+", "--"]),
+       # a composite end is a float, or k in {2, 0, -2} for the level k l0
+       ends=st.tuples(*[st.one_of(_ANY_FLOAT, st.sampled_from([2, 0, -2]))] * 2))
+# these printed a RuntimeWarning (overflow in square, in divide) before the JSON error
+@example(composite=True, n=1, policy="paper-unconstrained", closed_form=False, l=0.0,
+         l0=6.703903964971299e+153, inertia=1.0, t0=0.0, t1=0.0, signs="++", ends=(0.0, 0.0))
+@example(composite=False, n=1, policy="paper-unconstrained", closed_form=False, l=0.0, l0=0.0,
+         inertia=5e-324, t0=0.0, t1=0.0, signs="++", ends=(0.0, 0.0))
+# and these ended in an OverflowError from Python's float **
+@example(composite=False, n=25, policy="paper-unconstrained", closed_form=True, l=1e308,
+         l0=0.5, inertia=1.0, t0=0.0, t1=1.0, signs="++", ends=(1.0, 1.0))
+@example(composite=False, n=3, policy="endpoint-filtered", closed_form=False, l=1e308, l0=0.5,
+         inertia=1.0, t0=0.0, t1=1.0, signs="+-", ends=(1.0, 1.0))
+@example(composite=True, n=12, policy="endpoint-filtered", closed_form=True, l=1.0, l0=1e200,
+         inertia=1.0, t0=0.0, t1=1.0, signs="++", ends=(2, -2))
+def test_spin_run_ends_in_a_report_or_a_json_error(composite, n, policy, closed_form, l, l0,
+                                                   inertia, t0, t1, signs, ends):
+    l_i, l_f = (k * l0 if isinstance(k, int) else k for k in ends)
+    floats = {"--l": l, "--l0": l0, "--l-i": l_i, "--l-f": l_f, "--inertia": inertia,
+              "--t0": t0, "--t1": t1}
+    argv = ["spin", "--spin", "composite" if composite else "half",
+            "--N", str(1 + (n - 1) % 12 if composite else n), "--policy", policy,
+            f"--sign-i={signs[0]}", f"--sign-f={signs[1]}",
+            *[f"{flag}={value!r}" for flag, value in floats.items()]]
+    if closed_form:
+        argv.append("--use-closed-form")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if not all(map(math.isfinite, floats.values())):
+            with pytest.raises(SystemExit) as exc:  # a usage error, as for every command
+                main(argv)
+            assert exc.value.code == 2 and "must be finite" in err.getvalue()
+            return
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        load_report(out.getvalue())  # strict JSON: every value in it is finite
+    else:
+        assert code == 2 and out.getvalue() == ""
+        jsonschema.validate(json.loads(err.getvalue()), ERROR_SCHEMA)
+
+
+def test_spin_past_the_cap_is_a_json_error():
+    error = _cold_error(["spin", "--N", "25"], exit_code=2)
+    assert error["error_code"] == "precondition"
+    assert error["message"] == "N = 25 exceeds the enumeration cap 20; pass use_closed_form=True"
+
+
 @pytest.mark.parametrize("spec", [
     ["--potential-coeffs", "1,,2"],
     ["--potential-coeffs", ""],
@@ -492,14 +577,14 @@ def test_legendre_blocks_equal_the_per_sample_loop(model, samples, n):
 
 
 def _cold_modules(code):
-    """The dualaction modules loaded by a fresh interpreter that runs code."""
+    """The dualaction modules, and numpy, loaded by a fresh interpreter that runs code."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     check = (
         "import contextlib, io, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    {code}\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('dualaction')))"
+        "print(' '.join(m for m in sys.modules if m.startswith('dualaction') or m == 'numpy'))"
     )
     proc = subprocess.run([sys.executable, "-c", check], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
@@ -511,7 +596,12 @@ def test_package_import_loads_no_submodule():
     # a submodule's name imports that submodule and the ones it imports
     assert _cold_modules("import dualaction; dualaction.propagator.SliceScheme") == {
         "dualaction", "dualaction.propagator", "dualaction.errors", "dualaction.model",
-        "dualaction.series"}
+        "dualaction.series", "numpy"}
+
+
+def test_cli_import_loads_no_numpy():
+    assert _cold_modules("import dualaction.cli") == {
+        "dualaction", "dualaction.cli", "dualaction.errors", "dualaction.spin"}
 
 
 _SOLVERS = {f"dualaction.{m}" for m in ("dynamics", "action", "bounds", "extrema")}
@@ -521,7 +611,9 @@ _UNUSED_BY_ACTION = {f"dualaction.{m}" for m in ("bounds", "extrema", "propagato
 
 
 @pytest.mark.parametrize("argv, not_loaded", [
-    (["spin", "--N", "4"], _SOLVERS | {"dualaction.propagator"}),
+    # the cap error stops before any enumeration, so it needs no numpy
+    (["spin", "--N", "25"], _SOLVERS | {"dualaction.propagator", "dualaction.model", "numpy"}),
+    (["spin", "--N", "4"], _SOLVERS | {"dualaction.propagator", "dualaction.model"}),
     (["propagate", "--rep", "momentum"], _SOLVERS),
     (["hj-check", "--hamiltonian", "free", "--grid-count", "3", "--t-count", "3"],
      _UNUSED_BY_ACTION),
@@ -530,7 +622,7 @@ _UNUSED_BY_ACTION = {f"dualaction.{m}" for m in ("bounds", "extrema", "propagato
     (["action", "--hamiltonian", "sho", "--N", "50"], _UNUSED_BY_ACTION),
     (["classify", "--hamiltonian", "saddle-quadratic", "--N", "50"],
      {"dualaction.bounds", "dualaction.propagator"}),
-], ids=["spin", "propagate", "hj-check", "legendre-check", "action", "classify"])
+], ids=["spin-cap", "spin", "propagate", "hj-check", "legendre-check", "action", "classify"])
 def test_cold_command_loads_only_its_modules(argv, not_loaded):
     # a cold CLI call pays the import of every module it loads
     loaded = _cold_modules(f"from dualaction.cli import main; main({argv!r})")

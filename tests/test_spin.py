@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualaction import (
@@ -309,10 +309,21 @@ def _digit_by_digit_path_sum(ensemble, ends, t, inertia):
 @given(spin=st.sampled_from(["half", "composite"]), n=st.integers(1, SPIN_HALF_ENUM_CAP),
        policy=st.sampled_from(POLICIES), level=_NONZERO, t=st.floats(-5.0, 5.0),
        inertia=st.floats(0.2, 5.0), end_digits=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+# the benchmark's sizes: 4 chunks of one distinct sum, and 16 chunks of 9
+@example(spin="half", n=20, policy="endpoint-filtered", level=1.1, t=1.7, inertia=0.8,
+         end_digits=(0, 1))
+@example(spin="composite", n=10, policy="paper-unconstrained", level=0.4, t=1.2, inertia=1.5,
+         end_digits=(0, 0))
+# a level whose square rounds
+@example(spin="composite", n=10, policy="endpoint-filtered", level=0.1, t=2.3, inertia=0.7,
+         end_digits=(1, 3))
+@example(spin="half", n=17, policy="paper-unconstrained", level=0.1, t=-4.1, inertia=0.3,
+         end_digits=(0, 0))
 def test_table_enumeration_equals_the_digit_by_digit_sum(spin, n, policy, level, t, inertia,
                                                           end_digits):
     # the low-digit table adds every path's squares in the same order and
-    # chunks, so the sums are equal, not just close
+    # chunks, and a chunk's phases are gathered from its distinct sums back
+    # into path order, so the sums are equal, not just close
     if spin == "half":
         values = spin_half_values(level)
     else:
