@@ -102,7 +102,14 @@ def _action_values(model, P, Q, dt, which, slope=None):
     return _quadrature(_integrand(model, P, Q, dt, which, slope), dt)
 
 
-_FORM_BLOCK = 1 << 15  # integrand entries per block of horizons (256 KB arrays)
+# integrand entries per block of horizons: arrays of at most 256 KiB, 4 horizons at N = 800.
+# That is above glibc's initial 128 KiB mmap threshold, so the first such arrays of a process
+# are fresh pages; glibc raises the threshold when it frees them, and later blocks reuse the
+# heap.  Measured at N = 800: 3 to 18 horizons per block compute alike on a heap that keeps
+# its pages, but from 6 horizons up the freed arrays went back to the system and were faulted
+# in again on every call, and 1 or 2 horizons pay for more turns of the block loop; 4 was
+# fastest.
+_FORM_BLOCK = 1 << 15
 
 
 def _action_forms(model, powers, steps, which):
@@ -118,9 +125,9 @@ def _action_forms(model, powers, steps, which):
     values: _grad along the nodes, the integrand node by node with
     H = z^T E z for z = (p, q, 1), and _quadrature along the nodes.
     G^j T is as large as the path, where a form in x0 grows as (G^j)^2
-    on an unstable flow.  Horizons go in blocks of at
-    most _FORM_BLOCK integrand entries: arrays that small are reused
-    from the heap, where larger ones cost a page fault per 4 KB.
+    on an unstable flow.  Horizons go in blocks of at most _FORM_BLOCK
+    integrand entries, so that a block's arrays are reused from the
+    heap rather than faulted in afresh on every call.
     """
     c0, c1, c2 = model._quadratic_potential()
     energy = np.array([[0.5 / model.mass, 0.0, 0.0], [0.0, c2, 0.5 * c1], [0.0, 0.5 * c1, c0]])

@@ -216,6 +216,8 @@ def _cmd_bounds(config: RunConfig, model):
 
 
 def _cmd_propagate(config: RunConfig, model):
+    import numpy as np
+
     from .propagator import (
         CAUSTIC_DET_TOL, SliceScheme, _gaussian_kernel, free_momentum_propagator,
     )
@@ -229,26 +231,27 @@ def _cmd_propagate(config: RunConfig, model):
     x_start, x_end = params[f"{x}_start"], params[f"{x}_end"]
     results = {"representation": rep, "slices": params["slices"], "t": t}
     tolerances = {"caustic_det_tol": CAUSTIC_DET_TOL}
-    if rep == "momentum" and model.is_cyclic_in_q():
-        value = free_momentum_propagator(model.mass, x_start, x_end, t)
-        results.update({
-            "variant": "delta",
-            "support_matched": value.support_matched,
-            "causal": value.causal,
-            "phase_re": value.phase.real,
-            "phase_im": value.phase.imag,
-        })
-        return results, tolerances, None
-    kernel = _gaussian_kernel(model, rep, t, scheme)
-    amplitude = complex(kernel(x_end, x_start))
+    # a value past the float range turns non-finite, which the report rejects
+    with np.errstate(all="ignore"):
+        if rep == "momentum" and model.is_cyclic_in_q():
+            value = free_momentum_propagator(model.mass, x_start, x_end, t)
+            results.update({
+                "variant": "delta",
+                "support_matched": value.support_matched,
+                "causal": value.causal,
+                "phase_re": value.phase.real,
+                "phase_im": value.phase.imag,
+            })
+            return results, tolerances, None
+        kernel = _gaussian_kernel(model, rep, t, scheme)
+        amplitude = complex(kernel(x_end, x_start))
     results.update({"variant": "regular", "re": amplitude.real,
                     "im": amplitude.imag, "abs": abs(amplitude)})
 
     def write(out):
-        import numpy as np
-
-        grid = np.linspace(params["grid_min"], params["grid_max"], params["grid_count"])
-        vals = kernel(grid, np.full_like(grid, x_start))
+        with np.errstate(all="ignore"):  # the series may hold non-finite samples
+            grid = np.linspace(params["grid_min"], params["grid_max"], params["grid_count"])
+            vals = kernel(grid, np.full_like(grid, x_start))
         write_series(out, [f"{x}_f", "re", "im"], zip(grid, vals.real, vals.imag))
 
     return results, tolerances, write
@@ -328,7 +331,8 @@ def _cmd_legendre_check(config: RunConfig, model):
         rng = np.random.default_rng(s)
         amp_p[i] = rng.normal(size=4) * 0.25
         amp_q[i] = rng.normal(size=4) * 0.25
-    residuals = {nn: _legendre_residuals(model, amp_p, amp_q, nn) for nn in (n, 2 * n)}
+    with np.errstate(all="ignore"):  # a residual past the float range is non-finite
+        residuals = {nn: _legendre_residuals(model, amp_p, amp_q, nn) for nn in (n, 2 * n)}
     worst = {nn: max([0.0, *values]) for nn, values in residuals.items()}
     results = {
         "samples": params["samples"],

@@ -276,19 +276,23 @@ def _step_powers(field_matrix, dt, n_steps):
     One RK4 step of d(p, q, 1)/dt = A (p, q, 1) is exactly the matrix
     G = sum_{k<=4} (dt A)^k / k!, the RK4 stability polynomial, so node j
     of a path is G^j (p0, q0, 1).  dt is a 1-d array of step sizes; the
-    powers, shape (dt.size, n_steps+1, 3, 3), are built by doubling, in
-    log2(n_steps) batched products.
+    powers, shape (dt.size, n_steps+1, 3, 3), are built by doubling.  Each
+    doubling is one matrix product per step size: the 3k rows of
+    G^1 .. G^k, viewed as one (3k, 3) block, times G^n give G^(n+1) ..
+    G^(n+k) in place.  Since k <= n the rows read and the rows written
+    never overlap.
     """
     eye = np.eye(3)
     powers = np.empty((dt.size, n_steps + 1, 3, 3))
     powers[:, 0] = eye
+    rows = powers.reshape(dt.size, 3 * (n_steps + 1), 3)
     with np.errstate(all="ignore"):  # a flow that outgrows floats turns non-finite
         m = dt[:, None, None] * field_matrix
         powers[:, 1] = eye + m @ (eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0)
         n = 1
         while n < n_steps:
             k = min(n, n_steps - n)
-            powers[:, n + 1:n + 1 + k] = powers[:, 1:k + 1] @ powers[:, n, None]
+            np.matmul(rows[:, 3:3 * k + 3], powers[:, n], out=rows[:, 3 * n + 3:3 * (n + k) + 3])
             n += k
     return powers
 

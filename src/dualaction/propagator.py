@@ -36,7 +36,7 @@ from .model import HamiltonianModel
 from .series import write_series
 
 UNIMODULAR_TOL = 1e-12
-CAUSTIC_DET_TOL = 1e-9
+CAUSTIC_DET_TOL = 1e-9  # of the free chain's determinant t
 MIN_TAPER_SWING = 8.0 * math.pi  # phase turns across the taper zone for <1% leakage
 MAX_PHASE_STEP = 0.9 * math.pi   # aliasing guard on the quadrature grid
 CORE_FRACTION = 0.6              # untapered part of a quadrature window
@@ -158,6 +158,8 @@ def _gaussian_kernel(model, representation, t, scheme: SliceScheme) -> GaussianK
     if omega_sq > 0 and math.sqrt(omega_sq) * t >= math.pi:
         raise PreconditionError("endpoint beyond the first caustic (omega t >= pi)")
     dt = t / n_slices
+    if dt == 0.0:
+        raise PreconditionError("t / n_slices underflows to 0")
     u = 2.0 - omega_sq * dt * dt
 
     f = np.empty(n_slices + 1)
@@ -165,8 +167,9 @@ def _gaussian_kernel(model, representation, t, scheme: SliceScheme) -> GaussianK
     for j in range(1, n_slices):
         f[j + 1] = u * f[j] - f[j - 1]
     det = dt * f[n_slices]
-    if abs(det) < CAUSTIC_DET_TOL:
-        raise CausticError(f"chain determinant {det:.3e} below caustic tolerance")
+    # relative to the free chain's determinant t, so that no unit of time is a caustic
+    if abs(f[n_slices]) < CAUSTIC_DET_TOL * n_slices:
+        raise CausticError(f"chain determinant {det:.3e} below caustic tolerance times t")
 
     def form(a, b):
         v = c2 * (a * b)

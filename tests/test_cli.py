@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -448,6 +449,15 @@ def test_spin_past_float_range_prints_no_warning(argv):
     assert _cold_error(argv, exit_code=2)["error_code"] == "non-finite"
 
 
+@pytest.mark.parametrize("argv", [
+    ["propagate", "--rep", "position", "--q-end", "1e308"],  # the action's square overflows
+    ["propagate", "--mass", "5e-324", "--rep", "momentum"],  # the phase's divide overflows
+    ["legendre-check", "--hamiltonian", "sho", "--mass", "5e-324", "--samples", "2", "--N", "10"],
+], ids=["propagate-huge-end", "propagate-tiny-mass", "legendre-tiny-mass"])
+def test_propagate_and_legendre_past_float_range_print_no_warning(argv):
+    assert _cold_error(argv, exit_code=2)["error_code"] == "non-finite"
+
+
 # the whole float range, nan and infinities included, with its ends drawn more often
 _ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([5e-324, -5e-324, 1e308, -1e308]))
 
@@ -481,20 +491,69 @@ def test_spin_run_ends_in_a_report_or_a_json_error(composite, n, policy, closed_
             *[f"{flag}={value!r}" for flag, value in floats.items()]]
     if closed_form:
         argv.append("--use-closed-form")
+    _ends_in_a_report_or_a_json_error(argv, floats.values())
+
+
+def _ends_in_a_report_or_a_json_error(argv, floats):
+    """Run argv in process: it must end in a finite report (exit 0), a JSON
+    error (exit 2) or, when one of its float options is not finite,
+    argparse's "must be finite" usage error; returns the report or None."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        if not all(map(math.isfinite, floats.values())):
+        if not all(map(math.isfinite, floats)):
             with pytest.raises(SystemExit) as exc:  # a usage error, as for every command
                 main(argv)
             assert exc.value.code == 2 and "must be finite" in err.getvalue()
-            return
+            return None
         code = main(argv)
     if code == 0:
         assert err.getvalue() == ""
-        load_report(out.getvalue())  # strict JSON: every value in it is finite
-    else:
-        assert code == 2 and out.getvalue() == ""
-        jsonschema.validate(json.loads(err.getvalue()), ERROR_SCHEMA)
+        return load_report(out.getvalue())  # strict JSON: every value in it is finite
+    assert code == 2 and out.getvalue() == ""
+    jsonschema.validate(json.loads(err.getvalue()), ERROR_SCHEMA)
+    return None
+
+
+@settings(max_examples=200)
+@given(rep=st.sampled_from(["position", "momentum"]),
+       model=st.sampled_from(dualaction.BUILTIN_NAMES), slices=st.integers(-1, 16),
+       grid_count=st.integers(1, 9), csv=st.booleans(),
+       floats=st.fixed_dictionaries({flag: _ANY_FLOAT for flag in (
+           "--mass", "--t0", "--t1", "--q-start", "--q-end", "--p-start", "--p-end",
+           "--grid-min", "--grid-max")}))
+# these printed numpy RuntimeWarnings: the first two before their non-finite JSON error, the
+# third while writing its CSV series
+@example(rep="position", model="free", slices=16, grid_count=9, csv=False,
+         floats={"--mass": 1.0, "--t0": 0.0, "--t1": 1.0, "--q-start": 0.0, "--q-end": 1e308,
+                 "--p-start": 1.0, "--p-end": 1.0, "--grid-min": -3.0, "--grid-max": 3.0})
+@example(rep="momentum", model="free", slices=16, grid_count=9, csv=False,
+         floats={"--mass": 5e-324, "--t0": 0.0, "--t1": 1.0, "--q-start": 0.0, "--q-end": 1.0,
+                 "--p-start": 1.0, "--p-end": 1.0, "--grid-min": -3.0, "--grid-max": 3.0})
+@example(rep="position", model="sho", slices=16, grid_count=9, csv=True,
+         floats={"--mass": 1.0, "--t0": 0.0, "--t1": 1.0, "--q-start": 0.0, "--q-end": 1.0,
+                 "--p-start": 1.0, "--p-end": 1.0, "--grid-min": -1e308, "--grid-max": 1e308})
+# a short horizon was a caustic, the determinant being held to an absolute tolerance,
+# and a slice width that underflows divided by zero
+@example(rep="position", model="free", slices=1, grid_count=1, csv=False,
+         floats={"--mass": 1.0, "--t0": 0.0, "--t1": 1.690037626896811e-145, "--q-start": 0.0,
+                 "--q-end": 0.0, "--p-start": 0.0, "--p-end": 0.0, "--grid-min": 0.0,
+                 "--grid-max": 0.0})
+@example(rep="position", model="free", slices=16, grid_count=1, csv=False,
+         floats={"--mass": 1.0, "--t0": 0.0, "--t1": 5e-324, "--q-start": 0.0,
+                 "--q-end": 0.0, "--p-start": 0.0, "--p-end": 0.0, "--grid-min": 0.0,
+                 "--grid-max": 0.0})
+def test_propagate_run_ends_in_a_report_or_a_json_error(rep, model, slices, grid_count, csv,
+                                                       floats):
+    argv = ["propagate", "--rep", rep, "--hamiltonian", model, "--slices", str(slices),
+            "--grid-count", str(grid_count),
+            *[f"{flag}={value!r}" for flag, value in floats.items()]]
+    with tempfile.TemporaryDirectory() as tmp:
+        series = Path(tmp) / "series.csv"
+        if csv:
+            argv += ["--format", "csv", "--out", str(series)]
+        report = _ends_in_a_report_or_a_json_error(argv, floats.values())
+        if csv and report and report["results"]["variant"] == "regular":
+            assert len(series.read_text().splitlines()) == 1 + grid_count
 
 
 def test_spin_past_the_cap_is_a_json_error():

@@ -452,6 +452,41 @@ class TestAffineBranch:
         assert shots.end == pytest.approx(np.stack([P[-1], Q[-1]]), rel=1e-14, abs=1e-15)
 
 
+def _stacked_step_powers(field_matrix, dt, n_steps):
+    """The reference doubling: G^(n+1) .. G^(n+k) as k stacked 3x3 products with G^n."""
+    eye = np.eye(3)
+    powers = np.empty((dt.size, n_steps + 1, 3, 3))
+    powers[:, 0] = eye
+    with np.errstate(all="ignore"):
+        m = dt[:, None, None] * field_matrix
+        powers[:, 1] = eye + m @ (eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0)
+        n = 1
+        while n < n_steps:
+            k = min(n, n_steps - n)
+            powers[:, n + 1:n + 1 + k] = powers[:, 1:k + 1] @ powers[:, n, None]
+            n += k
+    return powers
+
+
+def test_step_powers_equal_the_stacked_products():
+    # the κ = 1000 saddle outgrows floats on the longer horizons: its non-finite
+    # entries must fall in the same places
+    models = [HamiltonianModel.builtin(name) for name in BUILTIN_NAMES] + [
+        HamiltonianModel.saddle_quadratic(k=1000.0), HamiltonianModel.sho(mass=1e-3)]
+    non_finite = 0
+    for model in models:
+        field_matrix = dynamics._affine_matrix(model)
+        for n_steps in (1, 2, 3, 5, 8, 51, 300, 800, 2000):
+            dt = np.geomspace(0.05, 50.0, 33) / n_steps
+            powers = dynamics._step_powers(field_matrix, dt, n_steps)
+            reference = _stacked_step_powers(field_matrix, dt, n_steps)
+            assert np.array_equal(powers, reference, equal_nan=True), (model.label, n_steps)
+            non_finite += not np.isfinite(powers).all()
+    assert non_finite > 0
+    # an empty batch of targets has no step size and an empty stack
+    assert dynamics._step_powers(field_matrix, np.empty(0), 8).shape == (0, 9, 3, 3)
+
+
 @pytest.mark.parametrize("density", [1, REFINED_DENSITY])
 @pytest.mark.parametrize("shoot_on", ["p0", "q0"])
 @pytest.mark.parametrize("name", ["quartic", "soft-oscillator"])

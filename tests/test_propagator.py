@@ -114,6 +114,16 @@ class TestPositionSlicing:
         with pytest.raises(CausticError):
             sliced_position_propagator(sho, 0.0, 0.0, n * dt, SliceScheme(n))
 
+    @pytest.mark.parametrize("t", [1e-12, 1.690037626896811e-145])
+    def test_short_time_is_no_caustic(self, free, t):
+        # the determinant is held against t, the free chain's: it is t itself here
+        g = sliced_position_propagator(free, 0.0, 0.0, t, SliceScheme(1))
+        assert g.amplitude == cmath.sqrt(1.0 / (2.0j * math.pi * t))
+
+    def test_slice_width_that_underflows_rejected(self, free):
+        with pytest.raises(PreconditionError, match="underflows"):
+            sliced_position_propagator(free, 0.0, 0.0, 5e-324, SliceScheme(16))
+
     def test_non_quadratic_rejected(self):
         cubic = HamiltonianModel.separable(1.0, potential_coeffs=(0.0, 0.0, 0.0, 1.0))
         with pytest.raises(PreconditionError):
