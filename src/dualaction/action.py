@@ -378,8 +378,9 @@ def _hj_field(model, start, ends, t_values, n_steps, fd_step, which):
     x = np.asarray(ends, dtype=float)
     tv = np.asarray(t_values, dtype=float)
     d = fd_step
-    # every re-solve, t - fd_step included, must run forward in time
-    if not (d > 0.0 and np.all(tv - d > 0.0)):
+    # every re-solve, t - fd_step included, must run forward in time; t > d is
+    # t - d > 0 without the subtraction, which overflows past the float range
+    if not (d > 0.0 and np.all(tv > d)):
         raise PreconditionError("action surfaces need fd_step > 0 and t - fd_step > 0")
     if which == "r" and model.is_cyclic_in_q():
         surface, hj, companion, solved, lanes = _cyclic_r_line(model, start, x, tv, n_steps, d)

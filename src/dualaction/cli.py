@@ -10,9 +10,7 @@ A command imports only the modules it uses: each handler imports its
 own solvers, so a cold ``spin`` or ``propagate`` call loads no shooting
 or bounds code.  numpy, the model and configparser load only where a run
 uses them: a ``spin`` run on the default free model builds no model, and
-loads numpy only when it enumerates paths or evaluates the closed form,
-so one that stops at a precondition (such as the enumeration cap) loads
-none of them.
+no ``spin`` run loads numpy, since the spin module is pure Python.
 """
 
 from __future__ import annotations
@@ -249,12 +247,28 @@ def _cmd_propagate(config: RunConfig, model):
                     "im": amplitude.imag, "abs": abs(amplitude)})
 
     def write(out):
+        grid = _grid(params, "grid")
         with np.errstate(all="ignore"):  # the series may hold non-finite samples
-            grid = np.linspace(params["grid_min"], params["grid_max"], params["grid_count"])
             vals = kernel(grid, np.full_like(grid, x_start))
         write_series(out, [f"{x}_f", "re", "im"], zip(grid, vals.real, vals.imag))
 
     return results, tolerances, write
+
+
+def _grid(params, name):
+    """np.linspace over --{name}-min, --{name}-max and --{name}-count; a
+    precondition error where a node is not finite, as when the span
+    overflows the float range."""
+    import numpy as np
+
+    low, high = params[f"{name}_min"], params[f"{name}_max"]
+    # the step times the last index may overflow before linspace sets the last node to high
+    with np.errstate(all="ignore"):
+        nodes = np.linspace(low, high, params[f"{name}_count"])
+    if not np.all(np.isfinite(nodes)):
+        raise PreconditionError(f"--{name}-min {low!r} to --{name}-max {high!r} "
+                                f"spans more than the float range")
+    return nodes
 
 
 def _cmd_spin(config: RunConfig, model):
@@ -296,8 +310,7 @@ def _cmd_hj_check(config: RunConfig, model):
     from .dynamics import SHOOTING_TOL
 
     params = config.params
-    grid = np.linspace(params["grid_min"], params["grid_max"], params["grid_count"])
-    times = np.linspace(params["t_min"], params["t_max"], params["t_count"])
+    grid, times = _grid(params, "grid"), _grid(params, "t")
     residual = hj_residual_s if params["which"] == "s" else hj_residual_r
     fld = residual(model, params["start"], grid, times, n_steps=params["N"],
                    fd_step=params["fd_step"])

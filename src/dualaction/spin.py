@@ -11,19 +11,22 @@ Filtering needs distinct per-interval values (l != 0, l0 != 0) and end
 values among them; otherwise no end is defined and it is a precondition
 error.
 
-numpy loads on the first enumeration or closed form, not at import: a
-call that stops at a precondition never needs it.
+Paths with equal square sums have equal phases, so the enumeration
+groups them by square sum with exact integer counts and takes one phase
+per distinct sum.  The module is pure Python: it never loads numpy.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError
 
 SPIN_HALF_ENUM_CAP = 20
 COMPOSITE_ENUM_CAP = 10
-_CHUNK = 1 << 16
 POLICIES = ("paper-unconstrained", "endpoint-filtered")
 
 
@@ -65,97 +68,77 @@ def _validated(inertia, values, ends, n_intervals, policy):
     return ensemble, ensemble.admitted_ends(ends)
 
 
+def _phase(square, dt, inertia):
+    """exp(-i square dt / 2I), nan where a value or time past the float range
+    makes the argument infinite (cmath raises there) or nan."""
+    try:
+        return cmath.exp(complex(0.0, -square * dt / (2.0 * inertia)))
+    except ValueError:
+        return complex(math.nan, math.nan)
+
+
 def _closed_form(ensemble, ends, t, inertia):
     """The path sum factorized over intervals: (sum_v m_v phase_v / M)^N for
     M paths per interval, with the first and last factors fixed to
-    m phase / M of the admitted ends when there are ends.  A value or time
-    past the float range gives a non-finite phase, not a warning."""
-    import numpy as np
-
+    m phase / M of the admitted ends when there are ends."""
     n_intervals = ensemble.n_intervals
     mult = dict(ensemble.values)
     per_interval = float(sum(m for _, m in ensemble.values))
     dt = t / n_intervals
+    # v * v, not v**2, which raises past the float range
+    full = sum(m * _phase(v * v, dt, inertia) for v, m in ensemble.values) / per_interval
+    if ends is None:
+        return full**n_intervals
+    l_i, l_f = ends
+    if n_intervals == 1:
+        return mult[l_i] * _phase(l_i * l_i, dt, inertia) / per_interval if l_i == l_f else 0j
+    weight = (mult[l_i] * _phase(l_i * l_i, dt, inertia)
+              * mult[l_f] * _phase(l_f * l_f, dt, inertia))
+    # normalized per interval: per_interval**N overflows a float past N ~ 500
+    return full ** (n_intervals - 2) * weight / per_interval**2
 
-    def slice_phase(v):  # v * v, not v**2, which raises past the float range
-        return np.exp(-1j * (v * v) * dt / (2.0 * inertia))
 
-    with np.errstate(all="ignore"):
-        full = sum(m * slice_phase(v) for v, m in ensemble.values)
-        if ends is None:
-            return complex((full / per_interval) ** n_intervals)
-        l_i, l_f = ends
-        if n_intervals == 1:
-            if l_i != l_f:
-                return 0.0 + 0.0j
-            return complex(mult[l_i] * slice_phase(l_i) / per_interval)
-        weight = mult[l_i] * slice_phase(l_i) * mult[l_f] * slice_phase(l_f)
-        # normalized per interval: per_interval**N overflows a float past N ~ 500
-        return complex((full / per_interval) ** (n_intervals - 2) * weight / per_interval**2)
+def _square_sums(ensemble, ends):
+    """{square sum: path count} over the paths that the ends admit, every path when ends is None.
+
+    Each value enters the levels once per multiplicity.  With ends =
+    (v_first, v_last) the first and last values are fixed and only the
+    interior intervals are walked, and each interior path counts once
+    per pair of levels giving those ends (the composite's 0 is two
+    levels).  A path's sum starts at the fixed ends' squares and adds
+    its interior squares left to right.  Paths whose partial sums are
+    equal stay equal, so the walk keeps one exact count per distinct
+    partial sum: one entry for spin-1/2, whose levels share a square.
+    """
+    levels = [v for v, mult in ensemble.values for _ in range(mult)]
+    n_intervals = ensemble.n_intervals
+    # products, not **, which raises past the float range
+    if ends is None:
+        walked, sums = n_intervals, Counter({0.0: 1})
+    elif n_intervals == 1:  # one interval is both ends
+        walked, sums = 0, Counter({ends[0] * ends[0]: levels.count(ends[0])}
+                                  if ends[0] == ends[1] else {})
+    else:
+        walked = n_intervals - 2
+        sums = Counter({ends[0] * ends[0] + ends[1] * ends[1]:
+                        levels.count(ends[0]) * levels.count(ends[1])})
+    squares = Counter(v * v for v in levels)
+    for _ in range(walked):
+        step = Counter()
+        for partial, count in sums.items():
+            for square, mult in squares.items():
+                step[partial + square] += count * mult
+        sums = step
+    return sums
 
 
 def _path_sum(ensemble, ends, t, inertia):
-    """Sum of exp(-i sum_j v_j^2 dt / 2I) over all paths, over the path count.
-
-    Each value enters the levels once per multiplicity, and path `code`
-    takes the value levels[d_j] on interval j, d_j being digit j of code
-    in base len(levels) (2 or 4).  With ends = (v_first, v_last) only the
-    paths starting and ending on those values are summed: the first and
-    last values are fixed, only the interior digits are walked, and each
-    interior path counts once per digit pair giving those ends (the
-    composite's 0 has two digits).  The normalization keeps the full
-    count.
-
-    The walk goes in chunks of _CHUNK consecutive codes.  The low digits,
-    those that vary inside a chunk, are summed once into a table: the
-    fixed ends' squares plus each low digit's square in digit order.  A
-    chunk is the table plus the squares of its high digits, added one
-    digit at a time, so every path adds its squares left to right from
-    the lowest digit.
-
-    The table holds few distinct sums (a spin-1/2 table one, since every
-    level has the same square), and equal sums stay equal when the same
-    high digits are added to them.  So a chunk adds its high digits to
-    the distinct sums only, takes one phase per distinct sum, and gathers
-    the phases back into path order for the same np.sum: every chunk sums
-    the same values in the same order as the whole table would.  A value
-    or time past the float range gives a non-finite sum, not a warning.
-    """
-    import numpy as np
-
-    levels = [v for v, mult in reversed(ensemble.values) for _ in range(mult)]
-    n_intervals = ensemble.n_intervals
-    base = len(levels)
-    levels = np.asarray(levels, dtype=float)
-    dt = t / n_intervals
-    total = base**n_intervals
-    if ends is None:
-        walked, fixed, count = n_intervals, 0.0, 1
-    elif n_intervals == 1:  # one interval is both ends
-        if ends[0] != ends[1]:
-            return 0.0 + 0.0j
-        # products, not **, which raises past the float range
-        walked, fixed, count = 0, ends[0] * ends[0], int(np.sum(levels == ends[0]))
-    else:
-        walked, fixed = n_intervals - 2, ends[0] * ends[0] + ends[1] * ends[1]
-        count = int(np.sum(levels == ends[0])) * int(np.sum(levels == ends[1]))
-    # base is 2 or 4, so a chunk's codes share all digits above the lowest `low`
-    low = 0
-    while low < walked and base ** (low + 1) <= _CHUNK:
-        low += 1
-    with np.errstate(all="ignore"):
-        squares = levels**2
-        table = np.array([fixed])
-        for _ in range(low):  # code c + d base^j gets digit d at position j
-            table = (table[None, :] + squares[:, None]).ravel()
-        distinct, path_order = np.unique(table, return_inverse=True)
-        acc = 0.0 + 0.0j
-        for chunk in range(base ** (walked - low)):
-            square_sum = distinct
-            for j in range(walked - low):  # the chunk's high digits, lowest first
-                square_sum = square_sum + squares[chunk // base**j % base]
-            acc += np.sum(np.exp(-1j * square_sum * dt / (2.0 * inertia))[path_order])
-        return complex(count * acc / total)
+    """Sum of exp(-i sum_j v_j^2 dt / 2I) over the admitted paths, over the
+    full path count: one phase per distinct square sum, times its count."""
+    dt = t / ensemble.n_intervals
+    amplitude = sum((count * _phase(s, dt, inertia)
+                     for s, count in _square_sums(ensemble, ends).items()), 0j)
+    return amplitude / ensemble.path_count
 
 
 def _propagator(inertia, values, ends, t, n_intervals, policy, cap, use_closed_form):

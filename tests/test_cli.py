@@ -444,7 +444,16 @@ def test_flow_past_float_range_prints_no_warning(argv, error_code):
     # Python's float ** raised OverflowError on these
     ["spin", "--l", "1e308", "--N", "30", "--use-closed-form"],
     ["spin", "--l", "1e308", "--N", "3", "--policy", "endpoint-filtered"],
-], ids=["tiny-inertia", "huge-l", "huge-l0", "huge-l-closed-form", "huge-l-filtered"])
+    # the phase argument is infinite, where cmath.exp raises
+    ["spin", "--t1", "1e308", "--inertia", "1e-300"],
+    ["spin", "--t1", "1e308", "--inertia", "1e-300", "--N", "30", "--use-closed-form"],
+    ["spin", "--spin", "composite", "--t1", "1e308", "--inertia", "1e-300", "--N", "10",
+     "--policy", "endpoint-filtered"],
+    # the horizon overflows, and a zero square times it is nan
+    ["spin", "--spin", "composite", "--t0=-1e308", "--t1", "1e308"],
+], ids=["tiny-inertia", "huge-l", "huge-l0", "huge-l-closed-form", "huge-l-filtered",
+        "infinite-phase", "infinite-phase-closed-form", "infinite-phase-composite",
+        "infinite-horizon"])
 def test_spin_past_float_range_prints_no_warning(argv):
     assert _cold_error(argv, exit_code=2)["error_code"] == "non-finite"
 
@@ -456,6 +465,18 @@ def test_spin_past_float_range_prints_no_warning(argv):
 ], ids=["propagate-huge-end", "propagate-tiny-mass", "legendre-tiny-mass"])
 def test_propagate_and_legendre_past_float_range_print_no_warning(argv):
     assert _cold_error(argv, exit_code=2)["error_code"] == "non-finite"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hj-check", "--grid-min=-1e308", "--grid-max", "1e308"],
+    ["hj-check", "--t-min=-1e308", "--t-max", "1e308"],
+    ["propagate", "--grid-min=-1e308", "--grid-max", "1e308", "--format", "csv", "--out",
+     os.devnull],
+], ids=["hj-check-grid", "hj-check-times", "propagate-grid"])
+def test_span_past_float_range_is_a_precondition_error(argv):
+    # np.linspace over such a span printed RuntimeWarnings and gave nan and inf nodes
+    error = _cold_error(argv, exit_code=2)
+    assert error["error_code"] == "precondition" and "float range" in error["message"]
 
 
 # the whole float range, nan and infinities included, with its ends drawn more often
@@ -494,10 +515,11 @@ def test_spin_run_ends_in_a_report_or_a_json_error(composite, n, policy, closed_
     _ends_in_a_report_or_a_json_error(argv, floats.values())
 
 
-def _ends_in_a_report_or_a_json_error(argv, floats):
+def _ends_in_a_report_or_a_json_error(argv, floats, error_exits=(2,)):
     """Run argv in process: it must end in a finite report (exit 0), a JSON
-    error (exit 2) or, when one of its float options is not finite,
-    argparse's "must be finite" usage error; returns the report or None."""
+    error (exit 2, or another of error_exits) or, when one of its float
+    options is not finite, argparse's "must be finite" usage error;
+    returns the report or None."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         if not all(map(math.isfinite, floats)):
@@ -509,7 +531,7 @@ def _ends_in_a_report_or_a_json_error(argv, floats):
     if code == 0:
         assert err.getvalue() == ""
         return load_report(out.getvalue())  # strict JSON: every value in it is finite
-    assert code == 2 and out.getvalue() == ""
+    assert code in error_exits and out.getvalue() == ""
     jsonschema.validate(json.loads(err.getvalue()), ERROR_SCHEMA)
     return None
 
@@ -554,6 +576,52 @@ def test_propagate_run_ends_in_a_report_or_a_json_error(rep, model, slices, grid
         report = _ends_in_a_report_or_a_json_error(argv, floats.values())
         if csv and report and report["results"]["variant"] == "regular":
             assert len(series.read_text().splitlines()) == 1 + grid_count
+
+
+@settings(max_examples=200)
+@given(which=st.sampled_from(["s", "r"]), model=st.sampled_from(dualaction.BUILTIN_NAMES),
+       n=st.integers(1, 40), grid_count=st.integers(1, 5), t_count=st.integers(1, 5),
+       csv=st.booleans(),
+       floats=st.fixed_dictionaries({
+           **{flag: _ANY_FLOAT for flag in (
+               "--mass", "--start", "--grid-min", "--grid-max", "--t-min", "--t-max")},
+           # a step that is not positive is argparse's usage error, as --N 0 is
+           "--fd-step": _ANY_FLOAT.filter(lambda x: not x <= 0.0)}))
+# these printed numpy RuntimeWarnings, the first then reporting 15 valid nodes on a grid
+# of nan and inf
+@example(which="s", model="free", n=40, grid_count=5, t_count=5, csv=False,
+         floats={"--mass": 1.0, "--start": 0.0, "--grid-min": -1e308, "--grid-max": 1e308,
+                 "--t-min": 0.5, "--t-max": 1.5, "--fd-step": 1e-3})
+@example(which="s", model="sho", n=40, grid_count=5, t_count=5, csv=True,
+         floats={"--mass": 1.0, "--start": 0.0, "--grid-min": 0.5, "--grid-max": 1.5,
+                 "--t-min": -1e308, "--t-max": 1e308, "--fd-step": 1e-3})
+# and so did these: a finite span whose last step overflows before linspace sets the
+# last node, and t - fd_step overflowing in the horizon check
+@example(which="s", model="free", n=1, grid_count=4, t_count=1, csv=False,
+         floats={"--mass": 1.0, "--start": 0.0, "--grid-min": 0.0,
+                 "--grid-max": 1.7976931348623157e+308, "--t-min": 1.0, "--t-max": 1.0,
+                 "--fd-step": 1e-3})
+@example(which="s", model="free", n=1, grid_count=1, t_count=1, csv=False,
+         floats={"--mass": 1.0, "--start": 0.0, "--grid-min": 0.0, "--grid-max": 0.0,
+                 "--t-min": -1e308, "--t-max": 0.0, "--fd-step": 1e308})
+# a tiny mass blows the cyclic R line up: exit 1
+@example(which="r", model="free", n=1, grid_count=1, t_count=1, csv=False,
+         floats={"--mass": 5e-324, "--start": 0.0, "--grid-min": 0.0, "--grid-max": 0.0,
+                 "--t-min": 1.0, "--t-max": 0.0, "--fd-step": 5e-324})
+def test_hj_check_run_ends_in_a_report_or_a_json_error(which, model, n, grid_count, t_count,
+                                                       csv, floats):
+    argv = ["hj-check", "--which", which, "--hamiltonian", model, "--N", str(n),
+            "--grid-count", str(grid_count), "--t-count", str(t_count),
+            *[f"{flag}={value!r}" for flag, value in floats.items()]]
+    with tempfile.TemporaryDirectory() as tmp:
+        series = Path(tmp) / "series.csv"
+        if csv:
+            argv += ["--format", "csv", "--out", str(series)]
+        # exit 1: a cyclic R line whose path leaves the float range is a blow-up
+        report = _ends_in_a_report_or_a_json_error(argv, floats.values(), error_exits=(1, 2))
+        if csv and report:
+            rows = len(series.read_text().splitlines())
+            assert rows == 1 + report["results"]["valid_nodes"]
 
 
 def test_spin_past_the_cap_is_a_json_error():
@@ -666,13 +734,17 @@ def test_cli_import_loads_no_numpy():
 _SOLVERS = {f"dualaction.{m}" for m in ("dynamics", "action", "bounds", "extrema")}
 
 
+_UNUSED_BY_SPIN = _SOLVERS | {"dualaction.propagator", "dualaction.model", "numpy"}
 _UNUSED_BY_ACTION = {f"dualaction.{m}" for m in ("bounds", "extrema", "propagator")}
 
 
 @pytest.mark.parametrize("argv, not_loaded", [
-    # the cap error stops before any enumeration, so it needs no numpy
-    (["spin", "--N", "25"], _SOLVERS | {"dualaction.propagator", "dualaction.model", "numpy"}),
-    (["spin", "--N", "4"], _SOLVERS | {"dualaction.propagator", "dualaction.model"}),
+    # spin is pure Python, whether it enumerates, takes the closed form or stops at the cap
+    (["spin", "--N", "25"], _UNUSED_BY_SPIN),
+    (["spin", "--N", "4"], _UNUSED_BY_SPIN),
+    (["spin", "--N", "20", "--policy", "endpoint-filtered"], _UNUSED_BY_SPIN),
+    (["spin", "--spin", "composite", "--N", "10"], _UNUSED_BY_SPIN),
+    (["spin", "--N", "30", "--use-closed-form"], _UNUSED_BY_SPIN),
     (["propagate", "--rep", "momentum"], _SOLVERS),
     (["hj-check", "--hamiltonian", "free", "--grid-count", "3", "--t-count", "3"],
      _UNUSED_BY_ACTION),
@@ -681,7 +753,8 @@ _UNUSED_BY_ACTION = {f"dualaction.{m}" for m in ("bounds", "extrema", "propagato
     (["action", "--hamiltonian", "sho", "--N", "50"], _UNUSED_BY_ACTION),
     (["classify", "--hamiltonian", "saddle-quadratic", "--N", "50"],
      {"dualaction.bounds", "dualaction.propagator"}),
-], ids=["spin-cap", "spin", "propagate", "hj-check", "legendre-check", "action", "classify"])
+], ids=["spin-cap", "spin", "spin-filtered", "spin-composite", "spin-closed-form",
+        "propagate", "hj-check", "legendre-check", "action", "classify"])
 def test_cold_command_loads_only_its_modules(argv, not_loaded):
     # a cold CLI call pays the import of every module it loads
     loaded = _cold_modules(f"from dualaction.cli import main; main({argv!r})")
