@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import PhasePath, _affine_paths, _blow_up, _shoot_batch
 from .errors import PreconditionError
-from .model import HamiltonianModel
+from .model import HamiltonianModel, _horner
 from .series import write_series
 
 
@@ -29,28 +29,54 @@ class ActionValue:
         return self.value
 
 
-def _trapezoid(y):
-    """Unit-spacing trapezoid rule along axis 0."""
-    return np.sum((y[1:] + y[:-1]) / 2.0, axis=0)
+def _pair_sums(y, gap=None):
+    """y[1:] + y[:-1], in gap (a new array in y's layout when None)."""
+    if gap is None:
+        gap = np.empty_like(y[1:])
+    return np.add(y[1:], y[:-1], out=gap)
 
 
-def _cumulative_trapezoid(y, dt):
-    """Running trapezoid integral of y along axis 0 from its first node, starting at 0."""
+def _trapezoid(y, gap=None):
+    """Unit-spacing trapezoid rule along axis 0; gap, when given, holds the
+    interval terms (an array shaped as y[1:], in y's layout)."""
+    terms = _pair_sums(y, gap)
+    terms /= 2.0
+    return np.sum(terms, axis=0)
+
+
+def _cumulative_trapezoid(y, dt, out=None, gap=None):
+    """Running trapezoid integral of y along axis 0 from its first node, starting at 0.
+
+    out (a new array in y's layout when None: a column-major block stays
+    one) gets the integral, and gap, shaped as y[1:], the interval terms
+    dt (y[j+1] + y[j]) / 2.0, rounded in that order.
+    """
     y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)  # in y's layout: a column-major block stays one
-    np.cumsum(dt * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
+    if out is None:
+        out = np.empty_like(y)
+    terms = _pair_sums(y, gap)
+    terms *= dt
+    terms /= 2.0
+    out[0] = 0.0
+    np.cumsum(terms, axis=0, out=out[1:])
     return out
 
 
-def _simpson(y):
+def _simpson(y, half=None):
     """Unit-spacing composite Simpson rule along axis 0 on an odd node count (at least 3).
 
     _quadrature sends it nothing else, so an odd interval count needs no
     closing correction here.  The operations follow scipy.integrate.simpson
-    in order, so the values agree bit for bit.
+    in order, so the values agree bit for bit.  half, when given, holds the
+    (n - 1) / 2 panel sums (in y's layout, a new array when None).
     """
     n = y.shape[0]
-    return np.sum(y[0:n - 2:2] + 4.0 * y[1:n - 1:2] + y[2:n:2], axis=0) * (1.0 / 3.0)
+    if half is None:
+        half = np.empty_like(y[1:n - 1:2])
+    np.multiply(y[1:n - 1:2], 4.0, out=half)
+    np.add(y[0:n - 2:2], half, out=half)
+    half += y[2:n:2]
+    return np.sum(half, axis=0) * (1.0 / 3.0)
 
 
 def _lane_major(y):
@@ -66,35 +92,88 @@ def _lane_major(y):
     return y
 
 
-def _quadrature(y, dt):
+def _quadrature(y, dt, half=None, gap=None):
     """Composite quadrature along axis 0 and the rule used: Simpson on an
     even interval count, trapezoid otherwise.  dt may be per-lane (array)
-    spacing.
+    spacing; half and gap are the buffers of _simpson and _trapezoid.
 
     Each lane of a (nodes, ...) block equals the quadrature of that lane
     as a 1-d path, bit for bit, whatever the block's layout (_lane_major).
     """
     y = _lane_major(y)
     if (y.shape[0] - 1) % 2 == 0:
-        return _simpson(y) * dt, "simpson"
-    return _trapezoid(y) * dt, "trapezoid"
+        return _simpson(y, half) * dt, "simpson"
+    return _trapezoid(y, gap) * dt, "trapezoid"
 
 
-def _grad(y, dt, axis=0):
-    edge = 2 if y.shape[axis] >= 3 else 1
-    return np.gradient(y, 1.0, axis=axis, edge_order=edge) / dt
+def _grad(y, dt, axis=0, out=None):
+    """Slope of y along axis by differences at unit spacing, then / dt.
+
+    Bit for bit np.gradient(y, 1.0, axis=axis, edge_order=2) / dt (edge
+    order 1 on two nodes), from slices: (y[j+1] - y[j-1]) / 2.0 inside,
+    -1.5 y0 + 2 y1 - 0.5 y2 and 0.5 y[-3] - 2 y[-2] + 1.5 y[-1] at the
+    ends.  out (a new array in y's layout when None) gets the slope; dt
+    broadcasts against y without widening it.  Only the end rows are
+    temporaries.
+    """
+    n = y.shape[axis]
+    if n < 2:
+        raise ValueError("a slope needs at least 2 nodes")
+    if out is None:
+        out = np.empty_like(y, dtype=float)
+    lead = (slice(None),) * (axis % y.ndim)
+
+    def at(index):
+        return lead + (index,)
+
+    inner = out[at(slice(1, -1))]
+    np.subtract(y[at(slice(2, None))], y[at(slice(None, -2))], out=inner)
+    inner /= 2.0
+    if n >= 3:
+        out[at(0)] = -1.5 * y[at(0)] + 2.0 * y[at(1)] + -0.5 * y[at(2)]
+        out[at(-1)] = 0.5 * y[at(-3)] + -2.0 * y[at(-2)] + 1.5 * y[at(-1)]
+    else:
+        out[at(0)] = y[at(1)] - y[at(0)]
+        out[at(-1)] = y[at(-1)] - y[at(-2)]
+    out /= dt
+    return out
 
 
-def _integrand(model, P, Q, dt, which, slope=None):
+def _energy(model, P, Q, out, tmp):
+    """H(P, Q) in out, bit for bit model.eval: a separable model with
+    potential coefficients computes P^2 / 2m + V(Q) in out and tmp alone,
+    any other model's value is copied in."""
+    if model.kind == "separable" and model._vcoeffs is not None:
+        np.square(P, out=out)
+        out /= 2.0 * model.mass
+        out += _horner(model._vcoeffs[0])(Q, tmp)
+        return out
+    out[...] = model.eval(P, Q)
+    return out
+
+
+def _integrand(model, P, Q, dt, which, slope=None, work=None):
     """p q' - H for S (which = 's'), -(q p' + H) for R ('r'), node by node.
 
     slope is q' for S, p' for R, when the caller has already taken it.
+    The integrand is computed in work[0] (which slope may be), H in
+    work[1] and work[2]: three arrays of the path's shape, new ones in
+    P's layout when work is None.
     """
+    if work is None:
+        work = [np.empty_like(P, dtype=float) for _ in range(3)]
+    out, h, tmp = work
     if slope is None:
-        slope = _grad(Q if which == "s" else P, dt)
+        slope = _grad(Q if which == "s" else P, dt, out=out)
+    _energy(model, P, Q, h, tmp)
     if which == "s":
-        return P * slope - model.eval(P, Q)
-    return -(Q * slope + model.eval(P, Q))
+        np.multiply(P, slope, out=out)
+        out -= h
+    else:
+        np.multiply(Q, slope, out=out)
+        out += h
+        np.negative(out, out=out)
+    return out
 
 
 def _action_values(model, P, Q, dt, which, slope=None):
@@ -177,31 +256,36 @@ def _mode_basis(times, mode_count, wave):
 _ROWS = 16  # rows of every mode-sum product
 
 
-def _row_products(coeffs, waves):
-    """The products coeffs[lo:lo + _ROWS] @ waves, lo = 0, _ROWS, ..., as (_ROWS, nodes) arrays.
+def _row_products(coeffs, waves, rows=None):
+    """The products coeffs[lo:lo + _ROWS] @ waves, lo = 0, _ROWS, ..., as rows lo.. of rows.
 
     waves is (modes, nodes), C-contiguous, and the last block of rows is
-    padded with zero rows.  Every product has one shape, so a row's values
+    padded with zero rows.  rows, C-ordered with at least len(coeffs)
+    rounded up to _ROWS rows of nodes (a new array of that many when
+    None), is returned.  Every product has one shape, so a row's values
     depend on its own coefficients alone, not on the row count or its
     block: a (1, k) product would round differently from a row of a
     (_ROWS, k) one.
     """
-    rows = len(coeffs)
-    padded = np.zeros((-(-rows // _ROWS) * _ROWS, coeffs.shape[1]))
-    padded[:rows] = coeffs
-    return (padded[lo:lo + _ROWS] @ waves for lo in range(0, rows, _ROWS))
+    count = len(coeffs)
+    padded = np.zeros((-(-count // _ROWS) * _ROWS, coeffs.shape[1]))
+    padded[:count] = coeffs
+    if rows is None:
+        rows = np.empty((len(padded), waves.shape[1]))
+    for lo in range(0, count, _ROWS):
+        np.matmul(padded[lo:lo + _ROWS], waves, out=rows[lo:lo + _ROWS])
+    return rows
 
 
-def _mode_sum(waves, coeffs):
+def _mode_sum(waves, coeffs, rows=None):
     """(nodes, rows) columns sum_k coeffs[j, k] waves[k], from fixed-shape products (_row_products).
 
     waves is a (modes, nodes) array or a list of modes.  The columns are a
-    transposed view of the (rows, nodes) products, so each column's nodes
-    are contiguous.
+    transposed view of the (rows, nodes) products, in rows when given, so
+    each column's nodes are contiguous.
     """
-    products = list(_row_products(coeffs, np.asarray(waves, dtype=float)))
-    total = products[0] if len(products) == 1 else np.concatenate(products)
-    return total[:len(coeffs)].T
+    products = _row_products(coeffs, np.asarray(waves, dtype=float), rows)
+    return products[:len(coeffs)].T
 
 
 _LEGENDRE_BLOCK = 8  # paths per block: 256 KB per array at N = 4000

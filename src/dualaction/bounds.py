@@ -27,16 +27,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .action import (
-    _ROWS, _action_values, _cumulative_trapezoid, _grad, _lane_major, _mode_basis, _mode_sum,
-    _quadrature, _row_products, _trapezoid, action_r, action_s,
+    _ROWS, _cumulative_trapezoid, _energy, _grad, _integrand, _lane_major, _mode_basis,
+    _mode_sum, _quadrature, _row_products, _trapezoid, action_r, action_s,
 )
 from .dynamics import ShootingReport
 from .errors import NotSaddleError, PreconditionError, RootFindError, UnsolvableRestrictionError
-from .model import DomainBox, HamiltonianModel, saddle_probe
+from .model import DomainBox, HamiltonianModel, _horner, saddle_probe
 from .series import write_series
 
 DEFAULT_SLACK_FLOOR = 1e-6
@@ -63,15 +64,14 @@ class PerturbationSpec:
             raise PreconditionError("mode_count must be >= 1")
 
 
-# Bytes per (nodes, block) array of a separable model's block.  glibc's
-# malloc serves a request of 128 KiB or more (its initial mmap threshold)
-# with a fresh mmap, which costs a page fault per 4 KB on every block; an
-# array below it is reused from the heap.  That gives 16 samples per block
-# at 1000 intervals (128 128 B) and 8 at 2000, the faster width at each
-# (at 2000 intervals 8 against 16 took 193 vs 242 ms for the S-chain and
-# 117 vs 175 ms for the R-chain of 1000 samples on a 2-vCPU Xeon VM).
-# A separable model's values do not depend on the block width.
-_BLOCK_BYTES = (128 << 10) - 64  # less malloc's chunk header
+# Bytes per (nodes, block) array of a separable model's block: 32 samples
+# per block at 1000 intervals, 16 at 2000.  Every block computes in one
+# workspace per certificate (_Workspace), so a block allocates nothing of
+# node length whatever its width, and its values do not depend on the
+# width.  On the certify benchmark (seed 5, four alternating pairs of 15 s
+# runs on a 2-vCPU VM) 32 samples a block ran 42.7 requests/s against 40.5
+# for 16, four pairs of four.
+_BLOCK_BYTES = 256 << 10
 # Nodes times samples of a general-kind block: 8 MB per (nodes, block) array
 _GENERAL_BLOCK_POINTS = 1 << 20
 
@@ -79,10 +79,46 @@ _GENERAL_BLOCK_POINTS = 1 << 20
 def _block_size(model, nodes):
     """Samples per block.  A general-kind model steps its restricted IVPs
     through the nodes in a Python loop (_heun) once per block, which costs
-    far more than page faults, so its blocks are as wide as memory allows:
+    far more than the arrays, so its blocks are as wide as memory allows:
     1000 samples of a 1000-interval path are one block."""
     points = _GENERAL_BLOCK_POINTS if model.kind == "general" else _BLOCK_BYTES // 8
     return max(1, points // nodes)
+
+
+class _Workspace(NamedTuple):
+    """The buffers one path, or one block of paths, is evaluated in.
+
+    a to e have the paths' shape, (nodes,) or (nodes, columns), gap has
+    nodes - 1 rows and half (nodes - 1) // 2; a block's are
+    Fortran-ordered, so each column's nodes are contiguous, as a block
+    built from mode-sum rows has them (_mode_sum).  The functionals below
+    write their temporaries into these alone, so a block of a separable
+    model with potential coefficients allocates nothing of node length;
+    a model given by callables copies their values in.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    gap: np.ndarray
+    half: np.ndarray
+
+    @classmethod
+    def of(cls, shape):
+        nodes, rest = shape[0], tuple(shape[1:])
+        return cls(*(np.empty((n,) + rest, order="F")
+                     for n in (nodes,) * 5 + (nodes - 1, (nodes - 1) // 2)))
+
+    def columns(self, k):
+        """The buffers of a block of its first k columns, each still contiguous per column."""
+        return _Workspace(*(x[:, :k] for x in self))
+
+
+def _peak(x):
+    """max |x| along axis 0, without an array of |x|; nan where a column holds one."""
+    return np.maximum(x.max(axis=0), -x.min(axis=0))
 
 
 def _scale(peak, amplitude):
@@ -91,62 +127,62 @@ def _scale(peak, amplitude):
     return np.where(zero, 1.0, amplitude / np.where(zero, 1.0, peak))
 
 
-def _series(waves, amplitude, coeffs):
+def _series(waves, amplitude, coeffs, rows=None):
     """Columns sum_k coeffs[j, k] waves[k], each scaled to sup-norm amplitude
     (an all-zero column stays); each column is a row of fixed-shape
-    products (_mode_sum), so it does not depend on its block."""
-    delta = _mode_sum(waves, coeffs)
-    return delta * _scale(np.max(np.abs(delta), axis=0), amplitude)
+    products (_mode_sum), so it does not depend on its block.  With rows
+    (_row_products' buffer) the columns are a view of it."""
+    delta = _mode_sum(waves, coeffs, rows)
+    delta *= _scale(_peak(delta), amplitude)
+    return delta
 
 
 _NEWTON_MAX_ITER = 60
 
 
-def _newton_nodes(f, fprime, x0, tol_scale):
-    """Solve f(x, cols) = 0 node by node on a (nodes, columns) array.
+def _newton_nodes(f, fprime, x0, tol_scale, out=None, work=None):
+    """Solve f(x) = 0 node by node on a (nodes, columns) array.
 
-    f and fprime take the iterate of the columns cols and evaluate those
-    columns alone, so a column costs nothing once it stops.  cols is
-    slice(None) while every column is live, and the iterate is x itself;
-    once a column stops, cols is an index array and the iterate a compact
-    copy, which gives each stopping column back to x.  Each column iterates
-    until all its nodes meet the tolerance, or until a derivative of its
-    own is zero or non-finite, exactly as a solve of that column alone
-    would; tol_scale holds one scale per column.
+    f(x, buffer) and fprime(x, buffer) return their values at the iterate
+    x, in buffer where they can.  The iteration runs in place on the whole
+    block: x is out (a new array when None) started at x0, and the
+    residual, the derivative and the step go to the three arrays of work
+    (new ones when None).  A column that has stopped takes a zero step,
+    so each column's iterates are its own.  Each column iterates until
+    all its nodes meet the tolerance, or until a derivative of its own is
+    zero or non-finite, exactly as a solve of that column alone would;
+    tol_scale holds one scale per column.  A column that stopped short of
+    the tolerance raises RootFindError, at its first node past 1e-9 of
+    its scale, unless every node is within it.  The values of a stopped
+    column may overflow again; that column's tests read them, so the
+    iteration is quiet.
     """
-    x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float) if out is None else out
+    if out is not None:
+        x[...] = x0
+    residual, slope, step = work if work is not None else (np.empty_like(x) for _ in range(3))
     converged = np.zeros(x.shape[1], dtype=bool)
-    index = np.arange(x.shape[1])
-    live, xl = slice(None), x
-
-    def keep_only(keep):
-        if xl is x:
-            cols = index[keep]
-            return cols, x[:, cols]
-        x[:, live[~keep]] = xl[:, ~keep]
-        return live[keep], xl[:, keep]
-
-    for _ in range(_NEWTON_MAX_ITER):
-        r = f(xl, live)
-        done = np.all(np.abs(r) <= 1e-11 * tol_scale[live], axis=0)
-        converged[index[live][done]] = True
-        if np.all(done):
-            break
-        if np.any(done):
-            (live, xl), r = keep_only(~done), r[:, ~done]
-        d = fprime(xl, live)
-        ok = np.all((d != 0) & np.isfinite(d), axis=0)
-        if not np.all(ok):
-            (live, xl), r, d = keep_only(ok), r[:, ok], d[:, ok]
-            if not live.size:
+    live = ~converged
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_MAX_ITER):
+            r = f(x, residual)
+            done = live & (_peak(r) <= 1e-11 * tol_scale)
+            converged |= done
+            live &= ~done
+            if not np.any(live):
                 break
-        xl -= r / d
-    if xl is not x:
-        x[:, live] = xl
-    if np.all(converged):
-        return x
-    rest = np.flatnonzero(~converged)
-    bad = np.abs(f(x[:, rest], rest)) > 1e-9 * tol_scale[rest]
+            d = fprime(x, slope)
+            size = np.abs(d, out=step)
+            live &= (size.min(axis=0) > 0.0) & np.isfinite(size.max(axis=0))
+            if not np.any(live):
+                break
+            np.divide(r, d, out=step)
+            step[:, ~live] = 0.0  # a stopped column stays where it is
+            x -= step
+        if np.all(converged):
+            return x
+        rest = np.flatnonzero(~converged)
+        bad = np.abs(f(x, residual)[:, rest]) > 1e-9 * tol_scale[rest]
     failed = np.flatnonzero(np.any(bad, axis=0))
     if failed.size:
         column = failed[0]
@@ -162,6 +198,12 @@ def _columns(x):
     return x.reshape(x.shape[0], -1)
 
 
+def _polynomial(model):
+    """True for a separable model with potential coefficients: its V and
+    derivatives evaluate in place (_horner)."""
+    return model.kind != "general" and model._vcoeffs is not None
+
+
 def pi_from_theta(model: HamiltonianModel, theta, dt):
     """Momentum samples solving dTheta/dt = H_p(Pi, Theta) node by node.
 
@@ -170,21 +212,24 @@ def pi_from_theta(model: HamiltonianModel, theta, dt):
     iteration (requires H_pp > 0 on the range).
     """
     theta = np.asarray(theta, dtype=float)
-    return _momentum(model, theta, _grad(theta, dt))
+    ws = _Workspace.of(theta.shape)
+    return _momentum(model, theta, _grad(theta, dt, out=ws.a), ws)
 
 
-def _momentum(model, theta, theta_dot):
-    """pi_from_theta of theta, whose slope theta_dot the caller has taken."""
+def _momentum(model, theta, theta_dot, ws):
+    """pi_from_theta of theta, whose slope theta_dot the caller has taken, in ws.b.
+
+    theta_dot may be ws.a; the Newton of a general model works in c to e.
+    """
     if model.kind != "general":
-        return model.mass * theta_dot
+        return np.multiply(theta_dot, model.mass, out=ws.b)
     hp = model._derivative(1, 0)
     hpp = model._derivative(2, 0)
     th, th_dot = _columns(theta), _columns(theta_dot)
-    scale = 1.0 + np.max(np.abs(th_dot), axis=0)
-    pi = _newton_nodes(
-        lambda x, k: hp(x, th[:, k]) - th_dot[:, k], lambda x, k: hpp(x, th[:, k]), th_dot, scale
-    )
-    return pi.reshape(theta.shape)
+    _newton_nodes(lambda x, out: np.subtract(hp(x, th), th_dot, out=out),
+                  lambda x, out: hpp(x, th), th_dot, 1.0 + _peak(th_dot),
+                  out=_columns(ws.b), work=(_columns(ws.c), _columns(ws.d), _columns(ws.e)))
+    return ws.b
 
 
 def theta_from_pi(model: HamiltonianModel, pi, dt):
@@ -192,11 +237,18 @@ def theta_from_pi(model: HamiltonianModel, pi, dt):
 
     pi is one path or a (nodes, k) array of k paths.  Requires the force
     to respond to position (H_qq != 0); a model cyclic in q (free
-    particle) is unsolvable.  A separable model's H_q = V'(Theta) and
-    H_qq = V''(Theta) do not depend on Pi.
+    particle) is unsolvable.  A quadratic potential solves in closed
+    form; any other model runs the node Newton (_newton_nodes) from
+    Theta = 0.  A separable model's H_q = V'(Theta) and H_qq = V''(Theta)
+    do not depend on Pi.
     """
     pi = np.asarray(pi, dtype=float)
-    pi_dot = _grad(pi, dt)
+    return _theta_from_pi(model, pi, dt, _Workspace.of(pi.shape))
+
+
+def _theta_from_pi(model, pi, dt, ws):
+    """theta_from_pi in ws.b: the slope of pi goes to a, the Newton works in c to e."""
+    pi_dot = _grad(pi, dt, out=ws.a)
     if model.is_cyclic_in_q():
         raise UnsolvableRestrictionError(
             "H_q vanishes identically; position cannot be recovered from the momentum slope"
@@ -205,28 +257,40 @@ def theta_from_pi(model: HamiltonianModel, pi, dt):
     if c is not None:
         if c[2] == 0.0:
             raise UnsolvableRestrictionError("linear potential has H_qq = 0")
-        return (-pi_dot - c[1]) / (2.0 * c[2])
+        theta = np.negative(pi_dot, out=ws.b)
+        theta -= c[1]
+        theta /= 2.0 * c[2]
+        return theta
     p, p_dot = _columns(pi), _columns(pi_dot)
-    scale = 1.0 + np.max(np.abs(p_dot), axis=0)
-    if model.kind != "general":
+    if _polynomial(model):
+        v1, v2 = (_horner(model._vcoeffs[i]) for i in (1, 2))
+        f, fprime = (lambda x, out: np.add(v1(x, out), p_dot, out=out)), v2
+    elif model.kind != "general":
         v1, v2 = model._v_derivative(1), model._v_derivative(2)
-        f, fprime = (lambda x, k: v1(x) + p_dot[:, k]), (lambda x, k: v2(x))
+        f, fprime = (lambda x, out: np.add(v1(x), p_dot, out=out)), (lambda x, out: v2(x))
     else:
         hq, hqq = model._derivative(0, 1), model._derivative(0, 2)
-        f, fprime = (lambda x, k: hq(p[:, k], x) + p_dot[:, k]), (lambda x, k: hqq(p[:, k], x))
-    theta = _newton_nodes(f, fprime, np.zeros_like(p), scale)
-    return theta.reshape(pi.shape)
+        f, fprime = (lambda x, out: np.add(hq(p, x), p_dot, out=out)), (lambda x, out: hqq(p, x))
+    _newton_nodes(f, fprime, 0.0, 1.0 + _peak(p_dot), out=_columns(ws.b),
+                  work=(_columns(ws.c), _columns(ws.d), _columns(ws.e)))
+    return ws.b
 
 
 def _h_q(model):
-    """Callable (p, q) -> H_q, by Horner's rule for polynomial separable models.
+    """Callable (p, q, out=None) -> H_q: in out by Horner's rule for
+    polynomial separable models, a new value otherwise.
 
-    The value may be a scalar (constant H_q); it broadcasts against p and q.
+    A value returned without out may be a scalar (constant H_q); it
+    broadcasts against p and q.
     """
+    if _polynomial(model):
+        hq = _horner(model._vcoeffs[1])
+        return lambda p, q, out=None: hq(q, out)
     if model.kind != "general":
         field = model.vector_field()
-        return lambda p, q: field(0.0, q)[1]  # a separable H_q does not depend on p
-    return model._derivative(0, 1)
+        return lambda p, q, out=None: field(0.0, q)[1]  # a separable H_q does not depend on p
+    hq = model._derivative(0, 1)
+    return lambda p, q, out=None: hq(p, q)
 
 
 def _heun(rate, drive, dt, start):
@@ -240,24 +304,37 @@ def _heun(rate, drive, dt, start):
     return x
 
 
-def _restricted_momentum_ivp(model, theta, dt, pi_start):
-    """Pi(t) solving dPi/dt = -H_q(Pi, Theta(t)) from pi_start."""
+def _restricted_momentum_ivp(model, theta, dt, pi_start, ws=None):
+    """Pi(t) solving dPi/dt = -H_q(Pi, Theta(t)) from pi_start.
+
+    A separable model integrates the force -H_q, in ws.a, by the
+    cumulative trapezoid into ws.b (a new workspace when None); a general
+    model steps Heun.
+    """
     theta = np.asarray(theta, dtype=float)
-    hq = _h_q(model)
-    if model.kind != "general":
-        force = np.broadcast_to(-hq(0.0, theta), theta.shape)
-        return pi_start + _cumulative_trapezoid(force, dt)
-    return _heun(lambda pi, th: -hq(pi, th), theta, dt, pi_start)
+    if model.kind == "general":
+        hq = model._derivative(0, 1)
+        return _heun(lambda pi, th: -hq(pi, th), theta, dt, pi_start)
+    ws = ws if ws is not None else _Workspace.of(theta.shape)
+    force = np.negative(_h_q(model)(0.0, theta, ws.a), out=ws.a)
+    pi = _cumulative_trapezoid(force, dt, out=ws.b, gap=ws.gap)
+    pi += pi_start
+    return pi
 
 
-def _restricted_position_ivp(model, pi, dt, theta_start):
-    """Theta(t) solving dTheta/dt = H_p(Pi(t), Theta) from theta_start."""
-    pi = np.asarray(pi, dtype=float)
-    if model.kind != "general":
-        vel = pi / model.mass
-        return theta_start + _cumulative_trapezoid(vel, dt)
-    hp = model._derivative(1, 0)
-    return _heun(lambda th, p: hp(p, th), pi, dt, theta_start)
+def _restricted_position_ivp(model, pi, dt, theta_start, ws):
+    """Theta(t) solving dTheta/dt = H_p(Pi(t), Theta) from theta_start.
+
+    A separable model integrates the velocity, in ws.a, by the cumulative
+    trapezoid into ws.b; a general model steps Heun.
+    """
+    if model.kind == "general":
+        hp = model._derivative(1, 0)
+        return _heun(lambda th, p: hp(p, th), pi, dt, theta_start)
+    vel = np.divide(pi, model.mass, out=ws.a)
+    theta = _cumulative_trapezoid(vel, dt, out=ws.b, gap=ws.gap)
+    theta += theta_start
+    return theta
 
 
 def _value(quadrature):
@@ -266,22 +343,39 @@ def _value(quadrature):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _action(model, P, Q, dt, which, ws, slope=None):
+    """S (which = 's') or R ('r') of the paths, in ws: the integrand in a
+    (which slope, when given, must be), H in c and d."""
+    integrand = _integrand(model, P, Q, dt, which, slope, work=(ws.a, ws.c, ws.d))
+    return _value(_quadrature(integrand, dt, ws.half, ws.gap))
+
+
 # The four functionals take one path or a (nodes, k) array of k paths
 # and return a float or k values.  J and G are S, G' is R, each on its
 # restricted pair; J' integrates K with the restriction's own slope.
+# Each builds a workspace for its input; a certificate's blocks call the
+# underscored forms in the certificate's own (_Workspace).
 
 def functional_J(model: HamiltonianModel, theta, dt):
     """S evaluated on (Pi(Theta), Theta) with Pi from dTheta/dt = H_p."""
     theta = np.asarray(theta, dtype=float)
-    theta_dot = _grad(theta, dt)
-    pi = _momentum(model, theta, theta_dot)
-    return _value(_action_values(model, pi, theta, dt, "s", theta_dot))
+    return _functional_J(model, theta, dt, _Workspace.of(theta.shape))
+
+
+def _functional_J(model, theta, dt, ws):
+    theta_dot = _grad(theta, dt, out=ws.a)
+    pi = _momentum(model, theta, theta_dot, ws)
+    return _action(model, pi, theta, dt, "s", ws, theta_dot)
 
 
 def functional_G(model: HamiltonianModel, pi, dt):
     """S evaluated on (Pi, Theta(Pi)) with Theta from dPi/dt = -H_q."""
     pi = np.asarray(pi, dtype=float)
-    return _value(_action_values(model, pi, theta_from_pi(model, pi, dt), dt, "s"))
+    return _functional_G(model, pi, dt, _Workspace.of(pi.shape))
+
+
+def _functional_G(model, pi, dt, ws):
+    return _action(model, pi, _theta_from_pi(model, pi, dt, ws), dt, "s", ws)
 
 
 def functional_Jp(model: HamiltonianModel, theta, dt, pi_start):
@@ -293,16 +387,25 @@ def functional_Jp(model: HamiltonianModel, theta, dt, pi_start):
     K = Theta H_q(Pi, Theta) - H(Pi, Theta).
     """
     theta = np.asarray(theta, dtype=float)
-    pi = _restricted_momentum_ivp(model, theta, dt, pi_start)
-    k = theta * _h_q(model)(pi, theta) - model.eval(pi, theta)
-    return _value(_quadrature(k, dt))
+    return _functional_Jp(model, theta, dt, pi_start, _Workspace.of(theta.shape))
+
+
+def _functional_Jp(model, theta, dt, pi_start, ws):
+    pi = _restricted_momentum_ivp(model, theta, dt, pi_start, ws)
+    k = np.multiply(theta, _h_q(model)(pi, theta, ws.a), out=ws.a)
+    k -= _energy(model, pi, theta, ws.c, ws.d)
+    return _value(_quadrature(k, dt, ws.half, ws.gap))
 
 
 def functional_Gp(model: HamiltonianModel, pi, dt, theta_start):
     """R evaluated on (Pi, Theta(Pi)) with Theta from dTheta/dt = H_p."""
     pi = np.asarray(pi, dtype=float)
-    theta = _restricted_position_ivp(model, pi, dt, theta_start)
-    return _value(_action_values(model, pi, theta, dt, "r"))
+    return _functional_Gp(model, pi, dt, theta_start, _Workspace.of(pi.shape))
+
+
+def _functional_Gp(model, pi, dt, theta_start, ws):
+    theta = _restricted_position_ivp(model, pi, dt, theta_start, ws)
+    return _action(model, pi, theta, dt, "r", ws)
 
 
 _SHIFT_TOL = 1e-10  # |restricted Pi(end) - pi_end| a shift must reach
@@ -310,34 +413,37 @@ _SHIFT_MAX_ITER = 20
 _SHIFT_FAIL = 1e-9  # share of the momentum's scale a miss may reach by rounding
 
 
-def _compatibility_shift(model, theta, dt, pi_start, pi_end):
+def _compatibility_shift(model, theta, dt, pi_start, pi_end, ws=None, out=None):
     """Constant shift of Theta (of each column) making the restricted Pi hit pi_end.
 
     A separable model with potential coefficients, of any degree, solves
     the end's polynomial in the shift (_power_sum_shift); a model without
     them (general kind, callable V) runs the secant on the restricted IVP
     (_secant_shift).  Each column stops where a solve of that column alone
-    would.  Returns the shifted Theta; raises RootFindError when a column
-    misses pi_end (_check_shift).
+    would.  Returns the shifted Theta, in out (which may be theta) when
+    given; raises RootFindError when a column misses pi_end (_check_shift),
+    before out is written.  ws is the workspace of the solves (a new one
+    when None).
     """
     theta = np.asarray(theta, dtype=float)
-    polynomial = model.kind != "general" and model._vcoeffs is not None
-    solve = _power_sum_shift if polynomial else _secant_shift
-    c, miss = solve(model, theta, dt, pi_start, pi_end)
-    shifted = theta + c
-    _check_shift(model, shifted, dt, pi_start, pi_end, miss)
-    return shifted
+    ws = ws if ws is not None else _Workspace.of(theta.shape)
+    solve = _power_sum_shift if _polynomial(model) else _secant_shift
+    c, miss = solve(model, theta, dt, pi_start, pi_end, ws)
+    _check_shift(model, theta, c, dt, pi_start, pi_end, miss)
+    return np.add(theta, c, out=out)
 
 
-def _secant_shift(model, theta, dt, pi_start, pi_end):
+def _secant_shift(model, theta, dt, pi_start, pi_end, ws):
     """(shift, mismatch) of each column by the secant on the restricted IVP's end.
 
     The route of a model without potential coefficients: each step runs
-    the restricted momentum IVP over the block, and a column stops once
-    its miss is within _SHIFT_TOL or stops changing.
+    the restricted momentum IVP over the block, on the shifted block in
+    ws.c, and a column stops once its miss is within _SHIFT_TOL or stops
+    changing.
     """
     def mismatch(c):
-        return _restricted_momentum_ivp(model, theta + c, dt, pi_start)[-1] - pi_end
+        shifted = np.add(theta, c, out=ws.c)
+        return _restricted_momentum_ivp(model, shifted, dt, pi_start, ws)[-1] - pi_end
 
     c0 = np.zeros(theta.shape[1:])
     m0 = mismatch(c0)
@@ -358,7 +464,7 @@ def _secant_shift(model, theta, dt, pi_start, pi_end):
     return c1, m1
 
 
-def _power_sum_shift(model, theta, dt, pi_start, pi_end):
+def _power_sum_shift(model, theta, dt, pi_start, pi_end, ws):
     """(shift, mismatch) of each column by Newton on the end's polynomial in the shift.
 
     With V' = sum_i a_i q^i, the restricted momentum ends at
@@ -367,17 +473,18 @@ def _power_sum_shift(model, theta, dt, pi_start, pi_end):
     trapezoid weights (1/2, 1, ..., 1, 1/2): M_0 is the interval count,
     and each other M_i the unit-spacing trapezoid of a column's i-th
     power, summed as a 1-d path is (_lane_major).  So each column's shift
-    is that of the column alone, bit for bit.  A potential of degree <= 2
-    makes the end affine in c, so one Newton step lands at rounding; a
-    constant V' leaves the end independent of c, so no step is taken.
+    is that of the column alone, bit for bit.  The powers are built in
+    ws.a and summed in ws.gap.  A potential of degree <= 2 makes the end
+    affine in c, so one Newton step lands at rounding; a constant V'
+    leaves the end independent of c, so no step is taken.
     """
     a = model._vcoeffs[1]
     lanes = _lane_major(theta)
     power = lanes
-    sums = [theta.shape[0] - 1.0, _trapezoid(power)]
+    sums = [theta.shape[0] - 1.0, _trapezoid(power, ws.gap)]
     for _ in range(2, len(a)):
-        power = power * lanes
-        sums.append(_trapezoid(power))
+        power = np.multiply(power, lanes, out=ws.a)
+        sums.append(_trapezoid(power, ws.gap))
     b = [sum(math.comb(i, k) * a[i] * sums[i - k] for i in range(k, len(a)))
          for k in range(len(a))]
     slope = [k * b[k] for k in range(1, len(b))]
@@ -404,19 +511,20 @@ def _power_sum_shift(model, theta, dt, pi_start, pi_end):
     return c, m
 
 
-def _check_shift(model, theta, dt, pi_start, pi_end, miss):
-    """Raise RootFindError when a shifted column missed pi_end.
+def _check_shift(model, theta, c, dt, pi_start, pi_end, miss):
+    """Raise RootFindError when a column of theta shifted by c missed pi_end.
 
     A miss above _SHIFT_TOL, or not finite, raises unless it is within
-    _SHIFT_FAIL (1 + max(|Pi|, |pi_end|)), Pi the column's restricted
-    momentum: a miss that small is rounding of the momentum's sum, which
-    at a large momentum scale stays above the absolute _SHIFT_TOL.
+    _SHIFT_FAIL (1 + max(|Pi|, |pi_end|)), Pi the shifted column's
+    restricted momentum: a miss that small is rounding of the momentum's
+    sum, which at a large momentum scale stays above the absolute
+    _SHIFT_TOL.
     """
     missed = ~(np.abs(miss) <= _SHIFT_TOL)
     if not np.any(missed):
         return
     with np.errstate(all="ignore"):
-        pi = _restricted_momentum_ivp(model, theta, dt, pi_start)
+        pi = _restricted_momentum_ivp(model, theta + c, dt, pi_start)
         scale = 1.0 + np.maximum(np.max(np.abs(pi), axis=0), abs(pi_end))
         if np.any(missed & ~(np.abs(miss) <= _SHIFT_FAIL * scale)):
             raise RootFindError("compatibility shift missed the momentum end")
@@ -499,7 +607,7 @@ def _takes_quadratic_form(model):
     return model._quadratic_potential() is not None
 
 
-def _form_values(side, path_values, waves, coeffs, amplitude):
+def _form_values(side, path_values, waves, coeffs, amplitude, rows):
     """Values of side(path_values + the series of each row of coeffs) from one quadratic form.
 
     waves is (d, nodes).  side is taken to be exactly quadratic in the
@@ -507,13 +615,15 @@ def _form_values(side, path_values, waves, coeffs, amplitude):
     upper triangular.  Polarization reads v0, a and U off the
     1 + 2d + d(d - 1)/2 columns x = 0, +-h e_i and h (e_i + e_j), i < j,
     evaluated _ROWS at a time at the samples' own scale h (the amplitude,
-    or 1 when it is 0).  A sample with coefficients c and sup-norm scale s
-    has y = (s / h) c, so it costs its peak, max |waves.T @ c|, and the
-    form.  The peak is one row of the fixed-shape products that also build
-    a block's series (_row_products), and the form is summed term by term
-    over the samples without BLAS: every product has one shape, so a
-    sample's value does not depend on the sample count.  Returns the
-    values and the number of columns evaluated.
+    or 1 when it is 0), each batch built in the transposed first rows of
+    rows, a (_ROWS, nodes) buffer.  A sample with coefficients c and
+    sup-norm scale s has y = (s / h) c, so it costs its peak,
+    max |waves.T @ c|, and the form.  The peak is one row of the
+    fixed-shape products that also build a block's series (_row_products,
+    here in rows), and the form is summed term by term over the samples
+    without BLAS: every product has one shape, so a sample's value does
+    not depend on the sample count.  Returns the values and the number of
+    columns evaluated.
     """
     d = len(waves)
     basis = np.ascontiguousarray(waves.T)
@@ -523,16 +633,17 @@ def _form_values(side, path_values, waves, coeffs, amplitude):
     steps = h * np.concatenate([np.zeros((1, d)), eye, -eye, eye[i] + eye[j]])
     f = np.empty(len(steps))
     for start in range(0, len(steps), _ROWS):
-        rows = slice(start, start + _ROWS)
-        f[rows] = side(path_values[:, None] + basis @ steps[rows].T)
+        batch = steps[start:start + _ROWS]
+        columns = rows[:len(batch)].T
+        f[start:start + _ROWS] = side(np.add(path_values[:, None], basis @ batch.T, out=columns))
     v0, plus, minus = f[0], f[1:d + 1], f[d + 1:2 * d + 1]
     linear = 0.5 * (plus - minus)
     form = np.diag(0.5 * (plus + minus) - v0)
     form[i, j] = f[2 * d + 1:] - plus[i] - plus[j] + v0
 
     n = len(coeffs)
-    peak = np.concatenate([np.maximum(v.max(axis=1), -v.min(axis=1))
-                           for v in _row_products(coeffs, waves)])
+    peak = np.concatenate([_peak(_row_products(coeffs[lo:lo + _ROWS], waves, rows)[:_ROWS].T)
+                           for lo in range(0, n, _ROWS)])
     r = _scale(peak[:n], amplitude) / h
     c = coeffs.T  # one row per mode
     linear_part = sum(a * ck for a, ck in zip(linear, c))
@@ -573,9 +684,10 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
     reads each side's values off one quadratic form in the mode
     coefficients (_form_values), built from 1 + 2d + d(d - 1)/2 columns
     whatever the sample count; any other model evaluates the samples in
-    blocks, as the columns of (nodes, block) arrays.  The certificate
-    records which (method) and the columns passed through the
-    functionals (evaluations).  The saddle probe box reaches one unit
+    blocks, as the columns of (nodes, block) arrays.  Both evaluate their
+    columns in one workspace per certificate (_Workspace).  The
+    certificate records which (method) and the columns passed through
+    the functionals (evaluations).  The saddle probe box reaches one unit
     beyond the path and [-1, 1] on both axes.
     """
     if chain not in ("S-chain", "R-chain"):
@@ -603,48 +715,62 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
     pinned_path, free_path = (path.q, path.p) if s_chain else (path.p, path.q)
 
     if s_chain:
-        def upper(theta):
-            return functional_J(model, theta, dt)
+        def upper(theta, ws):
+            return _functional_J(model, theta, dt, ws)
 
-        def lower(pi):
-            return functional_G(model, pi, dt)
+        def lower(pi, ws):
+            return _functional_G(model, pi, dt, ws)
     else:
-        def upper(pi):
-            return functional_Gp(model, pi, dt, path.q[0])
+        def upper(pi, ws):
+            return _functional_Gp(model, pi, dt, path.q[0], ws)
 
-        def lower(theta):
-            theta = _compatibility_shift(model, theta, dt, path.p[0], path.p[-1])
-            return functional_Jp(model, theta, dt, path.p[0])
+        def lower(theta, ws):  # theta is the certificate's own block, shifted in place
+            theta = _compatibility_shift(model, theta, dt, path.p[0], path.p[-1], ws, out=theta)
+            return _functional_Jp(model, theta, dt, path.p[0], ws)
 
     sines = np.array(_mode_basis(path.times, spec.mode_count, np.sin))
     # the S-chain's free variable also gets a constant mode, a row of ones
     cosines = _mode_basis(path.times, spec.mode_count, np.cos)
     cosines = np.array(cosines + ([np.ones(path.times.size)] if s_chain else []))
     rng = np.random.default_rng(spec.seed)
-    if _takes_quadratic_form(model):
+    # one workspace for every block: the series go to the (rows, nodes) mode-sum
+    # products, whose transposes are the blocks, and everything else to ws
+    form = _takes_quadratic_form(model)
+    nodes = path.p.size
+    width = _ROWS if form else min(_block_size(model, nodes), samples)
+    ws = _Workspace.of((nodes, width))
+    pinned_rows, free_rows = (np.empty((-(-width // _ROWS) * _ROWS, nodes)) for _ in range(2))
+    if form:
         pinned, free = _draws(rng, spec.mode_count, samples, s_chain)
+
+        def on_columns(side):
+            return lambda columns: side(columns, ws.columns(columns.shape[1]))
+
         upper_values, upper_columns = _form_values(
-            upper, pinned_path, sines, pinned, spec.amplitude)
+            on_columns(upper), pinned_path, sines, pinned, spec.amplitude, pinned_rows)
         lower_values, lower_columns = _form_values(
-            lower, free_path, cosines, free, spec.amplitude)
+            on_columns(lower), free_path, cosines, free, spec.amplitude, free_rows)
         method, evaluations = "quadratic-form", upper_columns + lower_columns
     else:
         lower_values = np.empty(samples)
         upper_values = np.empty(samples)
-        size = _block_size(model, path.p.size)
-        for start in range(0, samples, size):
-            block = slice(start, min(start + size, samples))
-            pinned, free = _draws(rng, spec.mode_count, block.stop - block.start, s_chain)
-            pinned = pinned_path[:, None] + _series(sines, spec.amplitude, pinned)
-            free = free_path[:, None] + _series(cosines, spec.amplitude, free)
+        for start in range(0, samples, width):
+            block = slice(start, min(start + width, samples))
+            count = block.stop - block.start
+            pinned, free = _draws(rng, spec.mode_count, count, s_chain)
+            pinned = _series(sines, spec.amplitude, pinned, pinned_rows)
+            pinned += pinned_path[:, None]
+            free = _series(cosines, spec.amplitude, free, free_rows)
+            free += free_path[:, None]
             try:
-                upper_values[block] = upper(pinned)
-                lower_values[block] = lower(free)
+                upper_values[block] = upper(pinned, ws.columns(count))
+                lower_values[block] = lower(free, ws.columns(count))
             except RootFindError:
-                # raise the error of the first failing sample, as a sample loop meets it
-                for j in range(pinned.shape[1]):
-                    upper(pinned[:, j:j + 1])
-                    lower(free[:, j:j + 1])
+                # raise the error of the first failing sample, as a sample loop meets it;
+                # a failing block has written neither its pinned nor its free columns
+                for j in range(count):
+                    upper(pinned[:, j:j + 1], ws.columns(1))
+                    lower(free[:, j:j + 1], ws.columns(1))
                 raise
         method, evaluations = "blocked", 2 * samples
 

@@ -197,6 +197,8 @@ def _cmd_action(config: RunConfig, model):
 
 
 def _cmd_bounds(config: RunConfig, model):
+    import numpy as np
+
     from .bounds import PerturbationSpec, certify_bounds
     from .dynamics import SHOOTING_TOL
 
@@ -208,7 +210,9 @@ def _cmd_bounds(config: RunConfig, model):
         amplitude=params["epsilon"], mode_count=params["modes"],
         seed=config.seed, pinned=pin,
     )
-    cert = certify_bounds(model, chain, report, spec, params["samples"])
+    # a value past the float range turns non-finite, which the report rejects
+    with np.errstate(all="ignore"):
+        cert = certify_bounds(model, chain, report, spec, params["samples"])
     results = cert.summary()
     return results, {"slack": cert.slack, "shooting_tol": SHOOTING_TOL}, cert.to_csv
 
@@ -288,7 +292,7 @@ def _cmd_spin(config: RunConfig, model):
             use_closed_form=params["use_closed_form"],
         )
         values = spin_mod.composite_values(params["l0"])
-    count = spin_mod.SpinPathEnsemble(params["N"], values).path_count
+    count = _path_count(params["N"], values)
     results = {
         "N": params["N"], "policy": params["policy"], "re": g.real, "im": g.imag,
         "abs": abs(g), "path_count": count,
@@ -301,6 +305,20 @@ def _cmd_spin(config: RunConfig, model):
                      [(params["N"], params["policy"], g.real, g.imag, count)])
 
     return results, {"closed_form_match_tol": 1e-12}, write
+
+
+def _path_count(n, values):
+    """The exact path count M^N of N intervals of M paths each; a precondition error
+    when it has more digits than int-to-str conversion allows (the report could
+    not print it), judged from N log10 M before the int is built."""
+    per_interval = sum(mult for _, mult in values)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and n * math.log10(per_interval) >= limit:
+        largest = math.ceil(limit / math.log10(per_interval)) - 1
+        raise PreconditionError(
+            f"N = {n} makes a path count of more than {limit} digits, the limit of integer "
+            f"conversion; the largest N is {largest}")
+    return spin_mod.SpinPathEnsemble(n, values).path_count
 
 
 def _cmd_hj_check(config: RunConfig, model):
@@ -410,7 +428,7 @@ def _common(p):
     p.add_argument("--mass", type=_finite, default=None)
     p.add_argument("--potential-coeffs", default=None,
                    help="comma-separated ascending polynomial coefficients")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)  # numpy seeds are >= 0
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (JSON report or CSV series)")
     return p

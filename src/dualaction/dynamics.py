@@ -34,6 +34,7 @@ evaluator is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -623,8 +624,9 @@ def _newton(sweep, x, lo, hi, r_lo, targets, tol, dt, unit):
     for _ in range(MAX_NEWTON_ITER):
         xa = x[todo]
         h = FD_REL_STEP * np.maximum(unit, np.abs(xa))
-        ends, P, Q, widest = sweep(np.stack([xa, xa + h, xa - h]), dt[todo], keep=0,
-                                   spread=(1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # a unit past the float range
+            lanes = np.stack([xa, xa + h, xa - h])          # leaves non-finite lanes
+        ends, P, Q, widest = sweep(lanes, dt[todo], keep=0, spread=(1, 2))
         with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
             r = ends[0] - targets[todo]
             spread = ends[1] - ends[2]
@@ -635,7 +637,7 @@ def _newton(sweep, x, lo, hi, r_lo, targets, tol, dt, unit):
         roots[todo], residuals[todo] = xa, r
         j_end[todo], j_max[todo] = spread, widest
 
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             going = np.abs(r) > tol[todo]
             # keep the root bracketed: replace the end whose residual has r's sign
             move_lo = going & (np.sign(r) == np.sign(r_lo[todo]))
@@ -671,13 +673,14 @@ def _seed_path(lanes, x, P, Q, n_steps):
     seed is linear in x between those two paths, then linear in time
     between their nodes.
     """
-    share = (x - lanes[0]) / (lanes[1] - lanes[0])
-    Y = np.stack([(1.0 - share) * Z[:, 0] + share * Z[:, 1] for Z in (P, Q)])
-    n = Y.shape[1] - 1
+    n = P.shape[0] - 1
     at = np.arange(n_steps + 1) * (n / n_steps)
     j = np.minimum(at.astype(int), n - 1)
-    share = (at - j)[:, None]
-    return (1.0 - share) * Y[:, j] + share * Y[:, j + 1]
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite lane seeds only itself
+        share = (x - lanes[0]) / (lanes[1] - lanes[0])
+        Y = np.stack([(1.0 - share) * Z[:, 0] + share * Z[:, 1] for Z in (P, Q)])
+        share = (at - j)[:, None]
+        return (1.0 - share) * Y[:, j] + share * Y[:, j + 1]
 
 
 def _compose(a, b):
@@ -768,6 +771,10 @@ def _trajectory_newton(field, second, Y, shot, targets, tol, dt, lo, hi):
 
 
 def _bvp(model, bounds, t_span, n_steps, shoot_on):
+    if not t_span[1] > t_span[0]:
+        raise PreconditionError("phase path needs t_end > t_start")
+    if not math.isfinite(float(t_span[1]) - float(t_span[0])):
+        raise PreconditionError("the horizon t_end - t_start is past the float range")
     shots = _shoot_batch(model, bounds.start, [bounds.end], t_span, n_steps, shoot_on,
                          density=REFINED_DENSITY)
     P, Q = shots.P[:, 0], shots.Q[:, 0]

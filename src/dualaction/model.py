@@ -74,20 +74,26 @@ def _poly_derivs(coeffs):
 
 
 def _horner(coeffs):
-    """Callable q -> sum_k coeffs[k] q^k by Horner's rule (ascending coefficients).
+    """Callable (q, out=None) -> sum_k coeffs[k] q^k by Horner's rule (ascending coefficients).
 
     Zero coefficients are not added (adding 0.0 changes no finite
     value), so the values equal numpy's polyval.  A constant polynomial
-    gives a scalar, which broadcasts against q.
+    gives a scalar, which broadcasts against q.  With out (an array of
+    q's shape other than q), the value is computed in out, a constant
+    filling it, and out is returned.
     """
     coeffs = [float(c) for c in coeffs]
     lead, rest = coeffs[-1], coeffs[-2::-1]
     later = rest[1:]
 
-    def poly(q):
+    def poly(q, out=None):
         if not rest:
-            return lead
-        value = lead * q  # a new array, which the later steps update in place: q is never written
+            if out is None:
+                return lead
+            out.fill(lead)
+            return out
+        # a new array or out, which the later steps update in place: q is never written
+        value = lead * q if out is None else np.multiply(q, lead, out=out)
         if rest[0]:
             value += rest[0]
         for c in later:
@@ -148,9 +154,10 @@ class HamiltonianModel:
                 raise PreconditionError("separable kind requires a potential")
         if self.potential_coeffs is not None:
             _require_finite("potential coefficients", self.potential_coeffs)
-            object.__setattr__(
-                self, "_vcoeffs", tuple(map(tuple, _poly_derivs(self.potential_coeffs)))
-            )
+            with np.errstate(over="ignore"):  # k c_k past the float range is checked below
+                derivs = _poly_derivs(self.potential_coeffs)
+            _require_finite("potential derivative coefficients", np.concatenate(derivs))
+            object.__setattr__(self, "_vcoeffs", tuple(map(tuple, derivs)))
 
     # ---- constructors -------------------------------------------------
 

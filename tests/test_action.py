@@ -457,6 +457,47 @@ class TestQuadratureMatchesScipy:
             expected = integrate.cumulative_trapezoid(y, dx=0.37, axis=0, initial=0)
             assert np.array_equal(_cumulative_trapezoid(y, 0.37), expected), n_nodes
 
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["1-d", "2-d"])
+    def test_rules_in_buffers(self, shape):
+        # the rules computed in caller's buffers, as a certificate's blocks run them,
+        # return the same values, the cumulative integral in out itself
+        integrate = pytest.importorskip("scipy.integrate")
+        from dualaction.action import _cumulative_trapezoid, _simpson, _trapezoid
+
+        for n_nodes in range(3, 61):
+            y = np.random.default_rng(n_nodes).normal(size=(n_nodes,) + shape)
+            gap, out = np.full_like(y[1:], np.nan), np.full_like(y, np.nan)
+            if n_nodes % 2:
+                half = np.full_like(y[1::2], np.nan)
+                assert np.array_equal(_simpson(y, half), integrate.simpson(y, dx=1.0, axis=0))
+            assert np.array_equal(_trapezoid(y, gap), integrate.trapezoid(y, dx=1.0, axis=0))
+            expected = integrate.cumulative_trapezoid(y, dx=0.37, axis=0, initial=0)
+            assert _cumulative_trapezoid(y, 0.37, out, gap) is out
+            assert np.array_equal(out, expected), n_nodes
+
+
+class TestSlopes:
+    """_grad is np.gradient's uniform second-order rule, then / dt, bit for bit."""
+
+    @pytest.mark.parametrize("nodes", [2, 3, 4, 1001])
+    @pytest.mark.parametrize("form", ["1-d", "C", "F", "horizons"])
+    def test_grad_is_gradient(self, nodes, form):
+        rng = np.random.default_rng(nodes)
+        axis, dt = 0, 0.37
+        if form == "1-d":
+            y = rng.normal(size=nodes)
+        elif form == "horizons":
+            # _action_forms' rows: a (h, 3, nodes) view along the last axis, a step per horizon
+            y = rng.normal(size=(4, 3, 3, nodes))[:, 1]
+            axis, dt = -1, -rng.uniform(0.1, 1.0, size=(4, 1, 1))
+        else:
+            y = np.array(rng.normal(size=(nodes, 5)), order=form)
+        expected = np.gradient(y, 1.0, axis=axis, edge_order=2 if nodes >= 3 else 1) / dt
+        assert np.array_equal(_grad(y, dt, axis=axis), expected)
+        out = np.full_like(y, np.nan)
+        assert _grad(y, dt, axis=axis, out=out) is out
+        assert np.array_equal(out, expected)
+
 
 class TestLaneExactQuadrature:
     """A lane of a batch integrates to the value of the same 1-d path, bit for bit."""

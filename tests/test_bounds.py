@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -431,7 +432,7 @@ def test_blocked_certificate_matches_sample_loop(name, chain, pin, monkeypatch):
     spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=17, pinned=pin)
     lower, upper = reference_values(model, chain, bvp.path, spec, most)
     crit = action_s(model, bvp.path).value if chain == "S-chain" else action_r(model, bvp.path).value
-    # at 100 intervals a block holds 162 samples (_block_size); blocks of 16
+    # at 100 intervals a block holds 324 samples (_block_size); blocks of 16
     # also split 63 and 65 samples across several blocks and a partial one
     sized = bounds._block_size
     for samples, width in itertools.product((1, 63, 65, 1000), (None, 16)):
@@ -670,24 +671,24 @@ def test_no_position_restriction_raises(model, chain, pin):
 
 
 def test_separable_block_width_is_set_by_bytes():
-    # a (nodes, block) array stays below glibc's 128 KiB mmap threshold
+    # a (nodes, block) array holds at most 256 KiB
     model = REFERENCE_MODELS["anharmonic-saddle"][0]
-    assert [bounds._block_size(model, n + 1) for n in (100, 1000, 2000, 20000)] == [162, 16, 8, 1]
+    assert [bounds._block_size(model, n + 1) for n in (100, 1000, 2000, 20000)] == [324, 32, 16, 1]
     assert bounds._block_size(_general_saddle(), 1001) == 1047
 
 
 @pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
 def test_separable_certificate_does_not_depend_on_the_block_width(chain, pin, monkeypatch):
-    # at 2000 intervals _block_size gives 8 samples a block; blocks of 16 give the same values
+    # at 2000 intervals _block_size gives 16 samples a block; blocks of 7 give the same values
     model = REFERENCE_MODELS["anharmonic-saddle"][0]
     bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 2000)
     spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=7, pinned=pin)
     sized = certify_bounds(model, chain, bvp, spec, 40)
-    monkeypatch.setattr(bounds, "_block_size", lambda model, nodes: 16)
-    sixteen = certify_bounds(model, chain, bvp, spec, 40)
-    assert np.array_equal(sized.lower_values, sixteen.lower_values)
-    assert np.array_equal(sized.upper_values, sixteen.upper_values)
-    assert sized.summary() == sixteen.summary()
+    monkeypatch.setattr(bounds, "_block_size", lambda model, nodes: 7)
+    seven = certify_bounds(model, chain, bvp, spec, 40)
+    assert np.array_equal(sized.lower_values, seven.lower_values)
+    assert np.array_equal(sized.upper_values, seven.upper_values)
+    assert sized.summary() == seven.summary()
 
 
 @pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
@@ -838,7 +839,7 @@ def test_power_sum_shift_meets_the_momentum_end(degree, coeffs, lead, log_mass, 
 def test_blocked_r_chain_shift_runs_no_momentum_ivp(name, want, monkeypatch):
     # one restricted-momentum IVP per block, for J', and one on the critical
     # path, for the slack: 40 blocked samples in blocks of 16 (one block at
-    # the 162 samples _block_size gives 100 intervals) are blocks of 16, 16
+    # the 324 samples _block_size gives 100 intervals) are blocks of 16, 16
     # and 8, and the quadratic form evaluates J' on 45 columns, in blocks of
     # 16, 16 and 13
     monkeypatch.setattr(bounds, "_block_size", lambda model, nodes: 16)
@@ -848,9 +849,9 @@ def test_blocked_r_chain_shift_runs_no_momentum_ivp(name, want, monkeypatch):
     widths = []
     ivp = bounds._restricted_momentum_ivp
 
-    def counting(model, theta, dt, pi_start):
+    def counting(model, theta, dt, pi_start, *workspace):
         widths.append(np.shape(theta)[1:])
-        return ivp(model, theta, dt, pi_start)
+        return ivp(model, theta, dt, pi_start, *workspace)
 
     monkeypatch.setattr(bounds, "_restricted_momentum_ivp", counting)
     certify_bounds(model, "R-chain", bvp, spec, 40)
@@ -878,37 +879,45 @@ def test_constant_force_shift_takes_no_step(model):
             bounds._compatibility_shift(model, theta, dt, 0.7, pi_end + 1.0)
 
 
-def test_node_newton_evaluates_live_columns_only(monkeypatch):
-    # G's per-node Newton on a block: converged columns drop out, so fewer
-    # columns reach f than iterations times the block width.  Blocks of 16
-    # (not the 162 _block_size gives 100 intervals) make 32 samples two blocks
-    monkeypatch.setattr(bounds, "_block_size", lambda model, nodes: 16)
-    model, n, _ = REFERENCE_MODELS["anharmonic-saddle"]
-    bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), n)
-    spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=17, pinned="q-pinned")
-    solves = []  # (block width, columns of each f call) of every Newton solve
-    newton = bounds._newton_nodes
+@pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
+def test_blocks_allocate_less_than_two_block_arrays(chain, pin, monkeypatch):
+    # every block computes in the certificate's one workspace, so the memory a
+    # block allocates beyond what it starts with (its draws, padded
+    # coefficients and per-column rows) stays under two (nodes, block) arrays,
+    # where a block of node-sized temporaries held 6 to 8 of them.  The block
+    # runs from one _draws call to the next, or to the certificate's return;
+    # the first is left out.  128 samples are four blocks of 32
+    model = REFERENCE_MODELS["anharmonic-saddle"][0]
+    bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 1000)
+    spec = PerturbationSpec(amplitude=0.2, mode_count=8, seed=17, pinned=pin)
+    width = bounds._block_size(model, 1001)
+    peaks, start, draws = [], [], bounds._draws
 
-    def counting(f, fprime, x0, tol_scale):
-        seen = []
-        solves.append((x0.shape[1], seen))
+    def transient_peak():
+        if start:
+            peaks.append(tracemalloc.get_traced_memory()[1] - start[-1])
 
-        def f_counted(x, cols):
-            seen.append(x.shape[1])
-            return f(x, cols)
+    def measured(*args):
+        transient_peak()
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+        return draws(*args)
 
-        return newton(f_counted, fprime, x0, tol_scale)
-
-    monkeypatch.setattr(bounds, "_newton_nodes", counting)
-    certify_bounds(model, "S-chain", bvp, spec, 32)
-    assert [width for width, _ in solves] == [1, 16, 16]  # the slack's critical path, two blocks
-    for width, seen in solves[1:]:
-        assert sum(seen) < len(seen) * width
+    monkeypatch.setattr(bounds, "_draws", measured)
+    tracemalloc.start()
+    try:
+        certify_bounds(model, chain, bvp, spec, 128)
+        transient_peak()
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 128 // width == 4
+    assert max(peaks[1:]) < 2 * 1001 * width * 8
 
 
 def _square_root_newton(a, x0):
     """_newton_nodes on x^2 = a, one column of a (nodes, columns) per solve."""
-    return bounds._newton_nodes(lambda x, k: x * x - a[:, k], lambda x, k: 2.0 * x,
+    return bounds._newton_nodes(lambda x, out: np.subtract(x * x, a, out=out),
+                                lambda x, out: np.multiply(2.0, x, out=out),
                                 x0, np.ones(a.shape[1]))
 
 

@@ -624,10 +624,97 @@ def test_hj_check_run_ends_in_a_report_or_a_json_error(which, model, n, grid_cou
             assert rows == 1 + report["results"]["valid_nodes"]
 
 
+def _mostly(typical):
+    """typical three draws in four, any float (_ANY_FLOAT) the fourth."""
+    return st.one_of(typical, typical, typical, _ANY_FLOAT)
+
+
+# the anharmonic saddles run the blocked route, saddle-quadratic the quadratic form; the
+# other builtins and most coefficient lists end in an error before either.  Each float is
+# typical three draws in four, so that about one run in six certifies
+_SADDLE_COEFFS = [(0.0, 0.0, -0.5, 0.0, -0.05), (0.0, 0.0, -0.5, -0.05)]
+
+
+@settings(max_examples=200)
+@given(chain=st.sampled_from(["S-chain", "R-chain"]),
+       model=st.one_of(st.just("saddle-quadratic"), st.sampled_from(_SADDLE_COEFFS),
+                       st.sampled_from(dualaction.BUILTIN_NAMES),
+                       st.lists(_ANY_FLOAT, min_size=1, max_size=5).map(tuple)),
+       n=st.integers(1, 40), samples=st.integers(1, 8), modes=st.integers(-1, 8),
+       seed=st.integers(-1, 2**64), csv=st.booleans(),
+       floats=st.fixed_dictionaries({
+           "--mass": _mostly(st.floats(0.5, 2.0)), "--t0": _mostly(st.just(0.0)),
+           "--t1": _mostly(st.floats(0.5, 2.0)), "--q-start": _mostly(st.floats(-1.0, 1.0)),
+           "--q-end": _mostly(st.floats(-1.5, 1.5)), "--epsilon": _mostly(st.floats(0.0, 0.5))}))
+# these printed a RuntimeWarning: V' = 2e308 q overflowed building the model's derivatives,
+# and the horizon t1 - t0 overflowed before the boundary-value solve
+@example(chain="S-chain", model=(0.0, 0.0, 1e308), n=1, samples=1, modes=0, seed=0, csv=False,
+         floats={"--mass": 5e-324, "--t0": 0.0, "--t1": 0.0, "--q-start": 0.0, "--q-end": 0.0,
+                 "--epsilon": 0.0})
+@example(chain="S-chain", model="free", n=1, samples=1, modes=0, seed=0, csv=False,
+         floats={"--mass": 1.0, "--t0": 7.976931348623158e+307, "--t1": -1e308,
+                 "--q-start": 0.0, "--q-end": 0.0, "--epsilon": 0.0})
+# a negative seed ended in numpy's ValueError traceback; it is argparse's usage error now
+@example(chain="S-chain", model="saddle-quadratic", n=10, samples=2, modes=8, seed=-1, csv=False,
+         floats={"--mass": 1.0, "--t0": 0.0, "--t1": 1.0, "--q-start": 0.0, "--q-end": 1.0,
+                 "--epsilon": 0.2})
+# a mass at the float range sends the non-affine shooting's lanes past it: these printed
+# RuntimeWarnings in _seed_path and _newton before their blow-up or non-finite error
+@example(chain="S-chain", model=_SADDLE_COEFFS[0], n=2, samples=1, modes=0, seed=0, csv=False,
+         floats={"--mass": 1e308, "--t0": 0.0, "--t1": 15058438410.0, "--q-start": 0.0,
+                 "--q-end": -1.0, "--epsilon": 0.0})
+@example(chain="S-chain", model=_SADDLE_COEFFS[0], n=1, samples=1, modes=0, seed=0, csv=False,
+         floats={"--mass": 1e308, "--t0": 0.0, "--t1": 15058438410.0, "--q-start": 0.0,
+                 "--q-end": -1.0, "--epsilon": 0.0})
+@example(chain="S-chain", model=_SADDLE_COEFFS[0], n=1, samples=1, modes=0, seed=0, csv=False,
+         floats={"--mass": 1e308, "--t0": 0.0, "--t1": 1.0, "--q-start": 0.0, "--q-end": 1.0,
+                 "--epsilon": 0.0})
+@example(chain="S-chain", model=_SADDLE_COEFFS[0], n=2, samples=1, modes=0, seed=0, csv=False,
+         floats={"--mass": 1e308, "--t0": -15058438409.0, "--t1": 1.0, "--q-start": 1.0,
+                 "--q-end": 0.0, "--epsilon": 0.0})
+# and this overflowed in the certificate itself, whose perturbations have sup-norm 1e308
+@example(chain="R-chain", model=_SADDLE_COEFFS[0], n=10, samples=4, modes=8, seed=0, csv=True,
+         floats={"--mass": 1.0, "--t0": 0.0, "--t1": 1.0, "--q-start": 0.0, "--q-end": 1.0,
+                 "--epsilon": 1e308})
+def test_bounds_run_ends_in_a_report_or_a_json_error(chain, model, n, samples, modes, seed, csv,
+                                                     floats):
+    spec = (["--hamiltonian", model] if isinstance(model, str) else
+            [f"--potential-coeffs={','.join(map(repr, model))}"])
+    argv = ["bounds", "--chain", chain, *spec, "--N", str(n), "--samples", str(samples),
+            "--modes", str(modes), "--seed", str(seed),
+            *[f"{flag}={value!r}" for flag, value in floats.items()]]
+    if seed < 0:
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+        assert exc.value.code == 2
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        series = Path(tmp) / "series.csv"
+        if csv:
+            argv += ["--format", "csv", "--out", str(series)]
+        # exit 1: a solve that blows up, or a restriction without a root
+        report = _ends_in_a_report_or_a_json_error(argv, floats.values(), error_exits=(1, 2))
+        if csv and report:
+            assert len(series.read_text().splitlines()) == 1 + samples
+
+
 def test_spin_past_the_cap_is_a_json_error():
     error = _cold_error(["spin", "--N", "25"], exit_code=2)
     assert error["error_code"] == "precondition"
     assert error["message"] == "N = 25 exceeds the enumeration cap 20; pass use_closed_form=True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spin", "--N", "20000", "--use-closed-form"],
+    ["spin", "--N", "10000000000000000000", "--use-closed-form"],
+], ids=["past-the-digit-limit", "huge"])
+def test_spin_count_past_the_digit_limit_is_a_json_error(argv):
+    # 2^N has more digits than int-to-str conversion allows (4300 by default), which
+    # ended in a misleading non-finite error, or, for a huge N, in building 2^N for ever
+    error = _cold_error(argv, exit_code=2)
+    assert error["error_code"] == "precondition"
+    largest = math.ceil(sys.get_int_max_str_digits() / math.log10(2)) - 1
+    assert f"the largest N is {largest}" in error["message"]
 
 
 @pytest.mark.parametrize("spec", [

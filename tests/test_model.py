@@ -504,3 +504,20 @@ def test_horner_in_place_equals_out_of_place(coeffs, q, form):
     assert np.shape(value) == np.shape(expected)
     assert np.array_equal(value, expected)
     assert np.array_equal(q, before) and np.asarray(q).dtype == before.dtype
+
+
+@settings(max_examples=60)
+@given(
+    coeffs=st.lists(_COEFF, min_size=1, max_size=7),
+    q=st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
+    form=st.sampled_from(["int", "broadcast", "fortran", "c"]),
+)
+def test_horner_in_out_equals_out_of_place(coeffs, q, form):
+    # with out, _horner computes in out (a constant fills it) and returns it
+    q = np.reshape(q, (2, 3)) if form == "c" else _HORNER_INPUTS[form](q)
+    before = np.array(q, copy=True)
+    out = np.full(np.shape(q), np.nan)
+    assert _horner(coeffs)(q, out) is out
+    expected = np.broadcast_to(_out_of_place_horner(coeffs, q), np.shape(q))
+    assert np.array_equal(out, expected)
+    assert np.array_equal(q, before)
