@@ -405,9 +405,8 @@ def _surface_actions(model, start_value, targets, horizons, n_steps, which):
     range) has its path built and integrated, as a swept batch does for
     every lane.
     """
-    # the plain scan: a surface's many lanes make a sweep cost arithmetic, not overhead
     shots = _shoot_batch(model, start_value, targets, (0.0, horizons), n_steps,
-                         "p0" if which == "s" else "q0", density=1)
+                         "p0" if which == "s" else "q0")
     ok = shots.flags == "unique"
     dt = horizons / n_steps
     with np.errstate(all="ignore"):  # infeasible or overflowed lanes are masked by ok
@@ -437,7 +436,7 @@ def _cyclic_r_line(model, p_i, p_f_values, t_values, n_steps, fd_step):
     online = np.isclose(p_f_values, p_i, rtol=0.0, atol=1e-12)
     horizons = np.concatenate([t_values, t_values + fd_step, t_values - fd_step])
     shots = _shoot_batch(model, p_i, np.full(horizons.shape, float(p_i)), (0.0, horizons),
-                         n_steps, "q0", density=1)
+                         n_steps, "q0")
     P, Q = shots.P, shots.Q
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
         raise _blow_up(P, Q)

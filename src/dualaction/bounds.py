@@ -265,9 +265,6 @@ def _theta_from_pi(model, pi, dt, ws):
     if _polynomial(model):
         v1, v2 = (_horner(model._vcoeffs[i]) for i in (1, 2))
         f, fprime = (lambda x, out: np.add(v1(x, out), p_dot, out=out)), v2
-    elif model.kind != "general":
-        v1, v2 = model._v_derivative(1), model._v_derivative(2)
-        f, fprime = (lambda x, out: np.add(v1(x), p_dot, out=out)), (lambda x, out: v2(x))
     else:
         hq, hqq = model._derivative(0, 1), model._derivative(0, 2)
         f, fprime = (lambda x, out: np.add(hq(p, x), p_dot, out=out)), (lambda x, out: hqq(p, x))
@@ -286,9 +283,6 @@ def _h_q(model):
     if _polynomial(model):
         hq = _horner(model._vcoeffs[1])
         return lambda p, q, out=None: hq(q, out)
-    if model.kind != "general":
-        field = model.vector_field()
-        return lambda p, q, out=None: field(0.0, q)[1]  # a separable H_q does not depend on p
     hq = model._derivative(0, 1)
     return lambda p, q, out=None: hq(p, q)
 

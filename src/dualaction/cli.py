@@ -197,8 +197,6 @@ def _cmd_action(config: RunConfig, model):
 
 
 def _cmd_bounds(config: RunConfig, model):
-    import numpy as np
-
     from .bounds import PerturbationSpec, certify_bounds
     from .dynamics import SHOOTING_TOL
 
@@ -210,9 +208,7 @@ def _cmd_bounds(config: RunConfig, model):
         amplitude=params["epsilon"], mode_count=params["modes"],
         seed=config.seed, pinned=pin,
     )
-    # a value past the float range turns non-finite, which the report rejects
-    with np.errstate(all="ignore"):
-        cert = certify_bounds(model, chain, report, spec, params["samples"])
+    cert = certify_bounds(model, chain, report, spec, params["samples"])
     results = cert.summary()
     return results, {"slack": cert.slack, "shooting_tol": SHOOTING_TOL}, cert.to_csv
 
@@ -233,27 +229,24 @@ def _cmd_propagate(config: RunConfig, model):
     x_start, x_end = params[f"{x}_start"], params[f"{x}_end"]
     results = {"representation": rep, "slices": params["slices"], "t": t}
     tolerances = {"caustic_det_tol": CAUSTIC_DET_TOL}
-    # a value past the float range turns non-finite, which the report rejects
-    with np.errstate(all="ignore"):
-        if rep == "momentum" and model.is_cyclic_in_q():
-            value = free_momentum_propagator(model.mass, x_start, x_end, t)
-            results.update({
-                "variant": "delta",
-                "support_matched": value.support_matched,
-                "causal": value.causal,
-                "phase_re": value.phase.real,
-                "phase_im": value.phase.imag,
-            })
-            return results, tolerances, None
-        kernel = _gaussian_kernel(model, rep, t, scheme)
-        amplitude = complex(kernel(x_end, x_start))
+    if rep == "momentum" and model.is_cyclic_in_q():
+        value = free_momentum_propagator(model.mass, x_start, x_end, t)
+        results.update({
+            "variant": "delta",
+            "support_matched": value.support_matched,
+            "causal": value.causal,
+            "phase_re": value.phase.real,
+            "phase_im": value.phase.imag,
+        })
+        return results, tolerances, None
+    kernel = _gaussian_kernel(model, rep, t, scheme)
+    amplitude = complex(kernel(x_end, x_start))
     results.update({"variant": "regular", "re": amplitude.real,
                     "im": amplitude.imag, "abs": abs(amplitude)})
 
     def write(out):
         grid = _grid(params, "grid")
-        with np.errstate(all="ignore"):  # the series may hold non-finite samples
-            vals = kernel(grid, np.full_like(grid, x_start))
+        vals = kernel(grid, np.full_like(grid, x_start))  # may hold non-finite samples
         write_series(out, [f"{x}_f", "re", "im"], zip(grid, vals.real, vals.imag))
 
     return results, tolerances, write
@@ -267,8 +260,7 @@ def _grid(params, name):
 
     low, high = params[f"{name}_min"], params[f"{name}_max"]
     # the step times the last index may overflow before linspace sets the last node to high
-    with np.errstate(all="ignore"):
-        nodes = np.linspace(low, high, params[f"{name}_count"])
+    nodes = np.linspace(low, high, params[f"{name}_count"])
     if not np.all(np.isfinite(nodes)):
         raise PreconditionError(f"--{name}-min {low!r} to --{name}-max {high!r} "
                                 f"spans more than the float range")
@@ -362,8 +354,7 @@ def _cmd_legendre_check(config: RunConfig, model):
         rng = np.random.default_rng(s)
         amp_p[i] = rng.normal(size=4) * 0.25
         amp_q[i] = rng.normal(size=4) * 0.25
-    with np.errstate(all="ignore"):  # a residual past the float range is non-finite
-        residuals = {nn: _legendre_residuals(model, amp_p, amp_q, nn) for nn in (n, 2 * n)}
+    residuals = {nn: _legendre_residuals(model, amp_p, amp_q, nn) for nn in (n, 2 * n)}
     worst = {nn: max([0.0, *values]) for nn, values in residuals.items()}
     results = {
         "samples": params["samples"],
@@ -520,11 +511,22 @@ def run(config: RunConfig):
 
     A handler returns (results, tolerances, write), where write(path)
     writes the command's data series, or is None for a run without one.
-    Spin ignores the model, so a spin run on the default one builds none;
-    any other spec is built, so its errors stand.
+    Spin ignores the model, so a spin run on the default one builds none
+    and loads no numpy; any other spec is built, so its errors stand.
+    A run that builds a model computes and writes with numpy's
+    floating-point warnings off: a value past the float range turns
+    non-finite, which the handler or the report rejects.
     """
-    default_spin = config.command == "spin" and config.hamiltonian == _DEFAULT_SPEC
-    model = None if default_spin else _resolve_model(config.hamiltonian)
+    if config.command == "spin" and config.hamiltonian == _DEFAULT_SPEC:
+        return _report(config, None)
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        return _report(config, _resolve_model(config.hamiltonian))
+
+
+def _report(config: RunConfig, model):
+    """The report of config's command on model, its series written if asked for."""
     results, tolerances, write = _HANDLERS[config.command](config, model)
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -14,19 +14,21 @@ evaluators:
   no integration sweep: the endpoint is affine in the shooting parameter.
 * Any other field runs ``_rk4``, the one RK4 loop, as a sweep over many
   lanes (one initial condition per array element), so a shooting solve
-  costs a few sweeps rather than a few per lane.  A sweep is bound by
-  per-step overhead, so a single solve's scan carries 481 lanes at
-  little more cost than 33.  It runs on rows of ceil(N/2^k) steps, from
-  the coarsest of at least 16 up to the N-step row, so its cost follows
-  the dynamics rather than N.  Each row brackets the dense sign change
-  nearest 0.  On the first row that agrees with the one before it, or
-  else on the N-step row, Newton on the whole N-step trajectory polishes
-  that root from regula falsi on the bracket: each iteration is one
-  vectorized RK4 step from every node, its exact Jacobian and a doubling
-  scan of the linearized steps, so a solve that ends on the second row
-  runs, for N > 480, 47 to 90 loop steps in all.
-  Newton sweeps of the parameter and the parameter +- h serve the plain
-  scan of many targets and every solve the trajectory Newton cannot.
+  costs a few sweeps rather than a few per lane.  The number of targets
+  picks the scan.  A single target's scan carries 481 lanes, at little
+  more cost than 33 since a sweep is bound by per-step overhead, on rows
+  of ceil(N/2^k) steps, from the coarsest of at least 16 up to the N-step
+  row, so its cost follows the dynamics rather than N.  Each row brackets
+  the dense sign change nearest 0.  On the first row that agrees with the
+  one before it, or else on the N-step row, Newton on the whole N-step
+  trajectory polishes that root from regula falsi on the bracket: each
+  iteration is one vectorized RK4 step from every node, its exact
+  Jacobian and a doubling scan of the linearized steps, so a solve that
+  ends on the second row runs, for N > 480, 47 to 90 loop steps in all.
+  A batch, whose many lanes make a sweep cost arithmetic, shares one
+  plain N-step scan of the candidates.  Newton sweeps of the parameter
+  and the parameter +- h solve its targets and every single target the
+  trajectory Newton cannot.
 
 ``integrate_ivp`` always runs the loop; it is the reference the affine
 evaluator is tested against.
@@ -321,13 +323,13 @@ class _Shots:
     (targets, 3).  A quadratic functional of its paths is then a form
     read off the powers (action._action_forms), and the paths P and Q,
     (n_steps+1, targets), are built only when first read.  A swept batch
-    carries the paths of each target's trajectory Newton, last Newton
-    sweep or scan lane.  method says how each target's root was found
-    ('affine', 'trajectory', 'newton' or 'scan'), iterations counts each
-    target's trajectory Newton iterations (0 on the other routes) and
-    sweeps lists the (lanes, steps) of every RK4 sweep the batch ran.
-    sign_changes counts each target's sign changes on the scan row it
-    ended on.
+    carries each target's path: a single target's trajectory Newton path,
+    else its last Newton sweep or scan lane.  method says how each
+    target's root was found ('affine', 'trajectory', 'newton' or 'scan'),
+    iterations counts a single target's trajectory Newton iterations (0
+    on the other routes) and sweeps lists the (lanes, steps) of every RK4
+    sweep the batch ran.  sign_changes counts each target's sign changes
+    on the scan row it ended on: dense for a single non-affine target.
     """
 
     roots: np.ndarray
@@ -417,7 +419,7 @@ def _coarse_rows(n_steps):
     return rows
 
 
-def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density):
+def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on):
     """Shoot a family of endpoint targets: one scan, then the roots.
 
     shoot_on = 'p0' varies initial momentum with q(t_i) = start_value and
@@ -435,36 +437,34 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
       J(t_j) = dE(t_j)/dx is an entry of G^j, exact; the residual is read
       off G^N x0 with x0 = (p0, q0, 1), and the paths, the powers applied
       to x0, are built only when read (_Shots).  No RK4 sweep runs.
-    * any other field: the scan sweep also runs density - 1 lanes at
-      Chebyshev-Lobatto points inside every interval between candidates
-      (density 1 is the plain scan), and each target brackets the sign
-      change nearest 0 over all of them.  When the model has every second
-      partial and density > 1, the scan runs on rows: the coarse rows
-      (_coarse_rows), from the coarsest up, then the N-step row.  Two
-      rows agree when they put the bracket in the same candidate
-      interval and agree on whether they change sign more than once,
-      which is all the flag reads.  On a row that agrees with the one
-      before it, and on the N-step row, _trajectory_newton polishes the
-      root from the row's regula-falsi guess, on a path seeded from the
-      bracket's two lanes (_seed_path), which the row's sweep kept (the
-      lanes of the interval of the row before): a target it solves ends
-      there (method 'trajectory'), with its sign changes and flag from
-      that row, and no finer row runs for it.  On the N-step row, a
-      target the trajectory Newton did not solve, or whose bracket lies
-      outside the kept lanes, a hit, and every target of a plain scan or
-      of a model that lacks a second partial, is solved by _newton from
-      that row's guess in its bracket (method 'newton').  An infeasible
-      target reports the kept path of its scan lane (method 'scan').  A
-      surface's many targets share the plain scan, where dense lanes
-      would cost arithmetic.
+    * any other field, a single target: the scan sweep also runs
+      REFINED_DENSITY - 1 lanes at Chebyshev-Lobatto points inside every
+      interval between candidates, and brackets the sign change nearest 0
+      over all of them.  When the model has every second partial, the
+      scan runs on rows: the coarse rows (_coarse_rows), from the coarsest
+      up, then the N-step row.  Two rows agree when they put the bracket
+      in the same candidate interval and agree on whether they change
+      sign more than once, which is all the flag reads.  On a row that
+      agrees with the one before it, and on the N-step row,
+      _trajectory_newton polishes the root from the row's regula-falsi
+      guess, on a path seeded from the bracket's two lanes (_seed_path),
+      which the row's sweep kept (the lanes of the interval of the row
+      before): a solved target ends there (method 'trajectory'), with its
+      sign changes and flag from that row.  Otherwise, and for a model
+      that lacks a second partial, _newton solves the N-step row's
+      bracket from its guess (method 'newton').
+    * any other field, a batch: every target shares one plain N-step scan
+      of the candidates, where dense lanes would cost arithmetic, and
+      _newton solves each bracket or hit from that row's guess.
 
-    The residual is that of the returned endpoint (for an affine field
-    G^N x0, which the path's last node equals up to rounding) and must
-    reach tol = SHOOTING_TOL * max(1, |start|, |target|).  A target is
-    conjugate-degenerate when |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)|
-    or the scan row it ended on changes sign more than once: on every
-    dense lane when density > 1, so a root between two candidates counts
-    too.
+    An infeasible target reports the kept path of its scan lane (method
+    'scan').  The residual is that of the returned endpoint (for an
+    affine field G^N x0, which the path's last node equals up to
+    rounding) and must reach tol = SHOOTING_TOL * max(1, |start|,
+    |target|).  A target is conjugate-degenerate when
+    |J(t_f)| <= SENSITIVITY_TOL * max_t |J(t)| or the scan row it ended
+    on changes sign more than once: on every dense lane for a single
+    non-affine target, so a root between two candidates counts too.
     """
     if n_steps < 1:
         raise PreconditionError("shooting needs n_steps >= 1")
@@ -479,11 +479,12 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
     # the shooting parameter is the other one
     end = 1 if shoot_on == "p0" else 0
     field_matrix = _affine_matrix(model)
-    sub = 1 if field_matrix is not None else density  # rows per candidate interval
+    n_t = targets.size
+    # rows per candidate interval: dense for one non-affine target
+    sub = REFINED_DENSITY if field_matrix is None and n_t == 1 else 1
     with np.errstate(all="ignore"):  # a unit past the float range leaves non-finite lanes
         cand = _scan_candidates() * unit
         nodes = _lobatto_nodes(cand, sub)
-    n_t = targets.size
 
     def lanes(x):
         s = np.full_like(x, start_value)
@@ -527,72 +528,62 @@ def _shoot_batch(model, start_value, targets, t_span, n_steps, shoot_on, density
             return (qe if shoot_on == "p0" else pe), P, Q, widest
 
         grid = np.repeat(nodes[:, None], steps.size, axis=1)
-        second = _second_partials(model) if sub > 1 else None
-        roots, residuals, j_end, j_max = np.full((4, n_t), np.nan)
-        P, Q = np.full((2, n_steps + 1, n_t), np.nan)
-        iterations, changes = np.zeros((2, n_t), dtype=int)
-        have_bracket = np.zeros(n_t, dtype=bool)
-        flags = np.full(n_t, "infeasible", dtype=object)
-        method = np.full(n_t, "trajectory")
-        done = np.zeros(n_t, dtype=bool)
-        before = None  # the row before: (candidate interval, sign changes) of each target
-        for n in (_coarse_rows(n_steps) if second is not None else []) + [n_steps]:
-            # the sweep keeps the lanes of the row before's bracket intervals, where an
-            # agreeing row's bracket lies, and on the N-step row every candidate's
-            keep = np.zeros(nodes.size, dtype=bool)
-            keep[::sub] = n == n_steps
-            if before is not None:
-                i_b, changes_b = before
-                keep[i_b[~done & (changes_b > 0)] * sub + np.arange(sub + 1)[:, None]] = True
-            keep = np.flatnonzero(keep)
-            run = None  # a run of lanes is kept by a slice, which a step copies faster
-            if keep.size:
-                run = slice(keep[0], keep[-1] + 1) if keep[-1] - keep[0] < keep.size else keep
-            ends, P_n, Q_n, _ = sweep(grid, span[first] / n, n, keep=run)
-            x, lo, hi, r_lo, row_changes, row_have, row_flags, k, at = bracket(ends)
-            i = k // sub
-            polish = np.zeros(n_t, dtype=bool)
-            if before is not None:
-                # the bracket lies in the lanes kept for the target
-                inside = (changes_b > 0) & (i == i_b)
-                agree = inside & ((row_changes > 1) == (changes_b > 1))
-                polish = ~done & (row_changes > 0) & (inside if n == n_steps else agree)
-            if second is not None and polish.any():
-                cols = np.flatnonzero(polish)
-                pair = k[cols] + np.arange(2)[:, None]
-                on = slice(None), np.searchsorted(keep, pair), horizon[cols]
-                seed = _seed_path(nodes[pair], x[cols], P_n[on], Q_n[on], n_steps)
-                seed[end, 0], seed[1 - end, 0] = start_value, x[cols]
-                solved, *solution = _trajectory_newton(
-                    field, second, seed, 1 - end, targets[cols], tol[cols], dt[cols], lo[cols],
-                    hi[cols])
-                won = cols[solved]
-                for mine, theirs in zip((roots, residuals, P, Q, j_end, j_max, iterations),
-                                        solution):
-                    mine[..., won] = theirs[..., solved]
-                changes[won], have_bracket[won], flags[won] = (
-                    row_changes[won], row_have[won], row_flags[won])
-                done[won] = True
-            if done.all():
-                break
-            before = i, row_changes
-        else:  # the N-step row ran and some targets are left
-            rest = np.flatnonzero(~done)
-            changes[rest], have_bracket[rest], flags[rest] = (
-                row_changes[rest], row_have[rest], row_flags[rest])
+        solution = None
+        if sub == 1:  # a batch: the plain N-step scan keeps every lane
+            keep = np.arange(nodes.size)
+            ends, P_n, Q_n, _ = sweep(grid, dt[first], keep=...)
+            row = bracket(ends)
+        else:
+            second = _second_partials(model)
+            i_b = count_b = 0  # the row before's candidate interval and sign changes
+            for n in (_coarse_rows(n_steps) if second is not None else []) + [n_steps]:
+                # the sweep keeps the lanes of the row before's bracket interval, where an
+                # agreeing row's bracket lies, and on the N-step row every candidate's
+                keep = np.zeros(nodes.size, dtype=bool)
+                keep[::sub] = n == n_steps
+                if count_b:
+                    keep[i_b * sub:(i_b + 1) * sub + 1] = True
+                keep = np.flatnonzero(keep)
+                run = None  # a run of lanes is kept by a slice, which a step copies faster
+                if keep.size:
+                    run = slice(keep[0], keep[-1] + 1) if keep[-1] - keep[0] < keep.size else keep
+                ends, P_n, Q_n, _ = sweep(grid, span / n, n, keep=run)
+                row = x, lo, hi, _, changes, *_, k, _ = bracket(ends)
+                i, count = int(k[0]) // sub, int(changes[0])
+                # a bracket in the kept lanes is polished on the N-step row, and on a coarse
+                # row that agrees on whether there is more than one sign change
+                if count_b and count and i == i_b and (
+                        n == n_steps or (count > 1) == (count_b > 1)):
+                    pair = k + np.arange(2)[:, None]
+                    on = slice(None), np.searchsorted(keep, pair), horizon
+                    seed = _seed_path(nodes[pair], x, P_n[on], Q_n[on], n_steps)
+                    seed[end, 0], seed[1 - end, 0] = start_value, x
+                    solved, *solution = _trajectory_newton(
+                        field, second, seed, 1 - end, targets, tol, dt, lo, hi)
+                    if solved[0]:
+                        break
+                    solution = None
+                i_b, count_b = i, count
+        x, lo, hi, r_lo, changes, have_bracket, flags, k, at = row
+        if solution is not None:
+            roots, residuals, P, Q, j_end, j_max, iterations = solution
+            method = np.full(1, "trajectory")
+        else:
+            roots, residuals, j_end, j_max = np.full((4, n_t), np.nan)
+            P, Q = np.full((2, n_steps + 1, n_t), np.nan)
+            iterations = np.zeros(n_t, dtype=int)
+            method = np.where(have_bracket, "newton", "scan")
             # an infeasible target's path is its scan lane's, the candidate of least residual
-            lost = rest[~row_have[rest]]
+            lost = np.flatnonzero(~have_bracket)
             on = slice(None), np.searchsorted(keep, at[lost]), horizon[lost]
             P[:, lost], Q[:, lost], roots[lost] = P_n[on], Q_n[on], nodes[at[lost]]
             with np.errstate(invalid="ignore"):  # a blown-up lane leaves inf - inf
                 residuals[lost] = (Q if shoot_on == "p0" else P)[-1, lost] - targets[lost]
-            method[lost] = "scan"
-            todo = rest[row_have[rest]]
+            todo = np.flatnonzero(have_bracket)
             if todo.size:
                 (roots[todo], residuals[todo], P[:, todo], Q[:, todo], j_end[todo],
                  j_max[todo]) = _newton(sweep, x[todo], lo[todo], hi[todo], r_lo[todo],
                                         targets[todo], tol[todo], dt[todo], unit)
-                method[todo] = "newton"
         kept = dict(end=np.stack([P[-1], Q[-1]]), swept=(P, Q), sweeps=tuple(sweeps),
                     method=method, iterations=iterations)
 
@@ -706,41 +697,36 @@ def _step_jacobian(second, stages, dt, h2, dt6):
 
 
 def _trajectory_newton(field, second, Y, shot, targets, tol, dt, lo, hi):
-    """Newton on whole RK4 trajectories: a target's parameter and nodes 1..N at once.
+    """Newton on the whole RK4 trajectory of one target: its parameter and nodes 1..N at once.
 
-    Y, (2, N + 1, targets), holds the seed paths, (p, q) at every node,
-    each with its shooting parameter x at Y[shot, 0]; the other variable
-    is pinned; the first iteration overwrites Y.  An iteration takes one
-    RK4 step Phi from every node at once, with its exact Jacobian A_j
-    from the stage points, so the correction d_j of node j obeys
-    d_{j+1} = A_j d_j + c_j with c_j = Phi(y_j) - y_{j+1}.  Composing these affine maps by doubling,
+    Y, (2, N + 1, 1), holds the seed path, (p, q) at every node, with the
+    shooting parameter x at Y[shot, 0]; the other variable is pinned; the
+    iterations overwrite Y.  targets, tol, dt, lo and hi have the one
+    target's value each.  An iteration takes one RK4 step Phi from every
+    node at once, with its exact Jacobian A_j from the stage points, so
+    the correction d_j of node j obeys d_{j+1} = A_j d_j + c_j with
+    c_j = Phi(y_j) - y_{j+1}.  Composing these affine maps by doubling,
     log2(N) batched products, gives every d_j as u_j dx + v_j, dx the
     change of x: u_j, the products applied to the shooting direction, is
     the Jacobi field J(t_j) of the discrete flow, exact, and the end
-    condition fixes dx.  A target is solved by the iteration whose
-    correction is at rounding level (every |d_j| within _SETTLED ulps of
-    its path's largest |p| or |q|) and leaves its end residual within tol
-    and x in [lo, hi]; the corrected path is then a fixed point of the
-    RK4 step to rounding.  One whose values turn non-finite, or that is
-    not solved within MAX_TRAJECTORY_ITER iterations, is not.  second
-    holds the callables of H_pp, H_pq and H_qq (_second_partials).  Returns
-    (solved, x, residual, P, Q, J(t_f), max_t |J(t)|, iterations), each
-    target's solution valid where solved.
+    condition fixes dx.  The first iteration whose correction is at
+    rounding level (every |d_j| within _SETTLED ulps of the path's
+    largest |p| or |q|) and leaves the end residual within tol ends the
+    solve, solved when x lies in [lo, hi]; the corrected path is then a
+    fixed point of the RK4 step to rounding.  A value that turns
+    non-finite, or MAX_TRAJECTORY_ITER iterations that do not settle,
+    fail it.  second holds the callables of H_pp, H_pq and H_qq
+    (_second_partials).  Returns (solved, x, residual, P, Q, J(t_f),
+    max_t |J(t)|, iterations), each of one lane, the solution valid where
+    solved.
     """
-    end, n_t, n = 1 - shot, targets.size, Y.shape[1] - 1
-    solved = np.zeros(n_t, dtype=bool)
-    x, residuals, j_end, j_max = np.full((4, n_t), np.nan)
-    paths = np.full(Y.shape, np.nan)
-    iterations = np.zeros(n_t, dtype=int)
-    live = np.arange(n_t)
-    with np.errstate(all="ignore"):  # a lane that turns non-finite is dropped
+    end, n = 1 - shot, Y.shape[1] - 1
+    h2, dt6 = 0.5 * dt, dt / 6.0
+    with np.errstate(all="ignore"):  # a path that turns non-finite fails
         for it in range(1, MAX_TRAJECTORY_ITER + 1):
-            step = dt[live]
-            h2, dt6 = 0.5 * step, step / 6.0
-            p, q, stages = _rk4_step(field, Y[0, :-1], Y[1, :-1], step, h2, dt6)
-            maps = np.empty((2, 3, n, live.size))  # [A_j | c_j]
-            maps[:, :2] = _step_jacobian(second, ((Y[0, :-1], Y[1, :-1]),) + stages, step, h2,
-                                         dt6)
+            p, q, stages = _rk4_step(field, Y[0, :-1], Y[1, :-1], dt, h2, dt6)
+            maps = np.empty((2, 3, n, 1))  # [A_j | c_j]
+            maps[:, :2] = _step_jacobian(second, ((Y[0, :-1], Y[1, :-1]),) + stages, dt, h2, dt6)
             maps[:, 2] = np.stack([p, q]) - Y[:, 1:]
             d = 1
             while d < n:  # node j of the prefix maps is M_j ... M_0, by doubling
@@ -749,25 +735,21 @@ def _trajectory_newton(field, second, Y, shot, targets, tol, dt, lo, hi):
                 maps[:, :, d:] = composed
                 d *= 2
             J = maps[end, shot]
-            dx = -(Y[end, -1] - targets[live] + maps[end, 2, -1]) / J[-1]
+            dx = -(Y[end, -1] - targets + maps[end, 2, -1]) / J[-1]
             correction = maps[:, shot] * dx + maps[:, 2]
             settled = np.all(np.abs(correction) <= _SETTLED * np.finfo(float).eps
-                             * np.max(np.abs(Y), axis=1, keepdims=True), axis=(0, 1))
+                             * np.max(np.abs(Y), axis=1, keepdims=True))
             Y[:, 1:] += correction
             Y[shot, 0] += dx
-            r = Y[end, -1] - targets[live]
-            finite = np.all(np.isfinite(Y), axis=(0, 1)) & np.all(np.isfinite(J), axis=0)
-            done = finite & settled & (np.abs(r) <= tol[live])
-            won = done & (lo[live] <= Y[shot, 0]) & (Y[shot, 0] <= hi[live])
-            cols = live[won]
-            solved[cols], iterations[cols], paths[..., cols] = True, it, Y[..., won]
-            x[cols], residuals[cols] = Y[shot, 0, won], r[won]
-            j_end[cols], j_max[cols] = J[-1, won], np.max(np.abs(J[:, won]), axis=0)
-            going = finite & ~done
-            live, Y = live[going], Y[..., going]
-            if not live.size:
+            r = Y[end, -1] - targets
+            if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(J))):
                 break
-    return solved, x, residuals, paths[0], paths[1], j_end, j_max, iterations
+            if settled and abs(r[0]) <= tol[0]:
+                solved = np.array([lo[0] <= Y[shot, 0, 0] <= hi[0]])
+                return (solved, Y[shot, 0], r, Y[0], Y[1], J[-1], np.max(np.abs(J), axis=0),
+                        np.array([it]))
+    nan, path = np.full(1, np.nan), np.full((n + 1, 1), np.nan)
+    return np.zeros(1, dtype=bool), nan, nan, path, path, nan, nan, np.zeros(1, dtype=int)
 
 
 def _bvp(model, bounds, t_span, n_steps, shoot_on):
@@ -775,8 +757,7 @@ def _bvp(model, bounds, t_span, n_steps, shoot_on):
         raise PreconditionError("phase path needs t_end > t_start")
     if not math.isfinite(float(t_span[1]) - float(t_span[0])):
         raise PreconditionError("the horizon t_end - t_start is past the float range")
-    shots = _shoot_batch(model, bounds.start, [bounds.end], t_span, n_steps, shoot_on,
-                         density=REFINED_DENSITY)
+    shots = _shoot_batch(model, bounds.start, [bounds.end], t_span, n_steps, shoot_on)
     P, Q = shots.P[:, 0], shots.Q[:, 0]
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
         raise _blow_up(P, Q)

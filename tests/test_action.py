@@ -351,7 +351,7 @@ class TestAffineForms:
                                                              n_steps, which)
         assert method == "affine-form"
         shoot_on = "p0" if which == "s" else "q0"
-        shots = _shoot_batch(model, start, targets, (0.0, horizons), n_steps, shoot_on, 1)
+        shots = _shoot_batch(model, start, targets, (0.0, horizons), n_steps, shoot_on)
         end = 0 if which == "s" else 1
         with np.errstate(all="ignore"):
             want, _ = _action_values(model, shots.P, shots.Q, horizons / n_steps, which)

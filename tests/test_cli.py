@@ -698,6 +698,79 @@ def test_bounds_run_ends_in_a_report_or_a_json_error(chain, model, n, samples, m
             assert len(series.read_text().splitlines()) == 1 + samples
 
 
+# a builtin, or a coefficient list that is non-affine past degree 2
+_ANY_MODEL = st.one_of(st.sampled_from(dualaction.BUILTIN_NAMES),
+                       st.lists(_ANY_FLOAT, min_size=1, max_size=5).map(tuple))
+_PATH_FLOATS = st.fixed_dictionaries(
+    {flag: _ANY_FLOAT for flag in ("--mass", "--t0", "--t1", "--q-start", "--q-end")})
+
+
+def _model_argv(model):
+    return (["--hamiltonian", model] if isinstance(model, str) else
+            [f"--potential-coeffs={','.join(map(repr, model))}"])
+
+
+def _path_run(command, model, n, csv, floats, extra=()):
+    """Run a critical-path command (classify or action) on any floats; exit 1, a
+    blow-up or an infeasible solve, is a JSON error too.  Returns the report or None
+    and the series' row count."""
+    argv = [command, *_model_argv(model), "--N", str(n), *extra,
+            *[f"{flag}={value!r}" for flag, value in floats.items()]]
+    with tempfile.TemporaryDirectory() as tmp:
+        series = Path(tmp) / "series.csv"
+        if csv:
+            argv += ["--format", "csv", "--out", str(series)]
+        report = _ends_in_a_report_or_a_json_error(argv, floats.values(), error_exits=(1, 2))
+        rows = len(series.read_text().splitlines()) if csv and report else None
+    return report, rows
+
+
+@settings(max_examples=200)
+@given(model=_ANY_MODEL, which=st.sampled_from(["S", "R"]), n=st.integers(1, 40),
+       csv=st.booleans(), floats=_PATH_FLOATS)
+# these printed numpy RuntimeWarnings before their non-finite JSON error: a mass that
+# overflows the second variation's entries, and a horizon whose step underflows
+@example(model="free", which="S", n=29, csv=False,
+         floats={"--mass": 1e-300, "--t0": 0.0, "--t1": 1.0, "--q-start": 1.0, "--q-end": 1.0})
+@example(model="constant-force", which="R", n=40, csv=False,
+         floats={"--mass": 1e-300, "--t0": 0.0, "--t1": 5e-324, "--q-start": 0.0,
+                 "--q-end": 0.0})
+def test_classify_run_ends_in_a_report_or_a_json_error(model, which, n, csv, floats):
+    report, rows = _path_run("classify", model, n, csv, floats, extra=["--which", which])
+    if rows is not None:
+        assert rows > 1
+
+
+@settings(max_examples=200)
+@given(model=_ANY_MODEL, n=st.integers(1, 40), csv=st.booleans(), floats=_PATH_FLOATS)
+# these printed numpy RuntimeWarnings before their non-finite JSON error: a mass at the
+# float range overflows p^2 in the quadrature, and a subnormal horizon divides by 0
+@example(model="free", n=21, csv=False,
+         floats={"--mass": 1e308, "--t0": 0.0, "--t1": 1.0, "--q-start": 0.0, "--q-end": 1.0})
+@example(model="free", n=8, csv=False,
+         floats={"--mass": 1.0, "--t0": 0.0, "--t1": 5e-324, "--q-start": 1.0, "--q-end": 1.0})
+def test_action_run_ends_in_a_report_or_a_json_error(model, n, csv, floats):
+    report, rows = _path_run("action", model, n, csv, floats)
+    if rows is not None:
+        assert rows == 1 + n + 1
+
+
+@settings(max_examples=200)
+@given(model=_ANY_MODEL, n=st.integers(2, 40), samples=st.integers(1, 4),
+       seed=st.integers(0, 2**64), csv=st.booleans(), mass=_ANY_FLOAT)
+def test_legendre_check_run_ends_in_a_report_or_a_json_error(model, n, samples, seed, csv,
+                                                             mass):
+    argv = ["legendre-check", *_model_argv(model), "--N", str(n), "--samples", str(samples),
+            "--seed", str(seed), f"--mass={mass!r}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        series = Path(tmp) / "series.csv"
+        if csv:
+            argv += ["--format", "csv", "--out", str(series)]
+        report = _ends_in_a_report_or_a_json_error(argv, [mass])
+        if csv and report:
+            assert len(series.read_text().splitlines()) == 1 + samples
+
+
 def test_spin_past_the_cap_is_a_json_error():
     error = _cold_error(["spin", "--N", "25"], exit_code=2)
     assert error["error_code"] == "precondition"

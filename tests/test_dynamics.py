@@ -438,7 +438,7 @@ class TestAffineBranch:
         # the shots keep G^0..G^N and x0 = (p0, q0, 1); the path is G^j x0, built on first read
         model = HamiltonianModel.builtin(name, mass=1.3)
         shoot_on = "p0" if kind == "position-type" else "q0"
-        shots = _shoot_batch(model, 0.2, [0.7], (0.0, 0.9), 200, shoot_on, REFINED_DENSITY)
+        shots = _shoot_batch(model, 0.2, [0.7], (0.0, 0.9), 200, shoot_on)
         assert "_paths" not in vars(shots)
         root_slot = 0 if shoot_on == "p0" else 1
         assert shots.x0[0, root_slot] == shots.roots[0]
@@ -487,44 +487,28 @@ def test_step_powers_equal_the_stacked_products():
     assert dynamics._step_powers(field_matrix, np.empty(0), 8).shape == (0, 9, 3, 3)
 
 
-@pytest.mark.parametrize("density", [1, REFINED_DENSITY])
 @pytest.mark.parametrize("shoot_on", ["p0", "q0"])
 @pytest.mark.parametrize("name", ["quartic", "soft-oscillator"])
-def test_scan_per_distinct_horizon_equals_per_target_solves(name, shoot_on, density):
-    # non-affine models scan once per distinct horizon; lanes stay independent
+def test_scan_per_distinct_horizon_equals_per_target_solves(name, shoot_on):
+    # a batch of non-affine targets scans once per distinct horizon; lanes stay independent
     targets = np.array([0.2, 0.5, -0.3, 0.2, 0.9, 0.1, -0.6])
     horizons = np.array([0.6, 0.6, 1.1, 1.1, 0.6, 1.4, 1.1])
-    _batch_and_single_solves(ENGINE_MODELS[name](), targets, horizons, 300, shoot_on, density)
-
-
-@pytest.mark.parametrize("shoot_on", ["p0", "q0"])
-def test_ladder_batch_equals_per_target_solves(shoot_on):
-    # omega t from 6 to 30 at N = 2000: in one batch, targets end on different rows of the
-    # coarse ladder, each polished by the trajectory Newton
-    targets = np.array([0.2, 0.5, -0.3, 0.2, -0.5, 0.1, -0.6, 0.4])
-    horizons = np.array([0.6, 0.6, 1.1, 1.4, 2.25, 2.25, 3.0, 4.0])
-    singles = _batch_and_single_solves(_soft_oscillator(1.0, 10.0), targets, horizons, 2000,
-                                       shoot_on, REFINED_DENSITY)
-    assert {one.method[0] for one in singles} == {"trajectory"}
-    assert len({len(one.sweeps) for one in singles}) > 1
-
-
-def _batch_and_single_solves(model, targets, horizons, n_steps, shoot_on, density):
-    """Shoot targets in one batch and one by one; the batch's results equal the single
-    solves' bit for bit.  Returns the single solves."""
-    batch = _shoot_batch(model, 0.1, targets, (0.0, horizons), n_steps, shoot_on, density)
+    model = ENGINE_MODELS[name]()
+    batch = _shoot_batch(model, 0.1, targets, (0.0, horizons), 300, shoot_on)
     assert not np.any(batch.flags == "infeasible")
-    singles = []
     for k in range(targets.size):
-        one = _shoot_batch(model, 0.1, targets[k:k + 1], (0.0, horizons[k:k + 1]), n_steps,
-                           shoot_on, density)
+        # lane 0 of a batch of two copies is the target's own plain solve
+        one = _plain(model, 0.1, targets[k], horizons[k], 300, shoot_on)
         assert one.flags[0] == batch.flags[k]
         for got, want in ((one.roots[0], batch.roots[k]),
                           (one.residuals[0], batch.residuals[k]),
                           (one.P[:, 0], batch.P[:, k]), (one.Q[:, 0], batch.Q[:, k])):
             assert np.array_equal(got, want, equal_nan=True)
-        singles.append(one)
-    return singles
+
+
+def _plain(model, start, end, t, n_steps, shoot_on):
+    """The plain scan's solve of one target: the target shot as a batch of two copies."""
+    return _shoot_batch(model, start, [end, end], (0.0, t), n_steps, shoot_on)
 
 
 def _anharmonic(mass, lam):
@@ -691,7 +675,7 @@ class TestRefinedScan:
         model = build()
 
         def shoot():
-            return _shoot_batch(model, start, [end], (0.0, t), n_steps, "q0", REFINED_DENSITY)
+            return _shoot_batch(model, start, [end], (0.0, t), n_steps, "q0")
 
         shots = shoot()
         with pytest.MonkeyPatch.context() as patch:
@@ -719,11 +703,10 @@ class TestRefinedScan:
         # above N = 480 the coarse rows form a ladder of more than one pair; wherever the solve
         # leaves it, its flag is the forced N-step route's, and so is a unique root
         model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
-        shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on, REFINED_DENSITY)
+        shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on)
         with pytest.MonkeyPatch.context() as patch:
             _on_the_scan_route(patch)
-            forced = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
-                                  REFINED_DENSITY)
+            forced = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on)
         coarse = [sweep for sweep in shots.sweeps if sweep[1] < n_steps]
         assert coarse == _ladder(n_steps, len(coarse) - 1)
         assert shots.flags[0] == forced.flags[0]
@@ -752,8 +735,8 @@ class TestRefinedScan:
         # several roots on the plain scan are several on the dense one, and a root each calls
         # unique is the same root
         model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
-        dense = _shoot_batch(model, start, [end], (0.0, t), 200, shoot_on, REFINED_DENSITY)
-        plain = _shoot_batch(model, start, [end], (0.0, t), 200, shoot_on, 1)
+        dense = _shoot_batch(model, start, [end], (0.0, t), 200, shoot_on)
+        plain = _plain(model, start, end, t, 200, shoot_on)
         if plain.flags[0] == "conjugate-degenerate":
             assert dense.flags[0] == "conjugate-degenerate"
         # a solve that ends on a coarse row has a bracket, and the dense N-step row holds the
@@ -791,11 +774,10 @@ class TestRefinedScan:
         # with no trajectory Newton iteration the solve climbs every row and the Newton
         # sweeps solve the N-step row's bracket, the dense sign change nearest 0 there
         model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
-        shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on, REFINED_DENSITY)
+        shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on)
         with pytest.MonkeyPatch.context() as patch:
             _on_the_scan_route(patch)
-            forced = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
-                                  REFINED_DENSITY)
+            forced = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on)
         assert shots.flags[0] == forced.flags[0]
         assert forced.method[0] == ("scan" if forced.flags[0] == "infeasible" else "newton")
         assert list(forced.sweeps[:len(_ladder(n_steps)) + 1]) == _ladder(n_steps) + [
@@ -845,14 +827,12 @@ class TestRefinedScan:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dynamics, "_trajectory_newton",
                           recorded("trajectory", dynamics._trajectory_newton))
-            shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
-                                 REFINED_DENSITY)
+            shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on)
             assume(shots.method[0] == "trajectory")
             j_end, j_max = (value[0] for value in seen["trajectory"][5:7])
             _on_the_scan_route(patch)
             patch.setattr(dynamics, "_newton", recorded("newton", dynamics._newton))
-            scanned = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
-                                 REFINED_DENSITY)
+            scanned = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on)
         assert scanned.method[0] != "trajectory" and shots.flags[0] == scanned.flags[0]
         unit = dynamics._momentum_unit(model, start) if shoot_on == "p0" else 1.0
         two_h = 2.0 * dynamics.FD_REL_STEP * max(unit, abs(scanned.roots[0]))
@@ -881,8 +861,7 @@ class TestRefinedScan:
         with pytest.MonkeyPatch.context() as patch:
             if route == "scan":
                 _on_the_scan_route(patch)
-            shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
-                                 REFINED_DENSITY)
+            shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on)
         P, Q = shots.P[:, 0], shots.Q[:, 0]
         assume(np.all(np.isfinite(P)) and np.all(np.isfinite(Q)))
         x = shots.roots[0]
@@ -912,7 +891,7 @@ class TestRefinedScan:
             return out
 
         def shoot(model):
-            return _shoot_batch(model, start, [end], (0.0, t), n_steps, "p0", REFINED_DENSITY)
+            return _shoot_batch(model, start, [end], (0.0, t), n_steps, "p0")
 
         monkeypatch.setattr(dynamics, "_trajectory_newton", attempted)
         assert shoot(full).method[0] == "trajectory"
@@ -941,7 +920,7 @@ class TestRefinedScan:
         # divide by 0 or overflow unguarded.  At N = 1 the one row has no row before it, so
         # no lanes of a bracket are kept and the Newton sweeps solve it
         model = _anharmonic(1.0, 0.1) if name == "quartic" else _soft_oscillator()
-        shots = _shoot_batch(model, 0.1, [0.6], (0.0, 1.0), n_steps, "p0", REFINED_DENSITY)
+        shots = _shoot_batch(model, 0.1, [0.6], (0.0, 1.0), n_steps, "p0")
         assert shots.flags[0] != "infeasible"
         rows = _ladder(n_steps) + [(481, n_steps)]
         assert len({n for _, n in rows}) == len(rows)
@@ -950,8 +929,7 @@ class TestRefinedScan:
             assert all(sweep == (3, 1) for sweep in shots.sweeps[1:])
             with pytest.MonkeyPatch.context() as patch:
                 _on_the_scan_route(patch)
-                scanned = _shoot_batch(model, 0.1, [0.6], (0.0, 1.0), n_steps, "p0",
-                                       REFINED_DENSITY)
+                scanned = _shoot_batch(model, 0.1, [0.6], (0.0, 1.0), n_steps, "p0")
             assert _same_shots(shots, scanned)
         else:
             assert shots.method[0] == "trajectory"
@@ -963,8 +941,8 @@ class TestRefinedScan:
         # changes nearer 0 than that interval, and the solve brackets the nearest of them
         model = _anharmonic(1.0, 10.0)
         t, n_steps = 4.0, 20
-        dense = _shoot_batch(model, 0.0, [0.5], (0.0, t), n_steps, "p0", REFINED_DENSITY)
-        plain = _shoot_batch(model, 0.0, [0.5], (0.0, t), n_steps, "p0", 1)
+        dense = _shoot_batch(model, 0.0, [0.5], (0.0, t), n_steps, "p0")
+        plain = _plain(model, 0.0, 0.5, t, n_steps, "p0")
         # the dense lanes of the scan interval holding the plain root
         cand = dynamics._scan_candidates()
         i = np.searchsorted(cand, plain.roots[0]) - 1
@@ -998,7 +976,7 @@ class TestRefinedScan:
             return out
 
         monkeypatch.setattr(dynamics, "_trajectory_newton", recorded)
-        shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on, REFINED_DENSITY)
+        shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on)
         assert shots.method[0] == "trajectory" and solved == [True]
         row = shots.sweeps[-1][1]
         assert list(shots.sweeps) == _ladder(n_steps, 1) and row < n_steps
@@ -1021,8 +999,7 @@ class TestRefinedScan:
         t, n_steps = 1.0436056408971721, 1102
 
         def shoot():
-            return _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
-                                REFINED_DENSITY)
+            return _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on)
 
         shots = shoot()
         with pytest.MonkeyPatch.context() as patch:
@@ -1047,8 +1024,7 @@ class TestRefinedScan:
         methods, loop_steps = {}, 0
         for case, t, n_steps in _family_draws(family, 100):
             model, shoot_on, start, end = _refined_case(*case)
-            shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on,
-                                 REFINED_DENSITY)
+            shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on)
             methods[shots.method[0]] = methods.get(shots.method[0], 0) + 1
             loop_steps += sum(n for _, n in shots.sweeps)
         assert (methods, loop_steps) == self.FAMILY_ROUTES[family]
@@ -1139,7 +1115,7 @@ class TestDenseFlags:
         model = _anharmonic(mass, 10.0**log_lam)
         shoot_on, scale = ("p0", 1.0) if kind == "position-type" else ("q0", mass)
         start, end = scale * start, scale * end
-        shots = _shoot_batch(model, start, [end], (0.0, t), 100, shoot_on, REFINED_DENSITY)
+        shots = _shoot_batch(model, start, [end], (0.0, t), 100, shoot_on)
         changes = _dense_sign_changes(model, start, end, t, 100, shoot_on)
         if changes > 1:
             assert shots.flags[0] != "unique"
@@ -1169,7 +1145,7 @@ class TestDenseFlags:
         # the converse: a solve that ends on a coarse row reads the count there, yet a flag it
         # raises for several roots holds on the N-step dense row too
         model, shoot_on, start, end = _refined_case(name, log_mass, kind, start, end, strength)
-        shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on, REFINED_DENSITY)
+        shots = _shoot_batch(model, start, [end], (0.0, t), n_steps, shoot_on)
         if shots.flags[0] != "conjugate-degenerate":
             return
         J = _jacobi_field(model, shoot_on, start, shots.roots[0], t, n_steps)
