@@ -1049,6 +1049,84 @@ class TestRefinedScan:
         assert rep.residual == abs(q_end[0] - 1e4)
 
 
+class TestTrajectoryNewton:
+    """_trajectory_newton on one target: it returns on the first iterate
+    that settles, and fails with NaN outputs on a non-finite iterate or
+    after MAX_TRAJECTORY_ITER; every output keeps a lane axis of size 1."""
+
+    # the quartic windows of TestRefinedScan.SOLVES at N = 300
+    WINDOWS = {
+        "p0": (lambda: _anharmonic(1.0, 0.1), 0.0, 0.5, 0.45 * math.pi),
+        "q0": (lambda: _anharmonic(1e3, 0.1), 300.0, -300.0, 0.45 * math.pi),
+    }
+    N_STEPS = 300
+
+    def _solve(self, shoot_on, lo=-np.inf, hi=np.inf, perturb=1.0, budget=None):
+        """(outputs, shots): _trajectory_newton seeded with the shooting solution's path,
+        its free variable scaled by perturb at nodes 1..N, and that solution.  budget, when
+        given, is the MAX_TRAJECTORY_ITER of the _trajectory_newton call."""
+        build, start, end, t = self.WINDOWS[shoot_on]
+        model = build()
+        shots = _shoot_batch(model, start, [end], (0.0, t), self.N_STEPS, shoot_on)
+        assert shots.method[0] == "trajectory"
+        shot = 0 if shoot_on == "p0" else 1
+        Y = np.stack([shots.P, shots.Q])
+        Y[1 - shot, 1:] *= perturb
+        tol = SHOOTING_TOL * dynamics._pinned_scale(start, np.array([end]))
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(dynamics, "MAX_TRAJECTORY_ITER", budget)
+            outputs = dynamics._trajectory_newton(
+                model.vector_field(), dynamics._second_partials(model), Y, shot,
+                np.array([end]), tol, np.array([t / self.N_STEPS]), np.array([lo]),
+                np.array([hi]))
+        return outputs, shots
+
+    def _lane_shapes(self, outputs):
+        return [np.shape(value) for value in outputs]
+
+    @pytest.mark.parametrize("shoot_on", ["p0", "q0"])
+    def test_a_solved_path_settles_on_the_first_iteration(self, shoot_on):
+        (solved, x, r, P, Q, j_end, j_max, iterations), shots = self._solve(shoot_on)
+        assert solved[0] and iterations[0] == 1
+        assert abs(x[0] - shots.roots[0]) <= 1e-9 * max(1.0, abs(shots.roots[0]))
+        assert abs(r[0]) <= abs(shots.residuals[0]) + SHOOTING_TOL * 1e-3
+        # the path moves by rounding only: it is a fixed point of the RK4 step
+        for got, want in ((P, shots.P), (Q, shots.Q)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        assert np.isfinite(j_end[0]) and abs(j_end[0]) <= j_max[0]
+        assert self._lane_shapes((solved, x, r, P, Q, j_end, j_max, iterations)) == [
+            (1,), (1,), (1,), (self.N_STEPS + 1, 1), (self.N_STEPS + 1, 1), (1,), (1,), (1,)]
+
+    @pytest.mark.parametrize("shoot_on", ["p0", "q0"])
+    def test_a_settled_root_outside_its_bracket_is_not_solved(self, shoot_on):
+        # the iterate settles as before, but the bracket [lo, hi] lies above it
+        _, shots = self._solve(shoot_on)
+        above = abs(shots.roots[0]) + 1.0
+        (solved, x, *_, iterations), _ = self._solve(shoot_on, lo=above, hi=2.0 * above)
+        assert not solved[0] and iterations[0] == 1
+        assert abs(x[0] - shots.roots[0]) <= 1e-9 * max(1.0, abs(shots.roots[0]))
+
+    @pytest.mark.parametrize("shoot_on", ["p0", "q0"])
+    def test_a_non_finite_seed_fails_with_nan_outputs(self, shoot_on):
+        outputs, _ = self._solve(shoot_on, perturb=np.inf)
+        solved, *values, iterations = outputs
+        assert not solved[0] and iterations[0] == 0
+        assert all(np.isnan(value).all() for value in values)
+        assert self._lane_shapes(outputs) == [
+            (1,), (1,), (1,), (self.N_STEPS + 1, 1), (self.N_STEPS + 1, 1), (1,), (1,), (1,)]
+
+    @pytest.mark.parametrize("shoot_on", ["p0", "q0"])
+    def test_a_seed_unsettled_after_the_iteration_budget_fails(self, shoot_on):
+        # a seed 1 % off the solution needs more than one iteration to settle
+        (solved, x, *_, iterations), shots = self._solve(shoot_on, perturb=1.01)
+        assert solved[0] and 1 < iterations[0] <= dynamics.MAX_TRAJECTORY_ITER
+        assert abs(x[0] - shots.roots[0]) <= 1e-9 * max(1.0, abs(shots.roots[0]))
+        (solved, x, *_, iterations), _ = self._solve(shoot_on, perturb=1.01,
+                                                     budget=iterations[0] - 1)
+        assert not solved[0] and np.isnan(x[0]) and iterations[0] == 0
+
+
 def _dense_residuals(model, start, end, t, n_steps, shoot_on):
     """A single solve's dense scan lanes and their endpoint residuals, nan where not finite."""
     unit = dynamics._momentum_unit(model, start) if shoot_on == "p0" else 1.0
