@@ -143,7 +143,7 @@ def _energy(model, P, Q, out, tmp):
     """H(P, Q) in out, bit for bit model.eval: a separable model with
     potential coefficients computes P^2 / 2m + V(Q) in out and tmp alone,
     any other model's value is copied in."""
-    if model.kind == "separable" and model._vcoeffs is not None:
+    if model._vcoeffs is not None:
         np.square(P, out=out)
         out /= 2.0 * model.mass
         out += _horner(model._vcoeffs[0])(Q, tmp)

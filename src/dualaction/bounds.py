@@ -25,6 +25,7 @@ for the primed chain whose integral - vanishes appropriately).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -37,7 +38,7 @@ from .action import (
 )
 from .dynamics import ShootingReport
 from .errors import NotSaddleError, PreconditionError, RootFindError, UnsolvableRestrictionError
-from .model import DomainBox, HamiltonianModel, _horner, saddle_probe
+from .model import DomainBox, HamiltonianModel, saddle_probe
 from .series import write_series
 
 DEFAULT_SLACK_FLOOR = 1e-6
@@ -60,8 +61,12 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.pinned not in ("q-pinned", "p-pinned"):
             raise PreconditionError("pinned must be 'q-pinned' or 'p-pinned'")
-        if self.mode_count < 1:
-            raise PreconditionError("mode_count must be >= 1")
+        if not math.isfinite(self.amplitude):
+            raise PreconditionError("amplitude must be finite")
+        if not isinstance(self.mode_count, numbers.Integral) or self.mode_count < 1:
+            raise PreconditionError("mode_count must be an integer >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise PreconditionError("seed must be an integer >= 0")
 
 
 # Bytes per (nodes, block) array of a separable model's block: 32 samples
@@ -91,10 +96,11 @@ class _Workspace(NamedTuple):
     a to e have the paths' shape, (nodes,) or (nodes, columns), gap has
     nodes - 1 rows and half (nodes - 1) // 2; a block's are
     Fortran-ordered, so each column's nodes are contiguous, as a block
-    built from mode-sum rows has them (_mode_sum).  The functionals below
-    write their temporaries into these alone, so a block of a separable
-    model with potential coefficients allocates nothing of node length;
-    a model given by callables copies their values in.
+    built from mode-sum rows has them (_mode_sum).  The functionals and
+    restrictions below write their temporaries into these alone, so a
+    block of a separable model with potential coefficients allocates
+    nothing of node length; a model given by callables copies their
+    values in.
     """
 
     a: np.ndarray
@@ -114,6 +120,12 @@ class _Workspace(NamedTuple):
     def columns(self, k):
         """The buffers of a block of its first k columns, each still contiguous per column."""
         return _Workspace(*(x[:, :k] for x in self))
+
+
+def _in_workspace(x, ws):
+    """x as a float array, and ws or, when None, a new workspace of x's shape."""
+    x = np.asarray(x, dtype=float)
+    return x, ws if ws is not None else _Workspace.of(x.shape)
 
 
 def _peak(x):
@@ -198,33 +210,20 @@ def _columns(x):
     return x.reshape(x.shape[0], -1)
 
 
-def _polynomial(model):
-    """True for a separable model with potential coefficients: its V and
-    derivatives evaluate in place (_horner)."""
-    return model.kind != "general" and model._vcoeffs is not None
-
-
-def pi_from_theta(model: HamiltonianModel, theta, dt):
+def pi_from_theta(model: HamiltonianModel, theta, dt, *, ws=None):
     """Momentum samples solving dTheta/dt = H_p(Pi, Theta) node by node.
 
     theta is one path or a (nodes, k) array of k paths.  Exact for
     separable models (Pi = m dTheta/dt); otherwise a vectorized Newton
-    iteration (requires H_pp > 0 on the range).
+    iteration (requires H_pp > 0 on the range).  Computed in ws.b of the
+    workspace ws (a new one when None): the slope of theta goes to ws.a
+    and stays there, and the Newton works in c to e.
     """
-    theta = np.asarray(theta, dtype=float)
-    ws = _Workspace.of(theta.shape)
-    return _momentum(model, theta, _grad(theta, dt, out=ws.a), ws)
-
-
-def _momentum(model, theta, theta_dot, ws):
-    """pi_from_theta of theta, whose slope theta_dot the caller has taken, in ws.b.
-
-    theta_dot may be ws.a; the Newton of a general model works in c to e.
-    """
+    theta, ws = _in_workspace(theta, ws)
+    theta_dot = _grad(theta, dt, out=ws.a)
     if model.kind != "general":
         return np.multiply(theta_dot, model.mass, out=ws.b)
-    hp = model._derivative(1, 0)
-    hpp = model._derivative(2, 0)
+    hp, hpp = model._derivative(1, 0), model._derivative(2, 0)
     th, th_dot = _columns(theta), _columns(theta_dot)
     _newton_nodes(lambda x, out: np.subtract(hp(x, th), th_dot, out=out),
                   lambda x, out: hpp(x, th), th_dot, 1.0 + _peak(th_dot),
@@ -232,22 +231,18 @@ def _momentum(model, theta, theta_dot, ws):
     return ws.b
 
 
-def theta_from_pi(model: HamiltonianModel, pi, dt):
+def theta_from_pi(model: HamiltonianModel, pi, dt, *, ws=None):
     """Position samples solving dPi/dt = -H_q(Pi, Theta) node by node.
 
     pi is one path or a (nodes, k) array of k paths.  Requires the force
     to respond to position (H_qq != 0); a model cyclic in q (free
     particle) is unsolvable.  A quadratic potential solves in closed
     form; any other model runs the node Newton (_newton_nodes) from
-    Theta = 0.  A separable model's H_q = V'(Theta) and H_qq = V''(Theta)
-    do not depend on Pi.
+    Theta = 0, H_q and H_qq in its buffers where the model computes in
+    place.  Computed in ws.b of the workspace ws (a new one when None),
+    the slope of pi in ws.a; the Newton works in c to e.
     """
-    pi = np.asarray(pi, dtype=float)
-    return _theta_from_pi(model, pi, dt, _Workspace.of(pi.shape))
-
-
-def _theta_from_pi(model, pi, dt, ws):
-    """theta_from_pi in ws.b: the slope of pi goes to a, the Newton works in c to e."""
+    pi, ws = _in_workspace(pi, ws)
     pi_dot = _grad(pi, dt, out=ws.a)
     if model.is_cyclic_in_q():
         raise UnsolvableRestrictionError(
@@ -262,29 +257,11 @@ def _theta_from_pi(model, pi, dt, ws):
         theta /= 2.0 * c[2]
         return theta
     p, p_dot = _columns(pi), _columns(pi_dot)
-    if _polynomial(model):
-        v1, v2 = (_horner(model._vcoeffs[i]) for i in (1, 2))
-        f, fprime = (lambda x, out: np.add(v1(x, out), p_dot, out=out)), v2
-    else:
-        hq, hqq = model._derivative(0, 1), model._derivative(0, 2)
-        f, fprime = (lambda x, out: np.add(hq(p, x), p_dot, out=out)), (lambda x, out: hqq(p, x))
-    _newton_nodes(f, fprime, 0.0, 1.0 + _peak(p_dot), out=_columns(ws.b),
+    hq, hqq = model._derivative(0, 1), model._derivative(0, 2)
+    _newton_nodes(lambda x, out: np.add(hq(p, x, out), p_dot, out=out),
+                  lambda x, out: hqq(p, x, out), 0.0, 1.0 + _peak(p_dot), out=_columns(ws.b),
                   work=(_columns(ws.c), _columns(ws.d), _columns(ws.e)))
     return ws.b
-
-
-def _h_q(model):
-    """Callable (p, q, out=None) -> H_q: in out by Horner's rule for
-    polynomial separable models, a new value otherwise.
-
-    A value returned without out may be a scalar (constant H_q); it
-    broadcasts against p and q.
-    """
-    if _polynomial(model):
-        hq = _horner(model._vcoeffs[1])
-        return lambda p, q, out=None: hq(q, out)
-    hq = model._derivative(0, 1)
-    return lambda p, q, out=None: hq(p, q)
 
 
 def _heun(rate, drive, dt, start):
@@ -305,30 +282,14 @@ def _restricted_momentum_ivp(model, theta, dt, pi_start, ws=None):
     cumulative trapezoid into ws.b (a new workspace when None); a general
     model steps Heun.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta, ws = _in_workspace(theta, ws)
+    hq = model._derivative(0, 1)
     if model.kind == "general":
-        hq = model._derivative(0, 1)
         return _heun(lambda pi, th: -hq(pi, th), theta, dt, pi_start)
-    ws = ws if ws is not None else _Workspace.of(theta.shape)
-    force = np.negative(_h_q(model)(0.0, theta, ws.a), out=ws.a)
+    force = np.negative(hq(0.0, theta, ws.a), out=ws.a)
     pi = _cumulative_trapezoid(force, dt, out=ws.b, gap=ws.gap)
     pi += pi_start
     return pi
-
-
-def _restricted_position_ivp(model, pi, dt, theta_start, ws):
-    """Theta(t) solving dTheta/dt = H_p(Pi(t), Theta) from theta_start.
-
-    A separable model integrates the velocity, in ws.a, by the cumulative
-    trapezoid into ws.b; a general model steps Heun.
-    """
-    if model.kind == "general":
-        hp = model._derivative(1, 0)
-        return _heun(lambda th, p: hp(p, th), pi, dt, theta_start)
-    vel = np.divide(pi, model.mass, out=ws.a)
-    theta = _cumulative_trapezoid(vel, dt, out=ws.b, gap=ws.gap)
-    theta += theta_start
-    return theta
 
 
 def _value(quadrature):
@@ -347,58 +308,51 @@ def _action(model, P, Q, dt, which, ws, slope=None):
 # The four functionals take one path or a (nodes, k) array of k paths
 # and return a float or k values.  J and G are S, G' is R, each on its
 # restricted pair; J' integrates K with the restriction's own slope.
-# Each builds a workspace for its input; a certificate's blocks call the
-# underscored forms in the certificate's own (_Workspace).
+# Each computes in the workspace ws (a new one when None), as the
+# restrictions do, and a certificate passes its own to every block.
 
-def functional_J(model: HamiltonianModel, theta, dt):
-    """S evaluated on (Pi(Theta), Theta) with Pi from dTheta/dt = H_p."""
-    theta = np.asarray(theta, dtype=float)
-    return _functional_J(model, theta, dt, _Workspace.of(theta.shape))
-
-
-def _functional_J(model, theta, dt, ws):
-    theta_dot = _grad(theta, dt, out=ws.a)
-    pi = _momentum(model, theta, theta_dot, ws)
-    return _action(model, pi, theta, dt, "s", ws, theta_dot)
+def functional_J(model: HamiltonianModel, theta, dt, *, ws=None):
+    """S evaluated on (Pi(Theta), Theta) with Pi from dTheta/dt = H_p, computed in ws."""
+    theta, ws = _in_workspace(theta, ws)
+    pi = pi_from_theta(model, theta, dt, ws=ws)
+    return _action(model, pi, theta, dt, "s", ws, slope=ws.a)
 
 
-def functional_G(model: HamiltonianModel, pi, dt):
-    """S evaluated on (Pi, Theta(Pi)) with Theta from dPi/dt = -H_q."""
-    pi = np.asarray(pi, dtype=float)
-    return _functional_G(model, pi, dt, _Workspace.of(pi.shape))
+def functional_G(model: HamiltonianModel, pi, dt, *, ws=None):
+    """S evaluated on (Pi, Theta(Pi)) with Theta from dPi/dt = -H_q, computed in ws."""
+    pi, ws = _in_workspace(pi, ws)
+    return _action(model, pi, theta_from_pi(model, pi, dt, ws=ws), dt, "s", ws)
 
 
-def _functional_G(model, pi, dt, ws):
-    return _action(model, pi, _theta_from_pi(model, pi, dt, ws), dt, "s", ws)
-
-
-def functional_Jp(model: HamiltonianModel, theta, dt, pi_start):
+def functional_Jp(model: HamiltonianModel, theta, dt, pi_start, *, ws=None):
     """K-quadrature on (Pi(Theta), Theta) with Pi from dPi/dt = -H_q.
 
     The restriction is an initial-value problem anchored at the critical
     initial momentum, honouring the momentum-pinned endpoint condition.
     K is evaluated with the restriction value of dPi/dt, i.e.
-    K = Theta H_q(Pi, Theta) - H(Pi, Theta).
+    K = Theta H_q(Pi, Theta) - H(Pi, Theta), computed in ws.
     """
-    theta = np.asarray(theta, dtype=float)
-    return _functional_Jp(model, theta, dt, pi_start, _Workspace.of(theta.shape))
-
-
-def _functional_Jp(model, theta, dt, pi_start, ws):
+    theta, ws = _in_workspace(theta, ws)
     pi = _restricted_momentum_ivp(model, theta, dt, pi_start, ws)
-    k = np.multiply(theta, _h_q(model)(pi, theta, ws.a), out=ws.a)
+    k = np.multiply(theta, model._derivative(0, 1)(pi, theta, ws.a), out=ws.a)
     k -= _energy(model, pi, theta, ws.c, ws.d)
     return _value(_quadrature(k, dt, ws.half, ws.gap))
 
 
-def functional_Gp(model: HamiltonianModel, pi, dt, theta_start):
-    """R evaluated on (Pi, Theta(Pi)) with Theta from dTheta/dt = H_p."""
-    pi = np.asarray(pi, dtype=float)
-    return _functional_Gp(model, pi, dt, theta_start, _Workspace.of(pi.shape))
+def functional_Gp(model: HamiltonianModel, pi, dt, theta_start, *, ws=None):
+    """R evaluated on (Pi, Theta(Pi)) with Theta from dTheta/dt = H_p.
 
-
-def _functional_Gp(model, pi, dt, theta_start, ws):
-    theta = _restricted_position_ivp(model, pi, dt, theta_start, ws)
+    Theta starts at theta_start: a separable model integrates the velocity,
+    in ws.a, by the cumulative trapezoid into ws.b; a general model steps Heun.
+    """
+    pi, ws = _in_workspace(pi, ws)
+    if model.kind == "general":
+        hp = model._derivative(1, 0)
+        theta = _heun(lambda th, p: hp(p, th), pi, dt, theta_start)
+    else:
+        velocity = np.divide(pi, model.mass, out=ws.a)
+        theta = _cumulative_trapezoid(velocity, dt, out=ws.b, gap=ws.gap)
+        theta += theta_start
     return _action(model, pi, theta, dt, "r", ws)
 
 
@@ -419,9 +373,8 @@ def _compatibility_shift(model, theta, dt, pi_start, pi_end, ws=None, out=None):
     before out is written.  ws is the workspace of the solves (a new one
     when None).
     """
-    theta = np.asarray(theta, dtype=float)
-    ws = ws if ws is not None else _Workspace.of(theta.shape)
-    solve = _power_sum_shift if _polynomial(model) else _secant_shift
+    theta, ws = _in_workspace(theta, ws)
+    solve = _power_sum_shift if model._vcoeffs is not None else _secant_shift
     c, miss = solve(model, theta, dt, pi_start, pi_end, ws)
     _check_shift(model, theta, c, dt, pi_start, pi_end, miss)
     return np.add(theta, c, out=out)
@@ -681,8 +634,10 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
     blocks, as the columns of (nodes, block) arrays.  Both evaluate their
     columns in one workspace per certificate (_Workspace).  The
     certificate records which (method) and the columns passed through
-    the functionals (evaluations).  The saddle probe box reaches one unit
-    beyond the path and [-1, 1] on both axes.
+    the functionals (evaluations).  The samples compute with numpy's
+    floating-point warnings off, and a sample whose margin is not finite
+    counts as a violation.  The saddle probe box reaches one unit beyond
+    the path and [-1, 1] on both axes.
     """
     if chain not in ("S-chain", "R-chain"):
         raise PreconditionError("chain must be 'S-chain' or 'R-chain'")
@@ -710,17 +665,17 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
 
     if s_chain:
         def upper(theta, ws):
-            return _functional_J(model, theta, dt, ws)
+            return functional_J(model, theta, dt, ws=ws)
 
         def lower(pi, ws):
-            return _functional_G(model, pi, dt, ws)
+            return functional_G(model, pi, dt, ws=ws)
     else:
         def upper(pi, ws):
-            return _functional_Gp(model, pi, dt, path.q[0], ws)
+            return functional_Gp(model, pi, dt, path.q[0], ws=ws)
 
         def lower(theta, ws):  # theta is the certificate's own block, shifted in place
             theta = _compatibility_shift(model, theta, dt, path.p[0], path.p[-1], ws, out=theta)
-            return _functional_Jp(model, theta, dt, path.p[0], ws)
+            return functional_Jp(model, theta, dt, path.p[0], ws=ws)
 
     sines = np.array(_mode_basis(path.times, spec.mode_count, np.sin))
     # the S-chain's free variable also gets a constant mode, a row of ones
@@ -734,42 +689,42 @@ def certify_bounds(model: HamiltonianModel, chain: str, bvp: ShootingReport,
     width = _ROWS if form else min(_block_size(model, nodes), samples)
     ws = _Workspace.of((nodes, width))
     pinned_rows, free_rows = (np.empty((-(-width // _ROWS) * _ROWS, nodes)) for _ in range(2))
-    if form:
-        pinned, free = _draws(rng, spec.mode_count, samples, s_chain)
+    with np.errstate(all="ignore"):  # a sample past the float range is a violation
+        if form:
+            pinned, free = _draws(rng, spec.mode_count, samples, s_chain)
 
-        def on_columns(side):
-            return lambda columns: side(columns, ws.columns(columns.shape[1]))
+            def on_columns(side):
+                return lambda columns: side(columns, ws.columns(columns.shape[1]))
 
-        upper_values, upper_columns = _form_values(
-            on_columns(upper), pinned_path, sines, pinned, spec.amplitude, pinned_rows)
-        lower_values, lower_columns = _form_values(
-            on_columns(lower), free_path, cosines, free, spec.amplitude, free_rows)
-        method, evaluations = "quadratic-form", upper_columns + lower_columns
-    else:
-        lower_values = np.empty(samples)
-        upper_values = np.empty(samples)
-        for start in range(0, samples, width):
-            block = slice(start, min(start + width, samples))
-            count = block.stop - block.start
-            pinned, free = _draws(rng, spec.mode_count, count, s_chain)
-            pinned = _series(sines, spec.amplitude, pinned, pinned_rows)
-            pinned += pinned_path[:, None]
-            free = _series(cosines, spec.amplitude, free, free_rows)
-            free += free_path[:, None]
-            try:
-                upper_values[block] = upper(pinned, ws.columns(count))
-                lower_values[block] = lower(free, ws.columns(count))
-            except RootFindError:
-                # raise the error of the first failing sample, as a sample loop meets it;
-                # a failing block has written neither its pinned nor its free columns
-                for j in range(count):
-                    upper(pinned[:, j:j + 1], ws.columns(1))
-                    lower(free[:, j:j + 1], ws.columns(1))
-                raise
-        method, evaluations = "blocked", 2 * samples
+            upper_values, upper_columns = _form_values(
+                on_columns(upper), pinned_path, sines, pinned, spec.amplitude, pinned_rows)
+            lower_values, lower_columns = _form_values(
+                on_columns(lower), free_path, cosines, free, spec.amplitude, free_rows)
+            method, evaluations = "quadratic-form", upper_columns + lower_columns
+        else:
+            lower_values, upper_values = (np.empty(samples) for _ in range(2))
+            for start in range(0, samples, width):
+                block = slice(start, min(start + width, samples))
+                count = block.stop - block.start
+                pinned, free = _draws(rng, spec.mode_count, count, s_chain)
+                pinned = _series(sines, spec.amplitude, pinned, pinned_rows)
+                pinned += pinned_path[:, None]
+                free = _series(cosines, spec.amplitude, free, free_rows)
+                free += free_path[:, None]
+                try:
+                    upper_values[block] = upper(pinned, ws.columns(count))
+                    lower_values[block] = lower(free, ws.columns(count))
+                except RootFindError:
+                    # raise the error of the first failing sample, as a sample loop meets it;
+                    # a failing block has written neither its pinned nor its free columns
+                    for j in range(count):
+                        upper(pinned[:, j:j + 1], ws.columns(1))
+                        lower(free[:, j:j + 1], ws.columns(1))
+                    raise
+            method, evaluations = "blocked", 2 * samples
 
-    margins = np.concatenate([crit - lower_values, upper_values - crit])
-    violations = int(np.sum(margins < -slack))
+        margins = np.concatenate([crit - lower_values, upper_values - crit])
+        violations = int(np.sum(~(margins >= -slack)))
     return BoundCertificate(
         chain=chain, samples=samples, violations=violations,
         worst_margin=float(np.min(margins)), n_quad=path.n_intervals,

@@ -123,8 +123,9 @@ class HamiltonianModel:
     """H(p, q) with partial derivatives through third order.
 
     kind
-        "separable" for p^2/(2m) + V(q), "general" for a black-box
-        evaluator of (p, q).
+        "separable" for p^2/(2m) + V(q), from a mass and a potential
+        (no evaluator or partials); "general" for a black-box evaluator
+        of (p, q) (no mass or potential).
     partials
         Exact derivatives of a general model by order (a, b).  A general
         model with partials raises UnsupportedOrderError for an order it
@@ -138,6 +139,7 @@ class HamiltonianModel:
     evaluator: Callable | None = None
     partials: Mapping[tuple[int, int], Callable] | None = None
     label: str = ""
+    # V and its derivatives of a separable model with potential coefficients, else None
     _vcoeffs: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -146,7 +148,11 @@ class HamiltonianModel:
         if self.kind == "general":
             if self.evaluator is None:
                 raise PreconditionError("general kind requires an evaluator")
+            if any(x is not None for x in (self.mass, self.potential_coeffs, self.potential)):
+                raise PreconditionError("general kind takes no mass or potential")
         else:
+            if self.evaluator is not None or self.partials is not None:
+                raise PreconditionError("separable kind takes no evaluator or partials")
             if self.mass is None or self.mass <= 0:
                 raise PreconditionError("separable kind requires a positive mass")
             _require_finite("mass", self.mass)
@@ -258,7 +264,11 @@ class HamiltonianModel:
         )
 
     def _derivative(self, a, b):
-        """Vectorized callable for d^{a+b} H / dp^a dq^b."""
+        """Vectorized callable (p, q, out=None) for d^{a+b} H / dp^a dq^b.
+
+        A polynomial separable model's partials in q (a = 0, b >= 1)
+        compute in out, an array of q's shape other than q, by Horner's
+        rule when it is given; every other partial returns a new value."""
         if a + b > 3 or a < 0 or b < 0:
             raise UnsupportedOrderError(f"partial order ({a},{b}) exceeds total order 3")
         if self.kind != "general":
@@ -266,9 +276,9 @@ class HamiltonianModel:
         key = (a, b)
         if self.partials and key in self.partials:
             fn = self.partials[key]
-            return lambda p, q: np.asarray(fn(p, q), dtype=float)
+            return lambda p, q, out=None: np.asarray(fn(p, q), dtype=float)
         if a == 0 and b == 0:
-            return lambda p, q: np.asarray(self.evaluator(p, q), dtype=float)
+            return lambda p, q, out=None: np.asarray(self.evaluator(p, q), dtype=float)
         if self.partials:
             raise UnsupportedOrderError(f"this model has no partial of order ({a},{b})")
         return self._fd_derivative(a, b)
@@ -283,7 +293,7 @@ class HamiltonianModel:
         calls them as given; other models call their (1, 0) and (0, 1)
         derivatives.
         """
-        if self.kind != "general" and self._vcoeffs is not None:
+        if self._vcoeffs is not None:
             m = self.mass
             hq = _horner(self._vcoeffs[1])
             return lambda p, q: (p / m, hq(q))
@@ -295,17 +305,19 @@ class HamiltonianModel:
     def _separable_derivative(self, a, b):
         m = self.mass
         if a > 0 and b > 0:
-            return lambda p, q: np.zeros(np.broadcast(p, q).shape)
+            return lambda p, q, out=None: np.zeros(np.broadcast(p, q).shape)
         if a == 1:
-            return lambda p, q: np.asarray(p, dtype=float) / m
+            return lambda p, q, out=None: np.asarray(p, dtype=float) / m
         if a == 2:
-            return lambda p, q: np.full(np.broadcast(p, q).shape, 1.0 / m)
+            return lambda p, q, out=None: np.full(np.broadcast(p, q).shape, 1.0 / m)
         if a == 3:
-            return lambda p, q: np.zeros(np.broadcast(p, q).shape)
+            return lambda p, q, out=None: np.zeros(np.broadcast(p, q).shape)
         dv = self._v_derivative(b)
         if b == 0:
-            return lambda p, q: np.asarray(p, dtype=float) ** 2 / (2.0 * m) + dv(q)
-        return lambda p, q: dv(q) * np.ones(np.broadcast(p, q).shape)
+            return lambda p, q, out=None: np.asarray(p, dtype=float) ** 2 / (2.0 * m) + dv(q)
+        horner = _horner(self._vcoeffs[b]) if self._vcoeffs is not None else None
+        return lambda p, q, out=None: (horner(q, out) if out is not None and horner
+                                       else dv(q) * np.ones(np.broadcast(p, q).shape))
 
     def _fd_derivative(self, a, b):
         """d^{a+b} H / dp^a dq^b of a black-box evaluator: a differences along
@@ -316,7 +328,7 @@ class HamiltonianModel:
         def nest(f, x, order):
             return f(x) if order == 0 else _fd_directional(f, x, order, h)
 
-        def deriv(p, q):
+        def deriv(p, q, out=None):
             p = np.asarray(p, dtype=float)
             q = np.asarray(q, dtype=float)
 
@@ -337,7 +349,7 @@ class HamiltonianModel:
         position restriction, the quadratic-form bound certificate and the
         Gaussian chain all ask it.
         """
-        if self.kind != "separable" or self.potential_coeffs is None:
+        if self._vcoeffs is None:
             return None
         c = tuple(float(x) for x in self.potential_coeffs) + (0.0, 0.0, 0.0)
         return None if any(c[3:]) else c[:3]
@@ -347,7 +359,7 @@ class HamiltonianModel:
         of V' when a separable model has them, else H_q at every point of a
         4x4 probe.  The rule is exact for both kinds, so the same H gives the
         same answer however it is built."""
-        if self.kind != "general" and self._vcoeffs is not None:
+        if self._vcoeffs is not None:
             return not np.any(np.asarray(self._vcoeffs[1]))
         hq = self._derivative(0, 1)
         probe = np.array([-1.7, -0.4, 0.3, 1.2])
@@ -406,7 +418,7 @@ def _axis_flags(model, box, axis):
     """
     if axis not in ("p-axis", "q-axis"):
         raise PreconditionError(f"axis must be 'p-axis' or 'q-axis', got {axis!r}")
-    if model.kind == "general" or model._vcoeffs is None:
+    if model._vcoeffs is None:
         return _chord_flags(model, box, axis)
     if axis == "p-axis":
         return True, False

@@ -191,6 +191,20 @@ class TestPerturbationSpec:
             PerturbationSpec(amplitude=0.1, pinned="z-pinned")
         with pytest.raises(PreconditionError):
             PerturbationSpec(amplitude=0.1, mode_count=0)
+        # nan gave an S-chain certificate of nan values and no violation, a seed of -1
+        # numpy's ValueError and a mode count of 2.5 a TypeError
+        for kwargs, message in [
+            ({"amplitude": float("nan")}, "amplitude must be finite"),
+            ({"amplitude": float("inf")}, "amplitude must be finite"),
+            ({"amplitude": 0.1, "mode_count": 2.5}, "mode_count must be an integer"),
+            ({"amplitude": 0.1, "mode_count": 2.0}, "mode_count must be an integer"),
+            ({"amplitude": 0.1, "seed": -1}, "seed must be an integer >= 0"),
+            ({"amplitude": 0.1, "seed": 1.5}, "seed must be an integer >= 0"),
+        ]:
+            with pytest.raises(PreconditionError, match=message):
+                PerturbationSpec(**kwargs)
+        spec = PerturbationSpec(np.float64(0.1), np.int64(3), np.uint32(7))  # numpy integers pass
+        assert (spec.mode_count, spec.seed) == (3, 7)
 
     def test_sine_series_pinned_and_normalized(self):
         t = np.linspace(0.0, 2.0, 401)
@@ -998,3 +1012,59 @@ def test_random_saddles_obey_both_chains(log_mass, kappa, q_end, t, eps):
             cert = certify_bounds(model, chain, bvp, spec, 30)
             means.append(np.mean(np.concatenate([cert.margins_low, cert.margins_high])))
         assert np.polyfit(np.log(amplitudes), np.log(means), 1)[0] >= 1.9, chain
+
+
+def _filled_workspace(shape):
+    """A workspace for a block of shape, wider than it and full of nan, as a certificate's is."""
+    ws = bounds._Workspace.of((shape[0], 8) if len(shape) > 1 else shape)
+    for buffer in ws:
+        buffer.fill(np.nan)
+    return ws.columns(shape[1]) if len(shape) > 1 else ws
+
+
+@pytest.mark.parametrize("columns", [None, 5], ids=["path", "block"])
+@pytest.mark.parametrize("name", list(REFERENCE_MODELS) + ["callable-V", "drift"])
+def test_caller_workspace_changes_no_value(name, columns):
+    # each functional and restriction is one body: a caller's workspace, here holding
+    # nan from earlier use, gives the bits of a workspace of its own
+    models = {**{key: value[0] for key, value in REFERENCE_MODELS.items()},
+              "callable-V": HamiltonianModel.separable(1.0, potential=lambda q: -np.cosh(q)),
+              "drift": HamiltonianModel.with_drift(1.0, (0.1, 0.2), (0.0, 0.0, -0.5))}
+    model = models[name]
+    path = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 0.8), (0.0, 1.0), 40).path
+    dt = path.dt
+    rng = np.random.default_rng(3)
+    theta, pi = path.q, path.p
+    if columns:
+        theta = theta[:, None] + 0.05 * rng.normal(size=(theta.size, columns))
+        pi = pi[:, None] + 0.05 * rng.normal(size=(pi.size, columns))
+    calls = {
+        "J": lambda **ws: functional_J(model, theta, dt, **ws),
+        "G": lambda **ws: functional_G(model, pi, dt, **ws),
+        "Jp": lambda **ws: functional_Jp(model, theta, dt, path.p[0], **ws),
+        "Gp": lambda **ws: functional_Gp(model, pi, dt, path.q[0], **ws),
+        "pi": lambda **ws: pi_from_theta(model, theta, dt, **ws),
+        "theta": lambda **ws: theta_from_pi(model, pi, dt, **ws),
+    }
+    for what, call in calls.items():
+        own = np.copy(call())
+        given = call(ws=_filled_workspace(theta.shape))
+        assert np.shape(given) == own.shape and np.array_equal(given, own), what
+
+
+@pytest.mark.parametrize("chain, pin", [("S-chain", "q-pinned"), ("R-chain", "p-pinned")])
+def test_samples_past_the_float_range_warn_nothing(chain, pin):
+    # a margin that is not finite is a violation; these printed RuntimeWarnings, and the
+    # S-chain reported no violation at a nan worst margin
+    model = REFERENCE_MODELS["anharmonic-saddle"][0]
+    bvp = solve_position_bvp(model, BoundarySpec("position-type", 0.0, 1.0), (0.0, 1.0), 10)
+    spec = PerturbationSpec(1e308, 8, 0, pin)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if chain == "R-chain":
+            with pytest.raises(RootFindError):
+                certify_bounds(model, chain, bvp, spec, 20)
+            return
+        cert = certify_bounds(model, chain, bvp, spec, 20)
+    assert cert.violations == cert.samples == 20
+    assert math.isnan(cert.worst_margin)

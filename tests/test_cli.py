@@ -468,6 +468,15 @@ def test_propagate_and_legendre_past_float_range_print_no_warning(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["bounds", "--hamiltonian", "saddle-quadratic", "--epsilon", "1e308"],
+    ["bounds", "--potential-coeffs", "0,0,-0.5,0,-0.05", "--N", "10", "--epsilon", "1e308"],
+], ids=["quadratic-form", "blocked"])
+def test_bounds_past_float_range_is_non_finite(argv):
+    # every sample's margin is a violation, and the nan worst margin ends the report
+    assert _cold_error(argv, exit_code=2)["error_code"] == "non-finite"
+
+
+@pytest.mark.parametrize("argv", [
     ["hj-check", "--grid-min=-1e308", "--grid-max", "1e308"],
     ["hj-check", "--t-min=-1e308", "--t-max", "1e308"],
     ["propagate", "--grid-min=-1e308", "--grid-max", "1e308", "--format", "csv", "--out",

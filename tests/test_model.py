@@ -131,6 +131,40 @@ class TestFiniteDifferences:
         assert eval_partials(m, 0.0, 0.4, (0, 2)) == pytest.approx(-np.cos(0.4), abs=1e-8)
 
 
+class TestPartialsInPlace:
+    # V = -q^2/2 - 0.05 q^4: V', V'' and V''' each have a zero coefficient; the
+    # oscillator's V'' is a constant and its V''' zero
+    @pytest.mark.parametrize("model", [
+        HamiltonianModel.separable(1.3, potential_coeffs=(0.0, 0.0, -0.5, 0.0, -0.05)),
+        HamiltonianModel.sho(0.7, 1.4),
+    ], ids=["quartic", "sho"])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(9,), (9, 4)])
+    def test_polynomial_partials_in_q_compute_in_out(self, model, b, shape):
+        q = np.linspace(-2.0, 3.0, np.prod(shape)).reshape(shape, order="F")
+        p = np.full(shape, 0.4)
+        out = np.full(shape, np.nan, order="F")
+        partial = model._derivative(0, b)
+        assert partial(p, q, out) is out
+        want = partial(p, q)
+        assert want is not out and want.shape == shape
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("model", [
+        HamiltonianModel.with_drift(1.0, (0.1, 0.2), (0.0, 0.0, -0.5)),
+        HamiltonianModel.general(lambda p, q: np.cosh(p) - q**2 / 2.0),  # finite differences
+        HamiltonianModel.separable(1.0, potential=lambda q: -np.cosh(q)),
+    ], ids=["drift", "general-fd", "separable-callable"])
+    @pytest.mark.parametrize("order", [(0, 1), (0, 2), (1, 0), (0, 0)])
+    def test_other_partials_return_a_new_value(self, model, order):
+        p, q = np.linspace(-1.0, 1.0, 7), np.linspace(-0.5, 1.5, 7)
+        out = np.full(7, -7.0)
+        partial = model._derivative(*order)
+        got = partial(p, q, out)
+        assert got is not out and np.all(out == -7.0)
+        assert np.array_equal(got, partial(p, q))
+
+
 class TestConvexityProbe:
     def test_saddle_axes(self, saddle, box):
         assert convexity_probe(saddle, box, "q-axis") == "concave"
@@ -378,7 +412,20 @@ class TestConstructors:
         (lambda: HamiltonianModel.with_drift(-1.0, (0.0,), (0.0, 0.0, 0.5)), "positive mass"),
         (lambda: convexity_probe(HamiltonianModel.sho(), DomainBox(-1, 1, -1, 1), "t-axis"),
          "axis must be"),
-    ], ids=["kind", "mass", "no-mass", "drift-mass", "axis"])
+        # one kind's fields on the other: _vcoeffs alone then tells a polynomial separable model
+        (lambda: HamiltonianModel(kind="general", evaluator=lambda p, q: p * q, mass=1.0),
+         "general kind takes no mass or potential"),
+        (lambda: HamiltonianModel(kind="general", evaluator=lambda p, q: p * q,
+                                  potential_coeffs=(0.0, 0.0, 0.5)),
+         "general kind takes no mass or potential"),
+        (lambda: HamiltonianModel(kind="separable", mass=1.0, potential_coeffs=(0.0, 0.0, 0.5),
+                                  evaluator=lambda p, q: p * q),
+         "separable kind takes no evaluator or partials"),
+        (lambda: HamiltonianModel(kind="separable", mass=1.0, potential_coeffs=(0.0, 0.0, 0.5),
+                                  partials={}),
+         "separable kind takes no evaluator or partials"),
+    ], ids=["kind", "mass", "no-mass", "drift-mass", "axis", "general-mass", "general-coeffs",
+            "separable-evaluator", "separable-partials"])
     def test_precondition_violations_raise(self, build, message):
         with pytest.raises(PreconditionError, match=message) as err:
             build()
